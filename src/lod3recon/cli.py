@@ -15,7 +15,8 @@ import argparse
 import contextlib
 import os
 import sys
-from dataclasses import dataclass, field, fields
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .errors import (ConfigError, IoError, Lod3Error, ParseError, SpecError)
 from .evaluate import (DetectionCounts, detection_rates, format_report,
@@ -24,7 +25,7 @@ from .evaluate import (DetectionCounts, detection_rates, format_report,
                        write_metrics)
 from .extraction import ExtractionConfig, extract_openings, read_instances, \
     write_instances
-from .fusion import default_cpt, fuse_maps, read_cpt
+from .fusion import fuse_maps, read_cpt
 from .model_io import (default_template_library, read_solid,
                        read_template_library)
 from .occupancy import (OccupancyConfig, build_occupancy, read_rays,
@@ -99,18 +100,33 @@ class PipelineConfig:
         return self.margin if self.margin is not None else self.raster_cell
 
 
-_PATH_KEYS = ("rays", "solid", "out_dir", "points", "image", "correspondences",
-              "templates", "cpt", "gt_instances", "gt_measured", "gt_model")
-_OCCUPANCY_KEYS = {"voxel_size": float, "log_odds_hit": float,
-                   "log_odds_miss": float, "log_odds_min": float,
-                   "log_odds_max": float, "occupied_threshold": float,
-                   "max_range": float}
-_UNCERTAINTY_KEYS = {"sigma_position": float, "sigma_state": float,
-                     "sigma_in_meters": bool, "aggregate": str}
-_EXTRACTION_KEYS = {"p_high": float, "kernel": int, "pe_lo": float,
-                    "pe_up": float, "min_pixels": int}
-_TOP_KEYS = {"cell": float, "band": float, "depth": float, "margin": float,
-             "iou_min": float, "samples": int, "sample_seed": int}
+def _field_types(cls) -> dict:
+    """Field name -> value type of a dataclass; `X | None` counts as X."""
+    types = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        args = [a for a in typing.get_args(hint) if a is not type(None)]
+        types[name] = args[0] if args else hint
+    return types
+
+
+_BLOCKS = {name: kind for name, kind in _field_types(PipelineConfig).items()
+           if is_dataclass(kind)}
+
+
+def _config_keys() -> dict:
+    """Config key -> (PipelineConfig block holding it or None, value type).
+    Keys are flat: each field of a block is a key of its own."""
+    keys = {}
+    for name, kind in _field_types(PipelineConfig).items():
+        if name in _BLOCKS:
+            keys.update((key, (name, sub_kind))
+                        for key, sub_kind in _field_types(kind).items())
+        else:
+            keys[name] = (None, kind)
+    return keys
+
+
+_CONFIG_KEYS = _config_keys()
 
 
 def read_config_file(path) -> dict:
@@ -136,50 +152,56 @@ def read_config_file(path) -> dict:
     return raw
 
 
+def boolean(text: str) -> bool:
+    """`true` or `false`, as config files and options spell a flag."""
+    if text not in ("true", "false"):
+        raise ValueError(f"must be true or false, got {text!r}")
+    return text == "true"
+
+
 def _convert(key: str, text: str, kind):
-    if kind is bool:
-        if text in ("true", "false"):
-            return text == "true"
-        raise ConfigError(f"{key} must be true or false, got {text!r}")
-    if kind is str:
-        return text
     try:
-        return kind(text)
+        return boolean(text) if kind is bool else kind(text)
     except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {text!r}") from exc
+        raise ConfigError(f"bad value for {key}: {exc}") from exc
 
 
-def build_config(raw: dict, base_dir: str = ".") -> PipelineConfig:
-    """Typed config from raw strings; paths resolve against `base_dir`."""
-    raw = dict(raw)
-    top: dict = {}
-    occ: dict = {}
-    unc: dict = {}
-    ext: dict = {}
-    for key, value in raw.items():
-        if key in _PATH_KEYS:
-            top[key] = os.path.normpath(os.path.join(base_dir, value))
-        elif key == "faces":
-            top[key] = tuple(value.split())
-        elif key in _OCCUPANCY_KEYS:
-            occ[key] = _convert(key, value, _OCCUPANCY_KEYS[key])
-        elif key in _UNCERTAINTY_KEYS:
-            unc[key] = _convert(key, value, _UNCERTAINTY_KEYS[key])
-        elif key in _EXTRACTION_KEYS:
-            ext[key] = _convert(key, value, _EXTRACTION_KEYS[key])
-        elif key in _TOP_KEYS:
-            top[key] = _convert(key, value, _TOP_KEYS[key])
-        else:
-            raise ConfigError(f"unknown config key {key!r}")
+def _make(cls, values: dict):
+    """`cls(**values)`; a missing or rejected value is a config error."""
     try:
-        return PipelineConfig(occupancy=OccupancyConfig(**occ),
-                              uncertainty=UncertaintyConfig(**unc),
-                              extraction=ExtractionConfig(**ext),
-                              **top)
+        return cls(**values)
     except TypeError as exc:
         raise ConfigError(f"incomplete config: {exc}") from exc
     except Lod3Error as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _from_args(cls, args, **values):
+    """`cls` from the parsed options named after its fields, plus `values`."""
+    values.update((f.name, getattr(args, f.name)) for f in fields(cls)
+                  if hasattr(args, f.name))
+    return _make(cls, values)
+
+
+def build_config(raw: dict, base_dir: str = ".") -> PipelineConfig:
+    """Typed config from raw strings; paths resolve against `base_dir`."""
+    top: dict = {}
+    blocks: dict = {block: {} for block in _BLOCKS}
+    for key, value in raw.items():
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
+        block, kind = _CONFIG_KEYS[key]
+        if block is not None:
+            blocks[block][key] = _convert(key, value, kind)
+        elif kind is str:  # every top-level text value is a path
+            top[key] = os.path.normpath(os.path.join(base_dir, value))
+        elif kind is tuple:
+            top[key] = tuple(value.split())
+        else:
+            top[key] = _convert(key, value, kind)
+    for block, values in blocks.items():
+        top[block] = _make(_BLOCKS[block], values)
+    return _make(PipelineConfig, top)
 
 
 @contextlib.contextmanager
@@ -220,17 +242,14 @@ def run_pipeline(config: PipelineConfig) -> dict:
             homography = estimate_homography(
                 read_correspondences(config.correspondences))
     with _stage("fuse"):
-        cpt = read_cpt(config.cpt) if config.cpt else default_cpt()
+        cpt = _read_optional(read_cpt, config.cpt)
     with _stage("reconstruct"):
-        templates = (read_template_library(config.templates)
-                     if config.templates else default_template_library())
+        templates = _templates(config.templates)
 
     instances = []
     for face_id in face_ids:
-        try:
-            face = solid.face(face_id)
-        except KeyError:
-            raise ConfigError(f"faces: solid has no face {face_id!r}")
+        with _stage("faces"):
+            face = _face(solid, face_id)
         frame = facade_frame(face, config.raster_cell)
         with _stage("conflicts"):
             conflict = project_conflict_map(tree, face, config.uncertainty,
@@ -276,8 +295,14 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
     if config.gt_instances:
         with _stage("evaluate"):
-            metrics = _evaluate_against_gt(config, solid, instances, model,
-                                           templates)
+            gt = read_instances(config.gt_instances)
+            measured = _read_optional(read_instances, config.gt_measured)
+            # ground truth is exact; the boundary margin only guards detections
+            gt_model = (read_model(config.gt_model) if config.gt_model
+                        else reconstruct_model(solid, gt, templates,
+                                               depth=config.depth, margin=0.0))
+            metrics = _score(instances, gt, measured, (model, gt_model),
+                             config)
             artifacts["metrics"] = metrics
             artifacts["metrics_file"] = os.path.join(out, "metrics.txt")
             write_metrics(metrics, artifacts["metrics_file"])
@@ -291,32 +316,44 @@ def run_pipeline(config: PipelineConfig) -> dict:
     return artifacts
 
 
-def _evaluate_against_gt(config, solid, instances, model, templates) -> dict:
-    gt = read_instances(config.gt_instances)
-    mo = (len(read_instances(config.gt_measured))
-          if config.gt_measured else len(gt))
-    tp, fp, fn, matches = match_instances(instances, gt, config.iou_min)
+def _read_optional(read, path):
+    return read(path) if path else None
+
+
+def _templates(path) -> dict:
+    return read_template_library(path) if path else default_template_library()
+
+
+def _face(solid, face_id):
+    try:
+        return solid.face(face_id)
+    except KeyError:
+        raise ConfigError(f"solid has no face {face_id!r}")
+
+
+def _score(pred, gt, measured, models, settings) -> dict:
+    """Detection metrics against `gt` (`measured`: its laser-seen subset, or
+    None), plus surface metrics for a (predicted, ground-truth) model pair.
+    `settings` is a PipelineConfig or the `evaluate` options alike."""
+    tp, fp, fn, matches = match_instances(pred, gt, settings.iou_min)
+    mo = len(measured if measured is not None else gt)
     counts = DetectionCounts.from_matching(len(gt), mo, tp, fp)
     da, fa, dm = detection_rates(counts)
     metrics = {"AO": counts.AO, "MO": counts.MO, "D": counts.D,
                "TP": counts.TP, "FP": counts.FP, "FN": counts.FN,
                "DA": da, "FA": fa, "DM": dm,
-               "median_iou": median_instance_iou(instances, gt, matches)}
+               "median_iou": median_instance_iou(pred, gt, matches)}
     if matches:
         metrics["median_iou_matched"] = median_instance_iou(
-            instances, gt, matches, matched_only=True)
-    if config.gt_model:
-        gt_model = read_model(config.gt_model)
-    else:
-        # ground truth is exact; the boundary margin only guards detections
-        gt_model = reconstruct_model(solid, gt, templates,
-                                     depth=config.depth, margin=0.0)
-    samples = sample_model_points(gt_model, config.samples,
-                                  seed=config.sample_seed)
-    mean, rms = mesh_deviation(samples, triangulate_model(model))
-    metrics["mean_deviation"] = mean
-    metrics["rms_deviation"] = rms
-    metrics["watertight"] = watertight(model.loops())
+            pred, gt, matches, matched_only=True)
+    if models is not None:
+        model, gt_model = models
+        samples = sample_model_points(gt_model, settings.samples,
+                                      seed=settings.sample_seed)
+        mean, rms = mesh_deviation(samples, triangulate_model(model))
+        metrics["mean_deviation"] = mean
+        metrics["rms_deviation"] = rms
+        metrics["watertight"] = watertight(model.loops())
     return metrics
 
 
@@ -324,32 +361,25 @@ def _evaluate_against_gt(config, solid, instances, model, templates) -> dict:
 # subcommands
 
 def _cmd_raycast(args) -> int:
-    config = OccupancyConfig(voxel_size=args.vs, log_odds_hit=args.l_hit,
-                             log_odds_miss=args.l_miss, log_odds_min=args.l_min,
-                             log_odds_max=args.l_max,
-                             occupied_threshold=args.occupied_threshold,
-                             max_range=args.max_range)
+    config = _from_args(OccupancyConfig, args)
     tree = build_occupancy(read_rays(args.rays), config)
     write_tree(tree, args.out)
     print(f"wrote {args.out} ({len(tree.cells)} voxels)")
     return 0
 
 
-def _face_frame(solid_path, face_id, cell):
-    solid = read_solid(solid_path)
-    try:
-        face = solid.face(face_id)
-    except KeyError:
-        raise ConfigError(f"solid has no face {face_id!r}")
+def _face_frame(args, voxel_size: float):
+    """Face and raster frame; the cell defaults to one voxel, as in the
+    pipeline."""
+    face = _face(read_solid(args.solid), args.face)
+    cell = args.cell if args.cell is not None else voxel_size
     return face, facade_frame(face, cell)
 
 
 def _cmd_conflicts(args) -> int:
+    config = _from_args(UncertaintyConfig, args)
     tree = read_tree(args.tree)
-    face, frame = _face_frame(args.solid, args.face, args.cell)
-    config = UncertaintyConfig(sigma_position=args.sigma_position,
-                               sigma_state=args.sigma_state,
-                               aggregate=args.aggregate)
+    face, frame = _face_frame(args, tree.config.voxel_size)
     write_raster(project_conflict_map(tree, face, config, frame), args.out)
     print(f"wrote {args.out}")
     return 0
@@ -357,7 +387,7 @@ def _cmd_conflicts(args) -> int:
 
 def _cmd_project_points(args) -> int:
     points, probs = read_labeled_points(args.points)
-    _, frame = _face_frame(args.solid, args.face, args.cell)
+    _, frame = _face_frame(args, OccupancyConfig().voxel_size)
     raster = project_point_probabilities(points, probs, frame, band=args.band)
     write_raster(raster, args.out)
     print(f"wrote {args.out}")
@@ -367,7 +397,7 @@ def _cmd_project_points(args) -> int:
 def _cmd_project_image(args) -> int:
     image, channels = read_pixel_grid(args.image)
     homography = estimate_homography(read_correspondences(args.correspondences))
-    _, frame = _face_frame(args.solid, args.face, args.cell)
+    _, frame = _face_frame(args, OccupancyConfig().voxel_size)
     raster = project_image_probabilities(image, channels, homography, frame)
     write_raster(raster, args.out)
     print(f"wrote {args.out}")
@@ -375,22 +405,18 @@ def _cmd_project_image(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
-    conflict = read_raster(args.conflict) if args.conflict else None
-    pc = read_raster(args.pc) if args.pc else None
-    tex = read_raster(args.tex) if args.tex else None
-    cpt = read_cpt(args.cpt) if args.cpt else None
+    conflict, pc, tex = (_read_optional(read_raster, path)
+                         for path in (args.conflict, args.pc, args.tex))
+    cpt = _read_optional(read_cpt, args.cpt)
     write_raster(fuse_maps(conflict, pc, tex, cpt), args.out)
     print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_extract(args) -> int:
+    config = _from_args(ExtractionConfig, args)
     posterior = read_raster(args.posterior)
-    pc = read_raster(args.pc) if args.pc else None
-    tex = read_raster(args.tex) if args.tex else None
-    config = ExtractionConfig(p_high=args.p_high, kernel=args.kernel,
-                              pe_lo=args.pe_lo, pe_up=args.pe_up,
-                              min_pixels=args.min_pixels)
+    pc, tex = (_read_optional(read_raster, path) for path in (args.pc, args.tex))
     instances = extract_openings(posterior, config, pc, tex, face_id=args.face)
     write_instances(instances, args.out)
     print(f"wrote {args.out} ({len(instances)} instances)")
@@ -400,10 +426,11 @@ def _cmd_extract(args) -> int:
 def _cmd_reconstruct(args) -> int:
     solid = read_solid(args.solid)
     instances = read_instances(args.instances)
-    templates = (read_template_library(args.templates)
-                 if args.templates else default_template_library())
-    model = reconstruct_model(solid, instances, templates, depth=args.depth,
-                              margin=args.margin)
+    # one cell of the default raster, as in the pipeline
+    margin = (args.margin if args.margin is not None
+              else OccupancyConfig().voxel_size)
+    model = reconstruct_model(solid, instances, _templates(args.templates),
+                              depth=args.depth, margin=margin)
     write_model(model, args.out_model)
     write_citygml(model, args.out_gml)
     print(f"wrote {args.out_model} and {args.out_gml} "
@@ -414,25 +441,11 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_evaluate(args) -> int:
     pred = read_instances(args.pred)
     gt = read_instances(args.gt)
-    mo = len(read_instances(args.measured)) if args.measured else len(gt)
-    tp, fp, fn, matches = match_instances(pred, gt, args.iou_min)
-    counts = DetectionCounts.from_matching(len(gt), mo, tp, fp)
-    da, fa, dm = detection_rates(counts)
-    metrics = {"AO": counts.AO, "MO": counts.MO, "D": counts.D,
-               "TP": counts.TP, "FP": counts.FP, "FN": counts.FN,
-               "DA": da, "FA": fa, "DM": dm,
-               "median_iou": median_instance_iou(pred, gt, matches)}
-    if matches:
-        metrics["median_iou_matched"] = median_instance_iou(
-            pred, gt, matches, matched_only=True)
+    measured = _read_optional(read_instances, args.measured)
+    models = None
     if args.model and args.gt_model:
-        model = read_model(args.model)
-        gt_model = read_model(args.gt_model)
-        samples = sample_model_points(gt_model, args.samples, seed=args.seed)
-        mean, rms = mesh_deviation(samples, triangulate_model(model))
-        metrics["mean_deviation"] = mean
-        metrics["rms_deviation"] = rms
-        metrics["watertight"] = watertight(model.loops())
+        models = read_model(args.model), read_model(args.gt_model)
+    metrics = _score(pred, gt, measured, models, args)
     if args.out:
         write_metrics(metrics, args.out)
     sys.stdout.write(format_report(metrics))
@@ -457,32 +470,23 @@ def _parse_opening(text: str) -> SynthOpening:
 
 
 def _cmd_synth(args) -> int:
-    kwargs = dict(width=args.width, height=args.height, depth=args.depth,
-                  pitch=args.pitch, noise_sigma=args.noise, seed=args.seed,
-                  image_cell=args.image_cell)
+    openings = {}
     if args.opening:
-        kwargs["openings"] = tuple(_parse_opening(o) for o in args.opening)
-    spec = SceneSpec(**kwargs)
+        openings["openings"] = tuple(_parse_opening(o) for o in args.opening)
+    spec = _from_args(SceneSpec, args, **openings)
     paths = synth_scene(spec, args.out)
     config_path = os.path.join(args.out, "scene.cfg")
-    _write_scene_config(spec, paths, args.out, config_path)
+    _write_scene_config(paths, config_path)
     print(f"wrote scene into {args.out}")
     return 0
 
 
-def _write_scene_config(spec: SceneSpec, paths: dict, out_dir, path) -> None:
-    lines = [
-        "# pipeline configuration for the generated scene",
-        f"rays = {os.path.basename(paths['rays'])}",
-        f"solid = {os.path.basename(paths['solid'])}",
-        f"points = {os.path.basename(paths['points'])}",
-        f"image = {os.path.basename(paths['image'])}",
-        f"correspondences = {os.path.basename(paths['correspondences'])}",
-        f"gt_instances = {os.path.basename(paths['gt_instances'])}",
-        f"gt_measured = {os.path.basename(paths['gt_measured'])}",
-        "faces = wall_front",
-        "out_dir = artifacts",
-    ]
+def _write_scene_config(paths: dict, path) -> None:
+    lines = ["# pipeline configuration for the generated scene"]
+    lines += [f"{key} = {os.path.basename(paths[key])}" for key in (
+        "rays", "solid", "points", "image", "correspondences",
+        "gt_instances", "gt_measured")]
+    lines += ["faces = wall_front", "out_dir = artifacts"]
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -492,16 +496,14 @@ def _write_scene_config(spec: SceneSpec, paths: dict, out_dir, path) -> None:
 
 def _cmd_pipeline(args) -> int:
     raw = read_config_file(args.config)
-    overrides = {"voxel_size": args.vs, "p_high": args.p_high,
-                 "pe_up": args.pe_up, "pe_lo": args.pe_lo, "cpt": args.cpt,
-                 "depth": args.depth, "iou_min": args.iou_min}
-    for key, value in overrides.items():
-        if value is not None:
+    # every pipeline option is named after the config key it overrides
+    for key, value in vars(args).items():
+        if key in _CONFIG_KEYS and value is not None:
             raw[key] = str(value)
-    env_out = os.environ.get("LOD3_OUT_DIR")
     config = build_config(raw, os.path.dirname(os.path.abspath(args.config)))
+    env_out = os.environ.get("LOD3_OUT_DIR")
     if env_out:
-        config = _replace_out_dir(config, env_out)
+        config = replace(config, out_dir=env_out)
     artifacts = run_pipeline(config)
     print(f"pipeline complete: {artifacts['out_dir']}")
     if artifacts["metrics"]:
@@ -509,14 +511,32 @@ def _cmd_pipeline(args) -> int:
     return 0
 
 
-def _replace_out_dir(config: PipelineConfig, out_dir: str) -> PipelineConfig:
-    values = {f.name: getattr(config, f.name) for f in fields(config)}
-    values["out_dir"] = out_dir
-    return PipelineConfig(**values)
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
+
+# flags whose spelling does not follow from the field name
+_FLAGS = {"voxel_size": "--vs", "log_odds_hit": "--l-hit",
+          "log_odds_miss": "--l-miss", "log_odds_min": "--l-min",
+          "log_odds_max": "--l-max", "sample_seed": "--seed",
+          "noise_sigma": "--noise"}
+
+
+def _add_options(parser, cls, *names, override: bool = False) -> None:
+    """One option per (named) field of `cls`, stored under the field name,
+    with its type and default; an override option defaults to None."""
+    types = _field_types(cls)
+    for f in fields(cls):
+        if names and f.name not in names:
+            continue
+        kind = types[f.name]
+        doc = "default: %(default)s" if f.default is not None else None
+        parser.add_argument(
+            _FLAGS.get(f.name, "--" + f.name.replace("_", "-")), dest=f.name,
+            type=boolean if kind is bool else kind,
+            metavar="{true,false}" if kind is bool else None,
+            default=None if override else f.default,
+            help=f"override {f.name}" if override else doc)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -528,45 +548,39 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("raycast", help="integrate rays into an occupancy grid")
     p.add_argument("--rays", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--vs", type=float, default=0.1, help="voxel size in meters")
-    p.add_argument("--l-hit", type=float, default=0.85)
-    p.add_argument("--l-miss", type=float, default=-0.4)
-    p.add_argument("--l-min", type=float, default=-2.0)
-    p.add_argument("--l-max", type=float, default=3.5)
-    p.add_argument("--occupied-threshold", type=float, default=0.5)
-    p.add_argument("--max-range", type=float, default=100.0)
+    _add_options(p, OccupancyConfig)
     p.set_defaults(func=_cmd_raycast)
 
     p = sub.add_parser("conflicts",
-                       help="project voxel states onto a facade raster")
+                       help="project voxel states onto a facade raster",
+                       description="--cell defaults to the tree's voxel size.")
     p.add_argument("--tree", required=True)
     p.add_argument("--solid", required=True)
     p.add_argument("--face", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--cell", type=float, default=0.1)
-    p.add_argument("--sigma-position", type=float, default=3.0)
-    p.add_argument("--sigma-state", type=float, default=2.85)
-    p.add_argument("--aggregate", choices=("max", "mean"), default="max")
+    _add_options(p, PipelineConfig, "cell")
+    _add_options(p, UncertaintyConfig)
     p.set_defaults(func=_cmd_conflicts)
 
     p = sub.add_parser("project-points",
-                       help="project labeled scan points onto a facade raster")
+                       help="project labeled scan points onto a facade raster",
+                       description="--cell defaults to the default voxel size.")
     p.add_argument("--points", required=True)
     p.add_argument("--solid", required=True)
     p.add_argument("--face", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--cell", type=float, default=0.1)
-    p.add_argument("--band", type=float, default=None)
+    _add_options(p, PipelineConfig, "cell", "band")
     p.set_defaults(func=_cmd_project_points)
 
     p = sub.add_parser("project-image",
-                       help="warp an image probability grid onto a facade")
+                       help="warp an image probability grid onto a facade",
+                       description="--cell defaults to the default voxel size.")
     p.add_argument("--image", required=True)
     p.add_argument("--correspondences", required=True)
     p.add_argument("--solid", required=True)
     p.add_argument("--face", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--cell", type=float, default=0.1)
+    _add_options(p, PipelineConfig, "cell")
     p.set_defaults(func=_cmd_project_image)
 
     p = sub.add_parser("fuse", help="fuse evidence rasters into a posterior")
@@ -584,20 +598,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tex")
     p.add_argument("--face", default="")
     p.add_argument("--out", required=True)
-    p.add_argument("--p-high", type=float, default=0.7)
-    p.add_argument("--kernel", type=int, default=3)
-    p.add_argument("--pe-lo", type=float, default=5.0)
-    p.add_argument("--pe-up", type=float, default=95.0)
-    p.add_argument("--min-pixels", type=int, default=4)
+    _add_options(p, ExtractionConfig)
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("reconstruct",
-                       help="cut openings and emit the LoD3 model")
+                       help="cut openings and emit the LoD3 model",
+                       description="--margin defaults to one default voxel.")
     p.add_argument("--solid", required=True)
     p.add_argument("--instances", required=True)
     p.add_argument("--templates")
-    p.add_argument("--depth", type=float, default=0.1)
-    p.add_argument("--margin", type=float, default=0.0)
+    _add_options(p, PipelineConfig, "depth", "margin")
     p.add_argument("--out-model", required=True)
     p.add_argument("--out-gml", required=True)
     p.set_defaults(func=_cmd_reconstruct)
@@ -606,34 +616,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--measured", help="laser-measured subset of the ground truth")
-    p.add_argument("--iou-min", type=float, default=0.5)
     p.add_argument("--model", help="predicted model file for surface metrics")
     p.add_argument("--gt-model", help="ground-truth model file")
-    p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
+    _add_options(p, PipelineConfig, "iou_min", "samples", "sample_seed")
     p.add_argument("--out", help="metrics key-value file")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("pipeline", help="run every stage from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--vs", type=float, help="override voxel_size")
-    p.add_argument("--p-high", type=float, help="override p_high")
-    p.add_argument("--pe-up", type=float, help="override pe_up")
-    p.add_argument("--pe-lo", type=float, help="override pe_lo")
-    p.add_argument("--cpt", help="override cpt path")
-    p.add_argument("--depth", type=float, help="override cut depth")
-    p.add_argument("--iou-min", type=float, help="override matching threshold")
+    _add_options(p, OccupancyConfig, "voxel_size", override=True)
+    _add_options(p, ExtractionConfig, "p_high", "pe_lo", "pe_up", override=True)
+    _add_options(p, PipelineConfig, "cpt", "depth", "iou_min", override=True)
     p.set_defaults(func=_cmd_pipeline)
 
     p = sub.add_parser("synth", help="generate a synthetic test scene")
     p.add_argument("--out", required=True)
-    p.add_argument("--width", type=float, default=10.0)
-    p.add_argument("--height", type=float, default=4.0)
-    p.add_argument("--depth", type=float, default=5.0)
-    p.add_argument("--pitch", type=float, default=0.05)
-    p.add_argument("--noise", type=float, default=0.02)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--image-cell", type=float, default=0.05)
+    _add_options(p, SceneSpec, "width", "height", "depth", "pitch",
+                 "noise_sigma", "seed", "image_cell")
     p.add_argument("--opening", action="append",
                    help="'u0 v0 u1 v1 label [covered]'; repeatable")
     p.set_defaults(func=_cmd_synth)

@@ -3,18 +3,20 @@
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 from lod3recon import cli
 from lod3recon.errors import ConfigError, IoError, ParseError
 from lod3recon.evaluate import read_metrics
-from lod3recon.extraction import OpeningInstance, read_instances, \
-    write_instances
+from lod3recon.extraction import ExtractionConfig, OpeningInstance, \
+    read_instances, write_instances
 from lod3recon.model_io import box_solid, write_solid
-from lod3recon.occupancy import read_tree
+from lod3recon.occupancy import OccupancyConfig, read_tree
 from lod3recon.rasters import FacadeRaster, facade_frame, write_raster
 from lod3recon.reconstruct import read_model
+from lod3recon.visibility import UncertaintyConfig
 
 
 SCENE_ARGS = ["--width", "4", "--height", "2", "--depth", "2", "--seed", "5",
@@ -405,3 +407,97 @@ def test_module_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "--vs" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# one definition per default: config dataclasses -> keys and options
+
+STAGE_REQUIRED = {
+    "raycast": ["--rays", "r.txt", "--out", "t.txt"],
+    "conflicts": ["--tree", "t.txt", "--solid", "s.txt", "--face", "f",
+                  "--out", "c.txt"],
+    "extract": ["--posterior", "p.txt", "--out", "i.txt"],
+}
+
+
+@pytest.mark.parametrize("cls, block, stage", [
+    (OccupancyConfig, "occupancy", "raycast"),
+    (UncertaintyConfig, "uncertainty", "conflicts"),
+    (ExtractionConfig, "extraction", "extract"),
+])
+def test_config_fields_are_keys_and_stage_options(cls, block, stage):
+    args = cli.build_parser().parse_args([stage] + STAGE_REQUIRED[stage])
+    for f in fields(cls):
+        assert getattr(args, f.name) == f.default, f.name
+        text = (str(f.default).lower() if isinstance(f.default, bool)
+                else str(f.default))
+        config = cli.build_config(dict(BASE, **{f.name: text}), ".")
+        assert getattr(getattr(config, block), f.name) == f.default, f.name
+
+
+def test_config_key_namespace_is_flat():
+    names = [f.name for cls in (cli.PipelineConfig, OccupancyConfig,
+                                UncertaintyConfig, ExtractionConfig)
+             for f in fields(cls)]
+    assert len(names) == len(set(names))
+
+
+@pytest.mark.parametrize("stage, flag, value", [
+    ("raycast", "--vs", "-1"),
+    ("conflicts", "--sigma-position", "0"),
+    ("extract", "--p-high", "2"),
+])
+def test_bad_stage_config_value_exits_2(scene_dir, artifacts_dir, tmp_path,
+                                        capsys, stage, flag, value):
+    inputs = {
+        "raycast": ["--rays", str(scene_dir / "rays.txt")],
+        "conflicts": ["--tree", str(artifacts_dir / "tree.txt"),
+                      "--solid", str(scene_dir / "solid.txt"),
+                      "--face", "wall_front"],
+        "extract": ["--posterior",
+                    str(artifacts_dir / "posterior_wall_front.txt")],
+    }
+    out = tmp_path / "out.txt"
+    rc = cli.main([stage, *inputs[stage], "--out", str(out), flag, value])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# openings at least two 0.2 m cells from every face edge, so the pipeline's
+# one-cell cut margin accepts them at that voxel size
+COARSE_SCENE_ARGS = ["--width", "4", "--height", "2.4", "--depth", "2",
+                     "--seed", "3",
+                     "--opening", "0.8 0.8 1.8 1.6 window",
+                     "--opening", "2.4 0.6 3.2 1.8 window"]
+
+
+def test_stage_defaults_follow_tree_voxel_size(tmp_path):
+    scene = tmp_path / "scene"
+    assert cli.main(["synth", "--out", str(scene)] + COARSE_SCENE_ARGS) == 0
+    assert cli.main(["pipeline", "--config", str(scene / "scene.cfg"),
+                     "--vs", "0.2"]) == 0
+    tree, raster = tmp_path / "tree.txt", tmp_path / "conflict.txt"
+    assert cli.main(["raycast", "--rays", str(scene / "rays.txt"),
+                     "--out", str(tree), "--vs", "0.2"]) == 0
+    assert cli.main(["conflicts", "--tree", str(tree),
+                     "--solid", str(scene / "solid.txt"),
+                     "--face", "wall_front", "--out", str(raster)]) == 0
+    piped = scene / "artifacts" / "conflict_wall_front.txt"
+    assert raster.read_bytes() == piped.read_bytes()
+
+
+def test_reconstruct_default_margin_is_one_cell(tmp_path, capsys):
+    solid_path = tmp_path / "s.txt"
+    write_solid(box_solid("b", (0.0, 0.0, 0.0), (2.0, 2.0, 2.0)), solid_path)
+    inst_path = tmp_path / "i.txt"
+    # 0.05 m from the left face edge: inside half a default cell
+    write_instances([OpeningInstance("wall_front", (0.05, 0.5, 1.0, 1.5),
+                                     "window", 0.9)], inst_path)
+    argv = ["reconstruct", "--solid", str(solid_path),
+            "--instances", str(inst_path),
+            "--out-model", str(tmp_path / "m.txt"),
+            "--out-gml", str(tmp_path / "m.gml")]
+    assert cli.main(argv) == 1
+    assert "boundary" in capsys.readouterr().err
+    assert cli.main(argv + ["--margin", "0"]) == 0
