@@ -27,7 +27,7 @@ from .extraction import ExtractionConfig, extract_openings, read_instances, \
     write_instances
 from .fusion import fuse_maps, read_cpt
 from .model_io import (default_template_library, read_solid,
-                       read_template_library)
+                       read_template_library, validate_solid)
 from .occupancy import (OccupancyConfig, build_occupancy, read_rays,
                         read_tree, write_tree)
 from .rasters import (estimate_homography, facade_frame, read_correspondences,
@@ -36,6 +36,7 @@ from .rasters import (estimate_homography, facade_frame, read_correspondences,
 from .reconstruct import (read_model, reconstruct_model, write_citygml,
                           write_model)
 from .synth import SceneSpec, SynthOpening, synth_scene
+from .textio import key_values, writing
 from .visibility import UncertaintyConfig, project_conflict_map
 from .rasters import project_image_probabilities, project_point_probabilities
 
@@ -129,27 +130,8 @@ def _config_keys() -> dict:
 _CONFIG_KEYS = _config_keys()
 
 
-def read_config_file(path) -> dict:
-    """Raw `key = value` pairs; duplicate keys are rejected."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    raw = {}
-    for no, line in enumerate(lines, start=1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
-        if "=" not in text:
-            raise ParseError(f"{path}:{no}: expected 'key = value'")
-        key, _, value = (part.strip() for part in text.partition("="))
-        if not key:
-            raise ParseError(f"{path}:{no}: empty key")
-        if key in raw:
-            raise ParseError(f"{path}:{no}: duplicate key {key!r}")
-        raw[key] = value
-    return raw
+# raw `key = value` pairs of a config file; duplicate keys are rejected
+read_config_file = key_values
 
 
 def boolean(text: str) -> bool:
@@ -228,7 +210,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         artifacts["tree"] = os.path.join(out, "tree.txt")
         write_tree(tree, artifacts["tree"])
     with _stage("prior"):
-        solid = read_solid(config.solid)
+        solid = _read_prior(config.solid)
     face_ids = config.faces or tuple(
         f.face_id for f in solid.faces if f.label == "wall")
     points = probs = None
@@ -307,17 +289,22 @@ def run_pipeline(config: PipelineConfig) -> dict:
             artifacts["metrics_file"] = os.path.join(out, "metrics.txt")
             write_metrics(metrics, artifacts["metrics_file"])
             artifacts["report"] = os.path.join(out, "report.txt")
-            try:
-                with open(artifacts["report"], "w", encoding="utf-8") as fh:
-                    fh.write(format_report(metrics))
-            except OSError as exc:
-                raise IoError(f"cannot write {artifacts['report']}: {exc}") \
-                    from exc
+            with writing(artifacts["report"]) as fh:
+                fh.write(format_report(metrics))
     return artifacts
 
 
 def _read_optional(read, path):
     return read(path) if path else None
+
+
+def _read_prior(path):
+    """The LoD2 prior solid; one that fails validation is an input error."""
+    solid = read_solid(path)
+    bad = validate_solid(solid)
+    if bad:
+        raise ParseError(f"{path}: invalid prior: {bad[0]}")
+    return solid
 
 
 def _templates(path) -> dict:
@@ -371,7 +358,7 @@ def _cmd_raycast(args) -> int:
 def _face_frame(args, voxel_size: float):
     """Face and raster frame; the cell defaults to one voxel, as in the
     pipeline."""
-    face = _face(read_solid(args.solid), args.face)
+    face = _face(_read_prior(args.solid), args.face)
     cell = args.cell if args.cell is not None else voxel_size
     return face, facade_frame(face, cell)
 
@@ -424,7 +411,7 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    solid = read_solid(args.solid)
+    solid = _read_prior(args.solid)
     instances = read_instances(args.instances)
     # one cell of the default raster, as in the pipeline
     margin = (args.margin if args.margin is not None
@@ -487,11 +474,8 @@ def _write_scene_config(paths: dict, path) -> None:
         "rays", "solid", "points", "image", "correspondences",
         "gt_instances", "gt_measured")]
     lines += ["faces = wall_front", "out_dir = artifacts"]
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    with writing(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _cmd_pipeline(args) -> int:

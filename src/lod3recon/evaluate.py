@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geom
-from .errors import DomainError, IoError, ParseError, ValidationError
+from . import geom, textio
+from .errors import DomainError, ValidationError
 
 FIELDS = ("AO", "MO", "D", "TP", "FP", "FN")
 
@@ -202,38 +202,20 @@ def _format_value(value) -> str:
 
 def write_metrics(metrics: dict, path) -> None:
     """`key = value` lines; floats keep full repr so files round-trip."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for key, value in metrics.items():
-                if isinstance(value, bool):
-                    text = "true" if value else "false"
-                elif isinstance(value, float):
-                    text = repr(value)
-                else:
-                    text = str(value)
-                fh.write(f"{key} = {text}\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    with textio.writing(path) as fh:
+        for key, value in metrics.items():
+            if isinstance(value, bool):
+                text = "true" if value else "false"
+            elif isinstance(value, float):
+                text = repr(value)
+            else:
+                text = str(value)
+            fh.write(f"{key} = {text}\n")
 
 
 def read_metrics(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read().splitlines()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    metrics = {}
-    for no, line in enumerate(raw, start=1):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        if "=" not in text:
-            raise ParseError(f"{path}:{no}: expected 'key = value'")
-        key, _, value = (part.strip() for part in text.partition("="))
-        if not key:
-            raise ParseError(f"{path}:{no}: empty key")
-        metrics[key] = _parse_value(value)
-    return metrics
+    return {key: _parse_value(value)
+            for key, value in textio.key_values(path).items()}
 
 
 def _parse_value(text: str):

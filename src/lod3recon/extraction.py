@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from . import fusion
-from .errors import DomainError, IoError, ParseError, ValidationError
+from . import fusion, textio
+from .errors import DomainError, ParseError, ValidationError
 from .model_io import OPENING_LABELS
 from .rasters import FacadeRaster
 
@@ -179,49 +179,29 @@ def extract_openings(posterior: FacadeRaster, config: ExtractionConfig,
 # file format
 
 def write_instances(instances, path) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("# opening face=<id> label=<window|door> conf=<p> "
-                     "rect=<umin vmin umax vmax>\n")
-            for inst in instances:
-                u0, v0, u1, v1 = inst.rect
-                fh.write(f"opening face={inst.face_id} label={inst.label} "
-                         f"conf={inst.confidence!r} "
-                         f"rect={u0!r} {v0!r} {u1!r} {v1!r}\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    with textio.writing(path) as fh:
+        fh.write("# opening face=<id> label=<window|door> conf=<p> "
+                 "rect=<umin vmin umax vmax>\n")
+        for inst in instances:
+            u0, v0, u1, v1 = inst.rect
+            fh.write(f"opening face={inst.face_id} label={inst.label} "
+                     f"conf={inst.confidence!r} "
+                     f"rect={u0!r} {v0!r} {u1!r} {v1!r}\n")
 
 
 def read_instances(path) -> list:
     out = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for no, line in enumerate(fh, start=1):
-                text = line.split("#", 1)[0].strip()
-                if not text:
-                    continue
-                tok = text.split()
-                if len(tok) != 8 or tok[0] != "opening":
-                    raise ParseError(f"{path}:{no}: expected 'opening face=... "
-                                     "label=... conf=... rect=u v u v'")
-                fields = {}
-                for t, key in zip(tok[1:4], ("face", "label", "conf")):
-                    if not t.startswith(key + "="):
-                        raise ParseError(f"{path}:{no}: expected {key}=..., got {t!r}")
-                    fields[key] = t[len(key) + 1:]
-                if not tok[4].startswith("rect="):
-                    raise ParseError(f"{path}:{no}: expected rect=..., got {tok[4]!r}")
-                try:
-                    rect = (float(tok[4][5:]), float(tok[5]),
-                            float(tok[6]), float(tok[7]))
-                    conf = float(fields["conf"])
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{no}: bad number") from exc
-                try:
-                    out.append(OpeningInstance(fields["face"], rect,
-                                               fields["label"], conf))
-                except ValidationError as exc:
-                    raise ParseError(f"{path}:{no}: {exc}") from exc
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+    for no, text in textio.content_lines(path):
+        tok = text.split()
+        if len(tok) != 8 or tok[0] != "opening":
+            raise ParseError(f"{path}:{no}: expected 'opening face=... "
+                             "label=... conf=... rect=u v u v'")
+        face, label, conf, rect_head = (
+            textio.kv(t, key, path, no)
+            for t, key in zip(tok[1:5], ("face", "label", "conf", "rect")))
+        conf, *rect = textio.floats([conf, rect_head, *tok[5:]], path, no)
+        try:
+            out.append(OpeningInstance(face, rect, label, conf))
+        except ValidationError as exc:
+            raise ParseError(f"{path}:{no}: {exc}") from exc
     return out

@@ -13,7 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, IoError, ParseError
+from . import textio
+from .errors import ConfigError, ParseError
 from .model_io import OPENING_LABELS
 from .rasters import CONFLICT_CHANNELS, FacadeRaster, require_same_frame
 
@@ -185,38 +186,28 @@ def disambiguate_label(pointcloud: FacadeRaster | None,
 # file format
 
 def write_cpt(cpt: Cpt, path) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("# cpt <conflict_state> <pc_state> <tex_state> <p_opening>\n")
-            for s in CONFLICT_STATES:
-                for a in EVIDENCE_STATES:
-                    for b in EVIDENCE_STATES:
-                        fh.write(f"cpt {s} {a} {b} {cpt.entry(s, a, b)!r}\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    with textio.writing(path) as fh:
+        fh.write("# cpt <conflict_state> <pc_state> <tex_state> <p_opening>\n")
+        for s in CONFLICT_STATES:
+            for a in EVIDENCE_STATES:
+                for b in EVIDENCE_STATES:
+                    fh.write(f"cpt {s} {a} {b} {cpt.entry(s, a, b)!r}\n")
 
 
 def read_cpt(path) -> Cpt:
     entries = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for no, line in enumerate(fh, start=1):
-                text = line.split("#", 1)[0].strip()
-                if not text:
-                    continue
-                tok = text.split()
-                if len(tok) != 5 or tok[0] != "cpt":
-                    raise ParseError(
-                        f"{path}:{no}: expected 'cpt <conflict> <pc> <tex> <p>'")
-                key = (tok[1], tok[2], tok[3])
-                if key in entries:
-                    raise ParseError(f"{path}:{no}: duplicate combination {key}")
-                try:
-                    entries[key] = float(tok[4])
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{no}: bad probability") from exc
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+    for no, text in textio.content_lines(path):
+        tok = text.split()
+        if len(tok) != 5 or tok[0] != "cpt":
+            raise ParseError(
+                f"{path}:{no}: expected 'cpt <conflict> <pc> <tex> <p>'")
+        key = (tok[1], tok[2], tok[3])
+        if key in entries:
+            raise ParseError(f"{path}:{no}: duplicate combination {key}")
+        try:
+            entries[key] = float(tok[4])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{no}: bad probability") from exc
     bad = validate_cpt(entries)
     if bad:
         raise ParseError(f"{path}: invalid CPT: {bad[0]}")

@@ -13,8 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import geom
-from .errors import IoError, ParseError, ValidationError
+from . import geom, textio
+from .errors import ParseError, ValidationError
 
 PRIOR_LABELS = ("wall", "roof", "ground", "closure")
 OPENING_LABELS = ("window", "door")
@@ -182,56 +182,31 @@ def validate_solid(solid: BuildingSolid, tol: float = 1e-6) -> list:
 # ---------------------------------------------------------------------------
 # file formats
 
-def _content_lines(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.readlines()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    out = []
-    for no, line in enumerate(raw, start=1):
-        text = line.split("#", 1)[0].strip()
-        if text:
-            out.append((no, text))
-    return out
-
-
-def _parse_floats(tokens, path, no):
-    try:
-        return [float(t) for t in tokens]
-    except ValueError as exc:
-        raise ParseError(f"{path}:{no}: bad number in {' '.join(tokens)!r}") from exc
-
-
 def _parse_ring(tokens, path, no) -> Ring:
-    vals = _parse_floats(tokens, path, no)
+    vals = textio.floats(tokens, path, no)
     if len(vals) < 9 or len(vals) % 3 != 0:
         raise ParseError(f"{path}:{no}: ring needs 3*k coordinates, k >= 3")
     pts = [tuple(vals[i:i + 3]) for i in range(0, len(vals), 3)]
     return Ring(tuple(pts))
 
 
-def _kv(token: str, key: str, path, no) -> str:
-    if not token.startswith(key + "="):
-        raise ParseError(f"{path}:{no}: expected {key}=..., got {token!r}")
-    return token[len(key) + 1:]
-
-
-def _parse_solid(lines, path):
+def parse_solid(lines, path) -> BuildingSolid:
     """Consume one `solid ... end` block from (line_no, text) pairs.
 
-    Returns the solid and the index of the first unconsumed line, so a
-    composite file can carry more sections after the block.
+    Stops right after the block's final `end`, so a composite file can
+    carry more sections that the caller reads from the same iterator.
     """
-    if not lines:
+    lines = iter(lines)
+    first = next(lines, None)
+    if first is None:
         raise ParseError(f"{path}: empty file")
-    no, head = lines[0]
+    no, head = first
     tok = head.split()
     if len(tok) != 3 or tok[0] != "solid":
         raise ParseError(f"{path}:{no}: expected 'solid <id> lod=<n>'")
     solid_id = tok[1]
     try:
-        lod = int(_kv(tok[2], "lod", path, no))
+        lod = int(textio.kv(tok[2], "lod", path, no))
     except ValueError as exc:
         raise ParseError(f"{path}:{no}: lod must be an integer") from exc
 
@@ -240,10 +215,8 @@ def _parse_solid(lines, path):
     label = None
     outer = None
     inner = []
-    consumed = len(lines)
     closed = False
-    for at in range(1, len(lines)):
-        no, text = lines[at]
+    for no, text in lines:
         tok = text.split()
         if tok[0] == "face":
             if face_id is not None:
@@ -251,7 +224,7 @@ def _parse_solid(lines, path):
             if len(tok) != 3:
                 raise ParseError(f"{path}:{no}: expected 'face <id> label=<label>'")
             face_id = tok[1]
-            label = _kv(tok[2], "label", path, no)
+            label = textio.kv(tok[2], "label", path, no)
             outer = None
             inner = []
         elif tok[0] == "outer":
@@ -265,7 +238,6 @@ def _parse_solid(lines, path):
         elif tok[0] == "end":
             if face_id is None:
                 closed = True
-                consumed = at + 1
                 break
             if outer is None:
                 raise ParseError(f"{path}:{no}: face {face_id} has no outer ring")
@@ -279,43 +251,43 @@ def _parse_solid(lines, path):
         raise ParseError(f"{path}: missing final 'end'")
     if not faces:
         raise ParseError(f"{path}: solid has no faces")
-    return BuildingSolid(solid_id, lod, tuple(faces)), consumed
+    return BuildingSolid(solid_id, lod, tuple(faces))
 
 
 def read_solid(path) -> BuildingSolid:
     """Parse a solid file (see README for the format)."""
-    solid, _ = _parse_solid(_content_lines(path), path)
-    return solid
+    return parse_solid(textio.content_lines(path), path)
 
 
-def _ring_text(ring: Ring) -> str:
-    return "  ".join(f"{p.x!r} {p.y!r} {p.z!r}" for p in ring.points)
+def _points_text(points) -> str:
+    return "  ".join(" ".join(repr(c) for c in p) for p in points)
+
+
+def solid_text(solid: BuildingSolid) -> str:
+    """The `solid ... end` block that `parse_solid` reads back."""
+    out = [f"solid {solid.solid_id} lod={solid.lod}\n"]
+    for f in solid.faces:
+        out.append(f"face {f.face_id} label={f.label}\n")
+        out.append(f"outer {_points_text(f.outer.points)}\n")
+        out.extend(f"inner {_points_text(ring.points)}\n" for ring in f.inner)
+        out.append("end\n")
+    out.append("end\n")
+    return "".join(out)
 
 
 def write_solid(solid: BuildingSolid, path) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"solid {solid.solid_id} lod={solid.lod}\n")
-            for f in solid.faces:
-                fh.write(f"face {f.face_id} label={f.label}\n")
-                fh.write(f"outer {_ring_text(f.outer)}\n")
-                for ring in f.inner:
-                    fh.write(f"inner {_ring_text(ring)}\n")
-                fh.write("end\n")
-            fh.write("end\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    with textio.writing(path) as fh:
+        fh.write(solid_text(solid))
 
 
 def read_template_library(path) -> dict:
     """Parse opening templates keyed by name; validates anchor closure."""
-    lines = _content_lines(path)
     templates = {}
     name = None
     label = None
     depth = 0.0
     tris = []
-    for no, text in lines:
+    for no, text in textio.content_lines(path):
         tok = text.split()
         if tok[0] == "template":
             if name is not None:
@@ -324,13 +296,14 @@ def read_template_library(path) -> dict:
                 raise ParseError(
                     f"{path}:{no}: expected 'template <name> label=<l> depth=<d>'")
             name = tok[1]
-            label = _kv(tok[2], "label", path, no)
-            depth = _parse_floats([_kv(tok[3], "depth", path, no)], path, no)[0]
+            label = textio.kv(tok[2], "label", path, no)
+            depth = textio.floats([textio.kv(tok[3], "depth", path, no)],
+                                  path, no)[0]
             tris = []
         elif tok[0] == "tri":
             if name is None:
                 raise ParseError(f"{path}:{no}: 'tri' outside template block")
-            vals = _parse_floats(tok[1:], path, no)
+            vals = textio.floats(tok[1:], path, no)
             if len(vals) != 9:
                 raise ParseError(f"{path}:{no}: triangle needs 9 coordinates")
             tris.append(tuple(tuple(vals[i:i + 3]) for i in (0, 3, 6)))
@@ -351,16 +324,12 @@ def read_template_library(path) -> dict:
 
 
 def write_template_library(templates: dict, path) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for t in templates.values():
-                fh.write(f"template {t.name} label={t.label} depth={t.depth!r}\n")
-                for a, b, c in t.triangles:
-                    fh.write("tri " + "  ".join(
-                        f"{p.x!r} {p.y!r} {p.z!r}" for p in (a, b, c)) + "\n")
-                fh.write("end\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    with textio.writing(path) as fh:
+        for t in templates.values():
+            fh.write(f"template {t.name} label={t.label} depth={t.depth!r}\n")
+            for tri in t.triangles:
+                fh.write(f"tri {_points_text(tri)}\n")
+            fh.write("end\n")
 
 
 # ---------------------------------------------------------------------------

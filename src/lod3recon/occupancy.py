@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, IoError, ParseError, ValidationError
+from . import textio
+from .errors import DomainError, ParseError, ValidationError
 
 
 def log_odds(p: float) -> float:
@@ -227,67 +228,54 @@ def build_occupancy(rays, config: OccupancyConfig | None = None) -> OccupancyTre
 # file formats
 
 def read_rays(path) -> list:
-    """One ray per line: ox oy oz ex ey ez hit(0|1)."""
+    """One ray per line: ox oy oz ex ey ez hit(0|1), finite coordinates."""
     rays = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for no, line in enumerate(fh, start=1):
-                text = line.split("#", 1)[0].strip()
-                if not text:
-                    continue
-                tok = text.split()
-                if len(tok) != 7:
-                    raise ParseError(f"{path}:{no}: expected 7 columns, got {len(tok)}")
-                try:
-                    vals = [float(t) for t in tok[:6]]
-                    hit = int(tok[6])
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{no}: bad number") from exc
-                if hit not in (0, 1):
-                    raise ParseError(f"{path}:{no}: hit flag must be 0 or 1")
-                rays.append(Ray(tuple(vals[:3]), tuple(vals[3:]), bool(hit)))
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+    for no, text in textio.content_lines(path):
+        tok = text.split()
+        if len(tok) != 7:
+            raise ParseError(f"{path}:{no}: expected 7 columns, got {len(tok)}")
+        vals = textio.floats(tok[:6], path, no)
+        try:
+            hit = int(tok[6])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{no}: bad number in {tok[6]!r}") from exc
+        if hit not in (0, 1):
+            raise ParseError(f"{path}:{no}: hit flag must be 0 or 1")
+        if not all(map(math.isfinite, vals)):
+            raise ParseError(f"{path}:{no}: non-finite coordinate")
+        rays.append(Ray(tuple(vals[:3]), tuple(vals[3:]), bool(hit)))
     return rays
 
 
 def write_rays(rays, path) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("# ox oy oz  ex ey ez  hit\n")
-            for r in rays:
-                fh.write(" ".join(repr(v) for v in (*r.origin, *r.endpoint))
-                         + f" {int(r.hit)}\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    with textio.writing(path) as fh:
+        fh.write("# ox oy oz  ex ey ez  hit\n")
+        for r in rays:
+            fh.write(" ".join(repr(v) for v in (*r.origin, *r.endpoint))
+                     + f" {int(r.hit)}\n")
 
 
 def write_tree(tree: OccupancyTree, path) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"voxels voxel_size={tree.config.voxel_size!r}\n")
-            for key in sorted(tree.cells):
-                c = tree.cells[key]
-                hit_pt = c[2] or (0.0, 0.0, 0.0)
-                pass_pt = c[4] or (0.0, 0.0, 0.0)
-                vals = (c[0], c[1], *hit_pt, c[3], *pass_pt)
-                fh.write(" ".join(str(k) for k in key) + " "
-                         + " ".join(repr(v) for v in vals) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    with textio.writing(path) as fh:
+        fh.write(f"voxels voxel_size={tree.config.voxel_size!r}\n")
+        for key in sorted(tree.cells):
+            c = tree.cells[key]
+            hit_pt = c[2] or (0.0, 0.0, 0.0)
+            pass_pt = c[4] or (0.0, 0.0, 0.0)
+            vals = (c[0], c[1], *hit_pt, c[3], *pass_pt)
+            fh.write(" ".join(str(k) for k in key) + " "
+                     + " ".join(repr(v) for v in vals) + "\n")
 
 
 def read_tree(path, config: OccupancyConfig | None = None) -> OccupancyTree:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    content = [(no, ln.split("#", 1)[0].strip()) for no, ln in enumerate(lines, 1)]
-    content = [(no, ln) for no, ln in content if ln]
-    if not content:
+    """The `voxels voxel_size=<v>` header, then one line per voxel: key,
+    log-odds, hit distance and point, pass distance and endpoint. An
+    infinite distance marks evidence that never arrived."""
+    lines = textio.content_lines(path)
+    first = next(lines, None)
+    if first is None:
         raise ParseError(f"{path}: empty file")
-    no, head = content[0]
+    no, head = first
     tok = head.split()
     if len(tok) != 2 or tok[0] != "voxels" or not tok[1].startswith("voxel_size="):
         raise ParseError(f"{path}:{no}: expected 'voxels voxel_size=<v>'")
@@ -300,7 +288,7 @@ def read_tree(path, config: OccupancyConfig | None = None) -> OccupancyTree:
             f"{path}: voxel_size {vs} does not match configured {config.voxel_size}")
     cfg = replace(config or OccupancyConfig(), voxel_size=vs)
     tree = OccupancyTree(cfg)
-    for no, text in content[1:]:
+    for no, text in lines:
         tok = text.split()
         if len(tok) != 12:
             raise ParseError(f"{path}:{no}: expected 12 columns, got {len(tok)}")

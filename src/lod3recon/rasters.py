@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geom
+from . import geom, textio
 from .errors import (DegenerateCorrespondence, DomainError, FrameMismatch,
-                     IoError, ParseError)
+                     ParseError)
 
 POINT_LABELS = ("arch", "column", "molding", "floor", "door", "window",
                 "wall", "other")
@@ -190,39 +190,31 @@ def project_point_probabilities(points, probs, frame: FacadeFrame,
 
 
 def read_labeled_points(path):
-    """x y z followed by one probability per point label (11 columns)."""
+    """x y z followed by one probability per point label (11 columns);
+    coordinates must be finite and probabilities lie in [0, 1]."""
     pts = []
     probs = []
     want = 3 + len(POINT_LABELS)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for no, line in enumerate(fh, start=1):
-                text = line.split("#", 1)[0].strip()
-                if not text:
-                    continue
-                tok = text.split()
-                if len(tok) != want:
-                    raise ParseError(f"{path}:{no}: expected {want} columns")
-                try:
-                    vals = [float(t) for t in tok]
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{no}: bad number") from exc
-                pts.append(vals[:3])
-                probs.append(vals[3:])
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+    for no, text in textio.content_lines(path):
+        tok = text.split()
+        if len(tok) != want:
+            raise ParseError(f"{path}:{no}: expected {want} columns")
+        vals = textio.floats(tok, path, no)
+        if not all(map(math.isfinite, vals[:3])):
+            raise ParseError(f"{path}:{no}: non-finite coordinate")
+        if not all(0.0 <= p <= 1.0 for p in vals[3:]):
+            raise ParseError(f"{path}:{no}: probability outside [0, 1]")
+        pts.append(vals[:3])
+        probs.append(vals[3:])
     return np.asarray(pts, dtype=float).reshape(-1, 3), \
         np.asarray(probs, dtype=float).reshape(-1, len(POINT_LABELS))
 
 
 def write_labeled_points(points, probs, path) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("# x y z " + " ".join(f"p_{l}" for l in POINT_LABELS) + "\n")
-            for p, pr in zip(np.asarray(points, float), np.asarray(probs, float)):
-                fh.write(" ".join(repr(float(v)) for v in (*p, *pr)) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    with textio.writing(path) as fh:
+        fh.write("# x y z " + " ".join(f"p_{l}" for l in POINT_LABELS) + "\n")
+        for p, pr in zip(np.asarray(points, float), np.asarray(probs, float)):
+            fh.write(" ".join(repr(float(v)) for v in (*p, *pr)) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -284,66 +276,54 @@ def project_image_probabilities(image: np.ndarray, channels,
 # ---------------------------------------------------------------------------
 # file formats
 
-def write_raster(raster: FacadeRaster, path) -> None:
-    f = raster.frame
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"facade_raster cell={f.cell!r} width={f.width} height={f.height}\n")
-            fh.write("origin " + " ".join(repr(v) for v in f.origin) + "\n")
-            fh.write("u " + " ".join(repr(v) for v in f.u_axis) + "\n")
-            fh.write("v " + " ".join(repr(v) for v in f.v_axis) + "\n")
-            fh.write("channels " + " ".join(raster.channels) + "\n")
-            for px in raster.data.reshape(-1, len(raster.channels)):
-                fh.write(" ".join(repr(float(v)) for v in px) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+def _write_pixels(path, header: str, data, channels) -> None:
+    """`header`, the channel list, then one line of all channels per pixel."""
+    with textio.writing(path) as fh:
+        fh.write(header)
+        fh.write("channels " + " ".join(channels) + "\n")
+        for px in data.reshape(-1, len(channels)):
+            fh.write(" ".join(repr(float(v)) for v in px) + "\n")
 
 
-def _header_fields(text: str, keys, path, no):
-    tok = text.split()
-    if len(tok) != len(keys) + 1:
-        raise ParseError(f"{path}:{no}: expected {' '.join(keys)} fields")
-    vals = []
-    for t, k in zip(tok[1:], keys):
-        if not t.startswith(k + "="):
-            raise ParseError(f"{path}:{no}: expected {k}=..., got {t!r}")
-        vals.append(t[len(k) + 1:])
-    return vals
+def _read_pixels(path, kind: str, header: dict, vectors=()):
+    """Inverse of `_write_pixels` for a `<kind> key=value...` header line
+    followed by one `<name> x y z` line per name in `vectors`.
 
-
-def read_raster(path) -> FacadeRaster:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.split("#", 1)[0].strip() for ln in fh]
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    lines = [(no, ln) for no, ln in enumerate(lines, start=1) if ln]
-    if len(lines) < 5:
-        raise ParseError(f"{path}: truncated raster file")
+    `header` maps each header key, in file order, to its type and must
+    hold `width` and `height`. Returns the typed header values, the
+    vectors by name, the channel names and the (height, width, channels)
+    float32 pixel data.
+    """
+    lines = list(textio.content_lines(path))
+    if len(lines) < 2 + len(vectors):
+        # "facade_raster" -> "raster", "pixel_grid" -> "grid"
+        raise ParseError(f"{path}: truncated {kind.rsplit('_', 1)[1]} file")
     no, head = lines[0]
-    if not head.startswith("facade_raster"):
-        raise ParseError(f"{path}:{no}: expected 'facade_raster' header")
-    cell_s, w_s, h_s = _header_fields(head, ("cell", "width", "height"), path, no)
+    tok = head.split()
+    if tok[0] != kind:
+        raise ParseError(f"{path}:{no}: expected '{kind}' header")
+    if len(tok) != len(header) + 1:
+        raise ParseError(f"{path}:{no}: expected {' '.join(header)} fields")
     try:
-        cell, width, height = float(cell_s), int(w_s), int(h_s)
+        values = {key: convert(textio.kv(t, key, path, no))
+                  for t, (key, convert) in zip(tok[1:], header.items())}
     except ValueError as exc:
         raise ParseError(f"{path}:{no}: bad header numbers") from exc
+    width, height = values["width"], values["height"]
+    if width < 1 or height < 1:
+        raise ParseError(f"{path}:{no}: dimensions must be at least 1x1")
     vecs = {}
-    for (no, text), key in zip(lines[1:4], ("origin", "u", "v")):
+    for (no, text), key in zip(lines[1:], vectors):
         tok = text.split()
         if len(tok) != 4 or tok[0] != key:
             raise ParseError(f"{path}:{no}: expected '{key} x y z'")
-        try:
-            vecs[key] = tuple(float(t) for t in tok[1:])
-        except ValueError as exc:
-            raise ParseError(f"{path}:{no}: bad number") from exc
-    no, text = lines[4]
+        vecs[key] = tuple(textio.floats(tok[1:], path, no))
+    no, text = lines[1 + len(vectors)]
     tok = text.split()
     if tok[0] != "channels" or len(tok) < 2:
         raise ParseError(f"{path}:{no}: expected channel list")
     channels = tuple(tok[1:])
-    frame = FacadeFrame(vecs["origin"], vecs["u"], vecs["v"], cell, width, height)
-    body = lines[5:]
+    body = lines[2 + len(vectors):]
     if len(body) != width * height:
         raise ParseError(f"{path}: expected {width * height} pixel lines, "
                          f"got {len(body)}")
@@ -352,11 +332,27 @@ def read_raster(path) -> FacadeRaster:
         tok = text.split()
         if len(tok) != len(channels):
             raise ParseError(f"{path}:{no}: expected {len(channels)} values")
-        try:
-            data[i] = [float(t) for t in tok]
-        except ValueError as exc:
-            raise ParseError(f"{path}:{no}: bad number") from exc
-    return FacadeRaster(frame, channels, data.reshape(height, width, len(channels)))
+        data[i] = textio.floats(tok, path, no)
+    return values, vecs, channels, data.reshape(height, width, len(channels))
+
+
+_VECTORS = ("origin", "u", "v")
+
+
+def write_raster(raster: FacadeRaster, path) -> None:
+    f = raster.frame
+    header = f"facade_raster cell={f.cell!r} width={f.width} height={f.height}\n"
+    for name, vec in zip(_VECTORS, (f.origin, f.u_axis, f.v_axis)):
+        header += f"{name} " + " ".join(repr(v) for v in vec) + "\n"
+    _write_pixels(path, header, raster.data, raster.channels)
+
+
+def read_raster(path) -> FacadeRaster:
+    head, vecs, channels, data = _read_pixels(
+        path, "facade_raster", {"cell": float, "width": int, "height": int},
+        _VECTORS)
+    frame = FacadeFrame(vecs["origin"], vecs["u"], vecs["v"], **head)
+    return FacadeRaster(frame, channels, data)
 
 
 def write_pixel_grid(data: np.ndarray, channels, path) -> None:
@@ -365,80 +361,30 @@ def write_pixel_grid(data: np.ndarray, channels, path) -> None:
     channels = tuple(channels)
     if data.ndim != 3 or data.shape[2] != len(channels):
         raise DomainError("grid must be (H, W, C) matching the channel list")
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"pixel_grid width={data.shape[1]} height={data.shape[0]}\n")
-            fh.write("channels " + " ".join(channels) + "\n")
-            for px in data.reshape(-1, len(channels)):
-                fh.write(" ".join(repr(float(v)) for v in px) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    _write_pixels(path, f"pixel_grid width={data.shape[1]} "
+                        f"height={data.shape[0]}\n", data, channels)
 
 
 def read_pixel_grid(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.split("#", 1)[0].strip() for ln in fh]
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    lines = [(no, ln) for no, ln in enumerate(lines, start=1) if ln]
-    if len(lines) < 2:
-        raise ParseError(f"{path}: truncated grid file")
-    no, head = lines[0]
-    if not head.startswith("pixel_grid"):
-        raise ParseError(f"{path}:{no}: expected 'pixel_grid' header")
-    w_s, h_s = _header_fields(head, ("width", "height"), path, no)
-    try:
-        width, height = int(w_s), int(h_s)
-    except ValueError as exc:
-        raise ParseError(f"{path}:{no}: bad header numbers") from exc
-    no, text = lines[1]
-    tok = text.split()
-    if tok[0] != "channels" or len(tok) < 2:
-        raise ParseError(f"{path}:{no}: expected channel list")
-    channels = tuple(tok[1:])
-    body = lines[2:]
-    if len(body) != width * height:
-        raise ParseError(f"{path}: expected {width * height} pixel lines, "
-                         f"got {len(body)}")
-    data = np.zeros((width * height, len(channels)), dtype=np.float32)
-    for i, (no, text) in enumerate(body):
-        tok = text.split()
-        if len(tok) != len(channels):
-            raise ParseError(f"{path}:{no}: expected {len(channels)} values")
-        try:
-            data[i] = [float(t) for t in tok]
-        except ValueError as exc:
-            raise ParseError(f"{path}:{no}: bad number") from exc
-    return data.reshape(height, width, len(channels)), channels
+    _, _, channels, data = _read_pixels(
+        path, "pixel_grid", {"width": int, "height": int})
+    return data, channels
+
 
 def write_correspondences(correspondences, path) -> None:
     """One `u v x y` line per facade-to-image correspondence."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("# u v  x y\n")
-            for (u, v), (x, y) in correspondences:
-                fh.write(f"{float(u)!r} {float(v)!r} {float(x)!r} {float(y)!r}\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    with textio.writing(path) as fh:
+        fh.write("# u v  x y\n")
+        for (u, v), (x, y) in correspondences:
+            fh.write(f"{float(u)!r} {float(v)!r} {float(x)!r} {float(y)!r}\n")
 
 
 def read_correspondences(path) -> list:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.split("#", 1)[0].strip() for ln in fh]
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
     pairs = []
-    for no, text in enumerate(lines, start=1):
-        if not text:
-            continue
+    for no, text in textio.content_lines(path):
         tok = text.split()
         if len(tok) != 4:
             raise ParseError(f"{path}:{no}: expected 'u v x y'")
-        try:
-            u, v, x, y = (float(t) for t in tok)
-        except ValueError as exc:
-            raise ParseError(f"{path}:{no}: bad number") from exc
+        u, v, x, y = textio.floats(tok, path, no)
         pairs.append(((u, v), (x, y)))
     return pairs

@@ -12,13 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geom
+from . import geom, textio
 from .errors import (ConfigError, DomainError, IoError, OpeningOutsideFace,
                      OpeningTouchesBoundary, ParseError, ValidationError)
 from .extraction import OpeningInstance
 from .model_io import (BuildingSolid, Face, OpeningTemplate, Ring,
-                       _content_lines, _kv, _parse_floats, _parse_solid,
-                       default_template_library)
+                       default_template_library, parse_solid, solid_text)
 from .rasters import facade_frame
 
 
@@ -315,39 +314,27 @@ def reconstruct_model(solid: BuildingSolid, instances, templates: dict | None = 
 # model text format
 
 def write_model(model: Lod3Model, path) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"solid {model.solid.solid_id} lod={model.solid.lod}\n")
-            for f in model.solid.faces:
-                fh.write(f"face {f.face_id} label={f.label}\n")
-                fh.write("outer " + "  ".join(
-                    f"{p.x!r} {p.y!r} {p.z!r}" for p in f.outer.points) + "\n")
-                for ring in f.inner:
-                    fh.write("inner " + "  ".join(
-                        f"{p.x!r} {p.y!r} {p.z!r}" for p in ring.points) + "\n")
-                fh.write("end\n")
+    with textio.writing(path) as fh:
+        fh.write(solid_text(model.solid))
+        for p in model.placements:
+            u0, v0, u1, v1 = p.instance.rect
+            fh.write(f"placement {p.opening_id} face={p.face_id} "
+                     f"template={p.template} label={p.label} "
+                     f"conf={p.confidence!r} "
+                     f"rect={u0!r} {v0!r} {u1!r} {v1!r}\n")
+            for tri in p.mesh:
+                fh.write("tri " + "  ".join(
+                    " ".join(repr(c) for c in pt) for pt in tri) + "\n")
             fh.write("end\n")
-            for p in model.placements:
-                u0, v0, u1, v1 = p.instance.rect
-                fh.write(f"placement {p.opening_id} face={p.face_id} "
-                         f"template={p.template} label={p.label} "
-                         f"conf={p.confidence!r} "
-                         f"rect={u0!r} {v0!r} {u1!r} {v1!r}\n")
-                for tri in p.mesh:
-                    fh.write("tri " + "  ".join(
-                        " ".join(repr(c) for c in pt) for pt in tri) + "\n")
-                fh.write("end\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def read_model(path, validate: bool = True) -> Lod3Model:
-    lines = _content_lines(path)
-    solid, at = _parse_solid(lines, path)
+    lines = textio.content_lines(path)
+    solid = parse_solid(lines, path)
     placements = []
     header = None
     tris = []
-    for no, text in lines[at:]:
+    for no, text in lines:
         tok = text.split()
         if tok[0] == "placement":
             if header is not None:
@@ -356,35 +343,28 @@ def read_model(path, validate: bool = True) -> Lod3Model:
                 raise ParseError(
                     f"{path}:{no}: expected 'placement <id> face=... template=... "
                     "label=... conf=... rect=u0 v0 u1 v1'")
-            rect_head = _kv(tok[6], "rect", path, no)
-            rect = _parse_floats([rect_head, tok[7], tok[8], tok[9]], path, no)
-            header = {
-                "id": tok[1],
-                "face": _kv(tok[2], "face", path, no),
-                "template": _kv(tok[3], "template", path, no),
-                "label": _kv(tok[4], "label", path, no),
-                "conf": _parse_floats([_kv(tok[5], "conf", path, no)],
-                                      path, no)[0],
-                "rect": tuple(rect),
-            }
+            face, template, label, conf, rect_head = (
+                textio.kv(t, key, path, no) for t, key in zip(
+                    tok[2:7], ("face", "template", "label", "conf", "rect")))
+            conf, *rect = textio.floats([conf, rect_head, *tok[7:]], path, no)
+            header = (tok[1], face, template, label, conf, tuple(rect))
             tris = []
         elif tok[0] == "tri":
             if header is None:
                 raise ParseError(f"{path}:{no}: 'tri' outside a placement")
-            vals = _parse_floats(tok[1:], path, no)
+            vals = textio.floats(tok[1:], path, no)
             if len(vals) != 9:
                 raise ParseError(f"{path}:{no}: tri needs 9 coordinates")
             tris.append(tuple(tuple(vals[i:i + 3]) for i in range(0, 9, 3)))
         elif tok[0] == "end":
             if header is None:
                 raise ParseError(f"{path}:{no}: stray 'end'")
+            opening_id, face, template, label, conf, rect = header
             try:
-                inst = OpeningInstance(header["face"], header["rect"],
-                                       header["label"], header["conf"])
+                inst = OpeningInstance(face, rect, label, conf)
             except ValidationError as exc:
                 raise ParseError(f"{path}:{no}: {exc}") from exc
-            placements.append(Placement(header["id"], inst,
-                                        header["template"], tuple(tris)))
+            placements.append(Placement(opening_id, inst, template, tuple(tris)))
             header = None
         else:
             raise ParseError(f"{path}:{no}: unknown keyword {tok[0]!r}")
@@ -460,11 +440,8 @@ def write_citygml(model: Lod3Model, path) -> None:
     out.append('    </Building>')
     out.append('  </cityObjectMember>')
     out.append('</CityModel>')
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(out) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    with textio.writing(path) as fh:
+        fh.write("\n".join(out) + "\n")
 
 
 def read_citygml(path) -> Lod3Model:

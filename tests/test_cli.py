@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +13,7 @@ from lod3recon.errors import ConfigError, IoError, ParseError
 from lod3recon.evaluate import read_metrics
 from lod3recon.extraction import ExtractionConfig, OpeningInstance, \
     read_instances, write_instances
-from lod3recon.model_io import box_solid, write_solid
+from lod3recon.model_io import BuildingSolid, Face, box_solid, write_solid
 from lod3recon.occupancy import OccupancyConfig, read_tree
 from lod3recon.rasters import FacadeRaster, facade_frame, write_raster
 from lod3recon.reconstruct import read_model
@@ -501,3 +502,77 @@ def test_reconstruct_default_margin_is_one_cell(tmp_path, capsys):
     assert cli.main(argv) == 1
     assert "boundary" in capsys.readouterr().err
     assert cli.main(argv + ["--margin", "0"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# bad input files
+
+@pytest.mark.parametrize("argv, flag", [
+    (["raycast", "--out", "tree.txt"], "--rays"),
+    (["fuse", "--out", "post.txt"], "--conflict"),
+    (["reconstruct", "--instances", "i.txt", "--out-model", "m.txt",
+      "--out-gml", "m.gml"], "--solid"),
+    (["pipeline"], "--config"),
+])
+def test_non_utf8_input_exits_2(tmp_path, capsys, argv, flag):
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(Path("/bin/ls").read_bytes()[:300])
+    argv = [str(tmp_path / a) if a.endswith((".txt", ".gml")) else a
+            for a in argv]
+    assert cli.main(argv + [flag, str(binary)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "binary.txt" in err
+    assert "Traceback" not in err
+
+
+def test_pipeline_non_finite_ray_exits_2(scene_dir, tmp_path, capsys):
+    rays = tmp_path / "rays.txt"
+    rays.write_text((scene_dir / "rays.txt").read_text()
+                    + "0 0 nan 1 1 1 1\n")
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(f"rays = {rays}\nsolid = {scene_dir}/solid.txt\n"
+                   f"out_dir = {tmp_path}/out\n")
+    assert cli.main(["pipeline", "--config", str(cfg)]) == 2
+    assert "raycast" in capsys.readouterr().err
+
+
+def _inverted(solid):
+    return BuildingSolid(solid.solid_id, solid.lod, tuple(
+        Face(f.face_id, f.label, f.outer.reversed()) for f in solid.faces))
+
+
+def _without_ground(solid):
+    return BuildingSolid(solid.solid_id, solid.lod, tuple(
+        f for f in solid.faces if f.label != "ground"))
+
+
+@pytest.mark.parametrize("stage", ["pipeline", "conflicts", "project-points",
+                                   "project-image", "reconstruct"])
+@pytest.mark.parametrize("broken, fragment", [
+    (_inverted, "faces inward"), (_without_ground, "unmatched edge")])
+def test_invalid_prior_exits_2(scene_dir, artifacts_dir, tmp_path, capsys,
+                               stage, broken, fragment):
+    s = str(scene_dir)
+    solid = tmp_path / "prior.txt"
+    write_solid(broken(box_solid("b", (0.0, 0.0, 0.0), (4.0, 2.0, 2.0))),
+                solid)
+    face = ["--face", "wall_front", "--out", str(tmp_path / "out.txt")]
+    if stage == "pipeline":
+        cfg = tmp_path / "prior.cfg"
+        cfg.write_text(f"rays = {s}/rays.txt\nsolid = {solid}\n"
+                       f"out_dir = {tmp_path}/out\n")
+        argv = ["pipeline", "--config", str(cfg)]
+    else:
+        argv = [stage, "--solid", str(solid), *{
+            "conflicts": ["--tree", str(artifacts_dir / "tree.txt"), *face],
+            "project-points": ["--points", f"{s}/points.txt", *face],
+            "project-image": ["--image", f"{s}/image.txt",
+                              "--correspondences", f"{s}/correspondences.txt",
+                              *face],
+            "reconstruct": ["--instances", f"{s}/gt_instances.txt",
+                            "--out-model", str(tmp_path / "m.txt"),
+                            "--out-gml", str(tmp_path / "m.gml")],
+        }[stage]]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "prior.txt: invalid prior" in err and fragment in err

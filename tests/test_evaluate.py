@@ -296,3 +296,12 @@ def test_metrics_reader_rejects_bad_lines(tmp_path):
     path.write_text("= 91\n")
     with pytest.raises(ParseError):
         read_metrics(path)
+
+
+def test_metrics_reader_strips_comments_and_rejects_duplicates(tmp_path):
+    path = tmp_path / "metrics.txt"
+    path.write_text("# run 7\nDA = 91  # detection\nwatertight = true\n")
+    assert read_metrics(path) == {"DA": 91, "watertight": True}
+    path.write_text("DA = 91\nDA = 92\n")
+    with pytest.raises(ParseError, match="duplicate"):
+        read_metrics(path)

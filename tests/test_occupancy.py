@@ -189,6 +189,18 @@ def test_ray_file_errors(tmp_path):
         occupancy.read_rays(path)
 
 
+@pytest.mark.parametrize("line", [
+    "nan 0 0 1 1 1 1",
+    "0 0 0 inf 1 1 1",
+    "0 0 0 1 -inf 1 0",
+])
+def test_ray_file_rejects_non_finite_coordinates(tmp_path, line):
+    path = tmp_path / "rays.txt"
+    path.write_text(f"0 0 0 1 1 1 1\n{line}\n")
+    with pytest.raises(ParseError, match="rays.txt:2: non-finite"):
+        occupancy.read_rays(path)
+
+
 def test_tree_file_round_trip(tmp_path):
     tree = OccupancyTree()
     rng = np.random.default_rng(17)

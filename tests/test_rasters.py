@@ -139,6 +139,23 @@ def test_labeled_points_column_check(tmp_path):
         rasters.read_labeled_points(path)
 
 
+OUTSIDE = r"probability outside \[0, 1\]"
+
+
+@pytest.mark.parametrize("values, fragment", [
+    (["nan", "0", "0"] + ["0.5"] * 8, "non-finite"),
+    (["0", "inf", "0"] + ["0.5"] * 8, "non-finite"),
+    (["0", "0", "0"] + ["nan"] + ["0.5"] * 7, OUTSIDE),
+    (["0", "0", "0"] + ["0.5"] * 7 + ["1.5"], OUTSIDE),
+    (["0", "0", "0"] + ["-0.1"] + ["0.5"] * 7, OUTSIDE),
+], ids=["nan-x", "inf-y", "nan-p", "p-above-1", "p-below-0"])
+def test_labeled_points_reject_bad_values(tmp_path, values, fragment):
+    path = tmp_path / "points.txt"
+    path.write_text("# header\n" + " ".join(values) + "\n")
+    with pytest.raises(ParseError, match="points.txt:2: " + fragment):
+        rasters.read_labeled_points(path)
+
+
 # ---------------------------------------------------------------------------
 # homography
 
@@ -221,6 +238,18 @@ def test_raster_parse_errors(tmp_path):
         "origin 0 0 0\nu 1 0 0\nv 0 0 1\nchannels a\n0.5\n")
     with pytest.raises(ParseError, match="pixel lines"):
         rasters.read_raster(path)
+
+
+@pytest.mark.parametrize("read, head", [
+    (rasters.read_raster, "facade_raster cell=0.5 width=-1 height=-1\n"
+                          "origin 0 0 0\nu 1 0 0\nv 0 0 1\n"),
+    (rasters.read_pixel_grid, "pixel_grid width=-1 height=-1\n"),
+], ids=["raster", "grid"])
+def test_pixel_files_reject_empty_dimensions(tmp_path, read, head):
+    path = tmp_path / "grid.txt"
+    path.write_text(head + "channels a\n0.5\n")
+    with pytest.raises(ParseError, match="grid.txt:1: dimensions"):
+        read(path)
 
 
 def test_pixel_grid_round_trip(tmp_path):
