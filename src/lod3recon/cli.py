@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 import typing
@@ -141,9 +142,21 @@ def boolean(text: str) -> bool:
     return text == "true"
 
 
+def finite(text: str) -> float:
+    """A float that is neither nan nor infinite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {text!r}")
+    return value
+
+
+# how a config value or option of each type is parsed
+_PARSERS = {bool: boolean, float: finite}
+
+
 def _convert(key: str, text: str, kind):
     try:
-        return boolean(text) if kind is bool else kind(text)
+        return _PARSERS.get(kind, kind)(text)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {exc}") from exc
 
@@ -188,10 +201,16 @@ def build_config(raw: dict, base_dir: str = ".") -> PipelineConfig:
 
 @contextlib.contextmanager
 def _stage(name: str):
+    """Prefix a package error with the stage it came from; an error that
+    already names its stage passes through unchanged."""
     try:
         yield
     except Lod3Error as exc:
-        raise type(exc)(f"{name}: {exc}") from exc
+        if hasattr(exc, "stage"):
+            raise
+        staged = type(exc)(f"{name}: {exc}")
+        staged.stage = name
+        raise staged from exc
 
 
 def run_pipeline(config: PipelineConfig) -> dict:
@@ -516,7 +535,7 @@ def _add_options(parser, cls, *names, override: bool = False) -> None:
         doc = "default: %(default)s" if f.default is not None else None
         parser.add_argument(
             _FLAGS.get(f.name, "--" + f.name.replace("_", "-")), dest=f.name,
-            type=boolean if kind is bool else kind,
+            type=_PARSERS.get(kind, kind),
             metavar="{true,false}" if kind is bool else None,
             default=None if override else f.default,
             help=f"override {f.name}" if override else doc)
@@ -628,7 +647,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _stage(args.command):
+            return args.func(args)
     except (ConfigError, IoError, ParseError, SpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

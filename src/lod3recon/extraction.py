@@ -72,17 +72,12 @@ class OpeningInstance:
         return (u1 - u0) * (v1 - v0)
 
 
-def threshold_clusters(posterior: np.ndarray, p_high: float) -> list:
-    """8-connected components of {posterior > p_high}.
+def mask_clusters(mask: np.ndarray) -> list:
+    """8-connected components of a boolean mask.
 
     Each cluster is an (n, 2) int array of (row, col) pairs in row-major
     order; clusters are sorted by (min row, min col).
     """
-    mask = np.asarray(posterior, dtype=float) > p_high
-    return mask_clusters(mask)
-
-
-def mask_clusters(mask: np.ndarray) -> list:
     labels, count = ndimage.label(mask, structure=EIGHT_CONNECTED)
     out = []
     for k in range(1, count + 1):
@@ -189,6 +184,21 @@ def write_instances(instances, path) -> None:
                      f"rect={u0!r} {v0!r} {u1!r} {v1!r}\n")
 
 
+def parse_instance(tokens, path, no) -> OpeningInstance:
+    """The opening of `face=<id> label=<l> conf=<p> rect=<u0> <v0> <u1>
+    <v1>` tokens; finite numbers only."""
+    face, label, conf, rect_head = (
+        textio.kv(t, key, path, no)
+        for t, key in zip(tokens, ("face", "label", "conf", "rect")))
+    conf, *rect = textio.finite(
+        textio.floats([conf, rect_head, *tokens[4:]], path, no), "number",
+        path, no)
+    try:
+        return OpeningInstance(face, rect, label, conf)
+    except ValidationError as exc:
+        raise ParseError(f"{path}:{no}: {exc}") from exc
+
+
 def read_instances(path) -> list:
     out = []
     for no, text in textio.content_lines(path):
@@ -196,12 +206,5 @@ def read_instances(path) -> list:
         if len(tok) != 8 or tok[0] != "opening":
             raise ParseError(f"{path}:{no}: expected 'opening face=... "
                              "label=... conf=... rect=u v u v'")
-        face, label, conf, rect_head = (
-            textio.kv(t, key, path, no)
-            for t, key in zip(tok[1:5], ("face", "label", "conf", "rect")))
-        conf, *rect = textio.floats([conf, rect_head, *tok[5:]], path, no)
-        try:
-            out.append(OpeningInstance(face, rect, label, conf))
-        except ValidationError as exc:
-            raise ParseError(f"{path}:{no}: {exc}") from exc
+        out.append(parse_instance(tok[1:], path, no))
     return out

@@ -42,12 +42,6 @@ class Cpt:
                                 EVIDENCE_STATES.index(pc),
                                 EVIDENCE_STATES.index(tex)])
 
-    def __eq__(self, other):
-        return isinstance(other, Cpt) and np.array_equal(self.table, other.table)
-
-    def __repr__(self):
-        return f"Cpt({self.table.tolist()!r})"
-
 
 def default_cpt() -> Cpt:
     """Hand-tuned weights.
@@ -184,15 +178,6 @@ def disambiguate_label(pointcloud: FacadeRaster | None,
 
 # ---------------------------------------------------------------------------
 # file format
-
-def write_cpt(cpt: Cpt, path) -> None:
-    with textio.writing(path) as fh:
-        fh.write("# cpt <conflict_state> <pc_state> <tex_state> <p_opening>\n")
-        for s in CONFLICT_STATES:
-            for a in EVIDENCE_STATES:
-                for b in EVIDENCE_STATES:
-                    fh.write(f"cpt {s} {a} {b} {cpt.entry(s, a, b)!r}\n")
-
 
 def read_cpt(path) -> Cpt:
     entries = {}

@@ -45,9 +45,6 @@ class Ring:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.points, dtype=float)
 
-    def reversed(self) -> "Ring":
-        return Ring(tuple(reversed(self.points)))
-
 
 @dataclass(frozen=True)
 class Face:
@@ -182,12 +179,52 @@ def validate_solid(solid: BuildingSolid, tol: float = 1e-6) -> list:
 # ---------------------------------------------------------------------------
 # file formats
 
-def _parse_ring(tokens, path, no) -> Ring:
-    vals = textio.floats(tokens, path, no)
+def blocks(lines, path, opener: str, body_keys, closing: bool = False):
+    """Yield (no, tokens, body) for each `<opener> ... end` block, the
+    grammar that solids, template libraries and models share.
+
+    `no` and `tokens` belong to the opener line; `body` holds the
+    (no, tokens) lines up to `end`, each led by one of `body_keys`. With
+    `closing`, a bare `end` outside any block closes the enclosing
+    section: it stops the iteration and must be present.
+    """
+    head = None
+    for no, text in lines:
+        tok = text.split()
+        if tok[0] == opener:
+            if head is not None:
+                raise ParseError(f"{path}:{no}: {opener} without closing 'end'")
+            head, body = (no, tok), []
+        elif tok[0] == "end":
+            if head is not None:
+                yield (*head, body)
+                head = None
+            elif closing:
+                return
+            else:
+                raise ParseError(f"{path}:{no}: stray 'end'")
+        elif tok[0] not in body_keys:
+            raise ParseError(f"{path}:{no}: unknown keyword {tok[0]!r}")
+        elif head is None:
+            raise ParseError(f"{path}:{no}: {tok[0]!r} outside a {opener} block")
+        else:
+            body.append((no, tok))
+    if head is not None:
+        raise ParseError(f"{path}:{head[0]}: {opener} not closed by 'end'")
+    if closing:
+        raise ParseError(f"{path}: missing final 'end'")
+
+
+def parse_points(tokens, path, no, count: int | None = None) -> tuple:
+    """The finite points of a `<keyword> x y z  x y z ...` line's tokens:
+    at least three, or exactly `count`."""
+    vals = textio.finite(textio.floats(tokens[1:], path, no), "coordinate",
+                         path, no)
+    if count is not None and len(vals) != 3 * count:
+        raise ParseError(f"{path}:{no}: {tokens[0]} needs {3 * count} coordinates")
     if len(vals) < 9 or len(vals) % 3 != 0:
-        raise ParseError(f"{path}:{no}: ring needs 3*k coordinates, k >= 3")
-    pts = [tuple(vals[i:i + 3]) for i in range(0, len(vals), 3)]
-    return Ring(tuple(pts))
+        raise ParseError(f"{path}:{no}: {tokens[0]} needs 3*k coordinates, k >= 3")
+    return tuple(tuple(vals[i:i + 3]) for i in range(0, len(vals), 3))
 
 
 def parse_solid(lines, path) -> BuildingSolid:
@@ -211,44 +248,20 @@ def parse_solid(lines, path) -> BuildingSolid:
         raise ParseError(f"{path}:{no}: lod must be an integer") from exc
 
     faces = []
-    face_id = None
-    label = None
-    outer = None
-    inner = []
-    closed = False
-    for no, text in lines:
-        tok = text.split()
-        if tok[0] == "face":
-            if face_id is not None:
-                raise ParseError(f"{path}:{no}: face without closing 'end'")
-            if len(tok) != 3:
-                raise ParseError(f"{path}:{no}: expected 'face <id> label=<label>'")
-            face_id = tok[1]
-            label = textio.kv(tok[2], "label", path, no)
-            outer = None
-            inner = []
-        elif tok[0] == "outer":
-            if face_id is None or outer is not None:
-                raise ParseError(f"{path}:{no}: misplaced 'outer'")
-            outer = _parse_ring(tok[1:], path, no)
-        elif tok[0] == "inner":
-            if face_id is None or outer is None:
-                raise ParseError(f"{path}:{no}: misplaced 'inner'")
-            inner.append(_parse_ring(tok[1:], path, no))
-        elif tok[0] == "end":
-            if face_id is None:
-                closed = True
-                break
-            if outer is None:
-                raise ParseError(f"{path}:{no}: face {face_id} has no outer ring")
-            faces.append(Face(face_id, label, outer, tuple(inner)))
-            face_id = None
-        else:
-            raise ParseError(f"{path}:{no}: unknown keyword {tok[0]!r}")
-    if face_id is not None:
-        raise ParseError(f"{path}: face {face_id} not closed by 'end'")
-    if not closed:
-        raise ParseError(f"{path}: missing final 'end'")
+    for no, tok, body in blocks(lines, path, "face", ("outer", "inner"),
+                                closing=True):
+        if len(tok) != 3:
+            raise ParseError(f"{path}:{no}: expected 'face <id> label=<label>'")
+        label = textio.kv(tok[2], "label", path, no)
+        rings = []
+        for ring_no, ring_tok in body:
+            # the outer ring comes first, then any inner rings
+            if (ring_tok[0] == "outer") != (not rings):
+                raise ParseError(f"{path}:{ring_no}: misplaced {ring_tok[0]!r}")
+            rings.append(Ring(parse_points(ring_tok, path, ring_no)))
+        if not rings:
+            raise ParseError(f"{path}:{no}: face {tok[1]} has no outer ring")
+        faces.append(Face(tok[1], label, rings[0], tuple(rings[1:])))
     if not faces:
         raise ParseError(f"{path}: solid has no faces")
     return BuildingSolid(solid_id, lod, tuple(faces))
@@ -259,7 +272,8 @@ def read_solid(path) -> BuildingSolid:
     return parse_solid(textio.content_lines(path), path)
 
 
-def _points_text(points) -> str:
+def points_text(points) -> str:
+    """Points as `x y z  x y z ...`, each coordinate written with repr."""
     return "  ".join(" ".join(repr(c) for c in p) for p in points)
 
 
@@ -268,8 +282,8 @@ def solid_text(solid: BuildingSolid) -> str:
     out = [f"solid {solid.solid_id} lod={solid.lod}\n"]
     for f in solid.faces:
         out.append(f"face {f.face_id} label={f.label}\n")
-        out.append(f"outer {_points_text(f.outer.points)}\n")
-        out.extend(f"inner {_points_text(ring.points)}\n" for ring in f.inner)
+        out.append(f"outer {points_text(f.outer.points)}\n")
+        out.extend(f"inner {points_text(ring.points)}\n" for ring in f.inner)
         out.append("end\n")
     out.append("end\n")
     return "".join(out)
@@ -283,53 +297,22 @@ def write_solid(solid: BuildingSolid, path) -> None:
 def read_template_library(path) -> dict:
     """Parse opening templates keyed by name; validates anchor closure."""
     templates = {}
-    name = None
-    label = None
-    depth = 0.0
-    tris = []
-    for no, text in textio.content_lines(path):
-        tok = text.split()
-        if tok[0] == "template":
-            if name is not None:
-                raise ParseError(f"{path}:{no}: template without closing 'end'")
-            if len(tok) != 4:
-                raise ParseError(
-                    f"{path}:{no}: expected 'template <name> label=<l> depth=<d>'")
-            name = tok[1]
-            label = textio.kv(tok[2], "label", path, no)
-            depth = textio.floats([textio.kv(tok[3], "depth", path, no)],
-                                  path, no)[0]
-            tris = []
-        elif tok[0] == "tri":
-            if name is None:
-                raise ParseError(f"{path}:{no}: 'tri' outside template block")
-            vals = textio.floats(tok[1:], path, no)
-            if len(vals) != 9:
-                raise ParseError(f"{path}:{no}: triangle needs 9 coordinates")
-            tris.append(tuple(tuple(vals[i:i + 3]) for i in (0, 3, 6)))
-        elif tok[0] == "end":
-            if name is None:
-                raise ParseError(f"{path}:{no}: stray 'end'")
-            if name in templates:
-                raise ParseError(f"{path}:{no}: duplicate template {name!r}")
-            templates[name] = OpeningTemplate(name, label, depth, tuple(tris))
-            name = None
-        else:
-            raise ParseError(f"{path}:{no}: unknown keyword {tok[0]!r}")
-    if name is not None:
-        raise ParseError(f"{path}: template {name} not closed by 'end'")
+    for no, tok, body in blocks(textio.content_lines(path), path,
+                                "template", ("tri",)):
+        if len(tok) != 4:
+            raise ParseError(
+                f"{path}:{no}: expected 'template <name> label=<l> depth=<d>'")
+        name = tok[1]
+        if name in templates:
+            raise ParseError(f"{path}:{no}: duplicate template {name!r}")
+        label = textio.kv(tok[2], "label", path, no)
+        depth = textio.floats([textio.kv(tok[3], "depth", path, no)], path, no)
+        templates[name] = OpeningTemplate(
+            name, label, textio.finite(depth, "depth", path, no)[0],
+            tuple(parse_points(t, path, n, 3) for n, t in body))
     if not templates:
         raise ParseError(f"{path}: no templates found")
     return templates
-
-
-def write_template_library(templates: dict, path) -> None:
-    with textio.writing(path) as fh:
-        for t in templates.values():
-            fh.write(f"template {t.name} label={t.label} depth={t.depth!r}\n")
-            for tri in t.triangles:
-                fh.write(f"tri {_points_text(tri)}\n")
-            fh.write("end\n")
 
 
 # ---------------------------------------------------------------------------

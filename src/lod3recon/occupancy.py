@@ -10,22 +10,18 @@ voxel along the ray.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import textio
-from .errors import DomainError, ParseError, ValidationError
+from .errors import DomainError, ParseError
 
 
 def log_odds(p: float) -> float:
     if not 0.0 < p < 1.0:
         raise DomainError(f"probability {p} outside (0, 1)")
     return math.log(p / (1.0 - p))
-
-
-def probability(l: float) -> float:
-    return 1.0 / (1.0 + math.exp(-l))
 
 
 @dataclass(frozen=True)
@@ -46,7 +42,6 @@ class OccupancyConfig:
     log_odds_miss: float = -0.4
     log_odds_min: float = -2.0
     log_odds_max: float = 3.5
-    occupied_threshold: float = 0.5   # probability at which a cell counts as occupied
     max_range: float = 100.0
 
     def __post_init__(self):
@@ -54,8 +49,6 @@ class OccupancyConfig:
             raise DomainError("voxel_size must be positive")
         if self.log_odds_min > self.log_odds_max:
             raise DomainError("log_odds_min above log_odds_max")
-        if not 0.0 < self.occupied_threshold < 1.0:
-            raise DomainError("occupied_threshold outside (0, 1)")
 
 
 def grid_index(x: float, voxel_size: float) -> int:
@@ -147,24 +140,6 @@ class OccupancyTree:
         vs = self.config.voxel_size
         return (np.asarray(key, dtype=float) + 0.5) * vs
 
-    def log_odds_at(self, key) -> float:
-        cell = self.cells.get(tuple(key))
-        return 0.0 if cell is None else cell[0]
-
-    def probability_at(self, key) -> float:
-        return probability(self.log_odds_at(key))
-
-    def state(self, key) -> str:
-        cell = self.cells.get(tuple(key))
-        if cell is None:
-            return "unknown"
-        p = probability(cell[0])
-        return "occupied" if p >= self.config.occupied_threshold else "empty"
-
-    def occupied_keys(self) -> list:
-        return [k for k, c in self.cells.items()
-                if probability(c[0]) >= self.config.occupied_threshold]
-
     def _cell(self, key) -> list:
         cell = self.cells.get(key)
         if cell is None:
@@ -241,8 +216,7 @@ def read_rays(path) -> list:
             raise ParseError(f"{path}:{no}: bad number in {tok[6]!r}") from exc
         if hit not in (0, 1):
             raise ParseError(f"{path}:{no}: hit flag must be 0 or 1")
-        if not all(map(math.isfinite, vals)):
-            raise ParseError(f"{path}:{no}: non-finite coordinate")
+        textio.finite(vals, "coordinate", path, no)
         rays.append(Ray(tuple(vals[:3]), tuple(vals[3:]), bool(hit)))
     return rays
 
@@ -267,27 +241,21 @@ def write_tree(tree: OccupancyTree, path) -> None:
                      + " ".join(repr(v) for v in vals) + "\n")
 
 
-def read_tree(path, config: OccupancyConfig | None = None) -> OccupancyTree:
+def read_tree(path) -> OccupancyTree:
     """The `voxels voxel_size=<v>` header, then one line per voxel: key,
-    log-odds, hit distance and point, pass distance and endpoint. An
-    infinite distance marks evidence that never arrived."""
+    finite log-odds, hit distance and point, pass distance and endpoint.
+    An infinite distance marks evidence that never arrived."""
     lines = textio.content_lines(path)
     first = next(lines, None)
     if first is None:
         raise ParseError(f"{path}: empty file")
     no, head = first
     tok = head.split()
-    if len(tok) != 2 or tok[0] != "voxels" or not tok[1].startswith("voxel_size="):
+    if len(tok) != 2 or tok[0] != "voxels":
         raise ParseError(f"{path}:{no}: expected 'voxels voxel_size=<v>'")
-    try:
-        vs = float(tok[1].split("=", 1)[1])
-    except ValueError as exc:
-        raise ParseError(f"{path}:{no}: bad voxel size") from exc
-    if config is not None and config.voxel_size != vs:
-        raise ValidationError(
-            f"{path}: voxel_size {vs} does not match configured {config.voxel_size}")
-    cfg = replace(config or OccupancyConfig(), voxel_size=vs)
-    tree = OccupancyTree(cfg)
+    vs = textio.floats([textio.kv(tok[1], "voxel_size", path, no)], path, no)
+    vs = textio.finite(vs, "voxel size", path, no)[0]
+    tree = OccupancyTree(OccupancyConfig(voxel_size=vs))
     for no, text in lines:
         tok = text.split()
         if len(tok) != 12:
@@ -297,6 +265,8 @@ def read_tree(path, config: OccupancyConfig | None = None) -> OccupancyTree:
             vals = [float(t) for t in tok[3:]]
         except ValueError as exc:
             raise ParseError(f"{path}:{no}: bad number") from exc
+        if not math.isfinite(vals[0]):
+            raise ParseError(f"{path}:{no}: non-finite log-odds")
         cell = [vals[0], vals[1], None, vals[5], None]
         if math.isfinite(vals[1]):
             cell[2] = tuple(vals[2:5])

@@ -75,12 +75,6 @@ class FacadeFrame:
                   & (rows >= 0) & (rows < self.height))
         return rows, cols, inside
 
-    def world_to_pixel(self, point, band: float | None = None):
-        rows, cols, inside = self.to_pixels([point], band)
-        if not inside[0]:
-            return None
-        return int(rows[0]), int(cols[0])
-
     def pixel_center_uv(self) -> np.ndarray:
         """(height, width, 2) array of pixel-center facade coordinates."""
         us = (np.arange(self.width) + 0.5) * self.cell
@@ -200,8 +194,7 @@ def read_labeled_points(path):
         if len(tok) != want:
             raise ParseError(f"{path}:{no}: expected {want} columns")
         vals = textio.floats(tok, path, no)
-        if not all(map(math.isfinite, vals[:3])):
-            raise ParseError(f"{path}:{no}: non-finite coordinate")
+        textio.finite(vals[:3], "coordinate", path, no)
         if not all(0.0 <= p <= 1.0 for p in vals[3:]):
             raise ParseError(f"{path}:{no}: probability outside [0, 1]")
         pts.append(vals[:3])
@@ -309,6 +302,7 @@ def _read_pixels(path, kind: str, header: dict, vectors=()):
                   for t, (key, convert) in zip(tok[1:], header.items())}
     except ValueError as exc:
         raise ParseError(f"{path}:{no}: bad header numbers") from exc
+    textio.finite(values.values(), "header number", path, no)
     width, height = values["width"], values["height"]
     if width < 1 or height < 1:
         raise ParseError(f"{path}:{no}: dimensions must be at least 1x1")
@@ -317,7 +311,8 @@ def _read_pixels(path, kind: str, header: dict, vectors=()):
         tok = text.split()
         if len(tok) != 4 or tok[0] != key:
             raise ParseError(f"{path}:{no}: expected '{key} x y z'")
-        vecs[key] = tuple(textio.floats(tok[1:], path, no))
+        vecs[key] = tuple(textio.finite(textio.floats(tok[1:], path, no),
+                                        "coordinate", path, no))
     no, text = lines[1 + len(vectors)]
     tok = text.split()
     if tok[0] != "channels" or len(tok) < 2:
@@ -333,6 +328,10 @@ def _read_pixels(path, kind: str, header: dict, vectors=()):
         if len(tok) != len(channels):
             raise ParseError(f"{path}:{no}: expected {len(channels)} values")
         data[i] = textio.floats(tok, path, no)
+    finite_rows = np.isfinite(data).all(axis=1)
+    if not finite_rows.all():
+        no, _ = body[int(np.argmin(finite_rows))]
+        raise ParseError(f"{path}:{no}: non-finite pixel value")
     return values, vecs, channels, data.reshape(height, width, len(channels))
 
 
@@ -385,6 +384,7 @@ def read_correspondences(path) -> list:
         tok = text.split()
         if len(tok) != 4:
             raise ParseError(f"{path}:{no}: expected 'u v x y'")
-        u, v, x, y = textio.floats(tok, path, no)
+        u, v, x, y = textio.finite(textio.floats(tok, path, no), "coordinate",
+                                   path, no)
         pairs.append(((u, v), (x, y)))
     return pairs

@@ -13,11 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geom, textio
-from .errors import (ConfigError, DomainError, IoError, OpeningOutsideFace,
+from .errors import (ConfigError, DomainError, OpeningOutsideFace,
                      OpeningTouchesBoundary, ParseError, ValidationError)
-from .extraction import OpeningInstance
-from .model_io import (BuildingSolid, Face, OpeningTemplate, Ring,
-                       default_template_library, parse_solid, solid_text)
+from .extraction import OpeningInstance, parse_instance
+from .model_io import (BuildingSolid, Face, OpeningTemplate, Ring, blocks,
+                       default_template_library, parse_points, parse_solid,
+                       points_text, solid_text)
 from .rasters import facade_frame
 
 
@@ -55,9 +56,6 @@ class Lod3Model:
 
     def __post_init__(self):
         object.__setattr__(self, "placements", tuple(self.placements))
-
-    def attributes(self) -> dict:
-        return {p.opening_id: p.confidence for p in self.placements}
 
     def loops(self):
         yield from self.solid.loops()
@@ -323,58 +321,29 @@ def write_model(model: Lod3Model, path) -> None:
                      f"conf={p.confidence!r} "
                      f"rect={u0!r} {v0!r} {u1!r} {v1!r}\n")
             for tri in p.mesh:
-                fh.write("tri " + "  ".join(
-                    " ".join(repr(c) for c in pt) for pt in tri) + "\n")
+                fh.write(f"tri {points_text(tri)}\n")
             fh.write("end\n")
 
 
-def read_model(path, validate: bool = True) -> Lod3Model:
+def read_model(path) -> Lod3Model:
+    """The solid block, then one `placement ... end` block per opening;
+    the assembled shell must be closed."""
     lines = textio.content_lines(path)
     solid = parse_solid(lines, path)
     placements = []
-    header = None
-    tris = []
-    for no, text in lines:
-        tok = text.split()
-        if tok[0] == "placement":
-            if header is not None:
-                raise ParseError(f"{path}:{no}: placement without closing 'end'")
-            if len(tok) != 10:
-                raise ParseError(
-                    f"{path}:{no}: expected 'placement <id> face=... template=... "
-                    "label=... conf=... rect=u0 v0 u1 v1'")
-            face, template, label, conf, rect_head = (
-                textio.kv(t, key, path, no) for t, key in zip(
-                    tok[2:7], ("face", "template", "label", "conf", "rect")))
-            conf, *rect = textio.floats([conf, rect_head, *tok[7:]], path, no)
-            header = (tok[1], face, template, label, conf, tuple(rect))
-            tris = []
-        elif tok[0] == "tri":
-            if header is None:
-                raise ParseError(f"{path}:{no}: 'tri' outside a placement")
-            vals = textio.floats(tok[1:], path, no)
-            if len(vals) != 9:
-                raise ParseError(f"{path}:{no}: tri needs 9 coordinates")
-            tris.append(tuple(tuple(vals[i:i + 3]) for i in range(0, 9, 3)))
-        elif tok[0] == "end":
-            if header is None:
-                raise ParseError(f"{path}:{no}: stray 'end'")
-            opening_id, face, template, label, conf, rect = header
-            try:
-                inst = OpeningInstance(face, rect, label, conf)
-            except ValidationError as exc:
-                raise ParseError(f"{path}:{no}: {exc}") from exc
-            placements.append(Placement(opening_id, inst, template, tuple(tris)))
-            header = None
-        else:
-            raise ParseError(f"{path}:{no}: unknown keyword {tok[0]!r}")
-    if header is not None:
-        raise ParseError(f"{path}: placement not closed by 'end'")
+    for no, tok, body in blocks(lines, path, "placement", ("tri",)):
+        if len(tok) != 10:
+            raise ParseError(
+                f"{path}:{no}: expected 'placement <id> face=... template=... "
+                "label=... conf=... rect=u0 v0 u1 v1'")
+        template = textio.kv(tok[3], "template", path, no)
+        inst = parse_instance([tok[2], *tok[4:]], path, no)
+        mesh = tuple(parse_points(t, path, n, 3) for n, t in body)
+        placements.append(Placement(tok[1], inst, template, mesh))
     model = Lod3Model(solid, tuple(placements))
-    if validate:
-        bad = geom.closed_surface_violations(list(model.loops()))
-        if bad:
-            raise ParseError(f"{path}: model shell is not closed: {bad[0]}")
+    bad = geom.closed_surface_violations(list(model.loops()))
+    if bad:
+        raise ParseError(f"{path}: model shell is not closed: {bad[0]}")
     return model
 
 
@@ -442,83 +411,3 @@ def write_citygml(model: Lod3Model, path) -> None:
     out.append('</CityModel>')
     with textio.writing(path) as fh:
         fh.write("\n".join(out) + "\n")
-
-
-def read_citygml(path) -> Lod3Model:
-    """Parse files written by write_citygml back into a model.
-
-    Coordinates round-trip to the 3-decimal precision of posList. Opening
-    rects are recovered from the mesh footprint in the host face frame;
-    template names are not stored in the XML and come back empty.
-    """
-    import xml.etree.ElementTree as ET
-
-    label_of = {v: k for k, v in _SURFACE_ELEMENT.items()}
-    opening_of = {v: k for k, v in _OPENING_ELEMENT.items()}
-    try:
-        tree = ET.parse(path)
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    except ET.ParseError as exc:
-        raise ParseError(f"{path}: bad XML: {exc}") from exc
-
-    def rings_of(container):
-        polys = []
-        for poly in container.iter("Polygon"):
-            outer = _parse_pos_list(poly.find("exterior/posList"), path)
-            inner = [_parse_pos_list(el, path)
-                     for el in poly.findall("interior/posList")]
-            polys.append((outer, inner))
-        return polys
-
-    building = tree.getroot().find("cityObjectMember/Building")
-    if building is None:
-        raise ParseError(f"{path}: no Building element")
-    faces = []
-    raw_placements = []
-    for bounded in building.findall("boundedBy"):
-        for surface in bounded:
-            label = label_of.get(surface.tag)
-            if label is None:
-                raise ParseError(f"{path}: unknown surface {surface.tag!r}")
-            face_id = surface.get(f"{{{_GML_NS}}}id") or ""
-            multi = surface.find("lod3MultiSurface")
-            (outer, inner), = rings_of(multi)
-            faces.append(Face(face_id, label,
-                              Ring(tuple(outer)),
-                              tuple(Ring(tuple(r)) for r in inner)))
-            for opening in surface.findall("opening"):
-                for el in opening:
-                    kind = opening_of.get(el.tag)
-                    if kind is None:
-                        raise ParseError(f"{path}: unknown opening {el.tag!r}")
-                    conf = float(el.findtext("confidence", default="0"))
-                    mesh = tuple(tuple(map(tuple, outer_ring))
-                                 for outer_ring, _ in
-                                 rings_of(el.find("lod3MultiSurface")))
-                    raw_placements.append(
-                        (el.get(f"{{{_GML_NS}}}id") or "", face_id, kind,
-                         conf, mesh))
-    solid = BuildingSolid(building.get(f"{{{_GML_NS}}}id") or "", 3,
-                          tuple(faces))
-    placements = []
-    for opening_id, face_id, kind, conf, mesh in raw_placements:
-        frame = facade_frame(solid.face(face_id), 1.0)
-        uv = frame.to_uv([pt for tri in mesh for pt in tri])
-        rect = (float(uv[:, 0].min()), float(uv[:, 1].min()),
-                float(uv[:, 0].max()), float(uv[:, 1].max()))
-        inst = OpeningInstance(face_id, rect, kind, conf)
-        placements.append(Placement(opening_id, inst, "", mesh))
-    return Lod3Model(solid, tuple(placements))
-
-
-def _parse_pos_list(element, path):
-    if element is None or not (element.text or "").strip():
-        raise ParseError(f"{path}: polygon without posList")
-    vals = [float(t) for t in element.text.split()]
-    if len(vals) % 3 != 0 or len(vals) < 12:
-        raise ParseError(f"{path}: posList needs 3*k coordinates, k >= 4")
-    pts = [tuple(vals[i:i + 3]) for i in range(0, len(vals), 3)]
-    if pts[0] != pts[-1]:
-        raise ParseError(f"{path}: posList ring is not closed")
-    return pts[:-1]

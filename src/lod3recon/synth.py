@@ -49,16 +49,6 @@ class SynthOpening:
                             f"{OPENING_LABELS}")
 
 
-def _coerce_opening(o) -> "SynthOpening":
-    """Accept SynthOpening, ((rect), label[, covered]), or a flat tuple."""
-    if isinstance(o, SynthOpening):
-        return o
-    o = tuple(o)
-    if len(o) >= 5 and not isinstance(o[0], (tuple, list)):
-        return SynthOpening(o[:4], *o[4:])
-    return SynthOpening(*o)
-
-
 def default_openings() -> tuple:
     return (SynthOpening((2.0, 2.0, 3.2, 3.0), "window"),
             SynthOpening((6.0, 2.0, 7.2, 3.0), "window"),
@@ -94,7 +84,7 @@ class SceneSpec:
         for name in ("opening_prob", "wall_prob"):
             if not 0.0 < getattr(self, name) <= 1.0:
                 raise SpecError(f"{name} must lie in (0, 1]")
-        openings = tuple(_coerce_opening(o) for o in self.openings)
+        openings = tuple(self.openings)
         object.__setattr__(self, "openings", openings)
         for o in openings:
             u0, v0, u1, v1 = o.rect

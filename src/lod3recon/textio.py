@@ -4,12 +4,13 @@ Every artifact is line-oriented UTF-8 text. A `#` starts a comment that
 runs to the end of its line, and lines left blank are skipped; line
 numbers in messages count every physical line. A path that cannot be
 opened is an IoError, text that is not UTF-8 or does not parse is a
-ParseError naming the file.
+ParseError naming the file, and so is a number that is not finite.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 
 from .errors import IoError, ParseError
 
@@ -44,6 +45,13 @@ def floats(tokens, path, no) -> list:
         return [float(t) for t in tokens]
     except ValueError as exc:
         raise ParseError(f"{path}:{no}: bad number in {' '.join(tokens)!r}") from exc
+
+
+def finite(vals, what: str, path, no) -> list:
+    """`vals` unchanged; a nan or inf among them is a ParseError."""
+    if not all(map(math.isfinite, vals)):
+        raise ParseError(f"{path}:{no}: non-finite {what}")
+    return vals
 
 
 def kv(token: str, key: str, path, no) -> str:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import geom, rasters
 from .errors import DomainError
-from .occupancy import OccupancyTree, grid_index
+from .occupancy import OccupancyTree, grid_index, log_odds
 
 
 @dataclass(frozen=True)
@@ -25,10 +25,13 @@ class UncertaintyConfig:
     sigma_state: float = 2.85     # spread of per-voxel state evidence, voxel units
     sigma_in_meters: bool = False
     aggregate: str = "max"        # per-pixel conflict aggregation: max or mean
+    occupied_threshold: float = 0.5   # probability at which a cell counts as occupied
 
     def __post_init__(self):
         if self.sigma_position <= 0.0 or self.sigma_state <= 0.0:
             raise DomainError("sigmas must be positive")
+        if not 0.0 < self.occupied_threshold < 1.0:
+            raise DomainError("occupied_threshold outside (0, 1)")
         if self.aggregate not in ("max", "mean"):
             raise DomainError("aggregate must be 'max' or 'mean'")
 
@@ -171,16 +174,18 @@ def classify_surface_voxels(tree: OccupancyTree, face,
     cfg = config or UncertaintyConfig()
     vs = tree.config.voxel_size
     s_pos, s_state = cfg.sigmas(vs)
+    # probability >= occupied_threshold, tested once in log-odds
+    occupied = log_odds(cfg.occupied_threshold)
     n, d = face.plane()
     out = []
     for key in surface_voxels(face, vs):
         cell = tree.cells.get(key)
-        state = tree.state(key)
-        point = None
-        if state == "occupied" and cell[2] is not None:
-            point, d_state = cell[2], cell[1]
-        elif state == "empty" and cell is not None and cell[4] is not None:
-            point, d_state = cell[4], cell[3]
+        if cell is None:
+            point = None
+        elif cell[0] >= occupied:
+            state, point, d_state = "occupied", cell[2], cell[1]
+        else:
+            state, point, d_state = "empty", cell[4], cell[3]
         if point is None:
             out.append(SurfaceVoxel(key, "unknown", 0.0, 0.0))
             continue

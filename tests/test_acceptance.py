@@ -108,7 +108,7 @@ def test_03_log_odds_clamp_and_permutation():
                 tree.add_hit(key, center)
             else:
                 tree.add_miss(key)
-            l = tree.log_odds_at(key)
+            l = tree.cells[key][0]
             assert cfg.log_odds_min <= l <= cfg.log_odds_max
 
     # sequences of at most four hits and four misses keep every prefix of
@@ -126,9 +126,10 @@ def test_03_log_odds_clamp_and_permutation():
                     tree.add_hit(key, center)
                 else:
                     tree.add_miss(key)
-                assert cfg.log_odds_min < tree.log_odds_at(key) \
+                assert cfg.log_odds_min < tree.cells[key][0] \
                     < cfg.log_odds_max
-            finals.append(tree.log_odds_at(key))
+            # no update at all leaves no cell, that is log-odds 0
+            finals.append(tree.cells.get(key, [0.0])[0])
         assert abs(finals[0] - finals[1]) <= 1e-9
         checked += 1
     print(f"PASS 3: clamp held over 10000 sequences; permutation "

@@ -13,7 +13,8 @@ from lod3recon.errors import ConfigError, IoError, ParseError
 from lod3recon.evaluate import read_metrics
 from lod3recon.extraction import ExtractionConfig, OpeningInstance, \
     read_instances, write_instances
-from lod3recon.model_io import BuildingSolid, Face, box_solid, write_solid
+from lod3recon.model_io import BuildingSolid, Face, Ring, box_solid, \
+    write_solid
 from lod3recon.occupancy import OccupancyConfig, read_tree
 from lod3recon.rasters import FacadeRaster, facade_frame, write_raster
 from lod3recon.reconstruct import read_model
@@ -100,6 +101,19 @@ def test_build_config_unknown_key():
 def test_build_config_bad_number():
     with pytest.raises(ConfigError, match="bad value"):
         cli.build_config(dict(BASE, voxel_size="tiny"), ".")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_build_config_non_finite_number(value):
+    with pytest.raises(ConfigError, match="must be finite"):
+        cli.build_config(dict(BASE, voxel_size=value), ".")
+
+
+def test_non_finite_option_is_an_argparse_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["raycast", "--rays", "r.txt", "--out", "t.txt", "--vs", "nan"])
+    assert exc.value.code == 2
+    assert "--vs" in capsys.readouterr().err
 
 
 def test_build_config_bad_bool():
@@ -246,7 +260,8 @@ def test_pipeline_missing_rays_names_stage(scene_dir, tmp_path, capsys):
                    f"out_dir = {tmp_path}/out\n")
     assert cli.main(["pipeline", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert "raycast" in err and "missing.txt" in err
+    # the failing pipeline stage, not the subcommand, leads the line
+    assert err.startswith("error: raycast: ") and "missing.txt" in err
 
 
 def test_pipeline_missing_points_names_stage(scene_dir, tmp_path, capsys):
@@ -538,7 +553,8 @@ def test_pipeline_non_finite_ray_exits_2(scene_dir, tmp_path, capsys):
 
 def _inverted(solid):
     return BuildingSolid(solid.solid_id, solid.lod, tuple(
-        Face(f.face_id, f.label, f.outer.reversed()) for f in solid.faces))
+        Face(f.face_id, f.label, Ring(f.outer.points[::-1]))
+        for f in solid.faces))
 
 
 def _without_ground(solid):
@@ -576,3 +592,114 @@ def test_invalid_prior_exits_2(scene_dir, artifacts_dir, tmp_path, capsys,
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert "prior.txt: invalid prior" in err and fragment in err
+
+
+# ---------------------------------------------------------------------------
+# error lines name their stage
+
+@pytest.mark.parametrize("argv, stage", [
+    (["raycast", "--rays", "nope.txt", "--out", "t.txt"], "raycast"),
+    (["conflicts", "--tree", "nope.txt", "--solid", "s.txt", "--face", "f",
+      "--out", "c.txt"], "conflicts"),
+    (["project-points", "--points", "nope.txt", "--solid", "s.txt",
+      "--face", "f", "--out", "p.txt"], "project-points"),
+    (["fuse", "--conflict", "nope.txt", "--out", "post.txt"], "fuse"),
+    (["extract", "--posterior", "nope.txt", "--out", "i.txt"], "extract"),
+    (["reconstruct", "--solid", "nope.txt", "--instances", "i.txt",
+      "--out-model", "m.txt", "--out-gml", "m.gml"], "reconstruct"),
+    (["evaluate", "--pred", "nope.txt", "--gt", "nope.txt"], "evaluate"),
+    (["synth", "--out", "scene", "--width", "-1"], "synth"),
+    (["pipeline", "--config", "nope.txt"], "pipeline"),
+])
+def test_subcommand_error_names_its_stage(tmp_path, capsys, argv, stage):
+    argv = [str(tmp_path / a) if a.endswith((".txt", ".gml")) or a == "scene"
+            else a for a in argv]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {stage}: ")
+
+
+# ---------------------------------------------------------------------------
+# the occupied threshold belongs to the conflicts stage
+
+def test_conflicts_occupied_threshold_matches_pipeline(scene_dir, artifacts_dir,
+                                                       tmp_path):
+    raw = cli.read_config_file(scene_dir / "scene.cfg")
+    raw = {key: str(scene_dir / value) for key, value in raw.items()
+           if key not in ("faces", "out_dir")}
+    raw.update(faces="wall_front", out_dir=str(tmp_path / "out"),
+               occupied_threshold="0.9")
+    cfg = tmp_path / "strict.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in raw.items()))
+    assert cli.main(["pipeline", "--config", str(cfg)]) == 0
+    tree, raster = tmp_path / "tree.txt", tmp_path / "conflict.txt"
+    assert cli.main(["raycast", "--rays", raw["rays"], "--out", str(tree)]) == 0
+    assert cli.main(["conflicts", "--tree", str(tree), "--solid", raw["solid"],
+                     "--face", "wall_front", "--out", str(raster),
+                     "--occupied-threshold", "0.9"]) == 0
+    piped = tmp_path / "out" / "conflict_wall_front.txt"
+    assert raster.read_bytes() == piped.read_bytes()
+    default = artifacts_dir / "conflict_wall_front.txt"
+    assert raster.read_bytes() != default.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# non-finite numbers are input errors
+
+TEMPLATE_TEXT = ("template pane label=window depth=0\n"
+                 "tri 0 0 0  1 0 0  1 1 0\ntri 0 0 0  1 1 0  0 1 0\nend\n")
+
+
+def _corrupt(source, target, line_no, column, value):
+    """Copy `source` to `target` with one token of line `line_no` replaced."""
+    lines = Path(source).read_text().splitlines()
+    tokens = lines[line_no - 1].split()
+    tokens[column] = value
+    lines[line_no - 1] = " ".join(tokens)
+    Path(target).write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("kind", ["solid", "template", "model",
+                                  "correspondences", "raster", "pixel_grid",
+                                  "tree", "instances"])
+def test_non_finite_number_exits_2(scene_dir, artifacts_dir, tmp_path, capsys,
+                                   kind, value):
+    s, a = scene_dir, artifacts_dir
+    bad = tmp_path / f"bad_{kind}.txt"
+    face = ["--face", "wall_front", "--out", str(tmp_path / "out.txt")]
+    reconstruct = ["reconstruct", "--out-model", tmp_path / "m.txt",
+                   "--out-gml", tmp_path / "m.gml"]
+    gt = s / "gt_instances.txt"
+    templates = tmp_path / "templates.txt"
+    templates.write_text(TEMPLATE_TEXT)
+    model_tri = next(no for no, line in enumerate(
+        (a / "model.txt").read_text().splitlines(), 1) if line.startswith("tri"))
+    # file to corrupt, (line, column) of the number, and the run reading it
+    source, where, argv = {
+        "solid": (s / "solid.txt", (3, 1), [*reconstruct, "--solid", bad,
+                                            "--instances", gt]),
+        "template": (templates, (2, 1), [*reconstruct, "--solid", s / "solid.txt",
+                                    "--instances", gt, "--templates", bad]),
+        "model": (a / "model.txt", (model_tri, 1), [
+            "evaluate", "--pred", a / "instances.txt",
+            "--gt", gt, "--model", bad,
+            "--gt-model", a / "model.txt"]),
+        "correspondences": (s / "correspondences.txt", (2, 0), [
+            "project-image", "--image", s / "image.txt",
+            "--correspondences", bad, "--solid", s / "solid.txt", *face]),
+        "raster": (a / "conflict_wall_front.txt", (6, 0),
+                   ["fuse", "--conflict", bad, "--out", tmp_path / "p.txt"]),
+        "pixel_grid": (s / "image.txt", (3, 0), [
+            "project-image", "--image", bad,
+            "--correspondences", s / "correspondences.txt",
+            "--solid", s / "solid.txt", *face]),
+        "tree": (a / "tree.txt", (2, 3), [
+            "conflicts", "--tree", bad, "--solid", s / "solid.txt", *face]),
+        "instances": (gt, (2, 6), [*reconstruct, "--solid", s / "solid.txt",
+                                   "--instances", bad]),
+    }[kind]
+    _corrupt(source, bad, *where, value)
+    assert cli.main([str(arg) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{bad}:{where[0]}:" in err
+    assert "Traceback" not in err

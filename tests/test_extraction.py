@@ -5,8 +5,8 @@ from scipy import ndimage
 from lod3recon import extraction
 from lod3recon.errors import DomainError, ParseError, ValidationError
 from lod3recon.extraction import (ExtractionConfig, OpeningInstance,
-                                  filter_instances, morphological_opening,
-                                  rectangularity, threshold_clusters)
+                                  filter_instances, mask_clusters,
+                                  morphological_opening, rectangularity)
 from lod3recon.rasters import FacadeFrame, FacadeRaster
 
 import oracles
@@ -48,7 +48,7 @@ def test_config_rejects_bad_values(kwargs):
 def test_diagonal_pixels_form_one_cluster():
     post = np.zeros((4, 4))
     post[1, 1] = post[2, 2] = 0.9
-    clusters = threshold_clusters(post, 0.7)
+    clusters = mask_clusters(post > 0.7)
     assert len(clusters) == 1
     assert sorted(map(tuple, clusters[0])) == [(1, 1), (2, 2)]
 
@@ -64,7 +64,7 @@ def test_four_connectivity_would_split_the_diagonal():
 
 
 def test_all_below_threshold_gives_no_clusters():
-    assert threshold_clusters(np.full((5, 5), 0.7), 0.7) == []
+    assert mask_clusters(np.full((5, 5), 0.7) > 0.7) == []
 
 
 def test_clusters_ordered_by_min_row_then_col():
@@ -72,16 +72,20 @@ def test_clusters_ordered_by_min_row_then_col():
     post[6:8, 1:3] = 0.9
     post[1:3, 5:7] = 0.9
     post[1:3, 0:2] = 0.9
-    clusters = threshold_clusters(post, 0.7)
+    clusters = mask_clusters(post > 0.7)
     starts = [(int(c[:, 0].min()), int(c[:, 1].min())) for c in clusters]
     assert starts == [(1, 0), (1, 5), (6, 1)]
 
 
 def test_threshold_is_strict():
-    post = np.full((3, 3), 0.7)
-    post[1, 1] = np.nextafter(0.7, 1.0)
-    clusters = threshold_clusters(post, 0.7)
-    assert len(clusters) == 1 and len(clusters[0]) == 1
+    # 0.75 is exact in the float32 raster, so pixels sit on the threshold
+    config = ExtractionConfig(p_high=0.75, kernel=1, min_pixels=1)
+    raster = FacadeRaster.zeros(_frame(3, 3), ("opening",))
+    raster.data[:, :, 0] = 0.75
+    assert extraction.extract_openings(raster, config) == []
+    raster.data[1, 1, 0] = np.nextafter(np.float32(0.75), np.float32(1.0))
+    (inst,) = extraction.extract_openings(raster, config)
+    assert inst.pixels == ((1, 1),)
 
 
 # ---------------------------------------------------------------------------

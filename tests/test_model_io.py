@@ -34,7 +34,8 @@ def test_face_plane():
 def test_validate_detects_flipped_face():
     s = model_io.box_solid("b", (0, 0, 0), (1, 1, 1))
     faces = list(s.faces)
-    faces[0] = Face(faces[0].face_id, faces[0].label, faces[0].outer.reversed())
+    faces[0] = Face(faces[0].face_id, faces[0].label,
+                    Ring(faces[0].outer.points[::-1]))
     bad = BuildingSolid("b", 2, tuple(faces))
     assert model_io.validate_solid(bad)
 
@@ -55,7 +56,7 @@ def test_validate_detects_inner_ring_winding():
     inner = Ring(((1, 0, 1), (3, 0, 1), (3, 0, 3), (1, 0, 3)))
     n, _ = wall.plane()
     if float(np.asarray(model_io.geom.newell_area_vector(inner.points)) @ n) < 0:
-        inner = inner.reversed()
+        inner = Ring(inner.points[::-1])
     faces = [f if f.face_id != "wall_front" else
              Face(f.face_id, f.label, f.outer, (inner,)) for f in s.faces]
     bad = BuildingSolid("b", 2, tuple(faces))
@@ -86,6 +87,31 @@ def test_solid_file_round_trip_with_inner_rings(tmp_path):
     path = tmp_path / "solid.txt"
     model_io.write_solid(s2, path)
     assert model_io.read_solid(path) == s2
+
+
+def _numbered(text):
+    return iter(list(enumerate(text.splitlines(), start=1)))
+
+
+def test_block_reader_yields_blocks_and_stops_at_closing_end():
+    lines = _numbered("face a\nx 1\nx 2\nend\nface b\nend\nend\nrest\n")
+    got = list(model_io.blocks(lines, "f", "face", ("x",), closing=True))
+    assert got == [(1, ["face", "a"], [(2, ["x", "1"]), (3, ["x", "2"])]),
+                   (5, ["face", "b"], [])]
+    assert next(lines) == (8, "rest")
+
+
+@pytest.mark.parametrize("text, closing, message", [
+    ("face\nx 1\nend\nend\n", False, "f:4: stray 'end'"),
+    ("face\nface\n", False, "f:2: face without closing 'end'"),
+    ("face\nx 1\n", False, "f:1: face not closed by 'end'"),
+    ("x 1\n", False, "f:1: 'x' outside a face block"),
+    ("face\ny\nend\n", False, "f:2: unknown keyword 'y'"),
+    ("face\nend\n", True, "f: missing final 'end'"),
+])
+def test_block_reader_errors(text, closing, message):
+    with pytest.raises(ParseError, match=message):
+        list(model_io.blocks(_numbered(text), "f", "face", ("x",), closing))
 
 
 @pytest.mark.parametrize("text, fragment", [
@@ -138,10 +164,18 @@ def test_template_rejects_bad_label_and_depth():
         OpeningTemplate("t", "door", -0.5, tris)
 
 
+def write_template_library(templates: dict, path) -> None:
+    """The `template ... end` blocks `read_template_library` reads."""
+    blocks = [f"template {t.name} label={t.label} depth={t.depth!r}\n"
+              + "".join(f"tri {model_io.points_text(tri)}\n" for tri in t.triangles)
+              + "end\n" for t in templates.values()]
+    path.write_text("".join(blocks))
+
+
 def test_template_library_round_trip(tmp_path):
     lib = model_io.default_template_library()
     path = tmp_path / "templates.txt"
-    model_io.write_template_library(lib, path)
+    write_template_library(lib, path)
     back = model_io.read_template_library(path)
     assert back == lib
 

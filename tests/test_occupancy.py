@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lod3recon import occupancy
-from lod3recon.errors import DomainError, ParseError, ValidationError
+from lod3recon.errors import DomainError, ParseError
 from lod3recon.occupancy import OccupancyConfig, OccupancyTree, Ray
 
 import oracles
@@ -13,16 +15,21 @@ import oracles
 # ---------------------------------------------------------------------------
 # log odds
 
+def _probability(l):
+    """The logistic function, inverse of log-odds."""
+    return 1.0 / (1.0 + math.exp(-l))
+
+
 def test_log_odds_known_values():
     assert occupancy.log_odds(0.5) == 0.0
-    assert occupancy.probability(0.0) == 0.5
+    assert _probability(0.0) == 0.5
     assert occupancy.log_odds(0.7) == pytest.approx(0.8472978603872034)
-    assert occupancy.probability(-0.4) == pytest.approx(0.40131233988754794)
+    assert _probability(-0.4) == pytest.approx(0.40131233988754794)
 
 
 @given(st.floats(1e-6, 1 - 1e-6))
 def test_log_odds_probability_inverse(p):
-    assert occupancy.probability(occupancy.log_odds(p)) == pytest.approx(p, abs=1e-12)
+    assert _probability(occupancy.log_odds(p)) == pytest.approx(p, abs=1e-12)
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5])
@@ -41,7 +48,7 @@ def test_log_odds_stays_clamped(updates):
             tree.add_hit(key, (0.05, 0.05, 0.05))
         else:
             tree.add_miss(key)
-        assert cfg.log_odds_min <= tree.log_odds_at(key) <= cfg.log_odds_max
+        assert cfg.log_odds_min <= tree.cells[key][0] <= cfg.log_odds_max
 
 
 # ---------------------------------------------------------------------------
@@ -112,12 +119,13 @@ def test_integrate_single_hit_ray():
     tree = OccupancyTree()
     cfg = tree.config
     tree.integrate(Ray((0.05, 0.05, 0.05), (0.55, 0.05, 0.05)))
-    assert tree.log_odds_at((5, 0, 0)) == pytest.approx(cfg.log_odds_hit)
+    assert tree.cells[(5, 0, 0)][0] == pytest.approx(cfg.log_odds_hit)
     for i in range(5):
-        assert tree.log_odds_at((i, 0, 0)) == pytest.approx(cfg.log_odds_miss)
-    assert tree.state((5, 0, 0)) == "occupied"
-    assert tree.state((2, 0, 0)) == "empty"
-    assert tree.state((9, 9, 9)) == "unknown"
+        assert tree.cells[(i, 0, 0)][0] == pytest.approx(cfg.log_odds_miss)
+    # occupied above even odds, empty below, unknown without a cell
+    assert tree.cells[(5, 0, 0)][0] > 0.0
+    assert tree.cells[(2, 0, 0)][0] < 0.0
+    assert (9, 9, 9) not in tree.cells
     # aux: endpoint sits exactly on the hit voxel center
     cell = tree.cells[(5, 0, 0)]
     assert cell[1] == pytest.approx(0.0)
@@ -132,7 +140,7 @@ def test_integrate_miss_ray_adds_no_hit():
     tree = OccupancyTree()
     tree.integrate(Ray((0.05, 0.05, 0.05), (0.55, 0.05, 0.05), hit=False))
     assert (5, 0, 0) not in tree.cells
-    assert tree.state((2, 0, 0)) == "empty"
+    assert tree.cells[(2, 0, 0)][0] < 0.0
 
 
 def test_integrate_clamps_after_many_updates():
@@ -140,8 +148,8 @@ def test_integrate_clamps_after_many_updates():
     for _ in range(30):
         tree.integrate(Ray((0.05, 0.05, 0.05), (0.55, 0.05, 0.05)))
     cfg = tree.config
-    assert tree.log_odds_at((5, 0, 0)) == cfg.log_odds_max
-    assert tree.log_odds_at((2, 0, 0)) == cfg.log_odds_min
+    assert tree.cells[(5, 0, 0)][0] == cfg.log_odds_max
+    assert tree.cells[(2, 0, 0)][0] == cfg.log_odds_min
 
 
 def test_integrate_respects_max_range():
@@ -156,13 +164,13 @@ def test_integrate_respects_max_range():
 def test_integrate_zero_length_hit():
     tree = OccupancyTree()
     tree.integrate(Ray((0.15, 0.15, 0.15), (0.15, 0.15, 0.15)))
-    assert tree.state((1, 1, 1)) == "occupied"
+    assert tree.cells[(1, 1, 1)][0] > 0.0
 
 
 def test_occupied_keys():
     tree = OccupancyTree()
     tree.integrate(Ray((0.05, 0.05, 0.05), (0.55, 0.05, 0.05)))
-    assert tree.occupied_keys() == [(5, 0, 0)]
+    assert [k for k, c in tree.cells.items() if c[0] > 0.0] == [(5, 0, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -214,19 +222,8 @@ def test_tree_file_round_trip(tmp_path):
     assert back.cells == tree.cells
 
 
-def test_tree_file_voxel_size_mismatch(tmp_path):
-    tree = OccupancyTree(OccupancyConfig(voxel_size=0.2))
-    tree.add_hit((0, 0, 0), (0.1, 0.1, 0.1))
-    path = tmp_path / "tree.txt"
-    occupancy.write_tree(tree, path)
-    with pytest.raises(ValidationError):
-        occupancy.read_tree(path, OccupancyConfig(voxel_size=0.1))
-
-
 def test_config_validation():
     with pytest.raises(DomainError):
         OccupancyConfig(voxel_size=0.0)
     with pytest.raises(DomainError):
         OccupancyConfig(log_odds_min=1.0, log_odds_max=0.0)
-    with pytest.raises(DomainError):
-        OccupancyConfig(occupied_threshold=1.0)

@@ -40,14 +40,19 @@ def test_facade_frame_horizontal_face_uses_y_up():
     np.testing.assert_allclose(f.u_axis, [1, 0, 0], atol=1e-12)
 
 
+def _pixel(frame, point, band=None):
+    rows, cols, inside = frame.to_pixels([point], band)
+    return (int(rows[0]), int(cols[0])) if inside[0] else None
+
+
 def test_world_to_pixel_and_band():
     f = rasters.facade_frame(wall_face(), 0.1)
-    assert f.world_to_pixel((0.35, 0.0, 0.15)) == (1, 3)
-    assert f.world_to_pixel((0.05, 0.0, 0.05)) == (0, 0)  # row 0 at the bottom
-    assert f.world_to_pixel((0.35, -0.25, 0.15)) == (1, 3)   # inside default band
-    assert f.world_to_pixel((0.35, -0.31, 0.15)) is None     # beyond 3 cells
-    assert f.world_to_pixel((1.25, 0.0, 0.15)) is None       # outside bounds
-    assert f.world_to_pixel((0.35, -0.05, 0.15), band=0.01) is None
+    assert _pixel(f, (0.35, 0.0, 0.15)) == (1, 3)
+    assert _pixel(f, (0.05, 0.0, 0.05)) == (0, 0)  # row 0 at the bottom
+    assert _pixel(f, (0.35, -0.25, 0.15)) == (1, 3)   # inside default band
+    assert _pixel(f, (0.35, -0.31, 0.15)) is None     # beyond 3 cells
+    assert _pixel(f, (1.25, 0.0, 0.15)) is None       # outside bounds
+    assert _pixel(f, (0.35, -0.05, 0.15), band=0.01) is None
 
 
 def test_to_pixels_matches_scalar():
@@ -55,12 +60,15 @@ def test_to_pixels_matches_scalar():
     rng = np.random.default_rng(3)
     pts = rng.uniform(-0.5, 1.5, size=(100, 3))
     rows, cols, inside = f.to_pixels(pts)
+    origin, u, v, n = map(np.asarray, (f.origin, f.u_axis, f.v_axis, f.normal))
     for p, r, c, ok in zip(pts, rows, cols, inside):
-        got = f.world_to_pixel(p)
+        rel = p - origin
+        col = math.floor(float(rel @ u) / f.cell)
+        row = math.floor(float(rel @ v) / f.cell)
+        assert ok == (abs(float(rel @ n)) <= 3 * f.cell
+                      and 0 <= col < f.width and 0 <= row < f.height)
         if ok:
-            assert got == (int(r), int(c))
-        else:
-            assert got is None
+            assert (int(r), int(c)) == (row, col)
 
 
 def test_frame_matches_tolerance():

@@ -8,14 +8,14 @@ from lod3recon.errors import (ConfigError, DomainError, OpeningOutsideFace,
                               OpeningTouchesBoundary, ParseError,
                               ValidationError)
 from lod3recon.extraction import OpeningInstance
-from lod3recon.model_io import (OpeningTemplate, box_solid,
-                                default_template_library)
+from lod3recon.model_io import (BuildingSolid, Face, OpeningTemplate, Ring,
+                                box_solid, default_template_library)
 from lod3recon.rasters import facade_frame
-from lod3recon.reconstruct import (Lod3Model, assemble_lod3, cut_openings,
-                                   fit_template, merge_overlapping_instances,
-                                   pick_template, read_citygml, read_model,
-                                   reconstruct_model, write_citygml,
-                                   write_model)
+from lod3recon.reconstruct import (Lod3Model, Placement, assemble_lod3,
+                                   cut_openings, fit_template,
+                                   merge_overlapping_instances, pick_template,
+                                   read_model, reconstruct_model,
+                                   write_citygml, write_model)
 
 
 def _cube():
@@ -357,7 +357,8 @@ def test_model_attributes_map_ids_to_confidence():
     insts = [_inst((0.1, 0.4, 0.3, 0.6), conf=0.75),
              _inst((0.6, 0.4, 0.8, 0.6), conf=0.5)]
     model = reconstruct_model(_cube(), insts, {"w": _flat_window()}, depth=0.1)
-    assert model.attributes() == {"opening_001": 0.75, "opening_002": 0.5}
+    assert {p.opening_id: p.confidence for p in model.placements} == {
+        "opening_001": 0.75, "opening_002": 0.5}
 
 
 # ---------------------------------------------------------------------------
@@ -411,12 +412,47 @@ def test_read_model_validates_closure(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError, match="not closed"):
         read_model(path)
-    leaky = read_model(path, validate=False)
-    assert leaky.placements[0].mesh == ()
 
 
 # ---------------------------------------------------------------------------
 # CityGML subset
+
+GML_ID = "{http://www.opengis.net/gml}id"
+SURFACE_LABELS = {"WallSurface": "wall", "RoofSurface": "roof",
+                  "GroundSurface": "ground", "ClosureSurface": "closure"}
+
+
+def _pos_list(element):
+    vals = [float(t) for t in element.text.split()]
+    # a posList ring repeats its first point at the end
+    return tuple(tuple(vals[i:i + 3]) for i in range(0, len(vals) - 3, 3))
+
+
+def read_citygml(path) -> Lod3Model:
+    """The model in a file `write_citygml` wrote, to the 3 decimals of
+    posList. Rects come from the mesh footprint in the host face frame;
+    template names are not in the XML and come back empty."""
+    building = ET.parse(path).getroot().find("cityObjectMember/Building")
+    if building is None:
+        raise ParseError(f"{path}: no Building element")
+    faces, placements = [], []
+    for surface in building.findall("boundedBy/*"):
+        polygon = surface.find("lod3MultiSurface/Polygon")
+        face = Face(surface.get(GML_ID), SURFACE_LABELS[surface.tag],
+                    Ring(_pos_list(polygon.find("exterior/posList"))),
+                    tuple(Ring(_pos_list(el))
+                          for el in polygon.findall("interior/posList")))
+        faces.append(face)
+        for el in surface.findall("opening/*"):
+            mesh = tuple(_pos_list(p) for p in el.findall(
+                "lod3MultiSurface/Polygon/exterior/posList"))
+            uv = facade_frame(face, 1.0).to_uv([pt for tri in mesh for pt in tri])
+            inst = OpeningInstance(face.face_id, (*uv.min(axis=0), *uv.max(axis=0)),
+                                   el.tag.lower(), float(el.findtext("confidence")))
+            placements.append(Placement(el.get(GML_ID), inst, "", mesh))
+    return Lod3Model(BuildingSolid(building.get(GML_ID), 3, tuple(faces)),
+                     tuple(placements))
+
 
 def _gml(tmp_path, model):
     path = tmp_path / "model.gml"

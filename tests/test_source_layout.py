@@ -1,0 +1,47 @@
+"""Code that only tests use lives under tests/, not in the package."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "lod3recon"
+
+# the brute-force posterior stays as the reference that acceptance test 5
+# checks against the 12-term oracle
+ALLOWED = {"fusion.pixel_posterior"}
+
+
+def _public_functions(tree, module):
+    """(qualified name, name, is a method) of each public function."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield f"{module}.{node.name}", node.name, False
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef):
+                    yield f"{module}.{node.name}.{sub.name}", sub.name, True
+
+
+def test_src_holds_no_test_only_function():
+    # perfbench/ counts: it is the one reader of evaluate.read_metrics
+    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    names, attributes = set(), set()
+    defined = []
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rsplit(".", 1)[-1])
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+        if path.parent == PACKAGE:
+            defined.extend(_public_functions(tree, path.stem))
+    # a method is reached only as an attribute; a bare name such as the
+    # builtin `reversed` does not reach `Ring.reversed`
+    unused = sorted(qualified for qualified, name, method in defined
+                    if not name.startswith("_") and qualified not in ALLOWED
+                    and name not in attributes
+                    and (method or name not in names))
+    assert unused == []

@@ -16,7 +16,7 @@ from lod3recon.synth import SceneSpec, SynthOpening
 
 
 SMALL = dict(width=4.0, height=2.0, depth=2.0, pitch=0.1,
-             openings=((1.0, 0.8, 2.0, 1.6, "window"),))
+             openings=(SynthOpening((1.0, 0.8, 2.0, 1.6), "window"),))
 
 
 def test_default_spec_is_valid():
@@ -48,14 +48,14 @@ def test_bad_numbers_rejected(kwargs):
 def test_opening_on_wall_edge_rejected():
     with pytest.raises(SpecError, match="interior"):
         SceneSpec(width=4.0, height=2.0,
-                  openings=((0.0, 0.5, 1.0, 1.5, "window"),))
+                  openings=(SynthOpening((0.0, 0.5, 1.0, 1.5), "window"),))
 
 
 def test_overlapping_openings_rejected():
     with pytest.raises(SpecError, match="overlap"):
         SceneSpec(width=4.0, height=2.0,
-                  openings=((1.0, 0.5, 2.0, 1.5, "window"),
-                            (1.5, 0.5, 2.5, 1.5, "window")))
+                  openings=(SynthOpening((1.0, 0.5, 2.0, 1.5), "window"),
+                            SynthOpening((1.5, 0.5, 2.5, 1.5), "window")))
 
 
 def test_degenerate_rect_rejected():
@@ -194,7 +194,7 @@ def test_correspondences_pin_the_four_corners():
 
 def test_measured_instances_exclude_covered_openings():
     spec = SceneSpec(width=6.0, height=2.0,
-                     openings=((1.0, 0.5, 2.0, 1.5, "window"),
+                     openings=(SynthOpening((1.0, 0.5, 2.0, 1.5), "window"),
                                SynthOpening((3.0, 0.5, 4.0, 1.5), "window",
                                             covered=True)))
     assert len(synth.ground_truth_instances(spec)) == 2

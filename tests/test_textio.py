@@ -48,8 +48,6 @@ WRITERS = {
     "occupancy.write_tree": lambda p: occupancy.write_tree(
         occupancy.build_occupancy([occupancy.Ray((0, 0, 0), (1, 1, 1))]), p),
     "model_io.write_solid": lambda p: model_io.write_solid(_solid(), p),
-    "model_io.write_template_library": lambda p: model_io.write_template_library(
-        model_io.default_template_library(), p),
     "rasters.write_labeled_points": lambda p: rasters.write_labeled_points(
         np.zeros((1, 3)), np.zeros((1, len(rasters.POINT_LABELS))), p),
     "rasters.write_raster": lambda p: rasters.write_raster(_raster(), p),
@@ -57,7 +55,6 @@ WRITERS = {
         np.zeros((2, 3, 1)), ("window",), p),
     "rasters.write_correspondences": lambda p: rasters.write_correspondences(
         [((0, 0), (1, 1))], p),
-    "fusion.write_cpt": lambda p: fusion.write_cpt(fusion.default_cpt(), p),
     "extraction.write_instances": lambda p: extraction.write_instances(
         [_instance()], p),
     "evaluate.write_metrics": lambda p: evaluate.write_metrics({"DA": 1}, p),

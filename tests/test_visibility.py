@@ -77,6 +77,8 @@ def test_uncertainty_config_validation():
         UncertaintyConfig(sigma_position=0.0)
     with pytest.raises(DomainError):
         UncertaintyConfig(aggregate="median")
+    with pytest.raises(DomainError):
+        UncertaintyConfig(occupied_threshold=1.0)
     cfg = UncertaintyConfig(sigma_position=0.3, sigma_state=0.285,
                             sigma_in_meters=True)
     assert cfg.sigmas(0.1) == (pytest.approx(3.0), pytest.approx(2.85))
