@@ -370,7 +370,7 @@ def _cmd_raycast(args) -> int:
     config = _from_args(OccupancyConfig, args)
     tree = build_occupancy(read_rays(args.rays), config)
     write_tree(tree, args.out)
-    print(f"wrote {args.out} ({len(tree.cells)} voxels)")
+    print(f"wrote {args.out} ({len(tree)} voxels)")
     return 0
 
 

@@ -1,15 +1,40 @@
 """Probabilistic occupancy grid built by casting laser rays.
 
-The grid is a sparse map from integer voxel keys to clamped log-odds
-occupancy. Each cell also keeps the evidence needed when voxels are
-later weighed against the building prior: the hit endpoint nearest the
-voxel center and the passing ray whose endpoint lies closest beyond the
-voxel along the ray.
+The grid is a column store. `OccupancyTree` holds the integer keys of
+the voxels some ray reached, sorted lexicographically, and parallel to
+them the clamped log-odds occupancy and the evidence needed when voxels
+are later weighed against the building prior: the hit endpoint nearest
+the voxel center, and the endpoint of the passing ray that lands
+closest beyond the voxel along the ray. A distance of +inf marks
+evidence that never arrived; its point is then zero.
+
+`build_occupancy` integrates the rays with numpy in chunks of about
+`CHUNK_UPDATES` voxel updates, which bounds the temporary memory
+whatever the ray count. The result is bit for bit that of integrating
+the rays one at a time in file order:
+
+- Traversal (Amanatides & Woo 1987): a segment crosses boundary n of an
+  axis at t = (n * voxel_size - o) / d, computed from the integer index
+  and never accumulated. Crossings at equal t are taken together, and a
+  voxel counts only where the segment spends positive length in it.
+- Log-odds (clamped as in OctoMap): each voxel takes its updates in ray
+  order through x = max(lo, min(hi, x + delta)), one rank at a time
+  across all voxels. Neither the clamp nor float addition is
+  associative, so no scan may regroup the updates.
+- Evidence: a strict first minimum, so the earliest ray wins a tie.
+- Distances: the ray length, the projections of the passed voxel
+  centers onto the ray and the hit distances are one BLAS call per ray,
+  on arrays shaped as for that ray alone. BLAS kernels sum in an order
+  that depends on the shape, so batched or elementwise forms differ in
+  the last bit, which the tree file would show.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,22 +42,22 @@ import numpy as np
 from . import textio
 from .errors import DomainError, ParseError
 
+# updates (candidate crossings, origin segments and hits) integrated per
+# chunk of rays; the temporaries take a few hundred bytes per update
+CHUNK_UPDATES = 1 << 16
+
+# voxel indices stay exact float integers below this magnitude
+_INDEX_LIMIT = 2.0 ** 53
+
+_KEY = np.dtype([("x", "<i8"), ("y", "<i8"), ("z", "<i8")])
+_RAY_ROW = np.dtype([("ray", "<f8", (6,)), ("hit", "<i8")])
+_TREE_ROW = np.dtype([("key", "<i8", (3,)), ("value", "<f8", (9,))])
+
 
 def log_odds(p: float) -> float:
     if not 0.0 < p < 1.0:
         raise DomainError(f"probability {p} outside (0, 1)")
     return math.log(p / (1.0 - p))
-
-
-@dataclass(frozen=True)
-class Ray:
-    origin: tuple
-    endpoint: tuple
-    hit: bool = True
-
-    def __post_init__(self):
-        object.__setattr__(self, "origin", tuple(float(v) for v in self.origin))
-        object.__setattr__(self, "endpoint", tuple(float(v) for v in self.endpoint))
 
 
 @dataclass(frozen=True)
@@ -51,200 +76,389 @@ class OccupancyConfig:
             raise DomainError("log_odds_min above log_odds_max")
 
 
-def grid_index(x: float, voxel_size: float) -> int:
-    """Voxel index k with k*voxel_size <= x < (k+1)*voxel_size.
+def grid_index(x, voxel_size: float) -> np.ndarray:
+    """Voxel index k with k*voxel_size <= x < (k+1)*voxel_size, elementwise.
 
     floor(x / voxel_size) alone can land one cell off when x is an exact
     grid multiple whose division rounds across the boundary; the index is
     normalized against the product so boundary arithmetic stays
     consistent everywhere.
     """
-    k = math.floor(x / voxel_size)
-    while k * voxel_size > x:
-        k -= 1
-    while (k + 1) * voxel_size <= x:
-        k += 1
-    return k
+    x = np.asarray(x, dtype=float)
+    k = np.floor(x / voxel_size)
+    if not np.all(np.abs(k) < _INDEX_LIMIT):
+        raise DomainError(f"coordinate beyond the voxel grid of size {voxel_size!r}")
+    while (over := k * voxel_size > x).any():
+        k -= over
+    while (under := (k + 1) * voxel_size <= x).any():
+        k += under
+    return k.astype(np.int64)
 
 
-def traverse_voxels(origin, endpoint, voxel_size: float) -> list:
-    """Integer keys of voxels the open segment crosses with positive length.
+def traverse(origins, endpoints, voxel_size: float):
+    """(ray, keys) of the voxels each segment crosses with positive
+    length, ray by ray in crossing order.
 
     The voxel containing the endpoint (floor key) is excluded: it
     receives the hit update instead of a pass update. Voxels touched
     only on their boundary are excluded too, and a segment lying exactly
-    in a grid plane crosses no voxel interior at all. Boundary crossings
-    are evaluated as (n * voxel_size - origin) / direction from the
-    integer boundary index n, never accumulated, so results stay
-    reproducible.
+    in a grid plane crosses no voxel interior at all. Crossings at
+    t >= 1 lie beyond the endpoint; the candidates on an axis run from
+    the first boundary ahead of the origin to the one entering the
+    endpoint's voxel.
     """
     vs = float(voxel_size)
-    o = [float(v) for v in origin]
-    e = [float(v) for v in endpoint]
-    d = [e[i] - o[i] for i in range(3)]
-    key = [grid_index(o[i], vs) for i in range(3)]
+    o = np.asarray(origins, dtype=float).reshape(-1, 3)
+    e = np.asarray(endpoints, dtype=float).reshape(-1, 3)
+    d = e - o
+    start, end = grid_index(o, vs), grid_index(e, vs)
+    # the smallest index type: numpy's stable sort is a radix sort on
+    # 16-bit integers
+    rays = np.arange(len(o), dtype=np.min_scalar_type(max(len(o) - 1, 0)))
+    in_plane = ((d == 0.0) & (start * vs == o)).any(axis=1)
+    step = np.sign(d).astype(np.int64)
+    count = np.where(in_plane[:, None], 0, np.abs(end - start))
+
+    ray, t, axis = [], [], []
     for ax in range(3):
-        if d[ax] == 0.0 and key[ax] * vs == o[ax]:
-            return []
-    end_key = tuple(grid_index(e[i], vs) for i in range(3))
+        c = count[:, ax]
+        r = np.repeat(rays, c)
+        j = np.arange(len(r)) - np.repeat(np.cumsum(c) - c, c)
+        n = (np.repeat(start[:, ax] + (step[:, ax] > 0), c)
+             + j * np.repeat(step[:, ax], c))
+        tt = (n * vs - np.repeat(o[:, ax], c)) / np.repeat(d[:, ax], c)
+        ahead = tt < 1.0
+        ray.append(r[ahead])
+        t.append(tt[ahead])
+        axis.append(np.full(np.count_nonzero(ahead), ax, dtype=np.int8))
+    ray, t, axis = (np.concatenate(a) for a in (ray, t, axis))
+    # by t, then stably by ray; crossings at equal t are taken together,
+    # so their order does not matter
+    order = np.argsort(t)
+    order = order[np.argsort(ray[order], kind="stable")]
+    ray, t, axis = ray[order], t[order], axis[order]
+    first = np.searchsorted(ray, rays)
 
-    step = [0, 0, 0]
-    nxt = [0, 0, 0]
-    tmax = [math.inf, math.inf, math.inf]
+    # a segment counts when it has positive length: the one from the
+    # origin unless the first crossing is at t = 0, and the one after the
+    # last of each set of crossings at equal t
+    last = np.ones(len(ray), dtype=bool)
+    last[:-1] = (ray[1:] != ray[:-1]) | (t[1:] != t[:-1])
+    first_t = np.ones(len(o))
+    crosses = first < len(ray)
+    crosses[crosses] = ray[first[crosses]] == rays[crosses]
+    first_t[crosses] = t[first[crosses]]
+    from_origin = (first_t > 0.0) & ~in_plane
+
+    # key after a crossing: the origin's key plus the ray's steps so far
+    seg_ray = ray[last]
+    after = np.empty((len(seg_ray), 3), dtype=np.int64)
     for ax in range(3):
-        if d[ax] > 0.0:
-            step[ax] = 1
-            nxt[ax] = key[ax] + 1
-        elif d[ax] < 0.0:
-            step[ax] = -1
-            nxt[ax] = key[ax]
-        if d[ax] != 0.0:
-            tmax[ax] = (nxt[ax] * vs - o[ax]) / d[ax]
+        so_far = np.concatenate([[0], np.cumsum(axis == ax)])
+        taken = so_far[1:][last] - so_far[first][seg_ray]
+        after[:, ax] = start[seg_ray, ax] + step[seg_ray, ax] * taken
 
-    out = []
-    t_prev = 0.0
-    while True:
-        t_hit = min(tmax)
-        if min(t_hit, 1.0) > t_prev and tuple(key) != end_key:
-            out.append(tuple(key))
-        if t_hit >= 1.0:
-            return out
-        t_prev = t_hit
-        for ax in range(3):
-            if tmax[ax] == t_hit:
-                key[ax] += step[ax]
-                nxt[ax] += step[ax]
-                tmax[ax] = (nxt[ax] * vs - o[ax]) / d[ax]
+    seg_ray = np.concatenate([rays[from_origin], seg_ray])
+    seg_key = np.concatenate([start[from_origin], after])
+    order = np.argsort(seg_ray, kind="stable")
+    seg_ray, seg_key = seg_ray[order], seg_key[order]
+    end = end[seg_ray]
+    keep = ((seg_key[:, 0] != end[:, 0]) | (seg_key[:, 1] != end[:, 1])
+            | (seg_key[:, 2] != end[:, 2]))
+    return seg_ray[keep], seg_key[keep]
 
 
-class OccupancyTree:
-    """Sparse voxel log-odds store with per-cell classification evidence.
+def clamped_sums(groups, deltas, start, low: float, high: float) -> np.ndarray:
+    """Each group's start value taken through x = max(low, min(high, x + d))
+    for the group's deltas in order.
 
-    Cells are lists [log_odds, hit_dist, hit_point, pass_dist,
-    pass_endpoint]; distances start at inf and points at None until the
-    first matching update arrives.
+    `groups` holds the group index of each delta, non-decreasing, so a
+    group's deltas are contiguous. The updates are applied one rank at a
+    time across all groups: groups ordered by their delta count, most
+    first, leave the active groups of every rank a prefix.
     """
+    groups = np.asarray(groups, dtype=np.int64)
+    deltas = np.asarray(deltas, dtype=float)
+    counts = np.bincount(groups, minlength=len(start))
+    rank = np.arange(len(groups)) - (np.cumsum(counts) - counts)[groups]
+    by_count = np.argsort(-counts, kind="stable")
+    place = np.empty_like(by_count)
+    place[by_count] = np.arange(len(by_count))
+    ordered = deltas[np.lexsort((place[groups], rank))]
+    x = np.array(start, dtype=float)[by_count]
+    active = np.searchsorted(-counts[by_count], -np.arange(counts.max(initial=0)))
+    offset = 0
+    for n in active.tolist():
+        v = x[:n]
+        v += ordered[offset:offset + n]
+        np.minimum(v, high, out=v)
+        np.maximum(v, low, out=v)
+        offset += n
+    out = np.empty_like(x)
+    out[by_count] = x
+    return out
 
-    def __init__(self, config: OccupancyConfig | None = None):
-        self.config = config or OccupancyConfig()
-        self.cells: dict = {}
+
+@dataclass
+class OccupancyTree:
+    """Voxel keys, sorted lexicographically, with parallel columns.
+
+    `hit_dist` is the distance from the voxel center to the nearest hit
+    endpoint `hit_point`; `pass_dist` is how far beyond the voxel center,
+    along the ray, the closest passing ray ended, at `pass_point`. An
+    infinite distance marks evidence that never arrived.
+    """
+    config: OccupancyConfig
+    keys: np.ndarray          # (n, 3) int64
+    log_odds: np.ndarray      # (n,)
+    hit_dist: np.ndarray      # (n,)
+    hit_point: np.ndarray     # (n, 3)
+    pass_dist: np.ndarray     # (n,)
+    pass_point: np.ndarray    # (n, 3)
 
     def __len__(self):
-        return len(self.cells)
+        return len(self.keys)
 
-    def key_of(self, point) -> tuple:
-        vs = self.config.voxel_size
-        return tuple(grid_index(float(v), vs) for v in point)
+    def find(self, keys) -> np.ndarray:
+        """Row of each key, -1 where no ray reached the voxel."""
+        table = _records(self.keys)
+        query = _records(keys)
+        rows = np.full(len(query), -1, dtype=np.int64)
+        if len(table):
+            pos = np.minimum(np.searchsorted(table, query), len(table) - 1)
+            found = table[pos] == query
+            rows[found] = pos[found]
+        return rows
 
-    def center(self, key) -> np.ndarray:
-        vs = self.config.voxel_size
-        return (np.asarray(key, dtype=float) + 0.5) * vs
 
-    def _cell(self, key) -> list:
-        cell = self.cells.get(key)
-        if cell is None:
-            cell = [0.0, math.inf, None, math.inf, None]
-            self.cells[key] = cell
-        return cell
-
-    def _bump(self, cell, delta: float):
-        cfg = self.config
-        cell[0] = max(cfg.log_odds_min, min(cfg.log_odds_max, cell[0] + delta))
-
-    def add_hit(self, key, endpoint):
-        cell = self._cell(key)
-        self._bump(cell, self.config.log_odds_hit)
-        d = float(np.linalg.norm(self.center(key) - np.asarray(endpoint, float)))
-        if d < cell[1]:
-            cell[1] = d
-            cell[2] = tuple(float(v) for v in endpoint)
-
-    def add_miss(self, key, along_dist: float | None = None, endpoint=None):
-        cell = self._cell(key)
-        self._bump(cell, self.config.log_odds_miss)
-        if along_dist is not None and along_dist < cell[3]:
-            cell[3] = float(along_dist)
-            cell[4] = tuple(float(v) for v in endpoint)
-
-    def integrate(self, ray: Ray):
-        cfg = self.config
-        o = np.asarray(ray.origin, dtype=float)
-        e = np.asarray(ray.endpoint, dtype=float)
-        length = float(np.linalg.norm(e - o))
-        hit = ray.hit
-        if length > cfg.max_range:
-            e = o + (e - o) * (cfg.max_range / length)
-            length = cfg.max_range
-            hit = False
-        if length == 0.0:
-            if hit:
-                self.add_hit(self.key_of(e), e)
-            return
-        passed = traverse_voxels(o, e, cfg.voxel_size)
-        if passed:
-            centers = (np.asarray(passed, dtype=float) + 0.5) * cfg.voxel_size
-            u = (e - o) / length
-            along = np.abs(length - (centers - o) @ u)
-            ep = tuple(float(v) for v in e)
-            for k, dist in zip(passed, along):
-                self.add_miss(k, float(dist), ep)
-        if hit:
-            self.add_hit(self.key_of(e), e)
+def _records(keys) -> np.ndarray:
+    """(n, 3) integer keys as records that compare lexicographically."""
+    keys = np.ascontiguousarray(np.asarray(keys, dtype=np.int64).reshape(-1, 3))
+    return keys.view(_KEY).ravel()
 
 
 def build_occupancy(rays, config: OccupancyConfig | None = None) -> OccupancyTree:
-    tree = OccupancyTree(config)
-    for ray in rays:
-        tree.integrate(ray)
-    return tree
+    """Integrate rays, an (n, 7) array of origin, endpoint and hit flag,
+    in order. A ray longer than `max_range` is cut there and counts as a
+    miss."""
+    cfg = config or OccupancyConfig()
+    vs = cfg.voxel_size
+    rays = np.asarray(rays, dtype=float).reshape(-1, 7)
+    o = rays[:, :3]
+    e = rays[:, 3:6].copy()
+    hit = rays[:, 6] != 0.0
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        length = np.array([np.linalg.norm(v) for v in e - o])
+        far = length > cfg.max_range
+        e[far] = o[far] + (e[far] - o[far]) * (cfg.max_range / length[far])[:, None]
+    length[far] = cfg.max_range
+    hit &= ~far
+    if not np.isfinite(e).all():
+        raise DomainError("ray too long to cut at max_range")
+    start, end = grid_index(o, vs), grid_index(e, vs)
+
+    # keys packed into one int64, offset to the rays' bounding box, sort
+    # lexicographically
+    corners = np.vstack([start, end]) if len(rays) else np.zeros((1, 3), np.int64)
+    low = corners.min(axis=0)
+    span = [int(v) + 1 for v in corners.max(axis=0) - low]
+    if span[0] * span[1] * span[2] >= 2 ** 63:
+        raise DomainError("rays span more voxels than 64-bit keys can address")
+    scale = np.array([span[1] * span[2], span[2], 1], dtype=np.int64)
+
+    packed = np.empty(0, dtype=np.int64)
+    value = np.empty(0)
+    hit_dist, pass_dist = np.empty(0), np.empty(0)
+    hit_point, pass_point = np.empty((0, 3)), np.empty((0, 3))
+
+    # a ray's updates: its crossings, the segment from its origin and its
+    # hit; at two or more each, a chunk holds at most 2^15 rays
+    cost = np.abs(end - start).sum(axis=1) + 2
+    chunk = (np.cumsum(cost) - cost) // CHUNK_UPDATES
+    bounds = [*np.flatnonzero(np.diff(chunk, prepend=-1)).tolist(), len(rays)]
+    for a, b in itertools.pairwise(bounds):
+        moving = np.flatnonzero(length[a:b] > 0.0) + a
+        seg_ray, seg_key = traverse(o[moving], e[moving], vs)
+        seg_ray = moving[seg_ray]
+        centers = (seg_key + 0.5) * vs
+        along = np.empty(len(seg_ray))
+        cuts = np.flatnonzero(np.diff(seg_ray, prepend=-1, append=-1))
+        for i, j in itertools.pairwise(cuts.tolist()):
+            r = seg_ray[i]
+            along[i:j] = (centers[i:j] - o[r]) @ ((e[r] - o[r]) / length[r])
+        along = np.abs(length[seg_ray] - along)
+        hits = np.flatnonzero(hit[a:b]) + a
+        hit_gap = np.array([np.linalg.norm(v)
+                            for v in (end[hits] + 0.5) * vs - e[hits]])
+
+        # every update of the chunk in ray order, each ray's passes before
+        # its hit, then grouped by voxel; a ray updates a voxel once at most
+        at = np.searchsorted(seg_ray, hits, side="right")
+        upd_ray = np.insert(seg_ray, at, hits)
+        upd_key = (np.insert(seg_key, at, end[hits], axis=0) - low) @ scale
+        is_hit = np.insert(np.zeros(len(seg_ray), dtype=bool), at, True)
+        dist = np.insert(along, at, hit_gap)
+        order = np.argsort(upd_key, kind="stable")
+        upd_key, upd_ray, is_hit, dist = (
+            v[order] for v in (upd_key, upd_ray, is_hit, dist))
+        new_voxel = np.ones(len(order), dtype=bool)
+        new_voxel[1:] = upd_key[1:] != upd_key[:-1]
+        voxels = upd_key[new_voxel]
+        group = np.cumsum(new_voxel) - 1
+
+        pos = np.searchsorted(packed, voxels)
+        known = pos < len(packed)
+        known[known] = packed[pos[known]] == voxels[known]
+        at = pos[~known]
+        packed = np.insert(packed, at, voxels[~known])
+        value = np.insert(value, at, 0.0)
+        hit_dist = np.insert(hit_dist, at, np.inf)
+        pass_dist = np.insert(pass_dist, at, np.inf)
+        hit_point = np.insert(hit_point, at, 0.0, axis=0)
+        pass_point = np.insert(pass_point, at, 0.0, axis=0)
+
+        slot = np.searchsorted(packed, voxels)
+        delta = np.where(is_hit, cfg.log_odds_hit, cfg.log_odds_miss)
+        value[slot] = clamped_sums(group, delta, value[slot],
+                                   cfg.log_odds_min, cfg.log_odds_max)
+        # per voxel the first update, in ray order, at the smallest distance
+        starts = np.flatnonzero(new_voxel)
+        for kind, best_dist, best_point in ((is_hit, hit_dist, hit_point),
+                                            (~is_hit, pass_dist, pass_point)):
+            d = np.where(kind, dist, np.inf)
+            low_d = np.minimum.reduceat(d, starts)
+            best = np.flatnonzero((d == low_d[group]) & kind)
+            first = np.ones(len(best), dtype=bool)
+            first[1:] = group[best][1:] != group[best][:-1]
+            best = best[first]
+            s = slot[group[best]]
+            closer = d[best] < best_dist[s]
+            best_dist[s[closer]] = d[best][closer]
+            best_point[s[closer]] = e[upd_ray[best][closer]]
+
+    keys = np.empty((len(packed), 3), dtype=np.int64)
+    rest = packed
+    for ax in range(3):
+        keys[:, ax], rest = np.divmod(rest, scale[ax])
+    return OccupancyTree(cfg, keys + low, value, hit_dist, hit_point,
+                         pass_dist, pass_point)
 
 
 # ---------------------------------------------------------------------------
 # file formats
 
-def read_rays(path) -> list:
-    """One ray per line: ox oy oz ex ey ez hit(0|1), finite coordinates."""
-    rays = []
-    for no, text in textio.content_lines(path):
-        tok = text.split()
-        if len(tok) != 7:
-            raise ParseError(f"{path}:{no}: expected 7 columns, got {len(tok)}")
-        vals = textio.floats(tok[:6], path, no)
+def _table(path, skip: int, dtype, parse_tokens):
+    """(rows, error) of the whitespace table after the first `skip`
+    content lines, as a record array of `dtype`.
+
+    numpy parses the text in one call. Only when it fails are the lines
+    parsed again one at a time by `parse_tokens`, which returns a row or
+    raises the ParseError naming the line; `error` is the first such
+    error and `rows` the rows before it. Numbers numpy does not read but
+    Python does, such as `1_000`, come back as rows.
+    """
+    lines = itertools.islice(textio.content_lines(path), skip, None)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # no rows is fine
+            return np.loadtxt(map(operator.itemgetter(1), lines), dtype=dtype,
+                              comments=None, ndmin=1), None
+    except ValueError:
+        pass
+    rows = []
+    for no, text in itertools.islice(textio.content_lines(path), skip, None):
         try:
-            hit = int(tok[6])
-        except ValueError as exc:
-            raise ParseError(f"{path}:{no}: bad number in {tok[6]!r}") from exc
-        if hit not in (0, 1):
-            raise ParseError(f"{path}:{no}: hit flag must be 0 or 1")
-        textio.finite(vals, "coordinate", path, no)
-        rays.append(Ray(tuple(vals[:3]), tuple(vals[3:]), bool(hit)))
-    return rays
+            rows.append(parse_tokens(text.split(), path, no))
+        except ParseError as exc:
+            return np.array(rows, dtype=dtype), exc
+    return np.array(rows, dtype=dtype), None
+
+
+def _reject(path, skip: int, checks) -> None:
+    """Raise for the first row any (bad rows mask, message) check flags,
+    naming its line; the first failing check of that row wins."""
+    flagged = [(np.flatnonzero(bad), message) for bad, message in checks]
+    firsts = [(rows[0], i) for i, (rows, _) in enumerate(flagged) if len(rows)]
+    if firsts:
+        row, i = min(firsts)
+        no, _ = next(itertools.islice(textio.content_lines(path), skip + row, None))
+        raise ParseError(f"{path}:{no}: {flagged[i][1]}")
+
+
+def _ints(tokens, path, no) -> list:
+    try:
+        vals = [int(t) for t in tokens]
+    except ValueError as exc:
+        raise ParseError(f"{path}:{no}: bad number in {' '.join(tokens)!r}") from exc
+    if not all(-2 ** 63 <= v < 2 ** 63 for v in vals):
+        raise ParseError(f"{path}:{no}: integer out of range")
+    return vals
+
+
+def _ray_tokens(tok, path, no):
+    if len(tok) != 7:
+        raise ParseError(f"{path}:{no}: expected 7 columns, got {len(tok)}")
+    return textio.floats(tok[:6], path, no), _ints(tok[6:], path, no)[0]
+
+
+def read_rays(path) -> np.ndarray:
+    """One ray per line: ox oy oz ex ey ez hit(0|1), finite coordinates.
+    Returns an (n, 7) array, the hit flag as 0.0 or 1.0."""
+    table, error = _table(path, 0, _RAY_ROW, _ray_tokens)
+    ray, flag = table["ray"], table["hit"]
+    _reject(path, 0, [((flag != 0) & (flag != 1), "hit flag must be 0 or 1"),
+                      (~np.isfinite(ray).all(axis=1), "non-finite coordinate")])
+    if error is not None:
+        raise error
+    return np.column_stack([ray, flag.astype(float)])
 
 
 def write_rays(rays, path) -> None:
     with textio.writing(path) as fh:
         fh.write("# ox oy oz  ex ey ez  hit\n")
-        for r in rays:
-            fh.write(" ".join(repr(v) for v in (*r.origin, *r.endpoint))
-                     + f" {int(r.hit)}\n")
+        for row in np.asarray(rays, dtype=float).reshape(-1, 7).tolist():
+            fh.write(" ".join(map(repr, row[:6])) + f" {int(row[6])}\n")
+
+
+# rows formatted per write call
+_WRITE_BLOCK = 1 << 12
 
 
 def write_tree(tree: OccupancyTree, path) -> None:
     with textio.writing(path) as fh:
         fh.write(f"voxels voxel_size={tree.config.voxel_size!r}\n")
-        for key in sorted(tree.cells):
-            c = tree.cells[key]
-            hit_pt = c[2] or (0.0, 0.0, 0.0)
-            pass_pt = c[4] or (0.0, 0.0, 0.0)
-            vals = (c[0], c[1], *hit_pt, c[3], *pass_pt)
-            fh.write(" ".join(str(k) for k in key) + " "
-                     + " ".join(repr(v) for v in vals) + "\n")
+        for a in range(0, len(tree), _WRITE_BLOCK):
+            rows = slice(a, a + _WRITE_BLOCK)
+            vals = np.column_stack([
+                tree.log_odds[rows], tree.hit_dist[rows], tree.hit_point[rows],
+                tree.pass_dist[rows], tree.pass_point[rows]])
+            columns = ([map(str, c) for c in tree.keys[rows].T.tolist()]
+                       + [map(repr, c) for c in vals.T.tolist()])
+            fh.write("\n".join(map(" ".join, zip(*columns))) + "\n")
+
+
+def _ascending(keys) -> np.ndarray:
+    """Per neighbour pair of (n, 3) keys, whether the second comes after
+    the first in lexicographic order."""
+    a, b = keys[:-1], keys[1:]
+    after = b[:, 2] > a[:, 2]
+    for ax in (1, 0):
+        after = (b[:, ax] > a[:, ax]) | ((b[:, ax] == a[:, ax]) & after)
+    return after
+
+
+def _tree_tokens(tok, path, no):
+    if len(tok) != 12:
+        raise ParseError(f"{path}:{no}: expected 12 columns, got {len(tok)}")
+    return _ints(tok[:3], path, no), textio.floats(tok[3:], path, no)
 
 
 def read_tree(path) -> OccupancyTree:
     """The `voxels voxel_size=<v>` header, then one line per voxel: key,
     finite log-odds, hit distance and point, pass distance and endpoint.
-    An infinite distance marks evidence that never arrived."""
+    A distance is a non-negative number, or +inf for evidence that never
+    arrived; only then may its point be non-finite. A key given twice
+    keeps its last line."""
     lines = textio.content_lines(path)
     first = next(lines, None)
     if first is None:
@@ -255,22 +469,33 @@ def read_tree(path) -> OccupancyTree:
         raise ParseError(f"{path}:{no}: expected 'voxels voxel_size=<v>'")
     vs = textio.floats([textio.kv(tok[1], "voxel_size", path, no)], path, no)
     vs = textio.finite(vs, "voxel size", path, no)[0]
-    tree = OccupancyTree(OccupancyConfig(voxel_size=vs))
-    for no, text in lines:
-        tok = text.split()
-        if len(tok) != 12:
-            raise ParseError(f"{path}:{no}: expected 12 columns, got {len(tok)}")
-        try:
-            key = tuple(int(t) for t in tok[:3])
-            vals = [float(t) for t in tok[3:]]
-        except ValueError as exc:
-            raise ParseError(f"{path}:{no}: bad number") from exc
-        if not math.isfinite(vals[0]):
-            raise ParseError(f"{path}:{no}: non-finite log-odds")
-        cell = [vals[0], vals[1], None, vals[5], None]
-        if math.isfinite(vals[1]):
-            cell[2] = tuple(vals[2:5])
-        if math.isfinite(vals[5]):
-            cell[4] = tuple(vals[6:9])
-        tree.cells[key] = cell
-    return tree
+    lines.close()
+
+    table, error = _table(path, 1, _TREE_ROW, _tree_tokens)
+    keys, vals = table["key"], table["value"]
+    hit_dist, pass_dist = vals[:, 1], vals[:, 5]
+    hit_point, pass_point = vals[:, 2:5], vals[:, 6:9]
+    _reject(path, 1, [
+        (~np.isfinite(vals[:, 0]), "non-finite log-odds"),
+        (~(hit_dist >= 0.0), "hit distance must be non-negative or inf"),
+        (np.isfinite(hit_dist) & ~np.isfinite(hit_point).all(axis=1),
+         "non-finite hit point"),
+        (~(pass_dist >= 0.0), "pass distance must be non-negative or inf"),
+        (np.isfinite(pass_dist) & ~np.isfinite(pass_point).all(axis=1),
+         "non-finite pass endpoint"),
+    ])
+    if error is not None:
+        raise error
+
+    # write_tree leaves the keys ascending; any other order is sorted,
+    # stably, so the last line of a repeated key is the one kept
+    if not _ascending(keys).all():
+        order = np.lexsort(keys.T[::-1])
+        keys, vals = keys[order], vals[order]
+        last = np.append(_ascending(keys), True)
+        keys, vals = keys[last], vals[last]
+    for d, p in ((1, slice(2, 5)), (5, slice(6, 9))):
+        vals[~np.isfinite(vals[:, d]), p] = 0.0
+    return OccupancyTree(OccupancyConfig(voxel_size=vs),
+                         np.ascontiguousarray(keys), vals[:, 0], vals[:, 1],
+                         vals[:, 2:5], vals[:, 5], vals[:, 6:9])

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import SpecError
 from .extraction import OpeningInstance, write_instances
 from .model_io import OPENING_LABELS, BuildingSolid, box_solid, write_solid
-from .occupancy import Ray, write_rays
+from .occupancy import write_rays
 from .rasters import (POINT_LABELS, write_correspondences,
                       write_labeled_points, write_pixel_grid)
 
@@ -135,7 +135,8 @@ def _opening_at(spec: SceneSpec, u: float, v: float):
 
 
 def generate_scan(spec: SceneSpec):
-    """(rays, points, probs) of the simulated facade sweep.
+    """(rays, points, probs) of the simulated facade sweep; `rays` is an
+    (n, 7) array of origin, endpoint and hit flag, as `read_rays` returns.
 
     Targets form a pitch grid over the wall; every ray is a hit. Noise
     perturbs the return distance along the ray, so a ray's traversal line
@@ -145,7 +146,7 @@ def generate_scan(spec: SceneSpec):
     sts = stations(spec)
     nx = int(round(spec.width / spec.pitch))
     nz = int(round(spec.height / spec.pitch))
-    rays = []
+    origins = []
     points = []
     probs = []
     for ix in range(nx):
@@ -173,10 +174,12 @@ def generate_scan(spec: SceneSpec):
                     / spec.station_distance
                 endpoint = origin + (back + noise) * direction
                 prob = _label_probs("other", spec.wall_prob)
-            rays.append(Ray(tuple(origin), tuple(endpoint), True))
+            origins.append(origin)
             points.append(tuple(endpoint))
             probs.append(prob)
-    return rays, np.asarray(points), np.asarray(probs)
+    points = np.asarray(points)
+    rays = np.column_stack([np.asarray(origins), points, np.ones(len(points))])
+    return rays, points, np.asarray(probs)
 
 
 def generate_image(spec: SceneSpec) -> np.ndarray:

@@ -178,18 +178,21 @@ def classify_surface_voxels(tree: OccupancyTree, face,
     occupied = log_odds(cfg.occupied_threshold)
     n, d = face.plane()
     out = []
-    for key in surface_voxels(face, vs):
-        cell = tree.cells.get(key)
-        if cell is None:
-            point = None
-        elif cell[0] >= occupied:
-            state, point, d_state = "occupied", cell[2], cell[1]
+    keys = surface_voxels(face, vs)
+    for key, row in zip(keys, tree.find(keys).tolist()):
+        if row < 0:
+            d_state = math.inf
+        elif tree.log_odds[row] >= occupied:
+            state, point, d_state = ("occupied", tree.hit_point[row],
+                                     tree.hit_dist[row])
         else:
-            state, point, d_state = "empty", cell[4], cell[3]
-        if point is None:
+            state, point, d_state = ("empty", tree.pass_point[row],
+                                     tree.pass_dist[row])
+        if d_state == math.inf:
             out.append(SurfaceVoxel(key, "unknown", 0.0, 0.0))
             continue
-        d_pos = abs(float(np.asarray(point) @ n) - d)
+        d_state = float(d_state)
+        d_pos = abs(float(point @ n) - d)
         p_pos = positioning_confidence(d_pos, s_pos, vs)
         p_state = positioning_confidence(d_state, s_state, vs)
         p_conf, p_confl = joint_state_probability(p_pos, p_state)

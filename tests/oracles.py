@@ -53,6 +53,116 @@ def slab_traverse(origin, endpoint, vs):
     return [k for k in out if k != end_key]
 
 
+def dda_traverse(origin, endpoint, vs):
+    """Scalar Amanatides & Woo walk: the voxels the open segment crosses
+    with positive length, in order, excluding the endpoint's floor key.
+
+    Boundary crossings are (n * vs - o) / d from the integer boundary
+    index n, never accumulated; a segment lying exactly in a grid plane
+    crosses no voxel interior.
+    """
+    vs = float(vs)
+    o = [float(v) for v in origin]
+    e = [float(v) for v in endpoint]
+    d = [e[i] - o[i] for i in range(3)]
+    key = [floor_key(o[i], vs) for i in range(3)]
+    for ax in range(3):
+        if d[ax] == 0.0 and key[ax] * vs == o[ax]:
+            return []
+    end_key = tuple(floor_key(e[i], vs) for i in range(3))
+
+    step = [0, 0, 0]
+    nxt = [0, 0, 0]
+    tmax = [math.inf, math.inf, math.inf]
+    for ax in range(3):
+        if d[ax] > 0.0:
+            step[ax] = 1
+            nxt[ax] = key[ax] + 1
+        elif d[ax] < 0.0:
+            step[ax] = -1
+            nxt[ax] = key[ax]
+        if d[ax] != 0.0:
+            tmax[ax] = (nxt[ax] * vs - o[ax]) / d[ax]
+
+    out = []
+    t_prev = 0.0
+    while True:
+        t_hit = min(tmax)
+        if min(t_hit, 1.0) > t_prev and tuple(key) != end_key:
+            out.append(tuple(key))
+        if t_hit >= 1.0:
+            return out
+        t_prev = t_hit
+        for ax in range(3):
+            if tmax[ax] == t_hit:
+                key[ax] += step[ax]
+                nxt[ax] += step[ax]
+                tmax[ax] = (nxt[ax] * vs - o[ax]) / d[ax]
+
+
+class ScalarOccupancy:
+    """One ray at a time into a dict of cells [log_odds, hit_dist,
+    hit_point, pass_dist, pass_endpoint]; distances start at inf and
+    points at None until the first matching update arrives.
+
+    `config` carries voxel_size, the four log-odds settings and
+    max_range.
+    """
+
+    def __init__(self, config):
+        self.config = config
+        self.cells = {}
+
+    def _cell(self, key):
+        return self.cells.setdefault(key, [0.0, math.inf, None, math.inf, None])
+
+    def _bump(self, cell, delta):
+        cfg = self.config
+        cell[0] = max(cfg.log_odds_min, min(cfg.log_odds_max, cell[0] + delta))
+
+    def add_hit(self, key, endpoint):
+        cell = self._cell(key)
+        self._bump(cell, self.config.log_odds_hit)
+        center = (np.asarray(key, dtype=float) + 0.5) * self.config.voxel_size
+        d = float(np.linalg.norm(center - np.asarray(endpoint, float)))
+        if d < cell[1]:
+            cell[1] = d
+            cell[2] = tuple(float(v) for v in endpoint)
+
+    def add_miss(self, key, along_dist=None, endpoint=None):
+        cell = self._cell(key)
+        self._bump(cell, self.config.log_odds_miss)
+        if along_dist is not None and along_dist < cell[3]:
+            cell[3] = float(along_dist)
+            cell[4] = tuple(float(v) for v in endpoint)
+
+    def integrate(self, origin, endpoint, hit=True):
+        cfg = self.config
+        vs = cfg.voxel_size
+        o = np.asarray(origin, dtype=float)
+        e = np.asarray(endpoint, dtype=float)
+        length = float(np.linalg.norm(e - o))
+        if length > cfg.max_range:
+            e = o + (e - o) * (cfg.max_range / length)
+            length = cfg.max_range
+            hit = False
+        end_key = tuple(floor_key(float(v), vs) for v in e)
+        if length == 0.0:
+            if hit:
+                self.add_hit(end_key, e)
+            return
+        passed = dda_traverse(o, e, vs)
+        if passed:
+            centers = (np.asarray(passed, dtype=float) + 0.5) * vs
+            u = (e - o) / length
+            along = np.abs(length - (centers - o) @ u)
+            ep = tuple(float(v) for v in e)
+            for k, dist in zip(passed, along):
+                self.add_miss(k, float(dist), ep)
+        if hit:
+            self.add_hit(end_key, e)
+
+
 def cpt_marginal(conflict, pc_opening, tex_opening, entries):
     """Posterior of "opening" as the written-out 12-term sum.
 

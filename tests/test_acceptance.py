@@ -20,8 +20,8 @@ from lod3recon.extraction import (ExtractionConfig, OpeningInstance,
                                   read_instances, rectangularity)
 from lod3recon.fusion import Cpt, PixelEvidence, default_cpt, pixel_posterior
 from lod3recon.model_io import OpeningTemplate, box_solid
-from lod3recon.occupancy import OccupancyConfig, OccupancyTree, \
-    read_rays, traverse_voxels
+from lod3recon.occupancy import OccupancyConfig, clamped_sums, read_rays, \
+    traverse
 from lod3recon.rasters import read_raster
 from lod3recon.reconstruct import reconstruct_model, write_citygml
 from lod3recon.synth import SceneSpec, SynthOpening, synth_scene
@@ -82,8 +82,9 @@ def test_02_ray_traversal_matches_slab_oracle():
     vs = 0.1
     segments = rng.uniform(0.0, 16 * vs, size=(1000, 2, 3))
     start = time.perf_counter()
-    for origin, endpoint in segments:
-        got = traverse_voxels(origin, endpoint, vs)
+    ray, keys = traverse(segments[:, 0], segments[:, 1], vs)
+    for i, (origin, endpoint) in enumerate(segments):
+        got = [tuple(k) for k in keys[ray == i].tolist()]
         want = oracles.slab_traverse(origin, endpoint, vs)
         assert got == want
     elapsed = time.perf_counter() - start
@@ -95,41 +96,50 @@ def test_02_ray_traversal_matches_slab_oracle():
 # ---------------------------------------------------------------------------
 # 3. clamped log-odds updates
 
+def _prefix_values(sequences, cfg):
+    """Log-odds after every prefix of every hit/miss sequence, the empty
+    prefix first; each prefix is its own voxel group in one call of the
+    production clamp."""
+    prefixes = []
+    for kinds in sequences:
+        steps = [cfg.log_odds_hit if hit else cfg.log_odds_miss for hit in kinds]
+        prefixes.extend(steps[:n] for n in range(len(steps) + 1))
+    group = np.repeat(np.arange(len(prefixes)), [len(p) for p in prefixes])
+    deltas = np.array([d for p in prefixes for d in p], dtype=float)
+    values = clamped_sums(group, deltas, np.zeros(len(prefixes)),
+                          cfg.log_odds_min, cfg.log_odds_max)
+    bounds = np.cumsum([0] + [len(kinds) + 1 for kinds in sequences])
+    return [values[a:b].tolist() for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 def test_03_log_odds_clamp_and_permutation():
     cfg = OccupancyConfig()
-    key = (0, 0, 0)
-    center = (0.05, 0.05, 0.05)
     rng = np.random.default_rng(3)
 
-    for _ in range(10_000):
-        tree = OccupancyTree(cfg)
-        for hit in rng.random(rng.integers(1, 25)) < 0.5:
-            if hit:
-                tree.add_hit(key, center)
-            else:
-                tree.add_miss(key)
-            l = tree.cells[key][0]
+    sequences = [rng.random(rng.integers(1, 25)) < 0.5 for _ in range(10_000)]
+    for prefixes in _prefix_values(sequences, cfg):
+        # every prefix after the first update (the empty one holds no cell)
+        for l in prefixes[1:]:
             assert cfg.log_odds_min <= l <= cfg.log_odds_max
 
     # sequences of at most four hits and four misses keep every prefix of
     # every ordering strictly inside (l_min, l_max), so the clamp never
     # engages and the sum is order independent
-    checked = 0
+    orderings = []
     for _ in range(3000):
         updates = ["hit"] * rng.integers(0, 5) + ["miss"] * rng.integers(0, 5)
-        finals = []
         for _ in range(2):
             rng.shuffle(updates)
-            tree = OccupancyTree(cfg)
-            for kind in updates:
-                if kind == "hit":
-                    tree.add_hit(key, center)
-                else:
-                    tree.add_miss(key)
-                assert cfg.log_odds_min < tree.cells[key][0] \
-                    < cfg.log_odds_max
-            # no update at all leaves no cell, that is log-odds 0
-            finals.append(tree.cells.get(key, [0.0])[0])
+            orderings.append([kind == "hit" for kind in updates])
+    values = _prefix_values(orderings, cfg)
+    checked = 0
+    for first, second in zip(values[0::2], values[1::2]):
+        finals = []
+        for prefixes in (first, second):
+            for l in prefixes[1:]:
+                assert cfg.log_odds_min < l < cfg.log_odds_max
+            # no update at all leaves log-odds 0
+            finals.append(prefixes[-1])
         assert abs(finals[0] - finals[1]) <= 1e-9
         checked += 1
     print(f"PASS 3: clamp held over 10000 sequences; permutation "

@@ -658,10 +658,19 @@ def _corrupt(source, target, line_no, column, value):
     Path(target).write_text("\n".join(lines) + "\n")
 
 
+def _first_evidence_line(tree_path, column):
+    """Number of the first voxel line whose distance `column` is finite."""
+    lines = Path(tree_path).read_text().splitlines()
+    return next(no for no, line in enumerate(lines, 1)
+                if no > 1 and line.split()[column] != "inf")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("kind", ["solid", "template", "model",
                                   "correspondences", "raster", "pixel_grid",
-                                  "tree", "instances"])
+                                  "tree", "tree_hit_distance",
+                                  "tree_pass_distance", "tree_hit_point",
+                                  "tree_pass_point", "instances"])
 def test_non_finite_number_exits_2(scene_dir, artifacts_dir, tmp_path, capsys,
                                    kind, value):
     s, a = scene_dir, artifacts_dir
@@ -695,11 +704,58 @@ def test_non_finite_number_exits_2(scene_dir, artifacts_dir, tmp_path, capsys,
             "--solid", s / "solid.txt", *face]),
         "tree": (a / "tree.txt", (2, 3), [
             "conflicts", "--tree", bad, "--solid", s / "solid.txt", *face]),
+        "tree_hit_distance": (a / "tree.txt", (2, 4), [
+            "conflicts", "--tree", bad, "--solid", s / "solid.txt", *face]),
+        "tree_pass_distance": (a / "tree.txt", (2, 8), [
+            "conflicts", "--tree", bad, "--solid", s / "solid.txt", *face]),
+        "tree_hit_point": (a / "tree.txt", (_first_evidence_line(
+            a / "tree.txt", 4), 6), [
+            "conflicts", "--tree", bad, "--solid", s / "solid.txt", *face]),
+        "tree_pass_point": (a / "tree.txt", (_first_evidence_line(
+            a / "tree.txt", 8), 10), [
+            "conflicts", "--tree", bad, "--solid", s / "solid.txt", *face]),
         "instances": (gt, (2, 6), [*reconstruct, "--solid", s / "solid.txt",
                                    "--instances", bad]),
     }[kind]
-    _corrupt(source, bad, *where, value)
+    # +inf marks missing evidence, so a distance is corrupted negative
+    _corrupt(source, bad, *where,
+             f"-{value}" if kind.endswith("distance") else value)
     assert cli.main([str(arg) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"{bad}:{where[0]}:" in err
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# the occupancy bindings the benchmark's tracer reads
+
+def test_benchmark_tracer_counts_rays_and_voxels(scene_dir, tmp_path, monkeypatch):
+    """perfbench/spans.py wraps cli's bindings of read_rays,
+    build_occupancy, write_tree(tree, path) and read_tree(path), reads
+    `path` from their arguments, and counts len() of their results as
+    rays and voxels."""
+    from lod3recon import occupancy
+
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    from spans import Tracer
+
+    for name in ("read_rays", "build_occupancy", "write_tree", "read_tree"):
+        assert getattr(cli, name) is getattr(occupancy, name)
+    for name, obj in list(vars(cli).items()):
+        monkeypatch.setattr(cli, name, obj)     # undone after the test
+    tracer = Tracer("test")
+    tracer.install(cli)
+    rays, tree = scene_dir / "rays.txt", tmp_path / "tree.txt"
+    assert cli.main(["raycast", "--rays", str(rays), "--out", str(tree)]) == 0
+    assert cli.main(["conflicts", "--tree", str(tree),
+                     "--solid", str(scene_dir / "solid.txt"), "--face", "wall_front",
+                     "--out", str(tmp_path / "conflict.txt")]) == 0
+    metrics = tracer.summary(wall_s=1.0)["metrics"]
+    n_rays = sum(1 for line in rays.read_text().splitlines()
+                 if line.strip() and not line.startswith("#"))
+    n_voxels = len(tree.read_text().splitlines()) - 1
+    assert metrics["occupancy.rays"] == n_rays
+    assert metrics["occupancy.voxels"] == n_voxels
+    assert metrics["occupancy.tree_mb"] == tree.stat().st_size / 1e6
+    assert metrics["occupancy.rays_per_s"] == n_rays / metrics["occupancy.build_s"]

@@ -1,0 +1,108 @@
+"""Fuzzed ray and tree files through `cli.main`.
+
+Each example breaks one line of a valid synth file: a NaN or infinite
+token, a truncated line, a dropped column, a huge value, or bytes that
+are not UTF-8. The run must end in exit 1 or 2 with an `error:` line,
+and nothing may escape as an exception.
+"""
+
+import contextlib
+import io
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lod3recon import cli
+
+SCENE_ARGS = ["--width", "3", "--height", "1", "--depth", "1", "--seed", "11",
+              "--opening", "1 0.3 2 0.8 window"]
+
+# per file: the columns where a token breaks the file whatever the rest
+# of its line holds. A tree's distance may be +inf (no evidence), and a
+# point next to an infinite distance is ignored.
+FORMATS = {
+    "rays": {"nan": range(7), "inf": range(7), "-inf": range(7),
+             "1e999": range(6), "1e300": range(3),
+             "1" + "0" * 25: range(6, 7)},
+    "tree": {"nan": [0, 1, 2, 3, 4, 8], "inf": [0, 1, 2, 3],
+             "-inf": [0, 1, 2, 3, 4, 8], "1e999": [3],
+             "1" + "0" * 25: [0, 1, 2]},
+}
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    scene = tmp_path_factory.mktemp("fuzz")
+    assert cli.main(["synth", "--out", str(scene)] + SCENE_ARGS) == 0
+    tree = scene / "tree.txt"
+    assert cli.main(["raycast", "--rays", str(scene / "rays.txt"),
+                     "--out", str(tree)]) == 0
+    return scene
+
+
+def _run(scene, kind):
+    """argv of the run that reads the broken file of `kind`."""
+    bad = scene / f"bad_{kind}.txt"
+    if kind == "rays":
+        return bad, ["raycast", "--rays", str(bad), "--out", str(scene / "out.txt")]
+    return bad, ["conflicts", "--tree", str(bad), "--solid", str(scene / "solid.txt"),
+                 "--face", "wall_front", "--out", str(scene / "out.txt")]
+
+
+@st.composite
+def mutations(draw, kind):
+    """(line index among data lines, how to break it)."""
+    how = draw(st.sampled_from(["token", "truncate", "drop", "bytes"]))
+    if how == "token":
+        token = draw(st.sampled_from(sorted(FORMATS[kind])))
+        column = draw(st.sampled_from(list(FORMATS[kind][token])))
+        return draw(st.integers(0, 10_000)), how, (column, token)
+    return draw(st.integers(0, 10_000)), how, draw(st.integers(0, 10_000))
+
+
+def _break(text: str, line_index: int, how: str, arg) -> bytes:
+    lines = text.splitlines()
+    data = [i for i, line in enumerate(lines)
+            if line.strip() and not line.startswith(("#", "voxels"))]
+    i = data[line_index % len(data)]
+    tokens = lines[i].split()
+    if how == "token":
+        column, token = arg
+        tokens[column] = token
+        lines[i] = " ".join(tokens)
+    elif how == "truncate":
+        # cut before the last separator, so at least one column is lost
+        last_gap = lines[i].rstrip().rfind(" ")
+        lines[i] = lines[i][:1 + arg % last_gap]
+    elif how == "drop":
+        del tokens[arg % len(tokens)]
+        lines[i] = " ".join(tokens)
+    raw = ("\n".join(lines) + "\n").encode("utf-8")
+    if how == "bytes":
+        at = arg % len(raw)
+        raw = raw[:at] + b"\xff\xfe" + raw[at:]
+    return raw
+
+
+def _check_exit(scene, kind, mutation):
+    bad, argv = _run(scene, kind)
+    bad.write_bytes(_break((scene / f"{kind}.txt").read_text(), *mutation))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    assert code in (1, 2), (mutation, err.getvalue())
+    assert err.getvalue().startswith("error:")
+    assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutation=mutations("rays"))
+def test_broken_ray_file_exits_with_an_error_line(files, mutation):
+    _check_exit(files, "rays", mutation)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutation=mutations("tree"))
+def test_broken_tree_file_exits_with_an_error_line(files, mutation):
+    _check_exit(files, "tree", mutation)

@@ -2,14 +2,40 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from lod3recon import occupancy
 from lod3recon.errors import DomainError, ParseError
-from lod3recon.occupancy import OccupancyConfig, OccupancyTree, Ray
+from lod3recon.occupancy import OccupancyConfig, build_occupancy
 
 import oracles
+
+
+def _rays(*rows):
+    """(n, 7) ray array from (origin, endpoint[, hit]) tuples."""
+    return np.array([(*r[0], *r[1], r[2] if len(r) > 2 else True) for r in rows],
+                    dtype=float)
+
+
+def cells(tree):
+    """The tree as the scalar oracle's dict of [log_odds, hit_dist,
+    hit_point, pass_dist, pass_endpoint], points None without evidence."""
+    out = {}
+    for i, key in enumerate(tree.keys.tolist()):
+        hit_d, pass_d = float(tree.hit_dist[i]), float(tree.pass_dist[i])
+        out[tuple(key)] = [
+            float(tree.log_odds[i]),
+            hit_d, tuple(tree.hit_point[i].tolist()) if hit_d != math.inf else None,
+            pass_d, tuple(tree.pass_point[i].tolist()) if pass_d != math.inf else None]
+    return out
+
+
+def _oracle_cells(rays, cfg):
+    ref = oracles.ScalarOccupancy(cfg)
+    for row in np.asarray(rays, dtype=float):
+        ref.integrate(row[:3], row[3:6], bool(row[6]))
+    return ref.cells
 
 
 # ---------------------------------------------------------------------------
@@ -40,22 +66,36 @@ def test_log_odds_domain(p):
 
 @given(st.lists(st.booleans(), max_size=60))
 def test_log_odds_stays_clamped(updates):
-    tree = OccupancyTree()
-    cfg = tree.config
-    key = (0, 0, 0)
-    for is_hit in updates:
-        if is_hit:
-            tree.add_hit(key, (0.05, 0.05, 0.05))
-        else:
-            tree.add_miss(key)
-        assert cfg.log_odds_min <= tree.cells[key][0] <= cfg.log_odds_max
+    cfg = OccupancyConfig()
+    steps = [cfg.log_odds_hit if is_hit else cfg.log_odds_miss for is_hit in updates]
+    # every prefix as its own group: the value after each update
+    group = np.repeat(np.arange(len(steps)), np.arange(1, len(steps) + 1))
+    deltas = [d for n in range(1, len(steps) + 1) for d in steps[:n]]
+    values = occupancy.clamped_sums(group, deltas, np.zeros(len(steps)),
+                                    cfg.log_odds_min, cfg.log_odds_max)
+    assert ((cfg.log_odds_min <= values) & (values <= cfg.log_odds_max)).all()
+    value = 0.0
+    for n, d in enumerate(steps):
+        value = max(cfg.log_odds_min, min(cfg.log_odds_max, value + d))
+        assert values[n] == value
+
+
+def test_clamped_sums_keeps_groups_without_deltas():
+    got = occupancy.clamped_sums([1, 1, 3], [0.5, 4.0, -9.0], [0.25, 1.0, 2.0, 0.0],
+                                 -2.0, 3.5)
+    assert got.tolist() == [0.25, 3.5, 2.0, -2.0]
 
 
 # ---------------------------------------------------------------------------
 # traversal against an independent slab-clipping oracle
 
-_oracle_floor_key = oracles.floor_key
 _oracle_traverse = oracles.slab_traverse
+
+
+def _walk(o, e, vs):
+    ray, keys = occupancy.traverse([o], [e], vs)
+    assert (ray == 0).all()
+    return [tuple(k) for k in keys.tolist()]
 
 
 def test_traversal_matches_oracle_random():
@@ -63,7 +103,7 @@ def test_traversal_matches_oracle_random():
     for _ in range(150):
         o = rng.uniform(-3, 3, 3)
         e = rng.uniform(-3, 3, 3)
-        assert occupancy.traverse_voxels(o, e, 0.1) == _oracle_traverse(o, e, 0.1)
+        assert _walk(o, e, 0.1) == _oracle_traverse(o, e, 0.1)
 
 
 def test_traversal_matches_oracle_grid_aligned():
@@ -75,7 +115,7 @@ def test_traversal_matches_oracle_grid_aligned():
         for ax in range(3):
             if rng.random() < 0.4:
                 e[ax] = o[ax]
-        assert occupancy.traverse_voxels(o, e, 0.1) == _oracle_traverse(o, e, 0.1)
+        assert _walk(o, e, 0.1) == _oracle_traverse(o, e, 0.1)
 
 
 def test_traversal_matches_oracle_mixed_alignment():
@@ -85,103 +125,214 @@ def test_traversal_matches_oracle_mixed_alignment():
                      rng.uniform(-2.5, 2.5, 3))
         e = np.where(rng.random(3) < 0.5, rng.integers(-9, 10, 3) * 0.25,
                      rng.uniform(-2.5, 2.5, 3))
-        assert occupancy.traverse_voxels(o, e, 0.25) == _oracle_traverse(o, e, 0.25)
+        assert _walk(o, e, 0.25) == _oracle_traverse(o, e, 0.25)
+
+
+def test_traversal_of_many_rays_matches_scalar_walk():
+    rng = np.random.default_rng(44)
+    o = np.where(rng.random((300, 3)) < 0.3, rng.integers(-9, 10, (300, 3)) * 0.1,
+                 rng.uniform(-1, 1, (300, 3)))
+    e = np.where(rng.random((300, 3)) < 0.3, o, rng.uniform(-1, 1, (300, 3)))
+    ray, keys = occupancy.traverse(o, e, 0.1)
+    assert (np.diff(ray) >= 0).all()
+    for i in range(300):
+        got = [tuple(k) for k in keys[ray == i].tolist()]
+        assert got == oracles.dda_traverse(o[i], e[i], 0.1)
 
 
 def test_traversal_segment_in_grid_plane_is_empty():
     o = (3 * 0.1, 0.02, 0.07)
     e = (3 * 0.1, 1.33, 0.88)
-    assert occupancy.traverse_voxels(o, e, 0.1) == []
+    assert _walk(o, e, 0.1) == []
     assert _oracle_traverse(o, e, 0.1) == []
 
 
 def test_traversal_simple_axis_ray():
-    got = occupancy.traverse_voxels((0.05, 0.05, 0.05), (0.55, 0.05, 0.05), 0.1)
+    got = _walk((0.05, 0.05, 0.05), (0.55, 0.05, 0.05), 0.1)
     assert got == [(i, 0, 0) for i in range(5)]
 
 
 def test_traversal_excludes_endpoint_voxel_on_boundary():
     # endpoint exactly on a voxel boundary: floor key is the upper voxel
     # (2,0,0), which is excluded; both fully crossed voxels stay
-    got = occupancy.traverse_voxels((0.05, 0.05, 0.05), (0.2, 0.05, 0.05), 0.1)
+    got = _walk((0.05, 0.05, 0.05), (0.2, 0.05, 0.05), 0.1)
     assert got == [(0, 0, 0), (1, 0, 0)]
     assert got == _oracle_traverse((0.05, 0.05, 0.05), (0.2, 0.05, 0.05), 0.1)
 
 
 def test_traversal_zero_length():
-    assert occupancy.traverse_voxels((0.05, 0.05, 0.05), (0.05, 0.05, 0.05), 0.1) == []
+    assert _walk((0.05, 0.05, 0.05), (0.05, 0.05, 0.05), 0.1) == []
 
 
 # ---------------------------------------------------------------------------
 # integration
 
 def test_integrate_single_hit_ray():
-    tree = OccupancyTree()
+    tree = build_occupancy(_rays(((0.05, 0.05, 0.05), (0.55, 0.05, 0.05))))
     cfg = tree.config
-    tree.integrate(Ray((0.05, 0.05, 0.05), (0.55, 0.05, 0.05)))
-    assert tree.cells[(5, 0, 0)][0] == pytest.approx(cfg.log_odds_hit)
+    got = cells(tree)
+    assert got[(5, 0, 0)][0] == pytest.approx(cfg.log_odds_hit)
     for i in range(5):
-        assert tree.cells[(i, 0, 0)][0] == pytest.approx(cfg.log_odds_miss)
+        assert got[(i, 0, 0)][0] == pytest.approx(cfg.log_odds_miss)
     # occupied above even odds, empty below, unknown without a cell
-    assert tree.cells[(5, 0, 0)][0] > 0.0
-    assert tree.cells[(2, 0, 0)][0] < 0.0
-    assert (9, 9, 9) not in tree.cells
+    assert got[(5, 0, 0)][0] > 0.0
+    assert got[(2, 0, 0)][0] < 0.0
+    assert (9, 9, 9) not in got
+    assert tree.find([(5, 0, 0), (9, 9, 9)]).tolist() == [5, -1]
     # aux: endpoint sits exactly on the hit voxel center
-    cell = tree.cells[(5, 0, 0)]
+    cell = got[(5, 0, 0)]
     assert cell[1] == pytest.approx(0.0)
     assert cell[2] == (0.55, 0.05, 0.05)
     # pass evidence: distance from passed voxel center to the endpoint along the ray
-    cell4 = tree.cells[(4, 0, 0)]
+    cell4 = got[(4, 0, 0)]
     assert cell4[3] == pytest.approx(0.1)
     assert cell4[4] == (0.55, 0.05, 0.05)
 
 
 def test_integrate_miss_ray_adds_no_hit():
-    tree = OccupancyTree()
-    tree.integrate(Ray((0.05, 0.05, 0.05), (0.55, 0.05, 0.05), hit=False))
-    assert (5, 0, 0) not in tree.cells
-    assert tree.cells[(2, 0, 0)][0] < 0.0
+    tree = build_occupancy(_rays(((0.05, 0.05, 0.05), (0.55, 0.05, 0.05), False)))
+    got = cells(tree)
+    assert (5, 0, 0) not in got
+    assert got[(2, 0, 0)][0] < 0.0
 
 
 def test_integrate_clamps_after_many_updates():
-    tree = OccupancyTree()
-    for _ in range(30):
-        tree.integrate(Ray((0.05, 0.05, 0.05), (0.55, 0.05, 0.05)))
+    tree = build_occupancy(_rays(*[((0.05, 0.05, 0.05), (0.55, 0.05, 0.05))] * 30))
     cfg = tree.config
-    assert tree.cells[(5, 0, 0)][0] == cfg.log_odds_max
-    assert tree.cells[(2, 0, 0)][0] == cfg.log_odds_min
+    got = cells(tree)
+    assert got[(5, 0, 0)][0] == cfg.log_odds_max
+    assert got[(2, 0, 0)][0] == cfg.log_odds_min
 
 
 def test_integrate_respects_max_range():
     cfg = OccupancyConfig(max_range=0.3)
-    tree = OccupancyTree(cfg)
-    tree.integrate(Ray((0.05, 0.05, 0.05), (1.05, 0.05, 0.05)))
+    tree = build_occupancy(_rays(((0.05, 0.05, 0.05), (1.05, 0.05, 0.05))), cfg)
     # clipped at x = 0.35: voxels 0..2 passed, no hit anywhere
-    assert set(tree.cells) == {(0, 0, 0), (1, 0, 0), (2, 0, 0)}
-    assert all(c[0] == pytest.approx(cfg.log_odds_miss) for c in tree.cells.values())
+    got = cells(tree)
+    assert set(got) == {(0, 0, 0), (1, 0, 0), (2, 0, 0)}
+    assert all(c[0] == pytest.approx(cfg.log_odds_miss) for c in got.values())
 
 
 def test_integrate_zero_length_hit():
-    tree = OccupancyTree()
-    tree.integrate(Ray((0.15, 0.15, 0.15), (0.15, 0.15, 0.15)))
-    assert tree.cells[(1, 1, 1)][0] > 0.0
+    tree = build_occupancy(_rays(((0.15, 0.15, 0.15), (0.15, 0.15, 0.15))))
+    assert cells(tree)[(1, 1, 1)][0] > 0.0
 
 
 def test_occupied_keys():
-    tree = OccupancyTree()
-    tree.integrate(Ray((0.05, 0.05, 0.05), (0.55, 0.05, 0.05)))
-    assert [k for k, c in tree.cells.items() if c[0] > 0.0] == [(5, 0, 0)]
+    tree = build_occupancy(_rays(((0.05, 0.05, 0.05), (0.55, 0.05, 0.05))))
+    assert tree.keys[tree.log_odds > 0.0].tolist() == [[5, 0, 0]]
+
+
+def test_no_rays_build_an_empty_tree():
+    tree = build_occupancy(np.empty((0, 7)))
+    assert len(tree) == 0
+    assert tree.find([(0, 0, 0)]).tolist() == [-1]
+
+
+@pytest.mark.parametrize("ray", [
+    ((0.0, 0.0, 1e300), (0.0, 0.0, 1e300)),          # beyond exact indices
+    ((-1e308, 0.0, 0.0), (1e308, 0.0, 0.0)),         # length overflows
+])
+def test_rays_beyond_the_grid_are_domain_errors(ray):
+    with pytest.raises(DomainError):
+        build_occupancy(_rays(ray))
+
+
+# ---------------------------------------------------------------------------
+# the batched build against the one-ray-at-a-time oracle
+
+def _uniform(rng, n):
+    return np.column_stack([rng.uniform(-1, 1, (n, 3)), rng.uniform(-1, 1, (n, 3)),
+                            rng.random(n) < 0.8])
+
+
+def _grid_aligned(rng, n):
+    o = rng.integers(-10, 11, (n, 3)) * 0.1
+    e = rng.integers(-10, 11, (n, 3)) * 0.1
+    same = rng.random((n, 3)) < 0.4          # segments in grid planes
+    e[same] = o[same]
+    return np.column_stack([o, e, rng.random(n) < 0.7])
+
+
+def _zero_length(rng, n):
+    p = np.where(rng.random((n, 3)) < 0.5, rng.integers(-5, 6, (n, 3)) * 0.1,
+                 rng.uniform(-0.5, 0.5, (n, 3)))
+    return np.column_stack([p, p, rng.random(n) < 0.8])
+
+
+def _beyond_range(rng, n):
+    o = rng.uniform(-0.2, 0.2, (n, 3))
+    e = o + rng.normal(size=(n, 3)) * rng.uniform(0.5, 3.0, (n, 1))
+    return np.column_stack([o, e, rng.random(n) < 0.9])
+
+
+def _repeated(rng, n):
+    # identical rays: every distance ties, the first ray must keep it
+    base = _uniform(rng, 8)
+    return base[rng.integers(0, 8, n)]
+
+
+def _saturating(rng, n):
+    # a fan from one station: the voxels near it take hundreds of misses
+    o = np.tile(rng.uniform(-0.05, 0.05, 3), (n, 1))
+    e = o + rng.normal(size=(n, 3)) * 0.1 + (1.0, 0.0, 0.0)
+    return np.column_stack([o, e, np.ones(n)])
+
+
+def _offset(rng, n):
+    # a georeferenced scene: keys near 5e6 and 5.4e7 at a 0.1 m grid
+    rays = np.vstack([_uniform(rng, n // 2), _saturating(rng, n - n // 2)])
+    rays[:, [0, 3]] += 5e5
+    rays[:, [1, 4]] += 5.4e6
+    return rays
+
+
+FAMILIES = {"uniform": _uniform, "grid_aligned": _grid_aligned,
+            "zero_length": _zero_length, "beyond_range": _beyond_range,
+            "repeated": _repeated, "saturating": _saturating, "offset": _offset}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_build_matches_scalar_oracle(family, seed):
+    rng = np.random.default_rng(seed)
+    cfg = OccupancyConfig(max_range=1.5)
+    rays = FAMILIES[family](rng, 400)
+    tree = build_occupancy(rays, cfg)
+    assert cells(tree) == _oracle_cells(rays, cfg)
+    # keys strictly ascending in lexicographic order
+    assert [tuple(k) for k in tree.keys.tolist()] == sorted(cells(tree))
+
+
+def test_build_matches_oracle_across_chunks(monkeypatch):
+    # small chunks: a voxel's log-odds and evidence carry from chunk to chunk
+    monkeypatch.setattr(occupancy, "CHUNK_UPDATES", 64)
+    rng = np.random.default_rng(5)
+    cfg = OccupancyConfig(max_range=1.5)
+    rays = np.vstack([_saturating(rng, 150), _repeated(rng, 100),
+                      _beyond_range(rng, 50), _zero_length(rng, 20)])
+    rays = rays[rng.permutation(len(rays))]
+    assert cells(build_occupancy(rays, cfg)) == _oracle_cells(rays, cfg)
+
+
+def test_keys_near_offset_do_not_overflow():
+    rays = _rays(((5e5 + 0.05, 5.4e6 + 0.05, 0.05), (5e5 + 0.55, 5.4e6 + 0.05, 0.05)))
+    keys = build_occupancy(rays).keys
+    assert keys[:, 1].tolist() == [54_000_000] * 6
+    assert keys[:, 0].tolist() == list(range(5_000_000, 5_000_006))
 
 
 # ---------------------------------------------------------------------------
 # files
 
 def test_ray_file_round_trip(tmp_path):
-    rays = [Ray((0.0, -5.0, 1.7), (2.3, 0.0, 2.1)),
-            Ray((1.0, -5.0, 1.7), (3.3, 0.1, 2.0), hit=False)]
+    rays = _rays(((0.0, -5.0, 1.7), (2.3, 0.0, 2.1)),
+                 ((1.0, -5.0, 1.7), (3.3, 0.1, 2.0), False))
     path = tmp_path / "rays.txt"
     occupancy.write_rays(rays, path)
-    assert occupancy.read_rays(path) == rays
+    back = occupancy.read_rays(path)
+    assert back.shape == (2, 7)
+    assert back.tolist() == rays.tolist()
 
 
 def test_ray_file_errors(tmp_path):
@@ -197,6 +348,31 @@ def test_ray_file_errors(tmp_path):
         occupancy.read_rays(path)
 
 
+def test_ray_file_reports_the_first_bad_line(tmp_path):
+    # a value error on line 3 comes before a token error on line 4
+    path = tmp_path / "rays.txt"
+    path.write_text("# rays\n0 0 0 1 1 1 1\n0 0 0 1 1 1 7\n0 0 x 1 1 1 1\n")
+    with pytest.raises(ParseError, match="rays.txt:3: hit flag"):
+        occupancy.read_rays(path)
+    path.write_text("0 0 0 1 1 1 1\n\n0 0 x 1 1 1 1\n0 0 0 1 1 1 7\n")
+    with pytest.raises(ParseError, match="rays.txt:3: bad number"):
+        occupancy.read_rays(path)
+
+
+def test_ray_file_reads_what_python_reads(tmp_path):
+    # numbers numpy's parser does not take still read as Python reads them
+    path = tmp_path / "rays.txt"
+    path.write_text("0 0 0 1_000 1 1 1\n0 0 0 1 1 1 0\n")
+    assert occupancy.read_rays(path).tolist() == [[0, 0, 0, 1000, 1, 1, 1],
+                                                  [0, 0, 0, 1, 1, 1, 0]]
+
+
+def test_empty_ray_file_has_no_rays(tmp_path):
+    path = tmp_path / "rays.txt"
+    path.write_text("# ox oy oz  ex ey ez  hit\n")
+    assert occupancy.read_rays(path).shape == (0, 7)
+
+
 @pytest.mark.parametrize("line", [
     "nan 0 0 1 1 1 1",
     "0 0 0 inf 1 1 1",
@@ -209,17 +385,63 @@ def test_ray_file_rejects_non_finite_coordinates(tmp_path, line):
         occupancy.read_rays(path)
 
 
-def test_tree_file_round_trip(tmp_path):
-    tree = OccupancyTree()
+def _random_tree():
     rng = np.random.default_rng(17)
-    for _ in range(20):
-        tree.integrate(Ray(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3),
-                           hit=bool(rng.random() < 0.8)))
+    return build_occupancy(np.column_stack([
+        rng.uniform(-1, 1, (20, 3)), rng.uniform(-1, 1, (20, 3)),
+        rng.random(20) < 0.8]))
+
+
+def test_tree_file_round_trip(tmp_path):
+    tree = _random_tree()
     path = tmp_path / "tree.txt"
     occupancy.write_tree(tree, path)
     back = occupancy.read_tree(path)
     assert back.config.voxel_size == tree.config.voxel_size
-    assert back.cells == tree.cells
+    assert cells(back) == cells(tree)
+    occupancy.write_tree(back, tmp_path / "again.txt")
+    assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
+
+
+def test_tree_file_lines_in_any_order_last_key_wins(tmp_path):
+    path = tmp_path / "tree.txt"
+    path.write_text("voxels voxel_size=0.1\n"
+                    "2 0 0 1.0 inf 0 0 0 inf 0 0 0\n"
+                    "-1 5 0 -0.4 inf 0 0 0 0.3 1 2 3\n"
+                    "2 0 0 0.5 0.1 4 5 6 inf nan nan nan\n")
+    back = occupancy.read_tree(path)
+    assert cells(back) == {(-1, 5, 0): [-0.4, math.inf, None, 0.3, (1.0, 2.0, 3.0)],
+                           (2, 0, 0): [0.5, 0.1, (4.0, 5.0, 6.0), math.inf, None]}
+
+
+@pytest.mark.parametrize("column, token, message", [
+    (3, "nan", "non-finite log-odds"),
+    (4, "nan", "hit distance"),
+    (4, "-inf", "hit distance"),
+    (4, "-0.5", "hit distance"),
+    (8, "nan", "pass distance"),
+    (8, "-inf", "pass distance"),
+    (5, "nan", "non-finite hit point"),
+    (11, "inf", "non-finite pass endpoint"),
+    (0, "1.0", "bad number"),
+    (2, "99999999999999999999", "integer out of range"),
+])
+def test_tree_file_rejects_bad_evidence(tmp_path, column, token, message):
+    tokens = "2 0 0 1.0 0.25 1 2 3 0.5 4 5 6".split()
+    tokens[column] = token
+    path = tmp_path / "tree.txt"
+    path.write_text("voxels voxel_size=0.1\n# comment\n0 0 0 1.0 inf 0 0 0 inf 0 0 0\n"
+                    + " ".join(tokens) + "\n")
+    with pytest.raises(ParseError, match=f"tree.txt:4: {message}"):
+        occupancy.read_tree(path)
+
+
+def test_tree_file_inf_distance_drops_its_point(tmp_path):
+    path = tmp_path / "tree.txt"
+    path.write_text("voxels voxel_size=0.1\n0 0 0 1.0 inf nan 1 1 inf 2 inf 2\n")
+    back = occupancy.read_tree(path)
+    assert cells(back) == {(0, 0, 0): [1.0, math.inf, None, math.inf, None]}
+    assert back.hit_point.tolist() == [[0.0, 0.0, 0.0]]
 
 
 def test_config_validation():

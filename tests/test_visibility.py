@@ -9,7 +9,7 @@ from scipy.spatial.transform import Rotation
 from lod3recon import rasters, visibility
 from lod3recon.errors import DomainError
 from lod3recon.model_io import Face, Ring
-from lod3recon.occupancy import OccupancyTree, Ray
+from lod3recon.occupancy import build_occupancy
 from lod3recon.visibility import (UncertaintyConfig, joint_state_probability,
                                   positioning_confidence,
                                   positioning_probability, surface_voxels)
@@ -214,7 +214,7 @@ def test_surface_voxels_rotated_face_matches_clip_oracle():
 
 def _mini_scene():
     face = wall_face()
-    tree = OccupancyTree()
+    rays = []
     window = {(3, 1), (4, 1)}
     untouched = {(9, 3)}
     for ix in range(10):
@@ -225,11 +225,10 @@ def _mini_scene():
                 continue
             if (ix, iz) in window:
                 # ray passes through the facade and lands far inside
-                tree.integrate(Ray((x, -2.0, z), (x, 1.5, z)))
+                rays.append((x, -2.0, z, x, 1.5, z, 1.0))
             else:
-                for _ in range(3):
-                    tree.integrate(Ray((x, -2.0, z), (x, 0.02, z)))
-    return face, tree, window, untouched
+                rays.extend([(x, -2.0, z, x, 0.02, z, 1.0)] * 3)
+    return face, build_occupancy(rays), window, untouched
 
 
 def test_classify_surface_voxels_states():
@@ -274,6 +273,6 @@ def test_conflict_map_aggregation_modes():
 
 def test_conflict_map_unknown_only_pixel():
     face = wall_face()
-    tree = OccupancyTree()  # no rays at all
+    tree = build_occupancy(np.empty((0, 7)))  # no rays at all
     r = visibility.project_conflict_map(tree, face)
     np.testing.assert_allclose(r.data[:, :, 2], 1.0)
