@@ -31,15 +31,15 @@ from .model_io import (default_template_library, read_solid,
                        read_template_library, validate_solid)
 from .occupancy import (OccupancyConfig, build_occupancy, read_rays,
                         read_tree, write_tree)
-from .rasters import (estimate_homography, facade_frame, read_correspondences,
-                      read_labeled_points, read_pixel_grid, read_raster,
-                      write_raster)
+from .rasters import (CONFLICT_CHANNELS, estimate_homography, facade_frame,
+                      project_image_probabilities, project_point_probabilities,
+                      read_correspondences, read_labeled_points,
+                      read_pixel_grid, read_raster, write_raster)
 from .reconstruct import (read_model, reconstruct_model, write_citygml,
                           write_model)
 from .synth import SceneSpec, SynthOpening, synth_scene
 from .textio import key_values, writing
 from .visibility import UncertaintyConfig, project_conflict_map
-from .rasters import project_image_probabilities, project_point_probabilities
 
 
 @dataclass(frozen=True)
@@ -410,9 +410,18 @@ def _cmd_project_image(args) -> int:
     return 0
 
 
+def _raster(path, *channels):
+    """The raster at `path`, None without a path; it must hold `channels`."""
+    raster = _read_optional(read_raster, path)
+    for name in channels if raster else ():
+        if name not in raster.channels:
+            raise ParseError(f"{path}: missing channel {name!r}")
+    return raster
+
+
 def _cmd_fuse(args) -> int:
-    conflict, pc, tex = (_read_optional(read_raster, path)
-                         for path in (args.conflict, args.pc, args.tex))
+    conflict = _raster(args.conflict, *CONFLICT_CHANNELS)
+    pc, tex = _raster(args.pc), _raster(args.tex)
     cpt = _read_optional(read_cpt, args.cpt)
     write_raster(fuse_maps(conflict, pc, tex, cpt), args.out)
     print(f"wrote {args.out}")
@@ -421,8 +430,8 @@ def _cmd_fuse(args) -> int:
 
 def _cmd_extract(args) -> int:
     config = _from_args(ExtractionConfig, args)
-    posterior = read_raster(args.posterior)
-    pc, tex = (_read_optional(read_raster, path) for path in (args.pc, args.tex))
+    posterior = _raster(args.posterior, "opening")
+    pc, tex = _raster(args.pc), _raster(args.tex)
     instances = extract_openings(posterior, config, pc, tex, face_id=args.face)
     write_instances(instances, args.out)
     print(f"wrote {args.out} ({len(instances)} instances)")

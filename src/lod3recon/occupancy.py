@@ -33,8 +33,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -347,94 +345,26 @@ def build_occupancy(rays, config: OccupancyConfig | None = None) -> OccupancyTre
 # ---------------------------------------------------------------------------
 # file formats
 
-def _table(path, skip: int, dtype, parse_tokens):
-    """(rows, error) of the whitespace table after the first `skip`
-    content lines, as a record array of `dtype`.
-
-    numpy parses the text in one call. Only when it fails are the lines
-    parsed again one at a time by `parse_tokens`, which returns a row or
-    raises the ParseError naming the line; `error` is the first such
-    error and `rows` the rows before it. Numbers numpy does not read but
-    Python does, such as `1_000`, come back as rows.
-    """
-    lines = itertools.islice(textio.content_lines(path), skip, None)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)   # no rows is fine
-            return np.loadtxt(map(operator.itemgetter(1), lines), dtype=dtype,
-                              comments=None, ndmin=1), None
-    except ValueError:
-        pass
-    rows = []
-    for no, text in itertools.islice(textio.content_lines(path), skip, None):
-        try:
-            rows.append(parse_tokens(text.split(), path, no))
-        except ParseError as exc:
-            return np.array(rows, dtype=dtype), exc
-    return np.array(rows, dtype=dtype), None
-
-
-def _reject(path, skip: int, checks) -> None:
-    """Raise for the first row any (bad rows mask, message) check flags,
-    naming its line; the first failing check of that row wins."""
-    flagged = [(np.flatnonzero(bad), message) for bad, message in checks]
-    firsts = [(rows[0], i) for i, (rows, _) in enumerate(flagged) if len(rows)]
-    if firsts:
-        row, i = min(firsts)
-        no, _ = next(itertools.islice(textio.content_lines(path), skip + row, None))
-        raise ParseError(f"{path}:{no}: {flagged[i][1]}")
-
-
-def _ints(tokens, path, no) -> list:
-    try:
-        vals = [int(t) for t in tokens]
-    except ValueError as exc:
-        raise ParseError(f"{path}:{no}: bad number in {' '.join(tokens)!r}") from exc
-    if not all(-2 ** 63 <= v < 2 ** 63 for v in vals):
-        raise ParseError(f"{path}:{no}: integer out of range")
-    return vals
-
-
-def _ray_tokens(tok, path, no):
-    if len(tok) != 7:
-        raise ParseError(f"{path}:{no}: expected 7 columns, got {len(tok)}")
-    return textio.floats(tok[:6], path, no), _ints(tok[6:], path, no)[0]
-
-
 def read_rays(path) -> np.ndarray:
     """One ray per line: ox oy oz ex ey ez hit(0|1), finite coordinates.
     Returns an (n, 7) array, the hit flag as 0.0 or 1.0."""
-    table, error = _table(path, 0, _RAY_ROW, _ray_tokens)
-    ray, flag = table["ray"], table["hit"]
-    _reject(path, 0, [((flag != 0) & (flag != 1), "hit flag must be 0 or 1"),
-                      (~np.isfinite(ray).all(axis=1), "non-finite coordinate")])
-    if error is not None:
-        raise error
-    return np.column_stack([ray, flag.astype(float)])
+    _, table = textio.table(path, 0, _RAY_ROW, lambda t: [
+        ((t["hit"] != 0) & (t["hit"] != 1), "hit flag must be 0 or 1"),
+        (~np.isfinite(t["ray"]).all(axis=1), "non-finite coordinate")])
+    return np.column_stack([table["ray"], table["hit"].astype(float)])
 
 
 def write_rays(rays, path) -> None:
-    with textio.writing(path) as fh:
-        fh.write("# ox oy oz  ex ey ez  hit\n")
-        for row in np.asarray(rays, dtype=float).reshape(-1, 7).tolist():
-            fh.write(" ".join(map(repr, row[:6])) + f" {int(row[6])}\n")
-
-
-# rows formatted per write call
-_WRITE_BLOCK = 1 << 12
+    rays = np.asarray(rays, dtype=float).reshape(-1, 7)
+    textio.write_table(path, "# ox oy oz  ex ey ez  hit\n",
+                       [rays[:, :6], rays[:, 6].astype(np.int64)])
 
 
 def write_tree(tree: OccupancyTree, path) -> None:
-    with textio.writing(path) as fh:
-        fh.write(f"voxels voxel_size={tree.config.voxel_size!r}\n")
-        for a in range(0, len(tree), _WRITE_BLOCK):
-            rows = slice(a, a + _WRITE_BLOCK)
-            vals = np.column_stack([
-                tree.log_odds[rows], tree.hit_dist[rows], tree.hit_point[rows],
-                tree.pass_dist[rows], tree.pass_point[rows]])
-            columns = ([map(str, c) for c in tree.keys[rows].T.tolist()]
-                       + [map(repr, c) for c in vals.T.tolist()])
-            fh.write("\n".join(map(" ".join, zip(*columns))) + "\n")
+    textio.write_table(
+        path, f"voxels voxel_size={tree.config.voxel_size!r}\n",
+        [tree.keys, tree.log_odds, tree.hit_dist, tree.hit_point,
+         tree.pass_dist, tree.pass_point])
 
 
 def _ascending(keys) -> np.ndarray:
@@ -447,10 +377,27 @@ def _ascending(keys) -> np.ndarray:
     return after
 
 
-def _tree_tokens(tok, path, no):
-    if len(tok) != 12:
-        raise ParseError(f"{path}:{no}: expected 12 columns, got {len(tok)}")
-    return _ints(tok[:3], path, no), textio.floats(tok[3:], path, no)
+def _tree_header(path, lines):
+    """(voxel size, row dtype) from the `voxels voxel_size=<v>` line."""
+    if not lines:
+        raise ParseError(f"{path}: empty file")
+    [(no, head)] = lines
+    tok = head.split()
+    if len(tok) != 2 or tok[0] != "voxels":
+        raise ParseError(f"{path}:{no}: expected 'voxels voxel_size=<v>'")
+    vs = textio.floats([textio.kv(tok[1], "voxel_size", path, no)], path, no)
+    return textio.finite(vs, "voxel size", path, no)[0], _TREE_ROW
+
+
+def _tree_checks(table):
+    vals = table["value"]
+    checks = [(~np.isfinite(vals[:, 0]), "non-finite log-odds")]
+    for d, what, point in ((1, "hit", "hit point"), (5, "pass", "pass endpoint")):
+        dist, at = vals[:, d], vals[:, d + 1:d + 4]
+        checks += [
+            (~(dist >= 0.0), f"{what} distance must be non-negative or inf"),
+            (np.isfinite(dist) & ~np.isfinite(at).all(axis=1), f"non-finite {point}")]
+    return checks
 
 
 def read_tree(path) -> OccupancyTree:
@@ -459,33 +406,9 @@ def read_tree(path) -> OccupancyTree:
     A distance is a non-negative number, or +inf for evidence that never
     arrived; only then may its point be non-finite. A key given twice
     keeps its last line."""
-    lines = textio.content_lines(path)
-    first = next(lines, None)
-    if first is None:
-        raise ParseError(f"{path}: empty file")
-    no, head = first
-    tok = head.split()
-    if len(tok) != 2 or tok[0] != "voxels":
-        raise ParseError(f"{path}:{no}: expected 'voxels voxel_size=<v>'")
-    vs = textio.floats([textio.kv(tok[1], "voxel_size", path, no)], path, no)
-    vs = textio.finite(vs, "voxel size", path, no)[0]
-    lines.close()
-
-    table, error = _table(path, 1, _TREE_ROW, _tree_tokens)
+    vs, table = textio.table(path, 1, lambda lines: _tree_header(path, lines),
+                             _tree_checks)
     keys, vals = table["key"], table["value"]
-    hit_dist, pass_dist = vals[:, 1], vals[:, 5]
-    hit_point, pass_point = vals[:, 2:5], vals[:, 6:9]
-    _reject(path, 1, [
-        (~np.isfinite(vals[:, 0]), "non-finite log-odds"),
-        (~(hit_dist >= 0.0), "hit distance must be non-negative or inf"),
-        (np.isfinite(hit_dist) & ~np.isfinite(hit_point).all(axis=1),
-         "non-finite hit point"),
-        (~(pass_dist >= 0.0), "pass distance must be non-negative or inf"),
-        (np.isfinite(pass_dist) & ~np.isfinite(pass_point).all(axis=1),
-         "non-finite pass endpoint"),
-    ])
-    if error is not None:
-        raise error
 
     # write_tree leaves the keys ascending; any other order is sorted,
     # stably, so the last line of a repeated key is the one kept
@@ -494,8 +417,8 @@ def read_tree(path) -> OccupancyTree:
         keys, vals = keys[order], vals[order]
         last = np.append(_ascending(keys), True)
         keys, vals = keys[last], vals[last]
-    for d, p in ((1, slice(2, 5)), (5, slice(6, 9))):
-        vals[~np.isfinite(vals[:, d]), p] = 0.0
+    for d in (1, 5):
+        vals[~np.isfinite(vals[:, d]), d + 1:d + 4] = 0.0
     return OccupancyTree(OccupancyConfig(voxel_size=vs),
                          np.ascontiguousarray(keys), vals[:, 0], vals[:, 1],
                          vals[:, 2:5], vals[:, 5], vals[:, 6:9])

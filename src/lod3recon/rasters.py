@@ -37,9 +37,8 @@ class FacadeFrame:
     height: int
 
     def __post_init__(self):
-        object.__setattr__(self, "origin", tuple(float(x) for x in self.origin))
-        object.__setattr__(self, "u_axis", tuple(float(x) for x in self.u_axis))
-        object.__setattr__(self, "v_axis", tuple(float(x) for x in self.v_axis))
+        for name in ("origin", "u_axis", "v_axis"):
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
         if self.cell <= 0.0:
             raise DomainError("cell size must be positive")
         if self.width < 1 or self.height < 1:
@@ -47,8 +46,7 @@ class FacadeFrame:
 
     @property
     def normal(self) -> tuple:
-        n = np.cross(self.u_axis, self.v_axis)
-        return tuple(float(x) for x in n)
+        return tuple(map(float, np.cross(self.u_axis, self.v_axis)))
 
     def to_uv(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float)) - np.asarray(self.origin)
@@ -83,23 +81,17 @@ class FacadeFrame:
         return np.stack([uu, vv], axis=2)
 
     def matches(self, other: "FacadeFrame", tol: float = 1e-9) -> bool:
-        if (self.width, self.height) != (other.width, other.height):
-            return False
-        if self.cell != other.cell:
-            return False
-        for a, b in ((self.origin, other.origin), (self.u_axis, other.u_axis),
-                     (self.v_axis, other.v_axis)):
-            if max(abs(x - y) for x, y in zip(a, b)) > tol:
-                return False
-        return True
+        grid = (self.width, self.height, self.cell)
+        gap = np.subtract([self.origin, self.u_axis, self.v_axis],
+                          [other.origin, other.u_axis, other.v_axis])
+        return grid == (other.width, other.height, other.cell) \
+            and bool(np.abs(gap).max() <= tol)
 
 
 def _cover(extent: float, cell: float) -> int:
     x = extent / cell
     r = round(x)
-    if abs(x - r) < 1e-6:
-        return max(1, int(r))
-    return max(1, int(math.ceil(x)))
+    return max(1, int(r) if abs(x - r) < 1e-6 else math.ceil(x))
 
 
 def facade_frame(face, cell: float) -> FacadeFrame:
@@ -146,11 +138,9 @@ class FacadeRaster:
         return cls(frame, channels, data)
 
     def channel(self, name: str) -> np.ndarray:
-        try:
-            idx = self.channels.index(name)
-        except ValueError:
-            raise KeyError(name) from None
-        return self.data[:, :, idx]
+        if name not in self.channels:
+            raise KeyError(name)
+        return self.data[:, :, self.channels.index(name)]
 
 
 def require_same_frame(*rasters) -> None:
@@ -186,28 +176,17 @@ def project_point_probabilities(points, probs, frame: FacadeFrame,
 def read_labeled_points(path):
     """x y z followed by one probability per point label (11 columns);
     coordinates must be finite and probabilities lie in [0, 1]."""
-    pts = []
-    probs = []
-    want = 3 + len(POINT_LABELS)
-    for no, text in textio.content_lines(path):
-        tok = text.split()
-        if len(tok) != want:
-            raise ParseError(f"{path}:{no}: expected {want} columns")
-        vals = textio.floats(tok, path, no)
-        textio.finite(vals[:3], "coordinate", path, no)
-        if not all(0.0 <= p <= 1.0 for p in vals[3:]):
-            raise ParseError(f"{path}:{no}: probability outside [0, 1]")
-        pts.append(vals[:3])
-        probs.append(vals[3:])
-    return np.asarray(pts, dtype=float).reshape(-1, 3), \
-        np.asarray(probs, dtype=float).reshape(-1, len(POINT_LABELS))
+    _, table = textio.table(path, 0, _values(3 + len(POINT_LABELS)), lambda t: [
+        (~np.isfinite(t["v"][:, :3]).all(axis=1), "non-finite coordinate"),
+        (~((t["v"][:, 3:] >= 0.0) & (t["v"][:, 3:] <= 1.0)).all(axis=1),
+         "probability outside [0, 1]")])
+    return table["v"][:, :3], table["v"][:, 3:]
 
 
 def write_labeled_points(points, probs, path) -> None:
-    with textio.writing(path) as fh:
-        fh.write("# x y z " + " ".join(f"p_{l}" for l in POINT_LABELS) + "\n")
-        for p, pr in zip(np.asarray(points, float), np.asarray(probs, float)):
-            fh.write(" ".join(repr(float(v)) for v in (*p, *pr)) + "\n")
+    textio.write_table(
+        path, "# x y z " + " ".join(f"p_{l}" for l in POINT_LABELS) + "\n",
+        [np.asarray(points, float), np.asarray(probs, float)])
 
 
 # ---------------------------------------------------------------------------
@@ -269,71 +248,75 @@ def project_image_probabilities(image: np.ndarray, channels,
 # ---------------------------------------------------------------------------
 # file formats
 
+def _values(n: int) -> np.dtype:
+    """A table row of `n` floats."""
+    return np.dtype([("v", "<f8", (n,))])
+
+
 def _write_pixels(path, header: str, data, channels) -> None:
     """`header`, the channel list, then one line of all channels per pixel."""
-    with textio.writing(path) as fh:
-        fh.write(header)
-        fh.write("channels " + " ".join(channels) + "\n")
-        for px in data.reshape(-1, len(channels)):
-            fh.write(" ".join(repr(float(v)) for v in px) + "\n")
+    textio.write_table(path, header + "channels " + " ".join(channels) + "\n",
+                       [data.reshape(-1, len(channels))])
 
 
 def _read_pixels(path, kind: str, header: dict, vectors=()):
-    """Inverse of `_write_pixels` for a `<kind> key=value...` header line
-    followed by one `<name> x y z` line per name in `vectors`.
-
+    """Inverse of `_write_pixels` for a `<kind> key=value...` header line,
+    one `<name> x y z` line per name in `vectors` and the channel list.
     `header` maps each header key, in file order, to its type and must
     hold `width` and `height`. Returns the typed header values, the
     vectors by name, the channel names and the (height, width, channels)
-    float32 pixel data.
-    """
-    lines = list(textio.content_lines(path))
-    if len(lines) < 2 + len(vectors):
-        # "facade_raster" -> "raster", "pixel_grid" -> "grid"
-        raise ParseError(f"{path}: truncated {kind.rsplit('_', 1)[1]} file")
-    no, head = lines[0]
-    tok = head.split()
-    if tok[0] != kind:
-        raise ParseError(f"{path}:{no}: expected '{kind}' header")
-    if len(tok) != len(header) + 1:
-        raise ParseError(f"{path}:{no}: expected {' '.join(header)} fields")
-    try:
-        values = {key: convert(textio.kv(t, key, path, no))
-                  for t, (key, convert) in zip(tok[1:], header.items())}
-    except ValueError as exc:
-        raise ParseError(f"{path}:{no}: bad header numbers") from exc
-    textio.finite(values.values(), "header number", path, no)
-    width, height = values["width"], values["height"]
-    if width < 1 or height < 1:
-        raise ParseError(f"{path}:{no}: dimensions must be at least 1x1")
-    vecs = {}
-    for (no, text), key in zip(lines[1:], vectors):
+    float32 pixel data."""
+    def parse(lines):
+        if len(lines) < 2 + len(vectors):
+            # "facade_raster" -> "raster", "pixel_grid" -> "grid"
+            raise ParseError(f"{path}: truncated {kind.rsplit('_', 1)[1]} file")
+        no, head = lines[0]
+        tok = head.split()
+        if tok[0] != kind:
+            raise ParseError(f"{path}:{no}: expected '{kind}' header")
+        if len(tok) != len(header) + 1:
+            raise ParseError(f"{path}:{no}: expected {' '.join(header)} fields")
+        try:
+            values = {key: convert(textio.kv(t, key, path, no))
+                      for t, (key, convert) in zip(tok[1:], header.items())}
+        except ValueError as exc:
+            raise ParseError(f"{path}:{no}: bad header numbers") from exc
+        textio.finite(values.values(), "header number", path, no)
+        if values["width"] < 1 or values["height"] < 1:
+            raise ParseError(f"{path}:{no}: dimensions must be at least 1x1")
+        if "cell" in values and values["cell"] <= 0.0:
+            raise ParseError(f"{path}:{no}: cell size must be positive")
+        vecs = {}
+        for (no, text), key in zip(lines[1:], vectors):
+            tok = text.split()
+            if len(tok) != 4 or tok[0] != key:
+                raise ParseError(f"{path}:{no}: expected '{key} x y z'")
+            vecs[key] = tuple(textio.finite(textio.floats(tok[1:], path, no),
+                                            "coordinate", path, no))
+        no, text = lines[-1]
         tok = text.split()
-        if len(tok) != 4 or tok[0] != key:
-            raise ParseError(f"{path}:{no}: expected '{key} x y z'")
-        vecs[key] = tuple(textio.finite(textio.floats(tok[1:], path, no),
-                                        "coordinate", path, no))
-    no, text = lines[1 + len(vectors)]
-    tok = text.split()
-    if tok[0] != "channels" or len(tok) < 2:
-        raise ParseError(f"{path}:{no}: expected channel list")
-    channels = tuple(tok[1:])
-    body = lines[2 + len(vectors):]
-    if len(body) != width * height:
-        raise ParseError(f"{path}: expected {width * height} pixel lines, "
-                         f"got {len(body)}")
-    data = np.zeros((width * height, len(channels)), dtype=np.float32)
-    for i, (no, text) in enumerate(body):
-        tok = text.split()
-        if len(tok) != len(channels):
-            raise ParseError(f"{path}:{no}: expected {len(channels)} values")
-        data[i] = textio.floats(tok, path, no)
-    finite_rows = np.isfinite(data).all(axis=1)
-    if not finite_rows.all():
-        no, _ = body[int(np.argmin(finite_rows))]
-        raise ParseError(f"{path}:{no}: non-finite pixel value")
-    return values, vecs, channels, data.reshape(height, width, len(channels))
+        if tok[0] != "channels" or len(tok) < 2:
+            raise ParseError(f"{path}:{no}: expected channel list")
+        channels = tuple(tok[1:])
+        for name in channels:
+            if channels.count(name) > 1:
+                raise ParseError(f"{path}:{no}: duplicate channel {name!r}")
+        return (values, vecs, channels), _values(len(channels))
 
+    (values, vecs, channels), table = textio.table(
+        path, 2 + len(vectors), parse, lambda t: [
+            (~(np.abs(t["v"]) < _FLOAT32_INF).all(axis=1), "non-finite pixel value")])
+    width, height = values["width"], values["height"]
+    if len(table) != width * height:
+        raise ParseError(f"{path}: expected {width * height} pixel lines, "
+                         f"got {len(table)}")
+    return values, vecs, channels, \
+        table["v"].astype(np.float32).reshape(height, width, len(channels))
+
+
+# pixels are parsed as float64 and kept as float32, where a value of at
+# least this magnitude turns infinite
+_FLOAT32_INF = 2.0 ** 128 - 2.0 ** 103
 
 _VECTORS = ("origin", "u", "v")
 
@@ -372,19 +355,11 @@ def read_pixel_grid(path):
 
 def write_correspondences(correspondences, path) -> None:
     """One `u v x y` line per facade-to-image correspondence."""
-    with textio.writing(path) as fh:
-        fh.write("# u v  x y\n")
-        for (u, v), (x, y) in correspondences:
-            fh.write(f"{float(u)!r} {float(v)!r} {float(x)!r} {float(y)!r}\n")
+    textio.write_table(path, "# u v  x y\n", [np.array(
+        [(*uv, *xy) for uv, xy in correspondences], dtype=float).reshape(-1, 4)])
 
 
 def read_correspondences(path) -> list:
-    pairs = []
-    for no, text in textio.content_lines(path):
-        tok = text.split()
-        if len(tok) != 4:
-            raise ParseError(f"{path}:{no}: expected 'u v x y'")
-        u, v, x, y = textio.finite(textio.floats(tok, path, no), "coordinate",
-                                   path, no)
-        pairs.append(((u, v), (x, y)))
-    return pairs
+    _, table = textio.table(path, 0, _values(4), lambda t: [
+        (~np.isfinite(t["v"]).all(axis=1), "non-finite coordinate")])
+    return [((u, v), (x, y)) for u, v, x, y in table["v"].tolist()]

@@ -5,46 +5,62 @@ runs to the end of its line, and lines left blank are skipped; line
 numbers in messages count every physical line. A path that cannot be
 opened is an IoError, text that is not UTF-8 or does not parse is a
 ParseError naming the file, and so is a number that is not finite.
+`table` and `write_table` read and write every table of numbers.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
+import warnings
+
+import numpy as np
 
 from .errors import IoError, ParseError
 
 
-def content_lines(path):
-    """Yield (line_no, text) for each line with content, comments dropped."""
+@contextlib.contextmanager
+def _opened(path, mode: str):
+    """`path` opened as UTF-8 text; an OS failure is an IoError, and
+    text that is not UTF-8 a ParseError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for no, line in enumerate(fh, start=1):
-                text = line.split("#", 1)[0].strip()
-                if text:
-                    yield no, text
+        with open(path, mode, encoding="utf-8") as fh:
+            yield fh
     except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+        raise IoError(f"cannot {'write' if mode == 'w' else 'read'} {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-@contextlib.contextmanager
 def writing(path):
     """Text file opened for writing; any OS failure is an IoError."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    return _opened(path, "w")
 
 
-def floats(tokens, path, no) -> list:
-    """Tokens as floats; a bad one is a ParseError naming the line."""
+def _numbered(fh):
+    for no, line in enumerate(fh, start=1):
+        text = line.split("#", 1)[0].strip()
+        if text:
+            yield no, text
+
+
+def content_lines(path):
+    """Yield (line_no, text) for each line with content, comments dropped."""
+    with _opened(path, "r") as fh:
+        yield from _numbered(fh)
+
+
+def floats(tokens, path, no, kind=float) -> list:
+    """Tokens as floats, or as 64-bit integers with `kind=int`; a bad one
+    is a ParseError naming the line."""
     try:
-        return [float(t) for t in tokens]
+        vals = [kind(t) for t in tokens]
     except ValueError as exc:
         raise ParseError(f"{path}:{no}: bad number in {' '.join(tokens)!r}") from exc
+    if kind is int and not all(-2 ** 63 <= v < 2 ** 63 for v in vals):
+        raise ParseError(f"{path}:{no}: integer out of range")
+    return vals
 
 
 def finite(vals, what: str, path, no) -> list:
@@ -74,3 +90,78 @@ def key_values(path) -> dict:
             raise ParseError(f"{path}:{no}: duplicate key {key!r}")
         raw[key] = value
     return raw
+
+
+# ---------------------------------------------------------------------------
+# tables of numbers
+
+def table(path, head: int, row, checks=lambda rows: ()):
+    """(header, rows): `head` header lines, then a table of numbers, one
+    row per line with content, of the record dtype `row` or of the dtype
+    in (header, dtype) that the function `row` makes of the header lines.
+
+    numpy parses the rows from the handle the header came from; only if
+    it fails are the lines parsed again as Python reads them. The first
+    row flagged by `checks(rows)`, (bad rows mask, message) pairs, or else
+    the first line that does not parse, is a ParseError naming its line."""
+    with _opened(path, "r") as fh:
+        # given a bound on the row count, numpy allocates the rows once
+        # rather than growing them, so memory peaks near the table's size
+        bound = None
+        if fh.seekable():
+            chunks = iter(lambda: fh.buffer.read(1 << 20), b"")
+            bound = 1 + sum(c.count(b"\n") + c.count(b"\r") for c in chunks)
+            fh.seek(0)
+        lines = list(itertools.islice(_numbered(fh), head))
+        header, dtype = row(lines) if callable(row) else (lines, row)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)   # comment lines, no rows
+                rows, error = np.loadtxt(fh, dtype=dtype, comments="#", ndmin=1,
+                                         max_rows=bound), None
+        except ValueError:
+            rows, error = _parse_lines(path, head, dtype)
+    firsts = [(np.flatnonzero(bad)[0], message)
+              for bad, message in checks(rows) if bad.any()]
+    if firsts:
+        first, message = min(firsts, key=lambda f: f[0])
+        no, _ = next(itertools.islice(content_lines(path), head + first, None))
+        error = ParseError(f"{path}:{no}: {message}")
+    if error is not None:
+        raise error
+    return header, rows
+
+
+def _parse_lines(path, head: int, dtype):
+    """(rows, error): the table parsed line by line by `floats`, up to the
+    first line that does not parse."""
+    fields = [(dtype[name].shape, int if dtype[name].base.kind == "i" else float)
+              for name in dtype.names]
+    bounds = np.cumsum([0] + [math.prod(shape) for shape, _ in fields]).tolist()
+    rows = []
+    for no, text in itertools.islice(content_lines(path), head, None):
+        tok = text.split()
+        try:
+            if len(tok) != bounds[-1]:
+                raise ParseError(f"{path}:{no}: expected {bounds[-1]} columns, "
+                                 f"got {len(tok)}")
+            row = [floats(tok[a:b], path, no, kind)
+                   for (_, kind), a, b in zip(fields, bounds, bounds[1:])]
+        except ParseError as exc:
+            return np.array(rows, dtype=dtype), exc
+        rows.append(tuple(v if shape else v[0] for (shape, _), v in zip(fields, row)))
+    return np.array(rows, dtype=dtype), None
+
+
+def write_table(path, header: str, columns) -> None:
+    """`header`, then one line per row of the `columns` arrays side by
+    side, a 2-D array giving one column per column, each number the
+    `repr` of its Python int or float."""
+    columns = [np.asarray(c) for c in columns]
+    block = 1 << 12   # rows formatted per write call
+    with writing(path) as fh:
+        fh.write(header)
+        for a in range(0, len(columns[0]), block):
+            cells = [map(repr, col) for b in (c[a:a + block] for c in columns)
+                     for col in b.reshape(len(b), -1).T.tolist()]
+            fh.write("\n".join(map(" ".join, zip(*cells))) + "\n")

@@ -759,3 +759,49 @@ def test_benchmark_tracer_counts_rays_and_voxels(scene_dir, tmp_path, monkeypatc
     assert metrics["occupancy.voxels"] == n_voxels
     assert metrics["occupancy.tree_mb"] == tree.stat().st_size / 1e6
     assert metrics["occupancy.rays_per_s"] == n_rays / metrics["occupancy.build_s"]
+
+
+# ---------------------------------------------------------------------------
+# a raster must hold the channels its stage reads, each once, and a
+# positive cell
+
+@pytest.mark.parametrize("argv, source, channel", [
+    (["fuse", "--conflict"], "points_wall_front.txt", "conflicted"),
+    (["extract", "--posterior"], "conflict_wall_front.txt", "opening"),
+], ids=["fuse", "extract"])
+def test_raster_without_its_channel_exits_2(artifacts_dir, tmp_path, capsys,
+                                            argv, source, channel):
+    path = artifacts_dir / source
+    assert cli.main([*argv, str(path), "--out", str(tmp_path / "out.txt")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {argv[0]}: {path}: missing channel {channel!r}\n"
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("channels conflicted confirmed unknown",
+     "channels conflicted confirmed conflicted", "5: duplicate channel 'conflicted'"),
+    ("cell=0.5 ", "cell=0 ", "1: cell size must be positive"),
+    ("cell=0.5 ", "cell=-0.5 ", "1: cell size must be positive"),
+], ids=["duplicate-channel", "zero-cell", "negative-cell"])
+def test_bad_raster_header_exits_2(tmp_path, capsys, old, new, message):
+    frame = facade_frame(box_solid("b", (0, 0, 0), (4, 2, 3)).face("wall_front"),
+                         0.5)
+    path = tmp_path / "conflict.txt"
+    write_raster(FacadeRaster.zeros(frame, ("conflicted", "confirmed",
+                                            "unknown")), path)
+    path.write_text(path.read_text().replace(old, new))
+    assert cli.main(["fuse", "--conflict", str(path),
+                     "--out", str(tmp_path / "out.txt")]) == 2
+    assert capsys.readouterr().err == f"error: fuse: {path}:{message}\n"
+
+
+def test_pixel_grid_with_a_duplicate_channel_exits_2(scene_dir, tmp_path, capsys):
+    image = tmp_path / "image.txt"
+    image.write_text((scene_dir / "image.txt").read_text().replace(
+        "channels window door", "channels door door"))
+    assert cli.main(["project-image", "--image", str(image),
+                     "--correspondences", str(scene_dir / "correspondences.txt"),
+                     "--solid", str(scene_dir / "solid.txt"), "--face", "wall_front",
+                     "--out", str(tmp_path / "out.txt")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: project-image: {image}:2: duplicate channel 'door'\n"

@@ -1,4 +1,5 @@
-"""Fuzzed ray and tree files through `cli.main`.
+"""Fuzzed files of every numeric-table format through `cli.main`: rays,
+tree, raster, pixel grid, correspondences and labeled points.
 
 Each example breaks one line of a valid synth file: a NaN or infinite
 token, a truncated line, a dropped column, a huge value, or bytes that
@@ -28,7 +29,17 @@ FORMATS = {
     "tree": {"nan": [0, 1, 2, 3, 4, 8], "inf": [0, 1, 2, 3],
              "-inf": [0, 1, 2, 3, 4, 8], "1e999": [3],
              "1" + "0" * 25: [0, 1, 2]},
+    # a conflict raster; a pixel too large for float32 reads as infinite
+    "raster": {token: range(3) for token in ("nan", "inf", "-inf", "1e999", "1e39")},
+    "image": {token: range(2) for token in ("nan", "inf", "-inf", "1e999", "1e39")},
+    "correspondences": {token: range(4) for token in ("nan", "inf", "-inf", "1e999")},
+    "points": {**{token: range(11) for token in ("nan", "inf", "-inf", "1e999")},
+               "-0.5": range(3, 11), "1.5": range(3, 11)},
 }
+
+# first words of the header lines a mutation leaves alone
+HEADERS = ("#", "voxels", "facade_raster", "pixel_grid", "origin", "u ", "v ",
+           "channels")
 
 
 @pytest.fixture(scope="module")
@@ -41,13 +52,35 @@ def files(tmp_path_factory):
     return scene
 
 
+@pytest.fixture(scope="module")
+def evidence(files):
+    """The fuzz scene with the conflict raster of a pipeline run as
+    raster.txt."""
+    assert cli.main(["pipeline", "--config", str(files / "scene.cfg")]) == 0
+    (files / "raster.txt").write_bytes(
+        (files / "artifacts" / "conflict_wall_front.txt").read_bytes())
+    return files
+
+
 def _run(scene, kind):
     """argv of the run that reads the broken file of `kind`."""
     bad = scene / f"bad_{kind}.txt"
-    if kind == "rays":
-        return bad, ["raycast", "--rays", str(bad), "--out", str(scene / "out.txt")]
-    return bad, ["conflicts", "--tree", str(bad), "--solid", str(scene / "solid.txt"),
-                 "--face", "wall_front", "--out", str(scene / "out.txt")]
+    out = str(scene / "out.txt")
+    face = ["--solid", str(scene / "solid.txt"), "--face", "wall_front", "--out", out]
+
+    def file_for(name):
+        return str(bad if name == kind else scene / f"{name}.txt")
+
+    project_image = ["project-image", "--image", file_for("image"),
+                     "--correspondences", file_for("correspondences"), *face]
+    return bad, {
+        "rays": ["raycast", "--rays", str(bad), "--out", out],
+        "tree": ["conflicts", "--tree", str(bad), *face],
+        "raster": ["fuse", "--conflict", str(bad), "--out", out],
+        "image": project_image,
+        "correspondences": project_image,
+        "points": ["project-points", "--points", str(bad), *face],
+    }[kind]
 
 
 @st.composite
@@ -64,7 +97,7 @@ def mutations(draw, kind):
 def _break(text: str, line_index: int, how: str, arg) -> bytes:
     lines = text.splitlines()
     data = [i for i, line in enumerate(lines)
-            if line.strip() and not line.startswith(("#", "voxels"))]
+            if line.strip() and not line.startswith(HEADERS)]
     i = data[line_index % len(data)]
     tokens = lines[i].split()
     if how == "token":
@@ -106,3 +139,27 @@ def test_broken_ray_file_exits_with_an_error_line(files, mutation):
 @given(mutation=mutations("tree"))
 def test_broken_tree_file_exits_with_an_error_line(files, mutation):
     _check_exit(files, "tree", mutation)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mutation=mutations("raster"))
+def test_broken_raster_exits_with_an_error_line(evidence, mutation):
+    _check_exit(evidence, "raster", mutation)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mutation=mutations("image"))
+def test_broken_pixel_grid_exits_with_an_error_line(evidence, mutation):
+    _check_exit(evidence, "image", mutation)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mutation=mutations("correspondences"))
+def test_broken_correspondences_exit_with_an_error_line(evidence, mutation):
+    _check_exit(evidence, "correspondences", mutation)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mutation=mutations("points"))
+def test_broken_labeled_points_exit_with_an_error_line(evidence, mutation):
+    _check_exit(evidence, "points", mutation)

@@ -1,7 +1,10 @@
-"""Code that only tests use lives under tests/, not in the package."""
+"""What lives where: code that only tests use stays under tests/, and only
+`textio` opens and parses text files."""
 
 import ast
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "lod3recon"
@@ -45,3 +48,11 @@ def test_src_holds_no_test_only_function():
                     and name not in attributes
                     and (method or name not in names))
     assert unused == []
+
+
+@pytest.mark.parametrize("name", ["open", "loadtxt"])
+def test_only_textio_opens_and_parses_text_files(name):
+    users = sorted(path.name for path in PACKAGE.glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                   if getattr(node, "id", getattr(node, "attr", None)) == name)
+    assert set(users) <= {"textio.py"}

@@ -3,9 +3,12 @@ keeps: a path that cannot be opened is an IoError, bytes that are not
 UTF-8 text are a ParseError."""
 
 import inspect
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lod3recon import (cli, evaluate, extraction, fusion, model_io, occupancy,
                        rasters, reconstruct, textio)
@@ -96,3 +99,138 @@ def test_content_lines_drops_comments_and_blanks(tmp_path):
     path = tmp_path / "f.txt"
     path.write_text("# head\n\n  a b  # tail\n#\n   \nc\n")
     assert list(textio.content_lines(path)) == [(3, "a b"), (6, "c")]
+
+
+# ---------------------------------------------------------------------------
+# the table reader reads what Python reads
+
+# numbers numpy reads as Python does, and ones only Python reads
+FLOATS = ["0", "-0.0", "1.5", "-3.25e10", "0.1", "1e-310", "4.9e-324", "5e-324",
+          "2.2250738585072014e-308", "1.7976931348623157e308", "1e999", "-inf",
+          "+Infinity", "nan", "1_000", "1_0.5", "\u0663"]
+INTS = ["0", "-0", "7", "+12", "-9223372036854775808", "9223372036854775807",
+        "1_000", "\u0663"]
+# tokens that are a bad number in a column of either kind, or an int column
+BAD = ["x", "1.5.2", "0x10", "1__0", "--1", "1e"]
+BAD_INT = ["1.0", "1e3", "9223372036854775808", "-9223372036854775809"]
+# str.split whitespace, including form feed and no-break space
+SEPARATORS = [" ", "  ", "\t", "\x0c", "\xa0", "\u2003", "\x1f", "\x85"]
+
+DTYPES = [np.dtype([("f", "<f8", (2,)), ("i", "<i8")]),
+          np.dtype([("i", "<i8", (2,)), ("f", "<f8")]),
+          np.dtype([("v", "<f8", (3,))])]
+
+
+def _kinds(dtype):
+    return [int if dtype[name].base.kind == "i" else float
+            for name in dtype.names for _ in range(math.prod(dtype[name].shape))]
+
+
+@st.composite
+def table_files(draw):
+    """(text, header line count, dtype) of a table file, mostly valid."""
+    dtype = draw(st.sampled_from(DTYPES))
+    kinds = _kinds(dtype)
+
+    def token(kind):
+        if draw(st.integers(0, 30)) == 0:
+            return draw(st.sampled_from(BAD + (BAD_INT if kind is int else [])))
+        return draw(st.sampled_from(INTS if kind is int else FLOATS))
+
+    def data_line():
+        tokens = [token(kind) for kind in kinds]
+        if draw(st.integers(0, 30)) == 0:
+            tokens = tokens[:-1] if draw(st.booleans()) else tokens + ["1"]
+        seps = [draw(st.sampled_from(SEPARATORS)) for _ in tokens]
+        text = "".join(sep + tok for sep, tok in zip(seps, tokens))
+        return text + draw(st.sampled_from(["", " ", "\t", "# tail", " #1 2"]))
+
+    head = draw(st.integers(0, 1))
+    lines = ["table of 3 # header"] * head
+    for _ in range(draw(st.integers(0, 8))):
+        lines.append(draw(st.one_of(
+            st.just(None), st.sampled_from(["", "# comment", " \t\x0c ", "#"]))))
+    lines = [data_line() if line is None else line for line in lines]
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end])), head, dtype
+
+
+def _python_rule(path, head, dtype):
+    """(header, rows) as the readers parsed tables one line at a time:
+    comments and blanks dropped, `str.split`, then `float` or `int`; or
+    the number of the first line that does not parse."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [(no, text) for no, line in enumerate(fh, start=1)
+                 if (text := line.split("#", 1)[0].strip())]
+    kinds, rows = _kinds(dtype), []
+    for no, text in lines[head:]:
+        tokens = text.split()
+        try:
+            if len(tokens) != len(kinds):
+                raise ValueError
+            row = [kind(tok) for kind, tok in zip(kinds, tokens)]
+        except ValueError:
+            return no
+        if any(kind is int and not -2 ** 63 <= v < 2 ** 63
+               for kind, v in zip(kinds, row)):
+            return no
+        rows.append(row)
+    return lines[:head], rows
+
+
+def _flat(rows, dtype):
+    """The record rows as one list per row, in column order."""
+    return [[v for name in dtype.names for v in np.ravel(row[name]).tolist()]
+            for row in rows]
+
+
+def _same_number(a, b):
+    if isinstance(a, float) and math.isnan(a):
+        return isinstance(b, float) and math.isnan(b)
+    return type(a) is type(b) and a == b and math.copysign(1, a) == math.copysign(1, b)
+
+
+@pytest.fixture(scope="module")
+def table_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("table") / "table.txt"
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=table_files())
+def test_table_reads_the_rows_python_reads(table_path, case):
+    text, head, dtype = case
+    table_path.write_bytes(text.encode("utf-8"))
+    expected = _python_rule(table_path, head, dtype)
+    if isinstance(expected, int):
+        with pytest.raises(ParseError) as err:
+            textio.table(table_path, head, dtype)
+        assert str(err.value).startswith(f"{table_path}:{expected}: ")
+        return
+    header, rows = textio.table(table_path, head, dtype)
+    assert header == expected[0]
+    assert rows.dtype == dtype
+    got = _flat(rows, dtype)
+    assert len(got) == len(expected[1])
+    for got_row, want_row in zip(got, expected[1]):
+        assert all(map(_same_number, got_row, want_row)), (got_row, want_row)
+
+
+# decimals around float32 rounding: a float64 tie that rounds to even in
+# float32, one just above it that a direct float32 parse would round up,
+# float32 subnormals and the float32 maximum
+FLOAT32_EDGES = ["1.000000059604644775390625", "1.0000000596046447753906250001",
+                 "1e-45", "7e-46", "1.4e-45", "3.4028235e38", "-0.0", "0.1",
+                 "16777217", "1_000.5"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(width=st.integers(1, 4), height=st.integers(1, 3), data=st.data())
+def test_pixel_values_are_doubles_cast_to_float32(table_path, width, height, data):
+    tokens = [data.draw(st.sampled_from(FLOAT32_EDGES + FLOATS[:8]))
+              for _ in range(width * height)]
+    table_path.write_text(f"pixel_grid width={width} height={height}\n"
+                          "channels p\n" + "\n".join(tokens) + "\n")
+    grid, channels = rasters.read_pixel_grid(table_path)
+    want = np.array([float(t) for t in tokens]).astype(np.float32)
+    assert channels == ("p",)
+    assert grid.ravel().tobytes() == want.tobytes()
