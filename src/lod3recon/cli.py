@@ -42,6 +42,15 @@ from .textio import key_values, writing
 from .visibility import UncertaintyConfig, project_conflict_map
 
 
+def _range(test, rule: str) -> dict:
+    """Field metadata: a given value must pass `test`; `rule` says how.
+    Config files and command-line options check it alike."""
+    return {"range": (test, rule)}
+
+
+_POSITIVE = _range(lambda v: v > 0, "must be positive")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Typed view of a pipeline config file.
@@ -65,12 +74,14 @@ class PipelineConfig:
     occupancy: OccupancyConfig = field(default_factory=OccupancyConfig)
     uncertainty: UncertaintyConfig = field(default_factory=UncertaintyConfig)
     extraction: ExtractionConfig = field(default_factory=ExtractionConfig)
-    cell: float | None = None
-    band: float | None = None
-    depth: float = 0.1
-    margin: float | None = None
-    iou_min: float = 0.5
-    samples: int = 2000
+    cell: float | None = field(default=None, metadata=_POSITIVE)
+    band: float | None = field(default=None, metadata=_POSITIVE)
+    depth: float = field(default=0.1, metadata=_POSITIVE)
+    margin: float | None = field(default=None, metadata=_range(
+        lambda v: v >= 0.0, "must be non-negative"))
+    iou_min: float = field(default=0.5, metadata=_range(
+        lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"))
+    samples: int = field(default=2000, metadata=_POSITIVE)
     sample_seed: int = 0
 
     def __post_init__(self):
@@ -79,18 +90,11 @@ class PipelineConfig:
                 raise ConfigError(f"config key {name!r} is required")
         if (self.image is None) != (self.correspondences is None):
             raise ConfigError("image and correspondences must be given together")
-        if self.depth <= 0.0:
-            raise ConfigError("depth must be positive")
-        if not 0.0 < self.iou_min <= 1.0:
-            raise ConfigError("iou_min must lie in (0, 1]")
-        if self.cell is not None and self.cell <= 0.0:
-            raise ConfigError("cell must be positive")
-        if self.band is not None and self.band <= 0.0:
-            raise ConfigError("band must be positive")
-        if self.margin is not None and self.margin < 0.0:
-            raise ConfigError("margin must be non-negative")
-        if self.samples < 1:
-            raise ConfigError("samples must be positive")
+        for f in fields(self):
+            test, rule = f.metadata.get("range", (None, None))
+            value = getattr(self, f.name)
+            if test and value is not None and not test(value):
+                raise ConfigError(f"{f.name} {rule}")
         object.__setattr__(self, "faces", tuple(self.faces))
 
     @property
@@ -533,6 +537,18 @@ _FLAGS = {"voxel_size": "--vs", "log_odds_hit": "--l-hit",
           "noise_sigma": "--noise"}
 
 
+def _in_range(parse, test, rule: str):
+    """`parse`, rejecting a value that fails its field's range `test`."""
+    def parse_in_range(text):
+        value = parse(text)
+        if not test(value):
+            raise argparse.ArgumentTypeError(rule)
+        return value
+    # argparse names the type in its message for an unparsable value
+    parse_in_range.__name__ = parse.__name__
+    return parse_in_range
+
+
 def _add_options(parser, cls, *names, override: bool = False) -> None:
     """One option per (named) field of `cls`, stored under the field name,
     with its type and default; an override option defaults to None."""
@@ -541,10 +557,13 @@ def _add_options(parser, cls, *names, override: bool = False) -> None:
         if names and f.name not in names:
             continue
         kind = types[f.name]
+        parse = _PARSERS.get(kind, kind)
+        if "range" in f.metadata:
+            parse = _in_range(parse, *f.metadata["range"])
         doc = "default: %(default)s" if f.default is not None else None
         parser.add_argument(
             _FLAGS.get(f.name, "--" + f.name.replace("_", "-")), dest=f.name,
-            type=_PARSERS.get(kind, kind),
+            type=parse,
             metavar="{true,false}" if kind is bool else None,
             default=None if override else f.default,
             help=f"override {f.name}" if override else doc)

@@ -74,36 +74,6 @@ def point_in_polygon_2d(pt, poly) -> bool:
     return inside
 
 
-def clip_polygon_halfplane_2d(poly, a: float, b: float, c: float):
-    """Sutherland-Hodgman step: keep the region a*x + b*y <= c."""
-    out = []
-    n = len(poly)
-    for i in range(n):
-        p = poly[i]
-        q = poly[(i + 1) % n]
-        dp = a * p[0] + b * p[1] - c
-        dq = a * q[0] + b * q[1] - c
-        if dp <= 0.0:
-            out.append((float(p[0]), float(p[1])))
-            if dq > 0.0:
-                t = dp / (dp - dq)
-                out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-        elif dq <= 0.0:
-            t = dp / (dp - dq)
-            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-    return out
-
-
-def clip_polygon_box_2d(poly, xmin: float, ymin: float, xmax: float, ymax: float):
-    """Clip a polygon to an axis-aligned box; returns the clipped vertex list."""
-    out = list(poly)
-    for a, b, c in ((-1.0, 0.0, -xmin), (1.0, 0.0, xmax), (0.0, -1.0, -ymin), (0.0, 1.0, ymax)):
-        if not out:
-            return []
-        out = clip_polygon_halfplane_2d(out, a, b, c)
-    return out
-
-
 def point_segment_distance_2d(p, a, b) -> float:
     px, py = p[0] - a[0], p[1] - a[1]
     dx, dy = b[0] - a[0], b[1] - a[1]
@@ -228,6 +198,20 @@ def _find_bridge(ring: list, hole_left: int, pts: np.ndarray) -> int | None:
     return best
 
 
+def _shared_vertex(ring: list, hole: list, pts: np.ndarray):
+    """(ring position, hole position) of a vertex the hole shares with the
+    ring, at a ring corner the hole's corner fits into; None if there is
+    none."""
+    for pos, v in enumerate(hole):
+        p = pts[v]
+        # inside the hole's corner at p when that corner is convex
+        q = pts[hole[pos - 1]] + pts[hole[(pos + 1) % len(hole)]] - p
+        for at, r in enumerate(ring):
+            if (pts[r] == p).all() and _locally_inside(ring, at, pts, q):
+                return at, pos
+    return None
+
+
 def _ear_clip(ring: list, pts: np.ndarray) -> list:
     tris = []
     idx = list(ring)
@@ -289,6 +273,13 @@ def triangulate_polygon_2d(outer, holes=()) -> list:
     hole_entries.sort(key=lambda h: min(pts[i][0] for i in h))
     ring = outer_idx
     for h_idx in hole_entries:
+        shared = _shared_vertex(ring, h_idx, pts)
+        if shared is not None:
+            # enter the hole where it touches the ring: no bridge needed
+            at, pos = shared
+            h = h_idx[pos:] + h_idx[:pos]
+            ring = ring[:at + 1] + h[1:] + [h[0]] + ring[at + 1:]
+            continue
         left_pos = min(range(len(h_idx)),
                        key=lambda k: (pts[h_idx[k]][0], pts[h_idx[k]][1]))
         h = h_idx[left_pos:] + h_idx[:left_pos]
@@ -323,55 +314,38 @@ def triangulate_loop_3d(loop, holes=()) -> list:
 
 
 # ---------------------------------------------------------------------------
-# triangle / cube overlap (separating axis test, strict)
+# triangle / box overlap (separating axis test, strict)
 
-def tri_box_overlap_strict(tri, centers, half: float) -> np.ndarray:
-    """Strict SAT overlap between one triangle and many axis-aligned cubes.
+def tri_box_overlap_strict(tri, lo, hi) -> np.ndarray:
+    """Strict SAT overlap between one triangle and many axis-aligned boxes.
 
-    `centers` is (N, 3), `half` the cube half-width. Touching contact
-    (shared plane, edge, or vertex with no interior overlap) counts as
-    no overlap, so triangles lying exactly on a voxel face select
-    neither neighbor. Every separation test carries a slack of 1e-9 of
-    its own projection radius, so exact contacts that pick up a rounding
-    residual still count as touching.
+    `lo` and `hi` are the (N, 3) lower and upper box corners. Touching
+    contact (shared plane, edge, or vertex with no interior overlap)
+    counts as no overlap, so triangles lying exactly on a voxel face
+    select neither neighbor. Every separation test carries a slack of
+    1e-9 of its own projection radius, so exact contacts that pick up a
+    rounding residual still count as touching. Each box is tested in
+    coordinates relative to its lower corner: a vertex on a box corner or
+    face stays exactly there however far from the origin the box lies.
     """
     tri = np.asarray(tri, dtype=float)
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    v0 = tri[0] - centers
-    v1 = tri[1] - centers
-    v2 = tri[2] - centers
-    sep = np.zeros(len(centers), dtype=bool)
-    rel = 1e-9
-
-    # cube-axis tests
-    slack = rel * half
-    for ax in range(3):
-        lo = np.minimum(np.minimum(v0[:, ax], v1[:, ax]), v2[:, ax])
-        hi = np.maximum(np.maximum(v0[:, ax], v1[:, ax]), v2[:, ax])
-        sep |= (lo >= half - slack) | (hi <= -half + slack)
-
-    # triangle plane test
-    nrm = np.cross(tri[1] - tri[0], tri[2] - tri[0])
-    r = half * np.abs(nrm).sum()
-    sep |= np.abs(v0 @ nrm) >= r - rel * r
-
-    # nine edge cross-axis tests
-    edges = (tri[1] - tri[0], tri[2] - tri[1], tri[0] - tri[2])
-    verts = (v0, v1, v2)
-    for e in edges:
-        for ax in range(3):
-            a = np.zeros(3)
-            a[(ax + 1) % 3] = -e[(ax + 2) % 3]
-            a[(ax + 2) % 3] = e[(ax + 1) % 3]
-            r = half * np.abs(a).sum()
-            if r == 0.0:
-                continue
-            p0 = verts[0] @ a
-            p1 = verts[1] @ a
-            p2 = verts[2] @ a
-            lo = np.minimum(np.minimum(p0, p1), p2)
-            hi = np.maximum(np.maximum(p0, p1), p2)
-            sep |= (lo >= r - rel * r) | (hi <= -r + rel * r)
+    lo = np.atleast_2d(np.asarray(lo, dtype=float))
+    size = np.atleast_2d(np.asarray(hi, dtype=float)) - lo
+    verts = [v - lo for v in tri]
+    # the box axes, the triangle normal and the nine edge cross axes
+    axes = [*np.eye(3), np.cross(tri[1] - tri[0], tri[2] - tri[0])]
+    for e in (tri[1] - tri[0], tri[2] - tri[1], tri[0] - tri[2]):
+        axes.extend(np.cross(u, e) for u in np.eye(3))
+    sep = np.zeros(len(lo), dtype=bool)
+    for a in axes:
+        if not a.any():
+            continue
+        p0, p1, p2 = (v @ a for v in verts)
+        box_lo = size @ np.minimum(a, 0.0)
+        box_hi = size @ np.maximum(a, 0.0)
+        slack = 0.5e-9 * (box_hi - box_lo)
+        sep |= ((np.minimum(np.minimum(p0, p1), p2) >= box_hi - slack)
+                | (np.maximum(np.maximum(p0, p1), p2) <= box_lo + slack))
     return ~sep
 
 

@@ -168,6 +168,13 @@ def validate_solid(solid: BuildingSolid, tol: float = 1e-6) -> list:
             if float(a @ n) >= 0.0:
                 violations.append(
                     f"face {f.face_id}: inner ring must wind opposite to outer")
+        if f.inner:
+            # the conflict stage triangulates every face
+            try:
+                geom.triangulate_loop_3d(f.outer.points,
+                                         [r.points for r in f.inner])
+            except ValueError as exc:
+                violations.append(f"face {f.face_id}: {exc}")
     violations.extend(geom.closed_surface_violations(solid.loops()))
     if not violations:
         vol = solid.volume()

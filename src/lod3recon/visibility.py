@@ -5,6 +5,11 @@ collected: hits close to the face plane confirm the modelled surface,
 rays shooting through with endpoints far behind contradict it. The
 scores are projected into a per-facade conflict raster with three
 states (conflicted, confirmed, unknown).
+
+A face's voxels follow one rule: those whose interior the face, minus
+its holes, overlaps (strict triangle/voxel overlap). A face lying
+exactly in a grid plane is first moved half a voxel inward, against its
+outward normal, so that it selects the voxel layer behind it.
 """
 
 from __future__ import annotations
@@ -78,76 +83,43 @@ def joint_state_probability(p_position: float, p_state: float):
 # ---------------------------------------------------------------------------
 # surface voxels
 
-def _aligned_layer(face, vs: float):
-    """(axis, layer, i, j) when the face lies exactly on a grid plane with
-    an axis-parallel normal, else None. `layer` is the voxel index on the
-    negative side of the face normal."""
-    n, d = face.plane()
+def _grid_plane_axis(n, d: float, vs: float):
+    """Axis of the normal `n` when the plane n . x = d is a grid plane,
+    else None. The plane may miss the grid line k * vs by 1e-9 voxel, or
+    by a few float steps of its coordinate far from the origin."""
     ax = int(np.argmax(np.abs(n)))
     if abs(abs(float(n[ax])) - 1.0) > 1e-9:
         return None
-    plane_coord = d / float(n[ax])
-    rel = plane_coord / vs
-    k = round(rel)
-    if abs(rel - k) > 1e-9:
-        return None
-    layer = k - 1 if n[ax] > 0 else k
-    i, j = [a for a in range(3) if a != ax]
-    return ax, int(layer), i, j
+    plane = d / float(n[ax])
+    miss = abs(plane - round(plane / vs) * vs)
+    return ax if miss <= max(1e-9 * vs, 4 * math.ulp(plane)) else None
 
 
 def surface_voxels(face, voxel_size: float) -> list:
-    """Voxel keys carrying the face: strict triangle overlap in general,
-    or, for faces lying exactly in a grid plane, the covered cells of the
-    voxel layer on the inner (negative normal) side. Hole rings remove
-    their footprint."""
+    """Voxel keys whose interior the face, minus its holes, overlaps
+    (strict triangle/voxel overlap). A face lying exactly in a grid plane
+    only touches the two voxel layers that share it, so it is moved half a
+    voxel against its outward normal first and selects the inner layer."""
     vs = float(voxel_size)
-    aligned = _aligned_layer(face, vs)
-    if aligned is not None:
-        ax, layer, i, j = aligned
-        outer2d = [(p[i], p[j]) for p in face.outer.points]
-        holes2d = [[(p[i], p[j]) for p in r.points] for r in face.inner]
-        eps = 1e-9 * vs * vs
-        xs = [p[0] for p in outer2d]
-        ys = [p[1] for p in outer2d]
-        keys = []
-        for a in range(grid_index(min(xs), vs), grid_index(max(xs), vs) + 1):
-            for b in range(grid_index(min(ys), vs), grid_index(max(ys), vs) + 1):
-                box = (a * vs, b * vs, (a + 1) * vs, (b + 1) * vs)
-                covered = abs(geom.polygon_area_2d(
-                    geom.clip_polygon_box_2d(outer2d, *box)))
-                for h in holes2d:
-                    covered -= abs(geom.polygon_area_2d(
-                        geom.clip_polygon_box_2d(h, *box)))
-                if covered > eps:
-                    key = [0, 0, 0]
-                    key[ax] = layer
-                    key[i] = a
-                    key[j] = b
-                    keys.append(tuple(key))
-        return sorted(keys)
-
-    pts = [tuple(map(float, p)) for p in face.outer.points]
-    for r in face.inner:
-        pts.extend(tuple(map(float, p)) for p in r.points)
-    pts = np.asarray(pts, dtype=float)
-    tris = geom.triangulate_loop_3d(face.outer.points,
-                                    [r.points for r in face.inner])
+    pts = np.asarray([p for ring in face.loops() for p in ring], dtype=float)
+    n, d = face.plane()
+    ax = _grid_plane_axis(n, d, vs)
+    if ax is not None:
+        pts[:, ax] -= math.copysign(0.5 * vs, n[ax])
     keys = set()
-    half = 0.5 * vs
-    for (t0, t1, t2) in tris:
-        tri = pts[[t0, t1, t2]]
+    for t in geom.triangulate_loop_3d(face.outer.points,
+                                      [r.points for r in face.inner]):
+        tri = pts[list(t)]
         if geom.triangle_areas([tri])[0] < 1e-14:
             continue
-        lo = [grid_index(float(tri[:, a].min()), vs) for a in range(3)]
-        hi = [grid_index(float(tri[:, a].max()), vs) for a in range(3)]
+        lo = grid_index(tri.min(axis=0), vs)
+        hi = grid_index(tri.max(axis=0), vs)
         axes = [np.arange(lo[a], hi[a] + 1) for a in range(3)]
-        gx, gy, gz = np.meshgrid(*axes, indexing="ij")
-        cand = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-        centers = (cand + 0.5) * vs
-        hitmask = geom.tri_box_overlap_strict(tri, centers, half)
-        for k in cand[hitmask]:
-            keys.add(tuple(int(v) for v in k))
+        cand = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+        # a few thousand boxes at a time keep the test's temporaries small
+        for part in np.array_split(cand, len(cand) // 4096 + 1):
+            hit = geom.tri_box_overlap_strict(tri, part * vs, (part + 1) * vs)
+            keys.update(map(tuple, part[hit].tolist()))
     return sorted(keys)
 
 

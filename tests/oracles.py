@@ -100,6 +100,81 @@ def dda_traverse(origin, endpoint, vs):
                 tmax[ax] = (nxt[ax] * vs - o[ax]) / d[ax]
 
 
+def clip_polygon_halfplane_2d(poly, a, b, c):
+    """Sutherland-Hodgman step: keep the region a*x + b*y <= c."""
+    out = []
+    n = len(poly)
+    for i in range(n):
+        p = poly[i]
+        q = poly[(i + 1) % n]
+        dp = a * p[0] + b * p[1] - c
+        dq = a * q[0] + b * q[1] - c
+        if dp <= 0.0:
+            out.append((float(p[0]), float(p[1])))
+            if dq > 0.0:
+                t = dp / (dp - dq)
+                out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+        elif dq <= 0.0:
+            t = dp / (dp - dq)
+            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+    return out
+
+
+def clip_polygon_box_2d(poly, xmin, ymin, xmax, ymax):
+    """Clip a polygon to an axis-aligned box; returns the clipped vertex list."""
+    out = list(poly)
+    for a, b, c in ((-1.0, 0.0, -xmin), (1.0, 0.0, xmax), (0.0, -1.0, -ymin), (0.0, 1.0, ymax)):
+        if not out:
+            return []
+        out = clip_polygon_halfplane_2d(out, a, b, c)
+    return out
+
+
+def _area_2d(poly):
+    """Shoelace area about the first vertex, so that faces far from the
+    origin keep their small cell areas."""
+    if len(poly) < 3:
+        return 0.0
+    x, y = (np.asarray(poly, dtype=float) - poly[0]).T
+    return 0.5 * float(x @ np.roll(y, -1) - y @ np.roll(x, -1))
+
+
+def aligned_face_voxels(face, vs):
+    """Voxel keys of a face lying exactly in a grid plane, by area: the
+    cells of the voxel layer on the inner (negative normal) side where the
+    outer ring, clipped to the cell, covers more than 1e-9 vs^2 beyond
+    what the clipped holes cover. None when the face is off the grid
+    planes."""
+    outer = np.asarray(face.outer.points, dtype=float)
+    area = 0.5 * np.cross(outer, np.roll(outer, -1, axis=0)).sum(axis=0)
+    n = area / np.linalg.norm(area)
+    ax = int(np.argmax(np.abs(n)))
+    if abs(abs(float(n[ax])) - 1.0) > 1e-9:
+        return None
+    plane = float(n @ outer[0]) / float(n[ax])
+    k = round(plane / vs)
+    if abs(plane - k * vs) > max(1e-9 * vs, 4 * math.ulp(plane)):
+        return None
+    layer = k - 1 if n[ax] > 0 else k
+    i, j = [a for a in range(3) if a != ax]
+    outer2d = [(p[i], p[j]) for p in face.outer.points]
+    holes2d = [[(p[i], p[j]) for p in r.points] for r in face.inner]
+    xs = [p[0] for p in outer2d]
+    ys = [p[1] for p in outer2d]
+    keys = []
+    for a in range(floor_key(min(xs), vs), floor_key(max(xs), vs) + 1):
+        for b in range(floor_key(min(ys), vs), floor_key(max(ys), vs) + 1):
+            box = (a * vs, b * vs, (a + 1) * vs, (b + 1) * vs)
+            covered = abs(_area_2d(clip_polygon_box_2d(outer2d, *box)))
+            for h in holes2d:
+                covered -= abs(_area_2d(clip_polygon_box_2d(h, *box)))
+            if covered > 1e-9 * vs * vs:
+                key = [0, 0, 0]
+                key[ax], key[i], key[j] = layer, a, b
+                keys.append(tuple(key))
+    return sorted(keys)
+
+
 class ScalarOccupancy:
     """One ray at a time into a dict of cells [log_odds, hit_dist,
     hit_point, pass_dist, pass_endpoint]; distances start at inf and

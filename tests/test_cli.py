@@ -380,18 +380,55 @@ def test_fuse_without_rasters_exits_2(tmp_path, capsys):
     assert "at least one" in capsys.readouterr().err
 
 
-def test_reconstruct_bad_depth_exits_1(tmp_path, capsys):
-    solid_path = tmp_path / "s.txt"
-    write_solid(box_solid("b", (0.0, 0.0, 0.0), (2.0, 2.0, 2.0)), solid_path)
-    inst_path = tmp_path / "i.txt"
-    write_instances([OpeningInstance("wall_front", (0.5, 0.5, 1.5, 1.5),
-                                     "window", 0.9)], inst_path)
-    rc = cli.main(["reconstruct", "--solid", str(solid_path),
-                   "--instances", str(inst_path), "--depth", "-1",
-                   "--out-model", str(tmp_path / "m.txt"),
-                   "--out-gml", str(tmp_path / "m.gml")])
-    assert rc == 1
-    assert "depth" in capsys.readouterr().err
+# each option names a PipelineConfig field and takes its range rule
+OUT_OF_RANGE = [
+    ("conflicts", "--cell", "0"),
+    ("conflicts", "--cell", "-1"),
+    ("project-points", "--cell", "0"),
+    ("project-points", "--band", "-1"),
+    ("project-image", "--cell", "0"),
+    ("evaluate", "--iou-min", "0"),
+    ("evaluate", "--iou-min", "2"),
+    ("evaluate", "--samples", "0"),
+    ("reconstruct", "--depth", "0"),
+    ("reconstruct", "--depth", "-1"),
+    ("reconstruct", "--margin", "-1"),
+]
+
+
+@pytest.mark.parametrize("stage, flag, value", OUT_OF_RANGE,
+                         ids=[f"{s}{f}={v}" for s, f, v in OUT_OF_RANGE])
+def test_out_of_range_option_exits_2(scene_dir, artifacts_dir, tmp_path,
+                                     capsys, stage, flag, value):
+    out = tmp_path / "out.txt"
+    face = ["--solid", str(scene_dir / "solid.txt"), "--face", "wall_front",
+            "--out", str(out)]
+    inputs = {
+        "conflicts": ["--tree", str(artifacts_dir / "tree.txt"), *face],
+        "project-points": ["--points", str(scene_dir / "points.txt"), *face],
+        "project-image": ["--image", str(scene_dir / "image.txt"),
+                          "--correspondences",
+                          str(scene_dir / "correspondences.txt"), *face],
+        # a same-face prediction that overlaps nothing
+        "evaluate": ["--pred", str(tmp_path / "pred.txt"),
+                     "--gt", str(scene_dir / "gt_instances.txt"),
+                     "--model", str(artifacts_dir / "model.txt"),
+                     "--gt-model", str(artifacts_dir / "model.txt"),
+                     "--out", str(out)],
+        "reconstruct": ["--solid", str(scene_dir / "solid.txt"),
+                        "--instances", str(artifacts_dir / "instances.txt"),
+                        "--out-model", str(out),
+                        "--out-gml", str(tmp_path / "m.gml")],
+    }
+    write_instances([OpeningInstance("wall_front", (8.0, 0.2, 9.0, 1.0),
+                                     "window", 0.9)], tmp_path / "pred.txt")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([stage, *inputs[stage], flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_evaluate_empty_inputs_exit_1(tmp_path, capsys):

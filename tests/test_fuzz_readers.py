@@ -1,10 +1,12 @@
-"""Fuzzed files of every numeric-table format through `cli.main`: rays,
-tree, raster, pixel grid, correspondences and labeled points.
+"""Fuzzed files through `cli.main`: every numeric-table format (rays,
+tree, raster, pixel grid, correspondences and labeled points) and the
+solid and instance formats, whose lines lead with a keyword.
 
 Each example breaks one line of a valid synth file: a NaN or infinite
-token, a truncated line, a dropped column, a huge value, or bytes that
-are not UTF-8. The run must end in exit 1 or 2 with an `error:` line,
-and nothing may escape as an exception.
+token, a wrong keyword or `key=value` field, a truncated line, a dropped
+column, a huge value, or bytes that are not UTF-8. The run must end in
+exit 1 or 2 with an `error:` line, and nothing may escape as an
+exception.
 """
 
 import contextlib
@@ -35,7 +37,20 @@ FORMATS = {
     "correspondences": {token: range(4) for token in ("nan", "inf", "-inf", "1e999")},
     "points": {**{token: range(11) for token in ("nan", "inf", "-inf", "1e999")},
                "-0.5": range(3, 11), "1.5": range(3, 11)},
+    # an `outer` line of the box prior: any other value at a coordinate
+    # opens the shell
+    "solid": {**{token: range(1, 13) for token in (
+                  "nan", "inf", "-inf", "1e999", "x", "0.5", "-7")},
+              **{word: [0] for word in ("inner", "face", "end", "solid", "tri")}},
+    # an `opening` line: the four rect numbers close it, fields lead
+    "instances": {**{token: range(5, 8) for token in ("nan", "inf", "1e999", "-1")},
+                  "x": range(8), "opening=": [0], "face=nowhere": [1],
+                  "label=wall": [2], "conf=2": [3], "conf=nan": [3],
+                  "rect=inf": [4], "rect=x": [4]},
 }
+
+# the lines a token replacement hits in a keyword format
+KEYWORD_LINES = {"solid": ("outer",), "instances": ("opening",)}
 
 # first words of the header lines a mutation leaves alone
 HEADERS = ("#", "voxels", "facade_raster", "pixel_grid", "origin", "u ", "v ",
@@ -80,6 +95,11 @@ def _run(scene, kind):
         "image": project_image,
         "correspondences": project_image,
         "points": ["project-points", "--points", str(bad), *face],
+        "solid": ["conflicts", "--tree", str(scene / "tree.txt"),
+                  "--solid", str(bad), "--face", "wall_front", "--out", out],
+        "instances": ["reconstruct", "--solid", str(scene / "solid.txt"),
+                      "--instances", str(bad), "--out-model", out,
+                      "--out-gml", str(scene / "out.gml")],
     }[kind]
 
 
@@ -94,10 +114,12 @@ def mutations(draw, kind):
     return draw(st.integers(0, 10_000)), how, draw(st.integers(0, 10_000))
 
 
-def _break(text: str, line_index: int, how: str, arg) -> bytes:
+def _break(text: str, line_index: int, how: str, arg, keywords=None) -> bytes:
     lines = text.splitlines()
     data = [i for i, line in enumerate(lines)
-            if line.strip() and not line.startswith(HEADERS)]
+            if line.strip() and not line.startswith(HEADERS)
+            and (how != "token" or keywords is None
+                 or line.split()[0] in keywords)]
     i = data[line_index % len(data)]
     tokens = lines[i].split()
     if how == "token":
@@ -120,7 +142,8 @@ def _break(text: str, line_index: int, how: str, arg) -> bytes:
 
 def _check_exit(scene, kind, mutation):
     bad, argv = _run(scene, kind)
-    bad.write_bytes(_break((scene / f"{kind}.txt").read_text(), *mutation))
+    bad.write_bytes(_break((scene / f"{kind}.txt").read_text(), *mutation,
+                           KEYWORD_LINES.get(kind)))
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
@@ -163,3 +186,23 @@ def test_broken_correspondences_exit_with_an_error_line(evidence, mutation):
 @given(mutation=mutations("points"))
 def test_broken_labeled_points_exit_with_an_error_line(evidence, mutation):
     _check_exit(evidence, "points", mutation)
+
+
+@pytest.fixture(scope="module")
+def prior(files):
+    """The fuzz scene with its ground-truth openings as instances.txt."""
+    (files / "instances.txt").write_bytes(
+        (files / "gt_instances.txt").read_bytes())
+    return files
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutation=mutations("solid"))
+def test_broken_solid_exits_with_an_error_line(prior, mutation):
+    _check_exit(prior, "solid", mutation)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutation=mutations("instances"))
+def test_broken_instances_exit_with_an_error_line(prior, mutation):
+    _check_exit(prior, "instances", mutation)

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
+import oracles
 from lod3recon import geom
 
 
@@ -82,13 +83,13 @@ def test_point_in_polygon_concave():
 
 def test_clip_polygon_box():
     big = [(-0.5, -0.5), (1.5, -0.5), (1.5, 1.5), (-0.5, 1.5)]
-    out = geom.clip_polygon_box_2d(big, 0, 0, 1, 1)
+    out = oracles.clip_polygon_box_2d(big, 0, 0, 1, 1)
     assert geom.polygon_area_2d(out) == pytest.approx(1.0)
     inside = [(0.2, 0.2), (0.8, 0.2), (0.5, 0.9)]
-    out = geom.clip_polygon_box_2d(inside, 0, 0, 1, 1)
+    out = oracles.clip_polygon_box_2d(inside, 0, 0, 1, 1)
     assert geom.polygon_area_2d(out) == pytest.approx(geom.polygon_area_2d(inside))
     outside = [(2, 2), (3, 2), (3, 3)]
-    assert geom.clip_polygon_box_2d(outside, 0, 0, 1, 1) == []
+    assert oracles.clip_polygon_box_2d(outside, 0, 0, 1, 1) == []
 
 
 def test_segment_distance_2d():
@@ -142,6 +143,32 @@ def test_triangulate_hole_occlusion():
         [(7, 1.25), (8, 1.25), (8, 2.25), (7, 2.25)],
     ]
     _check_triangulation(outer, holes)
+
+
+@pytest.mark.parametrize("holes", [
+    # two holes meeting at (2, 2) along either diagonal, and a third
+    # touching the second at (3, 3)
+    [[(1, 1), (2, 1), (2, 2), (1, 2)], [(2, 2), (3, 2), (3, 3), (2, 3)]],
+    [[(1, 2), (2, 2), (2, 3), (1, 3)], [(2, 1), (3, 1), (3, 2), (2, 2)]],
+    [[(1, 1), (2, 1), (2, 2), (1, 2)], [(2, 2), (3, 2), (3, 3), (2, 3)],
+     [(3, 3), (3.5, 3), (3.5, 3.5), (3, 3.5)]],
+])
+def test_triangulate_holes_touching_at_a_vertex(holes):
+    _check_triangulation([(0, 0), (4, 0), (4, 4), (0, 4)], holes)
+
+
+def test_tri_box_strict_touch_far_from_origin():
+    # a box face lies on the product grid line k * vs; the triangle ends
+    # exactly there, where centre-plus-half arithmetic is off by an ulp
+    vs = 0.1
+    lo = np.array([[4999997 * vs, 53999978 * vs, 0.0]])
+    hi = np.array([[4999998 * vs, 53999979 * vs, vs]])
+    y = lo[0, 1]
+    tri = [(lo[0, 0] - 1.0, y - 1.0, 0.05), (lo[0, 0] + 1.0, y, 0.05),
+           (lo[0, 0] - 1.0, y, 0.05)]
+    assert not geom.tri_box_overlap_strict(tri, lo, hi)[0]
+    tri[1] = (lo[0, 0] + 1.0, y + 1e-6, 0.05)
+    assert geom.tri_box_overlap_strict(tri, lo, hi)[0]
 
 
 def test_triangulate_rejects_outside_hole():
@@ -249,7 +276,7 @@ def test_tri_box_strict_against_clipping_oracle():
     mism = 0
     for _ in range(400):
         tri = rng.integers(-8, 13, size=(3, 3)) * 0.25
-        got = geom.tri_box_overlap_strict(tri, centers, 0.5)
+        got = geom.tri_box_overlap_strict(tri, centers - 0.5, centers + 0.5)
         want = [_oracle_tri_box(tri, c, 0.5) for c in centers]
         if not np.array_equal(got, np.asarray(want)):
             mism += 1
@@ -257,17 +284,16 @@ def test_tri_box_strict_against_clipping_oracle():
 
 
 def test_tri_box_strict_touch_cases():
-    half = 0.5
     # triangle exactly in the plane x=1: neither neighbour overlaps
     tri = [(1, 0.2, 0.2), (1, 0.8, 0.2), (1, 0.5, 0.8)]
-    got = geom.tri_box_overlap_strict(tri, [[0.5, 0.5, 0.5], [1.5, 0.5, 0.5]], half)
+    got = geom.tri_box_overlap_strict(tri, [[0, 0, 0], [1, 0, 0]], [[1, 1, 1], [2, 1, 1]])
     assert not got.any()
     # vertex touching a box corner only
     tri = [(1, 1, 1), (2, 1, 1), (1, 2, 1)]
-    assert not geom.tri_box_overlap_strict(tri, [[0.5, 0.5, 0.5]], half)[0]
+    assert not geom.tri_box_overlap_strict(tri, [[0, 0, 0]], [[1, 1, 1]])[0]
     # triangle crossing the interior
     tri = [(0.1, 0.1, 0.1), (0.9, 0.2, 0.3), (0.4, 0.8, 0.9)]
-    assert geom.tri_box_overlap_strict(tri, [[0.5, 0.5, 0.5]], half)[0]
+    assert geom.tri_box_overlap_strict(tri, [[0, 0, 0]], [[1, 1, 1]])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,19 @@ def test_validate_detects_inner_ring_winding():
     assert any("wind opposite" in v for v in model_io.validate_solid(bad))
 
 
+def test_validate_detects_hole_outside_its_face():
+    # a plugged hole beside the wall keeps the shell closed, but the wall
+    # cannot be triangulated
+    s = model_io.box_solid("b", (0, 0, 0), (3, 1, 1))
+    hole = ((4.0, 0.0, 0.2), (4.0, 0.0, 0.6), (4.5, 0.0, 0.6), (4.5, 0.0, 0.2))
+    faces = [f if f.face_id != "wall_front" else
+             Face(f.face_id, f.label, f.outer, (Ring(hole),)) for f in s.faces]
+    faces.append(Face("plug", "closure", Ring(hole[::-1])))
+    bad = BuildingSolid("b", 2, tuple(faces))
+    assert any("not inside the outer ring" in v
+               for v in model_io.validate_solid(bad))
+
+
 def test_validate_detects_duplicate_face_ids():
     s = model_io.box_solid("b", (0, 0, 0), (1, 1, 1))
     faces = list(s.faces) + [s.faces[0]]

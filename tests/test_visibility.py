@@ -6,10 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
+import oracles
 from lod3recon import rasters, visibility
 from lod3recon.errors import DomainError
-from lod3recon.model_io import Face, Ring
+from lod3recon.model_io import Face, Ring, box_solid
 from lod3recon.occupancy import build_occupancy
+from lod3recon.synth import SceneSpec, scene_solid
 from lod3recon.visibility import (UncertaintyConfig, joint_state_probability,
                                   positioning_confidence,
                                   positioning_probability, surface_voxels)
@@ -207,6 +209,101 @@ def test_surface_voxels_rotated_face_matches_clip_oracle():
         got = surface_voxels(face, 0.25)
         want = _oracle_face_voxels(face, 0.25)
         assert got == want
+
+
+# ---------------------------------------------------------------------------
+# grid-plane faces against the area oracle
+
+# the front scene's default prior and the block scene's 16 x 10 x 6 m box
+SYNTH_PRIORS = (scene_solid(SceneSpec()),
+                scene_solid(SceneSpec(width=16.0, height=6.0, depth=10.0)))
+FAR = (5e5, 5.4e6, 0.0)
+
+
+def _assert_matches_area_oracle(face, vs):
+    want = oracles.aligned_face_voxels(face, vs)
+    assert want is not None, "face must lie in a grid plane"
+    assert surface_voxels(face, vs) == want
+
+
+@pytest.mark.parametrize("vs", [0.1, 0.2, 0.25])
+@pytest.mark.parametrize("solid", SYNTH_PRIORS, ids=["front", "block"])
+def test_synth_prior_faces_match_area_oracle(solid, vs):
+    for face in solid.faces:
+        _assert_matches_area_oracle(face, vs)
+
+
+@pytest.mark.parametrize("origin", [FAR, (-5e5, -5.4e6, 0.0), (123.4, -77.7, 3.3)])
+def test_offset_box_faces_match_area_oracle(origin):
+    for face in box_solid("b", origin, (3.3, 2.2, 1.1)).faces:
+        _assert_matches_area_oracle(face, 0.1)
+
+
+def test_far_grid_plane_face_takes_the_inner_layer():
+    # -5399997.8 lies one float step above the grid line 53999978 * 0.1,
+    # in the voxel layer outside the box
+    face = box_solid("b", (-5e5, -5.4e6, 0.0), (3.3, 2.2, 1.1)).face("wall_back")
+    assert {k[1] for k in surface_voxels(face, 0.1)} == {-53999979}
+
+
+def _grid_wall(rng, vs, offset, touching):
+    """A wall lying in a grid plane, with a hole in some of the cells of a
+    3 x 3 split of its rectangle. With `touching`, two of the holes meet
+    diagonally at a single vertex. Corners are either grid products
+    k * vs, so that edges lie on grid lines, or arbitrary. Both windings,
+    every normal axis."""
+    ax = int(rng.integers(3))
+    i, j = rng.permutation([a for a in range(3) if a != ax])
+    snap = bool(rng.integers(2))
+    slot = rng.integers(3, 6, size=2)          # cells per third
+    size = 3 * slot
+
+    def corner(lo, hi):
+        # a coordinate strictly inside (lo, hi), in cells
+        return float(rng.integers(lo + 1, hi)) if snap else rng.uniform(lo + 0.1, hi - 0.1)
+
+    holes = []
+    if touching:
+        # both holes end at the node (slot, slot), along either diagonal
+        du = [slot[0] - corner(0, slot[0]), corner(0, slot[0])]
+        dv = [slot[1] - corner(0, slot[1]), corner(0, slot[1])]
+        s = 1 if rng.integers(2) else -1
+        holes.append((slot[0] - du[0], slot[1] - s * dv[0], slot[0], slot[1]))
+        holes.append((slot[0], slot[1], slot[0] + du[1], slot[1] + s * dv[1]))
+    for k in rng.permutation(9)[:int(rng.integers(0, 3 if touching else 4))]:
+        a, b = divmod(int(k), 3)
+        if touching and a < 2 and b < 2:
+            continue  # keep clear of the touching pair
+        u = sorted(corner(a * slot[0], (a + 1) * slot[0]) for _ in range(2))
+        v = sorted(corner(b * slot[1], (b + 1) * slot[1]) for _ in range(2))
+        if u[0] < u[1] and v[0] < v[1]:
+            holes.append((u[0], v[0], u[1], v[1]))
+    base = [round(o / vs) + int(rng.integers(-20, 20)) for o in offset]
+    ccw = bool(rng.integers(2))
+
+    def ring(rect, ccw):
+        u0, v0, u1, v1 = (min(rect[0], rect[2]), min(rect[1], rect[3]),
+                          max(rect[0], rect[2]), max(rect[1], rect[3]))
+        uv = [(u0, v0), (u1, v0), (u1, v1), (u0, v1)]
+        pts = []
+        for u, v in (uv if ccw else uv[::-1]):
+            p = [0.0, 0.0, 0.0]
+            p[ax] = base[ax] * vs
+            p[i], p[j] = (base[i] + u) * vs, (base[j] + v) * vs
+            pts.append(tuple(p))
+        return Ring(tuple(pts))
+
+    return Face("w", "wall", ring((0, 0, size[0], size[1]), ccw),
+                tuple(ring(h, not ccw) for h in holes))
+
+
+@pytest.mark.parametrize("offset", [(0.0, 0.0, 0.0), FAR], ids=["near", "far"])
+@pytest.mark.parametrize("touching", [False, True], ids=["apart", "touching"])
+def test_random_grid_walls_match_area_oracle(offset, touching):
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        vs = float(rng.choice([0.05, 0.1, 0.2, 0.25]))
+        _assert_matches_area_oracle(_grid_wall(rng, vs, offset, touching), vs)
 
 
 # ---------------------------------------------------------------------------
