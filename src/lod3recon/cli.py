@@ -39,7 +39,8 @@ from .reconstruct import (read_model, reconstruct_model, write_citygml,
                           write_model)
 from .synth import SceneSpec, SynthOpening, synth_scene
 from .textio import key_values, writing
-from .visibility import UncertaintyConfig, project_conflict_map
+from .visibility import (UncertaintyConfig, project_conflict_map,
+                         surface_voxels)
 
 
 def _range(test, rule: str) -> dict:
@@ -227,15 +228,16 @@ def run_pipeline(config: PipelineConfig) -> dict:
     os.makedirs(out, exist_ok=True)
     artifacts: dict = {"out_dir": out, "metrics": {}}
 
-    with _stage("raycast"):
-        rays = read_rays(config.rays)
-        tree = build_occupancy(rays, config.occupancy)
-        artifacts["tree"] = os.path.join(out, "tree.txt")
-        write_tree(tree, artifacts["tree"])
     with _stage("prior"):
         solid = _read_prior(config.solid)
-    face_ids = config.faces or tuple(
-        f.face_id for f in solid.faces if f.label == "wall")
+    with _stage("faces"):
+        faces = _faces(solid, config.faces)
+        surface = _surface(faces, config.occupancy.voxel_size)
+    with _stage("raycast"):
+        rays = read_rays(config.rays)
+        tree = build_occupancy(rays, surface, config.occupancy)
+        artifacts["tree"] = os.path.join(out, "tree.txt")
+        write_tree(tree, artifacts["tree"])
     points = probs = None
     if config.points:
         with _stage("project-points"):
@@ -252,13 +254,11 @@ def run_pipeline(config: PipelineConfig) -> dict:
         templates = _templates(config.templates)
 
     instances = []
-    for face_id in face_ids:
-        with _stage("faces"):
-            face = _face(solid, face_id)
+    for face_id, face in faces.items():
         frame = facade_frame(face, config.raster_cell)
         with _stage("conflicts"):
-            conflict = project_conflict_map(tree, face, config.uncertainty,
-                                            frame)
+            conflict = project_conflict_map(tree, face, surface[face_id],
+                                            config.uncertainty, frame)
             path = os.path.join(out, f"conflict_{face_id}.txt")
             write_raster(conflict, path)
             artifacts[f"conflict_{face_id}"] = path
@@ -341,6 +341,19 @@ def _face(solid, face_id):
         raise ConfigError(f"solid has no face {face_id!r}")
 
 
+def _faces(solid, face_ids) -> dict:
+    """Face id -> face for `face_ids`, or for every wall of the prior when
+    none are given."""
+    face_ids = face_ids or [f.face_id for f in solid.faces if f.label == "wall"]
+    return {face_id: _face(solid, face_id) for face_id in face_ids}
+
+
+def _surface(faces: dict, voxel_size: float) -> dict:
+    """Face id -> the face's surface voxel keys."""
+    return {face_id: surface_voxels(face, voxel_size)
+            for face_id, face in faces.items()}
+
+
 def _score(pred, gt, measured, models, settings) -> dict:
     """Detection metrics against `gt` (`measured`: its laser-seen subset, or
     None), plus surface metrics for a (predicted, ground-truth) model pair.
@@ -372,7 +385,9 @@ def _score(pred, gt, measured, models, settings) -> dict:
 
 def _cmd_raycast(args) -> int:
     config = _from_args(OccupancyConfig, args)
-    tree = build_occupancy(read_rays(args.rays), config)
+    rays = read_rays(args.rays)
+    faces = _faces(_read_prior(args.solid), args.face)
+    tree = build_occupancy(rays, _surface(faces, config.voxel_size), config)
     write_tree(tree, args.out)
     print(f"wrote {args.out} ({len(tree)} voxels)")
     return 0
@@ -389,8 +404,12 @@ def _face_frame(args, voxel_size: float):
 def _cmd_conflicts(args) -> int:
     config = _from_args(UncertaintyConfig, args)
     tree = read_tree(args.tree)
+    if args.face not in tree.faces:
+        raise ParseError(f"{args.tree}: built for faces "
+                         f"{', '.join(tree.faces) or '(none)'}, not {args.face!r}")
     face, frame = _face_frame(args, tree.config.voxel_size)
-    write_raster(project_conflict_map(tree, face, config, frame), args.out)
+    keys = surface_voxels(face, tree.config.voxel_size)
+    write_raster(project_conflict_map(tree, face, keys, config, frame), args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -576,8 +595,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "rays, an LoD2 prior, and semantic probability maps.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("raycast", help="integrate rays into an occupancy grid")
+    p = sub.add_parser("raycast",
+                       help="integrate rays into the occupancy grid of the "
+                            "prior's surface voxels",
+                       description="--face defaults to every wall, as in the "
+                                   "pipeline.")
     p.add_argument("--rays", required=True)
+    p.add_argument("--solid", required=True)
+    p.add_argument("--face", action="append",
+                   help="face whose surface voxels the tree keeps; repeatable")
     p.add_argument("--out", required=True)
     _add_options(p, OccupancyConfig)
     p.set_defaults(func=_cmd_raycast)

@@ -214,11 +214,13 @@ def write_metrics(metrics: dict, path) -> None:
 
 
 def read_metrics(path) -> dict:
-    return {key: _parse_value(value)
-            for key, value in textio.key_values(path).items()}
+    return textio.key_values(path, _parse_value)
 
 
 def _parse_value(text: str):
+    """true or false, an int, a float, or else the text; never empty."""
+    if not text:
+        raise ValueError("empty value")
     if text == "true":
         return True
     if text == "false":

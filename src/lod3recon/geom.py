@@ -323,7 +323,8 @@ def tri_box_overlap_strict(tri, lo, hi) -> np.ndarray:
     contact (shared plane, edge, or vertex with no interior overlap)
     counts as no overlap, so triangles lying exactly on a voxel face
     select neither neighbor. Every separation test carries a slack of
-    1e-9 of its own projection radius, so exact contacts that pick up a
+    1e-9 of its own projection radius, or of a few float steps of the
+    coordinates far from the origin, so exact contacts that pick up a
     rounding residual still count as touching. Each box is tested in
     coordinates relative to its lower corner: a vertex on a box corner or
     face stays exactly there however far from the origin the box lies.
@@ -331,6 +332,7 @@ def tri_box_overlap_strict(tri, lo, hi) -> np.ndarray:
     tri = np.asarray(tri, dtype=float)
     lo = np.atleast_2d(np.asarray(lo, dtype=float))
     size = np.atleast_2d(np.asarray(hi, dtype=float)) - lo
+    step = 4 * np.spacing(max(np.abs(tri).max(), np.abs(lo).max()))
     verts = [v - lo for v in tri]
     # the box axes, the triangle normal and the nine edge cross axes
     axes = [*np.eye(3), np.cross(tri[1] - tri[0], tri[2] - tri[0])]
@@ -343,7 +345,7 @@ def tri_box_overlap_strict(tri, lo, hi) -> np.ndarray:
         p0, p1, p2 = (v @ a for v in verts)
         box_lo = size @ np.minimum(a, 0.0)
         box_hi = size @ np.maximum(a, 0.0)
-        slack = 0.5e-9 * (box_hi - box_lo)
+        slack = np.maximum(0.5e-9 * (box_hi - box_lo), step * np.abs(a).sum())
         sep |= ((np.minimum(np.minimum(p0, p1), p2) >= box_hi - slack)
                 | (np.maximum(np.maximum(p0, p1), p2) <= box_lo + slack))
     return ~sep

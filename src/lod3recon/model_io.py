@@ -150,6 +150,9 @@ def validate_solid(solid: BuildingSolid, tol: float = 1e-6) -> list:
         if f.face_id in seen:
             violations.append(f"duplicate face id {f.face_id!r}")
         seen.add(f.face_id)
+        if "," in f.face_id:
+            # the occupancy tree's header separates face ids with ','
+            violations.append(f"face id {f.face_id!r} contains ','")
         if f.label not in FACE_LABELS:
             violations.append(f"face {f.face_id}: unknown label {f.label!r}")
         try:

@@ -1,17 +1,21 @@
 """Probabilistic occupancy grid built by casting laser rays.
 
-The grid is a column store. `OccupancyTree` holds the integer keys of
-the voxels some ray reached, sorted lexicographically, and parallel to
-them the clamped log-odds occupancy and the evidence needed when voxels
-are later weighed against the building prior: the hit endpoint nearest
-the voxel center, and the endpoint of the passing ray that lands
-closest beyond the voxel along the ray. A distance of +inf marks
-evidence that never arrived; its point is then zero.
+The grid is a column store restricted to the voxels asked for, in
+practice the surface voxels of the prior's faces: nothing else reads
+the evidence. `OccupancyTree` holds the integer keys of those voxels
+some ray reached, sorted lexicographically, and parallel to them the
+clamped log-odds occupancy and the evidence needed when voxels are
+later weighed against the building prior: the hit endpoint nearest the
+voxel center, and the endpoint of the passing ray that lands closest
+beyond the voxel along the ray. A distance of +inf marks evidence that
+never arrived; its point is then zero.
 
 `build_occupancy` integrates the rays with numpy in chunks of about
 `CHUNK_UPDATES` voxel updates, which bounds the temporary memory
-whatever the ray count. The result is bit for bit that of integrating
-the rays one at a time in file order:
+whatever the ray count. A voxel's values depend on its own updates
+only, so dropping the updates of other voxels changes no kept voxel.
+The result is bit for bit that of integrating the rays one at a time in
+file order:
 
 - Traversal (Amanatides & Woo 1987): a segment crosses boundary n of an
   axis at t = (n * voxel_size - o) / d, computed from the integer index
@@ -26,7 +30,9 @@ the rays one at a time in file order:
   centers onto the ray and the hit distances are one BLAS call per ray,
   on arrays shaped as for that ray alone. BLAS kernels sum in an order
   that depends on the shape, so batched or elementwise forms differ in
-  the last bit, which the tree file would show.
+  the last bit, which the tree file would show. Updates of voxels not
+  asked for are therefore dropped after these calls; only the calls of
+  rays with no kept update are skipped.
 """
 
 from __future__ import annotations
@@ -204,7 +210,8 @@ class OccupancyTree:
     `hit_dist` is the distance from the voxel center to the nearest hit
     endpoint `hit_point`; `pass_dist` is how far beyond the voxel center,
     along the ray, the closest passing ray ended, at `pass_point`. An
-    infinite distance marks evidence that never arrived.
+    infinite distance marks evidence that never arrived. `faces` names
+    the prior's faces whose surface voxels the tree was built for.
     """
     config: OccupancyConfig
     keys: np.ndarray          # (n, 3) int64
@@ -213,20 +220,22 @@ class OccupancyTree:
     hit_point: np.ndarray     # (n, 3)
     pass_dist: np.ndarray     # (n,)
     pass_point: np.ndarray    # (n, 3)
+    faces: tuple
 
     def __len__(self):
         return len(self.keys)
 
     def find(self, keys) -> np.ndarray:
         """Row of each key, -1 where no ray reached the voxel."""
-        table = _records(self.keys)
-        query = _records(keys)
-        rows = np.full(len(query), -1, dtype=np.int64)
-        if len(table):
-            pos = np.minimum(np.searchsorted(table, query), len(table) - 1)
-            found = table[pos] == query
-            rows[found] = pos[found]
-        return rows
+        return _rows(_records(self.keys), _records(keys))
+
+
+def _rows(table, query) -> np.ndarray:
+    """Index of each of `query` in the sorted `table`, -1 where absent."""
+    if not len(table):
+        return np.full(len(query), -1, dtype=np.int64)
+    pos = np.minimum(np.searchsorted(table, query), len(table) - 1)
+    return np.where(table[pos] == query, pos, -1)
 
 
 def _records(keys) -> np.ndarray:
@@ -235,10 +244,13 @@ def _records(keys) -> np.ndarray:
     return keys.view(_KEY).ravel()
 
 
-def build_occupancy(rays, config: OccupancyConfig | None = None) -> OccupancyTree:
+def build_occupancy(rays, surface: dict,
+                    config: OccupancyConfig | None = None) -> OccupancyTree:
     """Integrate rays, an (n, 7) array of origin, endpoint and hit flag,
-    in order. A ray longer than `max_range` is cut there and counts as a
-    miss."""
+    in order, into the voxels of `surface`, face id -> (m, 3) integer
+    keys; the updates of every other voxel are dropped, and the tree
+    covers those faces. A ray longer than `max_range` is cut there and
+    counts as a miss."""
     cfg = config or OccupancyConfig()
     vs = cfg.voxel_size
     rays = np.asarray(rays, dtype=float).reshape(-1, 7)
@@ -256,69 +268,78 @@ def build_occupancy(rays, config: OccupancyConfig | None = None) -> OccupancyTre
     start, end = grid_index(o, vs), grid_index(e, vs)
 
     # keys packed into one int64, offset to the rays' bounding box, sort
-    # lexicographically
+    # lexicographically; no ray reaches a key outside the box, and packed
+    # it would alias one inside
     corners = np.vstack([start, end]) if len(rays) else np.zeros((1, 3), np.int64)
     low = corners.min(axis=0)
     span = [int(v) + 1 for v in corners.max(axis=0) - low]
     if span[0] * span[1] * span[2] >= 2 ** 63:
         raise DomainError("rays span more voxels than 64-bit keys can address")
     scale = np.array([span[1] * span[2], span[2], 1], dtype=np.int64)
+    keys = np.concatenate([np.empty((0, 3), np.int64), *(
+        np.asarray(k, dtype=np.int64).reshape(-1, 3) for k in surface.values())])
+    keys -= low
+    keys = keys[((keys >= 0) & (keys < span)).all(axis=1)]
+    packed, first = np.unique(keys @ scale, return_index=True)
+    keys = keys[first] + low
 
-    packed = np.empty(0, dtype=np.int64)
-    value = np.empty(0)
-    hit_dist, pass_dist = np.empty(0), np.empty(0)
-    hit_point, pass_point = np.empty((0, 3)), np.empty((0, 3))
+    n = len(packed)
+    reached = np.zeros(n, dtype=bool)
+    value = np.zeros(n)
+    hit_dist, pass_dist = np.full(n, np.inf), np.full(n, np.inf)
+    hit_point, pass_point = np.zeros((n, 3)), np.zeros((n, 3))
 
     # a ray's updates: its crossings, the segment from its origin and its
     # hit; at two or more each, a chunk holds at most 2^15 rays
     cost = np.abs(end - start).sum(axis=1) + 2
     chunk = (np.cumsum(cost) - cost) // CHUNK_UPDATES
     bounds = [*np.flatnonzero(np.diff(chunk, prepend=-1)).tolist(), len(rays)]
-    for a, b in itertools.pairwise(bounds):
+    for a, b in itertools.pairwise(bounds if n else ()):
         moving = np.flatnonzero(length[a:b] > 0.0) + a
         seg_ray, seg_key = traverse(o[moving], e[moving], vs)
         seg_ray = moving[seg_ray]
+        seg_slot = _rows(packed, (seg_key - low) @ scale)
+        passed = seg_slot >= 0
         centers = (seg_key + 0.5) * vs
         along = np.empty(len(seg_ray))
         cuts = np.flatnonzero(np.diff(seg_ray, prepend=-1, append=-1))
-        for i, j in itertools.pairwise(cuts.tolist()):
+        # a ray's projections are needed only if it passes a kept voxel,
+        # and then for all its passes, shaped as for that ray alone
+        needed = (np.logical_or.reduceat(passed, cuts[:-1]).tolist()
+                  if len(seg_ray) else [])
+        for i, j in itertools.compress(itertools.pairwise(cuts.tolist()), needed):
             r = seg_ray[i]
             along[i:j] = (centers[i:j] - o[r]) @ ((e[r] - o[r]) / length[r])
-        along = np.abs(length[seg_ray] - along)
+        seg_ray, seg_slot = seg_ray[passed], seg_slot[passed]
+        along = np.abs(length[seg_ray] - along[passed])
         hits = np.flatnonzero(hit[a:b]) + a
+        hit_slot = _rows(packed, (end[hits] - low) @ scale)
+        hits, hit_slot = hits[hit_slot >= 0], hit_slot[hit_slot >= 0]
         hit_gap = np.array([np.linalg.norm(v)
                             for v in (end[hits] + 0.5) * vs - e[hits]])
+        if not len(seg_ray) + len(hits):
+            continue
 
-        # every update of the chunk in ray order, each ray's passes before
-        # its hit, then grouped by voxel; a ray updates a voxel once at most
+        # every kept update of the chunk in ray order, each ray's passes
+        # before its hit, then grouped by voxel; a ray updates a voxel
+        # once at most
         at = np.searchsorted(seg_ray, hits, side="right")
         upd_ray = np.insert(seg_ray, at, hits)
-        upd_key = (np.insert(seg_key, at, end[hits], axis=0) - low) @ scale
+        slot = np.insert(seg_slot, at, hit_slot)
         is_hit = np.insert(np.zeros(len(seg_ray), dtype=bool), at, True)
         dist = np.insert(along, at, hit_gap)
-        order = np.argsort(upd_key, kind="stable")
-        upd_key, upd_ray, is_hit, dist = (
-            v[order] for v in (upd_key, upd_ray, is_hit, dist))
+        order = np.argsort(slot, kind="stable")
+        slot, upd_ray, is_hit, dist = (
+            v[order] for v in (slot, upd_ray, is_hit, dist))
         new_voxel = np.ones(len(order), dtype=bool)
-        new_voxel[1:] = upd_key[1:] != upd_key[:-1]
-        voxels = upd_key[new_voxel]
+        new_voxel[1:] = slot[1:] != slot[:-1]
+        voxels = slot[new_voxel]
         group = np.cumsum(new_voxel) - 1
 
-        pos = np.searchsorted(packed, voxels)
-        known = pos < len(packed)
-        known[known] = packed[pos[known]] == voxels[known]
-        at = pos[~known]
-        packed = np.insert(packed, at, voxels[~known])
-        value = np.insert(value, at, 0.0)
-        hit_dist = np.insert(hit_dist, at, np.inf)
-        pass_dist = np.insert(pass_dist, at, np.inf)
-        hit_point = np.insert(hit_point, at, 0.0, axis=0)
-        pass_point = np.insert(pass_point, at, 0.0, axis=0)
-
-        slot = np.searchsorted(packed, voxels)
+        reached[voxels] = True
         delta = np.where(is_hit, cfg.log_odds_hit, cfg.log_odds_miss)
-        value[slot] = clamped_sums(group, delta, value[slot],
-                                   cfg.log_odds_min, cfg.log_odds_max)
+        value[voxels] = clamped_sums(group, delta, value[voxels],
+                                     cfg.log_odds_min, cfg.log_odds_max)
         # per voxel the first update, in ray order, at the smallest distance
         starts = np.flatnonzero(new_voxel)
         for kind, best_dist, best_point in ((is_hit, hit_dist, hit_point),
@@ -329,17 +350,14 @@ def build_occupancy(rays, config: OccupancyConfig | None = None) -> OccupancyTre
             first = np.ones(len(best), dtype=bool)
             first[1:] = group[best][1:] != group[best][:-1]
             best = best[first]
-            s = slot[group[best]]
+            s = voxels[group[best]]
             closer = d[best] < best_dist[s]
             best_dist[s[closer]] = d[best][closer]
             best_point[s[closer]] = e[upd_ray[best][closer]]
 
-    keys = np.empty((len(packed), 3), dtype=np.int64)
-    rest = packed
-    for ax in range(3):
-        keys[:, ax], rest = np.divmod(rest, scale[ax])
-    return OccupancyTree(cfg, keys + low, value, hit_dist, hit_point,
-                         pass_dist, pass_point)
+    return OccupancyTree(cfg, keys[reached], value[reached], hit_dist[reached],
+                         hit_point[reached], pass_dist[reached],
+                         pass_point[reached], tuple(surface))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +380,8 @@ def write_rays(rays, path) -> None:
 
 def write_tree(tree: OccupancyTree, path) -> None:
     textio.write_table(
-        path, f"voxels voxel_size={tree.config.voxel_size!r}\n",
+        path, f"voxels voxel_size={tree.config.voxel_size!r} "
+              f"faces={','.join(tree.faces)}\n",
         [tree.keys, tree.log_odds, tree.hit_dist, tree.hit_point,
          tree.pass_dist, tree.pass_point])
 
@@ -378,15 +397,23 @@ def _ascending(keys) -> np.ndarray:
 
 
 def _tree_header(path, lines):
-    """(voxel size, row dtype) from the `voxels voxel_size=<v>` line."""
+    """((voxel size, face ids), row dtype) from the
+    `voxels voxel_size=<v> faces=<id>,...` line."""
     if not lines:
         raise ParseError(f"{path}: empty file")
     [(no, head)] = lines
     tok = head.split()
-    if len(tok) != 2 or tok[0] != "voxels":
-        raise ParseError(f"{path}:{no}: expected 'voxels voxel_size=<v>'")
+    if len(tok) != 3 or tok[0] != "voxels":
+        raise ParseError(f"{path}:{no}: expected 'voxels voxel_size=<v> "
+                         f"faces=<id>,...'")
     vs = textio.floats([textio.kv(tok[1], "voxel_size", path, no)], path, no)
-    return textio.finite(vs, "voxel size", path, no)[0], _TREE_ROW
+    faces = textio.kv(tok[2], "faces", path, no)
+    faces = tuple(faces.split(",")) if faces else ()
+    if "" in faces:
+        raise ParseError(f"{path}:{no}: empty face id")
+    if len(set(faces)) < len(faces):
+        raise ParseError(f"{path}:{no}: repeated face id")
+    return (textio.finite(vs, "voxel size", path, no)[0], faces), _TREE_ROW
 
 
 def _tree_checks(table):
@@ -401,13 +428,14 @@ def _tree_checks(table):
 
 
 def read_tree(path) -> OccupancyTree:
-    """The `voxels voxel_size=<v>` header, then one line per voxel: key,
-    finite log-odds, hit distance and point, pass distance and endpoint.
-    A distance is a non-negative number, or +inf for evidence that never
+    """The `voxels voxel_size=<v> faces=<id>,...` header, naming the faces
+    the tree was built for, then one line per voxel: key, finite
+    log-odds, hit distance and point, pass distance and endpoint. A
+    distance is a non-negative number, or +inf for evidence that never
     arrived; only then may its point be non-finite. A key given twice
     keeps its last line."""
-    vs, table = textio.table(path, 1, lambda lines: _tree_header(path, lines),
-                             _tree_checks)
+    (vs, faces), table = textio.table(
+        path, 1, lambda lines: _tree_header(path, lines), _tree_checks)
     keys, vals = table["key"], table["value"]
 
     # write_tree leaves the keys ascending; any other order is sorted,
@@ -421,4 +449,4 @@ def read_tree(path) -> OccupancyTree:
         vals[~np.isfinite(vals[:, d]), d + 1:d + 4] = 0.0
     return OccupancyTree(OccupancyConfig(voxel_size=vs),
                          np.ascontiguousarray(keys), vals[:, 0], vals[:, 1],
-                         vals[:, 2:5], vals[:, 5], vals[:, 6:9])
+                         vals[:, 2:5], vals[:, 5], vals[:, 6:9], faces)

@@ -77,8 +77,10 @@ def kv(token: str, key: str, path, no) -> str:
     return token[len(key) + 1:]
 
 
-def key_values(path) -> dict:
-    """Raw `key = value` pairs; duplicate keys are rejected."""
+def key_values(path, parse=str) -> dict:
+    """`key = value` pairs, each value as `parse` makes it of its text;
+    duplicate keys are rejected, and so is a value `parse` raises a
+    ValueError for."""
     raw = {}
     for no, text in content_lines(path):
         if "=" not in text:
@@ -88,7 +90,10 @@ def key_values(path) -> dict:
             raise ParseError(f"{path}:{no}: empty key")
         if key in raw:
             raise ParseError(f"{path}:{no}: duplicate key {key!r}")
-        raw[key] = value
+        try:
+            raw[key] = parse(value)
+        except ValueError as exc:
+            raise ParseError(f"{path}:{no}: bad value for {key}: {exc}") from exc
     return raw
 
 

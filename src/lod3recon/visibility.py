@@ -134,9 +134,10 @@ class SurfaceVoxel:
     p_conflicted: float
 
 
-def classify_surface_voxels(tree: OccupancyTree, face,
+def classify_surface_voxels(tree: OccupancyTree, face, keys,
                             config: UncertaintyConfig | None = None) -> list:
-    """Score every surface voxel of `face` against the ray evidence.
+    """Score every surface voxel of `face`, `keys` as `surface_voxels`
+    gives them, against the ray evidence.
 
     Occupied voxels are judged by their nearest contributing hit (plane
     agreement and distance to the voxel center); empty voxels by the
@@ -150,7 +151,6 @@ def classify_surface_voxels(tree: OccupancyTree, face,
     occupied = log_odds(cfg.occupied_threshold)
     n, d = face.plane()
     out = []
-    keys = surface_voxels(face, vs)
     for key, row in zip(keys, tree.find(keys).tolist()):
         if row < 0:
             d_state = math.inf
@@ -172,10 +172,11 @@ def classify_surface_voxels(tree: OccupancyTree, face,
     return out
 
 
-def project_conflict_map(tree: OccupancyTree, face,
+def project_conflict_map(tree: OccupancyTree, face, keys,
                          config: UncertaintyConfig | None = None,
                          frame: rasters.FacadeFrame | None = None) -> rasters.FacadeRaster:
-    """Three-channel facade raster (conflicted, confirmed, unknown).
+    """Three-channel facade raster (conflicted, confirmed, unknown) of
+    the face's surface voxels `keys`.
 
     Pixels without any measured surface voxel stay fully unknown. With
     the default max aggregation a pixel takes the scores of its most
@@ -187,7 +188,7 @@ def project_conflict_map(tree: OccupancyTree, face,
         frame = rasters.facade_frame(face, vs)
     raster = rasters.FacadeRaster.zeros(frame, rasters.CONFLICT_CHANNELS)
     raster.data[:, :, 2] = 1.0
-    voxels = classify_surface_voxels(tree, face, cfg)
+    voxels = classify_surface_voxels(tree, face, keys, cfg)
     measured = [sv for sv in voxels if sv.state != "unknown"]
     if not measured:
         return raster

@@ -143,8 +143,9 @@ def aligned_face_voxels(face, vs):
     """Voxel keys of a face lying exactly in a grid plane, by area: the
     cells of the voxel layer on the inner (negative normal) side where the
     outer ring, clipped to the cell, covers more than 1e-9 vs^2 beyond
-    what the clipped holes cover. None when the face is off the grid
-    planes."""
+    what the clipped holes cover, and more than a strip of four float
+    steps of the face's coordinates along a cell side. None when the face
+    is off the grid planes."""
     outer = np.asarray(face.outer.points, dtype=float)
     area = 0.5 * np.cross(outer, np.roll(outer, -1, axis=0)).sum(axis=0)
     n = area / np.linalg.norm(area)
@@ -161,6 +162,8 @@ def aligned_face_voxels(face, vs):
     holes2d = [[(p[i], p[j]) for p in r.points] for r in face.inner]
     xs = [p[0] for p in outer2d]
     ys = [p[1] for p in outer2d]
+    least = max(1e-9 * vs * vs,
+                4 * max(math.ulp(abs(c)) for p in outer for c in p) * vs)
     keys = []
     for a in range(floor_key(min(xs), vs), floor_key(max(xs), vs) + 1):
         for b in range(floor_key(min(ys), vs), floor_key(max(ys), vs) + 1):
@@ -168,7 +171,7 @@ def aligned_face_voxels(face, vs):
             covered = abs(_area_2d(clip_polygon_box_2d(outer2d, *box)))
             for h in holes2d:
                 covered -= abs(_area_2d(clip_polygon_box_2d(h, *box)))
-            if covered > 1e-9 * vs * vs:
+            if covered > least:
                 key = [0, 0, 0]
                 key[ax], key[i], key[j] = layer, a, b
                 keys.append(tuple(key))

@@ -111,7 +111,8 @@ def test_build_config_non_finite_number(value):
 
 def test_non_finite_option_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["raycast", "--rays", "r.txt", "--out", "t.txt", "--vs", "nan"])
+        cli.main(["raycast", "--rays", "r.txt", "--solid", "s.txt", "--out", "t.txt",
+                  "--vs", "nan"])
     assert exc.value.code == 2
     assert "--vs" in capsys.readouterr().err
 
@@ -273,6 +274,50 @@ def test_pipeline_missing_points_names_stage(scene_dir, tmp_path, capsys):
     assert "project-points" in capsys.readouterr().err
 
 
+def test_raycast_keeps_the_surface_voxels_of_its_faces(scene_dir, artifacts_dir,
+                                                      tmp_path):
+    tree = tmp_path / "tree.txt"
+    base = ["raycast", "--rays", str(scene_dir / "rays.txt"),
+            "--solid", str(scene_dir / "solid.txt"), "--out", str(tree)]
+    assert cli.main(base) == 0
+    walls = read_tree(tree)
+    assert walls.faces == ("wall_front", "wall_right", "wall_back", "wall_left")
+    assert cli.main(base + ["--face", "wall_front", "--face", "roof"]) == 0
+    both = read_tree(tree)
+    assert both.faces == ("wall_front", "roof")
+    assert cli.main(base + ["--face", "wall_front"]) == 0
+    assert tree.read_bytes() == (artifacts_dir / "tree.txt").read_bytes()
+    # each voxel reached keeps the same values whichever faces it serves
+    front = read_tree(tree)
+    for other in (walls, both):
+        rows = other.find(front.keys)
+        assert (rows >= 0).all()
+        assert other.log_odds[rows].tolist() == front.log_odds.tolist()
+        assert other.pass_dist[rows].tolist() == front.pass_dist.tolist()
+
+
+def test_raycast_unknown_face_exits_2(scene_dir, tmp_path, capsys):
+    tree = tmp_path / "tree.txt"
+    assert cli.main(["raycast", "--rays", str(scene_dir / "rays.txt"),
+                     "--solid", str(scene_dir / "solid.txt"),
+                     "--face", "wall_nope", "--out", str(tree)]) == 2
+    assert capsys.readouterr().err == (
+        "error: raycast: solid has no face 'wall_nope'\n")
+    assert not tree.exists()
+
+
+def test_conflicts_on_a_face_the_tree_does_not_cover_exits_2(
+        scene_dir, artifacts_dir, tmp_path, capsys):
+    tree, out = artifacts_dir / "tree.txt", tmp_path / "conflict.txt"
+    assert cli.main(["conflicts", "--tree", str(tree),
+                     "--solid", str(scene_dir / "solid.txt"),
+                     "--face", "wall_back", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: conflicts: {tree}: built for faces wall_front, "
+        f"not 'wall_back'\n")
+    assert not out.exists()
+
+
 def test_pipeline_unknown_face_exits_2(scene_dir, tmp_path, capsys):
     cfg = tmp_path / "f.cfg"
     cfg.write_text(f"rays = {scene_dir}/rays.txt\n"
@@ -296,7 +341,8 @@ def test_stage_chain_matches_pipeline(scene_dir, artifacts_dir, tmp_path):
     d = str(tmp_path)
     s = str(scene_dir)
     steps = [
-        ["raycast", "--rays", f"{s}/rays.txt", "--out", f"{d}/tree.txt"],
+        ["raycast", "--rays", f"{s}/rays.txt", "--solid", f"{s}/solid.txt",
+         "--face", "wall_front", "--out", f"{d}/tree.txt"],
         ["conflicts", "--tree", f"{d}/tree.txt", "--solid", f"{s}/solid.txt",
          "--face", "wall_front", "--out", f"{d}/conflict.txt"],
         ["project-points", "--points", f"{s}/points.txt",
@@ -317,6 +363,8 @@ def test_stage_chain_matches_pipeline(scene_dir, artifacts_dir, tmp_path):
     ]
     for argv in steps:
         assert cli.main(argv) == 0, argv[0]
+    assert ((tmp_path / "tree.txt").read_bytes()
+            == (artifacts_dir / "tree.txt").read_bytes())
     assert (read_instances(f"{d}/inst.txt")
             == read_instances(artifacts_dir / "instances.txt"))
     chained = (tmp_path / "post.txt").read_text()
@@ -466,7 +514,7 @@ def test_module_entry_point_runs():
 # one definition per default: config dataclasses -> keys and options
 
 STAGE_REQUIRED = {
-    "raycast": ["--rays", "r.txt", "--out", "t.txt"],
+    "raycast": ["--rays", "r.txt", "--solid", "s.txt", "--out", "t.txt"],
     "conflicts": ["--tree", "t.txt", "--solid", "s.txt", "--face", "f",
                   "--out", "c.txt"],
     "extract": ["--posterior", "p.txt", "--out", "i.txt"],
@@ -503,7 +551,8 @@ def test_config_key_namespace_is_flat():
 def test_bad_stage_config_value_exits_2(scene_dir, artifacts_dir, tmp_path,
                                         capsys, stage, flag, value):
     inputs = {
-        "raycast": ["--rays", str(scene_dir / "rays.txt")],
+        "raycast": ["--rays", str(scene_dir / "rays.txt"),
+                    "--solid", str(scene_dir / "solid.txt")],
         "conflicts": ["--tree", str(artifacts_dir / "tree.txt"),
                       "--solid", str(scene_dir / "solid.txt"),
                       "--face", "wall_front"],
@@ -532,6 +581,7 @@ def test_stage_defaults_follow_tree_voxel_size(tmp_path):
                      "--vs", "0.2"]) == 0
     tree, raster = tmp_path / "tree.txt", tmp_path / "conflict.txt"
     assert cli.main(["raycast", "--rays", str(scene / "rays.txt"),
+                     "--solid", str(scene / "solid.txt"),
                      "--out", str(tree), "--vs", "0.2"]) == 0
     assert cli.main(["conflicts", "--tree", str(tree),
                      "--solid", str(scene / "solid.txt"),
@@ -560,7 +610,7 @@ def test_reconstruct_default_margin_is_one_cell(tmp_path, capsys):
 # bad input files
 
 @pytest.mark.parametrize("argv, flag", [
-    (["raycast", "--out", "tree.txt"], "--rays"),
+    (["raycast", "--solid", "s.txt", "--out", "tree.txt"], "--rays"),
     (["fuse", "--out", "post.txt"], "--conflict"),
     (["reconstruct", "--instances", "i.txt", "--out-model", "m.txt",
       "--out-gml", "m.gml"], "--solid"),
@@ -599,10 +649,18 @@ def _without_ground(solid):
         f for f in solid.faces if f.label != "ground"))
 
 
+def _comma_id(solid):
+    # a tree built for it could not name the face in its header
+    return BuildingSolid(solid.solid_id, solid.lod, tuple(
+        Face(f.face_id.replace("roof", "roof,a"), f.label, f.outer)
+        for f in solid.faces))
+
+
 @pytest.mark.parametrize("stage", ["pipeline", "conflicts", "project-points",
-                                   "project-image", "reconstruct"])
+                                   "project-image", "reconstruct", "raycast"])
 @pytest.mark.parametrize("broken, fragment", [
-    (_inverted, "faces inward"), (_without_ground, "unmatched edge")])
+    (_inverted, "faces inward"), (_without_ground, "unmatched edge"),
+    (_comma_id, "face id 'roof,a' contains ','")])
 def test_invalid_prior_exits_2(scene_dir, artifacts_dir, tmp_path, capsys,
                                stage, broken, fragment):
     s = str(scene_dir)
@@ -617,6 +675,7 @@ def test_invalid_prior_exits_2(scene_dir, artifacts_dir, tmp_path, capsys,
         argv = ["pipeline", "--config", str(cfg)]
     else:
         argv = [stage, "--solid", str(solid), *{
+            "raycast": ["--rays", f"{s}/rays.txt", *face],
             "conflicts": ["--tree", str(artifacts_dir / "tree.txt"), *face],
             "project-points": ["--points", f"{s}/points.txt", *face],
             "project-image": ["--image", f"{s}/image.txt",
@@ -635,7 +694,8 @@ def test_invalid_prior_exits_2(scene_dir, artifacts_dir, tmp_path, capsys,
 # error lines name their stage
 
 @pytest.mark.parametrize("argv, stage", [
-    (["raycast", "--rays", "nope.txt", "--out", "t.txt"], "raycast"),
+    (["raycast", "--rays", "nope.txt", "--solid", "s.txt", "--out", "t.txt"],
+     "raycast"),
     (["conflicts", "--tree", "nope.txt", "--solid", "s.txt", "--face", "f",
       "--out", "c.txt"], "conflicts"),
     (["project-points", "--points", "nope.txt", "--solid", "s.txt",
@@ -669,7 +729,8 @@ def test_conflicts_occupied_threshold_matches_pipeline(scene_dir, artifacts_dir,
     cfg.write_text("".join(f"{key} = {value}\n" for key, value in raw.items()))
     assert cli.main(["pipeline", "--config", str(cfg)]) == 0
     tree, raster = tmp_path / "tree.txt", tmp_path / "conflict.txt"
-    assert cli.main(["raycast", "--rays", raw["rays"], "--out", str(tree)]) == 0
+    assert cli.main(["raycast", "--rays", raw["rays"], "--solid", raw["solid"],
+                     "--out", str(tree)]) == 0
     assert cli.main(["conflicts", "--tree", str(tree), "--solid", raw["solid"],
                      "--face", "wall_front", "--out", str(raster),
                      "--occupied-threshold", "0.9"]) == 0
@@ -784,7 +845,8 @@ def test_benchmark_tracer_counts_rays_and_voxels(scene_dir, tmp_path, monkeypatc
     tracer = Tracer("test")
     tracer.install(cli)
     rays, tree = scene_dir / "rays.txt", tmp_path / "tree.txt"
-    assert cli.main(["raycast", "--rays", str(rays), "--out", str(tree)]) == 0
+    assert cli.main(["raycast", "--rays", str(rays),
+                     "--solid", str(scene_dir / "solid.txt"), "--out", str(tree)]) == 0
     assert cli.main(["conflicts", "--tree", str(tree),
                      "--solid", str(scene_dir / "solid.txt"), "--face", "wall_front",
                      "--out", str(tmp_path / "conflict.txt")]) == 0

@@ -1,22 +1,28 @@
 """Fuzzed files through `cli.main`: every numeric-table format (rays,
-tree, raster, pixel grid, correspondences and labeled points) and the
-solid and instance formats, whose lines lead with a keyword.
+tree, raster, pixel grid, correspondences and labeled points), the
+solid, instance, template and model formats, whose lines lead with a
+keyword, and the `key = value` config and metrics formats.
 
 Each example breaks one line of a valid synth file: a NaN or infinite
 token, a wrong keyword or `key=value` field, a truncated line, a dropped
 column, a huge value, or bytes that are not UTF-8. The run must end in
 exit 1 or 2 with an `error:` line, and nothing may escape as an
-exception.
+exception. No subcommand reads a metrics file, so its reader is called
+directly and must raise the ParseError that `cli.main` turns into exit 2.
 """
 
 import contextlib
 import io
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lod3recon import cli
+from lod3recon.errors import ParseError
+from lod3recon.evaluate import read_metrics
+from lod3recon.model_io import default_template_library, points_text
 
 SCENE_ARGS = ["--width", "3", "--height", "1", "--depth", "1", "--seed", "11",
               "--opening", "1 0.3 2 0.8 window"]
@@ -47,14 +53,40 @@ FORMATS = {
                   "x": range(8), "opening=": [0], "face=nowhere": [1],
                   "label=wall": [2], "conf=2": [3], "conf=nan": [3],
                   "rect=inf": [4], "rect=x": [4]},
+    # a `template <name> label=<l> depth=<d>` line
+    "templates": {**{token: [3] for token in (
+                      "nan", "depth=nan", "depth=inf", "depth=1e999", "depth=x",
+                      "depth=")},
+                  "label": [2], "x": [0, 2, 3],
+                  **{word: [0] for word in ("tri", "end", "face")}},
+    # a `placement <id> face= template= label= conf= rect=u0 v0 u1 v1` line
+    "model": {**{token: range(7, 10) for token in ("nan", "inf", "-inf", "1e999")},
+              "x": [0, 2, 3, 4, 5, 6, 7, 8, 9], "label=wall": [4],
+              "conf=2": [5], "conf=nan": [5], "rect=inf": [6], "rect=x": [6],
+              **{word: [0] for word in ("tri", "end", "outer")}},
+    # `key = value`; any text is a metric's value, but none is empty
+    "metrics": {"x": [1], "=": [0]},
+    # a typed config value: each of these breaks every one of them
+    "config": {**{token: [2] for token in ("nan", "inf", "1e999", "0", "-1", "x")},
+               "x": [0, 1, 2], "bogus": [0], "==": [1]},
 }
 
-# the lines a token replacement hits in a keyword format
-KEYWORD_LINES = {"solid": ("outer",), "instances": ("opening",)}
+# the lines a token replacement hits in a keyword or config format
+KEYWORD_LINES = {"solid": ("outer",), "instances": ("opening",),
+                 "templates": ("template",), "model": ("placement",),
+                 "config": ("voxel_size", "occupied_threshold", "iou_min",
+                            "samples")}
 
-# first words of the header lines a mutation leaves alone
+# first words of the header lines a mutation leaves alone, and of the
+# config lines any of whose values is valid: out_dir names any directory
 HEADERS = ("#", "voxels", "facade_raster", "pixel_grid", "origin", "u ", "v ",
-           "channels")
+           "channels", "out_dir =")
+
+# the fuzz pipeline: every wall, fewer surface samples than the default
+CONFIG = "".join(f"{key} = {key}.txt\n" for key in (
+    "rays", "points", "image", "correspondences", "solid", "gt_instances",
+    "gt_measured")) + ("voxel_size = 0.1\noccupied_threshold = 0.5\n"
+                      "iou_min = 0.5\nsamples = 200\nout_dir = fuzz_out\n")
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +95,7 @@ def files(tmp_path_factory):
     assert cli.main(["synth", "--out", str(scene)] + SCENE_ARGS) == 0
     tree = scene / "tree.txt"
     assert cli.main(["raycast", "--rays", str(scene / "rays.txt"),
-                     "--out", str(tree)]) == 0
+                     "--solid", str(scene / "solid.txt"), "--out", str(tree)]) == 0
     return scene
 
 
@@ -75,6 +107,26 @@ def evidence(files):
     (files / "raster.txt").write_bytes(
         (files / "artifacts" / "conflict_wall_front.txt").read_bytes())
     return files
+
+
+@pytest.fixture(scope="module")
+def library(prior):
+    """The fuzz scene with the default templates as templates.txt, the
+    ground-truth model as model.txt, the metrics and config of a pipeline
+    run as metrics.txt and config.txt."""
+    (prior / "templates.txt").write_text("".join(
+        f"template {t.name} label={t.label} depth={t.depth!r}\n"
+        + "".join(f"tri {points_text(tri)}\n" for tri in t.triangles) + "end\n"
+        for t in default_template_library().values()))
+    assert cli.main(["reconstruct", "--solid", str(prior / "solid.txt"),
+                     "--instances", str(prior / "gt_instances.txt"),
+                     "--margin", "0", "--out-model", str(prior / "model.txt"),
+                     "--out-gml", str(prior / "model.gml")]) == 0
+    (prior / "config.txt").write_text(CONFIG)
+    assert cli.main(["pipeline", "--config", str(prior / "config.txt")]) == 0
+    (prior / "metrics.txt").write_bytes(
+        (prior / "fuzz_out" / "metrics.txt").read_bytes())
+    return prior
 
 
 def _run(scene, kind):
@@ -89,7 +141,8 @@ def _run(scene, kind):
     project_image = ["project-image", "--image", file_for("image"),
                      "--correspondences", file_for("correspondences"), *face]
     return bad, {
-        "rays": ["raycast", "--rays", str(bad), "--out", out],
+        "rays": ["raycast", "--rays", str(bad), "--solid", str(scene / "solid.txt"),
+                 "--out", out],
         "tree": ["conflicts", "--tree", str(bad), *face],
         "raster": ["fuse", "--conflict", str(bad), "--out", out],
         "image": project_image,
@@ -100,6 +153,14 @@ def _run(scene, kind):
         "instances": ["reconstruct", "--solid", str(scene / "solid.txt"),
                       "--instances", str(bad), "--out-model", out,
                       "--out-gml", str(scene / "out.gml")],
+        "templates": ["reconstruct", "--solid", str(scene / "solid.txt"),
+                      "--instances", str(scene / "gt_instances.txt"),
+                      "--templates", str(bad), "--out-model", out,
+                      "--out-gml", str(scene / "out.gml")],
+        "model": ["evaluate", "--pred", str(scene / "gt_instances.txt"),
+                  "--gt", str(scene / "gt_instances.txt"), "--model", str(bad),
+                  "--gt-model", str(scene / "model.txt"), "--samples", "200"],
+        "config": ["pipeline", "--config", str(bad)],
     }[kind]
 
 
@@ -206,3 +267,51 @@ def test_broken_solid_exits_with_an_error_line(prior, mutation):
 @given(mutation=mutations("instances"))
 def test_broken_instances_exit_with_an_error_line(prior, mutation):
     _check_exit(prior, "instances", mutation)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutation=mutations("templates"))
+def test_broken_templates_exit_with_an_error_line(library, mutation):
+    _check_exit(library, "templates", mutation)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutation=mutations("model"))
+def test_broken_model_exits_with_an_error_line(library, mutation):
+    _check_exit(library, "model", mutation)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mutation=mutations("config"))
+def test_broken_config_exits_with_an_error_line(library, mutation):
+    _check_exit(library, "config", mutation)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutation=mutations("metrics"))
+def test_broken_metrics_file_is_a_parse_error(library, mutation):
+    bad = library / "bad_metrics.txt"
+    bad.write_bytes(_break((library / "metrics.txt").read_text(), *mutation))
+    with pytest.raises(ParseError, match=f"^{re.escape(str(bad))}:"):
+        read_metrics(bad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(key=st.sampled_from(["faces", "face", "Faces", ""]),
+       ids=st.lists(st.sampled_from(["wall_front", "wall_back", "roof", "", "x y"]),
+                    max_size=4))
+def test_broken_tree_faces_field_exits_2(files, key, ids):
+    # a valid field naming wall_front is no break
+    assume(not (key == "faces" and "wall_front" in ids
+                and "" not in ids and "x y" not in ids
+                and len(set(ids)) == len(ids)))
+    lines = (files / "tree.txt").read_text().splitlines()
+    head = lines[0].split()
+    lines[0] = " ".join(head[:2] + [f"{key}={','.join(ids)}" if key else ""])
+    bad = files / "bad_tree.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(_run(files, "tree")[1])
+    assert code == 2, (lines[0], err.getvalue())
+    assert err.getvalue().startswith(f"error: conflicts: {bad}")

@@ -83,6 +83,15 @@ def test_validate_detects_duplicate_face_ids():
     assert any("duplicate face id" in v for v in model_io.validate_solid(bad))
 
 
+def test_validate_rejects_a_comma_in_a_face_id():
+    # the occupancy tree's header lists face ids separated by ','
+    s = model_io.box_solid("b", (0, 0, 0), (1, 1, 1))
+    faces = [Face("a,b" if f.face_id == "roof" else f.face_id, f.label, f.outer)
+             for f in s.faces]
+    assert model_io.validate_solid(BuildingSolid("b", 2, tuple(faces))) == [
+        "face id 'a,b' contains ','"]
+
+
 def test_solid_file_round_trip(tmp_path):
     s = model_io.box_solid("house_7", (0.125, -3.5, 0.0), (9.33, 5.77, 4.21))
     path = tmp_path / "solid.txt"

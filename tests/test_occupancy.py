@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from lod3recon import occupancy
 from lod3recon.errors import DomainError, ParseError
 from lod3recon.occupancy import OccupancyConfig, build_occupancy
+from lod3recon.synth import SceneSpec, SynthOpening, generate_scan, scene_solid
+from lod3recon.visibility import surface_voxels
 
 import oracles
 
@@ -36,6 +38,26 @@ def _oracle_cells(rays, cfg):
     for row in np.asarray(rays, dtype=float):
         ref.integrate(row[:3], row[3:6], bool(row[6]))
     return ref.cells
+
+
+def _box(rays, cfg):
+    """Every key in the box spanned by the rays' origins and their
+    endpoints cut at `max_range`, grown by one voxel: all the voxels the
+    rays reach, and many they do not."""
+    rays = np.asarray(rays, dtype=float).reshape(-1, 7)
+    o, e = rays[:, :3], rays[:, 3:6]
+    length = np.maximum(np.linalg.norm(e - o, axis=1), 1e-300)
+    cut = o + (e - o) * np.minimum(1.0, cfg.max_range / length)[:, None]
+    ends = occupancy.grid_index(np.vstack([o, cut]), cfg.voxel_size)
+    axes = [np.arange(a - 1, b + 2) for a, b in zip(ends.min(axis=0), ends.max(axis=0))]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+def _build(rays, cfg=None):
+    """The tree over the rays' box: the build, not the key set, has to
+    leave out the voxels no ray reaches."""
+    cfg = cfg or OccupancyConfig()
+    return build_occupancy(rays, {"f": _box(rays, cfg)}, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +190,7 @@ def test_traversal_zero_length():
 # integration
 
 def test_integrate_single_hit_ray():
-    tree = build_occupancy(_rays(((0.05, 0.05, 0.05), (0.55, 0.05, 0.05))))
+    tree = _build(_rays(((0.05, 0.05, 0.05), (0.55, 0.05, 0.05))))
     cfg = tree.config
     got = cells(tree)
     assert got[(5, 0, 0)][0] == pytest.approx(cfg.log_odds_hit)
@@ -190,14 +212,14 @@ def test_integrate_single_hit_ray():
 
 
 def test_integrate_miss_ray_adds_no_hit():
-    tree = build_occupancy(_rays(((0.05, 0.05, 0.05), (0.55, 0.05, 0.05), False)))
+    tree = _build(_rays(((0.05, 0.05, 0.05), (0.55, 0.05, 0.05), False)))
     got = cells(tree)
     assert (5, 0, 0) not in got
     assert got[(2, 0, 0)][0] < 0.0
 
 
 def test_integrate_clamps_after_many_updates():
-    tree = build_occupancy(_rays(*[((0.05, 0.05, 0.05), (0.55, 0.05, 0.05))] * 30))
+    tree = _build(_rays(*[((0.05, 0.05, 0.05), (0.55, 0.05, 0.05))] * 30))
     cfg = tree.config
     got = cells(tree)
     assert got[(5, 0, 0)][0] == cfg.log_odds_max
@@ -206,7 +228,7 @@ def test_integrate_clamps_after_many_updates():
 
 def test_integrate_respects_max_range():
     cfg = OccupancyConfig(max_range=0.3)
-    tree = build_occupancy(_rays(((0.05, 0.05, 0.05), (1.05, 0.05, 0.05))), cfg)
+    tree = _build(_rays(((0.05, 0.05, 0.05), (1.05, 0.05, 0.05))), cfg)
     # clipped at x = 0.35: voxels 0..2 passed, no hit anywhere
     got = cells(tree)
     assert set(got) == {(0, 0, 0), (1, 0, 0), (2, 0, 0)}
@@ -214,18 +236,19 @@ def test_integrate_respects_max_range():
 
 
 def test_integrate_zero_length_hit():
-    tree = build_occupancy(_rays(((0.15, 0.15, 0.15), (0.15, 0.15, 0.15))))
+    tree = _build(_rays(((0.15, 0.15, 0.15), (0.15, 0.15, 0.15))))
     assert cells(tree)[(1, 1, 1)][0] > 0.0
 
 
 def test_occupied_keys():
-    tree = build_occupancy(_rays(((0.05, 0.05, 0.05), (0.55, 0.05, 0.05))))
+    tree = _build(_rays(((0.05, 0.05, 0.05), (0.55, 0.05, 0.05))))
     assert tree.keys[tree.log_odds > 0.0].tolist() == [[5, 0, 0]]
 
 
 def test_no_rays_build_an_empty_tree():
-    tree = build_occupancy(np.empty((0, 7)))
+    tree = build_occupancy(np.empty((0, 7)), {"f": [(0, 0, 0)]})
     assert len(tree) == 0
+    assert tree.faces == ("f",)
     assert tree.find([(0, 0, 0)]).tolist() == [-1]
 
 
@@ -235,7 +258,7 @@ def test_no_rays_build_an_empty_tree():
 ])
 def test_rays_beyond_the_grid_are_domain_errors(ray):
     with pytest.raises(DomainError):
-        build_occupancy(_rays(ray))
+        build_occupancy(_rays(ray), {"f": [(0, 0, 0)]})
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +321,20 @@ def test_build_matches_scalar_oracle(family, seed):
     rng = np.random.default_rng(seed)
     cfg = OccupancyConfig(max_range=1.5)
     rays = FAMILIES[family](rng, 400)
-    tree = build_occupancy(rays, cfg)
-    assert cells(tree) == _oracle_cells(rays, cfg)
+    want = _oracle_cells(rays, cfg)
+    box = _box(rays, cfg)
+    assert len(box) > 2 * len(want)
+    tree = build_occupancy(rays, {"f": box}, cfg)
+    assert cells(tree) == want
     # keys strictly ascending in lexicographic order
     assert [tuple(k) for k in tree.keys.tolist()] == sorted(cells(tree))
+    # any subset of the keys, plus keys no ray reaches, keeps exactly the
+    # oracle's cells of the reached ones
+    keys = list(want)
+    part = [keys[i] for i in rng.permutation(len(keys))[:len(keys) // 3]]
+    part += [(99, 99, 99), (-99, 0, 0)]
+    assert cells(build_occupancy(rays, {"f": part}, cfg)) == {
+        k: want[k] for k in part if k in want}
 
 
 def test_build_matches_oracle_across_chunks(monkeypatch):
@@ -312,12 +345,39 @@ def test_build_matches_oracle_across_chunks(monkeypatch):
     rays = np.vstack([_saturating(rng, 150), _repeated(rng, 100),
                       _beyond_range(rng, 50), _zero_length(rng, 20)])
     rays = rays[rng.permutation(len(rays))]
-    assert cells(build_occupancy(rays, cfg)) == _oracle_cells(rays, cfg)
+    want = _oracle_cells(rays, cfg)
+    assert cells(build_occupancy(rays, {"f": _box(rays, cfg)}, cfg)) == want
+
+
+def test_keys_outside_the_rays_box_do_not_alias():
+    # the ray's box is 6 x 1 x 1 voxels, where (0, 0, 3) and (0, 3, 0)
+    # would pack to the same number as (3, 0, 0)
+    rays = _rays(((0.05, 0.05, 0.05), (0.55, 0.05, 0.05)))
+    assert len(build_occupancy(rays, {"f": [(0, 0, 3), (0, 3, 0)]})) == 0
+    tree = build_occupancy(rays, {"a": [(0, 0, 3), (2, 0, 0)],
+                                  "b": [(-1, 0, 0), (2, 0, 0)]})
+    assert tree.keys.tolist() == [[2, 0, 0]]
+    assert tree.faces == ("a", "b")
+
+
+def test_build_on_a_face_matches_scalar_oracle():
+    # a small front scan: every kept voxel is the oracle's, bit for bit
+    spec = SceneSpec(width=3.0, height=1.0, depth=1.0, pitch=0.1, seed=11,
+                     openings=(SynthOpening((1.0, 0.3, 2.0, 0.8), "window"),))
+    rays = generate_scan(spec)[0]
+    cfg = OccupancyConfig()
+    want = _oracle_cells(rays, cfg)
+    keys = surface_voxels(scene_solid(spec).face("wall_front"), cfg.voxel_size)
+    got = cells(build_occupancy(rays, {"wall_front": keys}, cfg))
+    assert got == {k: want[k] for k in keys if k in want}
+    # hits landing behind the face plane and passes through the window
+    assert len(got) > len(keys) // 2
+    assert any(c[3] != math.inf for c in got.values())
 
 
 def test_keys_near_offset_do_not_overflow():
     rays = _rays(((5e5 + 0.05, 5.4e6 + 0.05, 0.05), (5e5 + 0.55, 5.4e6 + 0.05, 0.05)))
-    keys = build_occupancy(rays).keys
+    keys = _build(rays).keys
     assert keys[:, 1].tolist() == [54_000_000] * 6
     assert keys[:, 0].tolist() == list(range(5_000_000, 5_000_006))
 
@@ -387,25 +447,43 @@ def test_ray_file_rejects_non_finite_coordinates(tmp_path, line):
 
 def _random_tree():
     rng = np.random.default_rng(17)
-    return build_occupancy(np.column_stack([
-        rng.uniform(-1, 1, (20, 3)), rng.uniform(-1, 1, (20, 3)),
-        rng.random(20) < 0.8]))
+    rays = np.column_stack([rng.uniform(-1, 1, (20, 3)), rng.uniform(-1, 1, (20, 3)),
+                            rng.random(20) < 0.8])
+    return build_occupancy(rays, {"wall_front": _box(rays, OccupancyConfig()),
+                                  "wall_back": []})
 
 
 def test_tree_file_round_trip(tmp_path):
     tree = _random_tree()
     path = tmp_path / "tree.txt"
     occupancy.write_tree(tree, path)
+    assert path.read_text().splitlines()[0] == (
+        "voxels voxel_size=0.1 faces=wall_front,wall_back")
     back = occupancy.read_tree(path)
     assert back.config.voxel_size == tree.config.voxel_size
+    assert back.faces == tree.faces
     assert cells(back) == cells(tree)
     occupancy.write_tree(back, tmp_path / "again.txt")
     assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
 
 
+@pytest.mark.parametrize("header, message", [
+    ("voxels voxel_size=0.1", "expected 'voxels voxel_size=<v> faces="),
+    ("voxels voxel_size=0.1 face=a", "expected faces=..."),
+    ("voxels voxel_size=0.1 faces=a,,b", "empty face id"),
+    ("voxels voxel_size=0.1 faces=a,b,a", "repeated face id"),
+    ("voxels voxel_size=0.1 faces=a b", "expected 'voxels"),
+])
+def test_tree_file_rejects_bad_faces_field(tmp_path, header, message):
+    path = tmp_path / "tree.txt"
+    path.write_text(header + "\n0 0 0 1.0 inf 0 0 0 inf 0 0 0\n")
+    with pytest.raises(ParseError, match=f"tree.txt:1: {message}"):
+        occupancy.read_tree(path)
+
+
 def test_tree_file_lines_in_any_order_last_key_wins(tmp_path):
     path = tmp_path / "tree.txt"
-    path.write_text("voxels voxel_size=0.1\n"
+    path.write_text("voxels voxel_size=0.1 faces=f\n"
                     "2 0 0 1.0 inf 0 0 0 inf 0 0 0\n"
                     "-1 5 0 -0.4 inf 0 0 0 0.3 1 2 3\n"
                     "2 0 0 0.5 0.1 4 5 6 inf nan nan nan\n")
@@ -430,7 +508,7 @@ def test_tree_file_rejects_bad_evidence(tmp_path, column, token, message):
     tokens = "2 0 0 1.0 0.25 1 2 3 0.5 4 5 6".split()
     tokens[column] = token
     path = tmp_path / "tree.txt"
-    path.write_text("voxels voxel_size=0.1\n# comment\n0 0 0 1.0 inf 0 0 0 inf 0 0 0\n"
+    path.write_text("voxels voxel_size=0.1 faces=f\n# comment\n0 0 0 1.0 inf 0 0 0 inf 0 0 0\n"
                     + " ".join(tokens) + "\n")
     with pytest.raises(ParseError, match=f"tree.txt:4: {message}"):
         occupancy.read_tree(path)
@@ -438,7 +516,7 @@ def test_tree_file_rejects_bad_evidence(tmp_path, column, token, message):
 
 def test_tree_file_inf_distance_drops_its_point(tmp_path):
     path = tmp_path / "tree.txt"
-    path.write_text("voxels voxel_size=0.1\n0 0 0 1.0 inf nan 1 1 inf 2 inf 2\n")
+    path.write_text("voxels voxel_size=0.1 faces=f\n0 0 0 1.0 inf nan 1 1 inf 2 inf 2\n")
     back = occupancy.read_tree(path)
     assert cells(back) == {(0, 0, 0): [1.0, math.inf, None, math.inf, None]}
     assert back.hit_point.tolist() == [[0.0, 0.0, 0.0]]

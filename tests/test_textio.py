@@ -49,7 +49,8 @@ WRITERS = {
     "occupancy.write_rays": lambda p: occupancy.write_rays(
         np.array([[0, 0, 0, 1, 1, 1, 1]]), p),
     "occupancy.write_tree": lambda p: occupancy.write_tree(
-        occupancy.build_occupancy(np.array([[0, 0, 0, 1, 1, 1, 1]])), p),
+        occupancy.build_occupancy(np.array([[0, 0, 0, 1, 1, 1, 1]]),
+                                  {"f": [(0, 0, 0)]}), p),
     "model_io.write_solid": lambda p: model_io.write_solid(_solid(), p),
     "rasters.write_labeled_points": lambda p: rasters.write_labeled_points(
         np.zeros((1, 3)), np.zeros((1, len(rasters.POINT_LABELS))), p),

@@ -10,8 +10,9 @@ import oracles
 from lod3recon import rasters, visibility
 from lod3recon.errors import DomainError
 from lod3recon.model_io import Face, Ring, box_solid
-from lod3recon.occupancy import build_occupancy
-from lod3recon.synth import SceneSpec, scene_solid
+from lod3recon import occupancy
+from lod3recon.occupancy import OccupancyConfig, build_occupancy, grid_index
+from lod3recon.synth import SceneSpec, generate_scan, scene_solid
 from lod3recon.visibility import (UncertaintyConfig, joint_state_probability,
                                   positioning_confidence,
                                   positioning_probability, surface_voxels)
@@ -239,6 +240,17 @@ def test_offset_box_faces_match_area_oracle(origin):
         _assert_matches_area_oracle(face, 0.1)
 
 
+@pytest.mark.parametrize("origin", [FAR, (-5e5, -5.4e6, 0.0)], ids=["ne", "sw"])
+def test_far_box_faces_end_at_their_edges(origin):
+    # the south-west box's edges lie within a float step of grid lines;
+    # a cell they enter by less is not the face's
+    solid = box_solid("b", origin, (3.3, 2.2, 1.1))
+    roof = surface_voxels(solid.face("roof"), 0.1)
+    assert len({k[1] for k in roof}) == 22
+    for face_id in ("wall_left", "wall_right"):
+        assert len(surface_voxels(solid.face(face_id), 0.1)) == 242
+
+
 def test_far_grid_plane_face_takes_the_inner_layer():
     # -5399997.8 lies one float step above the grid line 53999978 * 0.1,
     # in the voxel layer outside the box
@@ -325,12 +337,13 @@ def _mini_scene():
                 rays.append((x, -2.0, z, x, 1.5, z, 1.0))
             else:
                 rays.extend([(x, -2.0, z, x, 0.02, z, 1.0)] * 3)
-    return face, build_occupancy(rays), window, untouched
+    return face, build_occupancy(rays, {"f": surface_voxels(face, 0.1)}), window, untouched
 
 
 def test_classify_surface_voxels_states():
     face, tree, window, untouched = _mini_scene()
-    by_key = {sv.key: sv for sv in visibility.classify_surface_voxels(tree, face)}
+    keys = surface_voxels(face, 0.1)
+    by_key = {sv.key: sv for sv in visibility.classify_surface_voxels(tree, face, keys)}
     assert len(by_key) == 40
     sv = by_key[(0, 0, 0)]
     assert sv.state == "occupied"
@@ -345,7 +358,7 @@ def test_classify_surface_voxels_states():
 
 def test_conflict_map_channels():
     face, tree, window, untouched = _mini_scene()
-    r = visibility.project_conflict_map(tree, face)
+    r = visibility.project_conflict_map(tree, face, surface_voxels(face, 0.1))
     assert r.channels == ("conflicted", "confirmed", "unknown")
     assert (r.frame.width, r.frame.height) == (10, 4)
     # rows sum to one everywhere
@@ -358,9 +371,10 @@ def test_conflict_map_channels():
 def test_conflict_map_aggregation_modes():
     face, tree, window, untouched = _mini_scene()
     frame = rasters.facade_frame(face, 0.2)  # two voxels per pixel edge
-    r_max = visibility.project_conflict_map(tree, face, frame=frame)
+    keys = surface_voxels(face, 0.1)
+    r_max = visibility.project_conflict_map(tree, face, keys, frame=frame)
     cfg = UncertaintyConfig(aggregate="mean")
-    r_mean = visibility.project_conflict_map(tree, face, cfg, frame=frame)
+    r_mean = visibility.project_conflict_map(tree, face, keys, cfg, frame=frame)
     # pixel (0, 1) covers voxels ix in {2,3}, iz in {0,1}: one conflicted
     # window voxel among confirmed wall voxels
     assert r_max.data[0, 1, 0] > 0.99
@@ -370,6 +384,39 @@ def test_conflict_map_aggregation_modes():
 
 def test_conflict_map_unknown_only_pixel():
     face = wall_face()
-    tree = build_occupancy(np.empty((0, 7)))  # no rays at all
-    r = visibility.project_conflict_map(tree, face)
+    keys = surface_voxels(face, 0.1)
+    tree = build_occupancy(np.empty((0, 7)), {"f": keys})  # no rays at all
+    r = visibility.project_conflict_map(tree, face, keys)
     np.testing.assert_allclose(r.data[:, :, 2], 1.0)
+
+
+def _reached_keys(rays, vs):
+    """Every voxel a ray passes or ends in, a hundred rays at a time."""
+    parts = []
+    for a in range(0, len(rays), 100):
+        o, e = rays[a:a + 100, :3], rays[a:a + 100, 3:6]
+        parts += [occupancy.traverse(o, e, vs)[1], grid_index(e, vs)]
+    return np.unique(np.vstack(parts), axis=0)
+
+
+@pytest.mark.parametrize("spec", [
+    SceneSpec(seed=7),
+    SceneSpec(width=16.0, height=6.0, depth=10.0, pitch=0.1, seed=7)],
+    ids=["front", "block"])
+def test_surface_tree_gives_the_full_trees_conflict_maps(spec):
+    rays = generate_scan(spec)[0]
+    cfg = OccupancyConfig()
+    assert (np.linalg.norm(rays[:, 3:6] - rays[:, :3], axis=1) < cfg.max_range).all()
+    walls = [f for f in scene_solid(spec).faces if f.label == "wall"]
+    surface = {f.face_id: surface_voxels(f, cfg.voxel_size) for f in walls}
+    tree = build_occupancy(rays, surface, cfg)
+    full = build_occupancy(rays, {"all": _reached_keys(rays, cfg.voxel_size)}, cfg)
+    assert len(tree) < len(full) / 20
+    measured = 0
+    for face in walls:
+        keys = surface[face.face_id]
+        got = visibility.project_conflict_map(tree, face, keys)
+        want = visibility.project_conflict_map(full, face, keys)
+        assert got.data.tobytes() == want.data.tobytes()
+        measured += int((got.data[:, :, 2] == 0.0).sum())
+    assert measured > 0
