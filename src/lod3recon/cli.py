@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import sys
@@ -107,8 +108,11 @@ class PipelineConfig:
         return self.margin if self.margin is not None else self.raster_cell
 
 
+@functools.cache
 def _field_types(cls) -> dict:
-    """Field name -> value type of a dataclass; `X | None` counts as X."""
+    """Field name -> value type of a dataclass; `X | None` counts as X.
+    Cached, since every `build_parser` call asks again and
+    `typing.get_type_hints` is slow: callers must not change the dict."""
     types = {}
     for name, hint in typing.get_type_hints(cls).items():
         args = [a for a in typing.get_args(hint) if a is not type(None)]

@@ -21,18 +21,28 @@ file order:
   axis at t = (n * voxel_size - o) / d, computed from the integer index
   and never accumulated. Crossings at equal t are taken together, and a
   voxel counts only where the segment spends positive length in it.
+  Each ray is walked only within its window: from where it first comes
+  within two voxels of a face's key box (the bounding box of the face's
+  keys) to where it last leaves one, found by slab tests. Inside the
+  window the walk is that of the whole segment: the crossings skipped
+  before it are counted exactly, per axis, by correcting a float guess
+  against the crossings' own t, and added to the keys.
 - Log-odds (clamped as in OctoMap): each voxel takes its updates in ray
   order through x = max(lo, min(hi, x + delta)), one rank at a time
   across all voxels. Neither the clamp nor float addition is
   associative, so no scan may regroup the updates.
 - Evidence: a strict first minimum, so the earliest ray wins a tie.
-- Distances: the ray length, the projections of the passed voxel
-  centers onto the ray and the hit distances are one BLAS call per ray,
-  on arrays shaped as for that ray alone. BLAS kernels sum in an order
-  that depends on the shape, so batched or elementwise forms differ in
-  the last bit, which the tree file would show. Updates of voxels not
-  asked for are therefore dropped after these calls; only the calls of
-  rays with no kept update are skipped.
+- Distances: the one-ray-at-a-time reference takes the ray length and
+  the hit distance as np.linalg.norm, and projects all k passed voxel
+  centers of a ray in one product (k, 3) @ (3,). The build batches them
+  in stacked products of the same row shape, bit for bit: a row of a
+  product of two or more rows does not depend on their count or
+  position, and a one-row product is np.dot, as np.linalg.norm is. So a
+  kept pass is projected as a row of a two-row product, unless its ray
+  has one pass in its whole walk, which takes the one-row product.
+  Elementwise sums differ from both in the last bit, which the tree
+  file would show. `test_blas_rows_do_not_depend_on_the_row_count`
+  checks the rule on the BLAS at hand.
 """
 
 from __future__ import annotations
@@ -78,6 +88,8 @@ class OccupancyConfig:
             raise DomainError("voxel_size must be positive")
         if self.log_odds_min > self.log_odds_max:
             raise DomainError("log_odds_min above log_odds_max")
+        if not self.max_range > 0.0:
+            raise DomainError("max_range must be positive")
 
 
 def grid_index(x, voxel_size: float) -> np.ndarray:
@@ -99,23 +111,54 @@ def grid_index(x, voxel_size: float) -> np.ndarray:
     return k.astype(np.int64)
 
 
-def traverse(origins, endpoints, voxel_size: float):
-    """(ray, keys) of the voxels each segment crosses with positive
-    length, ray by ray in crossing order.
+def _crossing(j, start, step, o, d, vs):
+    """t of candidate crossing j on an axis: the boundary j steps past the
+    first one ahead of the origin, n, at t = (n * vs - o) / d."""
+    return ((start + (step > 0) + j * step) * vs - o) / d
 
-    The voxel containing the endpoint (floor key) is excluded: it
-    receives the hit update instead of a pass update. Voxels touched
-    only on their boundary are excluded too, and a segment lying exactly
-    in a grid plane crosses no voxel interior at all. Crossings at
-    t >= 1 lie beyond the endpoint; the candidates on an axis run from
-    the first boundary ahead of the origin to the one entering the
-    endpoint's voxel.
+
+def _leading(holds, t, start, step, o, d, count, vs):
+    """How many of each axis's `count` candidate crossings satisfy
+    `holds`, which holds for a prefix of them: guessed from where the
+    segment is at `t`, then corrected one step at a time against the
+    crossings themselves. An axis without candidates may divide by its
+    zero d here; its result is 0 whatever it gets."""
+    def crossing(j):
+        return _crossing(j, start, step, o, d, vs)
+
+    k = np.clip(step * (np.floor((o + t * d) / vs) - start), 0, count)
+    k = k.astype(np.int64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while (back := (k > 0) & ~holds(crossing(k - 1))).any():
+            k -= back
+        while (ahead := (k < count) & holds(crossing(k))).any():
+            k += ahead
+    return k
+
+
+def traverse(origins, endpoints, voxel_size: float, window=None):
+    """(ray, keys) of the voxels each segment crosses with positive
+    length, ray by ray in crossing order, within each ray's t window.
+
+    `window` holds [t0, t1] per ray, 0 <= t0 <= t1 <= 1, by default
+    [0, 1]. Within it the walk is exactly that of the whole segment:
+    the segment containing t0, then the one after each set of crossings
+    at equal t up to t1. The voxel containing the endpoint (floor key)
+    is excluded: it receives the hit update instead of a pass update.
+    Voxels touched only on their boundary are excluded too, and a
+    segment lying exactly in a grid plane crosses no voxel interior at
+    all. Crossings at t >= 1 lie beyond the endpoint; the candidates on
+    an axis run from the first boundary ahead of the origin to the one
+    entering the endpoint's voxel.
     """
     vs = float(voxel_size)
     o = np.asarray(origins, dtype=float).reshape(-1, 3)
     e = np.asarray(endpoints, dtype=float).reshape(-1, 3)
     d = e - o
     start, end = grid_index(o, vs), grid_index(e, vs)
+    if window is None:
+        window = np.tile([0.0, 1.0], (len(o), 1))
+    t0, t1 = np.asarray(window, dtype=float).reshape(-1, 2).T[:, :, None]
     # the smallest index type: numpy's stable sort is a radix sort on
     # 16-bit integers
     rays = np.arange(len(o), dtype=np.min_scalar_type(max(len(o) - 1, 0)))
@@ -123,18 +166,21 @@ def traverse(origins, endpoints, voxel_size: float):
     step = np.sign(d).astype(np.int64)
     count = np.where(in_plane[:, None], 0, np.abs(end - start))
 
+    # per axis the candidates before t0, which are skipped, and those up
+    # to t1 short of t = 1
+    axes = (start, step, o, d, count, vs)
+    skip = _leading(lambda t: t < t0, t0, *axes)
+    upto = _leading(lambda t: (t <= t1) & (t < 1.0), t1, *axes)
+
     ray, t, axis = [], [], []
     for ax in range(3):
-        c = count[:, ax]
+        c = upto[:, ax] - skip[:, ax]
         r = np.repeat(rays, c)
         j = np.arange(len(r)) - np.repeat(np.cumsum(c) - c, c)
-        n = (np.repeat(start[:, ax] + (step[:, ax] > 0), c)
-             + j * np.repeat(step[:, ax], c))
-        tt = (n * vs - np.repeat(o[:, ax], c)) / np.repeat(d[:, ax], c)
-        ahead = tt < 1.0
-        ray.append(r[ahead])
-        t.append(tt[ahead])
-        axis.append(np.full(np.count_nonzero(ahead), ax, dtype=np.int8))
+        ray.append(r)
+        t.append(_crossing(np.repeat(skip[:, ax], c) + j, *(
+            np.repeat(v[:, ax], c) for v in (start, step, o, d)), vs))
+        axis.append(np.full(len(r), ax, dtype=np.int8))
     ray, t, axis = (np.concatenate(a) for a in (ray, t, axis))
     # by t, then stably by ray; crossings at equal t are taken together,
     # so their order does not matter
@@ -143,27 +189,30 @@ def traverse(origins, endpoints, voxel_size: float):
     ray, t, axis = ray[order], t[order], axis[order]
     first = np.searchsorted(ray, rays)
 
-    # a segment counts when it has positive length: the one from the
-    # origin unless the first crossing is at t = 0, and the one after the
-    # last of each set of crossings at equal t
+    # a segment counts when it has positive length: the one containing
+    # t0 unless the first crossing in the window is at t = 0 (crossings
+    # lie at t >= 0, so none was skipped), and the one after the last of
+    # each set of crossings at equal t
     last = np.ones(len(ray), dtype=bool)
     last[:-1] = (ray[1:] != ray[:-1]) | (t[1:] != t[:-1])
     first_t = np.ones(len(o))
     crosses = first < len(ray)
     crosses[crosses] = ray[first[crosses]] == rays[crosses]
     first_t[crosses] = t[first[crosses]]
-    from_origin = (first_t > 0.0) & ~in_plane
+    entry = (first_t > 0.0) & ~in_plane
 
-    # key after a crossing: the origin's key plus the ray's steps so far
+    # key after a crossing: the origin's key plus the ray's steps so far,
+    # the skipped ones included
     seg_ray = ray[last]
     after = np.empty((len(seg_ray), 3), dtype=np.int64)
     for ax in range(3):
         so_far = np.concatenate([[0], np.cumsum(axis == ax)])
-        taken = so_far[1:][last] - so_far[first][seg_ray]
+        taken = (so_far[1:][last] - so_far[first][seg_ray]
+                 + skip[seg_ray, ax])
         after[:, ax] = start[seg_ray, ax] + step[seg_ray, ax] * taken
 
-    seg_ray = np.concatenate([rays[from_origin], seg_ray])
-    seg_key = np.concatenate([start[from_origin], after])
+    seg_ray = np.concatenate([rays[entry], seg_ray])
+    seg_key = np.concatenate([(start + step * skip)[entry], after])
     order = np.argsort(seg_ray, kind="stable")
     seg_ray, seg_key = seg_ray[order], seg_key[order]
     end = end[seg_ray]
@@ -244,6 +293,53 @@ def _records(keys) -> np.ndarray:
     return keys.view(_KEY).ravel()
 
 
+def _dots(a, b) -> np.ndarray:
+    """Row by row dot products of two (n, 3) arrays as one-row products,
+    each equal to np.dot of the two rows."""
+    return (a[:, None, :] @ b[:, :, None]).ravel()
+
+
+def _norms(v) -> np.ndarray:
+    """Euclidean norm of each row of an (n, 3) array, as np.linalg.norm."""
+    return np.sqrt(_dots(v, v))
+
+
+def _projections(rows, u, alone) -> np.ndarray:
+    """Each of the (n, 3) `rows` projected onto its ray's unit vector `u`,
+    bit for bit as in the product (k, 3) @ (3,) of all k passes of that
+    ray: a row of a product of two or more rows does not depend on their
+    count or position, and a ray `alone` with one pass takes the one-row
+    product."""
+    out = np.empty(len(rows))
+    out[alone] = _dots(rows[alone], u[alone])
+    many = ~alone
+    pairs = np.repeat(rows[many][:, None, :], 2, axis=1)
+    out[many] = (pairs @ u[many][:, :, None])[:, 0, 0]
+    return out
+
+
+def _windows(o, e, boxes, vs: float) -> np.ndarray:
+    """Per segment the hull [t0, t1] of its parts within two voxels of
+    each (low, high) key box, by slab tests, one axis at a time; t0 > t1
+    where it meets none. The margin outweighs any rounding: a segment
+    lying on a grown box's plane divides zero by zero, meets that box
+    nowhere, and is two voxels from its keys."""
+    window = np.tile([np.inf, -np.inf], (len(o), 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for low, high in boxes:
+            enter, leave = np.zeros(len(o)), np.ones(len(o))
+            for ax in range(3):
+                d = e[:, ax] - o[:, ax]
+                a = ((low[ax] - 2) * vs - o[:, ax]) / d
+                b = ((high[ax] + 3) * vs - o[:, ax]) / d
+                np.maximum(enter, np.minimum(a, b), out=enter)
+                np.minimum(leave, np.maximum(a, b), out=leave)
+            meets = enter <= leave
+            np.minimum(window[:, 0], enter, out=window[:, 0], where=meets)
+            np.maximum(window[:, 1], leave, out=window[:, 1], where=meets)
+    return window
+
+
 def build_occupancy(rays, surface: dict,
                     config: OccupancyConfig | None = None) -> OccupancyTree:
     """Integrate rays, an (n, 7) array of origin, endpoint and hit flag,
@@ -258,7 +354,7 @@ def build_occupancy(rays, surface: dict,
     e = rays[:, 3:6].copy()
     hit = rays[:, 6] != 0.0
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
-        length = np.array([np.linalg.norm(v) for v in e - o])
+        length = _norms(e - o)
         far = length > cfg.max_range
         e[far] = o[far] + (e[far] - o[far]) * (cfg.max_range / length[far])[:, None]
     length[far] = cfg.max_range
@@ -270,18 +366,29 @@ def build_occupancy(rays, surface: dict,
     # keys packed into one int64, offset to the rays' bounding box, sort
     # lexicographically; no ray reaches a key outside the box, and packed
     # it would alias one inside
-    corners = np.vstack([start, end]) if len(rays) else np.zeros((1, 3), np.int64)
-    low = corners.min(axis=0)
-    span = [int(v) + 1 for v in corners.max(axis=0) - low]
+    if len(rays):
+        low = np.minimum(start.min(axis=0), end.min(axis=0))
+        high = np.maximum(start.max(axis=0), end.max(axis=0))
+    else:
+        low = high = np.zeros(3, dtype=np.int64)
+    span = [int(v) + 1 for v in high - low]
     if span[0] * span[1] * span[2] >= 2 ** 63:
         raise DomainError("rays span more voxels than 64-bit keys can address")
     scale = np.array([span[1] * span[2], span[2], 1], dtype=np.int64)
-    keys = np.concatenate([np.empty((0, 3), np.int64), *(
-        np.asarray(k, dtype=np.int64).reshape(-1, 3) for k in surface.values())])
+    face_keys = [np.asarray(k, dtype=np.int64).reshape(-1, 3)
+                 for k in surface.values()]
+    keys = np.concatenate([np.empty((0, 3), np.int64), *face_keys])
     keys -= low
     keys = keys[((keys >= 0) & (keys < span)).all(axis=1)]
     packed, first = np.unique(keys @ scale, return_index=True)
     keys = keys[first] + low
+
+    # each ray is walked only within two voxels of some face's key box:
+    # no crossing outside reaches a kept voxel
+    window = _windows(o, e, [(k.min(axis=0), k.max(axis=0))
+                             for k in face_keys if len(k)], vs)
+    walked = (window[:, 0] <= window[:, 1]) & (length > 0.0)
+    window[~walked] = 0.0
 
     n = len(packed)
     reached = np.zeros(n, dtype=bool)
@@ -289,34 +396,33 @@ def build_occupancy(rays, surface: dict,
     hit_dist, pass_dist = np.full(n, np.inf), np.full(n, np.inf)
     hit_point, pass_point = np.zeros((n, 3)), np.zeros((n, 3))
 
-    # a ray's updates: its crossings, the segment from its origin and its
-    # hit; at two or more each, a chunk holds at most 2^15 rays
-    cost = np.abs(end - start).sum(axis=1) + 2
+    # a ray's updates: its crossings in the window, the segment containing
+    # the window's start and its hit; at two or more each, a chunk holds
+    # at most 2^15 rays
+    share = window[:, 1] - window[:, 0]
+    cost = np.ceil(np.abs(end - start).sum(axis=1) * share).astype(np.int64) + 2
     chunk = (np.cumsum(cost) - cost) // CHUNK_UPDATES
     bounds = [*np.flatnonzero(np.diff(chunk, prepend=-1)).tolist(), len(rays)]
     for a, b in itertools.pairwise(bounds if n else ()):
-        moving = np.flatnonzero(length[a:b] > 0.0) + a
-        seg_ray, seg_key = traverse(o[moving], e[moving], vs)
+        moving = np.flatnonzero(walked[a:b]) + a
+        seg_ray, seg_key = traverse(o[moving], e[moving], vs, window[moving])
         seg_ray = moving[seg_ray]
+        # a ray that passes a kept voxel and whose window is cut crosses
+        # two voxels of margin inside the window, on the way in or out,
+        # and shows two passes or more: a ray that shows one pass has one
+        # in its whole walk
+        alone = np.bincount(seg_ray - a, minlength=b - a) == 1
         seg_slot = _rows(packed, (seg_key - low) @ scale)
         passed = seg_slot >= 0
+        seg_ray, seg_key, seg_slot = seg_ray[passed], seg_key[passed], seg_slot[passed]
         centers = (seg_key + 0.5) * vs
-        along = np.empty(len(seg_ray))
-        cuts = np.flatnonzero(np.diff(seg_ray, prepend=-1, append=-1))
-        # a ray's projections are needed only if it passes a kept voxel,
-        # and then for all its passes, shaped as for that ray alone
-        needed = (np.logical_or.reduceat(passed, cuts[:-1]).tolist()
-                  if len(seg_ray) else [])
-        for i, j in itertools.compress(itertools.pairwise(cuts.tolist()), needed):
-            r = seg_ray[i]
-            along[i:j] = (centers[i:j] - o[r]) @ ((e[r] - o[r]) / length[r])
-        seg_ray, seg_slot = seg_ray[passed], seg_slot[passed]
-        along = np.abs(length[seg_ray] - along[passed])
+        along = _projections(centers - o[seg_ray], (e[seg_ray] - o[seg_ray])
+                             / length[seg_ray][:, None], alone[seg_ray - a])
+        along = np.abs(length[seg_ray] - along)
         hits = np.flatnonzero(hit[a:b]) + a
         hit_slot = _rows(packed, (end[hits] - low) @ scale)
         hits, hit_slot = hits[hit_slot >= 0], hit_slot[hit_slot >= 0]
-        hit_gap = np.array([np.linalg.norm(v)
-                            for v in (end[hits] + 0.5) * vs - e[hits]])
+        hit_gap = _norms((end[hits] + 0.5) * vs - e[hits])
         if not len(seg_ray) + len(hits):
             continue
 

@@ -327,6 +327,16 @@ def test_pipeline_unknown_face_exits_2(scene_dir, tmp_path, capsys):
     assert "wall_nope" in capsys.readouterr().err
 
 
+def test_pipeline_non_positive_max_range_exits_2(scene_dir, tmp_path, capsys):
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text(f"rays = {scene_dir}/rays.txt\n"
+                   f"solid = {scene_dir}/solid.txt\n"
+                   f"max_range = -1\nout_dir = {tmp_path}/out\n")
+    assert cli.main(["pipeline", "--config", str(cfg)]) == 2
+    assert "max_range must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_pipeline_unknown_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "k.cfg"
     cfg.write_text("rays = r\nsolid = s\nout_dir = o\nbogus = 1\n")
@@ -545,6 +555,8 @@ def test_config_key_namespace_is_flat():
 
 @pytest.mark.parametrize("stage, flag, value", [
     ("raycast", "--vs", "-1"),
+    ("raycast", "--max-range", "0"),
+    ("raycast", "--max-range", "-1"),
     ("conflicts", "--sigma-position", "0"),
     ("extract", "--p-high", "2"),
 ])
@@ -562,7 +574,10 @@ def test_bad_stage_config_value_exits_2(scene_dir, artifacts_dir, tmp_path,
     out = tmp_path / "out.txt"
     rc = cli.main([stage, *inputs[stage], "--out", str(out), flag, value])
     assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if flag == "--max-range":
+        assert "max_range must be positive" in err
     assert not out.exists()
 
 

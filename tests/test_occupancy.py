@@ -40,6 +40,12 @@ def _oracle_cells(rays, cfg):
     return ref.cells
 
 
+def _key_box(low, size):
+    """Every key of the box of `size` voxels a side from key `low`."""
+    axes = [np.arange(a, a + n) for a, n in zip(low, size)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
 def _box(rays, cfg):
     """Every key in the box spanned by the rays' origins and their
     endpoints cut at `max_range`, grown by one voxel: all the voxels the
@@ -49,8 +55,8 @@ def _box(rays, cfg):
     length = np.maximum(np.linalg.norm(e - o, axis=1), 1e-300)
     cut = o + (e - o) * np.minimum(1.0, cfg.max_range / length)[:, None]
     ends = occupancy.grid_index(np.vstack([o, cut]), cfg.voxel_size)
-    axes = [np.arange(a - 1, b + 2) for a, b in zip(ends.min(axis=0), ends.max(axis=0))]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    low = ends.min(axis=0) - 1
+    return _key_box(low, ends.max(axis=0) + 2 - low)
 
 
 def _build(rays, cfg=None):
@@ -310,9 +316,20 @@ def _offset(rng, n):
     return rays
 
 
+def _one_pass(rng, n):
+    # rays of about 0.12 m, each crossing one or two boundaries: many have
+    # a single pass, whose projection takes the one-row BLAS kernel
+    o = rng.uniform(-1, 1, (n, 3))
+    u = rng.normal(size=(n, 3))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    return np.column_stack([o, o + u * rng.uniform(0.1, 0.14, (n, 1)),
+                            rng.random(n) < 0.8])
+
+
 FAMILIES = {"uniform": _uniform, "grid_aligned": _grid_aligned,
             "zero_length": _zero_length, "beyond_range": _beyond_range,
-            "repeated": _repeated, "saturating": _saturating, "offset": _offset}
+            "repeated": _repeated, "saturating": _saturating, "offset": _offset,
+            "one_pass": _one_pass}
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -335,6 +352,76 @@ def test_build_matches_scalar_oracle(family, seed):
     part += [(99, 99, 99), (-99, 0, 0)]
     assert cells(build_occupancy(rays, {"f": part}, cfg)) == {
         k: want[k] for k in part if k in want}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_build_on_small_boxes_matches_scalar_oracle(family):
+    # faces of 1 to 5 voxels a side around reached keys: each ray is walked
+    # only near them, and most windows cut the ray
+    rng = np.random.default_rng(6)
+    cfg = OccupancyConfig(max_range=1.5)
+    rays = FAMILIES[family](rng, 400)
+    want = _oracle_cells(rays, cfg)
+    reached = np.array(sorted(want))
+    for _ in range(8):
+        surface = {}
+        for face in ("a", "b"):
+            size = rng.integers(1, 6, 3)
+            key = reached[rng.integers(len(reached))]
+            surface[face] = _key_box(key - rng.integers(0, size), size)
+        keys = {tuple(k) for k in np.vstack(list(surface.values())).tolist()}
+        assert cells(build_occupancy(rays, surface, cfg)) == {
+            k: want[k] for k in keys if k in want}
+
+
+def test_windowed_walk_is_a_run_of_the_whole_walk():
+    # within its window a ray takes the whole walk's voxels, consecutively
+    rng = np.random.default_rng(45)
+    rays = np.vstack([_uniform(rng, 100), _grid_aligned(rng, 100)])
+    o, e = rays[:, :3], rays[:, 3:6]
+    window = np.sort(rng.random((200, 2)), axis=1)
+    window[:20] = [0.0, 1.0]
+    window[20:40, 1] = window[20:40, 0]
+    ray, keys = occupancy.traverse(o, e, 0.1, window)
+    whole_ray, whole_keys = occupancy.traverse(o, e, 0.1)
+    assert (np.diff(ray) >= 0).all()
+    cut = 0
+    for i in range(200):
+        part = keys[ray == i].tolist()
+        whole = whole_keys[whole_ray == i].tolist()
+        at = [j for j in range(len(whole) - len(part) + 1)
+              if whole[j:j + len(part)] == part]
+        assert at, i
+        assert i >= 20 or part == whole
+        cut += len(part) < len(whole)
+    assert cut > 60
+
+
+def test_blas_rows_do_not_depend_on_the_row_count():
+    # the build's pass distances rely on it: a row of a product (k, 3) @ (3,)
+    # with k >= 2 does not depend on k or on its position, and a one-row
+    # product is np.dot, whose sum is the square of np.linalg.norm
+    rng = np.random.default_rng(9)
+    for k in [*range(1, 13)] * 100 + [50, 333]:
+        rows = rng.normal(size=(k, 3)) * rng.uniform(1e-3, 1e3, (k, 1))
+        u = rng.normal(size=3)
+        u /= np.linalg.norm(u)
+        want = rows @ u
+        alone = np.full(k, k == 1)
+        got = occupancy._projections(rows, np.tile(u, (k, 1)), alone)
+        assert got.tolist() == want.tolist(), (
+            f"this BLAS computes the rows of a {k}-row product differently "
+            "from the build's batched form")
+        if k > 2:
+            assert (rows[1:] @ u).tolist() == want[1:].tolist(), (
+                f"this BLAS computes a row of a {k}-row product depending on "
+                "its position")
+        if k == 1:
+            assert want[0] == np.dot(rows[0], u)
+    v = rng.normal(size=(5000, 3)) * rng.uniform(1e-3, 1e3, (5000, 1))
+    assert occupancy._norms(v).tolist() == [
+        np.linalg.norm(x) for x in v], (
+        "this BLAS's one-row product differs from np.linalg.norm")
 
 
 def test_build_matches_oracle_across_chunks(monkeypatch):
@@ -527,3 +614,6 @@ def test_config_validation():
         OccupancyConfig(voxel_size=0.0)
     with pytest.raises(DomainError):
         OccupancyConfig(log_odds_min=1.0, log_odds_max=0.0)
+    for max_range in (0.0, -1.0):
+        with pytest.raises(DomainError, match="max_range must be positive"):
+            OccupancyConfig(max_range=max_range)
