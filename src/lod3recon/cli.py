@@ -92,6 +92,8 @@ class PipelineConfig:
                 raise ConfigError(f"config key {name!r} is required")
         if (self.image is None) != (self.correspondences is None):
             raise ConfigError("image and correspondences must be given together")
+        if not self.gt_instances and (self.gt_measured or self.gt_model):
+            raise ConfigError("gt_measured and gt_model need gt_instances")
         for f in fields(self):
             test, rule = f.metadata.get("range", (None, None))
             value = getattr(self, f.name)
@@ -108,11 +110,8 @@ class PipelineConfig:
         return self.margin if self.margin is not None else self.raster_cell
 
 
-@functools.cache
 def _field_types(cls) -> dict:
-    """Field name -> value type of a dataclass; `X | None` counts as X.
-    Cached, since every `build_parser` call asks again and
-    `typing.get_type_hints` is slow: callers must not change the dict."""
+    """Field name -> value type of a dataclass; `X | None` counts as X."""
     types = {}
     for name, hint in typing.get_type_hints(cls).items():
         args = [a for a in typing.get_args(hint) if a is not type(None)]
@@ -232,6 +231,11 @@ def run_pipeline(config: PipelineConfig) -> dict:
     os.makedirs(out, exist_ok=True)
     artifacts: dict = {"out_dir": out, "metrics": {}}
 
+    def save(write, value, name):
+        """`write` `value` to the artifact `name`.txt in the output dir."""
+        artifacts[name] = os.path.join(out, f"{name}.txt")
+        write(value, artifacts[name])
+
     with _stage("prior"):
         solid = _read_prior(config.solid)
     with _stage("faces"):
@@ -240,8 +244,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     with _stage("raycast"):
         rays = read_rays(config.rays)
         tree = build_occupancy(rays, surface, config.occupancy)
-        artifacts["tree"] = os.path.join(out, "tree.txt")
-        write_tree(tree, artifacts["tree"])
+        save(write_tree, tree, "tree")
     points = probs = None
     if config.points:
         with _stage("project-points"):
@@ -263,42 +266,32 @@ def run_pipeline(config: PipelineConfig) -> dict:
         with _stage("conflicts"):
             conflict = project_conflict_map(tree, face, surface[face_id],
                                             config.uncertainty, frame)
-            path = os.path.join(out, f"conflict_{face_id}.txt")
-            write_raster(conflict, path)
-            artifacts[f"conflict_{face_id}"] = path
+            save(write_raster, conflict, f"conflict_{face_id}")
         pc = tex = None
         if points is not None:
             with _stage("project-points"):
                 pc = project_point_probabilities(points, probs, frame,
                                                  band=config.band)
-                path = os.path.join(out, f"points_{face_id}.txt")
-                write_raster(pc, path)
-                artifacts[f"points_{face_id}"] = path
+                save(write_raster, pc, f"points_{face_id}")
         if image is not None:
             with _stage("project-image"):
                 tex = project_image_probabilities(image, image_channels,
                                                   homography, frame)
-                path = os.path.join(out, f"texture_{face_id}.txt")
-                write_raster(tex, path)
-                artifacts[f"texture_{face_id}"] = path
+                save(write_raster, tex, f"texture_{face_id}")
         with _stage("fuse"):
             posterior = fuse_maps(conflict, pc, tex, cpt)
-            path = os.path.join(out, f"posterior_{face_id}.txt")
-            write_raster(posterior, path)
-            artifacts[f"posterior_{face_id}"] = path
+            save(write_raster, posterior, f"posterior_{face_id}")
         with _stage("extract"):
             instances.extend(extract_openings(posterior, config.extraction,
                                               pc, tex, face_id=face_id))
     with _stage("extract"):
-        artifacts["instances"] = os.path.join(out, "instances.txt")
-        write_instances(instances, artifacts["instances"])
+        save(write_instances, instances, "instances")
 
     with _stage("reconstruct"):
         model = reconstruct_model(solid, instances, templates,
                                   depth=config.depth,
                                   margin=config.cut_margin)
-        artifacts["model"] = os.path.join(out, "model.txt")
-        write_model(model, artifacts["model"])
+        save(write_model, model, "model")
         artifacts["citygml"] = os.path.join(out, "model.gml")
         write_citygml(model, artifacts["citygml"])
 
@@ -481,11 +474,13 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    if (args.model is None) != (args.gt_model is None):
+        raise ConfigError("--model and --gt-model must be given together")
     pred = read_instances(args.pred)
     gt = read_instances(args.gt)
     measured = _read_optional(read_instances, args.measured)
     models = None
-    if args.model and args.gt_model:
+    if args.model is not None:
         models = read_model(args.model), read_model(args.gt_model)
     metrics = _score(pred, gt, measured, models, args)
     if args.out:
@@ -592,6 +587,18 @@ def _add_options(parser, cls, *names, override: bool = False) -> None:
             help=f"override {f.name}" if override else doc)
 
 
+def _facade_stage(sub, name: str, inputs, **texts):
+    """Subcommand `name` writing a raster of one face, with its parser's
+    help and description `texts`: the `inputs`, the prior, the face and
+    the output are required paths, plus --cell."""
+    texts.setdefault("description", "--cell defaults to the default voxel size.")
+    p = sub.add_parser(name, **texts)
+    for flag in inputs + ["--solid", "--face", "--out"]:
+        p.add_argument(flag, required=True)
+    _add_options(p, PipelineConfig, "cell")
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lod3recon",
@@ -612,36 +619,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_options(p, OccupancyConfig)
     p.set_defaults(func=_cmd_raycast)
 
-    p = sub.add_parser("conflicts",
-                       help="project voxel states onto a facade raster",
-                       description="--cell defaults to the tree's voxel size.")
-    p.add_argument("--tree", required=True)
-    p.add_argument("--solid", required=True)
-    p.add_argument("--face", required=True)
-    p.add_argument("--out", required=True)
-    _add_options(p, PipelineConfig, "cell")
+    p = _facade_stage(sub, "conflicts", ["--tree"],
+                      help="project voxel states onto a facade raster",
+                      description="--cell defaults to the tree's voxel size.")
     _add_options(p, UncertaintyConfig)
     p.set_defaults(func=_cmd_conflicts)
 
-    p = sub.add_parser("project-points",
-                       help="project labeled scan points onto a facade raster",
-                       description="--cell defaults to the default voxel size.")
-    p.add_argument("--points", required=True)
-    p.add_argument("--solid", required=True)
-    p.add_argument("--face", required=True)
-    p.add_argument("--out", required=True)
-    _add_options(p, PipelineConfig, "cell", "band")
+    p = _facade_stage(sub, "project-points", ["--points"],
+                      help="project labeled scan points onto a facade raster")
+    _add_options(p, PipelineConfig, "band")
     p.set_defaults(func=_cmd_project_points)
 
-    p = sub.add_parser("project-image",
-                       help="warp an image probability grid onto a facade",
-                       description="--cell defaults to the default voxel size.")
-    p.add_argument("--image", required=True)
-    p.add_argument("--correspondences", required=True)
-    p.add_argument("--solid", required=True)
-    p.add_argument("--face", required=True)
-    p.add_argument("--out", required=True)
-    _add_options(p, PipelineConfig, "cell")
+    p = _facade_stage(sub, "project-image", ["--image", "--correspondences"],
+                      help="warp an image probability grid onto a facade")
     p.set_defaults(func=_cmd_project_image)
 
     p = sub.add_parser("fuse", help="fuse evidence rasters into a posterior")
@@ -701,9 +691,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first `main` call and reused; each parse starts afresh
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         with _stage(args.command):
             return args.func(args)

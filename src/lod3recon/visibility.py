@@ -21,7 +21,7 @@ import numpy as np
 
 from . import geom, rasters
 from .errors import DomainError
-from .occupancy import OccupancyTree, grid_index, log_odds
+from .occupancy import OccupancyTree, _dots, grid_index, log_odds
 
 
 @dataclass(frozen=True)
@@ -46,13 +46,18 @@ class UncertaintyConfig:
         return self.sigma_position, self.sigma_state
 
 
-def _phi(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+# math.erf elementwise; scipy's erf differs from it in the last bit
+_erf = np.frompyfunc(math.erf, 1, 1)
 
 
-def positioning_probability(dist: float, sigma: float, voxel_size: float) -> float:
+def _phi(x):
+    return 0.5 * (1.0 + np.asarray(_erf(x / math.sqrt(2.0)), dtype=float))
+
+
+def positioning_probability(dist, sigma: float, voxel_size: float):
     """Probability mass a Gaussian surface estimate puts on a voxel-wide
-    slab centered `dist` away from its mean. `sigma` is in voxel units."""
+    slab centered `dist` away from its mean, elementwise. `sigma` is in
+    voxel units."""
     if sigma <= 0.0 or voxel_size <= 0.0:
         raise DomainError("sigma and voxel_size must be positive")
     s = sigma * voxel_size
@@ -60,21 +65,23 @@ def positioning_probability(dist: float, sigma: float, voxel_size: float) -> flo
     return _phi((dist + half) / s) - _phi((dist - half) / s)
 
 
-def positioning_confidence(dist: float, sigma: float, voxel_size: float) -> float:
+def positioning_confidence(dist, sigma: float, voxel_size: float):
     """Slab mass normalized against a perfectly centered estimate, so a
-    zero-distance match scores 1.
+    zero-distance match scores 1; elementwise.
 
     The centered slab holds the maximum mass, so the ratio can pass 1
     only through rounding in erf; clamp to keep a valid probability.
     """
     ratio = (positioning_probability(dist, sigma, voxel_size)
              / positioning_probability(0.0, sigma, voxel_size))
-    return min(ratio, 1.0)
+    return np.minimum(ratio, 1.0)
 
 
-def joint_state_probability(p_position: float, p_state: float):
-    """(p_confirmed, p_conflicted) from the two independent confidences."""
-    if not (0.0 <= p_position <= 1.0 and 0.0 <= p_state <= 1.0):
+def joint_state_probability(p_position, p_state):
+    """(p_confirmed, p_conflicted) from the two independent confidences,
+    elementwise."""
+    if not np.all((0.0 <= p_position) & (p_position <= 1.0)
+                  & (0.0 <= p_state) & (p_state <= 1.0)):
         raise DomainError("confidences must lie in [0, 1]")
     p_conf = p_position * p_state
     return p_conf, 1.0 - p_conf
@@ -126,50 +133,39 @@ def surface_voxels(face, voxel_size: float) -> list:
 # ---------------------------------------------------------------------------
 # classification
 
-@dataclass(frozen=True)
-class SurfaceVoxel:
-    key: tuple
-    state: str            # occupied, empty, or unknown
-    p_confirmed: float
-    p_conflicted: float
-
-
 def classify_surface_voxels(tree: OccupancyTree, face, keys,
-                            config: UncertaintyConfig | None = None) -> list:
+                            config: UncertaintyConfig | None = None):
     """Score every surface voxel of `face`, `keys` as `surface_voxels`
-    gives them, against the ray evidence.
+    gives them, against the ray evidence: parallel arrays (state,
+    p_confirmed, p_conflicted), one entry per key.
 
     Occupied voxels are judged by their nearest contributing hit (plane
     agreement and distance to the voxel center); empty voxels by the
     closest passing ray's endpoint (how far behind the face it landed).
-    Voxels without usable evidence come back as unknown.
+    Voxels without usable evidence come back as unknown, scored 0 and 0.
     """
     cfg = config or UncertaintyConfig()
     vs = tree.config.voxel_size
     s_pos, s_state = cfg.sigmas(vs)
+    rows = tree.find(keys)
+    state = np.full(len(rows), "unknown", dtype="U8")
+    p_conf, p_confl = np.zeros(len(rows)), np.zeros(len(rows))
+    seen = np.flatnonzero(rows >= 0)
+    r = rows[seen]
     # probability >= occupied_threshold, tested once in log-odds
-    occupied = log_odds(cfg.occupied_threshold)
+    occupied = tree.log_odds[r] >= log_odds(cfg.occupied_threshold)
+    d_state = np.where(occupied, tree.hit_dist[r], tree.pass_dist[r])
+    known = d_state != np.inf
+    seen, occupied, d_state, r = seen[known], occupied[known], d_state[known], r[known]
+    point = np.where(occupied[:, None], tree.hit_point[r], tree.pass_point[r])
     n, d = face.plane()
-    out = []
-    for key, row in zip(keys, tree.find(keys).tolist()):
-        if row < 0:
-            d_state = math.inf
-        elif tree.log_odds[row] >= occupied:
-            state, point, d_state = ("occupied", tree.hit_point[row],
-                                     tree.hit_dist[row])
-        else:
-            state, point, d_state = ("empty", tree.pass_point[row],
-                                     tree.pass_dist[row])
-        if d_state == math.inf:
-            out.append(SurfaceVoxel(key, "unknown", 0.0, 0.0))
-            continue
-        d_state = float(d_state)
-        d_pos = abs(float(point @ n) - d)
-        p_pos = positioning_confidence(d_pos, s_pos, vs)
-        p_state = positioning_confidence(d_state, s_state, vs)
-        p_conf, p_confl = joint_state_probability(p_pos, p_state)
-        out.append(SurfaceVoxel(key, state, p_conf, p_confl))
-    return out
+    # one-row products, each equal to the scalar point @ n
+    d_pos = np.abs(_dots(point, np.broadcast_to(n, point.shape)) - d)
+    state[seen] = np.where(occupied, "occupied", "empty")
+    p_conf[seen], p_confl[seen] = joint_state_probability(
+        positioning_confidence(d_pos, s_pos, vs),
+        positioning_confidence(d_state, s_state, vs))
+    return state, p_conf, p_confl
 
 
 def project_conflict_map(tree: OccupancyTree, face, keys,
@@ -179,8 +175,9 @@ def project_conflict_map(tree: OccupancyTree, face, keys,
     the face's surface voxels `keys`.
 
     Pixels without any measured surface voxel stay fully unknown. With
-    the default max aggregation a pixel takes the scores of its most
-    conflicted voxel; mean aggregation averages all measured voxels.
+    the default max aggregation a pixel takes the scores of its first
+    most conflicted voxel in key order; mean aggregation averages all
+    its measured voxels.
     """
     cfg = config or UncertaintyConfig()
     vs = tree.config.voxel_size
@@ -188,23 +185,30 @@ def project_conflict_map(tree: OccupancyTree, face, keys,
         frame = rasters.facade_frame(face, vs)
     raster = rasters.FacadeRaster.zeros(frame, rasters.CONFLICT_CHANNELS)
     raster.data[:, :, 2] = 1.0
-    voxels = classify_surface_voxels(tree, face, keys, cfg)
-    measured = [sv for sv in voxels if sv.state != "unknown"]
-    if not measured:
-        return raster
-    centers = (np.asarray([sv.key for sv in measured], dtype=float) + 0.5) * vs
+    state, p_conf, p_confl = classify_surface_voxels(tree, face, keys, cfg)
+    measured = state != "unknown"
+    centers = (np.asarray(keys, dtype=float).reshape(-1, 3)[measured] + 0.5) * vs
     rows, cols, inside = frame.to_pixels(centers)
-    agg: dict = {}
-    for sv, r, c, ok in zip(measured, rows, cols, inside):
-        if not ok:
-            continue
-        agg.setdefault((int(r), int(c)), []).append(sv)
-    for (r, c), svs in agg.items():
-        if cfg.aggregate == "max":
-            best = max(svs, key=lambda sv: sv.p_conflicted)
-            confl, conf = best.p_conflicted, best.p_confirmed
-        else:
-            confl = float(np.mean([sv.p_conflicted for sv in svs]))
-            conf = float(np.mean([sv.p_confirmed for sv in svs]))
-        raster.data[r, c] = (confl, conf, 0.0)
+    pixel = (rows * frame.width + cols)[inside]
+    conf, confl = p_conf[measured][inside], p_confl[measured][inside]
+    # each pixel's voxels in key order; for max, its most conflicted first
+    order = (np.lexsort((-confl, pixel)) if cfg.aggregate == "max"
+             else np.argsort(pixel, kind="stable"))
+    pixel, conf, confl = pixel[order], conf[order], confl[order]
+    first = np.flatnonzero(np.diff(pixel, prepend=-1))
+    if cfg.aggregate == "max":
+        conf, confl = conf[first], confl[first]
+    else:
+        conf, confl = _run_means(conf, first), _run_means(confl, first)
+    flat = raster.data.reshape(-1, len(rasters.CONFLICT_CHANNELS))
+    flat[pixel[first]] = np.column_stack([confl, conf, np.zeros(len(first))])
     return raster
+
+
+def _run_means(values, first) -> np.ndarray:
+    """Mean of each run of `values` from one index of `first` to the next,
+    bit for bit as np.mean of the run: np.mean's pairwise sum starts from
+    0.0, reduceat's from the run's first value, so each run gets a 0.0."""
+    count = np.diff(first, append=len(values))
+    padded = np.insert(values, first, 0.0)
+    return np.add.reduceat(padded, first + np.arange(len(first))) / count

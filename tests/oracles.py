@@ -241,6 +241,75 @@ class ScalarOccupancy:
             self.add_hit(end_key, e)
 
 
+def _phi(t):
+    return 0.5 * (1.0 + math.erf(t / math.sqrt(2.0)))
+
+
+def _slab_confidence(dist, sigma, vs):
+    """Gaussian mass on a voxel-wide slab `dist` from the mean over that
+    of the centered slab, at most 1; `sigma` in voxels."""
+    s, half = sigma * vs, 0.5 * vs
+
+    def mass(x):
+        return _phi((x + half) / s) - _phi((x - half) / s)
+    return min(mass(dist) / mass(0.0), 1.0)
+
+
+def scalar_classify(tree, face, keys, config):
+    """One (key, state, p_confirmed, p_conflicted) per surface voxel, one
+    voxel at a time with math.erf, from the tree's columns. `config`
+    carries the sigmas and occupied_threshold."""
+    vs = tree.config.voxel_size
+    s_pos, s_state = config.sigmas(vs)
+    p = config.occupied_threshold
+    occupied = math.log(p / (1.0 - p))
+    n, d = face.plane()
+    out = []
+    for key, row in zip(keys, tree.find(keys).tolist()):
+        if row < 0:
+            d_state = math.inf
+        elif tree.log_odds[row] >= occupied:
+            state, point, d_state = ("occupied", tree.hit_point[row],
+                                     tree.hit_dist[row])
+        else:
+            state, point, d_state = ("empty", tree.pass_point[row],
+                                     tree.pass_dist[row])
+        if d_state == math.inf:
+            out.append((key, "unknown", 0.0, 0.0))
+            continue
+        d_pos = abs(float(point @ n) - d)
+        p_conf = (_slab_confidence(d_pos, s_pos, vs)
+                  * _slab_confidence(float(d_state), s_state, vs))
+        out.append((key, state, p_conf, 1.0 - p_conf))
+    return out
+
+
+def scalar_conflict_map(voxels, vs, aggregate, frame):
+    """(height, width, 3) float32 conflict raster on `frame` of the
+    `scalar_classify` output `voxels`: each pixel's measured voxels
+    gathered in a dict, then the first most conflicted one (max) or
+    np.mean of their scores (mean); unmeasured pixels are (0, 0, 1)."""
+    data = np.zeros((frame.height, frame.width, 3), dtype=np.float32)
+    data[:, :, 2] = 1.0
+    measured = [v for v in voxels if v[1] != "unknown"]
+    if not measured:
+        return data
+    centers = (np.asarray([v[0] for v in measured], dtype=float) + 0.5) * vs
+    rows, cols, inside = frame.to_pixels(centers)
+    pixels = {}
+    for v, r, c, ok in zip(measured, rows, cols, inside):
+        if ok:
+            pixels.setdefault((int(r), int(c)), []).append(v)
+    for (r, c), group in pixels.items():
+        if aggregate == "max":
+            _, _, conf, confl = max(group, key=lambda v: v[3])
+        else:
+            confl = float(np.mean([v[3] for v in group]))
+            conf = float(np.mean([v[2] for v in group]))
+        data[r, c] = (confl, conf, 0.0)
+    return data
+
+
 def cpt_marginal(conflict, pc_opening, tex_opening, entries):
     """Posterior of "opening" as the written-out 12-term sum.
 

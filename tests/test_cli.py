@@ -137,6 +137,12 @@ def test_pipeline_config_pairs_image_with_correspondences():
         cli.PipelineConfig(rays="r", solid="s", out_dir="o", image="i.txt")
 
 
+@pytest.mark.parametrize("key", ["gt_measured", "gt_model"])
+def test_pipeline_config_needs_gt_instances(key):
+    with pytest.raises(ConfigError, match="need gt_instances"):
+        cli.PipelineConfig(rays="r", solid="s", out_dir="o", **{key: "x.txt"})
+
+
 def test_pipeline_config_derived_defaults():
     config = cli.PipelineConfig(rays="r", solid="s", out_dir="o")
     assert config.raster_cell == config.occupancy.voxel_size
@@ -337,6 +343,21 @@ def test_pipeline_non_positive_max_range_exits_2(scene_dir, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key", ["gt_measured", "gt_model"])
+def test_pipeline_ground_truth_without_instances_exits_2(scene_dir, tmp_path,
+                                                         capsys, key):
+    # the scene's gt_measured.txt also reads as a model file name: the
+    # config is rejected before any file is read
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text(f"rays = {scene_dir}/rays.txt\n"
+                   f"solid = {scene_dir}/solid.txt\n"
+                   f"{key} = {scene_dir}/gt_measured.txt\n"
+                   f"out_dir = {tmp_path}/out\n")
+    assert cli.main(["pipeline", "--config", str(cfg)]) == 2
+    assert "need gt_instances" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_pipeline_unknown_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "k.cfg"
     cfg.write_text("rays = r\nsolid = s\nout_dir = o\nbogus = 1\n")
@@ -415,6 +436,19 @@ def test_evaluate_with_models_reports_surface_metrics(scene_dir,
     metrics = read_metrics(out)
     assert metrics["watertight"] is True
     assert metrics["rms_deviation"] < 0.01
+
+
+@pytest.mark.parametrize("flag", ["--model", "--gt-model"])
+def test_evaluate_half_a_model_pair_exits_2(scene_dir, artifacts_dir,
+                                            tmp_path, capsys, flag):
+    out = tmp_path / "m.txt"
+    rc = cli.main(["evaluate", "--pred", str(artifacts_dir / "instances.txt"),
+                   "--gt", str(scene_dir / "gt_instances.txt"),
+                   flag, str(artifacts_dir / "model.txt"), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: evaluate: --model and --gt-model must be given together\n")
+    assert not out.exists()
 
 
 def test_extract_on_synthetic_posterior(tmp_path):
@@ -510,6 +544,21 @@ def test_missing_subcommand_is_an_argparse_error():
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 2
+
+
+def test_main_reuses_one_parser_without_carrying_options(scene_dir, tmp_path):
+    # a repeatable option given to one call is not the next call's default
+    tree = tmp_path / "tree.txt"
+    base = ["raycast", "--rays", str(scene_dir / "rays.txt"),
+            "--solid", str(scene_dir / "solid.txt"), "--out", str(tree)]
+    assert cli.main(base + ["--face", "wall_front", "--vs", "0.2"]) == 0
+    built = cli._parser.cache_info().misses
+    assert read_tree(tree).faces == ("wall_front",)
+    assert cli.main(base) == 0
+    assert cli._parser.cache_info().misses == built == 1
+    again = read_tree(tree)
+    assert again.faces == ("wall_front", "wall_right", "wall_back", "wall_left")
+    assert again.config.voxel_size == OccupancyConfig().voxel_size
 
 
 def test_module_entry_point_runs():

@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -215,9 +217,10 @@ def test_surface_voxels_rotated_face_matches_clip_oracle():
 # ---------------------------------------------------------------------------
 # grid-plane faces against the area oracle
 
-# the front scene's default prior and the block scene's 16 x 10 x 6 m box
-SYNTH_PRIORS = (scene_solid(SceneSpec()),
-                scene_solid(SceneSpec(width=16.0, height=6.0, depth=10.0)))
+# the front scene's defaults and the block scene's 16 x 10 x 6 m box
+SYNTH_SPECS = {"front": SceneSpec(),
+               "block": SceneSpec(width=16.0, height=6.0, depth=10.0, pitch=0.1)}
+SYNTH_PRIORS = tuple(scene_solid(spec) for spec in SYNTH_SPECS.values())
 FAR = (5e5, 5.4e6, 0.0)
 
 
@@ -343,7 +346,10 @@ def _mini_scene():
 def test_classify_surface_voxels_states():
     face, tree, window, untouched = _mini_scene()
     keys = surface_voxels(face, 0.1)
-    by_key = {sv.key: sv for sv in visibility.classify_surface_voxels(tree, face, keys)}
+    columns = visibility.classify_surface_voxels(tree, face, keys)
+    assert [len(c) for c in columns] == [40, 40, 40]
+    by_key = {key: SimpleNamespace(state=s, p_confirmed=c, p_conflicted=x)
+              for key, s, c, x in zip(keys, *columns)}
     assert len(by_key) == 40
     sv = by_key[(0, 0, 0)]
     assert sv.state == "occupied"
@@ -390,6 +396,18 @@ def test_conflict_map_unknown_only_pixel():
     np.testing.assert_allclose(r.data[:, :, 2], 1.0)
 
 
+def test_run_means_equal_np_mean_bit_for_bit():
+    # mean aggregation averages each pixel's run of voxel scores; the
+    # float32 raster hides last-bit differences, so check in float64
+    rng = np.random.default_rng(23)
+    for sizes in (rng.integers(1, 20, 200), rng.integers(1, 400, 40)):
+        first = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        values = rng.random(int(sizes.sum())) ** rng.uniform(0.1, 5.0)
+        got = visibility._run_means(values, first)
+        want = [np.mean(values[a:a + k].tolist()) for a, k in zip(first, sizes)]
+        assert got.tobytes() == np.asarray(want).tobytes()
+
+
 def _reached_keys(rays, vs):
     """Every voxel a ray passes or ends in, a hundred rays at a time."""
     parts = []
@@ -400,8 +418,7 @@ def _reached_keys(rays, vs):
 
 
 @pytest.mark.parametrize("spec", [
-    SceneSpec(seed=7),
-    SceneSpec(width=16.0, height=6.0, depth=10.0, pitch=0.1, seed=7)],
+    replace(SYNTH_SPECS["front"], seed=7), replace(SYNTH_SPECS["block"], seed=7)],
     ids=["front", "block"])
 def test_surface_tree_gives_the_full_trees_conflict_maps(spec):
     rays = generate_scan(spec)[0]
@@ -420,3 +437,46 @@ def test_surface_tree_gives_the_full_trees_conflict_maps(spec):
         assert got.data.tobytes() == want.data.tobytes()
         measured += int((got.data[:, :, 2] == 0.0).sum())
     assert measured > 0
+
+
+def _far_front():
+    """The front scene's scan and prior moved to (5e5, 5.4e6, 0) m."""
+    spec = SceneSpec(seed=7)
+    rays = generate_scan(spec)[0].copy()
+    rays[:, [0, 3]] += FAR[0]
+    rays[:, [1, 4]] += FAR[1]
+    return rays, box_solid("b", FAR, (spec.width, spec.depth, spec.height))
+
+
+@pytest.mark.parametrize("scene", [
+    ("front", 7), ("front", 101), ("block", 7), ("block", 101), ("far", 7)],
+    ids=lambda s: f"{s[0]}-{s[1]}")
+def test_conflict_maps_match_scalar_oracle(scene):
+    # every wall, both aggregations, one to four voxels per pixel edge (a
+    # mean pixel averages 16 voxels at cell 0.4); scores compare in float64
+    name, seed = scene
+    if name == "far":
+        rays, solid = _far_front()
+    else:
+        spec = replace(SYNTH_SPECS[name], seed=seed)
+        rays, solid = generate_scan(spec)[0], scene_solid(spec)
+    walls = [f for f in solid.faces if f.label == "wall"]
+    surface = {f.face_id: surface_voxels(f, 0.1) for f in walls}
+    tree = build_occupancy(rays, surface)
+    measured = 0
+    for face in walls:
+        keys = surface[face.face_id]
+        want = oracles.scalar_classify(tree, face, keys, UncertaintyConfig())
+        state, p_conf, p_confl = visibility.classify_surface_voxels(tree, face, keys)
+        assert state.tolist() == [v[1] for v in want]
+        assert p_conf.tobytes() == np.asarray([v[2] for v in want]).tobytes()
+        assert p_confl.tobytes() == np.asarray([v[3] for v in want]).tobytes()
+        measured += int((state != "unknown").sum())
+        for cell in (0.1, 0.2, 0.4):
+            frame = rasters.facade_frame(face, cell)
+            for aggregate in ("max", "mean"):
+                cfg = UncertaintyConfig(aggregate=aggregate)
+                got = visibility.project_conflict_map(tree, face, keys, cfg, frame)
+                assert got.data.tobytes() == oracles.scalar_conflict_map(
+                    want, 0.1, aggregate, frame).tobytes()
+    assert measured > 1000
