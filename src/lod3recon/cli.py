@@ -461,6 +461,11 @@ def _cmd_extract(args) -> int:
 def _cmd_reconstruct(args) -> int:
     solid = _read_prior(args.solid)
     instances = read_instances(args.instances)
+    faces = {f.face_id for f in solid.faces}
+    for inst in instances:
+        if inst.face_id not in faces:
+            raise ParseError(f"{args.instances}: instance references unknown "
+                             f"face {inst.face_id!r}")
     # one cell of the default raster, as in the pipeline
     margin = (args.margin if args.margin is not None
               else OccupancyConfig().voxel_size)
@@ -647,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--posterior", required=True)
     p.add_argument("--pc")
     p.add_argument("--tex")
-    p.add_argument("--face", default="")
+    p.add_argument("--face", required=True)
     p.add_argument("--out", required=True)
     _add_options(p, ExtractionConfig)
     p.set_defaults(func=_cmd_extract)

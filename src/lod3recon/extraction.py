@@ -45,20 +45,15 @@ class OpeningInstance:
     """One detected opening on a facade.
 
     `rect` is (u_min, v_min, u_max, v_max) in facade meters and is the
-    exact pixel bounding box scaled by the cell size. `pixels` keeps the
-    member (row, col) pairs; instances read back from a file carry an
-    empty tuple there.
+    exact pixel bounding box scaled by the cell size.
     """
     face_id: str
     rect: tuple
     label: str
     confidence: float
-    pixels: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "rect", tuple(float(x) for x in self.rect))
-        object.__setattr__(self, "pixels",
-                           tuple((int(r), int(c)) for r, c in self.pixels))
         u0, v0, u1, v1 = self.rect
         if not (u0 < u1 and v0 < v1):
             raise ValidationError(f"degenerate opening rect {self.rect}")
@@ -79,10 +74,11 @@ def mask_clusters(mask: np.ndarray) -> list:
     order; clusters are sorted by (min row, min col).
     """
     labels, count = ndimage.label(mask, structure=EIGHT_CONNECTED)
-    out = []
-    for k in range(1, count + 1):
-        rows, cols = np.nonzero(labels == k)
-        out.append(np.stack([rows, cols], axis=1))
+    flat = labels.ravel()
+    # pixels grouped by label, background first, each in row-major order
+    order = np.argsort(flat, kind="stable")
+    pixels = np.stack(np.divmod(order, labels.shape[1]), axis=1)
+    out = np.split(pixels, np.searchsorted(flat[order], np.arange(1, count + 1)))[1:]
     out.sort(key=lambda px: (int(px[:, 0].min()), int(px[:, 1].min())))
     return out
 
@@ -133,13 +129,11 @@ def instance_confidence(cluster, posterior: np.ndarray) -> float:
     return float(post[px[:, 0], px[:, 1]].mean())
 
 
-def cluster_label(cluster, pointcloud: FacadeRaster | None,
-                  texture: FacadeRaster | None) -> str:
-    """Majority window/door vote over member pixels; ties go to window."""
-    votes = {"window": 0, "door": 0}
-    for r, c in np.asarray(cluster, dtype=int):
-        votes[fusion.disambiguate_label(pointcloud, texture, (r, c))] += 1
-    return "door" if votes["door"] > votes["window"] else "window"
+def cluster_label(cluster, door: np.ndarray) -> str:
+    """Majority window/door vote of the member pixels, `door` marking the
+    pixels that vote door; ties go to window."""
+    px = np.asarray(cluster, dtype=int)
+    return "door" if 2 * door[px[:, 0], px[:, 1]].sum() > len(px) else "window"
 
 
 def cluster_to_opening(cluster, frame, label: str, confidence: float,
@@ -148,8 +142,7 @@ def cluster_to_opening(cluster, frame, label: str, confidence: float,
     cell = frame.cell
     rect = (px[:, 1].min() * cell, px[:, 0].min() * cell,
             (px[:, 1].max() + 1) * cell, (px[:, 0].max() + 1) * cell)
-    return OpeningInstance(face_id, rect, label, confidence,
-                           tuple(map(tuple, px)))
+    return OpeningInstance(face_id, rect, label, confidence)
 
 
 def extract_openings(posterior: FacadeRaster, config: ExtractionConfig,
@@ -158,16 +151,17 @@ def extract_openings(posterior: FacadeRaster, config: ExtractionConfig,
                      face_id: str = "") -> list:
     """Full extraction pass over one facade's posterior raster."""
     post = posterior.channel("opening").astype(float)
-    mask = post > config.p_high
-    mask = morphological_opening(mask, config.kernel)
-    clusters = filter_instances(mask_clusters(mask), config)
-    out = []
-    for cluster in clusters:
-        label = cluster_label(cluster, pointcloud, texture)
-        conf = instance_confidence(cluster, post)
-        out.append(cluster_to_opening(cluster, posterior.frame, label,
-                                      conf, face_id))
-    return out
+    mask = morphological_opening(post > config.p_high, config.kernel)
+    # a pixel votes door when its door probability, summed over the
+    # semantic rasters, beats its summed window probability; ties, no
+    # evidence included, go to window, the far more common class
+    evidence = (pointcloud, texture)
+    door = (fusion.class_mass(evidence, "door", posterior.frame)
+            > fusion.class_mass(evidence, "window", posterior.frame))
+    return [cluster_to_opening(cluster, posterior.frame,
+                               cluster_label(cluster, door),
+                               instance_confidence(cluster, post), face_id)
+            for cluster in filter_instances(mask_clusters(mask), config)]
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +184,8 @@ def parse_instance(tokens, path, no) -> OpeningInstance:
     face, label, conf, rect_head = (
         textio.kv(t, key, path, no)
         for t, key in zip(tokens, ("face", "label", "conf", "rect")))
+    if not face:
+        raise ParseError(f"{path}:{no}: empty face id")
     conf, *rect = textio.finite(
         textio.floats([conf, rect_head, *tokens[4:]], path, no), "number",
         path, no)

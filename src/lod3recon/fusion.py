@@ -9,7 +9,7 @@ fusing whole rasters is a single einsum.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import itertools
 
 import numpy as np
 
@@ -20,6 +20,9 @@ from .rasters import CONFLICT_CHANNELS, FacadeRaster, require_same_frame
 
 CONFLICT_STATES = CONFLICT_CHANNELS
 EVIDENCE_STATES = ("opening", "other")
+# (conflict, pc, tex) in the order of Cpt.table's entries
+COMBINATIONS = tuple(itertools.product(CONFLICT_STATES, EVIDENCE_STATES,
+                                       EVIDENCE_STATES))
 
 
 class Cpt:
@@ -36,11 +39,6 @@ class Cpt:
         if t.shape != (3, 2, 2):
             raise ConfigError(f"CPT table must be 3x2x2, got {t.shape}")
         self.table = t
-
-    def entry(self, conflict: str, pc: str, tex: str) -> float:
-        return float(self.table[CONFLICT_STATES.index(conflict),
-                                EVIDENCE_STATES.index(pc),
-                                EVIDENCE_STATES.index(tex)])
 
 
 def default_cpt() -> Cpt:
@@ -59,52 +57,39 @@ def default_cpt() -> Cpt:
     ])
 
 
-def validate_cpt(cpt) -> list:
-    """Violation strings; empty when the table is complete and in range.
-
-    Accepts a Cpt or a mapping {(conflict, pc, tex): probability} as
-    produced while parsing a CPT file.
-    """
-    if isinstance(cpt, Cpt):
-        entries = {(s, a, b): cpt.entry(s, a, b)
-                   for s in CONFLICT_STATES
-                   for a in EVIDENCE_STATES for b in EVIDENCE_STATES}
-    else:
-        entries = {k: float(v) for k, v in dict(cpt).items()}
+def validate_cpt(entries: dict) -> list:
+    """Violation strings of a mapping {(conflict, pc, tex): probability},
+    as produced while parsing a CPT file; empty when it is complete and in
+    range."""
     out = []
-    for s in CONFLICT_STATES:
-        for a in EVIDENCE_STATES:
-            for b in EVIDENCE_STATES:
-                key = (s, a, b)
-                if key not in entries:
-                    out.append(f"MissingCombination: {s}/{a}/{b}")
-                elif not 0.0 <= entries[key] <= 1.0:
-                    out.append(f"OutOfRange: {s}/{a}/{b} = {entries[key]!r}")
-    known = {(s, a, b) for s in CONFLICT_STATES
-             for a in EVIDENCE_STATES for b in EVIDENCE_STATES}
-    for key in sorted(set(entries) - known, key=str):
+    for key in COMBINATIONS:
+        if key not in entries:
+            out.append(f"MissingCombination: {'/'.join(key)}")
+        elif not 0.0 <= entries[key] <= 1.0:
+            out.append(f"OutOfRange: {'/'.join(key)} = {entries[key]!r}")
+    for key in sorted(set(entries) - set(COMBINATIONS), key=str):
         out.append(f"UnknownCombination: {key!r}")
     return out
 
 
-class PixelEvidence(NamedTuple):
-    """Soft evidence at one pixel.
-
-    `conflict` is the (conflicted, confirmed, unknown) distribution;
-    `pc_opening` and `tex_opening` are the opening-class masses of the
-    point-cloud and texture modalities.
-    """
-    conflict: tuple
-    pc_opening: float
-    tex_opening: float
+def posterior(conflict, pc, tex, cpt: Cpt) -> np.ndarray:
+    """Marginal probability of "opening", elementwise over float64 arrays
+    of any leading shape: `conflict` (..., 3) holds the (conflicted,
+    confirmed, unknown) distribution, `pc` and `tex` (...) the
+    opening-class masses of the point-cloud and texture modalities."""
+    w_pc = np.stack([pc, 1.0 - pc], axis=-1)
+    w_tex = np.stack([tex, 1.0 - tex], axis=-1)
+    return np.einsum("...s,sab,...a,...b->...", conflict, cpt.table, w_pc, w_tex)
 
 
-def pixel_posterior(ev: PixelEvidence, cpt: Cpt) -> float:
-    """Marginal probability of "opening" under the given evidence."""
-    conflict = np.asarray(ev.conflict, dtype=float)
-    w_pc = np.array([ev.pc_opening, 1.0 - ev.pc_opening])
-    w_tex = np.array([ev.tex_opening, 1.0 - ev.tex_opening])
-    return float(np.einsum("s,sab,a,b->", conflict, cpt.table, w_pc, w_tex))
+def class_mass(rasters, name: str, frame) -> np.ndarray:
+    """Per-pixel float64 sum of the class channel `name` over `rasters`,
+    in order; None, or a raster without that channel, adds nothing."""
+    mass = np.zeros((frame.height, frame.width))
+    for raster in rasters:
+        if raster is not None and name in raster.channels:
+            mass += raster.channel(name)
+    return mass
 
 
 def opening_mass(raster: FacadeRaster | None, frame) -> np.ndarray:
@@ -115,11 +100,8 @@ def opening_mass(raster: FacadeRaster | None, frame) -> np.ndarray:
     """
     if raster is None:
         return np.full((frame.height, frame.width), 0.5)
-    mass = np.zeros((frame.height, frame.width), dtype=float)
-    for name in OPENING_LABELS:
-        if name in raster.channels:
-            mass += raster.channel(name).astype(float)
-    return np.minimum(mass, 1.0)
+    return np.minimum(sum(class_mass([raster], name, frame)
+                          for name in OPENING_LABELS), 1.0)
 
 
 def fuse_maps(conflict: FacadeRaster | None, pointcloud: FacadeRaster | None,
@@ -140,40 +122,14 @@ def fuse_maps(conflict: FacadeRaster | None, pointcloud: FacadeRaster | None,
     frame = present[0].frame
 
     if conflict is None:
-        stack = np.zeros((frame.height, frame.width, 3), dtype=float)
-        stack[:, :, 2] = 1.0
+        stack = np.broadcast_to([0.0, 0.0, 1.0], (frame.height, frame.width, 3))
     else:
         stack = np.stack([conflict.channel(c).astype(float)
                           for c in CONFLICT_STATES], axis=2)
-    pc = opening_mass(pointcloud, frame)
-    tex = opening_mass(texture, frame)
-    w_pc = np.stack([pc, 1.0 - pc], axis=2)
-    w_tex = np.stack([tex, 1.0 - tex], axis=2)
-    post = np.einsum("hws,sab,hwa,hwb->hw", stack, cpt.table, w_pc, w_tex)
-
     out = FacadeRaster.zeros(frame, ("opening",))
-    out.data[:, :, 0] = post
+    out.data[:, :, 0] = posterior(stack, opening_mass(pointcloud, frame),
+                                  opening_mass(texture, frame), cpt)
     return out
-
-
-def disambiguate_label(pointcloud: FacadeRaster | None,
-                       texture: FacadeRaster | None, pixel) -> str:
-    """Window-or-door call for one pixel by summed class probability.
-
-    Ties, including the no-evidence case, resolve to window (the far more
-    common class on facades).
-    """
-    r, c = pixel
-    win = 0.0
-    door = 0.0
-    for raster in (pointcloud, texture):
-        if raster is None:
-            continue
-        if "window" in raster.channels:
-            win += float(raster.channel("window")[r, c])
-        if "door" in raster.channels:
-            door += float(raster.channel("door")[r, c])
-    return "door" if door > win else "window"
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +152,4 @@ def read_cpt(path) -> Cpt:
     bad = validate_cpt(entries)
     if bad:
         raise ParseError(f"{path}: invalid CPT: {bad[0]}")
-    table = np.empty((3, 2, 2), dtype=float)
-    for i, s in enumerate(CONFLICT_STATES):
-        for j, a in enumerate(EVIDENCE_STATES):
-            for k, b in enumerate(EVIDENCE_STATES):
-                table[i, j, k] = entries[(s, a, b)]
-    return Cpt(table)
+    return Cpt(np.reshape([entries[key] for key in COMBINATIONS], (3, 2, 2)))

@@ -502,6 +502,15 @@ def _ascending(keys) -> np.ndarray:
     return after
 
 
+def sorted_keys(keys) -> np.ndarray:
+    """Rows of (n, 3) integer keys that list each key once, in
+    lexicographic order; a repeated key gives its last row."""
+    order = np.lexsort(keys.T[::-1])
+    last = np.ones(len(order), dtype=bool)
+    last[:-1] = _ascending(keys[order])
+    return order[last]
+
+
 def _tree_header(path, lines):
     """((voxel size, face ids), row dtype) from the
     `voxels voxel_size=<v> faces=<id>,...` line."""
@@ -544,13 +553,10 @@ def read_tree(path) -> OccupancyTree:
         path, 1, lambda lines: _tree_header(path, lines), _tree_checks)
     keys, vals = table["key"], table["value"]
 
-    # write_tree leaves the keys ascending; any other order is sorted,
-    # stably, so the last line of a repeated key is the one kept
+    # write_tree leaves the keys ascending; any other order is sorted
     if not _ascending(keys).all():
-        order = np.lexsort(keys.T[::-1])
-        keys, vals = keys[order], vals[order]
-        last = np.append(_ascending(keys), True)
-        keys, vals = keys[last], vals[last]
+        rows = sorted_keys(keys)
+        keys, vals = keys[rows], vals[rows]
     for d in (1, 5):
         vals[~np.isfinite(vals[:, d]), d + 1:d + 4] = 0.0
     return OccupancyTree(OccupancyConfig(voxel_size=vs),

@@ -110,9 +110,8 @@ def merge_overlapping_instances(instances) -> list:
         label = "window" if "window" in labels else "door"
         weight = sum(m.area() for m in members)
         conf = sum(m.confidence * m.area() for m in members) / weight
-        pixels = tuple(sorted({px for m in members for px in m.pixels}))
         out.append(OpeningInstance(members[0].face_id, (u0, v0, u1, v1),
-                                   label, conf, pixels))
+                                   label, conf))
     return out
 
 

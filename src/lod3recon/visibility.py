@@ -21,7 +21,7 @@ import numpy as np
 
 from . import geom, rasters
 from .errors import DomainError
-from .occupancy import OccupancyTree, _dots, grid_index, log_odds
+from .occupancy import OccupancyTree, _dots, grid_index, log_odds, sorted_keys
 
 
 @dataclass(frozen=True)
@@ -102,18 +102,19 @@ def _grid_plane_axis(n, d: float, vs: float):
     return ax if miss <= max(1e-9 * vs, 4 * math.ulp(plane)) else None
 
 
-def surface_voxels(face, voxel_size: float) -> list:
+def surface_voxels(face, voxel_size: float) -> np.ndarray:
     """Voxel keys whose interior the face, minus its holes, overlaps
-    (strict triangle/voxel overlap). A face lying exactly in a grid plane
-    only touches the two voxel layers that share it, so it is moved half a
-    voxel against its outward normal first and selects the inner layer."""
+    (strict triangle/voxel overlap), as (m, 3) int64 rows in lexicographic
+    order. A face lying exactly in a grid plane only touches the two voxel
+    layers that share it, so it is moved half a voxel against its outward
+    normal first and selects the inner layer."""
     vs = float(voxel_size)
     pts = np.asarray([p for ring in face.loops() for p in ring], dtype=float)
     n, d = face.plane()
     ax = _grid_plane_axis(n, d, vs)
     if ax is not None:
         pts[:, ax] -= math.copysign(0.5 * vs, n[ax])
-    keys = set()
+    keys = [np.empty((0, 3), dtype=np.int64)]
     for t in geom.triangulate_loop_3d(face.outer.points,
                                       [r.points for r in face.inner]):
         tri = pts[list(t)]
@@ -126,8 +127,9 @@ def surface_voxels(face, voxel_size: float) -> list:
         # a few thousand boxes at a time keep the test's temporaries small
         for part in np.array_split(cand, len(cand) // 4096 + 1):
             hit = geom.tri_box_overlap_strict(tri, part * vs, (part + 1) * vs)
-            keys.update(map(tuple, part[hit].tolist()))
-    return sorted(keys)
+            keys.append(part[hit])
+    keys = np.concatenate(keys)
+    return keys[sorted_keys(keys)]
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +189,7 @@ def project_conflict_map(tree: OccupancyTree, face, keys,
     raster.data[:, :, 2] = 1.0
     state, p_conf, p_confl = classify_surface_voxels(tree, face, keys, cfg)
     measured = state != "unknown"
-    centers = (np.asarray(keys, dtype=float).reshape(-1, 3)[measured] + 0.5) * vs
+    centers = (keys[measured] + 0.5) * vs
     rows, cols, inside = frame.to_pixels(centers)
     pixel = (rows * frame.width + cols)[inside]
     conf, confl = p_conf[measured][inside], p_confl[measured][inside]

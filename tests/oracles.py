@@ -8,6 +8,7 @@ checked against them.
 import math
 
 import numpy as np
+from scipy import ndimage
 
 
 def floor_key(x, vs):
@@ -325,6 +326,33 @@ def cpt_marginal(conflict, pc_opening, tex_opening, entries):
             for b, p_b in w_tex.items():
                 total += p_s * p_a * p_b * entries[(s, a, b)]
     return total
+
+
+def disambiguate_label(pointcloud, texture, pixel):
+    """Window-or-door call for one pixel by summed class probability over
+    the rasters given (None skipped), point cloud first. Ties, including
+    the no-evidence case, resolve to window."""
+    r, c = pixel
+    win = 0.0
+    door = 0.0
+    for raster in (pointcloud, texture):
+        if raster is None:
+            continue
+        if "window" in raster.channels:
+            win += float(raster.channel("window")[r, c])
+        if "door" in raster.channels:
+            door += float(raster.channel("door")[r, c])
+    return "door" if door > win else "window"
+
+
+def mask_clusters(mask):
+    """8-connected components of a boolean mask, one label at a time:
+    (n, 2) int arrays of (row, col) pairs in row-major order, sorted by
+    (min row, min col)."""
+    labels, count = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
+    out = [np.argwhere(labels == k) for k in range(1, count + 1)]
+    out.sort(key=lambda px: (int(px[:, 0].min()), int(px[:, 1].min())))
+    return out
 
 
 def brute_binary_opening(mask, kernel):

@@ -18,7 +18,7 @@ from lod3recon.evaluate import (DetectionCounts, detection_rates,
 from lod3recon.extraction import (ExtractionConfig, OpeningInstance,
                                   filter_instances, morphological_opening,
                                   read_instances, rectangularity)
-from lod3recon.fusion import Cpt, PixelEvidence, default_cpt, pixel_posterior
+from lod3recon.fusion import COMBINATIONS, Cpt, default_cpt, posterior
 from lod3recon.model_io import OpeningTemplate, box_solid
 from lod3recon.occupancy import OccupancyConfig, clamped_sums, read_rays, \
     traverse
@@ -164,19 +164,16 @@ def test_04_joint_state_probability_laws():
 # 5. fusion posterior against the 12-term oracle, plus the corner grid
 
 def _entries(cpt: Cpt) -> dict:
-    states = ("conflicted", "confirmed", "unknown")
-    classes = ("opening", "other")
-    return {(s, a, b): cpt.entry(s, a, b)
-            for s in states for a in classes for b in classes}
+    return dict(zip(COMBINATIONS, cpt.table.ravel().tolist()))
 
 
 def test_05_posterior_oracle_and_corner_grid():
     rng = np.random.default_rng(5)
     for k in range(500):
         cpt = default_cpt() if k % 2 else Cpt(rng.random((3, 2, 2)))
-        conflict = tuple(rng.dirichlet((1.0, 1.0, 1.0)))
+        conflict = rng.dirichlet((1.0, 1.0, 1.0))
         pc, tex = rng.random(2)
-        got = pixel_posterior(PixelEvidence(conflict, pc, tex), cpt)
+        got = float(posterior(conflict, pc, tex, cpt))
         want = oracles.cpt_marginal(conflict, pc, tex, _entries(cpt))
         assert abs(got - want) <= 1e-12
 
@@ -193,8 +190,8 @@ def test_05_posterior_oracle_and_corner_grid():
     corners = 0
     for lv, pv, tv in itertools.product(("for", "abstain", "against"),
                                         repeat=3):
-        post = pixel_posterior(
-            PixelEvidence(laser[lv], level[pv], level[tv]), cpt)
+        post = float(posterior(np.asarray(laser[lv]), level[pv], level[tv],
+                               cpt))
         votes = [lv, pv, tv].count("for")
         abstained = [lv, pv, tv].count("abstain")
         if votes >= 2:

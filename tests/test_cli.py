@@ -466,6 +466,38 @@ def test_extract_on_synthetic_posterior(tmp_path):
     assert instances[0].label == "window"
 
 
+def test_extract_requires_a_face(artifacts_dir, tmp_path, capsys):
+    out = tmp_path / "i.txt"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["extract", "--posterior",
+                  str(artifacts_dir / "posterior_wall_front.txt"),
+                  "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--face" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("face", ["wall_nopewall_front", ""],
+                         ids=["unknown", "empty"])
+def test_reconstruct_instance_on_a_missing_face_exits_2(
+        scene_dir, artifacts_dir, tmp_path, capsys, face):
+    instances = tmp_path / "instances.txt"
+    instances.write_text((artifacts_dir / "instances.txt").read_text()
+                         .replace("face=wall_front", f"face={face}"))
+    model = tmp_path / "model.txt"
+    rc = cli.main(["reconstruct", "--solid", str(scene_dir / "solid.txt"),
+                   "--instances", str(instances), "--out-model", str(model),
+                   "--out-gml", str(tmp_path / "model.gml")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    if face:
+        assert err == (f"error: reconstruct: {instances}: instance references "
+                       f"unknown face {face!r}\n")
+    else:
+        assert err == f"error: reconstruct: {instances}:2: empty face id\n"
+    assert not model.exists()
+
+
 def test_fuse_without_rasters_exits_2(tmp_path, capsys):
     rc = cli.main(["fuse", "--out", str(tmp_path / "x.txt")])
     assert rc == 2
@@ -576,7 +608,7 @@ STAGE_REQUIRED = {
     "raycast": ["--rays", "r.txt", "--solid", "s.txt", "--out", "t.txt"],
     "conflicts": ["--tree", "t.txt", "--solid", "s.txt", "--face", "f",
                   "--out", "c.txt"],
-    "extract": ["--posterior", "p.txt", "--out", "i.txt"],
+    "extract": ["--posterior", "p.txt", "--face", "f", "--out", "i.txt"],
 }
 
 
@@ -618,7 +650,8 @@ def test_bad_stage_config_value_exits_2(scene_dir, artifacts_dir, tmp_path,
                       "--solid", str(scene_dir / "solid.txt"),
                       "--face", "wall_front"],
         "extract": ["--posterior",
-                    str(artifacts_dir / "posterior_wall_front.txt")],
+                    str(artifacts_dir / "posterior_wall_front.txt"),
+                    "--face", "wall_front"],
     }
     out = tmp_path / "out.txt"
     rc = cli.main([stage, *inputs[stage], "--out", str(out), flag, value])
@@ -765,7 +798,8 @@ def test_invalid_prior_exits_2(scene_dir, artifacts_dir, tmp_path, capsys,
     (["project-points", "--points", "nope.txt", "--solid", "s.txt",
       "--face", "f", "--out", "p.txt"], "project-points"),
     (["fuse", "--conflict", "nope.txt", "--out", "post.txt"], "fuse"),
-    (["extract", "--posterior", "nope.txt", "--out", "i.txt"], "extract"),
+    (["extract", "--posterior", "nope.txt", "--face", "f", "--out", "i.txt"],
+     "extract"),
     (["reconstruct", "--solid", "nope.txt", "--instances", "i.txt",
       "--out-model", "m.txt", "--out-gml", "m.gml"], "reconstruct"),
     (["evaluate", "--pred", "nope.txt", "--gt", "nope.txt"], "evaluate"),
@@ -930,7 +964,8 @@ def test_benchmark_tracer_counts_rays_and_voxels(scene_dir, tmp_path, monkeypatc
 
 @pytest.mark.parametrize("argv, source, channel", [
     (["fuse", "--conflict"], "points_wall_front.txt", "conflicted"),
-    (["extract", "--posterior"], "conflict_wall_front.txt", "opening"),
+    (["extract", "--face", "wall_front", "--posterior"],
+     "conflict_wall_front.txt", "opening"),
 ], ids=["fuse", "extract"])
 def test_raster_without_its_channel_exits_2(artifacts_dir, tmp_path, capsys,
                                             argv, source, channel):

@@ -5,17 +5,20 @@ from hypothesis import strategies as st
 
 from lod3recon import fusion
 from lod3recon.errors import ConfigError, FrameMismatch, ParseError
-from lod3recon.fusion import Cpt, PixelEvidence, default_cpt, pixel_posterior
+from lod3recon.extraction import ExtractionConfig, extract_openings
+from lod3recon.fusion import Cpt, default_cpt, posterior
 from lod3recon.rasters import CONFLICT_CHANNELS, FacadeFrame, FacadeRaster
 
 import oracles
 
 
 def _entries(cpt: Cpt) -> dict:
-    return {(s, a, b): cpt.entry(s, a, b)
-            for s in fusion.CONFLICT_STATES
-            for a in fusion.EVIDENCE_STATES
-            for b in fusion.EVIDENCE_STATES}
+    return dict(zip(fusion.COMBINATIONS, cpt.table.ravel().tolist()))
+
+
+def _posterior(conflict, pc, tex, cpt) -> float:
+    """The posterior at one pixel."""
+    return float(posterior(np.asarray(conflict, dtype=float), pc, tex, cpt))
 
 
 def _frame(width=4, height=3, cell=0.1) -> FacadeFrame:
@@ -33,7 +36,7 @@ def _const_raster(frame, channels, values) -> FacadeRaster:
 # table plumbing
 
 def test_default_cpt_is_valid():
-    assert fusion.validate_cpt(default_cpt()) == []
+    assert fusion.validate_cpt(_entries(default_cpt())) == []
 
 
 def test_default_cpt_is_monotone_in_every_parent():
@@ -48,10 +51,10 @@ def test_default_cpt_is_monotone_in_every_parent():
 
 
 def test_cpt_entry_lookup():
-    cpt = default_cpt()
-    assert cpt.entry("conflicted", "opening", "opening") == 0.95
-    assert cpt.entry("confirmed", "other", "other") == 0.02
-    assert cpt.entry("unknown", "opening", "other") == 0.45
+    entries = _entries(default_cpt())
+    assert entries[("conflicted", "opening", "opening")] == 0.95
+    assert entries[("confirmed", "other", "other")] == 0.02
+    assert entries[("unknown", "opening", "other")] == 0.45
 
 
 def test_cpt_rejects_bad_shape():
@@ -62,7 +65,7 @@ def test_cpt_rejects_bad_shape():
 def test_validate_cpt_out_of_range():
     table = default_cpt().table.copy()
     table[0, 0, 0] = 1.2
-    out = fusion.validate_cpt(Cpt(table))
+    out = fusion.validate_cpt(_entries(Cpt(table)))
     assert out == ["OutOfRange: conflicted/opening/opening = 1.2"]
 
 
@@ -85,10 +88,8 @@ def test_validate_cpt_unknown_combination():
 
 def test_posterior_one_hot_returns_entry():
     cpt = default_cpt()
-    ev = PixelEvidence((1.0, 0.0, 0.0), 1.0, 1.0)
-    assert pixel_posterior(ev, cpt) == pytest.approx(0.95, abs=1e-15)
-    ev = PixelEvidence((0.0, 0.0, 1.0), 0.0, 1.0)
-    assert pixel_posterior(ev, cpt) == pytest.approx(0.45, abs=1e-15)
+    assert _posterior((1.0, 0.0, 0.0), 1.0, 1.0, cpt) == pytest.approx(0.95, abs=1e-15)
+    assert _posterior((0.0, 0.0, 1.0), 0.0, 1.0, cpt) == pytest.approx(0.45, abs=1e-15)
 
 
 def test_posterior_half_conflicted_worked_example():
@@ -96,8 +97,8 @@ def test_posterior_half_conflicted_worked_example():
     # 0.5 * 0.95 + 0.5 * 0.60 = 0.775
     table = default_cpt().table.copy()
     table[1, 0, 0] = 0.60
-    ev = PixelEvidence((0.5, 0.5, 0.0), 1.0, 1.0)
-    assert pixel_posterior(ev, Cpt(table)) == pytest.approx(0.775, abs=1e-12)
+    assert _posterior((0.5, 0.5, 0.0), 1.0, 1.0, Cpt(table)) \
+        == pytest.approx(0.775, abs=1e-12)
 
 
 def test_posterior_uniform_cpt_is_constant_half():
@@ -106,8 +107,8 @@ def test_posterior_uniform_cpt_is_constant_half():
     for _ in range(20):
         c = rng.random(3)
         c /= c.sum()
-        ev = PixelEvidence(tuple(c), rng.random(), rng.random())
-        assert pixel_posterior(ev, cpt) == pytest.approx(0.5, abs=1e-12)
+        assert _posterior(c, rng.random(), rng.random(), cpt) \
+            == pytest.approx(0.5, abs=1e-12)
 
 
 def test_posterior_matches_written_out_sum():
@@ -117,22 +118,21 @@ def test_posterior_matches_written_out_sum():
     for _ in range(200):
         c = rng.random(3)
         c /= c.sum()
-        ev = PixelEvidence(tuple(c), rng.random(), rng.random())
-        want = oracles.cpt_marginal(ev.conflict, ev.pc_opening,
-                                    ev.tex_opening, entries)
-        assert pixel_posterior(ev, cpt) == pytest.approx(want, abs=1e-12)
+        pc, tex = rng.random(), rng.random()
+        want = oracles.cpt_marginal(c, pc, tex, entries)
+        assert _posterior(c, pc, tex, cpt) == pytest.approx(want, abs=1e-12)
 
 
 @given(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1), st.floats(0, 1))
 def test_posterior_bounded_and_monotone(m, pc, tex, bump):
     cpt = default_cpt()
     conflict = (m, (1 - m) * 0.25, (1 - m) * 0.75)
-    base = pixel_posterior(PixelEvidence(conflict, pc, tex), cpt)
+    base = _posterior(conflict, pc, tex, cpt)
     assert 0.0 <= base <= 1.0
     more_pc = min(1.0, pc + bump)
     more_tex = min(1.0, tex + bump)
-    assert pixel_posterior(PixelEvidence(conflict, more_pc, tex), cpt) >= base - 1e-12
-    assert pixel_posterior(PixelEvidence(conflict, pc, more_tex), cpt) >= base - 1e-12
+    assert _posterior(conflict, more_pc, tex, cpt) >= base - 1e-12
+    assert _posterior(conflict, pc, more_tex, cpt) >= base - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +145,7 @@ def test_fuse_constant_rasters_matches_scalar():
     tex = _const_raster(frame, ("window", "door"), (0.6, 0.1))
     out = fusion.fuse_maps(conflict, pc, tex)
     assert out.channels == ("opening",)
-    want = pixel_posterior(PixelEvidence((0.2, 0.5, 0.3), 0.4, 0.7), default_cpt())
+    want = _posterior((0.2, 0.5, 0.3), 0.4, 0.7, default_cpt())
     assert out.data[:, :, 0] == pytest.approx(want, abs=1e-6)
 
 
@@ -154,7 +154,7 @@ def test_fuse_missing_texture_is_neutral():
     conflict = _const_raster(frame, CONFLICT_CHANNELS, (1.0, 0.0, 0.0))
     pc = _const_raster(frame, ("window", "door"), (0.8, 0.1))
     out = fusion.fuse_maps(conflict, pc, None)
-    want = pixel_posterior(PixelEvidence((1.0, 0.0, 0.0), 0.9, 0.5), default_cpt())
+    want = _posterior((1.0, 0.0, 0.0), 0.9, 0.5, default_cpt())
     assert out.data[:, :, 0] == pytest.approx(want, abs=1e-6)
 
 
@@ -163,7 +163,7 @@ def test_fuse_missing_conflict_is_unknown():
     pc = _const_raster(frame, ("window",), (0.9,))
     tex = _const_raster(frame, ("window",), (0.9,))
     out = fusion.fuse_maps(None, pc, tex)
-    want = pixel_posterior(PixelEvidence((0.0, 0.0, 1.0), 0.9, 0.9), default_cpt())
+    want = _posterior((0.0, 0.0, 1.0), 0.9, 0.9, default_cpt())
     assert out.data[:, :, 0] == pytest.approx(want, abs=1e-6)
 
 
@@ -171,8 +171,26 @@ def test_fuse_caps_opening_mass_at_one():
     frame = _frame()
     pc = _const_raster(frame, ("window", "door"), (0.8, 0.8))
     out = fusion.fuse_maps(None, pc, None)
-    want = pixel_posterior(PixelEvidence((0.0, 0.0, 1.0), 1.0, 0.5), default_cpt())
+    want = _posterior((0.0, 0.0, 1.0), 1.0, 0.5, default_cpt())
     assert out.data[:, :, 0] == pytest.approx(want, abs=1e-6)
+
+
+def test_fuse_is_the_posterior_formula_in_float32():
+    rng = np.random.default_rng(13)
+    frame = _frame(width=7, height=5)
+    conflict = FacadeRaster.zeros(frame, CONFLICT_CHANNELS)
+    conflict.data[:] = rng.dirichlet((1.0, 1.0, 1.0), size=(5, 7))
+    pc = FacadeRaster.zeros(frame, ("window", "door"))
+    pc.data[:] = rng.random((5, 7, 2)) * 0.6
+    tex = FacadeRaster.zeros(frame, ("door",))
+    tex.data[:] = rng.random((5, 7, 1))
+    for cpt in (default_cpt(), Cpt(rng.random((3, 2, 2)))):
+        out = fusion.fuse_maps(conflict, pc, tex, cpt)
+        want = posterior(conflict.data.astype(float),
+                         fusion.opening_mass(pc, frame),
+                         fusion.opening_mass(tex, frame), cpt)
+        assert out.data.dtype == np.float32
+        assert np.array_equal(out.data[:, :, 0], want.astype(np.float32))
 
 
 def test_fuse_requires_matching_frames():
@@ -190,22 +208,29 @@ def test_fuse_requires_some_evidence():
 # ---------------------------------------------------------------------------
 # label disambiguation
 
+def _label(pc, tex) -> str:
+    """Label of the one opening covering the whole frame."""
+    post = _const_raster(_frame(), ("opening",), (0.9,))
+    (inst,) = extract_openings(post, ExtractionConfig(kernel=1), pc, tex, "f")
+    return inst.label
+
+
 def test_disambiguate_prefers_stronger_class():
     frame = _frame()
     pc = _const_raster(frame, ("window", "door"), (0.8, 0.1))
-    assert fusion.disambiguate_label(pc, None, (0, 0)) == "window"
+    assert _label(pc, None) == "window"
 
     pc = _const_raster(frame, ("window", "door"), (0.2, 0.1))
     tex = _const_raster(frame, ("window", "door"), (0.1, 0.9))
     # 0.2 + 0.1 < 0.1 + 0.9
-    assert fusion.disambiguate_label(pc, tex, (1, 2)) == "door"
+    assert _label(pc, tex) == "door"
 
 
 def test_disambiguate_tie_goes_to_window():
     frame = _frame()
     pc = _const_raster(frame, ("window", "door"), (0.4, 0.4))
-    assert fusion.disambiguate_label(pc, None, (0, 0)) == "window"
-    assert fusion.disambiguate_label(None, None, (0, 0)) == "window"
+    assert _label(pc, None) == "window"
+    assert _label(None, None) == "window"
 
 
 # ---------------------------------------------------------------------------

@@ -456,7 +456,7 @@ def test_build_on_a_face_matches_scalar_oracle():
     want = _oracle_cells(rays, cfg)
     keys = surface_voxels(scene_solid(spec).face("wall_front"), cfg.voxel_size)
     got = cells(build_occupancy(rays, {"wall_front": keys}, cfg))
-    assert got == {k: want[k] for k in keys if k in want}
+    assert got == {k: want[k] for k in map(tuple, keys.tolist()) if k in want}
     # hits landing behind the face plane and passes through the window
     assert len(got) > len(keys) // 2
     assert any(c[3] != math.inf for c in got.values())

@@ -99,15 +99,6 @@ def test_merge_same_rect_other_face_kept_apart():
     assert len(merge_overlapping_instances([a, b])) == 2
 
 
-def test_merge_pools_member_pixels():
-    a = OpeningInstance("f", (0.0, 0.0, 0.2, 0.2), "window", 0.9,
-                        pixels=((0, 0), (0, 1)))
-    b = OpeningInstance("f", (0.1, 0.0, 0.3, 0.2), "window", 0.9,
-                        pixels=((0, 1), (0, 2)))
-    (m,) = merge_overlapping_instances([a, b])
-    assert m.pixels == ((0, 0), (0, 1), (0, 2))
-
-
 # ---------------------------------------------------------------------------
 # cutting preconditions
 

@@ -97,10 +97,18 @@ def wall_face(inner=()):
         (0, 0, 0), (1, 0, 0), (1, 0, 0.4), (0, 0, 0.4))), inner)
 
 
+def _assert_keys(keys, want):
+    """`keys` are (m, 3) int64 rows, strictly ascending, listing `want`."""
+    assert keys.dtype == np.int64 and keys.shape == (len(want), 3)
+    rows = [tuple(k) for k in keys.tolist()]
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+    assert rows == sorted(want)
+
+
 def test_surface_voxels_grid_aligned_wall():
     keys = surface_voxels(wall_face(), 0.1)
     expect = sorted((ix, 0, iz) for ix in range(10) for iz in range(4))
-    assert keys == expect
+    _assert_keys(keys, expect)
 
 
 def test_surface_voxels_positive_normal_takes_lower_layer():
@@ -110,7 +118,7 @@ def test_surface_voxels_positive_normal_takes_lower_layer():
     n, _ = face.plane()
     np.testing.assert_allclose(n, [0, 1, 0], atol=1e-12)
     keys = surface_voxels(face, 0.1)
-    assert keys == sorted((ix, 2, iz) for ix in range(2) for iz in range(2))
+    _assert_keys(keys, sorted((ix, 2, iz) for ix in range(2) for iz in range(2)))
 
 
 def test_surface_voxels_aligned_hole_removes_cells():
@@ -118,22 +126,21 @@ def test_surface_voxels_aligned_hole_removes_cells():
     keys = surface_voxels(wall_face((inner,)), 0.1)
     removed = {(ix, 0, iz) for ix in (3, 4) for iz in (1, 2)}
     expect = sorted({(ix, 0, iz) for ix in range(10) for iz in range(4)} - removed)
-    assert keys == expect
+    _assert_keys(keys, expect)
 
 
 def test_surface_voxels_partially_covered_hole_cells_stay():
     inner = Ring(((0.32, 0, 0.1), (0.32, 0, 0.3), (0.48, 0, 0.3), (0.48, 0, 0.1)))
     keys = surface_voxels(wall_face((inner,)), 0.1)
     # hole spans x in (0.32, 0.48): cells 3 and 4 keep slivers of wall
-    assert (3, 0, 1) in keys and (4, 0, 2) in keys
-    assert len(keys) == 40
+    _assert_keys(keys, [(ix, 0, iz) for ix in range(10) for iz in range(4)])
 
 
 def test_surface_voxels_off_grid_plane_uses_strict_overlap():
     face = Face("w", "wall", Ring((
         (0, 0.03, 0), (1, 0.03, 0), (1, 0.03, 0.4), (0, 0.03, 0.4))))
     keys = surface_voxels(face, 0.1)
-    assert keys == sorted((ix, 0, iz) for ix in range(10) for iz in range(4))
+    _assert_keys(keys, sorted((ix, 0, iz) for ix in range(10) for iz in range(4)))
 
 
 def _oracle_face_voxels(face, vs):
@@ -211,7 +218,7 @@ def test_surface_voxels_rotated_face_matches_clip_oracle():
                     (Ring(lift(tuple(reversed(hole2d)))),))
         got = surface_voxels(face, 0.25)
         want = _oracle_face_voxels(face, 0.25)
-        assert got == want
+        _assert_keys(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +234,7 @@ FAR = (5e5, 5.4e6, 0.0)
 def _assert_matches_area_oracle(face, vs):
     want = oracles.aligned_face_voxels(face, vs)
     assert want is not None, "face must lie in a grid plane"
-    assert surface_voxels(face, vs) == want
+    _assert_keys(surface_voxels(face, vs), want)
 
 
 @pytest.mark.parametrize("vs", [0.1, 0.2, 0.25])
@@ -349,7 +356,7 @@ def test_classify_surface_voxels_states():
     columns = visibility.classify_surface_voxels(tree, face, keys)
     assert [len(c) for c in columns] == [40, 40, 40]
     by_key = {key: SimpleNamespace(state=s, p_confirmed=c, p_conflicted=x)
-              for key, s, c, x in zip(keys, *columns)}
+              for key, s, c, x in zip(map(tuple, keys.tolist()), *columns)}
     assert len(by_key) == 40
     sv = by_key[(0, 0, 0)]
     assert sv.state == "occupied"
