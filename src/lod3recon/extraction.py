@@ -11,14 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import fusion, textio
 from .errors import DomainError, ParseError, ValidationError
 from .model_io import OPENING_LABELS
 from .rasters import FacadeRaster
-
-EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -67,13 +65,66 @@ class OpeningInstance:
         return (u1 - u0) * (v1 - v0)
 
 
+def label_components(mask: np.ndarray) -> tuple:
+    """8-connected components of a boolean mask: an int32 label raster,
+    0 for background, and the component count.
+
+    Labels are numbered by each component's first pixel in row-major
+    order, as `scipy.ndimage.label` numbers them. The mask is labelled as
+    horizontal runs: runs in adjacent rows that touch diagonally or
+    directly are linked, and the links are merged by min-label hooking
+    with pointer jumping, so no round walks a component pixel by pixel.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    h, w = mask.shape
+    edges = np.diff(np.pad(mask, ((0, 0), (1, 1))).astype(np.int8), axis=1)
+    row, start = np.nonzero(edges == 1)
+    end = np.nonzero(edges == -1)[1]          # exclusive; runs pair up in order
+    n = len(row)
+    # a run's neighbours in the next row form one slice of the run list:
+    # the runs whose exclusive end is at or right of its start and whose
+    # start is at or left of its exclusive end; keying a column as
+    # row * (w + 2) + col orders every run of a row before the next row's
+    stride = w + 2
+    below = (row + 1) * stride
+    lo = np.searchsorted(row * stride + end, below + start, side="left")
+    hi = np.searchsorted(row * stride + start, below + end, side="right")
+    links = np.maximum(hi - lo, 0)
+    a = np.repeat(np.arange(n), links)
+    b = np.arange(len(a)) - np.repeat(np.cumsum(links) - links - lo, links)
+    # every run points at the smallest run of its component once no link
+    # joins two roots; the smallest run is never hooked, so it is the root
+    parent = np.arange(n)
+    while True:
+        ra, rb = parent[a], parent[b]
+        if np.array_equal(ra, rb):
+            break
+        low = np.minimum(ra, rb)
+        np.minimum.at(parent, ra, low)
+        np.minimum.at(parent, rb, low)
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+    root = parent == np.arange(n)
+    run_label = np.cumsum(root, dtype=np.int32)[parent]
+    lengths = end - start
+    first = row * w + start
+    pixels = (np.repeat(first - (np.cumsum(lengths) - lengths), lengths)
+              + np.arange(lengths.sum()))
+    labels = np.zeros(h * w, dtype=np.int32)
+    labels[pixels] = np.repeat(run_label, lengths)
+    return labels.reshape(h, w), int(root.sum())
+
+
 def mask_clusters(mask: np.ndarray) -> list:
     """8-connected components of a boolean mask.
 
     Each cluster is an (n, 2) int array of (row, col) pairs in row-major
     order; clusters are sorted by (min row, min col).
     """
-    labels, count = ndimage.label(mask, structure=EIGHT_CONNECTED)
+    labels, count = label_components(mask)
     flat = labels.ravel()
     # pixels grouped by label, background first, each in row-major order
     order = np.argsort(flat, kind="stable")
@@ -81,6 +132,16 @@ def mask_clusters(mask: np.ndarray) -> list:
     out = np.split(pixels, np.searchsorted(flat[order], np.arange(1, count + 1)))[1:]
     out.sort(key=lambda px: (int(px[:, 0].min()), int(px[:, 1].min())))
     return out
+
+
+def _square_filter(mask: np.ndarray, kernel: int, reduce) -> np.ndarray:
+    """`reduce` (np.all or np.any) over each pixel's kernel x kernel square,
+    one axis at a time, with everything outside the raster False."""
+    r = kernel // 2
+    for axis in (0, 1):
+        pad = np.pad(mask, [(r, r) if a == axis else (0, 0) for a in (0, 1)])
+        mask = reduce(sliding_window_view(pad, kernel, axis=axis), axis=-1)
+    return mask
 
 
 def morphological_opening(mask: np.ndarray, kernel: int) -> np.ndarray:
@@ -92,10 +153,9 @@ def morphological_opening(mask: np.ndarray, kernel: int) -> np.ndarray:
     if kernel < 1 or kernel % 2 == 0:
         raise ValidationError("kernel must be odd and >= 1")
     mask = np.asarray(mask, dtype=bool)
-    if kernel == 1:
+    if kernel == 1 or mask.size == 0:
         return mask.copy()
-    element = np.ones((kernel, kernel), dtype=bool)
-    return ndimage.binary_opening(mask, structure=element)
+    return _square_filter(_square_filter(mask, kernel, np.all), kernel, np.any)
 
 
 def rectangularity(cluster) -> float:
@@ -147,8 +207,8 @@ def cluster_to_opening(cluster, frame, label: str, confidence: float,
 
 def extract_openings(posterior: FacadeRaster, config: ExtractionConfig,
                      pointcloud: FacadeRaster | None = None,
-                     texture: FacadeRaster | None = None,
-                     face_id: str = "") -> list:
+                     texture: FacadeRaster | None = None, *,
+                     face_id: str) -> list:
     """Full extraction pass over one facade's posterior raster."""
     post = posterior.channel("opening").astype(float)
     mask = morphological_opening(post > config.p_high, config.kernel)

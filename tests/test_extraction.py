@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,9 @@ from scipy import ndimage
 from lod3recon import extraction
 from lod3recon.errors import DomainError, ParseError, ValidationError
 from lod3recon.extraction import (ExtractionConfig, OpeningInstance,
-                                  filter_instances, mask_clusters,
-                                  morphological_opening, rectangularity)
+                                  filter_instances, label_components,
+                                  mask_clusters, morphological_opening,
+                                  rectangularity)
 from lod3recon.rasters import FacadeFrame, FacadeRaster
 
 import oracles
@@ -24,6 +27,52 @@ def _rect_cluster(r0, c0, h, w, skip=()):
     px = [(r, c) for r in range(r0, r0 + h) for c in range(c0, c0 + w)
           if (r, c) not in skip]
     return np.asarray(px, dtype=int)
+
+
+def _serpentine(h, w):
+    """One path: full rows every other row, joined at alternating ends."""
+    mask = np.zeros((h, w), dtype=bool)
+    mask[::2] = True
+    mask[1::4, -1] = True
+    mask[3::4, 0] = True
+    return mask
+
+
+def _spiral(n):
+    """One inward square spiral with a one-pixel gap between its turns."""
+    mask = np.zeros((n, n), dtype=bool)
+    r, c, dr, dc, turns = 0, 0, 0, 1, 0
+    mask[r, c] = True
+    while turns < 2:
+        nr, nc, ar, ac = r + dr, c + dc, r + 2 * dr, c + 2 * dc
+        if (0 <= nr < n and 0 <= nc < n and not mask[nr, nc]
+                and not (0 <= ar < n and 0 <= ac < n and mask[ar, ac])):
+            r, c, turns = nr, nc, 0
+            mask[r, c] = True
+        else:
+            dr, dc, turns = dc, -dr, turns + 1
+    return mask
+
+
+EIGHT = np.ones((3, 3), dtype=bool)
+
+# long single components that a pixel-by-pixel propagation walks slowly
+ADVERSARIAL = {
+    "serpentine-rows": _serpentine(100, 312),
+    "serpentine-cols": np.ascontiguousarray(_serpentine(312, 100).T),
+    "spiral": _spiral(101),
+    "checkerboard": np.indices((100, 312)).sum(axis=0) % 2 == 0,
+    "full": np.ones((100, 312), dtype=bool),
+}
+
+
+@st.composite
+def _masks(draw):
+    """A boolean mask 0-40 px a side at any density."""
+    shape = (draw(st.integers(0, 40)), draw(st.integers(0, 40)))
+    density = draw(st.floats(0.0, 1.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).random(shape) < density
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +115,41 @@ def test_four_connectivity_would_split_the_diagonal():
     assert len(extraction.mask_clusters(mask)) == 1
 
 
+@settings(max_examples=300, deadline=None)
+@given(_masks())
+def test_labels_match_scipy(mask):
+    labels, count = label_components(mask)
+    want, want_count = ndimage.label(mask, structure=EIGHT)
+    assert count == want_count
+    assert labels.dtype == want.dtype and np.array_equal(labels, want)
+    assert len(mask_clusters(mask)) == count
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+def test_labels_match_scipy_on_long_components(name):
+    mask = ADVERSARIAL[name]
+    labels, count = label_components(mask)
+    want, want_count = ndimage.label(mask, structure=EIGHT)
+    assert count == want_count == 1
+    assert np.array_equal(labels, want)
+    for kernel in (3, 5):
+        assert np.array_equal(
+            morphological_opening(mask, kernel),
+            ndimage.binary_opening(mask, structure=np.ones((kernel, kernel))))
+
+
+def test_labelling_does_not_walk_pixel_by_pixel():
+    # a per-pixel propagation needs one round per pixel of this path and
+    # took over 100 ms; the run-length labelling takes about one
+    mask = ADVERSARIAL["serpentine-rows"]
+    best = float("inf")
+    for _ in range(5):
+        start = time.perf_counter()
+        label_components(mask)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.05
+
+
 def test_all_below_threshold_gives_no_clusters():
     assert mask_clusters(np.full((5, 5), 0.7) > 0.7) == []
 
@@ -85,9 +169,9 @@ def test_threshold_is_strict():
     config = ExtractionConfig(p_high=0.75, kernel=1, min_pixels=1)
     raster = FacadeRaster.zeros(_frame(3, 3), ("opening",))
     raster.data[:, :, 0] = 0.75
-    assert extraction.extract_openings(raster, config) == []
+    assert extraction.extract_openings(raster, config, face_id="f") == []
     raster.data[1, 1, 0] = np.nextafter(np.float32(0.75), np.float32(1.0))
-    (inst,) = extraction.extract_openings(raster, config)
+    (inst,) = extraction.extract_openings(raster, config, face_id="f")
     assert inst.rect == pytest.approx((0.1, 0.1, 0.2, 0.2))
 
 
@@ -116,13 +200,14 @@ def test_opening_cuts_thin_bridge():
     assert opened[1:6, 1:6].all() and opened[1:6, 7:12].all()
 
 
-def test_opening_matches_brute_force_oracle():
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        mask = rng.random((24, 24)) < 0.45
-        for kernel in (1, 3, 5):
-            want = oracles.brute_binary_opening(mask, kernel)
-            assert (morphological_opening(mask, kernel) == want).all()
+@settings(max_examples=150, deadline=None)
+@given(_masks())
+def test_opening_matches_brute_force_oracle(mask):
+    for kernel in (1, 3, 5):
+        got = morphological_opening(mask, kernel)
+        assert np.array_equal(got, oracles.brute_binary_opening(mask, kernel))
+        want = ndimage.binary_opening(mask, structure=np.ones((kernel, kernel)))
+        assert np.array_equal(got, want)
 
 
 def test_opening_never_adds_pixels():
@@ -227,7 +312,8 @@ def test_extract_openings_end_to_end():
     pc.data[:, :, 0] = 0.6
     pc.data[3:9, 15:21, 1] = 0.9       # second block votes door
 
-    got = extraction.extract_openings(post, ExtractionConfig(), pc, None, "wall_a")
+    got = extraction.extract_openings(post, ExtractionConfig(), pc, None,
+                                      face_id="wall_a")
     assert len(got) == 2
     first, second = got
     assert first.rect == pytest.approx((0.4, 0.3, 1.0, 0.9))
@@ -283,7 +369,7 @@ def test_extract_openings_matches_per_pixel_oracles(evidence):
         want.append(extraction.cluster_to_opening(
             cluster, post.frame, label,
             extraction.instance_confidence(cluster, p), "f"))
-    assert extraction.extract_openings(post, config, pc, tex, "f") == want
+    assert extraction.extract_openings(post, config, pc, tex, face_id="f") == want
 
 
 def test_label_is_the_pixel_majority_not_the_summed_channels():
@@ -295,18 +381,24 @@ def test_label_is_the_pixel_majority_not_the_summed_channels():
     pc.data[0, :, 0] = (0.49, 0.49, 1.0)
     pc.data[0, :, 1] = (0.51, 0.51, 0.0)
     config = ExtractionConfig(kernel=1, min_pixels=1)
-    (inst,) = extraction.extract_openings(post, config, pc, None, "f")
+    (inst,) = extraction.extract_openings(post, config, pc, None, face_id="f")
     assert inst.label == "door"
     # one door pixel against one window pixel is a tie
     post.data[0, 0] = 0.0
-    (inst,) = extraction.extract_openings(post, config, pc, None, "f")
+    (inst,) = extraction.extract_openings(post, config, pc, None, face_id="f")
     assert inst.label == "window"
 
 
 def test_extract_openings_empty_raster():
     frame = _frame(8, 8)
     post = FacadeRaster.zeros(frame, ("opening",))
-    assert extraction.extract_openings(post, ExtractionConfig()) == []
+    assert extraction.extract_openings(post, ExtractionConfig(), face_id="f") == []
+
+
+def test_extract_openings_needs_a_face_id():
+    post = FacadeRaster.zeros(_frame(8, 8), ("opening",))
+    with pytest.raises(TypeError):
+        extraction.extract_openings(post, ExtractionConfig())
 
 
 # ---------------------------------------------------------------------------

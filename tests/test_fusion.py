@@ -211,7 +211,7 @@ def test_fuse_requires_some_evidence():
 def _label(pc, tex) -> str:
     """Label of the one opening covering the whole frame."""
     post = _const_raster(_frame(), ("opening",), (0.9,))
-    (inst,) = extract_openings(post, ExtractionConfig(kernel=1), pc, tex, "f")
+    (inst,) = extract_openings(post, ExtractionConfig(kernel=1), pc, tex, face_id="f")
     return inst.label
 
 

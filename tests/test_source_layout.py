@@ -1,7 +1,10 @@
-"""What lives where: code that only tests use stays under tests/, and only
-`textio` opens and parses text files."""
+"""What lives where: code that only tests use stays under tests/, only
+`textio` opens and parses text files, and the runtime needs numpy alone."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,3 +59,32 @@ def test_only_textio_opens_and_parses_text_files(name):
                    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                    if getattr(node, "id", getattr(node, "attr", None)) == name)
     assert set(users) <= {"textio.py"}
+
+
+def test_src_imports_only_numpy_and_the_standard_library():
+    allowed = {"lod3recon", "numpy"} | set(sys.stdlib_module_names)
+    outside = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            outside |= {f"{path.name}: {m}" for m in modules
+                        if m.split(".")[0] not in allowed}
+    assert sorted(outside) == []
+
+
+def test_entry_points_load_no_scipy():
+    code = ("import sys, lod3recon.cli, lod3recon.synth, lod3recon.evaluate\n"
+            "print(sorted(m for m in sys.modules"
+            " if m == 'scipy' or m.startswith('scipy.')))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
