@@ -133,6 +133,11 @@ def median_instance_iou(pred, gt, matches, matched_only: bool = False) -> float:
 # ---------------------------------------------------------------------------
 # surface metrics
 
+# (point, triangle) pairs bounded at a time: their four plane distances
+# take a megabyte
+_BOUND_CELLS = 1 << 15
+
+
 def mesh_deviation(points, triangles) -> tuple:
     """Unsigned point-to-mesh distance, reduced to (mean, RMS)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -141,12 +146,137 @@ def mesh_deviation(points, triangles) -> tuple:
         raise DomainError("mesh deviation needs at least one sample point")
     if not tris:
         raise DomainError("mesh deviation needs at least one triangle")
-    best = np.full(len(pts), np.inf)
-    for tri in tris:
-        best = np.minimum(best, geom.points_triangle_distance(pts, tri))
+    best = _nearest_distances(pts, np.asarray(tris, dtype=float).reshape(-1, 3, 3))
     mean = float(best.mean())
     rms = float(math.sqrt(float((best ** 2).mean())))
     return mean, rms
+
+
+def _nearest_distances(pts, tris) -> np.ndarray:
+    """Each point's least distance to the (T, 3, 3) triangles.
+
+    Only the (point, triangle) pairs that can hold it are evaluated:
+    every pair gets a lower bound from the triangle's plane and edges,
+    the pair with the least bound is evaluated first, and then every
+    pair whose bound does not exceed that distance by more than a slack
+    that outweighs all rounding. A sliver has no bound that rounding
+    cannot upset, so it is evaluated for every point. Each distance is
+    bit for bit that of the reference loop over the triangles, one at a
+    time over all points (see `_Triangles.distances`), so the least one
+    is too."""
+    mesh = _Triangles(tris)
+    single = len(pts) == 1
+    both = np.concatenate([pts, mesh.corners])
+    span = float(np.linalg.norm(both.max(axis=0) - both.min(axis=0)))
+    rows = max(1, _BOUND_CELLS // len(tris))
+    chunks = [slice(a, a + rows) for a in range(0, len(pts), rows)]
+    first = np.concatenate([mesh.bounds(pts[c]).argmin(axis=1) for c in chunks])
+    best = mesh.distances(pts, first, single)
+    # rounding moves a bound or a distance by far less than 1e-6 of the
+    # lengths involved, none of which exceeds best + span
+    reach = np.square(best + 1e-6 * (best + span))
+    pending = []
+    for c in chunks:
+        near = mesh.bounds(pts[c]) <= reach[c, None]
+        near[:, mesh.sliver] = True
+        near[np.arange(len(near)), first[c]] = False
+        i, j = np.nonzero(near)
+        pending.append((i + c.start, j))
+        # in batches of at least as many pairs as points: a sliver pairs
+        # with every point
+        if sum(len(i) for i, _ in pending) >= len(pts) or c is chunks[-1]:
+            i, j = (np.concatenate(part) for part in zip(*pending))
+            np.minimum.at(best, i, mesh.distances(pts[i], j, single))
+            pending = []
+    return best
+
+
+class _Triangles:
+    """A triangle soup's per-triangle constants, computed once."""
+
+    def __init__(self, tris):
+        self.corners = tris.reshape(-1, 3)
+        a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+        self.a, self.b, self.c = a, b, c
+        ab, ac, bc, ca = self.ab, self.ac, self.bc, self.ca = b - a, c - a, c - b, a - c
+        n = self.n = np.cross(ab, ac)
+        self.nn = geom.row_dots(n, n)
+        self.d00, self.d01, self.d11 = (geom.row_dots(ab, ab), geom.row_dots(ab, ac),
+                                        geom.row_dots(ac, ac))
+        self.l2bc, self.l2ca = geom.row_dots(bc, bc), geom.row_dots(ca, ca)
+        longest = np.maximum(np.maximum(self.d00, self.l2bc), self.l2ca)
+        # the least altitude is below 1e-3 of the longest edge, or a
+        # coordinate is not finite
+        self.sliver = ~(self.nn > 1e-6 * longest * longest)
+        # the bounding planes: the triangle's own, and through each edge of
+        # (a, a + ab, a + ac), the triangle the distances see, one at right
+        # angles to it facing out; a sliver gets zeros
+        self.center = (self.corners.max(axis=0) + self.corners.min(axis=0)) / 2.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            unit = n / np.sqrt(self.nn)[:, None]
+            normals = [unit]
+            for edge in (ab, ac - ab, -ac):
+                out = np.cross(edge, unit)
+                normals.append(out / np.linalg.norm(out, axis=1)[:, None])
+        normals = np.where(self.sliver[:, None], 0.0, np.stack(normals))
+        origin = a - self.center
+        through = np.stack([origin, origin, origin + ab, origin])
+        self.offsets = (normals * through).sum(axis=2).ravel()
+        self.normals = np.ascontiguousarray(normals.reshape(-1, 3).T)
+
+    def bounds(self, p) -> np.ndarray:
+        """(k, T) squared lower bounds on the distance of each of the k
+        points `p` to each triangle, +inf for a sliver: the square of the
+        distance to the triangle's plane plus the square of the distance
+        beyond the edge plane it lies farthest outside of, if any."""
+        t = len(self.a)
+        s = (p - self.center) @ self.normals
+        s -= self.offsets
+        out = np.maximum(s[:, t:2 * t], s[:, 2 * t:3 * t])
+        np.maximum(out, s[:, 3 * t:], out=out)
+        np.maximum(out, 0.0, out=out)
+        out *= out
+        plane = s[:, :t]
+        plane *= plane
+        out += plane
+        out[:, self.sliver] = np.inf
+        return out
+
+    def distances(self, p, j, single: bool) -> np.ndarray:
+        """Distance of each point p[i] to triangle j[i], bit for bit that of
+        the reference (`tests/oracles.py::points_triangle_distance`),
+        which takes each triangle's products (k, 3) @ (3,) over all k
+        sample points: a single sample point takes one-row products."""
+        alone = np.full(len(p), single)
+
+        def products(rows, u):
+            return geom.row_products(rows, u, alone)
+
+        ap, bp, cp = p - self.a[j], p - self.b[j], p - self.c[j]
+        ab, ac, bc, ca = self.ab[j], self.ac[j], self.bc[j], self.ca[j]
+        d00, d01, d11, nn = self.d00[j], self.d01[j], self.d11[j], self.nn[j]
+        d20, d21 = products(ap, ab), products(ap, ac)
+        edge = np.minimum(
+            _segment_distances(ap, d20, ab, d00),
+            np.minimum(_segment_distances(bp, products(bp, bc), bc, self.l2bc[j]),
+                       _segment_distances(cp, products(cp, ca), ca, self.l2ca[j])))
+        denom = d00 * d11 - d01 * d01
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = (d11 * d20 - d01 * d21) / denom
+            w = (d00 * d21 - d01 * d20) / denom
+            plane = np.abs(products(ap, self.n[j])) / np.sqrt(nn)
+            inside = (nn != 0.0) & (v >= 0.0) & (w >= 0.0) & (v + w <= 1.0)
+        return np.where(inside, plane, edge)
+
+
+def _segment_distances(rows, along, d, l2) -> np.ndarray:
+    """Distance of each point to its segment, given as the point less the
+    segment's start (`rows`), the product of that with the segment's
+    vector `d`, and d @ d."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.clip(along / l2, 0.0, 1.0)
+    return np.where(l2 == 0.0, np.linalg.norm(rows, axis=1),
+                    np.linalg.norm(rows - t[:, None] * d, axis=1))
 
 
 def watertight(loops) -> bool:

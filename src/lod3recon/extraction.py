@@ -8,6 +8,7 @@ confidence and a majority window/door label.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,10 +178,27 @@ def filter_instances(clusters, config: ExtractionConfig) -> list:
     big = [c for c in clusters if len(c) >= config.min_pixels]
     if len(big) <= 2:
         return big
-    idx = np.array([rectangularity(c) for c in big])
-    lo = np.percentile(idx, config.pe_lo)
-    up = np.percentile(idx, config.pe_up)
+    idx = [rectangularity(c) for c in big]
+    ascending = sorted(idx)
+    lo = _percentile(ascending, config.pe_lo)
+    up = _percentile(ascending, config.pe_up)
     return [c for c, r in zip(big, idx) if lo <= r <= up]
+
+
+def _percentile(ascending, q: float) -> float:
+    """np.percentile(values, q) of the `ascending` values, bit for bit:
+    numpy's linear interpolation between the order statistics around the
+    virtual index (n - 1) q / 100, taken from the upper one from halfway
+    on. np.percentile itself imports numpy.ma on its first call."""
+    last = len(ascending) - 1
+    index = last * (q / 100)
+    if index >= last:
+        return ascending[-1]
+    below = math.floor(index)
+    t = index - below
+    a, b = ascending[below], ascending[below + 1]
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
 
 
 def instance_confidence(cluster, posterior: np.ndarray) -> float:

@@ -352,46 +352,31 @@ def tri_box_overlap_strict(tri, lo, hi) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# distances and sampling
+# row-by-row products, closed surfaces and sampling
 
-def points_segment_distance(points, a, b) -> np.ndarray:
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    a = np.asarray(a, dtype=float)
-    d = np.asarray(b, dtype=float) - a
-    l2 = float(d @ d)
-    if l2 == 0.0:
-        return np.linalg.norm(pts - a, axis=1)
-    t = np.clip((pts - a) @ d / l2, 0.0, 1.0)
-    return np.linalg.norm(pts - a - t[:, None] * d, axis=1)
+def row_dots(a, b) -> np.ndarray:
+    """Row by row dot products of two (n, 3) arrays as one-row products,
+    each equal to np.dot of the two rows."""
+    return (a[:, None, :] @ b[:, :, None]).ravel()
 
 
-def points_triangle_distance(points, tri) -> np.ndarray:
-    """Euclidean distance from each point to a (possibly degenerate) triangle."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    a, b, c = (np.asarray(v, dtype=float) for v in tri)
-    ab = b - a
-    ac = c - a
-    n = np.cross(ab, ac)
-    nn = float(n @ n)
-    edge_min = np.minimum(
-        points_segment_distance(pts, a, b),
-        np.minimum(points_segment_distance(pts, b, c),
-                   points_segment_distance(pts, c, a)))
-    if nn == 0.0:
-        return edge_min
-    ap = pts - a
-    # barycentric coordinates of the in-plane projection
-    d00 = float(ab @ ab)
-    d01 = float(ab @ ac)
-    d11 = float(ac @ ac)
-    d20 = ap @ ab
-    d21 = ap @ ac
-    denom = d00 * d11 - d01 * d01
-    v = (d11 * d20 - d01 * d21) / denom
-    w = (d00 * d21 - d01 * d20) / denom
-    inside = (v >= 0.0) & (w >= 0.0) & (v + w <= 1.0)
-    plane = np.abs(ap @ n) / math.sqrt(nn)
-    return np.where(inside, plane, edge_min)
+def row_norms(v) -> np.ndarray:
+    """Euclidean norm of each row of an (n, 3) array, as np.linalg.norm."""
+    return np.sqrt(row_dots(v, v))
+
+
+def row_products(rows, u, alone) -> np.ndarray:
+    """Each of the (n, 3) `rows` times its own vector `u`, bit for bit as
+    in a product (k, 3) @ (3,) of all k rows that share that vector: a
+    row of a product of two or more rows does not depend on their count
+    or position, and a row `alone` in its product takes the one-row
+    product, np.dot."""
+    out = np.empty(len(rows))
+    out[alone] = row_dots(rows[alone], u[alone])
+    many = ~alone
+    pairs = np.repeat(rows[many][:, None, :], 2, axis=1)
+    out[many] = (pairs @ u[many][:, :, None])[:, 0, 0]
+    return out
 
 
 def closed_surface_violations(loops, weld: float = 1e-6) -> list:

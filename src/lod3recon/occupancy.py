@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import textio
+from . import geom, textio
 from .errors import DomainError, ParseError
 
 # updates (candidate crossings, origin segments and hits) integrated per
@@ -293,31 +293,6 @@ def _records(keys) -> np.ndarray:
     return keys.view(_KEY).ravel()
 
 
-def _dots(a, b) -> np.ndarray:
-    """Row by row dot products of two (n, 3) arrays as one-row products,
-    each equal to np.dot of the two rows."""
-    return (a[:, None, :] @ b[:, :, None]).ravel()
-
-
-def _norms(v) -> np.ndarray:
-    """Euclidean norm of each row of an (n, 3) array, as np.linalg.norm."""
-    return np.sqrt(_dots(v, v))
-
-
-def _projections(rows, u, alone) -> np.ndarray:
-    """Each of the (n, 3) `rows` projected onto its ray's unit vector `u`,
-    bit for bit as in the product (k, 3) @ (3,) of all k passes of that
-    ray: a row of a product of two or more rows does not depend on their
-    count or position, and a ray `alone` with one pass takes the one-row
-    product."""
-    out = np.empty(len(rows))
-    out[alone] = _dots(rows[alone], u[alone])
-    many = ~alone
-    pairs = np.repeat(rows[many][:, None, :], 2, axis=1)
-    out[many] = (pairs @ u[many][:, :, None])[:, 0, 0]
-    return out
-
-
 def _windows(o, e, boxes, vs: float) -> np.ndarray:
     """Per segment the hull [t0, t1] of its parts within two voxels of
     each (low, high) key box, by slab tests, one axis at a time; t0 > t1
@@ -354,7 +329,7 @@ def build_occupancy(rays, surface: dict,
     e = rays[:, 3:6].copy()
     hit = rays[:, 6] != 0.0
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
-        length = _norms(e - o)
+        length = geom.row_norms(e - o)
         far = length > cfg.max_range
         e[far] = o[far] + (e[far] - o[far]) * (cfg.max_range / length[far])[:, None]
     length[far] = cfg.max_range
@@ -416,13 +391,13 @@ def build_occupancy(rays, surface: dict,
         passed = seg_slot >= 0
         seg_ray, seg_key, seg_slot = seg_ray[passed], seg_key[passed], seg_slot[passed]
         centers = (seg_key + 0.5) * vs
-        along = _projections(centers - o[seg_ray], (e[seg_ray] - o[seg_ray])
-                             / length[seg_ray][:, None], alone[seg_ray - a])
+        along = geom.row_products(centers - o[seg_ray], (e[seg_ray] - o[seg_ray])
+                                  / length[seg_ray][:, None], alone[seg_ray - a])
         along = np.abs(length[seg_ray] - along)
         hits = np.flatnonzero(hit[a:b]) + a
         hit_slot = _rows(packed, (end[hits] - low) @ scale)
         hits, hit_slot = hits[hit_slot >= 0], hit_slot[hit_slot >= 0]
-        hit_gap = _norms((end[hits] + 0.5) * vs - e[hits])
+        hit_gap = geom.row_norms((end[hits] + 0.5) * vs - e[hits])
         if not len(seg_ray) + len(hits):
             continue
 

@@ -167,6 +167,23 @@ def write_table(path, header: str, columns) -> None:
     with writing(path) as fh:
         fh.write(header)
         for a in range(0, len(columns[0]), block):
-            cells = [map(repr, col) for b in (c[a:a + block] for c in columns)
-                     for col in b.reshape(len(b), -1).T.tolist()]
-            fh.write("\n".join(map(" ".join, zip(*cells))) + "\n")
+            fh.write(_lines([c[a:a + block] for c in columns]))
+
+
+def _lines(parts) -> str:
+    """The rows of the arrays `parts` side by side as lines of text.
+
+    Each distinct row is formatted once. Rows are told apart by their
+    bytes, not their values, so -0.0 and 0.0 keep their own `repr`."""
+    parts = [p.reshape(len(p), -1) for p in parts]
+    raw = np.concatenate([np.ascontiguousarray(p).view(np.uint8).reshape(len(p), -1)
+                          for p in parts], axis=1)
+    # return_index keeps np.unique off its numpy.ma check
+    _, first, inverse = np.unique(raw.view(np.dtype((np.void, raw.shape[1]))).ravel(),
+                                  return_index=True, return_inverse=True)
+    cells = [map(repr, col) for p in parts for col in p[first].T.tolist()]
+    distinct = np.array(list(map(" ".join, zip(*cells))), dtype=object)
+    del cells   # zip leaves all but the first column's numbers unreleased
+    lines = distinct[inverse].tolist()
+    lines.append("")   # the newline that ends the last line
+    return "\n".join(lines)

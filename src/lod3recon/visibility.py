@@ -21,7 +21,7 @@ import numpy as np
 
 from . import geom, rasters
 from .errors import DomainError
-from .occupancy import OccupancyTree, _dots, grid_index, log_odds, sorted_keys
+from .occupancy import OccupancyTree, grid_index, log_odds, sorted_keys
 
 
 @dataclass(frozen=True)
@@ -162,7 +162,7 @@ def classify_surface_voxels(tree: OccupancyTree, face, keys,
     point = np.where(occupied[:, None], tree.hit_point[r], tree.pass_point[r])
     n, d = face.plane()
     # one-row products, each equal to the scalar point @ n
-    d_pos = np.abs(_dots(point, np.broadcast_to(n, point.shape)) - d)
+    d_pos = np.abs(geom.row_dots(point, np.broadcast_to(n, point.shape)) - d)
     state[seen] = np.where(occupied, "occupied", "empty")
     p_conf[seen], p_confl[seen] = joint_state_probability(
         positioning_confidence(d_pos, s_pos, vs),

@@ -407,3 +407,73 @@ def point_triangle_distance(p, a, b, c):
     v = vb / denom
     w = vc / denom
     return float(np.linalg.norm(p - (a + v * ab + w * ac)))
+
+
+def points_segment_distance(points, a, b):
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    a = np.asarray(a, dtype=float)
+    d = np.asarray(b, dtype=float) - a
+    l2 = float(d @ d)
+    if l2 == 0.0:
+        return np.linalg.norm(pts - a, axis=1)
+    t = np.clip((pts - a) @ d / l2, 0.0, 1.0)
+    return np.linalg.norm(pts - a - t[:, None] * d, axis=1)
+
+
+def points_triangle_distance(points, tri):
+    """Euclidean distance from each point to a (possibly degenerate) triangle."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    a, b, c = (np.asarray(v, dtype=float) for v in tri)
+    ab = b - a
+    ac = c - a
+    n = np.cross(ab, ac)
+    nn = float(n @ n)
+    edge_min = np.minimum(
+        points_segment_distance(pts, a, b),
+        np.minimum(points_segment_distance(pts, b, c),
+                   points_segment_distance(pts, c, a)))
+    if nn == 0.0:
+        return edge_min
+    ap = pts - a
+    # barycentric coordinates of the in-plane projection
+    d00 = float(ab @ ab)
+    d01 = float(ab @ ac)
+    d11 = float(ac @ ac)
+    d20 = ap @ ab
+    d21 = ap @ ac
+    denom = d00 * d11 - d01 * d01
+    v = (d11 * d20 - d01 * d21) / denom
+    w = (d00 * d21 - d01 * d20) / denom
+    inside = (v >= 0.0) & (w >= 0.0) & (v + w <= 1.0)
+    plane = np.abs(ap @ n) / math.sqrt(nn)
+    return np.where(inside, plane, edge_min)
+
+
+def mesh_distances(points, triangles):
+    """Each point's least distance to the triangles, one triangle at a
+    time over all points."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    best = np.full(len(pts), np.inf)
+    for tri in triangles:
+        best = np.minimum(best, points_triangle_distance(pts, tri))
+    return best
+
+
+def mesh_deviation(points, triangles):
+    """(mean, RMS) of `mesh_distances`, as the evaluate stage reduces them."""
+    best = mesh_distances(points, triangles)
+    return float(best.mean()), float(math.sqrt(float((best ** 2).mean())))
+
+
+def write_table(path, header, columns):
+    """`header`, then one line per row of the `columns` arrays side by
+    side, every number formatted on its own as the `repr` of its Python
+    int or float."""
+    columns = [np.asarray(c) for c in columns]
+    block = 1 << 12
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header)
+        for a in range(0, len(columns[0]), block):
+            cells = [map(repr, col) for b in (c[a:a + block] for c in columns)
+                     for col in b.reshape(len(b), -1).T.tolist()]
+            fh.write("\n".join(map(" ".join, zip(*cells))) + "\n")

@@ -10,7 +10,7 @@ import pytest
 
 from lod3recon import cli
 from lod3recon.errors import ConfigError, IoError, ParseError
-from lod3recon.evaluate import read_metrics
+from lod3recon.evaluate import read_metrics, sample_model_points, triangulate_model
 from lod3recon.extraction import ExtractionConfig, OpeningInstance, \
     read_instances, write_instances
 from lod3recon.model_io import BuildingSolid, Face, Ring, box_solid, \
@@ -19,6 +19,8 @@ from lod3recon.occupancy import OccupancyConfig, read_tree
 from lod3recon.rasters import FacadeRaster, facade_frame, write_raster
 from lod3recon.reconstruct import read_model
 from lod3recon.visibility import UncertaintyConfig
+
+import oracles
 
 
 SCENE_ARGS = ["--width", "4", "--height", "2", "--depth", "2", "--seed", "5",
@@ -436,6 +438,28 @@ def test_evaluate_with_models_reports_surface_metrics(scene_dir,
     metrics = read_metrics(out)
     assert metrics["watertight"] is True
     assert metrics["rms_deviation"] < 0.01
+
+
+def test_evaluate_one_sample_equals_the_reference(scene_dir, artifacts_dir,
+                                                 tmp_path):
+    # a single sample point takes one-row products, as the reference does
+    gt_model = tmp_path / "gt_model.txt"
+    assert cli.main(["reconstruct", "--solid", str(scene_dir / "solid.txt"),
+                     "--instances", str(scene_dir / "gt_instances.txt"),
+                     "--margin", "0.1", "--out-model", str(gt_model),
+                     "--out-gml", str(tmp_path / "gt.gml")]) == 0
+    tris = triangulate_model(read_model(artifacts_dir / "model.txt"))
+    out = tmp_path / "m.txt"
+    for seed in range(8):
+        assert cli.main(["evaluate", "--pred", str(artifacts_dir / "instances.txt"),
+                         "--gt", str(scene_dir / "gt_instances.txt"),
+                         "--model", str(artifacts_dir / "model.txt"),
+                         "--gt-model", str(gt_model), "--samples", "1",
+                         "--seed", str(seed), "--out", str(out)]) == 0
+        metrics = read_metrics(out)
+        sample = sample_model_points(read_model(gt_model), 1, seed=seed)
+        assert (metrics["mean_deviation"], metrics["rms_deviation"]) == \
+            oracles.mesh_deviation(sample, tris)
 
 
 @pytest.mark.parametrize("flag", ["--model", "--gt-model"])

@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lod3recon import evaluate, geom
 from lod3recon.errors import DomainError, ParseError, ValidationError
@@ -14,6 +15,8 @@ from lod3recon.evaluate import (DetectionCounts, detection_rates,
 from lod3recon.extraction import OpeningInstance
 from lod3recon.model_io import box_solid
 from lod3recon.reconstruct import reconstruct_model
+from lod3recon.synth import (SceneSpec, SynthOpening, ground_truth_instances,
+                             scene_solid)
 
 import oracles
 
@@ -216,6 +219,101 @@ def test_deviation_matches_closest_point_oracle():
         got_mean, got_rms = mesh_deviation([p], tris)
         assert got_mean == pytest.approx(want, abs=1e-9)
         assert got_rms == pytest.approx(want, abs=1e-9)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64).tolist()
+
+
+@st.composite
+def deviation_cases(draw):
+    """(points, triangles) of soups with collinear triangles, repeated
+    vertices, slivers and pairs sharing an edge. Points lie on the
+    triangles, a millimetre off them, around them, a kilometre away, or
+    on a shared edge; everything optionally near 5e6 m."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    offset = draw(st.sampled_from([0.0, 5e6])) * rng.uniform(0.9, 1.1, 3)
+    tris, edges = [], []
+    for kind in draw(st.lists(st.sampled_from(
+            ["plain", "collinear", "repeated", "point", "shared", "sliver"]),
+            min_size=1, max_size=10)):
+        size = rng.choice([0.05, 1.0, 8.0])
+        a, b, c = rng.normal(size=3) * 5.0 + rng.normal(size=(3, 3)) * size
+        if kind == "collinear":
+            c = a + rng.uniform(-1.0, 2.0) * (b - a)
+        elif kind == "repeated":
+            c = a
+        elif kind == "point":
+            b = c = a
+        elif kind == "sliver":
+            c = a + 0.5 * (b - a) + 1e-5 * rng.normal(size=3)
+        elif kind == "shared":
+            tris.append((b + offset, a + offset, rng.normal(size=3) + offset))
+            edges.append((a + offset, b + offset))
+        tris.append((a + offset, b + offset, c + offset))
+    tris = np.array(tris)
+    count = draw(st.sampled_from([1, 2, 3, 40, 300]))
+    where = rng.integers(0, 4, count)
+    w = rng.dirichlet(np.ones(3), count)
+    on = np.einsum("ij,ijk->ik", w, tris[rng.integers(0, len(tris), count)])
+    spread = np.choose(where, [0.0, 1e-3, 1e3, 6.0])[:, None]
+    pts = on + rng.normal(size=(count, 3)) * spread
+    for i in np.flatnonzero(where == 3) if edges else ():
+        a, b = edges[rng.integers(len(edges))]
+        pts[i] = a + rng.uniform() * (b - a)
+    return pts, [tuple(map(tuple, t)) for t in tris]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=deviation_cases())
+def test_deviation_equals_the_per_triangle_reference(case):
+    pts, tris = case
+    got = evaluate._nearest_distances(pts, np.array(tris))
+    with np.errstate(divide="ignore", invalid="ignore"):   # slivers
+        want = oracles.mesh_distances(pts, tris)
+        assert mesh_deviation(pts, tris) == oracles.mesh_deviation(pts, tris)
+    assert _bits(got) == _bits(want)
+
+
+def test_deviation_of_one_point_takes_one_row_products():
+    # a one-row product (np.dot) can differ in the last bit from a row of
+    # a larger product; the reference takes it for a single sample point
+    rng = np.random.default_rng(4)
+    tris = rng.normal(size=(30, 3, 3)) * 3.0
+    for p in rng.normal(size=(200, 3)) * 4.0:
+        assert mesh_deviation([p], tris) == oracles.mesh_deviation([p], tris)
+
+
+def _block_model():
+    """Ground-truth model of a 16 x 6 x 10 m block with ten openings on
+    its front: 244 triangles."""
+    openings = []
+    for c in range(5):
+        u0 = 1.0 + 3.0 * c
+        openings.append(SynthOpening((7.0, 0.2, 8.2, 2.4), "door") if c == 2
+                        else SynthOpening((u0, 1.4, u0 + 1.2, 2.8), "window"))
+        openings.append(SynthOpening((u0, 3.8, u0 + 1.2, 5.8), "window"))
+    spec = SceneSpec(width=16.0, height=6.0, depth=10.0, openings=tuple(openings))
+    return reconstruct_model(scene_solid(spec), ground_truth_instances(spec),
+                             margin=0.0)
+
+
+def test_deviation_on_a_block_equals_the_reference_in_a_few_megabytes():
+    model = _block_model()
+    tris = triangulate_model(model)
+    # 0.3 m off the surface, so that few distances are zero
+    pts = sample_model_points(model, 2000) + np.array([0.0, 0.3, 0.0])
+    assert len(tris) == 244
+    tracemalloc.start()
+    try:
+        got = evaluate._nearest_distances(pts, np.array(tris))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (point, triangle) bounds are taken a chunk of points at a time;
+    # all at once they would take tens of megabytes
+    assert peak < 5e6
+    assert _bits(got) == _bits(oracles.mesh_distances(pts, tris))
 
 
 def test_deviation_requires_inputs():

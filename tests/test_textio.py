@@ -14,6 +14,8 @@ from lod3recon import (cli, evaluate, extraction, fusion, model_io, occupancy,
                        rasters, reconstruct, textio)
 from lod3recon.errors import IoError, ParseError
 
+import oracles
+
 MODULES = (occupancy, model_io, rasters, fusion, extraction, evaluate,
            reconstruct)
 
@@ -235,3 +237,50 @@ def test_pixel_values_are_doubles_cast_to_float32(table_path, width, height, dat
     want = np.array([float(t) for t in tokens]).astype(np.float32)
     assert channels == ("p",)
     assert grid.ravel().tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the writer against the reference that formats every number on its own
+
+def _value_pools(dtype):
+    """Few distinct values of `dtype`, so that rows repeat: signed zeros,
+    neighbours one ulp apart, and whatever else hypothesis finds."""
+    if dtype == np.int64:
+        return st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=1, max_size=4)
+    width = 32 if dtype == np.float32 else 64
+    edges = st.sampled_from([0.0, -0.0, 1.0, 0.5, 0.25])
+    return st.lists(edges | st.floats(width=width), min_size=1, max_size=4).map(
+        lambda vals: vals + [float(np.nextafter(dtype(v), dtype(np.inf)))
+                             for v in vals[:1]])
+
+
+@st.composite
+def write_cases(draw):
+    rows = draw(st.integers(0, 9) | st.integers(4094, 4100) | st.just(8193))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        dtype = draw(st.sampled_from([np.float32, np.float64, np.int64]))
+        pool = np.array(draw(_value_pools(dtype)), dtype=dtype)
+        shape = (rows,) if draw(st.booleans()) else (rows, draw(st.integers(1, 4)))
+        columns.append(pool[rng.integers(0, len(pool), size=shape)])
+    return columns
+
+
+@settings(max_examples=150, deadline=None)
+@given(columns=write_cases())
+def test_write_table_writes_the_references_bytes(tmp_path_factory, columns):
+    where = tmp_path_factory.mktemp("write")
+    textio.write_table(where / "got.txt", "# head\n", columns)
+    oracles.write_table(where / "want.txt", "# head\n", columns)
+    assert (where / "got.txt").read_bytes() == (where / "want.txt").read_bytes()
+
+
+def test_write_table_keeps_signed_zeros_and_ulps_apart(tmp_path):
+    ulp = float(np.nextafter(0.1, 1.0))
+    column = np.array([0.0, -0.0, 0.1, ulp, -0.0, 0.0, ulp, 0.1])
+    textio.write_table(tmp_path / "t.txt", "", [column, column.astype(np.float32)])
+    lines = (tmp_path / "t.txt").read_text().splitlines()
+    f32 = [repr(float(v)) for v in column.astype(np.float32)]
+    assert lines == [f"{v!r} {w}" for v, w in zip(column.tolist(), f32)]
+    assert lines[0] != lines[1] and lines[2] != lines[3]
