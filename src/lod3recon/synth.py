@@ -17,6 +17,7 @@ while keeping window/door semantics.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -24,6 +25,7 @@ import numpy as np
 
 from .errors import SpecError
 from .extraction import OpeningInstance, write_instances
+from .geom import row_norms
 from .model_io import OPENING_LABELS, BuildingSolid, box_solid, write_solid
 from .occupancy import write_rays
 from .rasters import (POINT_LABELS, write_correspondences,
@@ -75,8 +77,14 @@ class SceneSpec:
     def __post_init__(self):
         for name in ("width", "height", "depth", "pitch", "image_cell",
                      "station_distance", "station_spacing"):
-            if getattr(self, name) <= 0.0:
-                raise SpecError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise SpecError(f"{name} must be positive and finite")
+        # the scan and the image each need a cell across the wall both ways
+        for step in ("pitch", "image_cell"):
+            for extent in ("width", "height"):
+                if round(getattr(self, extent) / getattr(self, step)) == 0:
+                    raise SpecError(f"{step} {getattr(self, step)!r} leaves no cell "
+                                    f"across the {extent} {getattr(self, extent)!r}")
         if self.noise_sigma < 0.0:
             raise SpecError("noise_sigma must be non-negative")
         if not 0.0 <= self.frame_fraction <= 1.0:
@@ -127,59 +135,55 @@ def _label_probs(label: str, p: float) -> list:
     return [p if name == label else rest for name in POINT_LABELS]
 
 
-def _opening_at(spec: SceneSpec, u: float, v: float):
-    for o in spec.openings:
-        if o.rect[0] < u < o.rect[2] and o.rect[1] < v < o.rect[3]:
-            return o
-    return None
-
-
 def generate_scan(spec: SceneSpec):
     """(rays, points, probs) of the simulated facade sweep; `rays` is an
     (n, 7) array of origin, endpoint and hit flag, as `read_rays` returns.
 
-    Targets form a pitch grid over the wall; every ray is a hit. Noise
-    perturbs the return distance along the ray, so a ray's traversal line
-    never moves, only its endpoint.
+    Targets form a pitch grid over the wall, u the outer and v the inner
+    order; every ray is a hit. Noise perturbs the return distance along
+    the ray, so a ray's traversal line never moves, only its endpoint.
+    Only the seeded draws, a normal then a uniform for each ray, are made
+    one at a time, to keep the generator's stream.
     """
     rng = np.random.default_rng(spec.seed)
-    sts = stations(spec)
     nx = int(round(spec.width / spec.pitch))
     nz = int(round(spec.height / spec.pitch))
-    origins = []
-    points = []
-    probs = []
-    for ix in range(nx):
-        u = (ix + 0.5) * spec.pitch
-        sx = min(sts, key=lambda s: (abs(s - u), s))
-        origin = np.asarray((sx, -spec.station_distance, spec.station_height))
-        for iz in range(nz):
-            v = (iz + 0.5) * spec.pitch
-            noise = rng.normal(0.0, spec.noise_sigma)
-            gate = rng.uniform()
-            target = np.asarray((u, 0.0, v))
-            span = target - origin
-            dist = float(np.linalg.norm(span))
-            direction = span / dist
-            opening = _opening_at(spec, u, v)
-            if opening is None or opening.covered or gate < spec.frame_fraction:
-                endpoint = origin + (dist + noise) * direction
-                if opening is None:
-                    prob = _label_probs("wall", spec.wall_prob)
-                else:
-                    prob = _label_probs(opening.label, spec.opening_prob)
-            else:
-                # through the opening, return from the backplane y = depth
-                back = dist * (spec.station_distance + spec.depth) \
-                    / spec.station_distance
-                endpoint = origin + (back + noise) * direction
-                prob = _label_probs("other", spec.wall_prob)
-            origins.append(origin)
-            points.append(tuple(endpoint))
-            probs.append(prob)
-    points = np.asarray(points)
-    rays = np.column_stack([np.asarray(origins), points, np.ones(len(points))])
-    return rays, points, np.asarray(probs)
+    n = nx * nz
+    us = (np.arange(nx) + 0.5) * spec.pitch
+    vs = (np.arange(nz) + 0.5) * spec.pitch
+    # rng.normal(0.0, sigma) is 0.0 + sigma * rng.standard_normal() and
+    # rng.uniform() is rng.random(), from the same words of the stream
+    z, gate = np.fromiter(((rng.standard_normal(), rng.random()) for _ in range(n)),
+                          dtype=np.dtype((float, 2)), count=n).T
+    noise = 0.0 + spec.noise_sigma * z
+    # the nearest station, ties to the smaller one
+    sts = np.array(stations(spec))
+    sx = sts[np.abs(sts[None, :] - us[:, None]).argmin(axis=1)]
+    origins = np.column_stack([np.repeat(sx, nz), np.full(n, -spec.station_distance),
+                               np.full(n, spec.station_height)])
+    span = np.column_stack([np.repeat(us, nz), np.zeros(n), np.tile(vs, nx)]) - origins
+    dist = row_norms(span)
+    direction = span / dist[:, None]
+    # each ray's row of `table`: 0 wall, 1 through an opening to the
+    # background, 2 + i an opening of the i-th label
+    table = np.array([_label_probs("wall", spec.wall_prob),
+                      _label_probs("other", spec.wall_prob),
+                      *(_label_probs(label, spec.opening_prob)
+                        for label in OPENING_LABELS)])
+    kind = np.zeros((nx, nz), dtype=np.intp)
+    through = np.zeros((nx, nz), dtype=bool)
+    for o in spec.openings:   # disjoint, so at most one holds (u, v)
+        inside = np.outer((us > o.rect[0]) & (us < o.rect[2]),
+                          (vs > o.rect[1]) & (vs < o.rect[3]))
+        kind[inside] = 2 + OPENING_LABELS.index(o.label)
+        through[inside] = not o.covered
+    kind, through = kind.ravel(), through.ravel() & ~(gate < spec.frame_fraction)
+    kind[through] = 1
+    # a ray through the opening returns from the backplane y = depth
+    back = dist * (spec.station_distance + spec.depth) / spec.station_distance
+    points = origins + (np.where(through, back, dist) + noise)[:, None] * direction
+    rays = np.column_stack([origins, points, np.ones(n)])
+    return rays, points, table[kind]
 
 
 def generate_image(spec: SceneSpec) -> np.ndarray:

@@ -173,17 +173,37 @@ def write_table(path, header: str, columns) -> None:
 def _lines(parts) -> str:
     """The rows of the arrays `parts` side by side as lines of text.
 
-    Each distinct row is formatted once. Rows are told apart by their
-    bytes, not their values, so -0.0 and 0.0 keep their own `repr`."""
+    Each distinct row is formatted once, and within the distinct rows
+    each distinct number of a part. Rows and numbers are told apart by
+    their bytes, not their values, so -0.0 and 0.0 keep their own `repr`."""
     parts = [p.reshape(len(p), -1) for p in parts]
-    raw = np.concatenate([np.ascontiguousarray(p).view(np.uint8).reshape(len(p), -1)
-                          for p in parts], axis=1)
-    # return_index keeps np.unique off its numpy.ma check
-    _, first, inverse = np.unique(raw.view(np.dtype((np.void, raw.shape[1]))).ravel(),
-                                  return_index=True, return_inverse=True)
-    cells = [map(repr, col) for p in parts for col in p[first].T.tolist()]
-    distinct = np.array(list(map(" ".join, zip(*cells))), dtype=object)
-    del cells   # zip leaves all but the first column's numbers unreleased
+    first, inverse = _distinct(np.concatenate(
+        [np.ascontiguousarray(p).view(np.uint8).reshape(len(p), -1) for p in parts],
+        axis=1))
+    columns = [col for p in parts for col in _reprs(p[first]).T.tolist()]
+    distinct = np.array(list(map(" ".join, zip(*columns))), dtype=object)
+    del columns   # the numbers' text, no longer needed once rows are joined
     lines = distinct[inverse].tolist()
     lines.append("")   # the newline that ends the last line
     return "\n".join(lines)
+
+
+def _reprs(part) -> np.ndarray:
+    """The `repr` of each number of the contiguous 2-D array `part`, as an
+    object array of its shape; each distinct number is formatted once."""
+    flat = part.ravel()
+    first, inverse = _distinct(flat.view(np.uint8).reshape(len(flat), -1))
+    text = np.array(list(map(repr, flat[first].tolist())), dtype=object)
+    return text[inverse].reshape(part.shape)
+
+
+def _distinct(raw):
+    """(first, inverse) of the rows of the 2-D uint8 array `raw`: where
+    each distinct row first occurs, and for each row the index of its
+    own in `first`."""
+    width = raw.shape[1]
+    # a row of 1, 2, 4 or 8 bytes sorts faster as one unsigned integer
+    key = raw.view(f"u{width}" if width in (1, 2, 4, 8) else np.dtype((np.void, width)))
+    # return_index keeps np.unique off its numpy.ma check
+    _, first, inverse = np.unique(key.ravel(), return_index=True, return_inverse=True)
+    return first, inverse

@@ -477,3 +477,55 @@ def write_table(path, header, columns):
             cells = [map(repr, col) for b in (c[a:a + block] for c in columns)
                      for col in b.reshape(len(b), -1).T.tolist()]
             fh.write("\n".join(map(" ".join, zip(*cells))) + "\n")
+
+
+def scalar_scan(spec, labels):
+    """(rays, points, probs) of the synthetic facade sweep of `spec`, one
+    ray at a time: per ray a normal then a uniform draw, the nearest
+    station (ties to the smaller), the first opening in spec order whose
+    open rect holds the target, and a probability row over `labels`."""
+    rng = np.random.default_rng(spec.seed)
+    sts = []
+    x = spec.station_spacing / 2.0
+    while x < spec.width:
+        sts.append(x)
+        x += spec.station_spacing
+
+    def label_probs(label, p):
+        rest = (1.0 - p) / (len(labels) - 1)
+        return [p if name == label else rest for name in labels]
+
+    nx = int(round(spec.width / spec.pitch))
+    nz = int(round(spec.height / spec.pitch))
+    origins, points, probs = [], [], []
+    for ix in range(nx):
+        u = (ix + 0.5) * spec.pitch
+        sx = min(sts, key=lambda s: (abs(s - u), s))
+        origin = np.asarray((sx, -spec.station_distance, spec.station_height))
+        for iz in range(nz):
+            v = (iz + 0.5) * spec.pitch
+            noise = rng.normal(0.0, spec.noise_sigma)
+            gate = rng.uniform()
+            span = np.asarray((u, 0.0, v)) - origin
+            dist = float(np.linalg.norm(span))
+            direction = span / dist
+            opening = next((o for o in spec.openings
+                            if o.rect[0] < u < o.rect[2]
+                            and o.rect[1] < v < o.rect[3]), None)
+            if opening is None or opening.covered or gate < spec.frame_fraction:
+                endpoint = origin + (dist + noise) * direction
+                if opening is None:
+                    prob = label_probs("wall", spec.wall_prob)
+                else:
+                    prob = label_probs(opening.label, spec.opening_prob)
+            else:
+                back = dist * (spec.station_distance + spec.depth) \
+                    / spec.station_distance
+                endpoint = origin + (back + noise) * direction
+                prob = label_probs("other", spec.wall_prob)
+            origins.append(origin)
+            points.append(tuple(endpoint))
+            probs.append(prob)
+    points = np.asarray(points)
+    rays = np.column_stack([np.asarray(origins), points, np.ones(len(points))])
+    return rays, points, np.asarray(probs)

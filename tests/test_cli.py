@@ -214,6 +214,18 @@ def test_synth_bad_opening_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, what", [
+    (["--image-cell", "30"], "image_cell 30.0 leaves no cell across the width 10.0"),
+    (["--pitch", "9"], "pitch 9.0 leaves no cell across the height 4.0"),
+])
+def test_synth_step_leaving_no_cell_exits_2_before_writing(tmp_path, capsys,
+                                                           argv, what):
+    out = tmp_path / "scene"
+    assert cli.main(["synth", "--out", str(out)] + argv) == 2
+    assert capsys.readouterr().err == f"error: synth: {what}\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # pipeline subcommand
 

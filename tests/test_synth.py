@@ -1,9 +1,12 @@
 """Synthetic scene generator: determinism, geometry, and file round trips."""
 
 import filecmp
+import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lod3recon import synth
 from lod3recon.errors import SpecError
@@ -13,6 +16,8 @@ from lod3recon.extraction import read_instances
 from lod3recon.rasters import (read_correspondences, read_labeled_points,
                                read_pixel_grid, POINT_LABELS)
 from lod3recon.synth import SceneSpec, SynthOpening
+
+import oracles
 
 
 SMALL = dict(width=4.0, height=2.0, depth=2.0, pitch=0.1,
@@ -39,10 +44,25 @@ def test_opening_tuples_are_coerced():
     dict(frame_fraction=1.5),
     dict(opening_prob=0.0),
     dict(wall_prob=1.2),
+    dict(pitch=float("nan")),
+    dict(width=float("inf")),
+    # steps that leave no scan or image cell across the wall
+    dict(image_cell=30.0),
+    dict(image_cell=8.0),
+    dict(pitch=9.0),
+    dict(width=0.2, height=0.2, pitch=0.5, openings=()),
 ])
 def test_bad_numbers_rejected(kwargs):
     with pytest.raises(SpecError):
         SceneSpec(**kwargs)
+
+
+def test_one_cell_each_way_is_enough():
+    spec = SceneSpec(width=10.0, height=4.0, pitch=7.99, image_cell=7.99,
+                     openings=())
+    rays, _, _ = synth.generate_scan(spec)
+    assert len(rays) == 1
+    assert synth.generate_image(spec).shape == (1, 1, 2)
 
 
 def test_opening_on_wall_edge_rejected():
@@ -233,3 +253,115 @@ def test_different_seed_changes_the_scan(tmp_path):
     # deterministic artifacts do not depend on the seed
     assert filecmp.cmp(a["solid"], b["solid"], shallow=False)
     assert filecmp.cmp(a["gt_instances"], b["gt_instances"], shallow=False)
+
+
+# ---------------------------------------------------------------------------
+# the array scan against the ray-by-ray reference
+
+@st.composite
+def scan_specs(draw):
+    """Small scenes: up to 1,600 rays, zero to three openings in
+    columns of their own, any of them covered, noise zero or not, every
+    ray or none clipping the frame, and station rows of any spacing,
+    distance and height."""
+    width = draw(st.floats(1.0, 20.0))
+    height = draw(st.floats(1.0, 8.0))
+    pitch = draw(st.floats(max(width, height) / 40.0, min(width, height)))
+    openings = []
+    slots = draw(st.integers(0, 3))
+    for k in range(slots):
+        a, b = width * k / slots, width * (k + 1) / slots
+        u0 = draw(st.floats(a + 0.01 * width, a + 0.4 * (b - a)))
+        u1 = draw(st.floats(u0 + 0.1 * (b - a), b - 0.01 * width))
+        v0 = draw(st.floats(0.01 * height, 0.5 * height))
+        v1 = draw(st.floats(v0 + 0.05 * height, 0.99 * height))
+        openings.append(SynthOpening((u0, v0, u1, v1),
+                                     draw(st.sampled_from(["window", "door"])),
+                                     draw(st.booleans())))
+    return SceneSpec(
+        width=width, height=height, depth=draw(st.floats(0.1, 20.0)),
+        openings=tuple(openings), pitch=pitch,
+        noise_sigma=draw(st.just(0.0) | st.floats(0.0, 0.2)),
+        seed=draw(st.integers(0, 2 ** 32 - 1)),
+        frame_fraction=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+        opening_prob=draw(st.floats(0.01, 1.0)),
+        wall_prob=draw(st.floats(0.01, 1.0)),
+        station_height=draw(st.floats(-5.0, 20.0)),
+        station_distance=draw(st.floats(0.1, 50.0)),
+        station_spacing=draw(st.floats(0.1, 2.0 * width, exclude_max=True)))
+
+
+def _assert_scan_is_the_references(spec):
+    got = synth.generate_scan(spec)
+    want = oracles.scalar_scan(spec, POINT_LABELS)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(spec=scan_specs())
+def test_scan_equals_the_ray_by_ray_reference(spec):
+    _assert_scan_is_the_references(spec)
+
+
+def test_scan_breaks_station_ties_to_the_smaller_station():
+    # u = 2.5 * 0.8 = 2.0 lies midway between the stations at 1 and 3
+    spec = SceneSpec(pitch=0.8, seed=5)
+    rays, _, _ = synth.generate_scan(spec)
+    nz = round(spec.height / spec.pitch)
+    assert (2 + 0.5) * spec.pitch == 2.0
+    assert synth.stations(spec)[:2] == [1.0, 3.0]
+    assert (rays[2 * nz:3 * nz, 0] == 1.0).all()
+    _assert_scan_is_the_references(spec)
+
+
+def _block_spec(seed):
+    """The 16 x 6 x 10 m block: five columns of a ground and an upper
+    opening, the middle ground one a door, three windows covered."""
+    covered = {(4.0, 1.4), (1.0, 3.8), (13.0, 3.8)}
+    openings = []
+    for c in range(5):
+        u0 = 1.0 + 3.0 * c
+        if c == 2:
+            openings.append(SynthOpening((7.0, 0.2, 8.2, 2.4), "door"))
+        else:
+            openings.append(SynthOpening((u0, 1.4, u0 + 1.2, 2.8), "window",
+                                         (u0, 1.4) in covered))
+        openings.append(SynthOpening((u0, 3.8, u0 + 1.2, 5.8), "window",
+                                     (u0, 3.8) in covered))
+    return SceneSpec(width=16.0, height=6.0, depth=10.0, pitch=0.1,
+                     openings=tuple(openings), seed=seed)
+
+
+# sha256 of every file of two seed-7 scenes, as the ray-by-ray generator
+# and the number-by-number writer wrote them
+SCENE_DIGESTS = {
+    "front": (SceneSpec(seed=7), {
+        "correspondences": "6a5562cab3d898ad62e3e6003f965f24bd3796eb9cae0f92118013de1be9e394",
+        "gt_instances": "d5fb55aec95d40e3f28e5102e84390bc8ca365839359c793177d2bccca30d12c",
+        "gt_measured": "d5fb55aec95d40e3f28e5102e84390bc8ca365839359c793177d2bccca30d12c",
+        "image": "46b1258cb932b054c897db4e62c90f9843054ec8a6f2ed7e5841aaa3021a2b22",
+        "points": "79c0e8ba293b490630012831cbd959d3e6dd6d8f24ce714750a410d04d82dd6a",
+        "rays": "ad69f8c50db53c8a9d09d13d0cfdb9ca06169e7ee4dc3f329368db53145a2330",
+        "solid": "089a57bd599c858e171a324fcf6fc8c7c3cb176129296ee7e557516e367ad194",
+    }),
+    "block": (_block_spec(7), {
+        "correspondences": "889140543ed67eb4d8f9b4397516944b02b665fcc7d0a070070bb7dc64f9b3c5",
+        "gt_instances": "dbabe7eb14bbe7e5a2a6fd2d092f2a4c6979efd5dc560915ebb1fe754a7bd2a9",
+        "gt_measured": "b43a620bc587451e1081f623b02ecb7025bda601bb7498790f86ad8f4c840be3",
+        "image": "102d308f3ed5ca8df9404c50ebe1f4faf980b61d2bb3fa8e0aa2397cfc327f68",
+        "points": "973814fd1b2419bb337f5b293d545bde39dd2e1fcbd897888a78eccf5b9ded5f",
+        "rays": "73b00599f142f049b20d0d08e172c7715366ce313cd1d2d27c358841d4a03337",
+        "solid": "ec4f81eec476211e59080ccba0e722c159e4c41878fd42ca1ea9f323d0befb66",
+    }),
+}
+
+
+@pytest.mark.parametrize("scene", sorted(SCENE_DIGESTS))
+def test_scene_files_keep_their_digests(tmp_path, scene):
+    spec, digests = SCENE_DIGESTS[scene]
+    paths = synth.synth_scene(spec, tmp_path)
+    got = {key: hashlib.sha256(open(path, "rb").read()).hexdigest()
+           for key, path in paths.items()}
+    assert got == digests

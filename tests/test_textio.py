@@ -256,6 +256,9 @@ def _value_pools(dtype):
 
 @st.composite
 def write_cases(draw):
+    """Columns drawn from small pools, so that rows and numbers repeat,
+    and maybe one of distinct random floats beside them, as in the
+    points and rays tables: no row repeats, but most numbers do."""
     rows = draw(st.integers(0, 9) | st.integers(4094, 4100) | st.just(8193))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     columns = []
@@ -264,6 +267,11 @@ def write_cases(draw):
         pool = np.array(draw(_value_pools(dtype)), dtype=dtype)
         shape = (rows,) if draw(st.booleans()) else (rows, draw(st.integers(1, 4)))
         columns.append(pool[rng.integers(0, len(pool), size=shape)])
+    if draw(st.booleans()):
+        dtype = draw(st.sampled_from([np.float32, np.float64]))
+        shape = (rows,) if draw(st.booleans()) else (rows, draw(st.integers(1, 3)))
+        distinct = (rng.standard_normal(shape) * 1e3).astype(dtype)
+        columns.insert(draw(st.integers(0, len(columns))), distinct)
     return columns
 
 
