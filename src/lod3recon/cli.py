@@ -18,7 +18,7 @@ import math
 import os
 import sys
 import typing
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass
 
 from .errors import (ConfigError, IoError, Lod3Error, ParseError, SpecError)
 from .evaluate import (DetectionCounts, detection_rates, format_report,
@@ -28,8 +28,7 @@ from .evaluate import (DetectionCounts, detection_rates, format_report,
 from .extraction import ExtractionConfig, extract_openings, read_instances, \
     write_instances
 from .fusion import fuse_maps, read_cpt
-from .model_io import (default_template_library, read_solid,
-                       read_template_library, validate_solid)
+from .model_io import read_solid, read_template_library, validate_solid
 from .occupancy import (OccupancyConfig, build_occupancy, read_rays,
                         read_tree, write_tree)
 from .rasters import (CONFLICT_CHANNELS, estimate_homography, facade_frame,
@@ -38,7 +37,7 @@ from .rasters import (CONFLICT_CHANNELS, estimate_homography, facade_frame,
                       read_pixel_grid, read_raster, write_raster)
 from .reconstruct import (read_model, reconstruct_model, write_citygml,
                           write_model)
-from .synth import SceneSpec, SynthOpening, synth_scene
+from .synth import FRONT_FACE, SceneSpec, SynthOpening, synth_scene
 from .textio import key_values, writing
 from .visibility import (UncertaintyConfig, project_conflict_map,
                          surface_voxels)
@@ -137,10 +136,6 @@ def _config_keys() -> dict:
 
 
 _CONFIG_KEYS = _config_keys()
-
-
-# raw `key = value` pairs of a config file; duplicate keys are rejected
-read_config_file = key_values
 
 
 def boolean(text: str) -> bool:
@@ -258,7 +253,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     with _stage("fuse"):
         cpt = _read_optional(read_cpt, config.cpt)
     with _stage("reconstruct"):
-        templates = _templates(config.templates)
+        templates = _read_optional(read_template_library, config.templates)
 
     instances = []
     for face_id, face in faces.items():
@@ -325,10 +320,6 @@ def _read_prior(path):
     if bad:
         raise ParseError(f"{path}: invalid prior: {bad[0]}")
     return solid
-
-
-def _templates(path) -> dict:
-    return read_template_library(path) if path else default_template_library()
 
 
 def _face(solid, face_id):
@@ -469,7 +460,8 @@ def _cmd_reconstruct(args) -> int:
     # one cell of the default raster, as in the pipeline
     margin = (args.margin if args.margin is not None
               else OccupancyConfig().voxel_size)
-    model = reconstruct_model(solid, instances, _templates(args.templates),
+    templates = _read_optional(read_template_library, args.templates)
+    model = reconstruct_model(solid, instances, templates,
                               depth=args.depth, margin=margin)
     write_model(model, args.out_model)
     write_citygml(model, args.out_gml)
@@ -517,32 +509,22 @@ def _cmd_synth(args) -> int:
         openings["openings"] = tuple(_parse_opening(o) for o in args.opening)
     spec = _from_args(SceneSpec, args, **openings)
     paths = synth_scene(spec, args.out)
-    config_path = os.path.join(args.out, "scene.cfg")
-    _write_scene_config(paths, config_path)
+    lines = ["# pipeline configuration for the generated scene"]
+    lines += [f"{key} = {os.path.basename(path)}" for key, path in paths.items()]
+    lines += [f"faces = {FRONT_FACE}", "out_dir = artifacts"]
+    with writing(os.path.join(args.out, "scene.cfg")) as fh:
+        fh.write("\n".join(lines) + "\n")
     print(f"wrote scene into {args.out}")
     return 0
 
 
-def _write_scene_config(paths: dict, path) -> None:
-    lines = ["# pipeline configuration for the generated scene"]
-    lines += [f"{key} = {os.path.basename(paths[key])}" for key in (
-        "rays", "solid", "points", "image", "correspondences",
-        "gt_instances", "gt_measured")]
-    lines += ["faces = wall_front", "out_dir = artifacts"]
-    with writing(path) as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def _cmd_pipeline(args) -> int:
-    raw = read_config_file(args.config)
+    raw = key_values(args.config)
     # every pipeline option is named after the config key it overrides
     for key, value in vars(args).items():
         if key in _CONFIG_KEYS and value is not None:
             raw[key] = str(value)
     config = build_config(raw, os.path.dirname(os.path.abspath(args.config)))
-    env_out = os.environ.get("LOD3_OUT_DIR")
-    if env_out:
-        config = replace(config, out_dir=env_out)
     artifacts = run_pipeline(config)
     print(f"pipeline complete: {artifacts['out_dir']}")
     if artifacts["metrics"]:
@@ -682,7 +664,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     _add_options(p, OccupancyConfig, "voxel_size", override=True)
     _add_options(p, ExtractionConfig, "p_high", "pe_lo", "pe_up", override=True)
-    _add_options(p, PipelineConfig, "cpt", "depth", "iou_min", override=True)
+    _add_options(p, PipelineConfig, "out_dir", "cpt", "depth", "iou_min",
+                 override=True)
     p.set_defaults(func=_cmd_pipeline)
 
     p = sub.add_parser("synth", help="generate a synthetic test scene")

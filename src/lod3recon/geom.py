@@ -299,18 +299,11 @@ def triangulate_loop_3d(loop, holes=()) -> list:
     i, j = (k + 1) % 3, (k + 2) % 3
     to2d = lambda ring: [(p[i], p[j]) for p in ring]
     tris = triangulate_polygon_2d(to2d(loop), [to2d(h) for h in holes])
-    pts = [tuple(map(float, p)) for p in loop]
-    for h in holes:
-        pts.extend(tuple(map(float, p)) for p in h)
-    pts = np.asarray(pts, dtype=float)
-    out = []
-    for (t0, t1, t2) in tris:
-        tn = np.cross(pts[t1] - pts[t0], pts[t2] - pts[t0])
-        if float(tn @ n) < 0.0:
-            out.append((t0, t2, t1))
-        else:
-            out.append((t0, t1, t2))
-    return out
+    # (i, j, k) is a cyclic order of the axes, so a counter-clockwise
+    # triangle of the (i, j) projection faces +k
+    if n[k] < 0.0:
+        return [(t0, t2, t1) for t0, t1, t2 in tris]
+    return tris
 
 
 # ---------------------------------------------------------------------------

@@ -305,7 +305,9 @@ def write_solid(solid: BuildingSolid, path) -> None:
 
 
 def read_template_library(path) -> dict:
-    """Parse opening templates keyed by name; validates anchor closure."""
+    """Parse opening templates keyed by name; a template that fails
+    validation (label, depth, closure against the anchor) is a ParseError
+    at its header line."""
     templates = {}
     for no, tok, body in blocks(textio.content_lines(path), path,
                                 "template", ("tri",)):
@@ -317,9 +319,12 @@ def read_template_library(path) -> dict:
             raise ParseError(f"{path}:{no}: duplicate template {name!r}")
         label = textio.kv(tok[2], "label", path, no)
         depth = textio.floats([textio.kv(tok[3], "depth", path, no)], path, no)
-        templates[name] = OpeningTemplate(
-            name, label, textio.finite(depth, "depth", path, no)[0],
-            tuple(parse_points(t, path, n, 3) for n, t in body))
+        try:
+            templates[name] = OpeningTemplate(
+                name, label, textio.finite(depth, "depth", path, no)[0],
+                tuple(parse_points(t, path, n, 3) for n, t in body))
+        except ValidationError as exc:
+            raise ParseError(f"{path}:{no}: {exc}") from exc
     if not templates:
         raise ParseError(f"{path}: no templates found")
     return templates

@@ -496,14 +496,18 @@ def _tree_header(path, lines):
     if len(tok) != 3 or tok[0] != "voxels":
         raise ParseError(f"{path}:{no}: expected 'voxels voxel_size=<v> "
                          f"faces=<id>,...'")
-    vs = textio.floats([textio.kv(tok[1], "voxel_size", path, no)], path, no)
+    [vs] = textio.finite(
+        textio.floats([textio.kv(tok[1], "voxel_size", path, no)], path, no),
+        "voxel size", path, no)
+    if vs <= 0.0:
+        raise ParseError(f"{path}:{no}: voxel size must be positive")
     faces = textio.kv(tok[2], "faces", path, no)
     faces = tuple(faces.split(",")) if faces else ()
     if "" in faces:
         raise ParseError(f"{path}:{no}: empty face id")
     if len(set(faces)) < len(faces):
         raise ParseError(f"{path}:{no}: repeated face id")
-    return (textio.finite(vs, "voxel size", path, no)[0], faces), _TREE_ROW
+    return (vs, faces), _TREE_ROW
 
 
 def _tree_checks(table):
@@ -518,12 +522,12 @@ def _tree_checks(table):
 
 
 def read_tree(path) -> OccupancyTree:
-    """The `voxels voxel_size=<v> faces=<id>,...` header, naming the faces
-    the tree was built for, then one line per voxel: key, finite
-    log-odds, hit distance and point, pass distance and endpoint. A
-    distance is a non-negative number, or +inf for evidence that never
-    arrived; only then may its point be non-finite. A key given twice
-    keeps its last line."""
+    """The `voxels voxel_size=<v> faces=<id>,...` header, naming a
+    positive voxel size and the faces the tree was built for, then one
+    line per voxel: key, finite log-odds, hit distance and point, pass
+    distance and endpoint. A distance is a non-negative number, or +inf
+    for evidence that never arrived; only then may its point be
+    non-finite. A key given twice keeps its last line."""
     (vs, faces), table = textio.table(
         path, 1, lambda lines: _tree_header(path, lines), _tree_checks)
     keys, vals = table["key"], table["value"]

@@ -85,8 +85,12 @@ class SceneSpec:
                 if round(getattr(self, extent) / getattr(self, step)) == 0:
                     raise SpecError(f"{step} {getattr(self, step)!r} leaves no cell "
                                     f"across the {extent} {getattr(self, extent)!r}")
-        if self.noise_sigma < 0.0:
-            raise SpecError("noise_sigma must be non-negative")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise SpecError("noise_sigma must be non-negative and finite")
+        # the first station stands half a spacing along the wall
+        if not self.station_spacing / 2.0 < self.width:
+            raise SpecError(f"station_spacing {self.station_spacing!r} leaves no "
+                            f"station along the width {self.width!r}")
         if not 0.0 <= self.frame_fraction <= 1.0:
             raise SpecError("frame_fraction must lie in [0, 1]")
         for name in ("opening_prob", "wall_prob"):
@@ -211,11 +215,13 @@ def image_correspondences(spec: SceneSpec) -> list:
 
 
 def synth_scene(spec: SceneSpec, out_dir) -> dict:
-    """Write the full scene file set into `out_dir`; returns the paths."""
+    """Write the full scene file set into `out_dir`; returns the paths,
+    keyed by their pipeline config keys in the order `scene.cfg` lists
+    them."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {key: os.path.join(out_dir, name) for key, name in (
-        ("solid", "solid.txt"),
         ("rays", "rays.txt"),
+        ("solid", "solid.txt"),
         ("points", "points.txt"),
         ("image", "image.txt"),
         ("correspondences", "correspondences.txt"),

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from lod3recon import cli
+from lod3recon import cli, textio
 from lod3recon.errors import ConfigError, IoError, ParseError
 from lod3recon.evaluate import read_metrics, sample_model_points, triangulate_model
 from lod3recon.extraction import ExtractionConfig, OpeningInstance, \
@@ -47,26 +47,26 @@ def artifacts_dir(scene_dir):
 def test_config_reader_skips_comments_and_blanks(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("# comment\n\nrays = r.txt  # trailing\n key = spaced \n")
-    assert cli.read_config_file(path) == {"rays": "r.txt", "key": "spaced"}
+    assert textio.key_values(path) == {"rays": "r.txt", "key": "spaced"}
 
 
 def test_config_reader_rejects_missing_equals(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("rays r.txt\n")
     with pytest.raises(ParseError, match="expected 'key = value'"):
-        cli.read_config_file(path)
+        textio.key_values(path)
 
 
 def test_config_reader_rejects_duplicates(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("rays = a\nrays = b\n")
     with pytest.raises(ParseError, match="duplicate"):
-        cli.read_config_file(path)
+        textio.key_values(path)
 
 
 def test_config_reader_missing_file():
     with pytest.raises(IoError):
-        cli.read_config_file("/nonexistent/config.cfg")
+        textio.key_values("/nonexistent/config.cfg")
 
 
 BASE = {"rays": "r.txt", "solid": "s.txt", "out_dir": "out"}
@@ -255,16 +255,22 @@ def test_pipeline_report_is_readable(artifacts_dir):
     assert "watertight" in text and "yes" in text
 
 
-def test_pipeline_env_output_override(scene_dir, tmp_path, monkeypatch):
-    monkeypatch.setenv("LOD3_OUT_DIR", str(tmp_path / "redirected"))
-    rc = cli.main(["pipeline", "--config", str(scene_dir / "scene.cfg")])
+def test_pipeline_out_dir_override(scene_dir, tmp_path):
+    # a relative --out-dir resolves against the config file, as out_dir does
+    raw = textio.key_values(scene_dir / "scene.cfg")
+    cfg = tmp_path / "scene.cfg"
+    cfg.write_text("".join(f"{key} = {scene_dir / value}\n"
+                           for key, value in raw.items()
+                           if key not in ("faces", "out_dir")))
+    rc = cli.main(["pipeline", "--config", str(cfg), "--out-dir", "redirected"])
     assert rc == 0
     assert (tmp_path / "redirected" / "model.gml").exists()
+    assert not (scene_dir / "redirected").exists()
 
 
-def test_pipeline_flag_overrides(scene_dir, tmp_path, monkeypatch):
-    monkeypatch.setenv("LOD3_OUT_DIR", str(tmp_path / "o"))
+def test_pipeline_flag_overrides(scene_dir, tmp_path):
     rc = cli.main(["pipeline", "--config", str(scene_dir / "scene.cfg"),
+                   "--out-dir", str(tmp_path / "o"),
                    "--vs", "0.2", "--p-high", "0.99999"])
     assert rc == 0
     tree = read_tree(tmp_path / "o" / "tree.txt")
@@ -383,38 +389,38 @@ def test_pipeline_unknown_key_exits_2(tmp_path, capsys):
 # stage subcommands
 
 def test_stage_chain_matches_pipeline(scene_dir, artifacts_dir, tmp_path):
+    # every stage on its defaults writes what the pipeline writes
     d = str(tmp_path)
     s = str(scene_dir)
+    face = ["--solid", f"{s}/solid.txt", "--face", "wall_front"]
     steps = [
-        ["raycast", "--rays", f"{s}/rays.txt", "--solid", f"{s}/solid.txt",
-         "--face", "wall_front", "--out", f"{d}/tree.txt"],
-        ["conflicts", "--tree", f"{d}/tree.txt", "--solid", f"{s}/solid.txt",
-         "--face", "wall_front", "--out", f"{d}/conflict.txt"],
-        ["project-points", "--points", f"{s}/points.txt",
-         "--solid", f"{s}/solid.txt", "--face", "wall_front",
-         "--out", f"{d}/pc.txt"],
+        ["raycast", "--rays", f"{s}/rays.txt", *face, "--out", f"{d}/tree.txt"],
+        ["conflicts", "--tree", f"{d}/tree.txt", *face,
+         "--out", f"{d}/conflict_wall_front.txt"],
+        ["project-points", "--points", f"{s}/points.txt", *face,
+         "--out", f"{d}/points_wall_front.txt"],
         ["project-image", "--image", f"{s}/image.txt",
-         "--correspondences", f"{s}/correspondences.txt",
-         "--solid", f"{s}/solid.txt", "--face", "wall_front",
-         "--out", f"{d}/tex.txt"],
-        ["fuse", "--conflict", f"{d}/conflict.txt", "--pc", f"{d}/pc.txt",
-         "--tex", f"{d}/tex.txt", "--out", f"{d}/post.txt"],
-        ["extract", "--posterior", f"{d}/post.txt", "--pc", f"{d}/pc.txt",
-         "--tex", f"{d}/tex.txt", "--face", "wall_front",
-         "--out", f"{d}/inst.txt"],
+         "--correspondences", f"{s}/correspondences.txt", *face,
+         "--out", f"{d}/texture_wall_front.txt"],
+        ["fuse", "--conflict", f"{d}/conflict_wall_front.txt",
+         "--pc", f"{d}/points_wall_front.txt",
+         "--tex", f"{d}/texture_wall_front.txt",
+         "--out", f"{d}/posterior_wall_front.txt"],
+        ["extract", "--posterior", f"{d}/posterior_wall_front.txt",
+         "--pc", f"{d}/points_wall_front.txt",
+         "--tex", f"{d}/texture_wall_front.txt", "--face", "wall_front",
+         "--out", f"{d}/instances.txt"],
         ["reconstruct", "--solid", f"{s}/solid.txt",
-         "--instances", f"{d}/inst.txt", "--margin", "0.1",
+         "--instances", f"{d}/instances.txt",
          "--out-model", f"{d}/model.txt", "--out-gml", f"{d}/model.gml"],
     ]
     for argv in steps:
         assert cli.main(argv) == 0, argv[0]
-    assert ((tmp_path / "tree.txt").read_bytes()
-            == (artifacts_dir / "tree.txt").read_bytes())
-    assert (read_instances(f"{d}/inst.txt")
-            == read_instances(artifacts_dir / "instances.txt"))
-    chained = (tmp_path / "post.txt").read_text()
-    piped = (artifacts_dir / "posterior_wall_front.txt").read_text()
-    assert chained == piped
+    for name in ("tree.txt", "conflict_wall_front.txt", "points_wall_front.txt",
+                 "texture_wall_front.txt", "posterior_wall_front.txt",
+                 "instances.txt", "model.txt", "model.gml"):
+        assert (tmp_path / name).read_bytes() == \
+            (artifacts_dir / name).read_bytes(), name
 
 
 def test_evaluate_subcommand_writes_metrics(scene_dir, artifacts_dir,
@@ -854,7 +860,7 @@ def test_subcommand_error_names_its_stage(tmp_path, capsys, argv, stage):
 
 def test_conflicts_occupied_threshold_matches_pipeline(scene_dir, artifacts_dir,
                                                        tmp_path):
-    raw = cli.read_config_file(scene_dir / "scene.cfg")
+    raw = textio.key_values(scene_dir / "scene.cfg")
     raw = {key: str(scene_dir / value) for key, value in raw.items()
            if key not in ("faces", "out_dir")}
     raw.update(faces="wall_front", out_dir=str(tmp_path / "out"),
@@ -1027,6 +1033,27 @@ def test_bad_raster_header_exits_2(tmp_path, capsys, old, new, message):
     assert cli.main(["fuse", "--conflict", str(path),
                      "--out", str(tmp_path / "out.txt")]) == 2
     assert capsys.readouterr().err == f"error: fuse: {path}:{message}\n"
+
+
+@pytest.mark.parametrize("kind", ["tree", "template"])
+def test_header_value_out_of_range_exits_2(scene_dir, artifacts_dir, tmp_path,
+                                           capsys, kind):
+    bad = tmp_path / "bad.txt"
+    if kind == "tree":
+        bad.write_text((artifacts_dir / "tree.txt").read_text().replace(
+            "voxel_size=0.1 ", "voxel_size=0 ", 1))
+        argv = ["conflicts", "--tree", bad, "--face", "wall_front",
+                "--out", tmp_path / "out.txt"]
+        message = "1: voxel size must be positive"
+    else:
+        bad.write_text(TEMPLATE_TEXT.replace("label=window", "label=balcony"))
+        argv = ["reconstruct", "--instances", scene_dir / "gt_instances.txt",
+                "--templates", bad, "--out-model", tmp_path / "m.txt",
+                "--out-gml", tmp_path / "m.gml"]
+        message = "1: template label 'balcony'"
+    argv += ["--solid", scene_dir / "solid.txt"]
+    assert cli.main([str(a) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {argv[0]}: {bad}:{message}")
 
 
 def test_pixel_grid_with_a_duplicate_channel_exits_2(scene_dir, tmp_path, capsys):

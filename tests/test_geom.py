@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
@@ -207,25 +207,34 @@ def test_triangulate_random_hole_layouts(scene):
     _check_triangulation(outer, holes)
 
 
-def test_triangulate_loop_3d_orientation():
-    rng = np.random.default_rng(11)
-    outer2d = [(0, 0), (6, 0), (6, 4), (0, 4)]
-    hole2d = [(2, 1), (4, 1), (4, 3), (2, 3)]
-    for _ in range(10):
-        rot = Rotation.random(random_state=rng).as_matrix()
-        shift = rng.normal(size=3)
-        lift = lambda ring: [rot @ np.array([p[0], p[1], 0.0]) + shift for p in ring]
-        outer = lift(outer2d)
-        hole = lift(list(reversed(hole2d)))
-        n = geom.ring_normal(outer)
-        tris = geom.triangulate_loop_3d(outer, [hole])
-        pts = np.asarray(list(outer) + list(hole))
-        area = 0.0
-        for (i, j, k) in tris:
-            v = np.cross(pts[j] - pts[i], pts[k] - pts[i])
-            assert float(v @ n) > 0.0
-            area += 0.5 * float(np.linalg.norm(v))
-        assert area == pytest.approx(6 * 4 - 2 * 2, rel=1e-9)
+@settings(max_examples=120, deadline=None)
+@given(_rect_scene(), st.booleans(), st.booleans(), st.integers(0, 2 ** 32 - 1))
+@example(([(0, 0), (6, 0), (6, 4), (0, 4)], [[(2, 1), (4, 1), (4, 3), (2, 3)]]),
+         False, True, 11)
+def test_triangulate_loop_3d_orientation(scene, flip_outer, flip_holes, seed):
+    # the hole layouts of the 2D test, each ring in either winding, lifted
+    # into a random plane
+    outer2d, holes2d = scene
+    if flip_outer:
+        outer2d = outer2d[::-1]
+    if flip_holes:
+        holes2d = [h[::-1] for h in holes2d]
+    rng = np.random.default_rng(seed)
+    rot = Rotation.random(random_state=rng).as_matrix()
+    shift = rng.normal(size=3)
+    lift = lambda ring: [rot @ np.array([p[0], p[1], 0.0]) + shift for p in ring]
+    outer, holes = lift(outer2d), [lift(h) for h in holes2d]
+    n = geom.ring_normal(outer)
+    tris = geom.triangulate_loop_3d(outer, holes)
+    pts = np.asarray(outer + [p for h in holes for p in h])
+    area = 0.0
+    for (i, j, k) in tris:
+        v = np.cross(pts[j] - pts[i], pts[k] - pts[i])
+        assert float(v @ n) > 0.0
+        area += 0.5 * float(np.linalg.norm(v))
+    expect = abs(geom.polygon_area_2d(outer2d)) - sum(
+        abs(geom.polygon_area_2d(h)) for h in holes2d)
+    assert area == pytest.approx(expect, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -210,3 +210,23 @@ def test_template_parse_errors(tmp_path):
     path.write_text("end\n")
     with pytest.raises(ParseError, match="stray"):
         model_io.read_template_library(path)
+
+
+@pytest.mark.parametrize("label, depth, drop, message", [
+    ("balcony", "0.0", 0, "template label 'balcony'"),
+    ("door", "-0.5", 0, "template depth must be >= 0"),
+    ("door", "0.0", 1, "template .bad. does not close against its anchor"),
+])
+def test_template_library_rejects_invalid_template(tmp_path, label, depth,
+                                                   drop, message):
+    # a valid library, then a flat panel with one fault
+    path = tmp_path / "t.txt"
+    write_template_library(model_io.default_template_library(), path)
+    head = len(path.read_text().splitlines()) + 1
+    a0, a1, a2, a3 = model_io.TEMPLATE_ANCHOR
+    tris = [(a0, a1, a2), (a0, a2, a3)][drop:]
+    path.write_text(path.read_text() + f"template bad label={label} depth={depth}\n"
+                    + "".join(f"tri {model_io.points_text(t)}\n" for t in tris)
+                    + "end\n")
+    with pytest.raises(ParseError, match=f"t.txt:{head}: {message}"):
+        model_io.read_template_library(path)

@@ -560,6 +560,8 @@ def test_tree_file_round_trip(tmp_path):
     ("voxels voxel_size=0.1 faces=a,,b", "empty face id"),
     ("voxels voxel_size=0.1 faces=a,b,a", "repeated face id"),
     ("voxels voxel_size=0.1 faces=a b", "expected 'voxels"),
+    ("voxels voxel_size=0 faces=a", "voxel size must be positive"),
+    ("voxels voxel_size=-0.1 faces=a", "voxel size must be positive"),
 ])
 def test_tree_file_rejects_bad_faces_field(tmp_path, header, message):
     path = tmp_path / "tree.txt"

@@ -1,6 +1,6 @@
 """What lives where: code that only tests use stays under tests/, only
-`textio` opens and parses text files, and the runtime needs numpy alone
-and loads none of scipy or numpy.ma."""
+`textio` opens and parses text files, the runtime reads no environment,
+needs numpy alone and loads none of scipy or numpy.ma."""
 
 import ast
 import os
@@ -76,6 +76,15 @@ def test_src_imports_only_numpy_and_the_standard_library():
             outside |= {f"{path.name}: {m}" for m in modules
                         if m.split(".")[0] not in allowed}
     assert sorted(outside) == []
+
+
+def test_src_reads_no_environment():
+    # every setting is a config key or an option
+    readers = sorted(f"{path.name}:{node.lineno}" for path in PACKAGE.glob("*.py")
+                     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                     if getattr(node, "attr", getattr(node, "name", None))
+                     in ("environ", "getenv"))
+    assert readers == []
 
 
 def _last_line(code, *args):

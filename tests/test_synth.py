@@ -51,10 +51,22 @@ def test_opening_tuples_are_coerced():
     dict(image_cell=8.0),
     dict(pitch=9.0),
     dict(width=0.2, height=0.2, pitch=0.5, openings=()),
+    dict(noise_sigma=float("nan")),
+    dict(noise_sigma=float("inf")),
+    # a spacing that leaves no station along the wall
+    dict(station_spacing=20.0),
 ])
 def test_bad_numbers_rejected(kwargs):
     with pytest.raises(SpecError):
         SceneSpec(**kwargs)
+
+
+def test_one_station_is_enough():
+    # the first station stands half a spacing in: 9.995 < 10
+    spec = SceneSpec(station_spacing=19.99)
+    assert synth.stations(spec) == [9.995]
+    rays, points, _ = synth.generate_scan(spec)
+    assert (rays[:, 0] == 9.995).all() and np.isfinite(points).all()
 
 
 def test_one_cell_each_way_is_enough():

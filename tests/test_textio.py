@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lod3recon import (cli, evaluate, extraction, fusion, model_io, occupancy,
+from lod3recon import (evaluate, extraction, fusion, model_io, occupancy,
                        rasters, reconstruct, textio)
 from lod3recon.errors import IoError, ParseError
 
@@ -29,7 +29,7 @@ def _functions(prefix):
             and fn.__module__ == m.__name__}
 
 
-READERS = {**_functions("read_"), "cli.read_config_file": cli.read_config_file}
+READERS = {**_functions("read_"), "textio.key_values": textio.key_values}
 
 
 def _solid():
