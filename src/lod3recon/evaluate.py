@@ -199,7 +199,7 @@ class _Triangles:
         a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
         self.a, self.b, self.c = a, b, c
         ab, ac, bc, ca = self.ab, self.ac, self.bc, self.ca = b - a, c - a, c - b, a - c
-        n = self.n = np.cross(ab, ac)
+        n = self.n = geom.cross(ab, ac)
         self.nn = geom.row_dots(n, n)
         self.d00, self.d01, self.d11 = (geom.row_dots(ab, ab), geom.row_dots(ab, ac),
                                         geom.row_dots(ac, ac))
@@ -216,7 +216,7 @@ class _Triangles:
             unit = n / np.sqrt(self.nn)[:, None]
             normals = [unit]
             for edge in (ab, ac - ab, -ac):
-                out = np.cross(edge, unit)
+                out = geom.cross(edge, unit)
                 normals.append(out / np.linalg.norm(out, axis=1)[:, None])
         normals = np.where(self.sliver[:, None], 0.0, np.stack(normals))
         origin = a - self.center

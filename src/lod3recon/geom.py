@@ -13,6 +13,17 @@ from typing import Sequence
 import numpy as np
 
 
+def cross(a, b) -> np.ndarray:
+    """Cross products of 3-vectors along the last axis, written out by
+    components as np.cross computes them, bit for bit, without its
+    set-up cost."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0],
+                    axis=-1)
+
+
 def newell_area_vector(loop) -> np.ndarray:
     """Area-weighted normal of a closed 3D loop (Newell's method).
 
@@ -20,8 +31,8 @@ def newell_area_vector(loop) -> np.ndarray:
     rule) and its length equals the enclosed area for planar loops.
     """
     pts = np.asarray(loop, dtype=float)
-    nxt = np.roll(pts, -1, axis=0)
-    return 0.5 * np.cross(pts, nxt).sum(axis=0)
+    nxt = np.concatenate([pts[1:], pts[:1]])
+    return 0.5 * cross(pts, nxt).sum(axis=0)
 
 
 def ring_normal(loop) -> np.ndarray:
@@ -54,7 +65,8 @@ def polygon_area_2d(poly) -> float:
     if len(pts) < 3:
         return 0.0
     x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(x @ np.roll(y, -1) - y @ np.roll(x, -1))
+    return 0.5 * float(x @ np.concatenate([y[1:], y[:1]])
+                       - y @ np.concatenate([x[1:], x[:1]]))
 
 
 def point_in_polygon_2d(pt, poly) -> bool:
@@ -201,49 +213,58 @@ def _find_bridge(ring: list, hole_left: int, pts: np.ndarray) -> int | None:
 def _shared_vertex(ring: list, hole: list, pts: np.ndarray):
     """(ring position, hole position) of a vertex the hole shares with the
     ring, at a ring corner the hole's corner fits into; None if there is
-    none."""
-    for pos, v in enumerate(hole):
-        p = pts[v]
+    none. The first such pair in hole order, then ring order."""
+    same = (pts[hole][:, None, :] == pts[ring][None, :, :]).all(axis=2)
+    for pos, at in zip(*np.nonzero(same)):
         # inside the hole's corner at p when that corner is convex
+        p = pts[hole[pos]]
         q = pts[hole[pos - 1]] + pts[hole[(pos + 1) % len(hole)]] - p
-        for at, r in enumerate(ring):
-            if (pts[r] == p).all() and _locally_inside(ring, at, pts, q):
-                return at, pos
+        if _locally_inside(ring, at, pts, q):
+            return int(at), int(pos)
+    return None
+
+
+# candidate ears tested together by `_first_ear`
+EARS = 8
+
+
+def _first_ear(x, y):
+    """Position of the first convex corner of the ring (x, y), in ring
+    order, whose triangle holds no other ring vertex, its boundary
+    included; vertices at the position of one of the triangle's corners
+    do not count. None if there is none. EARS candidates at a time are
+    tested against the whole ring, with the arithmetic of `_orient_2d`."""
+    # per corner its triangle (a, b, c): the previous, own and next vertex
+    xs = np.stack([np.concatenate([x[-1:], x[:-1]]), x, np.concatenate([x[1:], x[:1]])])
+    ys = np.stack([np.concatenate([y[-1:], y[:-1]]), y, np.concatenate([y[1:], y[:1]])])
+    convex = np.flatnonzero(
+        (xs[1] - xs[0]) * (ys[2] - ys[0]) - (ys[1] - ys[0]) * (xs[2] - xs[0]) > 0.0)
+    for s in range(0, len(convex), EARS):
+        k = convex[s:s + EARS]
+        # the edges a-b, b-c and c-a of each candidate against every vertex:
+        # _point_in_triangle_2d(p, a, b, c)
+        ax, ay = xs[:, k, None], ys[:, k, None]
+        bx, by = ax[[1, 2, 0]], ay[[1, 2, 0]]
+        inside = ((bx - ax) * (y - ay) - (by - ay) * (x - ax) >= 0.0).all(axis=0)
+        inside &= ~((x == ax) & (y == ay)).any(axis=0)
+        free = np.flatnonzero(~inside.any(axis=1))
+        if len(free):
+            return int(k[free[0]])
     return None
 
 
 def _ear_clip(ring: list, pts: np.ndarray) -> list:
+    """Triangles of a simple ring by ear clipping: the first ear
+    (`_first_ear`) is clipped, and the search starts over."""
     tris = []
     idx = list(ring)
     while len(idx) > 3:
-        n = len(idx)
-        clipped = False
-        for k in range(n):
-            i0, i1, i2 = idx[k - 1], idx[k], idx[(k + 1) % n]
-            a, b, c = pts[i0], pts[i1], pts[i2]
-            if _orient_2d(a, b, c) <= 0.0:
-                continue
-            ok = True
-            for j in idx:
-                if j in (i0, i1, i2):
-                    continue
-                p = pts[j]
-                if (p[0] == a[0] and p[1] == a[1]) or (p[0] == b[0] and p[1] == b[1]) \
-                        or (p[0] == c[0] and p[1] == c[1]):
-                    continue
-                if _point_in_triangle_2d(p, a, b, c):
-                    ok = False
-                    break
-            if ok:
-                tris.append((i0, i1, i2))
-                del idx[k]
-                clipped = True
-                break
-        if not clipped:
+        k = _first_ear(pts[idx, 0], pts[idx, 1])
+        if k is None:
             # numerically stuck ring: fan out what is left
-            for k in range(1, len(idx) - 1):
-                tris.append((idx[0], idx[k], idx[k + 1]))
-            return tris
+            return tris + [(idx[0], idx[j], idx[j + 1]) for j in range(1, len(idx) - 1)]
+        tris.append((idx[k - 1], idx[k], idx[(k + 1) % len(idx)]))
+        del idx[k]
     tris.append((idx[0], idx[1], idx[2]))
     return tris
 
@@ -309,38 +330,65 @@ def triangulate_loop_3d(loop, holes=()) -> list:
 # ---------------------------------------------------------------------------
 # triangle / box overlap (separating axis test, strict)
 
-def tri_box_overlap_strict(tri, lo, hi) -> np.ndarray:
-    """Strict SAT overlap between one triangle and many axis-aligned boxes.
+def tri_box_overlap_strict(tri, lo, hi, which=None, scale=None) -> np.ndarray:
+    """Strict SAT overlap between triangles and axis-aligned boxes.
 
-    `lo` and `hi` are the (N, 3) lower and upper box corners. Touching
+    `lo` and `hi` are the (N, 3) lower and upper box corners. Box b is
+    tested against triangle `which[b]` of the (T, 3, 3) triangles `tri`,
+    or against `tri` itself when it is one (3, 3) triangle. Touching
     contact (shared plane, edge, or vertex with no interior overlap)
     counts as no overlap, so triangles lying exactly on a voxel face
     select neither neighbor. Every separation test carries a slack of
-    1e-9 of its own projection radius, or of a few float steps of the
-    coordinates far from the origin, so exact contacts that pick up a
-    rounding residual still count as touching. Each box is tested in
-    coordinates relative to its lower corner: a vertex on a box corner or
-    face stays exactly there however far from the origin the box lies.
+    1e-9 of its own projection radius, or of four float steps of `scale`
+    per unit of the axis, so exact contacts that pick up a rounding
+    residual far from the origin still count as touching. `scale` is
+    per box, by default the largest coordinate of the triangles and
+    boxes. Each box is tested in coordinates relative to its lower
+    corner: a vertex on a box corner or face stays exactly there however
+    far from the origin the box lies.
     """
-    tri = np.asarray(tri, dtype=float)
-    lo = np.atleast_2d(np.asarray(lo, dtype=float))
-    size = np.atleast_2d(np.asarray(hi, dtype=float)) - lo
-    step = 4 * np.spacing(max(np.abs(tri).max(), np.abs(lo).max()))
-    verts = [v - lo for v in tri]
-    # the box axes, the triangle normal and the nine edge cross axes
-    axes = [*np.eye(3), np.cross(tri[1] - tri[0], tri[2] - tri[0])]
-    for e in (tri[1] - tri[0], tri[2] - tri[1], tri[0] - tri[2]):
-        axes.extend(np.cross(u, e) for u in np.eye(3))
+    tri = np.asarray(tri, dtype=float).reshape(-1, 3, 3)
+    lo = np.asarray(lo, dtype=float).reshape(-1, 3)
+    size = np.asarray(hi, dtype=float).reshape(-1, 3) - lo
+    if not len(lo):
+        return np.zeros(0, dtype=bool)
+    if which is None:
+        which = np.zeros(len(lo), dtype=np.intp)
+    if scale is None:
+        scale = max(np.abs(tri).max(), np.abs(lo).max())
+    step = 4 * np.spacing(scale)
+    # the vertices relative to each box's lower corner, per vertex and
+    # component, and the box sizes per component
+    rel = [[tri[:, v, c][which] - lo[:, c] for c in range(3)] for v in range(3)]
+    size = [np.ascontiguousarray(size[:, c]) for c in range(3)]
     sep = np.zeros(len(lo), dtype=bool)
+    for c in range(3):
+        # a box axis: the triangle's extent against the box's
+        slack = np.maximum(0.5e-9 * size[c], step)
+        low = np.minimum(np.minimum(rel[0][c], rel[1][c]), rel[2][c])
+        high = np.maximum(np.maximum(rel[0][c], rel[1][c]), rel[2][c])
+        sep |= (low >= size[c] - slack) | (high <= slack)
+    # each triangle's normal and nine edge cross axes, computed once
+    edges = tri[:, [1, 2, 0]] - tri
+    axes = [cross(edges[:, 0], tri[:, 2] - tri[:, 0])]
+    for e in np.moveaxis(edges, 1, 0):
+        axes.extend(cross(u, e) for u in np.eye(3))
     for a in axes:
-        if not a.any():
+        live = a.any(axis=1)
+        if not live.any():
             continue
-        p0, p1, p2 = (v @ a for v in verts)
-        box_lo = size @ np.minimum(a, 0.0)
-        box_hi = size @ np.maximum(a, 0.0)
-        slack = np.maximum(0.5e-9 * (box_hi - box_lo), step * np.abs(a).sum())
-        sep |= ((np.minimum(np.minimum(p0, p1), p2) >= box_hi - slack)
-                | (np.maximum(np.maximum(p0, p1), p2) <= box_lo + slack))
+        reach = np.abs(a).sum(axis=1)[which]
+        # components that are zero for every triangle add nothing
+        p, box_lo, box_hi = [0.0, 0.0, 0.0], 0.0, 0.0
+        for c in np.flatnonzero(a.any(axis=0)).tolist():
+            ac = a[:, c][which]
+            p = [pv + r[c] * ac for pv, r in zip(p, rel)]
+            box_lo = box_lo + size[c] * np.minimum(ac, 0.0)
+            box_hi = box_hi + size[c] * np.maximum(ac, 0.0)
+        slack = np.maximum(0.5e-9 * (box_hi - box_lo), step * reach)
+        low = np.minimum(np.minimum(p[0], p[1]), p[2])
+        high = np.maximum(np.maximum(p[0], p[1]), p[2])
+        sep |= live[which] & ((low >= box_hi - slack) | (high <= box_lo + slack))
     return ~sep
 
 
@@ -404,7 +452,7 @@ def closed_surface_violations(loops, weld: float = 1e-6) -> list:
 def triangle_areas(tris) -> np.ndarray:
     t = np.asarray(tris, dtype=float)
     return 0.5 * np.linalg.norm(
-        np.cross(t[:, 1] - t[:, 0], t[:, 2] - t[:, 0]), axis=1)
+        cross(t[:, 1] - t[:, 0], t[:, 2] - t[:, 0]), axis=1)
 
 
 def sample_on_triangles(rng: np.random.Generator, tris, count: int) -> np.ndarray:

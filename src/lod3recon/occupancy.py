@@ -63,7 +63,6 @@ CHUNK_UPDATES = 1 << 16
 # voxel indices stay exact float integers below this magnitude
 _INDEX_LIMIT = 2.0 ** 53
 
-_KEY = np.dtype([("x", "<i8"), ("y", "<i8"), ("z", "<i8")])
 _RAY_ROW = np.dtype([("ray", "<f8", (6,)), ("hit", "<i8")])
 _TREE_ROW = np.dtype([("key", "<i8", (3,)), ("value", "<f8", (9,))])
 
@@ -275,8 +274,20 @@ class OccupancyTree:
         return len(self.keys)
 
     def find(self, keys) -> np.ndarray:
-        """Row of each key, -1 where no ray reached the voxel."""
-        return _rows(_records(self.keys), _records(keys))
+        """Row of each key, -1 where no ray reached the voxel. The keys
+        are packed into one int64 each relative to the tree's key box;
+        a key outside it is absent."""
+        keys = np.asarray(keys, dtype=np.int64).reshape(-1, 3)
+        rows = np.full(len(keys), -1, dtype=np.int64)
+        if not len(self.keys):
+            return rows
+        low, high = self.keys.min(axis=0), self.keys.max(axis=0)
+        scale = _packing(low, high)
+        if scale is None:
+            raise DomainError("tree keys span more voxels than 64-bit keys can address")
+        inside = ((keys >= low) & (keys <= high)).all(axis=1)
+        rows[inside] = _rows((self.keys - low) @ scale, (keys[inside] - low) @ scale)
+        return rows
 
 
 def _rows(table, query) -> np.ndarray:
@@ -287,10 +298,14 @@ def _rows(table, query) -> np.ndarray:
     return np.where(table[pos] == query, pos, -1)
 
 
-def _records(keys) -> np.ndarray:
-    """(n, 3) integer keys as records that compare lexicographically."""
-    keys = np.ascontiguousarray(np.asarray(keys, dtype=np.int64).reshape(-1, 3))
-    return keys.view(_KEY).ravel()
+def _packing(low, high):
+    """Multipliers that pack the integer keys of the box [low, high],
+    less `low`, into one int64 each in lexicographic order; None when
+    the box holds 2^63 keys or more."""
+    span = [int(h) - int(l) + 1 for l, h in zip(low, high)]
+    if span[0] * span[1] * span[2] >= 2 ** 63:
+        return None
+    return np.array([span[1] * span[2], span[2], 1], dtype=np.int64)
 
 
 def _windows(o, e, boxes, vs: float) -> np.ndarray:
@@ -346,10 +361,10 @@ def build_occupancy(rays, surface: dict,
         high = np.maximum(start.max(axis=0), end.max(axis=0))
     else:
         low = high = np.zeros(3, dtype=np.int64)
-    span = [int(v) + 1 for v in high - low]
-    if span[0] * span[1] * span[2] >= 2 ** 63:
+    scale = _packing(low, high)
+    if scale is None:
         raise DomainError("rays span more voxels than 64-bit keys can address")
-    scale = np.array([span[1] * span[2], span[2], 1], dtype=np.int64)
+    span = high - low + 1
     face_keys = [np.asarray(k, dtype=np.int64).reshape(-1, 3)
                  for k in surface.values()]
     keys = np.concatenate([np.empty((0, 3), np.int64), *face_keys])
@@ -536,6 +551,9 @@ def read_tree(path) -> OccupancyTree:
     if not _ascending(keys).all():
         rows = sorted_keys(keys)
         keys, vals = keys[rows], vals[rows]
+    if len(keys) and _packing(keys.min(axis=0), keys.max(axis=0)) is None:
+        raise ParseError(f"{path}: voxel keys span more voxels than 64-bit keys "
+                         f"can address")
     for d in (1, 5):
         vals[~np.isfinite(vals[:, d]), d + 1:d + 4] = 0.0
     return OccupancyTree(OccupancyConfig(voxel_size=vs),

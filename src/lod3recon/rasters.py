@@ -46,7 +46,7 @@ class FacadeFrame:
 
     @property
     def normal(self) -> tuple:
-        return tuple(map(float, np.cross(self.u_axis, self.v_axis)))
+        return tuple(map(float, geom.cross(self.u_axis, self.v_axis)))
 
     def to_uv(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float)) - np.asarray(self.origin)
@@ -107,7 +107,7 @@ def facade_frame(face, cell: float) -> FacadeFrame:
         up = np.array([0.0, 1.0, 0.0])
     v = up - float(up @ n) * n
     v = v / np.linalg.norm(v)
-    u = np.cross(v, n)
+    u = geom.cross(v, n)
     pts = face.outer.as_array()
     rel = pts - pts[0]
     us = rel @ u
@@ -303,15 +303,17 @@ def _read_pixels(path, kind: str, header: dict, vectors=()):
                 raise ParseError(f"{path}:{no}: duplicate channel {name!r}")
         return (values, vecs, channels), _values(len(channels))
 
-    (values, vecs, channels), table = textio.table(
-        path, 2 + len(vectors), parse, lambda t: [
-            (~(np.abs(t["v"]) < _FLOAT32_INF).all(axis=1), "non-finite pixel value")])
+    # a raster repeats few distinct pixel lines: each is parsed once
+    (values, vecs, channels), table = textio.repeated_table(
+        path, 2 + len(vectors), parse,
+        lambda head: head[0]["width"] * head[0]["height"], np.float32,
+        lambda t: [(~(np.abs(t["v"]) < _FLOAT32_INF).all(axis=1),
+                    "non-finite pixel value")])
     width, height = values["width"], values["height"]
     if len(table) != width * height:
         raise ParseError(f"{path}: expected {width * height} pixel lines, "
                          f"got {len(table)}")
-    return values, vecs, channels, \
-        table["v"].astype(np.float32).reshape(height, width, len(channels))
+    return values, vecs, channels, table["v"].reshape(height, width, len(channels))
 
 
 # pixels are parsed as float64 and kept as float32, where a value of at
@@ -360,6 +362,10 @@ def write_correspondences(correspondences, path) -> None:
 
 
 def read_correspondences(path) -> list:
+    """At least four `u v x y` rows of finite numbers, as the homography
+    needs; fewer is an input error naming the file."""
     _, table = textio.table(path, 0, _values(4), lambda t: [
         (~np.isfinite(t["v"]).all(axis=1), "non-finite coordinate")])
+    if len(table) < 4:
+        raise ParseError(f"{path}: need at least 4 correspondences, got {len(table)}")
     return [((u, v), (x, y)) for u, v, x, y in table["v"].tolist()]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import os
 import warnings
 
 import numpy as np
@@ -135,6 +136,68 @@ def table(path, head: int, row, checks=lambda rows: ()):
     if error is not None:
         raise error
     return header, rows
+
+
+# lines read, told apart and parsed at a time by `repeated_table`
+REPEAT_LINES = 1 << 10
+
+
+def repeated_table(path, head: int, row, count, cast, checks=lambda rows: ()):
+    """`table` for a table whose lines repeat, every field of its rows
+    cast to the number type `cast`; `count(header)` is the number of rows
+    the header promises.
+
+    Each distinct line of a run of REPEAT_LINES lines is parsed once,
+    and the rows go in file order into one array of that many rows,
+    allocated at the start. Where a line does not parse, a check fails
+    or the count differs, the file is read again by `table`, which names
+    the line at fault, and its rows are cast: the caller sees the count
+    that differs."""
+    with _opened(path, "r") as fh:
+        if fh.seekable():
+            lines = list(itertools.islice(_numbered(fh), head))
+            header, row_dtype = row(lines) if callable(row) else (lines, row)
+            rows = _repeated_rows(fh, row_dtype, count(header),
+                                  _cast(row_dtype, cast), checks)
+            if rows is not None:
+                return header, rows
+    header, rows = table(path, head, row, checks)
+    return header, rows.astype(_cast(rows.dtype, cast))
+
+
+def _cast(dtype, kind) -> np.dtype:
+    """The record dtype `dtype` with every field's numbers of type `kind`."""
+    return np.dtype([(name, kind, dtype[name].shape) for name in dtype.names])
+
+
+def _repeated_rows(fh, row_dtype, count: int, dtype, checks):
+    """The `count` rows of the rest of `fh` as `dtype`, each distinct line
+    of a run parsed once by np.loadtxt; None if a line does not give one
+    row (a blank or comment line gives none), a check fails or there are
+    not `count` rows."""
+    # a number takes two bytes at least, with its separator, and every
+    # field of a table row is 8 bytes a number
+    numbers = count * (row_dtype.itemsize // 8)
+    if not 0 <= 2 * numbers <= os.fstat(fh.fileno()).st_size:
+        return None
+    out = np.empty(count, dtype=dtype)
+    done = 0
+    for run in iter(lambda: list(itertools.islice(fh, REPEAT_LINES)), []):
+        distinct = list(dict.fromkeys(run))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)   # no rows
+                rows = np.loadtxt(distinct, dtype=row_dtype, comments="#", ndmin=1)
+        except ValueError:
+            return None
+        if (len(rows) != len(distinct) or done + len(run) > count
+                or any(bad.any() for bad, _ in checks(rows))):
+            return None
+        slot = dict(zip(distinct, range(len(distinct))))
+        at = np.fromiter(map(slot.__getitem__, run), dtype=np.intp, count=len(run))
+        out[done:done + len(run)] = rows.astype(dtype)[at]
+        done += len(run)
+    return out if done == count else None
 
 
 def _parse_lines(path, head: int, dtype):

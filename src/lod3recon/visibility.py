@@ -90,6 +90,11 @@ def joint_state_probability(p_position, p_state):
 # ---------------------------------------------------------------------------
 # surface voxels
 
+# (triangle, box) pairs tested at a time; the test's temporaries take a
+# few hundred bytes per pair
+PAIRS = 1 << 12
+
+
 def _grid_plane_axis(n, d: float, vs: float):
     """Axis of the normal `n` when the plane n . x = d is a grid plane,
     else None. The plane may miss the grid line k * vs by 1e-9 voxel, or
@@ -102,34 +107,122 @@ def _grid_plane_axis(n, d: float, vs: float):
     return ax if miss <= max(1e-9 * vs, 4 * math.ulp(plane)) else None
 
 
-def surface_voxels(face, voxel_size: float) -> np.ndarray:
-    """Voxel keys whose interior the face, minus its holes, overlaps
-    (strict triangle/voxel overlap), as (m, 3) int64 rows in lexicographic
-    order. A face lying exactly in a grid plane only touches the two voxel
-    layers that share it, so it is moved half a voxel against its outward
-    normal first and selects the inner layer."""
+def face_triangles(face, voxel_size: float) -> np.ndarray:
+    """(T, 3, 3) triangles of the face minus its holes, slivers of area
+    below 1e-14 left out. A face lying exactly in a grid plane only
+    touches the two voxel layers that share it, so it is moved half a
+    voxel against its outward normal and selects the inner layer."""
     vs = float(voxel_size)
     pts = np.asarray([p for ring in face.loops() for p in ring], dtype=float)
     n, d = face.plane()
     ax = _grid_plane_axis(n, d, vs)
     if ax is not None:
         pts[:, ax] -= math.copysign(0.5 * vs, n[ax])
-    keys = [np.empty((0, 3), dtype=np.int64)]
-    for t in geom.triangulate_loop_3d(face.outer.points,
-                                      [r.points for r in face.inner]):
-        tri = pts[list(t)]
-        if geom.triangle_areas([tri])[0] < 1e-14:
-            continue
-        lo = grid_index(tri.min(axis=0), vs)
-        hi = grid_index(tri.max(axis=0), vs)
-        axes = [np.arange(lo[a], hi[a] + 1) for a in range(3)]
-        cand = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-        # a few thousand boxes at a time keep the test's temporaries small
-        for part in np.array_split(cand, len(cand) // 4096 + 1):
-            hit = geom.tri_box_overlap_strict(tri, part * vs, (part + 1) * vs)
-            keys.append(part[hit])
-    keys = np.concatenate(keys)
+    tris = pts[np.array(geom.triangulate_loop_3d(
+        face.outer.points, [r.points for r in face.inner]), dtype=np.intp).reshape(-1, 3)]
+    return tris[geom.triangle_areas(tris) >= 1e-14]
+
+
+def surface_voxels(face, voxel_size: float) -> np.ndarray:
+    """Voxel keys whose interior the face, minus its holes, overlaps
+    (strict triangle/voxel overlap), as (m, 3) int64 rows in lexicographic
+    order; a face in a grid plane selects the layer behind it (see
+    `face_triangles`).
+
+    Each triangle is tested only against the boxes of its key box that
+    can overlap it (`_candidates`), all (triangle, box) pairs of the face
+    in one pass, with the slack each box had when every box of the key
+    box was tested (`_slack_scale`)."""
+    vs = float(voxel_size)
+    tris = face_triangles(face, vs)
+    low, high = grid_index(tris.min(axis=1), vs), grid_index(tris.max(axis=1), vs)
+    which, keys, scale = [np.empty(0, np.intp)], [np.empty((0, 3), np.int64)], [np.empty(0)]
+    for t, (tri, lo, hi) in enumerate(zip(tris, low, high)):
+        k = _candidates(tri, lo, hi, vs)
+        which.append(np.full(len(k), t, dtype=np.intp))
+        keys.append(k)
+        scale.append(_slack_scale(k, tri, lo, hi, vs))
+    which, keys, scale = (np.concatenate(v) for v in (which, keys, scale))
+    hit = np.concatenate([np.zeros(0, dtype=bool)] + [
+        geom.tri_box_overlap_strict(tris, keys[a:a + PAIRS] * vs,
+                                    (keys[a:a + PAIRS] + 1) * vs,
+                                    which[a:a + PAIRS], scale[a:a + PAIRS])
+        for a in range(0, len(keys), PAIRS)])
+    keys = keys[hit]
     return keys[sorted_keys(keys)]
+
+
+def _candidates(tri, lo, hi, vs: float) -> np.ndarray:
+    """Keys of the boxes of the key box [lo, hi] that the strict test
+    could find overlapping the triangle; the others lie beyond a
+    separating axis by far more than rounding.
+
+    The boxes come in columns along the normal's largest axis k. A
+    column is left out where its cell lies outside an edge of the
+    triangle's projection along k. In a column, a box is left out where
+    its centre lies farther from the slab between the planes through the
+    vertices than half the box's extent along the normal: a few boxes
+    are left per column."""
+    n = geom.cross(tri[1] - tri[0], tri[2] - tri[0])
+    k = int(np.argmax(np.abs(n)))
+    i, j = (k + 1) % 3, (k + 2) % 3
+    # a margin well above the rounding of these tests and of the strict one
+    margin = 1e-6 * vs + 64 * np.spacing(np.abs(tri).max())
+    ci, cj = (a.ravel() for a in np.meshgrid(np.arange(lo[i], hi[i] + 1),
+                                              np.arange(lo[j], hi[j] + 1),
+                                              indexing="ij"))
+    ui, uj = (ci + 0.5) * vs - tri[0, i], (cj + 0.5) * vs - tri[0, j]
+    # (i, j, k) is a cyclic order, so the projection winds counter-clockwise
+    # when n[k] > 0
+    keep = np.ones(len(ci), dtype=bool)
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        di, dj = tri[b, i] - tri[a, i], tri[b, j] - tri[a, j]
+        oa_i, oa_j = tri[a, i] - tri[0, i], tri[a, j] - tri[0, j]
+        side = (di * (uj - oa_j) - dj * (ui - oa_i)) * math.copysign(1.0, n[k])
+        keep &= side >= -(0.5 * vs + margin) * (abs(di) + abs(dj))
+    ci, cj, ui, uj = ci[keep], cj[keep], ui[keep], uj[keep]
+    # the centre line of a column meets the plane through tri[0] at
+    # height `at` along k; the planes through the vertices lie `off` from it
+    at = tri[0, k] - (n[i] * ui + n[j] * uj) / n[k]
+    off = (tri - tri[0]) @ n / n[k]
+    reach = 0.5 * vs * np.abs(n).sum() / abs(n[k]) + margin
+    first = np.ceil((at + off.min() - reach) / vs - 0.5)
+    last = np.floor((at + off.max() + reach) / vs - 0.5)
+    first = np.maximum(first, lo[k]).astype(np.int64)
+    count = np.maximum(np.minimum(last, hi[k]) - first + 1, 0).astype(np.int64)
+    keys = np.empty((int(count.sum()), 3), dtype=np.int64)
+    keys[:, i], keys[:, j] = np.repeat(ci, count), np.repeat(cj, count)
+    keys[:, k] = np.repeat(first - np.cumsum(count) + count, count) + np.arange(len(keys))
+    return keys
+
+
+def _slack_scale(keys, tri, lo, hi, vs: float) -> np.ndarray:
+    """The scale of the strict test's slack for each of `keys` as when
+    the triangle was tested against every box of its key box [lo, hi]:
+    the keys in C order, split as np.array_split splits them into
+    len // 4096 + 1 chunks, each chunk tested together. That is the
+    largest |coordinate| of the triangle and of the chunk's lower
+    corners."""
+    ext = hi - lo + 1
+    total = int(ext.prod())
+    parts = np.arange(total // 4096 + 1)
+    q, r = divmod(total, len(parts))
+    # the first r chunks hold q + 1 boxes, the others q
+    start = parts * q + np.minimum(parts, r)
+    last = start + q - (parts >= r)
+    reach = np.zeros(len(parts), dtype=np.int64)
+    stride = 1
+    for ax in (2, 1, 0):
+        # a run of keys in C order covers a contiguous span of this axis's
+        # indices, taken modulo its extent; a span that wraps covers both ends
+        a, b = start // stride % ext[ax], last // stride % ext[ax]
+        full = (last // stride - start // stride + 1 >= ext[ax]) | (a > b)
+        a, b = np.where(full, 0, a), np.where(full, ext[ax] - 1, b)
+        reach = np.maximum(reach, np.maximum(np.abs(lo[ax] + a), np.abs(lo[ax] + b)))
+        stride *= int(ext[ax])
+    scale = np.maximum(np.abs(tri).max(), reach * vs)
+    flat = (keys - lo) @ np.array([ext[1] * ext[2], ext[2], 1])
+    return scale[np.searchsorted(start, flat, side="right") - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -529,3 +529,140 @@ def scalar_scan(spec, labels):
     points = np.asarray(points)
     rays = np.column_stack([np.asarray(origins), points, np.ones(len(points))])
     return rays, points, np.asarray(probs)
+
+
+def _orient_2d(a, b, c):
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def _locally_inside(ring, pos, pts, q):
+    n = len(ring)
+    a, b, c = pts[ring[(pos - 1) % n]], pts[ring[pos]], pts[ring[(pos + 1) % n]]
+    if _orient_2d(a, b, c) >= 0.0:
+        return _orient_2d(a, b, q) > 0.0 and _orient_2d(b, c, q) > 0.0
+    return _orient_2d(a, b, q) > 0.0 or _orient_2d(b, c, q) > 0.0
+
+
+def shared_vertex(ring, hole, pts):
+    """(ring position, hole position) of the first hole vertex, in hole
+    order, that equals a ring vertex at a ring corner the hole's corner
+    fits into, comparing the vertices one pair at a time; or None."""
+    for pos, v in enumerate(hole):
+        p = pts[v]
+        q = pts[hole[pos - 1]] + pts[hole[(pos + 1) % len(hole)]] - p
+        for at, r in enumerate(ring):
+            if (pts[r] == p).all() and _locally_inside(ring, at, pts, q):
+                return at, pos
+    return None
+
+
+def ear_clip(ring, pts):
+    """Ear clipping one candidate and one ring vertex at a time: the first
+    convex corner whose triangle holds no other ring vertex (boundary
+    included; vertices at its corners by index or position skipped) is
+    clipped, and the search starts over; a stuck ring is fanned out."""
+    tris = []
+    idx = list(ring)
+    while len(idx) > 3:
+        n = len(idx)
+        clipped = False
+        for k in range(n):
+            i0, i1, i2 = idx[k - 1], idx[k], idx[(k + 1) % n]
+            a, b, c = pts[i0], pts[i1], pts[i2]
+            if _orient_2d(a, b, c) <= 0.0:
+                continue
+            ok = True
+            for j in idx:
+                if j in (i0, i1, i2):
+                    continue
+                p = pts[j]
+                if (p[0] == a[0] and p[1] == a[1]) or (p[0] == b[0] and p[1] == b[1]) \
+                        or (p[0] == c[0] and p[1] == c[1]):
+                    continue
+                if (_orient_2d(a, b, p) >= 0.0 and _orient_2d(b, c, p) >= 0.0
+                        and _orient_2d(c, a, p) >= 0.0):
+                    ok = False
+                    break
+            if ok:
+                tris.append((i0, i1, i2))
+                del idx[k]
+                clipped = True
+                break
+        if not clipped:
+            for k in range(1, len(idx) - 1):
+                tris.append((idx[0], idx[k], idx[k + 1]))
+            return tris
+    tris.append((idx[0], idx[1], idx[2]))
+    return tris
+
+
+def tri_box_overlap_strict(tri, lo, hi):
+    """Strict SAT overlap of one triangle with each of the boxes [lo, hi],
+    its thirteen axes built with np.cross and every projection a matrix
+    product over all the boxes; the slack is 1e-9 of a projection's
+    radius or four float steps of the largest coordinate in the call."""
+    tri = np.asarray(tri, dtype=float)
+    lo = np.atleast_2d(np.asarray(lo, dtype=float))
+    size = np.atleast_2d(np.asarray(hi, dtype=float)) - lo
+    step = 4 * np.spacing(max(np.abs(tri).max(), np.abs(lo).max()))
+    verts = [v - lo for v in tri]
+    axes = [*np.eye(3), np.cross(tri[1] - tri[0], tri[2] - tri[0])]
+    for e in (tri[1] - tri[0], tri[2] - tri[1], tri[0] - tri[2]):
+        axes.extend(np.cross(u, e) for u in np.eye(3))
+    sep = np.zeros(len(lo), dtype=bool)
+    for a in axes:
+        if not a.any():
+            continue
+        p0, p1, p2 = (v @ a for v in verts)
+        box_lo = size @ np.minimum(a, 0.0)
+        box_hi = size @ np.maximum(a, 0.0)
+        slack = np.maximum(0.5e-9 * (box_hi - box_lo), step * np.abs(a).sum())
+        sep |= ((np.minimum(np.minimum(p0, p1), p2) >= box_hi - slack)
+                | (np.maximum(np.maximum(p0, p1), p2) <= box_lo + slack))
+    return ~sep
+
+
+def triangle_voxels(triangles, vs):
+    """Sorted keys of the voxels the triangles overlap: each triangle
+    tested against every box of its key box, in chunks of at most 4096
+    boxes in C order."""
+    keys = set()
+    for tri in triangles:
+        tri = np.asarray(tri, dtype=float)
+        lo = [floor_key(x, vs) for x in tri.min(axis=0)]
+        hi = [floor_key(x, vs) for x in tri.max(axis=0)]
+        cand = np.stack(np.meshgrid(*(np.arange(a, b + 1) for a, b in zip(lo, hi)),
+                                    indexing="ij"), axis=-1).reshape(-1, 3)
+        for part in np.array_split(cand, len(cand) // 4096 + 1):
+            hit = tri_box_overlap_strict(tri, part * vs, (part + 1) * vs)
+            keys.update(map(tuple, part[hit].tolist()))
+    return sorted(keys)
+
+
+def record_rows(table, query):
+    """Row of each (3,) integer key of `query` in the lexicographically
+    sorted (n, 3) keys `table`, -1 where absent: both viewed as records
+    of three int64 fields and looked up with np.searchsorted."""
+    record = np.dtype([("x", "<i8"), ("y", "<i8"), ("z", "<i8")])
+
+    def records(keys):
+        keys = np.ascontiguousarray(np.asarray(keys, dtype=np.int64).reshape(-1, 3))
+        return keys.view(record).ravel()
+
+    table, query = records(table), records(query)
+    if not len(table):
+        return np.full(len(query), -1, dtype=np.int64)
+    pos = np.minimum(np.searchsorted(table, query), len(table) - 1)
+    return np.where(table[pos] == query, pos, -1)
+
+
+def loadtxt_table(table):
+    """A stand-in for `textio.repeated_table` that parses every line with
+    `table` (the package's reader of tables, which hands the file to
+    np.loadtxt whole) and casts the rows after: the pixel tables' reader
+    before it told lines apart."""
+    def read(path, head, row, count, cast, checks=lambda rows: ()):
+        header, rows = table(path, head, row, checks)
+        return header, rows.astype(
+            [(name, cast, rows.dtype[name].shape) for name in rows.dtype.names])
+    return read

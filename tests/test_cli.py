@@ -1056,6 +1056,36 @@ def test_header_value_out_of_range_exits_2(scene_dir, artifacts_dir, tmp_path,
     assert capsys.readouterr().err.startswith(f"error: {argv[0]}: {bad}:{message}")
 
 
+@pytest.mark.parametrize("rows, code, message", [
+    ("0 0 0 0\n1 0 10 0\n1 1 10 10\n", 2,
+     "{bad}: need at least 4 correspondences, got 3"),
+    ("0 0 0 0\n1 0 10 0\n2 0 20 0\n3 0 30 0\n", 1,
+     "correspondences are degenerate (collinear or repeated points)"),
+], ids=["three", "collinear"])
+@pytest.mark.parametrize("via", ["project-image", "pipeline"])
+def test_too_few_or_collinear_correspondences(scene_dir, tmp_path, capsys, rows,
+                                              code, message, via):
+    # too few rows break the file format (exit 2, naming the file); four
+    # collinear ones are degenerate geometry (exit 1)
+    bad = tmp_path / "corr.txt"
+    bad.write_text(rows)
+    if via == "project-image":
+        argv = ["project-image", "--image", str(scene_dir / "image.txt"),
+                "--correspondences", str(bad), "--solid", str(scene_dir / "solid.txt"),
+                "--face", "wall_front", "--out", str(tmp_path / "out.txt")]
+    else:
+        raw = textio.key_values(scene_dir / "scene.cfg")
+        raw = {key: str(scene_dir / value) if key not in ("faces",) else value
+               for key, value in raw.items()}
+        raw.update(correspondences=str(bad), out_dir=str(tmp_path / "out"))
+        (tmp_path / "scene.cfg").write_text(
+            "".join(f"{key} = {value}\n" for key, value in raw.items()))
+        argv = ["pipeline", "--config", str(tmp_path / "scene.cfg")]
+    assert cli.main(argv) == code
+    assert capsys.readouterr().err == (
+        f"error: project-image: {message.format(bad=bad)}\n")
+
+
 def test_pixel_grid_with_a_duplicate_channel_exits_2(scene_dir, tmp_path, capsys):
     image = tmp_path / "image.txt"
     image.write_text((scene_dir / "image.txt").read_text().replace(

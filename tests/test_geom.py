@@ -237,6 +237,99 @@ def test_triangulate_loop_3d_orientation(scene, flip_outer, flip_holes, seed):
     assert area == pytest.approx(expect, rel=1e-9)
 
 
+@st.composite
+def _touching_scene(draw):
+    """A `_rect_scene` whose first hole may gain a neighbour meeting it
+    at one corner, diagonally: that hole then shares a vertex with the
+    ring the earlier holes were merged into."""
+    outer, holes = draw(_rect_scene())
+    if holes and draw(st.booleans()):
+        (x0, y0), _, (x1, y1), _ = holes[0]
+        w, h = outer[2]
+        dw, dh = draw(st.integers(1, 4)) * 0.25, draw(st.integers(1, 4)) * 0.25
+        if draw(st.booleans()):     # up and right
+            hole = [(x1, y1), (x1 + dw, y1), (x1 + dw, y1 + dh), (x1, y1 + dh)]
+        else:                       # down and right, meeting at (x1, y0)
+            hole = [(x1, y0 - dh), (x1 + dw, y0 - dh), (x1 + dw, y0), (x1, y0)]
+        xs, ys = [p[0] for p in hole], [p[1] for p in hole]
+        assume(min(xs) > 0.0 and min(ys) > 0.0 and max(xs) < w and max(ys) < h)
+        for other in holes[1:]:
+            ox, oy = [p[0] for p in other], [p[1] for p in other]
+            assume(max(xs) < min(ox) or min(xs) > max(ox)
+                   or max(ys) < min(oy) or min(ys) > max(oy))
+        holes = holes + [hole]
+    return outer, holes
+
+
+@settings(max_examples=150, deadline=None)
+@given(_touching_scene(), st.booleans(), st.booleans(), st.integers(0, 2 ** 32 - 1))
+@example(([(0, 0), (4, 0), (4, 4), (0, 4)],
+          [[(1, 1), (2, 1), (2, 2), (1, 2)], [(2, 2), (3, 2), (3, 3), (2, 3)]]),
+         False, False, 3)
+# the last hole meets both earlier ones: the first shared vertex in hole
+# order is not the first in ring order
+@example(([(0, 0), (5, 0), (5, 5), (0, 5)],
+          [[(2, 3), (2, 4), (1, 4), (1, 3)], [(2, 0.5), (2, 1), (1, 1), (1, 0.5)],
+           [(3, 1), (3, 3), (2, 3), (2, 1)]]), False, False, 3)
+# hole edges on one line: a vertex lies on an edge of a candidate ear
+@example(([(0, 0), (8, 0), (8, 6), (0, 6)],
+          [[(4, 1), (6, 1), (6, 2), (4, 2)], [(2, 5), (4, 5), (4, 3), (2, 3)]]),
+         False, False, 3)
+def test_triangles_equal_the_scalar_clipper(scene, flip_outer, flip_holes, seed):
+    # the clipper testing an ear against the whole ring at once, and the
+    # hole-vertex lookup comparing a hole vertex against the whole ring,
+    # make the scalar loops' decisions: the triangles are the same
+    outer2d, holes2d = scene
+    if flip_outer:
+        outer2d = outer2d[::-1]
+    if flip_holes:
+        holes2d = [h[::-1] for h in holes2d]
+    rng = np.random.default_rng(seed)
+    rot = Rotation.random(random_state=rng).as_matrix()
+    shift = rng.normal(size=3) * 10.0 ** rng.integers(0, 7)
+    lift = lambda ring: [tuple(rot @ np.array([p[0], p[1], 0.0]) + shift) for p in ring]
+    for outer, holes in ((outer2d, holes2d), (lift(outer2d), [lift(h) for h in holes2d])):
+        tri = (geom.triangulate_polygon_2d if len(outer[0]) == 2
+               else geom.triangulate_loop_3d)
+        got = tri(outer, holes)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geom, "_ear_clip", oracles.ear_clip)
+            mp.setattr(geom, "_shared_vertex", oracles.shared_vertex)
+            assert got == tri(outer, holes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 8), min_size=4, max_size=30), st.booleans(),
+       st.sampled_from([1, 2, geom.EARS]))
+def test_star_polygons_equal_the_scalar_clipper(radii, snap, ears):
+    # star-shaped rings with many reflex corners, where most candidate
+    # ears hold another vertex; snapped to a grid, vertices fall on lines
+    # through ear corners. Fewer candidates tested together reach the
+    # first free ear in a later group
+    angles = np.linspace(0.0, 2 * np.pi, len(radii), endpoint=False)
+    ring = np.column_stack([np.cos(angles), np.sin(angles)]) * np.array(radii)[:, None]
+    if snap:
+        ring = np.round(ring * 2) / 2
+    ring = [tuple(p) for p in ring.tolist()]
+    assume(len(set(ring)) == len(ring) and geom.polygon_area_2d(ring) > 0.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geom, "EARS", ears)
+        got = geom.triangulate_polygon_2d(ring)
+        mp.setattr(geom, "_ear_clip", oracles.ear_clip)
+        assert got == geom.triangulate_polygon_2d(ring)
+
+
+def test_cross_is_numpys_bit_for_bit():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(500, 3)) * 10.0 ** rng.integers(-8, 8, size=(500, 1))
+    b = rng.normal(size=(500, 3)) * 10.0 ** rng.integers(-8, 8, size=(500, 1))
+    a[:50] = np.round(a[:50])       # exact cancellations, signed zeros
+    b[:50] = np.round(b[:50])
+    assert geom.cross(a, b).tobytes() == np.cross(a, b).tobytes()
+    assert geom.cross(a[0], b).tobytes() == np.cross(a[0], b).tobytes()
+    assert geom.cross(np.eye(3)[1], b).tobytes() == np.cross(np.eye(3)[1], b).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # strict triangle/box overlap: oracle clips the triangle against the box
 # halfspaces and inspects the residual polygon
@@ -290,6 +383,32 @@ def test_tri_box_strict_against_clipping_oracle():
         if not np.array_equal(got, np.asarray(want)):
             mism += 1
     assert mism == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([(0.0, 0.0, 0.0), (5e5, 5.4e6, 0.0)]))
+def test_tri_box_strict_pairs_equal_the_per_triangle_oracle(seed, origin):
+    # one pass over (triangle, box) pairs, each box with the scale of the
+    # call that tested it alone with its triangle, decides as the oracle
+    rng = np.random.default_rng(seed)
+    vs = 0.1
+    tris, lo, hi, which, scale, want = [], [], [], [], [], []
+    for t in range(int(rng.integers(1, 5))):
+        snap = rng.integers(2)
+        tri = np.asarray(origin) + (np.round(rng.uniform(-8, 8, (3, 3)) * 4) / 4 if snap
+                                    else rng.uniform(-0.8, 0.8, (3, 3)))
+        keys = np.floor(tri.min(axis=0) / vs).astype(np.int64) + rng.integers(
+            -2, 12, size=(int(rng.integers(1, 200)), 3))
+        tris.append(tri)
+        lo.append(keys * vs)
+        hi.append((keys + 1) * vs)
+        which.append(np.full(len(keys), t))
+        scale.append(np.full(len(keys), max(np.abs(tri).max(), np.abs(keys * vs).max())))
+        want.append(oracles.tri_box_overlap_strict(tri, keys * vs, (keys + 1) * vs))
+    got = geom.tri_box_overlap_strict(np.asarray(tris), np.concatenate(lo),
+                                      np.concatenate(hi),
+                                      np.concatenate(which), np.concatenate(scale))
+    assert got.tolist() == np.concatenate(want).tolist()
 
 
 def test_tri_box_strict_touch_cases():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lod3recon import geom, occupancy
@@ -619,3 +619,53 @@ def test_config_validation():
     for max_range in (0.0, -1.0):
         with pytest.raises(DomainError, match="max_range must be positive"):
             OccupancyConfig(max_range=max_range)
+
+
+def _tree_of(keys):
+    """A tree holding the (n, 3) `keys`, sorted, and zeros elsewhere."""
+    keys = np.asarray(keys, dtype=np.int64).reshape(-1, 3)
+    keys = keys[occupancy.sorted_keys(keys)]
+    n = len(keys)
+    return occupancy.OccupancyTree(OccupancyConfig(), keys, np.zeros(n), np.zeros(n),
+                                   np.zeros((n, 3)), np.zeros(n), np.zeros((n, 3)),
+                                   ("f",))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 300), st.integers(0, 300),
+       st.sampled_from([1, 3, 50, 2 ** 20]),
+       st.sampled_from([0, -5_000_000, 2 ** 40, -(2 ** 62)]))
+def test_find_equals_the_record_lookup(seed, n, m, spread, offset):
+    # keys on a narrow or wide box, anywhere in the int64 range; queries
+    # inside the box, present or not, and outside it on every side
+    rng = np.random.default_rng(seed)
+    tree = _tree_of(offset + rng.integers(-spread, spread + 1, size=(n, 3)))
+    queries = offset + rng.integers(-2 * spread - 2, 2 * spread + 3, size=(m, 3))
+    if len(tree):
+        queries = np.concatenate([queries, tree.keys[rng.integers(0, len(tree), m)]])
+    rows = tree.find(queries)
+    assert rows.dtype == np.int64
+    assert rows.tolist() == oracles.record_rows(tree.keys, queries).tolist()
+
+
+def test_find_on_a_tree_it_cannot_pack_is_a_domain_error():
+    tree = _tree_of([[0, 0, 0], [2 ** 62, 2 ** 62, 0]])
+    with pytest.raises(DomainError, match="64-bit keys"):
+        tree.find([[0, 0, 0]])
+
+
+def test_tree_file_whose_keys_cannot_be_packed_is_rejected(tmp_path):
+    path = tmp_path / "tree.txt"
+    path.write_text("voxels voxel_size=0.1 faces=f\n"
+                    "0 0 0 1.0 inf 0 0 0 inf 0 0 0\n"
+                    f"{2 ** 62} {2 ** 62} 0 1.0 inf 0 0 0 inf 0 0 0\n")
+    with pytest.raises(ParseError, match=f"^{path}: voxel keys span"):
+        occupancy.read_tree(path)
+    # a box of 2^21 x 2^21 x (2^21 - 1) keys packs; one more layer would not
+    far = [2 ** 21 - 1, 2 ** 21 - 1, 2 ** 21 - 2]
+    path.write_text("voxels voxel_size=0.1 faces=f\n"
+                    "0 0 0 1.0 inf 0 0 0 inf 0 0 0\n"
+                    f"{far[0]} {far[1]} {far[2]} 1.0 inf 0 0 0 inf 0 0 0\n")
+    assert occupancy.read_tree(path).find([far, [0, 0, 1]]).tolist() == [1, -1]
+    with pytest.raises(DomainError):
+        _tree_of([[0, 0, 0], [far[0], far[1], far[2] + 1]]).find([far])

@@ -239,6 +239,92 @@ def test_pixel_values_are_doubles_cast_to_float32(table_path, width, height, dat
     assert grid.ravel().tobytes() == want.tobytes()
 
 
+@st.composite
+def pixel_grids(draw):
+    """(text, fault) of a pixel grid whose lines repeat: each drawn from a
+    pool of a few lines, between comment and blank lines, with LF or
+    CR LF line ends; `fault` is None or how the file was broken."""
+    width, height = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    channels = draw(st.integers(1, 3))
+    # mostly numbers numpy reads: a line only Python reads sends the whole
+    # file down the line-by-line path, and so does a blank or comment line
+    numbers = st.sampled_from(FLOAT32_EDGES + FLOATS[:8]) if draw(
+        st.integers(0, 4)) == 0 else st.sampled_from(FLOAT32_EDGES[:-1] + FLOATS[:8])
+    pool = [" ".join(draw(numbers) for _ in range(channels))
+            + draw(st.sampled_from(["", " # tail", "\t"]))
+            for _ in range(draw(st.integers(1, 4)))]
+    lines = [draw(st.sampled_from(pool)) for _ in range(width * height)]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 3]))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", "# note", "  \t"])))
+    fault = draw(st.sampled_from([None] * 6 + [
+        "x", "nan", "inf", "1e999", "short", "long", "missing", "extra", "huge"]))
+    at = draw(st.integers(0, len(lines) - 1))
+    if fault in ("x", "nan", "inf", "1e999"):
+        lines[at] = " ".join([fault] * channels)
+    elif fault == "short":
+        lines[at] = " ".join(["0.5"] * (channels - 1))
+    elif fault == "long":
+        lines[at] = " ".join(["0.5"] * (channels + 1))
+    elif fault == "missing":
+        del lines[at]
+    elif fault == "extra":
+        lines.insert(at, lines[at] or "0.5")
+    if fault == "huge":     # no array of that many pixels can be allocated
+        width = 10 ** 12
+    head = [f"pixel_grid width={width} height={height}",
+            "channels " + " ".join(f"c{i}" for i in range(channels))]
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(head + lines) + draw(st.sampled_from(["", end])), fault
+
+
+def _read_grid(path):
+    """What `read_pixel_grid` returns for `path`, or the error it raises."""
+    try:
+        grid, channels = rasters.read_pixel_grid(path)
+    except ParseError as exc:
+        return "error", str(exc)
+    return channels, grid.shape, grid.dtype, grid.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=pixel_grids(), run=st.sampled_from([1, 2, 3, 1 << 14]))
+def test_pixel_tables_equal_the_loadtxt_path(table_path, case, run):
+    # the grid read each distinct line of a run once, and read with every
+    # line parsed by the table reader, give the same pixels or the same
+    # message, whatever the run length
+    text, fault = case
+    table_path.write_bytes(text.encode("utf-8"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(textio, "REPEAT_LINES", run)
+        got = _read_grid(table_path)
+        mp.setattr(textio, "repeated_table", oracles.loadtxt_table(textio.table))
+        want = _read_grid(table_path)
+    assert got == want
+    if fault is None:
+        assert got[0] != "error"
+
+
+def test_pixel_grid_parses_each_distinct_line_once(tmp_path, monkeypatch):
+    data = np.zeros((50, 100, 2), dtype=np.float32)
+    data[10:20, 30:40] = (0.25, 0.75)
+    data[30:, :] = (1.0, 0.5)
+    rasters.write_pixel_grid(data, ("a", "b"), tmp_path / "grid.txt")
+    parsed = []
+    loadtxt = np.loadtxt
+
+    def counting(lines, *args, **kwargs):
+        parsed.append(len(lines))
+        return loadtxt(lines, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counting)
+    monkeypatch.setattr(textio, "REPEAT_LINES", 2048)
+    grid, _ = rasters.read_pixel_grid(tmp_path / "grid.txt")
+    assert grid.tobytes() == data.tobytes()
+    # rows 0-20 hold two distinct lines, rows 20-40 two others, the rest one
+    assert parsed == [2, 2, 1]
+
+
 # ---------------------------------------------------------------------------
 # the writer against the reference that formats every number on its own
 

@@ -4,11 +4,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 import oracles
+import rigid
 from lod3recon import rasters, visibility
 from lod3recon.errors import DomainError
 from lod3recon.model_io import Face, Ring, box_solid
@@ -326,6 +327,81 @@ def test_random_grid_walls_match_area_oracle(offset, touching):
     for _ in range(40):
         vs = float(rng.choice([0.05, 0.1, 0.2, 0.25]))
         _assert_matches_area_oracle(_grid_wall(rng, vs, offset, touching), vs)
+
+
+def _keys_of(face, vs):
+    """`surface_voxels` and the per-triangle oracle's keys for the face."""
+    got = [tuple(k) for k in surface_voxels(face, vs).tolist()]
+    return got, oracles.triangle_voxels(visibility.face_triangles(face, vs), vs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([0.1, 0.25]),
+       st.sampled_from(["random", "yaw", "grid"]),
+       st.sampled_from([(0.0, 0.0, 0.0), FAR, (-5e5, -5.4e6, 0.0)]))
+def test_surface_voxels_equal_the_per_triangle_oracle(seed, vs, turn, origin):
+    # a rectangle, maybe under a gable, with up to two holes, turned at
+    # random, about z, or onto a grid plane, then moved; the key boxes of
+    # the larger faces split into several chunks of the oracle
+    rng = np.random.default_rng(seed)
+    # on a grid plane every corner is a grid node, so that diagonals and
+    # edges run through voxel corners and along voxel faces
+    snap = (lambda x: np.round(x / vs) * vs) if turn == "grid" else (lambda x: x)
+    w, h = 2 * snap(rng.uniform(0.3, 1.5)), snap(rng.uniform(0.6, 3.0))
+    outer2d = [(0.0, 0.0), (w, 0.0), (w, h), (0.0, h)]
+    if rng.integers(2):
+        # a gable, its edges at 45 degrees
+        outer2d.insert(3, (w / 2, h + w / 2))
+    holes2d = []
+    for i in range(int(rng.integers(0, 3))):
+        # hole i lies in the i-th half of the rectangle
+        u0, v0 = snap((i / 2 + rng.uniform(0.05, 0.3)) * w), snap(rng.uniform(0.1, 0.6) * h)
+        u1, v1 = u0 + max(snap(w / 8), vs), v0 + max(snap(h / 4), vs)
+        holes2d.append([(u0, v0), (u0, v1), (u1, v1), (u1, v0)])
+    if turn == "random":
+        rot = Rotation.random(random_state=rng).as_matrix()
+    elif turn == "yaw":
+        rot = Rotation.from_euler("xz", [90, rng.uniform(0, 360)], degrees=True).as_matrix()
+    else:
+        rot = np.eye(3)[rng.permutation(3)] * rng.choice([-1.0, 1.0])
+    shift = np.asarray(origin) + (np.round(rng.uniform(-5, 5, 3) / vs) * vs
+                                  if turn == "grid" else rng.uniform(-5, 5, 3))
+    lift = lambda ring: tuple(tuple(rot @ np.array([p[0], p[1], 0.0]) + shift)
+                              for p in ring)
+    face = Face("f", "wall", Ring(lift(outer2d)),
+                tuple(Ring(lift(h)) for h in holes2d))
+    got, want = _keys_of(face, vs)
+    assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_slack_scale_is_the_largest_corner_of_the_oracles_chunk(seed):
+    # each key gets the largest |lower corner| of the chunk the oracle
+    # tests it in, over the triangle's own largest coordinate
+    rng = np.random.default_rng(seed)
+    vs = 0.1
+    lo = rng.integers(-60, 20, 3) * 10 ** rng.integers(0, 8)
+    hi = lo + rng.integers(1, 45, 3) - 1
+    tri = rng.uniform(-1, 1, (3, 3)) * 10.0 ** rng.integers(-1, 8)
+    cand = np.stack(np.meshgrid(*(np.arange(a, b + 1) for a, b in zip(lo, hi)),
+                                indexing="ij"), axis=-1).reshape(-1, 3)
+    want = np.concatenate([
+        np.full(len(part), max(np.abs(tri).max(), np.abs(part * vs).max()))
+        for part in np.array_split(cand, len(cand) // 4096 + 1)])
+    pick = rng.permutation(len(cand))[:500]
+    got = visibility._slack_scale(cand[pick], tri, lo, hi, vs)
+    assert got.tobytes() == want[pick].tobytes()
+
+
+@pytest.mark.parametrize("yaw, shift", [(yaw, (0.03, 0.07, 0.0)) for yaw in range(0, 91, 5)]
+                         + [(45, (0.0, 0.0, 0.0))])
+def test_turned_front_wall_keys_equal_the_oracle(yaw, shift):
+    # the front wall turned about z and moved off the voxel edges, and at
+    # 45 degrees about the origin, where its plane runs along voxel edges
+    solid = rigid.move_solid(SYNTH_PRIORS[0], rigid.motion(yaw, shift))
+    got, want = _keys_of(solid.face("wall_front"), 0.1)
+    assert got == want and len(got) > 0
 
 
 # ---------------------------------------------------------------------------
