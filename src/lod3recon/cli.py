@@ -50,6 +50,7 @@ def _range(test, rule: str) -> dict:
 
 
 _POSITIVE = _range(lambda v: v > 0, "must be positive")
+_NON_NEGATIVE = _range(lambda v: v >= 0, "must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -78,12 +79,11 @@ class PipelineConfig:
     cell: float | None = field(default=None, metadata=_POSITIVE)
     band: float | None = field(default=None, metadata=_POSITIVE)
     depth: float = field(default=0.1, metadata=_POSITIVE)
-    margin: float | None = field(default=None, metadata=_range(
-        lambda v: v >= 0.0, "must be non-negative"))
+    margin: float | None = field(default=None, metadata=_NON_NEGATIVE)
     iou_min: float = field(default=0.5, metadata=_range(
         lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"))
     samples: int = field(default=2000, metadata=_POSITIVE)
-    sample_seed: int = 0
+    sample_seed: int = field(default=0, metadata=_NON_NEGATIVE)
 
     def __post_init__(self):
         for name in ("rays", "solid", "out_dir"):

@@ -12,6 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import DomainError
+
 
 def cross(a, b) -> np.ndarray:
     """Cross products of 3-vectors along the last axis, written out by
@@ -455,14 +457,23 @@ def triangle_areas(tris) -> np.ndarray:
         cross(t[:, 1] - t[:, 0], t[:, 2] - t[:, 0]), axis=1)
 
 
-def sample_on_triangles(rng: np.random.Generator, tris, count: int) -> np.ndarray:
-    """Uniform surface samples over a triangle soup, area-weighted."""
+def sample_on_triangles(rng, tris, count: int) -> np.ndarray:
+    """Uniform surface samples over a triangle soup, area-weighted.
+
+    `rng.random(n)` gives n doubles in [0, 1). The first `count` pick
+    the triangles as numpy's `Generator.choice(len(tris), count,
+    p=areas / total)` does; two more runs of `count` place the points.
+    Areas whose total is not finite are a DomainError."""
     t = np.asarray(tris, dtype=float)
     areas = triangle_areas(t)
     total = float(areas.sum())
+    if not math.isfinite(total):
+        raise DomainError(f"triangle areas sum to {total}")
     if total <= 0.0 or count <= 0:
         return np.zeros((0, 3))
-    which = rng.choice(len(t), size=count, p=areas / total)
+    cdf = np.cumsum(areas / total)
+    cdf /= cdf[-1]
+    which = cdf.searchsorted(rng.random(count), side="right")
     r1 = np.sqrt(rng.random(count))
     r2 = rng.random(count)
     a, b, c = t[which, 0], t[which, 1], t[which, 2]

@@ -57,8 +57,10 @@ from . import geom, textio
 from .errors import DomainError, ParseError
 
 # updates (candidate crossings, origin segments and hits) integrated per
-# chunk of rays; the temporaries take a few hundred bytes per update
-CHUNK_UPDATES = 1 << 16
+# chunk of rays; the temporaries take a few hundred bytes per update.
+# Larger chunks only touch more fresh pages; smaller ones pay numpy's
+# per-call cost more often, which shows at 10^6 rays
+CHUNK_UPDATES = 1 << 14
 
 # voxel indices stay exact float integers below this magnitude
 _INDEX_LIMIT = 2.0 ** 53
@@ -388,7 +390,7 @@ def build_occupancy(rays, surface: dict,
 
     # a ray's updates: its crossings in the window, the segment containing
     # the window's start and its hit; at two or more each, a chunk holds
-    # at most 2^15 rays
+    # at most 2^13 rays
     share = window[:, 1] - window[:, 0]
     cost = np.ceil(np.abs(end - start).sum(axis=1) * share).astype(np.int64) + 2
     chunk = (np.cumsum(cost) - cost) // CHUNK_UPDATES

@@ -85,6 +85,8 @@ class SceneSpec:
                 if round(getattr(self, extent) / getattr(self, step)) == 0:
                     raise SpecError(f"{step} {getattr(self, step)!r} leaves no cell "
                                     f"across the {extent} {getattr(self, extent)!r}")
+        if self.seed < 0:
+            raise SpecError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 <= self.noise_sigma < math.inf:
             raise SpecError("noise_sigma must be non-negative and finite")
         # the first station stands half a spacing along the wall

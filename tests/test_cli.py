@@ -163,6 +163,7 @@ def test_pipeline_config_derived_defaults():
     dict(band=0.0),
     dict(margin=-0.5),
     dict(samples=0),
+    dict(sample_seed=-1),
 ])
 def test_pipeline_config_rejects_bad_numbers(kwargs):
     with pytest.raises(ConfigError):
@@ -217,6 +218,7 @@ def test_synth_bad_opening_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("argv, what", [
     (["--image-cell", "30"], "image_cell 30.0 leaves no cell across the width 10.0"),
     (["--pitch", "9"], "pitch 9.0 leaves no cell across the height 4.0"),
+    (["--seed", "-1"], "seed must be non-negative, got -1"),
 ])
 def test_synth_step_leaving_no_cell_exits_2_before_writing(tmp_path, capsys,
                                                            argv, what):
@@ -363,6 +365,19 @@ def test_pipeline_non_positive_max_range_exits_2(scene_dir, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_pipeline_negative_sample_seed_exits_2(scene_dir, tmp_path, capsys):
+    # the seed is rejected with the config, not at the evaluate stage
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(f"rays = {scene_dir}/rays.txt\n"
+                   f"solid = {scene_dir}/solid.txt\n"
+                   f"gt_instances = {scene_dir}/gt_instances.txt\n"
+                   f"sample_seed = -3\nout_dir = {tmp_path}/out\n")
+    assert cli.main(["pipeline", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == \
+        "error: pipeline: sample_seed must be non-negative\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("key", ["gt_measured", "gt_model"])
 def test_pipeline_ground_truth_without_instances_exits_2(scene_dir, tmp_path,
                                                          capsys, key):
@@ -480,6 +495,22 @@ def test_evaluate_one_sample_equals_the_reference(scene_dir, artifacts_dir,
             oracles.mesh_deviation(sample, tris)
 
 
+def test_evaluate_model_with_overflowing_areas_exits_1(scene_dir, artifacts_dir,
+                                                      tmp_path, capsys):
+    huge = tmp_path / "huge.txt"
+    write_solid(box_solid("b", (0.0, 0.0, 0.0), (1e160, 2e160, 3e160)), huge)
+    out = tmp_path / "m.txt"
+    rc = cli.main(["evaluate", "--pred", str(artifacts_dir / "instances.txt"),
+                   "--gt", str(scene_dir / "gt_instances.txt"),
+                   "--model", str(huge), "--gt-model", str(huge),
+                   "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("error: evaluate: triangle areas sum to ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--model", "--gt-model"])
 def test_evaluate_half_a_model_pair_exits_2(scene_dir, artifacts_dir,
                                             tmp_path, capsys, flag):
@@ -556,6 +587,7 @@ OUT_OF_RANGE = [
     ("evaluate", "--iou-min", "0"),
     ("evaluate", "--iou-min", "2"),
     ("evaluate", "--samples", "0"),
+    ("evaluate", "--seed", "-1"),
     ("reconstruct", "--depth", "0"),
     ("reconstruct", "--depth", "-1"),
     ("reconstruct", "--margin", "-1"),

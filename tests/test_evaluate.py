@@ -15,10 +15,10 @@ from lod3recon.evaluate import (DetectionCounts, detection_rates,
 from lod3recon.extraction import OpeningInstance
 from lod3recon.model_io import box_solid
 from lod3recon.reconstruct import reconstruct_model
-from lod3recon.synth import (SceneSpec, SynthOpening, ground_truth_instances,
-                             scene_solid)
+from lod3recon.synth import ground_truth_instances, scene_solid
 
 import oracles
+import scenes
 
 
 def _inst(rect, face="f", label="window", conf=0.9):
@@ -287,13 +287,7 @@ def test_deviation_of_one_point_takes_one_row_products():
 def _block_model():
     """Ground-truth model of a 16 x 6 x 10 m block with ten openings on
     its front: 244 triangles."""
-    openings = []
-    for c in range(5):
-        u0 = 1.0 + 3.0 * c
-        openings.append(SynthOpening((7.0, 0.2, 8.2, 2.4), "door") if c == 2
-                        else SynthOpening((u0, 1.4, u0 + 1.2, 2.8), "window"))
-        openings.append(SynthOpening((u0, 3.8, u0 + 1.2, 5.8), "window"))
-    spec = SceneSpec(width=16.0, height=6.0, depth=10.0, openings=tuple(openings))
+    spec = scenes.block_spec(0)
     return reconstruct_model(scene_solid(spec), ground_truth_instances(spec),
                              margin=0.0)
 
@@ -362,6 +356,47 @@ def test_sample_model_points_deterministic():
                           sample_model_points(solid, 64, seed=5))
     with pytest.raises(DomainError):
         sample_model_points(solid, 0)
+
+
+def _soup(seed):
+    """A few random triangles, about a third of them without area."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 30))
+    tris = rng.normal(size=(k, 3, 3)) * rng.uniform(0.1, 10.0)
+    flat = rng.random(k) < 0.3
+    tris[flat, 2] = tris[flat, int(rng.integers(2))]
+    return tris
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 256), st.sampled_from([0, 1, 2000]),
+       st.integers(0, 2 ** 32 - 1))
+def test_sampler_draws_numpys_stream(seed, count, soup_seed):
+    # seeds past 2^128 fill more than the four words of SeedSequence's pool
+    tris = _soup(soup_seed)
+    got = geom.sample_on_triangles(evaluate.PCG64(seed), tris, count)
+    assert got.tobytes() == oracles.sample_on_triangles(seed, tris, count).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 63 + 5, 2 ** 256],
+                         ids=["0", "7", "2^32-1", "2^32", "2^63+5", "2^256"])
+def test_model_samples_are_numpys(seed):
+    model = _block_model()
+    want = oracles.sample_on_triangles(seed, triangulate_model(model), 2000)
+    assert sample_model_points(model, 2000, seed).tobytes() == want.tobytes()
+    # a generator keeps its place in the stream from call to call
+    rng, ref = evaluate.PCG64(seed), np.random.default_rng(seed)
+    assert [rng.random(n).tobytes() for n in (0, 1, 5)] == \
+        [ref.random(n).tobytes() for n in (0, 1, 5)]
+
+
+def test_sampling_needs_a_finite_area_and_a_non_negative_seed():
+    huge = box_solid("b", (0.0, 0.0, 0.0), (1e160, 2e160, 3e160))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DomainError, match="triangle areas sum to"):
+            sample_model_points(huge, 10)
+    with pytest.raises(DomainError, match="seed must be non-negative"):
+        evaluate.PCG64(-1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from lod3recon.synth import SceneSpec, SynthOpening, generate_scan, scene_solid
 from lod3recon.visibility import surface_voxels
 
 import oracles
+import scenes
 
 
 def _rays(*rows):
@@ -434,6 +436,22 @@ def test_build_matches_oracle_across_chunks(monkeypatch):
     rays = rays[rng.permutation(len(rays))]
     want = _oracle_cells(rays, cfg)
     assert cells(build_occupancy(rays, {"f": _box(rays, cfg)}, cfg)) == want
+
+
+def test_block_build_peaks_at_a_few_megabytes():
+    spec = scenes.block_spec(7)
+    rays, _, _ = generate_scan(spec)
+    surface = {f.face_id: surface_voxels(f, OccupancyConfig().voxel_size)
+               for f in scene_solid(spec).faces if f.label == "wall"}
+    tracemalloc.start()
+    try:
+        build_occupancy(rays, surface)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # chunks of 2^14 updates peak at 7.1 MB, of 2^15 at 9.5 MB and of 2^16
+    # at 14 MB
+    assert peak < 8.5e6
 
 
 def test_keys_outside_the_rays_box_do_not_alias():

@@ -1,6 +1,7 @@
 """What lives where: code that only tests use stays under tests/, only
 `textio` opens and parses text files, the runtime reads no environment,
-needs numpy alone and loads none of scipy or numpy.ma."""
+needs numpy alone and loads none of scipy, numpy.ma or, outside `synth`,
+numpy.random."""
 
 import ast
 import os
@@ -9,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from lod3recon import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "lod3recon"
@@ -104,14 +107,53 @@ def test_entry_points_load_no_scipy():
                       " if m == 'scipy' or m.startswith('scipy.')))") == "[]"
 
 
-def test_pipeline_run_loads_no_numpy_ma(tmp_path):
-    # numpy.ma takes about 14 ms to import; np.percentile and a bare
-    # np.unique load it
+def test_only_synth_uses_numpy_random():
+    # the evaluate stage draws numpy's PCG64 stream in Python integers
+    users = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                names = [f"{getattr(node.value, 'id', '')}.{node.attr}"]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(n.startswith(("np.random", "numpy.random")) for n in names):
+                users.add(path.name)
+    assert sorted(users) == ["synth.py"]
+
+
+@pytest.fixture(scope="module")
+def demo(tmp_path_factory):
+    """A seed-7 scene and its pipeline run; synth loads numpy.random, so it
+    runs here and not in the process under test."""
+    out = tmp_path_factory.mktemp("demo")
+    assert cli.main(["synth", "--out", str(out), "--seed", "7"]) == 0
+    assert cli.main(["pipeline", "--config", str(out / "scene.cfg")]) == 0
+    return out
+
+
+RUNS = {
+    "pipeline": lambda d: ["pipeline", "--config", d / "scene.cfg",
+                           "--out-dir", d / "again"],
+    "evaluate": lambda d: ["evaluate", "--pred", d / "artifacts" / "instances.txt",
+                           "--gt", d / "gt_instances.txt",
+                           "--model", d / "artifacts" / "model.txt",
+                           "--gt-model", d / "artifacts" / "model.txt"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(RUNS))
+def test_run_loads_no_numpy_ma_random_or_hashlib(demo, command):
+    # numpy.ma takes about 14 ms to import, np.percentile and a bare
+    # np.unique load it; numpy.random takes about 13 ms and 6 MB resident,
+    # with hashlib and OpenSSL
     code = ("import sys\n"
             "from lod3recon import cli\n"
-            "out = sys.argv[1]\n"
-            "assert cli.main(['synth', '--out', out, '--seed', '7']) == 0\n"
-            "assert cli.main(['pipeline', '--config', out + '/scene.cfg']) == 0\n"
+            "assert cli.main(sys.argv[1:]) == 0\n"
+            "heavy = ('numpy.ma', 'numpy.random', 'hashlib', '_hashlib')\n"
             "print(sorted(m for m in sys.modules"
-            " if m == 'numpy.ma' or m.startswith('numpy.ma.')))")
-    assert _last_line(code, tmp_path / "scene") == "[]"
+            " if m in heavy or m.startswith(tuple(h + '.' for h in heavy))))")
+    assert _last_line(code, *RUNS[command](demo)) == "[]"

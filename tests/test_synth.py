@@ -18,6 +18,7 @@ from lod3recon.rasters import (read_correspondences, read_labeled_points,
 from lod3recon.synth import SceneSpec, SynthOpening
 
 import oracles
+import scenes
 
 
 SMALL = dict(width=4.0, height=2.0, depth=2.0, pitch=0.1,
@@ -55,6 +56,8 @@ def test_opening_tuples_are_coerced():
     dict(noise_sigma=float("inf")),
     # a spacing that leaves no station along the wall
     dict(station_spacing=20.0),
+    # numpy's SeedSequence takes no negative seed
+    dict(seed=-1),
 ])
 def test_bad_numbers_rejected(kwargs):
     with pytest.raises(SpecError):
@@ -328,24 +331,6 @@ def test_scan_breaks_station_ties_to_the_smaller_station():
     _assert_scan_is_the_references(spec)
 
 
-def _block_spec(seed):
-    """The 16 x 6 x 10 m block: five columns of a ground and an upper
-    opening, the middle ground one a door, three windows covered."""
-    covered = {(4.0, 1.4), (1.0, 3.8), (13.0, 3.8)}
-    openings = []
-    for c in range(5):
-        u0 = 1.0 + 3.0 * c
-        if c == 2:
-            openings.append(SynthOpening((7.0, 0.2, 8.2, 2.4), "door"))
-        else:
-            openings.append(SynthOpening((u0, 1.4, u0 + 1.2, 2.8), "window",
-                                         (u0, 1.4) in covered))
-        openings.append(SynthOpening((u0, 3.8, u0 + 1.2, 5.8), "window",
-                                     (u0, 3.8) in covered))
-    return SceneSpec(width=16.0, height=6.0, depth=10.0, pitch=0.1,
-                     openings=tuple(openings), seed=seed)
-
-
 # sha256 of every file of two seed-7 scenes, as the ray-by-ray generator
 # and the number-by-number writer wrote them
 SCENE_DIGESTS = {
@@ -358,7 +343,7 @@ SCENE_DIGESTS = {
         "rays": "ad69f8c50db53c8a9d09d13d0cfdb9ca06169e7ee4dc3f329368db53145a2330",
         "solid": "089a57bd599c858e171a324fcf6fc8c7c3cb176129296ee7e557516e367ad194",
     }),
-    "block": (_block_spec(7), {
+    "block": (scenes.block_spec(7), {
         "correspondences": "889140543ed67eb4d8f9b4397516944b02b665fcc7d0a070070bb7dc64f9b3c5",
         "gt_instances": "dbabe7eb14bbe7e5a2a6fd2d092f2a4c6979efd5dc560915ebb1fe754a7bd2a9",
         "gt_measured": "b43a620bc587451e1081f623b02ecb7025bda601bb7498790f86ad8f4c840be3",
