@@ -29,8 +29,8 @@ from .extraction import ExtractionConfig, extract_openings, read_instances, \
     write_instances
 from .fusion import fuse_maps, read_cpt
 from .model_io import read_solid, read_template_library, validate_solid
-from .occupancy import (OccupancyConfig, build_occupancy, read_rays,
-                        read_tree, write_tree)
+from .occupancy import (OccupancyConfig, build_occupancy, ray_blocks,
+                        read_rays, read_tree, write_tree)
 from .rasters import (CONFLICT_CHANNELS, estimate_homography, facade_frame,
                       project_image_probabilities, project_point_probabilities,
                       read_correspondences, read_labeled_points,
@@ -237,8 +237,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         faces = _faces(solid, config.faces)
         surface = _surface(faces, config.occupancy.voxel_size)
     with _stage("raycast"):
-        rays = read_rays(config.rays)
-        tree = build_occupancy(rays, surface, config.occupancy)
+        tree = build_occupancy(_rays(config.rays), surface, config.occupancy)
         save(write_tree, tree, "tree")
     points = probs = None
     if config.points:
@@ -309,6 +308,20 @@ def run_pipeline(config: PipelineConfig) -> dict:
     return artifacts
 
 
+def _rays(path):
+    """The rays of `path` block by block, each read by one call of this
+    module's `read_rays`, so a wrapper bound in its place sees every
+    block. The first block is read at once: a file that cannot be read
+    fails before the next input is read."""
+    blocks = ray_blocks(path)
+
+    def rest(block):
+        while len(block):
+            yield block
+            block = read_rays(blocks)
+    return rest(read_rays(blocks))
+
+
 def _read_optional(read, path):
     return read(path) if path else None
 
@@ -373,7 +386,7 @@ def _score(pred, gt, measured, models, settings) -> dict:
 
 def _cmd_raycast(args) -> int:
     config = _from_args(OccupancyConfig, args)
-    rays = read_rays(args.rays)
+    rays = _rays(args.rays)
     faces = _faces(_read_prior(args.solid), args.face)
     tree = build_occupancy(rays, _surface(faces, config.voxel_size), config)
     write_tree(tree, args.out)

@@ -8,6 +8,7 @@ small line-oriented text formats documented in the README.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -142,9 +143,45 @@ def default_template_library() -> dict:
 # ---------------------------------------------------------------------------
 # validation
 
+def overflow_violations(named_loops) -> list:
+    """Where finite coordinates overflow: a violation for each loop of the
+    (name, loop) pairs whose area vector, its length or the offset of a
+    vertex along the unit normal is not finite, else one for an enclosed
+    volume that is not. All loops are checked in one pass; numpy's
+    warnings are silenced, and the values checked instead."""
+    named_loops = list(named_loops)
+    if not named_loops:
+        return []
+    loops = [np.asarray(loop, dtype=float).reshape(-1, 3) for _, loop in named_loops]
+    counts = np.array([len(loop) for loop in loops])
+    starts = np.cumsum(counts) - counts
+    pts = np.concatenate(loops)
+    after = np.arange(1, len(pts) + 1)
+    after[starts + counts - 1] = starts
+    with np.errstate(over="ignore", invalid="ignore"):
+        # per loop Newell's area vector, its length, the unit normal
+        area = 0.5 * np.add.reduceat(geom.cross(pts, pts[after]), starts, axis=0)
+        size = np.sqrt((area * area).sum(axis=1))
+        normal = np.divide(area, size[:, None], out=np.zeros_like(area),
+                           where=size[:, None] > 0.0)
+        offset = (pts * np.repeat(normal, counts, axis=0)).sum(axis=1)
+        bad = ~(np.isfinite(area).all(axis=1) & np.isfinite(size)
+                & np.logical_and.reduceat(np.isfinite(offset), starts))
+        volume = (pts[starts] * area).sum() / 3.0
+    if bad.any():
+        return [f"{named_loops[i][0]}: area, normal or plane offset is not finite"
+                for i in np.flatnonzero(bad)]
+    return [] if math.isfinite(volume) else ["enclosed volume is not finite"]
+
+
 def validate_solid(solid: BuildingSolid, tol: float = 1e-6) -> list:
-    """Structural checks; returns violation strings (empty when clean)."""
-    violations = []
+    """Structural checks; returns violation strings (empty when clean).
+    Geometry that overflows is reported alone: no other check can be
+    computed on it."""
+    violations = overflow_violations((f"face {f.face_id}", loop)
+                                     for f in solid.faces for loop in f.loops())
+    if violations:
+        return violations
     seen = set()
     for f in solid.faces:
         if f.face_id in seen:
@@ -163,12 +200,12 @@ def validate_solid(solid: BuildingSolid, tol: float = 1e-6) -> list:
         for which, ring in (("outer", f.outer), *(("inner", r) for r in f.inner)):
             pts = ring.as_array()
             off = pts @ n - d
-            if float(np.abs(off).max()) > tol:
+            if not float(np.abs(off).max()) <= tol:
                 violations.append(
                     f"face {f.face_id}: {which} ring off-plane by {float(np.abs(off).max()):.2e}")
         for ring in f.inner:
             a = geom.newell_area_vector(ring.points)
-            if float(a @ n) >= 0.0:
+            if not float(a @ n) < 0.0:
                 violations.append(
                     f"face {f.face_id}: inner ring must wind opposite to outer")
         if f.inner:
@@ -181,7 +218,7 @@ def validate_solid(solid: BuildingSolid, tol: float = 1e-6) -> list:
     violations.extend(geom.closed_surface_violations(solid.loops()))
     if not violations:
         vol = solid.volume()
-        if vol <= 0.0:
+        if not vol > 0.0:
             violations.append(f"enclosed volume is {vol:.6g}, shell faces inward")
     return violations
 

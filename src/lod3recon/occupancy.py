@@ -10,12 +10,15 @@ voxel center, and the endpoint of the passing ray that lands closest
 beyond the voxel along the ray. A distance of +inf marks evidence that
 never arrived; its point is then zero.
 
-`build_occupancy` integrates the rays with numpy in chunks of about
-`CHUNK_UPDATES` voxel updates, which bounds the temporary memory
-whatever the ray count. A voxel's values depend on its own updates
+`build_occupancy` takes the rays block by block, as `ray_blocks` reads
+them, and integrates them with numpy in chunks of about `CHUNK_UPDATES`
+voxel updates, which may span blocks: no array spans more than a block
+and a chunk of rays, so memory does not grow with the scan. Voxel keys
+are packed relative to the box of the kept keys, and a key outside that
+box is dropped unpacked. A voxel's values depend on its own updates
 only, so dropping the updates of other voxels changes no kept voxel.
 The result is bit for bit that of integrating the rays one at a time in
-file order:
+file order, however they are split into blocks:
 
 - Traversal (Amanatides & Woo 1987): a segment crosses boundary n of an
   axis at t = (n * voxel_size - o) / d, computed from the integer index
@@ -47,6 +50,7 @@ file order:
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -61,6 +65,13 @@ from .errors import DomainError, ParseError
 # Larger chunks only touch more fresh pages; smaller ones pay numpy's
 # per-call cost more often, which shows at 10^6 rays
 CHUNK_UPDATES = 1 << 14
+
+# rays read per block. The parsed rows and the per-ray arrays grow with
+# the block; each block pays numpy's per-call cost in the reader and in
+# preparing its rays (0.6 ms at 2^10 rays on four faces, 1.5 ms at
+# 2^12, on a 2-core VM), which made 2^10 slow the 16,000-ray demo by
+# 7-10 %. Chunks span blocks, so the chunk count does not depend on it
+RAY_BLOCK = 1 << 12
 
 # voxel indices stay exact float integers below this magnitude
 _INDEX_LIMIT = 2.0 ** 53
@@ -300,6 +311,20 @@ def _rows(table, query) -> np.ndarray:
     return np.where(table[pos] == query, pos, -1)
 
 
+def _box_rows(packed, low, high, scale, keys) -> np.ndarray:
+    """Row of each of the (n, 3) voxel `keys`, below 2^53 in magnitude,
+    in `packed`, the sorted keys of the box [low, high] packed by
+    `scale`; -1 where absent. A key outside the box is absent, and is not
+    packed: it could overflow, or alias a key inside."""
+    rows = np.full(len(keys), -1, dtype=np.int64)
+    shifted = keys - low
+    # one unsigned test per axis: a key below the box wraps above it
+    fits = shifted.view(np.uint64) <= (high - low).astype(np.uint64)
+    inside = fits[:, 0] & fits[:, 1] & fits[:, 2]
+    rows[inside] = _rows(packed, shifted[inside] @ scale)
+    return rows
+
+
 def _packing(low, high):
     """Multipliers that pack the integer keys of the box [low, high],
     less `low`, into one int64 each in lexicographic order; None when
@@ -334,53 +359,32 @@ def _windows(o, e, boxes, vs: float) -> np.ndarray:
 
 def build_occupancy(rays, surface: dict,
                     config: OccupancyConfig | None = None) -> OccupancyTree:
-    """Integrate rays, an (n, 7) array of origin, endpoint and hit flag,
-    in order, into the voxels of `surface`, face id -> (m, 3) integer
-    keys; the updates of every other voxel are dropped, and the tree
-    covers those faces. A ray longer than `max_range` is cut there and
-    counts as a miss."""
+    """Integrate rays in order into the voxels of `surface`, face id ->
+    (m, 3) integer keys; the updates of every other voxel are dropped,
+    and the tree covers those faces. `rays` is an iterable of (k, 7)
+    blocks of origin, endpoint and hit flag, as `ray_blocks` yields
+    them, or one (n, 7) array; the tree does not depend on how the rays
+    are split into blocks. A ray longer than `max_range` is cut there
+    and counts as a miss."""
     cfg = config or OccupancyConfig()
     vs = cfg.voxel_size
-    rays = np.asarray(rays, dtype=float).reshape(-1, 7)
-    o = rays[:, :3]
-    e = rays[:, 3:6].copy()
-    hit = rays[:, 6] != 0.0
-    with np.errstate(over="ignore", invalid="ignore"):   # checked below
-        length = geom.row_norms(e - o)
-        far = length > cfg.max_range
-        e[far] = o[far] + (e[far] - o[far]) * (cfg.max_range / length[far])[:, None]
-    length[far] = cfg.max_range
-    hit &= ~far
-    if not np.isfinite(e).all():
-        raise DomainError("ray too long to cut at max_range")
-    start, end = grid_index(o, vs), grid_index(e, vs)
-
-    # keys packed into one int64, offset to the rays' bounding box, sort
-    # lexicographically; no ray reaches a key outside the box, and packed
-    # it would alias one inside
-    if len(rays):
-        low = np.minimum(start.min(axis=0), end.min(axis=0))
-        high = np.maximum(start.max(axis=0), end.max(axis=0))
-    else:
-        low = high = np.zeros(3, dtype=np.int64)
-    scale = _packing(low, high)
-    if scale is None:
-        raise DomainError("rays span more voxels than 64-bit keys can address")
-    span = high - low + 1
     face_keys = [np.asarray(k, dtype=np.int64).reshape(-1, 3)
                  for k in surface.values()]
     keys = np.concatenate([np.empty((0, 3), np.int64), *face_keys])
-    keys -= low
-    keys = keys[((keys >= 0) & (keys < span)).all(axis=1)]
-    packed, first = np.unique(keys @ scale, return_index=True)
-    keys = keys[first] + low
 
-    # each ray is walked only within two voxels of some face's key box:
-    # no crossing outside reaches a kept voxel
-    window = _windows(o, e, [(k.min(axis=0), k.max(axis=0))
-                             for k in face_keys if len(k)], vs)
-    walked = (window[:, 0] <= window[:, 1]) & (length > 0.0)
-    window[~walked] = 0.0
+    # keys packed into one int64, offset to the kept keys' box, sort
+    # lexicographically; a traversed key outside the box is dropped
+    # before it is packed, where it could overflow or alias one inside
+    low = keys.min(axis=0) if len(keys) else np.zeros(3, np.int64)
+    high = keys.max(axis=0) if len(keys) else low
+    scale = _packing(low, high)
+    if scale is None:
+        raise DomainError("surface keys span more voxels than 64-bit keys can address")
+    packed, first = np.unique((keys - low) @ scale, return_index=True)
+    keys = keys[first]
+
+    def slots(k):
+        return _box_rows(packed, low, high, scale, k)
 
     n = len(packed)
     reached = np.zeros(n, dtype=bool)
@@ -388,31 +392,25 @@ def build_occupancy(rays, surface: dict,
     hit_dist, pass_dist = np.full(n, np.inf), np.full(n, np.inf)
     hit_point, pass_point = np.zeros((n, 3)), np.zeros((n, 3))
 
-    # a ray's updates: its crossings in the window, the segment containing
-    # the window's start and its hit; at two or more each, a chunk holds
-    # at most 2^13 rays
-    share = window[:, 1] - window[:, 0]
-    cost = np.ceil(np.abs(end - start).sum(axis=1) * share).astype(np.int64) + 2
-    chunk = (np.cumsum(cost) - cost) // CHUNK_UPDATES
-    bounds = [*np.flatnonzero(np.diff(chunk, prepend=-1)).tolist(), len(rays)]
-    for a, b in itertools.pairwise(bounds if n else ()):
-        moving = np.flatnonzero(walked[a:b]) + a
+    boxes = [(k.min(axis=0), k.max(axis=0)) for k in face_keys if len(k)]
+    blocks = [rays] if isinstance(rays, np.ndarray) else rays
+    for o, e, hit, length, end, moving, window in _chunks(blocks, cfg, boxes):
         seg_ray, seg_key = traverse(o[moving], e[moving], vs, window[moving])
         seg_ray = moving[seg_ray]
         # a ray that passes a kept voxel and whose window is cut crosses
         # two voxels of margin inside the window, on the way in or out,
         # and shows two passes or more: a ray that shows one pass has one
         # in its whole walk
-        alone = np.bincount(seg_ray - a, minlength=b - a) == 1
-        seg_slot = _rows(packed, (seg_key - low) @ scale)
+        alone = np.bincount(seg_ray, minlength=len(o)) == 1
+        seg_slot = slots(seg_key)
         passed = seg_slot >= 0
         seg_ray, seg_key, seg_slot = seg_ray[passed], seg_key[passed], seg_slot[passed]
         centers = (seg_key + 0.5) * vs
         along = geom.row_products(centers - o[seg_ray], (e[seg_ray] - o[seg_ray])
-                                  / length[seg_ray][:, None], alone[seg_ray - a])
+                                  / length[seg_ray][:, None], alone[seg_ray])
         along = np.abs(length[seg_ray] - along)
-        hits = np.flatnonzero(hit[a:b]) + a
-        hit_slot = _rows(packed, (end[hits] - low) @ scale)
+        hits = np.flatnonzero(hit)
+        hit_slot = slots(end[hits])
         hits, hit_slot = hits[hit_slot >= 0], hit_slot[hit_slot >= 0]
         hit_gap = geom.row_norms((end[hits] + 0.5) * vs - e[hits])
         if not len(seg_ray) + len(hits):
@@ -458,22 +456,90 @@ def build_occupancy(rays, surface: dict,
                          pass_point[reached], tuple(surface))
 
 
+def _chunks(blocks, cfg: OccupancyConfig, boxes):
+    """The rays of `blocks` in order, in chunks of about CHUNK_UPDATES
+    voxel updates that may span blocks: the rays of the last chunk of a
+    block wait for the next block. Per chunk, as `_prepare` makes them:
+    origins, cut endpoints, hit flags, lengths, endpoint keys, the rays
+    walked and every ray's window."""
+    held = _prepare(np.empty((0, 7)), cfg, boxes)   # rays of an open chunk
+    before = 0   # the updates of the rays before them
+    for rays in itertools.chain(blocks, [None]):   # None: no more rays
+        if rays is not None:
+            held = [np.concatenate(pair) for pair in zip(held, _prepare(rays, cfg, boxes))]
+        cost = held[-1]
+        chunk = (before + np.cumsum(cost) - cost) // CHUNK_UPDATES
+        # rays of the last chunk may follow, unless the rays are spent
+        done = (len(chunk) if rays is None or not len(chunk)
+                else int(np.searchsorted(chunk, chunk[-1])))
+        bounds = [*np.flatnonzero(np.diff(chunk[:done], prepend=-1)).tolist(), done]
+        for a, b in itertools.pairwise(bounds):
+            o, e, hit, length, end, walked, window, _ = (c[a:b] for c in held)
+            yield o, e, hit, length, end, np.flatnonzero(walked), window
+        before += int(cost[:done].sum())
+        held = [c[done:] for c in held]
+
+
+def _prepare(rays, cfg: OccupancyConfig, boxes) -> list:
+    """Per ray of the (k, 7) array `rays`: origin, endpoint cut at
+    `max_range`, hit flag (a cut ray misses), length, endpoint key,
+    whether it is walked, its walk window, [0, 0] where it is not
+    walked, and its update count. Each ray is walked only within two
+    voxels of some face's key box in `boxes`: no crossing outside
+    reaches a kept voxel."""
+    vs = cfg.voxel_size
+    rays = np.asarray(rays, dtype=float).reshape(-1, 7)
+    o = rays[:, :3]
+    e = rays[:, 3:6].copy()
+    hit = rays[:, 6] != 0.0
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        length = geom.row_norms(e - o)
+        far = length > cfg.max_range
+        e[far] = o[far] + (e[far] - o[far]) * (cfg.max_range / length[far])[:, None]
+    length[far] = cfg.max_range
+    hit &= ~far
+    if not np.isfinite(e).all():
+        raise DomainError("ray too long to cut at max_range")
+    start, end = grid_index(o, vs), grid_index(e, vs)
+    window = _windows(o, e, boxes, vs)
+    walked = (window[:, 0] <= window[:, 1]) & (length > 0.0)
+    window[~walked] = 0.0
+    # a ray's updates: its crossings in the window, the segment containing
+    # the window's start and its hit
+    share = window[:, 1] - window[:, 0]
+    cost = np.ceil(np.abs(end - start).sum(axis=1) * share).astype(np.int64) + 2
+    return [o, e, hit, length, end, walked, window, cost]
+
+
 # ---------------------------------------------------------------------------
 # file formats
 
-def read_rays(path) -> np.ndarray:
-    """One ray per line: ox oy oz ex ey ez hit(0|1), finite coordinates.
-    Returns an (n, 7) array, the hit flag as 0.0 or 1.0."""
-    _, table = textio.table(path, 0, _RAY_ROW, lambda t: [
-        ((t["hit"] != 0) & (t["hit"] != 1), "hit flag must be 0 or 1"),
-        (~np.isfinite(t["ray"]).all(axis=1), "non-finite coordinate")])
-    return np.column_stack([table["ray"], table["hit"].astype(float)])
+def ray_blocks(path):
+    """Yield the rays of `path` in file order as (k, 7) arrays of at most
+    RAY_BLOCK rays, the hit flag as 0.0 or 1.0. One ray per line:
+    ox oy oz ex ey ez hit(0|1), finite coordinates. A bad line is raised
+    when its block is reached."""
+    for table in textio.table_blocks(path, _RAY_ROW, RAY_BLOCK, lambda t: [
+            ((t["hit"] != 0) & (t["hit"] != 1), "hit flag must be 0 or 1"),
+            (~np.isfinite(t["ray"]).all(axis=1), "non-finite coordinate")]):
+        yield np.column_stack([table["ray"], table["hit"].astype(float)])
 
 
-def write_rays(rays, path) -> None:
-    rays = np.asarray(rays, dtype=float).reshape(-1, 7)
-    textio.write_table(path, "# ox oy oz  ex ey ez  hit\n",
-                       [rays[:, :6], rays[:, 6].astype(np.int64)])
+def read_rays(blocks) -> np.ndarray:
+    """The next block of the `ray_blocks` iterator `blocks`; no rays, a
+    (0, 7) array, once it is spent."""
+    return next(blocks, np.empty((0, 7)))
+
+
+@contextlib.contextmanager
+def ray_writer(path):
+    """A function that appends (k, 7) ray arrays to the ray file begun at
+    `path`."""
+    with textio.table_writer(path, "# ox oy oz  ex ey ez  hit\n") as write:
+        def write_block(rays):
+            rays = np.asarray(rays, dtype=float).reshape(-1, 7)
+            write([rays[:, :6], rays[:, 6].astype(np.int64)])
+        yield write_block
 
 
 def write_tree(tree: OccupancyTree, path) -> None:

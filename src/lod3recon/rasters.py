@@ -9,6 +9,7 @@ fusion legitimate.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -183,10 +184,14 @@ def read_labeled_points(path):
     return table["v"][:, :3], table["v"][:, 3:]
 
 
-def write_labeled_points(points, probs, path) -> None:
-    textio.write_table(
-        path, "# x y z " + " ".join(f"p_{l}" for l in POINT_LABELS) + "\n",
-        [np.asarray(points, float), np.asarray(probs, float)])
+@contextlib.contextmanager
+def point_writer(path):
+    """A function that appends (points, probs) arrays to the labeled point
+    file begun at `path`."""
+    header = "# x y z " + " ".join(f"p_{l}" for l in POINT_LABELS) + "\n"
+    with textio.table_writer(path, header) as write:
+        yield lambda points, probs: write([np.asarray(points, float),
+                                           np.asarray(probs, float)])
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from .errors import (ConfigError, DomainError, OpeningOutsideFace,
                      OpeningTouchesBoundary, ParseError, ValidationError)
 from .extraction import OpeningInstance, parse_instance
 from .model_io import (BuildingSolid, Face, OpeningTemplate, Ring, blocks,
-                       default_template_library, parse_points, parse_solid,
-                       points_text, solid_text)
+                       default_template_library, overflow_violations,
+                       parse_points, parse_solid, points_text, solid_text)
 from .rasters import facade_frame
 
 
@@ -343,6 +343,11 @@ def read_model(path) -> Lod3Model:
     bad = geom.closed_surface_violations(list(model.loops()))
     if bad:
         raise ParseError(f"{path}: model shell is not closed: {bad[0]}")
+    bad = overflow_violations(
+        [(f"face {f.face_id}", loop) for f in solid.faces for loop in f.loops()]
+        + [(f"placement {p.opening_id}", tri) for p in placements for tri in p.mesh])
+    if bad:
+        raise ParseError(f"{path}: invalid model: {bad[0]}")
     return model
 
 

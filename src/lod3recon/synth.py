@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import os
+import shutil
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,12 +28,16 @@ from .errors import SpecError
 from .extraction import OpeningInstance, write_instances
 from .geom import row_norms
 from .model_io import OPENING_LABELS, BuildingSolid, box_solid, write_solid
-from .occupancy import write_rays
-from .rasters import (POINT_LABELS, write_correspondences,
-                      write_labeled_points, write_pixel_grid)
+from .occupancy import ray_writer
+from .rasters import (POINT_LABELS, point_writer, write_correspondences,
+                      write_pixel_grid)
 
 FRONT_FACE = "wall_front"
 IMAGE_CHANNELS = ("window", "door")
+
+# rays generated and written per chunk, in whole u columns: the chunk's
+# arrays take a few hundred bytes a ray
+SCAN_RAYS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -141,55 +146,65 @@ def _label_probs(label: str, p: float) -> list:
     return [p if name == label else rest for name in POINT_LABELS]
 
 
+def _scan_shape(spec: SceneSpec) -> tuple:
+    """(u columns, v rows) of the scan's target grid; a ray per target."""
+    return int(round(spec.width / spec.pitch)), int(round(spec.height / spec.pitch))
+
+
 def generate_scan(spec: SceneSpec):
-    """(rays, points, probs) of the simulated facade sweep; `rays` is an
-    (n, 7) array of origin, endpoint and hit flag, as `read_rays` returns.
+    """Yield (rays, points, probs) of the simulated facade sweep, chunk
+    by chunk of whole u columns of about SCAN_RAYS rays; `rays` is a
+    (k, 7) array of origin, endpoint and hit flag, as `ray_blocks`
+    yields them.
 
     Targets form a pitch grid over the wall, u the outer and v the inner
     order; every ray is a hit. Noise perturbs the return distance along
     the ray, so a ray's traversal line never moves, only its endpoint.
     Only the seeded draws, a normal then a uniform for each ray, are made
-    one at a time, to keep the generator's stream.
+    one at a time, to keep the generator's stream; the chunks take them
+    in ray order, so they do not change a number.
     """
     rng = np.random.default_rng(spec.seed)
-    nx = int(round(spec.width / spec.pitch))
-    nz = int(round(spec.height / spec.pitch))
-    n = nx * nz
-    us = (np.arange(nx) + 0.5) * spec.pitch
+    nx, nz = _scan_shape(spec)
     vs = (np.arange(nz) + 0.5) * spec.pitch
-    # rng.normal(0.0, sigma) is 0.0 + sigma * rng.standard_normal() and
-    # rng.uniform() is rng.random(), from the same words of the stream
-    z, gate = np.fromiter(((rng.standard_normal(), rng.random()) for _ in range(n)),
-                          dtype=np.dtype((float, 2)), count=n).T
-    noise = 0.0 + spec.noise_sigma * z
-    # the nearest station, ties to the smaller one
     sts = np.array(stations(spec))
-    sx = sts[np.abs(sts[None, :] - us[:, None]).argmin(axis=1)]
-    origins = np.column_stack([np.repeat(sx, nz), np.full(n, -spec.station_distance),
-                               np.full(n, spec.station_height)])
-    span = np.column_stack([np.repeat(us, nz), np.zeros(n), np.tile(vs, nx)]) - origins
-    dist = row_norms(span)
-    direction = span / dist[:, None]
     # each ray's row of `table`: 0 wall, 1 through an opening to the
     # background, 2 + i an opening of the i-th label
     table = np.array([_label_probs("wall", spec.wall_prob),
                       _label_probs("other", spec.wall_prob),
                       *(_label_probs(label, spec.opening_prob)
                         for label in OPENING_LABELS)])
-    kind = np.zeros((nx, nz), dtype=np.intp)
-    through = np.zeros((nx, nz), dtype=bool)
-    for o in spec.openings:   # disjoint, so at most one holds (u, v)
-        inside = np.outer((us > o.rect[0]) & (us < o.rect[2]),
-                          (vs > o.rect[1]) & (vs < o.rect[3]))
-        kind[inside] = 2 + OPENING_LABELS.index(o.label)
-        through[inside] = not o.covered
-    kind, through = kind.ravel(), through.ravel() & ~(gate < spec.frame_fraction)
-    kind[through] = 1
-    # a ray through the opening returns from the backplane y = depth
-    back = dist * (spec.station_distance + spec.depth) / spec.station_distance
-    points = origins + (np.where(through, back, dist) + noise)[:, None] * direction
-    rays = np.column_stack([origins, points, np.ones(n)])
-    return rays, points, table[kind]
+    columns = max(1, SCAN_RAYS // nz)
+    for c in range(0, nx, columns):
+        us = (np.arange(c, min(c + columns, nx)) + 0.5) * spec.pitch
+        n = len(us) * nz
+        # rng.normal(0.0, sigma) is 0.0 + sigma * rng.standard_normal() and
+        # rng.uniform() is rng.random(), from the same words of the stream
+        z, gate = np.fromiter(((rng.standard_normal(), rng.random()) for _ in range(n)),
+                              dtype=np.dtype((float, 2)), count=n).T
+        noise = 0.0 + spec.noise_sigma * z
+        # the nearest station, ties to the smaller one
+        sx = sts[np.abs(sts[None, :] - us[:, None]).argmin(axis=1)]
+        origins = np.column_stack([np.repeat(sx, nz),
+                                   np.full(n, -spec.station_distance),
+                                   np.full(n, spec.station_height)])
+        span = np.column_stack([np.repeat(us, nz), np.zeros(n),
+                                np.tile(vs, len(us))]) - origins
+        dist = row_norms(span)
+        direction = span / dist[:, None]
+        kind = np.zeros((len(us), nz), dtype=np.intp)
+        through = np.zeros((len(us), nz), dtype=bool)
+        for o in spec.openings:   # disjoint, so at most one holds (u, v)
+            inside = np.outer((us > o.rect[0]) & (us < o.rect[2]),
+                              (vs > o.rect[1]) & (vs < o.rect[3]))
+            kind[inside] = 2 + OPENING_LABELS.index(o.label)
+            through[inside] = not o.covered
+        kind, through = kind.ravel(), through.ravel() & ~(gate < spec.frame_fraction)
+        kind[through] = 1
+        # a ray through the opening returns from the backplane y = depth
+        back = dist * (spec.station_distance + spec.depth) / spec.station_distance
+        points = origins + (np.where(through, back, dist) + noise)[:, None] * direction
+        yield np.column_stack([origins, points, np.ones(n)]), points, table[kind]
 
 
 def generate_image(spec: SceneSpec) -> np.ndarray:
@@ -216,10 +231,29 @@ def image_correspondences(spec: SceneSpec) -> list:
             ((0.0, spec.height), (0.0, 0.0))]
 
 
+def _check_room(spec: SceneSpec, out_dir) -> None:
+    """A SpecError when the scan and the image cannot fit in the free
+    space where `out_dir` is or would be made: every number of their
+    lines takes two bytes at least, with its separator."""
+    nx, nz = _scan_shape(spec)
+    pixels = (int(round(spec.width / spec.image_cell))
+              * int(round(spec.height / spec.image_cell)))
+    need = 2 * (nx * nz * (7 + 3 + len(POINT_LABELS)) + pixels * len(IMAGE_CHANNELS))
+    at = os.path.abspath(out_dir)
+    while not os.path.exists(at):
+        at = os.path.dirname(at)
+    free = shutil.disk_usage(at).free
+    if need > free:
+        raise SpecError(f"a scan of {nx * nz} rays and an image of {pixels} pixels "
+                        f"take {need} bytes at least; {at} has {free} free")
+
+
 def synth_scene(spec: SceneSpec, out_dir) -> dict:
     """Write the full scene file set into `out_dir`; returns the paths,
     keyed by their pipeline config keys in the order `scene.cfg` lists
-    them."""
+    them. A scene the free disk space cannot hold is a SpecError before
+    any file is written."""
+    _check_room(spec, out_dir)
     os.makedirs(out_dir, exist_ok=True)
     paths = {key: os.path.join(out_dir, name) for key, name in (
         ("rays", "rays.txt"),
@@ -231,9 +265,11 @@ def synth_scene(spec: SceneSpec, out_dir) -> dict:
         ("gt_measured", "gt_measured.txt"),
     )}
     write_solid(scene_solid(spec), paths["solid"])
-    rays, points, probs = generate_scan(spec)
-    write_rays(rays, paths["rays"])
-    write_labeled_points(points, probs, paths["points"])
+    with ray_writer(paths["rays"]) as rays_out, \
+            point_writer(paths["points"]) as points_out:
+        for rays, points, probs in generate_scan(spec):
+            rays_out(rays)
+            points_out(points, probs)
     write_pixel_grid(generate_image(spec), IMAGE_CHANNELS, paths["image"])
     write_correspondences(image_correspondences(spec), paths["correspondences"])
     write_instances(ground_truth_instances(spec), paths["gt_instances"])

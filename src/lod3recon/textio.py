@@ -5,7 +5,9 @@ runs to the end of its line, and lines left blank are skipped; line
 numbers in messages count every physical line. A path that cannot be
 opened is an IoError, text that is not UTF-8 or does not parse is a
 ParseError naming the file, and so is a number that is not finite.
-`table` and `write_table` read and write every table of numbers.
+`table` and `write_table` read and write every table of numbers;
+`table_blocks` and `table_writer` do so block by block, for tables that need
+not fit in memory.
 """
 
 from __future__ import annotations
@@ -121,21 +123,73 @@ def table(path, head: int, row, checks=lambda rows: ()):
         lines = list(itertools.islice(_numbered(fh), head))
         header, dtype = row(lines) if callable(row) else (lines, row)
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)   # comment lines, no rows
-                rows, error = np.loadtxt(fh, dtype=dtype, comments="#", ndmin=1,
-                                         max_rows=bound), None
+            rows, error = _loadtxt(fh, dtype, bound), None
         except ValueError:
-            rows, error = _parse_lines(path, head, dtype)
+            # the error a line raises holds the parser's frame, and with it
+            # the lines: close the file explicitly
+            with contextlib.closing(content_lines(path)) as lines:
+                rows, error = _parse_lines(
+                    path, itertools.islice(lines, head, None), dtype)
+    _raise_first(path, head, rows, checks, error)
+    return header, rows
+
+
+def table_blocks(path, row, size: int, checks=lambda rows: ()):
+    """Yield the table of numbers at `path`, which has no header lines,
+    as consecutive arrays of at most `size` rows of the record dtype
+    `row`, in file order; a file without rows yields none.
+
+    numpy parses one block at a time from one open handle. If it fails
+    on a block, that block and the rest are parsed as Python reads them.
+    As in `table`, the first row flagged by `checks(rows)`, or else the
+    first line that does not parse, is a ParseError naming its line; it
+    is raised when its block is reached."""
+    done = 0
+    with _opened(path, "r") as fh:
+        while True:
+            try:
+                rows = _loadtxt(fh, row, size)
+            except ValueError:
+                break
+            _raise_first(path, done, rows, checks, None)
+            if len(rows):
+                yield rows
+            done += len(rows)
+            if len(rows) < size:
+                return
+    # closed explicitly, as in `table`
+    with contextlib.closing(content_lines(path)) as numbered:
+        lines = itertools.islice(numbered, done, None)
+        while True:
+            rows, error = _parse_lines(path, itertools.islice(lines, size), row)
+            _raise_first(path, done, rows, checks, error)
+            if len(rows):
+                yield rows
+            done += len(rows)
+            if len(rows) < size:
+                return
+
+
+def _loadtxt(fh, dtype, max_rows):
+    """At most `max_rows` rows (all with None) of the rest of `fh`; blank
+    and comment lines give none."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # comment lines, no rows
+        return np.loadtxt(fh, dtype=dtype, comments="#", ndmin=1, max_rows=max_rows)
+
+
+def _raise_first(path, skip: int, rows, checks, error) -> None:
+    """Raise the first row of `rows`, the content lines after the first
+    `skip`, that `checks(rows)` flags, as a ParseError naming its line,
+    or else `error`, the failure that ended `rows`, if any."""
     firsts = [(np.flatnonzero(bad)[0], message)
               for bad, message in checks(rows) if bad.any()]
     if firsts:
         first, message = min(firsts, key=lambda f: f[0])
-        no, _ = next(itertools.islice(content_lines(path), head + first, None))
+        no, _ = next(itertools.islice(content_lines(path), skip + first, None))
         error = ParseError(f"{path}:{no}: {message}")
     if error is not None:
         raise error
-    return header, rows
 
 
 # lines read, told apart and parsed at a time by `repeated_table`
@@ -200,14 +254,14 @@ def _repeated_rows(fh, row_dtype, count: int, dtype, checks):
     return out if done == count else None
 
 
-def _parse_lines(path, head: int, dtype):
-    """(rows, error): the table parsed line by line by `floats`, up to the
-    first line that does not parse."""
+def _parse_lines(path, lines, dtype):
+    """(rows, error): the (line_no, text) `lines` parsed one by one by
+    `floats`, up to the first that does not parse."""
     fields = [(dtype[name].shape, int if dtype[name].base.kind == "i" else float)
               for name in dtype.names]
     bounds = np.cumsum([0] + [math.prod(shape) for shape, _ in fields]).tolist()
     rows = []
-    for no, text in itertools.islice(content_lines(path), head, None):
+    for no, text in lines:
         tok = text.split()
         try:
             if len(tok) != bounds[-1]:
@@ -225,12 +279,24 @@ def write_table(path, header: str, columns) -> None:
     """`header`, then one line per row of the `columns` arrays side by
     side, a 2-D array giving one column per column, each number the
     `repr` of its Python int or float."""
-    columns = [np.asarray(c) for c in columns]
+    with table_writer(path, header) as write:
+        write(columns)
+
+
+@contextlib.contextmanager
+def table_writer(path, header: str):
+    """A function that appends the rows of its `columns`, as
+    `write_table` writes them, to the file at `path` begun with
+    `header`: a table written block by block."""
     block = 1 << 12   # rows formatted per write call
     with writing(path) as fh:
         fh.write(header)
-        for a in range(0, len(columns[0]), block):
-            fh.write(_lines([c[a:a + block] for c in columns]))
+
+        def write(columns):
+            columns = [np.asarray(c) for c in columns]
+            for a in range(0, len(columns[0]), block):
+                fh.write(_lines([c[a:a + block] for c in columns]))
+        yield write
 
 
 def _lines(parts) -> str:

@@ -14,8 +14,10 @@ from pathlib import Path
 import numpy as np
 
 from lod3recon.model_io import BuildingSolid, Face, Ring, read_solid, write_solid
-from lod3recon.occupancy import read_rays, write_rays
-from lod3recon.rasters import read_labeled_points, write_labeled_points
+from lod3recon.occupancy import ray_writer
+from lod3recon.rasters import point_writer, read_labeled_points
+
+from scenes import read_all_rays
 
 MOVED_FILES = ("rays.txt", "points.txt", "solid.txt")
 
@@ -46,9 +48,11 @@ def move_scene(src, dst, move) -> None:
     for path in src.iterdir():
         if path.is_file() and path.name not in MOVED_FILES:
             shutil.copy(path, dst / path.name)
-    rays = read_rays(src / "rays.txt")
+    rays = read_all_rays(src / "rays.txt")
     rays[:, :3], rays[:, 3:6] = move(rays[:, :3]), move(rays[:, 3:6])
-    write_rays(rays, dst / "rays.txt")
+    with ray_writer(dst / "rays.txt") as write:
+        write(rays)
     points, probs = read_labeled_points(src / "points.txt")
-    write_labeled_points(move(points), probs, dst / "points.txt")
+    with point_writer(dst / "points.txt") as write:
+        write(move(points), probs)
     write_solid(move_solid(read_solid(src / "solid.txt"), move), dst / "solid.txt")

@@ -1,6 +1,9 @@
 """Scene specs that several test modules share."""
 
-from lod3recon.synth import SceneSpec, SynthOpening
+import numpy as np
+
+from lod3recon.occupancy import ray_blocks
+from lod3recon.synth import SceneSpec, SynthOpening, generate_scan
 
 
 def block_spec(seed: int) -> SceneSpec:
@@ -19,3 +22,15 @@ def block_spec(seed: int) -> SceneSpec:
                                      (u0, 3.8) in covered))
     return SceneSpec(width=16.0, height=6.0, depth=10.0, pitch=0.1,
                      openings=tuple(openings), seed=seed)
+
+
+def scan(spec: SceneSpec):
+    """(rays, points, probs) of the whole scan of `spec`, its chunks
+    joined."""
+    return tuple(np.concatenate(part) for part in zip(*generate_scan(spec)))
+
+
+def read_all_rays(path) -> np.ndarray:
+    """Every ray of the file at `path` as one (n, 7) array, its blocks
+    joined."""
+    return np.concatenate([np.empty((0, 7)), *ray_blocks(path)])

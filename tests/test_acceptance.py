@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
+import scenes
 from lod3recon.cli import PipelineConfig, run_pipeline
 from lod3recon.evaluate import (DetectionCounts, detection_rates,
                                 match_instances, watertight)
@@ -20,7 +21,7 @@ from lod3recon.extraction import (ExtractionConfig, OpeningInstance,
                                   read_instances, rectangularity)
 from lod3recon.fusion import COMBINATIONS, Cpt, default_cpt, posterior
 from lod3recon.model_io import OpeningTemplate, box_solid
-from lod3recon.occupancy import OccupancyConfig, clamped_sums, read_rays, \
+from lod3recon.occupancy import OccupancyConfig, clamped_sums, \
     traverse
 from lod3recon.rasters import read_raster
 from lod3recon.reconstruct import reconstruct_model, write_citygml
@@ -246,7 +247,7 @@ def test_07_synthetic_scene_end_to_end(tmp_path):
     start = time.perf_counter()
     spec = SceneSpec(seed=11)   # 10 m x 4 m wall, two windows and a door
     paths = synth_scene(spec, tmp_path / "scene")
-    assert len(read_rays(paths["rays"])) / (10.0 * 4.0) >= 400.0
+    assert len(scenes.read_all_rays(paths["rays"])) / (10.0 * 4.0) >= 400.0
     assert spec.noise_sigma == 0.02
 
     config = PipelineConfig(

@@ -228,6 +228,23 @@ def test_synth_step_leaving_no_cell_exits_2_before_writing(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, what", [
+    (["--pitch", "1e-9"], "a scan of 40000000000000000000 rays and an image of "
+                          "16000 pixels take 1440000000000000064000 bytes at least"),
+    (["--image-cell", "1e-9"], "a scan of 16000 rays and an image of "
+                               "40000000000000000000 pixels take "
+                               "160000000000000576000 bytes at least"),
+])
+def test_synth_scene_beyond_the_free_disk_exits_2_before_writing(tmp_path, capsys,
+                                                                 argv, what):
+    out = tmp_path / "scene"
+    assert cli.main(["synth", "--out", str(out)] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: synth: {what}; {tmp_path} has ")
+    assert err.endswith(" free\n")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # pipeline subcommand
 
@@ -495,20 +512,53 @@ def test_evaluate_one_sample_equals_the_reference(scene_dir, artifacts_dir,
             oracles.mesh_deviation(sample, tris)
 
 
-def test_evaluate_model_with_overflowing_areas_exits_1(scene_dir, artifacts_dir,
+# finite coordinates whose areas overflow to inf and whose sums of
+# inf and -inf are nan
+HUGE_BOX = ((0.0, 0.0, 0.0), (1e160, 2e160, 3e160))
+
+
+@pytest.mark.filterwarnings("error")   # numpy's overflow warnings included
+def test_evaluate_model_with_overflowing_areas_exits_2(scene_dir, artifacts_dir,
                                                       tmp_path, capsys):
     huge = tmp_path / "huge.txt"
-    write_solid(box_solid("b", (0.0, 0.0, 0.0), (1e160, 2e160, 3e160)), huge)
+    write_solid(box_solid("b", *HUGE_BOX), huge)
     out = tmp_path / "m.txt"
     rc = cli.main(["evaluate", "--pred", str(artifacts_dir / "instances.txt"),
                    "--gt", str(scene_dir / "gt_instances.txt"),
                    "--model", str(huge), "--gt-model", str(huge),
                    "--out", str(out)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.splitlines()[-1].startswith("error: evaluate: triangle areas sum to ")
-    assert "Traceback" not in err
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: evaluate: {huge}: invalid model: face wall_front: area, "
+        f"normal or plane offset is not finite\n")
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["raycast", "reconstruct", "pipeline"])
+def test_prior_with_overflowing_products_exits_2(scene_dir, tmp_path, capsys,
+                                                 command):
+    huge = tmp_path / "huge.txt"
+    write_solid(box_solid("b", *HUGE_BOX), huge)
+    raw = textio.key_values(scene_dir / "scene.cfg")
+    config = tmp_path / "scene.cfg"
+    config.write_text("".join(
+        f"{key} = {huge if key == 'solid' else scene_dir / value}\n"
+        for key, value in raw.items() if key != "out_dir"))
+    argv = {"raycast": ["--rays", str(scene_dir / "rays.txt"), "--solid", str(huge),
+                        "--out", str(tmp_path / "tree.txt")],
+            "reconstruct": ["--solid", str(huge),
+                            "--instances", str(scene_dir / "gt_instances.txt"),
+                            "--out-model", str(tmp_path / "m.txt"),
+                            "--out-gml", str(tmp_path / "m.gml")],
+            "pipeline": ["--config", str(config), "--out-dir", str(tmp_path / "out")]}
+    assert cli.main([command, *argv[command]]) == 2
+    stage = "prior" if command == "pipeline" else command
+    assert capsys.readouterr().err == (
+        f"error: {stage}: {huge}: invalid prior: face wall_front: area, "
+        f"normal or plane offset is not finite\n")
+    assert {p.name for p in tmp_path.rglob("*") if p.is_file()} == {"huge.txt",
+                                                                    "scene.cfg"}
 
 
 @pytest.mark.parametrize("flag", ["--model", "--gt-model"])
@@ -1014,6 +1064,7 @@ def test_benchmark_tracer_counts_rays_and_voxels(scene_dir, tmp_path, monkeypatc
         assert getattr(cli, name) is getattr(occupancy, name)
     for name, obj in list(vars(cli).items()):
         monkeypatch.setattr(cli, name, obj)     # undone after the test
+    monkeypatch.setattr(occupancy, "RAY_BLOCK", 1000)   # rays in four blocks
     tracer = Tracer("test")
     tracer.install(cli)
     rays, tree = scene_dir / "rays.txt", tmp_path / "tree.txt"
@@ -1026,7 +1077,9 @@ def test_benchmark_tracer_counts_rays_and_voxels(scene_dir, tmp_path, monkeypatc
     n_rays = sum(1 for line in rays.read_text().splitlines()
                  if line.strip() and not line.startswith("#"))
     n_voxels = len(tree.read_text().splitlines()) - 1
-    assert metrics["occupancy.rays"] == n_rays
+    assert metrics["occupancy.rays"] == n_rays > 3000
+    assert tracer.summary(wall_s=1.0)["calls"]["occupancy.read_rays"] == 5
+    assert metrics["occupancy.read_rays_s"] > 0.0
     assert metrics["occupancy.voxels"] == n_voxels
     assert metrics["occupancy.tree_mb"] == tree.stat().st_size / 1e6
     assert metrics["occupancy.rays_per_s"] == n_rays / metrics["occupancy.build_s"]

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from lod3recon import geom, occupancy
 from lod3recon.errors import DomainError, ParseError
 from lod3recon.occupancy import OccupancyConfig, build_occupancy
-from lod3recon.synth import SceneSpec, SynthOpening, generate_scan, scene_solid
+from lod3recon.synth import SceneSpec, SynthOpening, scene_solid
 from lod3recon.visibility import surface_voxels
 
 import oracles
@@ -438,9 +439,94 @@ def test_build_matches_oracle_across_chunks(monkeypatch):
     assert cells(build_occupancy(rays, {"f": _box(rays, cfg)}, cfg)) == want
 
 
+def _split(rays, cuts):
+    """`rays` cut into blocks at the positions `cuts`, in any order; a
+    repeated position makes an empty block."""
+    bounds = [0, *sorted(cuts), len(rays)]
+    return [rays[a:b] for a, b in itertools.pairwise(bounds)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(sorted(FAMILIES)), seed=st.integers(0, 2 ** 32 - 1),
+       data=st.data())
+def test_any_split_into_blocks_writes_the_same_tree(tmp_path_factory, family,
+                                                    seed, data):
+    rng = np.random.default_rng(seed)
+    cfg = OccupancyConfig(max_range=1.5)
+    rays = FAMILIES[family](rng, 60)
+    cuts = data.draw(st.lists(st.integers(0, len(rays)), max_size=12))
+    surface = {"f": _box(rays, cfg)}
+    out = tmp_path_factory.mktemp("split")
+    occupancy.write_tree(build_occupancy(rays, surface, cfg), out / "whole.txt")
+    occupancy.write_tree(build_occupancy(_split(rays, cuts), surface, cfg),
+                         out / "split.txt")
+    # one ray a block, an empty block after each
+    ones = (block for r in rays for block in (r[None], r[:0]))
+    tree = build_occupancy(ones, surface, cfg)
+    occupancy.write_tree(tree, out / "ones.txt")
+    whole = (out / "whole.txt").read_bytes()
+    assert (out / "split.txt").read_bytes() == whole
+    assert (out / "ones.txt").read_bytes() == whole
+    assert cells(tree) == _oracle_cells(rays, cfg)
+
+
+def test_rays_far_outside_the_surface_box_build_the_oracles_tree():
+    # short rays some 3e5 m and 4e10 m away on every side: the rays' key
+    # box holds far more than 2^63 keys, the surface's box a few thousand
+    rng = np.random.default_rng(8)
+    cfg = OccupancyConfig()
+    near = np.vstack([_uniform(rng, 100), _grid_aligned(rng, 60)])
+    far = []
+    for offset in (3e5, -3e5, 4e10, -4e10):
+        for ax in range(3):
+            block = _uniform(rng, 10)
+            block[:, [ax, ax + 3]] += offset
+            far.append(block)
+    # and rays from 90 m off that reach the surface, or from 150 m, cut at
+    # max_range before it
+    for distance in (90.0, 150.0):
+        origin = rng.normal(size=(20, 3))
+        origin *= distance / np.linalg.norm(origin, axis=1)[:, None]
+        far.append(np.column_stack([origin, rng.uniform(-0.5, 0.5, (20, 3)),
+                                    np.ones(20)]))
+    rays = np.vstack([near, *far])
+    rays = rays[rng.permutation(len(rays))]
+    ends = occupancy.grid_index(np.vstack([rays[:, :3], rays[:, 3:6]]), cfg.voxel_size)
+    assert np.prod((ends.max(axis=0) - ends.min(axis=0) + 1).astype(float)) > 2.0 ** 63
+    surface = {"f": _box(near, cfg)}
+    want = _oracle_cells(rays, cfg)
+    got = cells(build_occupancy(_split(rays, [100, 101, 250]), surface, cfg))
+    keys = set(map(tuple, surface["f"].tolist()))
+    assert got == {k: v for k, v in want.items() if k in keys}
+    # the rays from 90 m off reach the surface
+    assert len(build_occupancy(far[-2], surface, cfg)) > 0
+
+
+def test_build_memory_does_not_grow_with_the_rays():
+    # the front scene's rays streamed once and eight times over, in blocks
+    # that are views of one array: the build holds no array over all rays
+    spec = SceneSpec(seed=7)
+    rays = scenes.scan(spec)[0]
+    face = scene_solid(spec).face("wall_front")
+    surface = {"wall_front": surface_voxels(face, OccupancyConfig().voxel_size)}
+
+    def peak(repeats):
+        step = occupancy.RAY_BLOCK
+        blocks = (rays[a:a + step] for _ in range(repeats)
+                  for a in range(0, len(rays), step))
+        tracemalloc.start()
+        try:
+            build_occupancy(blocks, surface)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(8) < peak(1) + 1e6
+
+
 def test_block_build_peaks_at_a_few_megabytes():
     spec = scenes.block_spec(7)
-    rays, _, _ = generate_scan(spec)
+    rays, _, _ = scenes.scan(spec)
     surface = {f.face_id: surface_voxels(f, OccupancyConfig().voxel_size)
                for f in scene_solid(spec).faces if f.label == "wall"}
     tracemalloc.start()
@@ -469,7 +555,7 @@ def test_build_on_a_face_matches_scalar_oracle():
     # a small front scan: every kept voxel is the oracle's, bit for bit
     spec = SceneSpec(width=3.0, height=1.0, depth=1.0, pitch=0.1, seed=11,
                      openings=(SynthOpening((1.0, 0.3, 2.0, 0.8), "window"),))
-    rays = generate_scan(spec)[0]
+    rays = scenes.scan(spec)[0]
     cfg = OccupancyConfig()
     want = _oracle_cells(rays, cfg)
     keys = surface_voxels(scene_solid(spec).face("wall_front"), cfg.voxel_size)
@@ -494,8 +580,10 @@ def test_ray_file_round_trip(tmp_path):
     rays = _rays(((0.0, -5.0, 1.7), (2.3, 0.0, 2.1)),
                  ((1.0, -5.0, 1.7), (3.3, 0.1, 2.0), False))
     path = tmp_path / "rays.txt"
-    occupancy.write_rays(rays, path)
-    back = occupancy.read_rays(path)
+    with occupancy.ray_writer(path) as write:   # in two blocks
+        write(rays[:1])
+        write(rays[1:])
+    back = scenes.read_all_rays(path)
     assert back.shape == (2, 7)
     assert back.tolist() == rays.tolist()
 
@@ -504,13 +592,13 @@ def test_ray_file_errors(tmp_path):
     path = tmp_path / "rays.txt"
     path.write_text("1 2 3 4 5 6\n")
     with pytest.raises(ParseError, match="7 columns"):
-        occupancy.read_rays(path)
+        scenes.read_all_rays(path)
     path.write_text("1 2 3 4 5 6 2\n")
     with pytest.raises(ParseError, match="hit flag"):
-        occupancy.read_rays(path)
+        scenes.read_all_rays(path)
     path.write_text("1 2 3 4 x 6 1\n")
     with pytest.raises(ParseError, match="bad number"):
-        occupancy.read_rays(path)
+        scenes.read_all_rays(path)
 
 
 def test_ray_file_reports_the_first_bad_line(tmp_path):
@@ -518,24 +606,96 @@ def test_ray_file_reports_the_first_bad_line(tmp_path):
     path = tmp_path / "rays.txt"
     path.write_text("# rays\n0 0 0 1 1 1 1\n0 0 0 1 1 1 7\n0 0 x 1 1 1 1\n")
     with pytest.raises(ParseError, match="rays.txt:3: hit flag"):
-        occupancy.read_rays(path)
+        scenes.read_all_rays(path)
     path.write_text("0 0 0 1 1 1 1\n\n0 0 x 1 1 1 1\n0 0 0 1 1 1 7\n")
     with pytest.raises(ParseError, match="rays.txt:3: bad number"):
-        occupancy.read_rays(path)
+        scenes.read_all_rays(path)
 
 
 def test_ray_file_reads_what_python_reads(tmp_path):
     # numbers numpy's parser does not take still read as Python reads them
     path = tmp_path / "rays.txt"
     path.write_text("0 0 0 1_000 1 1 1\n0 0 0 1 1 1 0\n")
-    assert occupancy.read_rays(path).tolist() == [[0, 0, 0, 1000, 1, 1, 1],
+    assert scenes.read_all_rays(path).tolist() == [[0, 0, 0, 1000, 1, 1, 1],
                                                   [0, 0, 0, 1, 1, 1, 0]]
 
 
 def test_empty_ray_file_has_no_rays(tmp_path):
     path = tmp_path / "rays.txt"
     path.write_text("# ox oy oz  ex ey ez  hit\n")
-    assert occupancy.read_rays(path).shape == (0, 7)
+    assert scenes.read_all_rays(path).shape == (0, 7)
+
+
+def _ray_lines(n):
+    """`n` good ray lines, the i-th ray's x origin i."""
+    return [f"{i} 0 0 1 1 1 {i % 2}" for i in range(n)]
+
+
+# between and inside blocks of four rays: comments, blank lines, CRLF ends
+def _ray_file(lines):
+    out = ["# ox oy oz  ex ey ez  hit"]
+    for i, line in enumerate(lines):
+        if i % 4 == 0:
+            out += ["", "# next block", "   "]
+        out.append(line + ("  # a ray" if i % 3 == 0 else ""))
+    return "\r\n".join(out) + "\r\n"
+
+
+def _line_no(text, line):
+    """The number of the line of `text` that begins with `line`."""
+    return next(no for no, held in enumerate(text.split("\r\n"), start=1)
+                if held.startswith(line))
+
+
+def test_ray_blocks_read_the_whole_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(occupancy, "RAY_BLOCK", 4)
+    path = tmp_path / "rays.txt"
+    for n in (0, 1, 4, 11, 12):
+        path.write_bytes(_ray_file(_ray_lines(n)).encode())
+        blocks = list(occupancy.ray_blocks(path))
+        assert [len(b) for b in blocks] == [4] * (n // 4) + [n % 4] * (n % 4 > 0)
+        want = [[i, 0, 0, 1, 1, 1, i % 2] for i in range(n)]
+        assert scenes.read_all_rays(path).tolist() == want
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("9 0 0 1 1 1 7", "hit flag must be 0 or 1"),
+    ("9 0 inf 1 1 1 0", "non-finite coordinate"),
+    ("9 0 x 1 1 1 0", "bad number"),
+    ("9 0 0 1 1 1", "expected 7 columns"),
+])
+@pytest.mark.parametrize("numpy_fails_before", [False, True])
+def test_bad_line_in_the_third_block_names_its_line(tmp_path, monkeypatch, bad,
+                                                    message, numpy_fails_before):
+    # the tenth ray, in the third block of four; from the second block on
+    # the lines are parsed as Python reads them where numpy fails there
+    monkeypatch.setattr(occupancy, "RAY_BLOCK", 4)
+    lines = _ray_lines(12)
+    if numpy_fails_before:
+        lines[5] = "5 0 0 1_0 1 1 1"
+    lines[9] = bad
+    lines[11] = "11 0 0 1 1 1 5"   # a later bad line is not the one reported
+    text = _ray_file(lines)
+    no = _line_no(text, bad)
+    path = tmp_path / "rays.txt"
+    path.write_bytes(text.encode())
+    blocks = occupancy.ray_blocks(path)
+    assert [len(next(blocks)) for _ in range(2)] == [4, 4]
+    with pytest.raises(ParseError, match=f"rays.txt:{no}: {message}"):
+        next(blocks)
+
+
+def test_ray_file_reports_the_first_bad_line_of_a_block(tmp_path, monkeypatch):
+    # a bad flag before a bad number in the same block is the one reported
+    monkeypatch.setattr(occupancy, "RAY_BLOCK", 4)
+    lines = _ray_lines(12)
+    lines[8], lines[10] = "8 0 0 1 1 1 2", "10 0 x 1 1 1 0"
+    path = tmp_path / "rays.txt"
+    text = _ray_file(lines)
+    path.write_bytes(text.encode())
+    no = _line_no(text, lines[8])
+    with pytest.raises(ParseError, match=f"rays.txt:{no}: hit flag"):
+        scenes.read_all_rays(path)
 
 
 @pytest.mark.parametrize("line", [
@@ -547,7 +707,7 @@ def test_ray_file_rejects_non_finite_coordinates(tmp_path, line):
     path = tmp_path / "rays.txt"
     path.write_text(f"0 0 0 1 1 1 1\n{line}\n")
     with pytest.raises(ParseError, match="rays.txt:2: non-finite"):
-        occupancy.read_rays(path)
+        scenes.read_all_rays(path)
 
 
 def _random_tree():

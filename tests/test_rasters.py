@@ -135,7 +135,9 @@ def test_labeled_points_round_trip(tmp_path):
     pts = rng.uniform(-1, 1, (10, 3))
     probs = rng.uniform(0, 1, (10, 8))
     path = tmp_path / "points.txt"
-    rasters.write_labeled_points(pts, probs, path)
+    with rasters.point_writer(path) as write:   # in two blocks
+        write(pts[:4], probs[:4])
+        write(pts[4:], probs[4:])
     pts2, probs2 = rasters.read_labeled_points(path)
     np.testing.assert_array_equal(pts, pts2)
     np.testing.assert_array_equal(probs, probs2)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from lod3recon import synth
 from lod3recon.errors import SpecError
 from lod3recon.model_io import read_solid
-from lod3recon.occupancy import read_rays
 from lod3recon.extraction import read_instances
 from lod3recon.rasters import (read_correspondences, read_labeled_points,
                                read_pixel_grid, POINT_LABELS)
@@ -68,14 +67,14 @@ def test_one_station_is_enough():
     # the first station stands half a spacing in: 9.995 < 10
     spec = SceneSpec(station_spacing=19.99)
     assert synth.stations(spec) == [9.995]
-    rays, points, _ = synth.generate_scan(spec)
+    rays, points, _ = scenes.scan(spec)
     assert (rays[:, 0] == 9.995).all() and np.isfinite(points).all()
 
 
 def test_one_cell_each_way_is_enough():
     spec = SceneSpec(width=10.0, height=4.0, pitch=7.99, image_cell=7.99,
                      openings=())
-    rays, _, _ = synth.generate_scan(spec)
+    rays, _, _ = scenes.scan(spec)
     assert len(rays) == 1
     assert synth.generate_image(spec).shape == (1, 1, 2)
 
@@ -134,7 +133,7 @@ def _inside_rect(us, vs, rect):
 
 def test_scan_ray_count_and_hits():
     spec = SceneSpec(**SMALL)
-    rays, points, probs = synth.generate_scan(spec)
+    rays, points, probs = scenes.scan(spec)
     assert rays.shape == (40 * 20, 7)
     assert (rays[:, 6] == 1.0).all()
     assert points.shape == (800, 3)
@@ -144,7 +143,7 @@ def test_scan_ray_count_and_hits():
 
 def test_wall_returns_sit_on_facade_plane():
     spec = SceneSpec(**SMALL, noise_sigma=0.0)
-    _, points, _ = synth.generate_scan(spec)
+    _, points, _ = scenes.scan(spec)
     us, vs = _target_grid(spec)
     outside = ~_inside_rect(us, vs, (1.0, 0.8, 2.0, 1.6))
     np.testing.assert_allclose(points[outside, 1], 0.0, atol=1e-12)
@@ -154,7 +153,7 @@ def test_wall_returns_sit_on_facade_plane():
 
 def test_opening_rays_reflect_at_backplane():
     spec = SceneSpec(**SMALL, noise_sigma=0.0, frame_fraction=0.0)
-    _, points, probs = synth.generate_scan(spec)
+    _, points, probs = scenes.scan(spec)
     us, vs = _target_grid(spec)
     inside = _inside_rect(us, vs, (1.0, 0.8, 2.0, 1.6))
     assert inside.sum() == 10 * 8
@@ -166,7 +165,7 @@ def test_opening_rays_reflect_at_backplane():
 
 def test_frame_fraction_one_returns_everything_from_the_wall():
     spec = SceneSpec(**SMALL, noise_sigma=0.0, frame_fraction=1.0)
-    _, points, probs = synth.generate_scan(spec)
+    _, points, probs = scenes.scan(spec)
     np.testing.assert_allclose(points[:, 1], 0.0, atol=1e-12)
     us, vs = _target_grid(spec)
     inside = _inside_rect(us, vs, (1.0, 0.8, 2.0, 1.6))
@@ -179,7 +178,7 @@ def test_covered_opening_returns_from_facade_with_semantics():
                      noise_sigma=0.0, frame_fraction=0.0,
                      openings=(SynthOpening((1.0, 0.8, 2.0, 1.6), "window",
                                             covered=True),))
-    _, points, probs = synth.generate_scan(spec)
+    _, points, probs = scenes.scan(spec)
     us, vs = _target_grid(spec)
     inside = _inside_rect(us, vs, (1.0, 0.8, 2.0, 1.6))
     np.testing.assert_allclose(points[inside, 1], 0.0, atol=1e-12)
@@ -190,8 +189,8 @@ def test_covered_opening_returns_from_facade_with_semantics():
 def test_noise_moves_endpoint_along_the_ray():
     spec = SceneSpec(**SMALL, seed=3)
     quiet = SceneSpec(**SMALL, seed=3, noise_sigma=0.0)
-    noisy_rays, _, _ = synth.generate_scan(spec)
-    quiet_rays, _, _ = synth.generate_scan(quiet)
+    noisy_rays, _, _ = scenes.scan(spec)
+    quiet_rays, _, _ = scenes.scan(quiet)
     moved = 0
     for a, b in zip(noisy_rays, quiet_rays):
         assert a[:3].tolist() == b[:3].tolist()
@@ -243,7 +242,7 @@ def test_scene_files_round_trip(tmp_path):
     paths = synth.synth_scene(spec, tmp_path)
     solid = read_solid(paths["solid"])
     assert solid.face(synth.FRONT_FACE) is not None
-    assert len(read_rays(paths["rays"])) == 800
+    assert len(scenes.read_all_rays(paths["rays"])) == 800
     points, probs = read_labeled_points(paths["points"])
     assert points.shape == (800, 3) and probs.shape[1] == len(POINT_LABELS)
     image, channels = read_pixel_grid(paths["image"])
@@ -259,6 +258,19 @@ def test_same_seed_reproduces_every_file_byte_for_byte(tmp_path):
     second = synth.synth_scene(spec, tmp_path / "b")
     for key in first:
         assert filecmp.cmp(first[key], second[key], shallow=False), key
+
+
+@pytest.mark.parametrize("chunk", [1, 25, 41, 1 << 20])
+def test_scan_chunks_do_not_change_a_byte(tmp_path, monkeypatch, chunk):
+    # chunks of one column of 20 rays, of one, of two and of every column
+    spec = SceneSpec(**SMALL, seed=9)
+    want = synth.synth_scene(spec, tmp_path / "whole")
+    monkeypatch.setattr(synth, "SCAN_RAYS", chunk)
+    got = synth.synth_scene(spec, tmp_path / "chunked")
+    columns = [len(rays) // 20 for rays, _, _ in synth.generate_scan(spec)]
+    assert sum(columns) == 40 and max(columns) == max(1, min(40, chunk // 20))
+    for key in want:
+        assert filecmp.cmp(want[key], got[key], shallow=False), key
 
 
 def test_different_seed_changes_the_scan(tmp_path):
@@ -307,7 +319,7 @@ def scan_specs(draw):
 
 
 def _assert_scan_is_the_references(spec):
-    got = synth.generate_scan(spec)
+    got = scenes.scan(spec)
     want = oracles.scalar_scan(spec, POINT_LABELS)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape
@@ -323,7 +335,7 @@ def test_scan_equals_the_ray_by_ray_reference(spec):
 def test_scan_breaks_station_ties_to_the_smaller_station():
     # u = 2.5 * 0.8 = 2.0 lies midway between the stations at 1 and 3
     spec = SceneSpec(pitch=0.8, seed=5)
-    rays, _, _ = synth.generate_scan(spec)
+    rays, _, _ = scenes.scan(spec)
     nz = round(spec.height / spec.pitch)
     assert (2 + 0.5) * spec.pitch == 2.0
     assert synth.stations(spec)[:2] == [1.0, 3.0]

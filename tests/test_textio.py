@@ -22,14 +22,16 @@ MODULES = (occupancy, model_io, rasters, fusion, extraction, evaluate,
 NOT_UTF8 = b"\xff\xfe# not text\n\x80\x81 1 2 3\n"
 
 
-def _functions(prefix):
+def _functions(prefix="", suffix=""):
     return {f"{m.__name__.rsplit('.', 1)[1]}.{name}": fn
             for m in MODULES for name, fn in vars(m).items()
-            if name.startswith(prefix) and inspect.isfunction(fn)
-            and fn.__module__ == m.__name__}
+            if name.startswith(prefix) and name.endswith(suffix)
+            and inspect.isfunction(fn) and fn.__module__ == m.__name__}
 
 
-READERS = {**_functions("read_"), "textio.key_values": textio.key_values}
+READERS = {**_functions("read_"), "textio.key_values": textio.key_values,
+           # the next block of the file's rays, the first here
+           "occupancy.read_rays": lambda p: occupancy.read_rays(occupancy.ray_blocks(p))}
 
 
 def _solid():
@@ -46,16 +48,24 @@ def _instance():
                                       "window", 0.9)
 
 
+def _write_once(writer, *block):
+    """write(path): the one-block file of the block writer `writer`."""
+    def write(path):
+        with writer(path) as append:
+            append(*block)
+    return write
+
+
 # one call per writer: name -> write(path)
 WRITERS = {
-    "occupancy.write_rays": lambda p: occupancy.write_rays(
-        np.array([[0, 0, 0, 1, 1, 1, 1]]), p),
+    "occupancy.ray_writer": _write_once(
+        occupancy.ray_writer, np.array([[0, 0, 0, 1, 1, 1, 1]])),
     "occupancy.write_tree": lambda p: occupancy.write_tree(
         occupancy.build_occupancy(np.array([[0, 0, 0, 1, 1, 1, 1]]),
                                   {"f": [(0, 0, 0)]}), p),
     "model_io.write_solid": lambda p: model_io.write_solid(_solid(), p),
-    "rasters.write_labeled_points": lambda p: rasters.write_labeled_points(
-        np.zeros((1, 3)), np.zeros((1, len(rasters.POINT_LABELS))), p),
+    "rasters.point_writer": _write_once(
+        rasters.point_writer, np.zeros((1, 3)), np.zeros((1, len(rasters.POINT_LABELS)))),
     "rasters.write_raster": lambda p: rasters.write_raster(_raster(), p),
     "rasters.write_pixel_grid": lambda p: rasters.write_pixel_grid(
         np.zeros((2, 3, 1)), ("window",), p),
@@ -72,7 +82,7 @@ WRITERS = {
 
 
 def test_every_writer_has_a_contract_case():
-    assert set(WRITERS) == set(_functions("write_"))
+    assert set(WRITERS) == set(_functions("write_")) | set(_functions(suffix="_writer"))
 
 
 @pytest.mark.parametrize("name", sorted(READERS))

@@ -10,12 +10,13 @@ from scipy.spatial.transform import Rotation
 
 import oracles
 import rigid
+import scenes
 from lod3recon import rasters, visibility
 from lod3recon.errors import DomainError
 from lod3recon.model_io import Face, Ring, box_solid
 from lod3recon import occupancy
 from lod3recon.occupancy import OccupancyConfig, build_occupancy, grid_index
-from lod3recon.synth import SceneSpec, generate_scan, scene_solid
+from lod3recon.synth import SceneSpec, scene_solid
 from lod3recon.visibility import (UncertaintyConfig, joint_state_probability,
                                   positioning_confidence,
                                   positioning_probability, surface_voxels)
@@ -506,7 +507,7 @@ def _reached_keys(rays, vs):
     replace(SYNTH_SPECS["front"], seed=7), replace(SYNTH_SPECS["block"], seed=7)],
     ids=["front", "block"])
 def test_surface_tree_gives_the_full_trees_conflict_maps(spec):
-    rays = generate_scan(spec)[0]
+    rays = scenes.scan(spec)[0]
     cfg = OccupancyConfig()
     assert (np.linalg.norm(rays[:, 3:6] - rays[:, :3], axis=1) < cfg.max_range).all()
     walls = [f for f in scene_solid(spec).faces if f.label == "wall"]
@@ -527,7 +528,7 @@ def test_surface_tree_gives_the_full_trees_conflict_maps(spec):
 def _far_front():
     """The front scene's scan and prior moved to (5e5, 5.4e6, 0) m."""
     spec = SceneSpec(seed=7)
-    rays = generate_scan(spec)[0].copy()
+    rays = scenes.scan(spec)[0].copy()
     rays[:, [0, 3]] += FAR[0]
     rays[:, [1, 4]] += FAR[1]
     return rays, box_solid("b", FAR, (spec.width, spec.depth, spec.height))
@@ -544,7 +545,7 @@ def test_conflict_maps_match_scalar_oracle(scene):
         rays, solid = _far_front()
     else:
         spec = replace(SYNTH_SPECS[name], seed=seed)
-        rays, solid = generate_scan(spec)[0], scene_solid(spec)
+        rays, solid = scenes.scan(spec)[0], scene_solid(spec)
     walls = [f for f in solid.faces if f.label == "wall"]
     surface = {f.face_id: surface_voxels(f, 0.1) for f in walls}
     tree = build_occupancy(rays, surface)
