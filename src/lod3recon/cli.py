@@ -102,11 +102,26 @@ class PipelineConfig:
 
     @property
     def raster_cell(self) -> float:
-        return self.cell if self.cell is not None else self.occupancy.voxel_size
+        return _raster_cell(self.cell, self.occupancy.voxel_size)
 
     @property
     def cut_margin(self) -> float:
-        return self.margin if self.margin is not None else self.raster_cell
+        return _cut_margin(self.margin, self.raster_cell)
+
+
+def _raster_cell(cell, voxel_size: float) -> float:
+    """A facade raster's cell: `cell` where set, else one voxel."""
+    return cell if cell is not None else voxel_size
+
+
+def _cut_margin(margin, cell: float) -> float:
+    """An opening's least clearance from its face's edges: `margin` where
+    set, else one raster cell."""
+    return margin if margin is not None else cell
+
+
+# the voxel size of the stages that read no tree, the pipeline's default
+_VOXEL_SIZE = OccupancyConfig().voxel_size
 
 
 def _field_types(cls) -> dict:
@@ -138,13 +153,6 @@ def _config_keys() -> dict:
 _CONFIG_KEYS = _config_keys()
 
 
-def boolean(text: str) -> bool:
-    """`true` or `false`, as config files and options spell a flag."""
-    if text not in ("true", "false"):
-        raise ValueError(f"must be true or false, got {text!r}")
-    return text == "true"
-
-
 def finite(text: str) -> float:
     """A float that is neither nan nor infinite."""
     value = float(text)
@@ -154,7 +162,7 @@ def finite(text: str) -> float:
 
 
 # how a config value or option of each type is parsed
-_PARSERS = {bool: boolean, float: finite}
+_PARSERS = {float: finite}
 
 
 def _convert(key: str, text: str, kind):
@@ -395,11 +403,9 @@ def _cmd_raycast(args) -> int:
 
 
 def _face_frame(args, voxel_size: float):
-    """Face and raster frame; the cell defaults to one voxel, as in the
-    pipeline."""
+    """Face and raster frame; the cell defaults as in the pipeline."""
     face = _face(_read_prior(args.solid), args.face)
-    cell = args.cell if args.cell is not None else voxel_size
-    return face, facade_frame(face, cell)
+    return face, facade_frame(face, _raster_cell(args.cell, voxel_size))
 
 
 def _cmd_conflicts(args) -> int:
@@ -417,7 +423,7 @@ def _cmd_conflicts(args) -> int:
 
 def _cmd_project_points(args) -> int:
     points, probs = read_labeled_points(args.points)
-    _, frame = _face_frame(args, OccupancyConfig().voxel_size)
+    _, frame = _face_frame(args, _VOXEL_SIZE)
     raster = project_point_probabilities(points, probs, frame, band=args.band)
     write_raster(raster, args.out)
     print(f"wrote {args.out}")
@@ -427,7 +433,7 @@ def _cmd_project_points(args) -> int:
 def _cmd_project_image(args) -> int:
     image, channels = read_pixel_grid(args.image)
     homography = estimate_homography(read_correspondences(args.correspondences))
-    _, frame = _face_frame(args, OccupancyConfig().voxel_size)
+    _, frame = _face_frame(args, _VOXEL_SIZE)
     raster = project_image_probabilities(image, channels, homography, frame)
     write_raster(raster, args.out)
     print(f"wrote {args.out}")
@@ -470,9 +476,7 @@ def _cmd_reconstruct(args) -> int:
         if inst.face_id not in faces:
             raise ParseError(f"{args.instances}: instance references unknown "
                              f"face {inst.face_id!r}")
-    # one cell of the default raster, as in the pipeline
-    margin = (args.margin if args.margin is not None
-              else OccupancyConfig().voxel_size)
+    margin = _cut_margin(args.margin, _raster_cell(None, _VOXEL_SIZE))
     templates = _read_optional(read_template_library, args.templates)
     model = reconstruct_model(solid, instances, templates,
                               depth=args.depth, margin=margin)
@@ -582,7 +586,6 @@ def _add_options(parser, cls, *names, override: bool = False) -> None:
         parser.add_argument(
             _FLAGS.get(f.name, "--" + f.name.replace("_", "-")), dest=f.name,
             type=parse,
-            metavar="{true,false}" if kind is bool else None,
             default=None if override else f.default,
             help=f"override {f.name}" if override else doc)
 
@@ -676,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="run every stage from a config file")
     p.add_argument("--config", required=True)
     _add_options(p, OccupancyConfig, "voxel_size", override=True)
-    _add_options(p, ExtractionConfig, "p_high", "pe_lo", "pe_up", override=True)
+    _add_options(p, ExtractionConfig, "p_high", override=True)
     _add_options(p, PipelineConfig, "out_dir", "cpt", "depth", "iou_min",
                  override=True)
     p.set_defaults(func=_cmd_pipeline)

@@ -1,14 +1,14 @@
 """Opening instances from the fused posterior raster.
 
 Pipeline: threshold at p_high, morphological opening to kill speckle and
-thin bridges, 8-connected clustering, small-cluster and rectangularity
-percentile rejection, then per-cluster bounding rectangles with a mean
-confidence and a majority window/door label.
+thin bridges, 8-connected clustering, rejection of clusters below
+min_pixels or below the MIN_RECTANGULARITY floor, then per-cluster
+bounding rectangles with a mean confidence and a majority window/door
+label.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +24,6 @@ from .rasters import FacadeRaster
 class ExtractionConfig:
     p_high: float = 0.7
     kernel: int = 3            # square structuring element side, pixels
-    pe_lo: float = 5.0
-    pe_up: float = 95.0
     min_pixels: int = 4
 
     def __post_init__(self):
@@ -33,8 +31,6 @@ class ExtractionConfig:
             raise ValidationError("p_high must be in (0, 1)")
         if self.kernel < 1 or self.kernel % 2 == 0:
             raise ValidationError("kernel must be odd and >= 1")
-        if not 0.0 <= self.pe_lo < self.pe_up <= 100.0:
-            raise ValidationError("need 0 <= pe_lo < pe_up <= 100")
         if self.min_pixels < 1:
             raise ValidationError("min_pixels must be >= 1")
 
@@ -159,6 +155,11 @@ def morphological_opening(mask: np.ndarray, kernel: int) -> np.ndarray:
     return _square_filter(_square_filter(mask, kernel, np.all), kernel, np.any)
 
 
+# a cluster filling less than half of its bounding box is speckle or a
+# bridge between openings, not an opening
+MIN_RECTANGULARITY = 0.5
+
+
 def rectangularity(cluster) -> float:
     """Member-pixel count over bounding-box area, in (0, 1]."""
     px = np.asarray(cluster, dtype=int)
@@ -170,35 +171,10 @@ def rectangularity(cluster) -> float:
 
 
 def filter_instances(clusters, config: ExtractionConfig) -> list:
-    """Drop runts, then clusters outside the rectangularity percentile band.
-
-    With two or fewer survivors the percentile band is meaningless and
-    everything is kept.
-    """
-    big = [c for c in clusters if len(c) >= config.min_pixels]
-    if len(big) <= 2:
-        return big
-    idx = [rectangularity(c) for c in big]
-    ascending = sorted(idx)
-    lo = _percentile(ascending, config.pe_lo)
-    up = _percentile(ascending, config.pe_up)
-    return [c for c, r in zip(big, idx) if lo <= r <= up]
-
-
-def _percentile(ascending, q: float) -> float:
-    """np.percentile(values, q) of the `ascending` values, bit for bit:
-    numpy's linear interpolation between the order statistics around the
-    virtual index (n - 1) q / 100, taken from the upper one from halfway
-    on. np.percentile itself imports numpy.ma on its first call."""
-    last = len(ascending) - 1
-    index = last * (q / 100)
-    if index >= last:
-        return ascending[-1]
-    below = math.floor(index)
-    t = index - below
-    a, b = ascending[below], ascending[below + 1]
-    diff = b - a
-    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
+    """The clusters of at least `min_pixels` pixels whose rectangularity
+    is at least MIN_RECTANGULARITY."""
+    return [c for c in clusters if len(c) >= config.min_pixels
+            and rectangularity(c) >= MIN_RECTANGULARITY]
 
 
 def instance_confidence(cluster, posterior: np.ndarray) -> float:

@@ -28,8 +28,6 @@ from .occupancy import OccupancyTree, grid_index, log_odds, sorted_keys
 class UncertaintyConfig:
     sigma_position: float = 3.0   # spread of surface-position agreement, voxel units
     sigma_state: float = 2.85     # spread of per-voxel state evidence, voxel units
-    sigma_in_meters: bool = False
-    aggregate: str = "max"        # per-pixel conflict aggregation: max or mean
     occupied_threshold: float = 0.5   # probability at which a cell counts as occupied
 
     def __post_init__(self):
@@ -37,13 +35,6 @@ class UncertaintyConfig:
             raise DomainError("sigmas must be positive")
         if not 0.0 < self.occupied_threshold < 1.0:
             raise DomainError("occupied_threshold outside (0, 1)")
-        if self.aggregate not in ("max", "mean"):
-            raise DomainError("aggregate must be 'max' or 'mean'")
-
-    def sigmas(self, voxel_size: float):
-        if self.sigma_in_meters:
-            return self.sigma_position / voxel_size, self.sigma_state / voxel_size
-        return self.sigma_position, self.sigma_state
 
 
 # math.erf elementwise; scipy's erf differs from it in the last bit
@@ -241,7 +232,6 @@ def classify_surface_voxels(tree: OccupancyTree, face, keys,
     """
     cfg = config or UncertaintyConfig()
     vs = tree.config.voxel_size
-    s_pos, s_state = cfg.sigmas(vs)
     rows = tree.find(keys)
     state = np.full(len(rows), "unknown", dtype="U8")
     p_conf, p_confl = np.zeros(len(rows)), np.zeros(len(rows))
@@ -258,8 +248,8 @@ def classify_surface_voxels(tree: OccupancyTree, face, keys,
     d_pos = np.abs(geom.row_dots(point, np.broadcast_to(n, point.shape)) - d)
     state[seen] = np.where(occupied, "occupied", "empty")
     p_conf[seen], p_confl[seen] = joint_state_probability(
-        positioning_confidence(d_pos, s_pos, vs),
-        positioning_confidence(d_state, s_state, vs))
+        positioning_confidence(d_pos, cfg.sigma_position, vs),
+        positioning_confidence(d_state, cfg.sigma_state, vs))
     return state, p_conf, p_confl
 
 
@@ -269,10 +259,8 @@ def project_conflict_map(tree: OccupancyTree, face, keys,
     """Three-channel facade raster (conflicted, confirmed, unknown) of
     the face's surface voxels `keys`.
 
-    Pixels without any measured surface voxel stay fully unknown. With
-    the default max aggregation a pixel takes the scores of its first
-    most conflicted voxel in key order; mean aggregation averages all
-    its measured voxels.
+    A pixel takes the scores of its first most conflicted voxel in key
+    order; pixels without any measured surface voxel stay fully unknown.
     """
     cfg = config or UncertaintyConfig()
     vs = tree.config.voxel_size
@@ -286,24 +274,11 @@ def project_conflict_map(tree: OccupancyTree, face, keys,
     rows, cols, inside = frame.to_pixels(centers)
     pixel = (rows * frame.width + cols)[inside]
     conf, confl = p_conf[measured][inside], p_confl[measured][inside]
-    # each pixel's voxels in key order; for max, its most conflicted first
-    order = (np.lexsort((-confl, pixel)) if cfg.aggregate == "max"
-             else np.argsort(pixel, kind="stable"))
-    pixel, conf, confl = pixel[order], conf[order], confl[order]
-    first = np.flatnonzero(np.diff(pixel, prepend=-1))
-    if cfg.aggregate == "max":
-        conf, confl = conf[first], confl[first]
-    else:
-        conf, confl = _run_means(conf, first), _run_means(confl, first)
+    # each pixel's voxels in key order, its most conflicted first; the
+    # pixel takes the first voxel of its run
+    order = np.lexsort((-confl, pixel))
+    first = order[np.flatnonzero(np.diff(pixel[order], prepend=-1))]
     flat = raster.data.reshape(-1, len(rasters.CONFLICT_CHANNELS))
-    flat[pixel[first]] = np.column_stack([confl, conf, np.zeros(len(first))])
+    flat[pixel[first]] = np.column_stack([confl[first], conf[first],
+                                          np.zeros(len(first))])
     return raster
-
-
-def _run_means(values, first) -> np.ndarray:
-    """Mean of each run of `values` from one index of `first` to the next,
-    bit for bit as np.mean of the run: np.mean's pairwise sum starts from
-    0.0, reduceat's from the run's first value, so each run gets a 0.0."""
-    count = np.diff(first, append=len(values))
-    padded = np.insert(values, first, 0.0)
-    return np.add.reduceat(padded, first + np.arange(len(first))) / count

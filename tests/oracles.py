@@ -261,7 +261,7 @@ def scalar_classify(tree, face, keys, config):
     voxel at a time with math.erf, from the tree's columns. `config`
     carries the sigmas and occupied_threshold."""
     vs = tree.config.voxel_size
-    s_pos, s_state = config.sigmas(vs)
+    s_pos, s_state = config.sigma_position, config.sigma_state
     p = config.occupied_threshold
     occupied = math.log(p / (1.0 - p))
     n, d = face.plane()
@@ -285,11 +285,11 @@ def scalar_classify(tree, face, keys, config):
     return out
 
 
-def scalar_conflict_map(voxels, vs, aggregate, frame):
+def scalar_conflict_map(voxels, vs, frame):
     """(height, width, 3) float32 conflict raster on `frame` of the
     `scalar_classify` output `voxels`: each pixel's measured voxels
-    gathered in a dict, then the first most conflicted one (max) or
-    np.mean of their scores (mean); unmeasured pixels are (0, 0, 1)."""
+    gathered in a dict, then the first most conflicted one; unmeasured
+    pixels are (0, 0, 1)."""
     data = np.zeros((frame.height, frame.width, 3), dtype=np.float32)
     data[:, :, 2] = 1.0
     measured = [v for v in voxels if v[1] != "unknown"]
@@ -302,11 +302,7 @@ def scalar_conflict_map(voxels, vs, aggregate, frame):
         if ok:
             pixels.setdefault((int(r), int(c)), []).append(v)
     for (r, c), group in pixels.items():
-        if aggregate == "max":
-            _, _, conf, confl = max(group, key=lambda v: v[3])
-        else:
-            confl = float(np.mean([v[3] for v in group]))
-            conf = float(np.mean([v[2] for v in group]))
+        _, _, conf, confl = max(group, key=lambda v: v[3])
         data[r, c] = (confl, conf, 0.0)
     return data
 

@@ -119,11 +119,6 @@ def test_non_finite_option_is_an_argparse_error(capsys):
     assert "--vs" in capsys.readouterr().err
 
 
-def test_build_config_bad_bool():
-    with pytest.raises(ConfigError, match="true or false"):
-        cli.build_config(dict(BASE, sigma_in_meters="yes"), ".")
-
-
 def test_build_config_wraps_module_validation():
     with pytest.raises(ConfigError, match="voxel"):
         cli.build_config(dict(BASE, voxel_size="-1"), ".")
@@ -745,9 +740,7 @@ def test_config_fields_are_keys_and_stage_options(cls, block, stage):
     args = cli.build_parser().parse_args([stage] + STAGE_REQUIRED[stage])
     for f in fields(cls):
         assert getattr(args, f.name) == f.default, f.name
-        text = (str(f.default).lower() if isinstance(f.default, bool)
-                else str(f.default))
-        config = cli.build_config(dict(BASE, **{f.name: text}), ".")
+        config = cli.build_config(dict(BASE, **{f.name: str(f.default)}), ".")
         assert getattr(getattr(config, block), f.name) == f.default, f.name
 
 
@@ -756,6 +749,36 @@ def test_config_key_namespace_is_flat():
                                 UncertaintyConfig, ExtractionConfig)
              for f in fields(cls)]
     assert len(names) == len(set(names))
+
+
+# keys and options of the rectangularity percentile band and of the
+# conflict stage's mean aggregation and sigmas in meters, all removed
+@pytest.mark.parametrize("key, value", [
+    ("pe_lo", "5"), ("pe_up", "95"), ("aggregate", "max"),
+    ("sigma_in_meters", "false"),
+])
+def test_removed_config_key_exits_2(tmp_path, capsys, key, value):
+    cfg = tmp_path / "k.cfg"
+    cfg.write_text(f"rays = r\nsolid = s\nout_dir = o\n{key} = {value}\n")
+    assert cli.main(["pipeline", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"unknown config key {key!r}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("stage, flag, value", [
+    ("extract", "--pe-lo", "5"), ("extract", "--pe-up", "95"),
+    ("pipeline", "--pe-lo", "5"), ("pipeline", "--pe-up", "95"),
+    ("conflicts", "--aggregate", "max"),
+    ("conflicts", "--sigma-in-meters", "false"),
+])
+def test_removed_option_exits_2(capsys, stage, flag, value):
+    required = STAGE_REQUIRED.get(stage, ["--config", "c.cfg"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main([stage, *required, flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} {value}" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("stage, flag, value", [

@@ -1,4 +1,5 @@
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,14 +9,18 @@ from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
 from lod3recon import extraction
+from lod3recon.cli import PipelineConfig, run_pipeline
 from lod3recon.errors import DomainError, ParseError, ValidationError
 from lod3recon.extraction import (ExtractionConfig, OpeningInstance,
                                   filter_instances, label_components,
                                   mask_clusters, morphological_opening,
-                                  rectangularity)
+                                  read_instances, rectangularity)
 from lod3recon.rasters import FacadeFrame, FacadeRaster
+from lod3recon.synth import SceneSpec, synth_scene
 
 import oracles
+import rigid
+import scenes
 
 
 def _frame(width, height, cell=0.1) -> FacadeFrame:
@@ -81,13 +86,13 @@ def _masks(draw):
 def test_config_defaults_valid():
     cfg = ExtractionConfig()
     assert cfg.p_high == 0.7 and cfg.kernel == 3
-    assert (cfg.pe_lo, cfg.pe_up, cfg.min_pixels) == (5.0, 95.0, 4)
+    assert cfg.min_pixels == 4
 
 
 @pytest.mark.parametrize("kwargs", [
     {"p_high": 0.0}, {"p_high": 1.0}, {"kernel": 2}, {"kernel": 0},
-    {"pe_lo": 95.0, "pe_up": 5.0}, {"pe_lo": -1.0}, {"pe_up": 101.0},
-    {"min_pixels": 0},
+    {"p_high": float("nan")}, {"kernel": -1}, {"min_pixels": 0},
+    {"min_pixels": -1},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValidationError):
@@ -240,9 +245,8 @@ def test_rectangularity_rejects_empty():
         rectangularity(np.empty((0, 2), dtype=int))
 
 
-def test_percentile_filter_rejects_planted_outlier():
-    # indices {0.9 x8, 0.2, 0.95}: the linear-interpolation percentile band
-    # is [0.515, 0.9275], so both the 0.2 runt and the 0.95 top fall out
+def test_rectangularity_floor_rejects_only_planted_outlier():
+    # indices {0.9 x8, 0.2, 0.95}: only the 0.2 plant lies below the floor
     clusters = []
     for k in range(8):
         clusters.append(_rect_cluster(k * 6, 0, 4, 5, skip={(k * 6, 0), (k * 6, 1)}))
@@ -254,41 +258,62 @@ def test_percentile_filter_rejects_planted_outlier():
     idx = sorted(rectangularity(c) for c in clusters)
     assert idx[0] == pytest.approx(0.2) and idx[-1] == pytest.approx(0.95)
     kept = filter_instances(clusters, ExtractionConfig())
-    assert len(kept) == 8
-    assert all(rectangularity(c) == pytest.approx(0.9) for c in kept)
+    assert len(kept) == 9 and not any(c is low for c in kept)
+    assert kept[-1] is high
 
 
-@settings(max_examples=500, deadline=None)
-@given(values=st.lists(st.sampled_from([0.2, 0.5, 0.9, 0.95, 1.0])
-                       | st.floats(-1e6, 1e6), min_size=1, max_size=30),
-       q=st.sampled_from([0.0, 5.0, 50.0, 95.0, 100.0]) | st.floats(0.0, 100.0))
-def test_percentile_equals_numpy_bit_for_bit(values, q):
-    got = extraction._percentile(sorted(values), q)
-    assert float(got).hex() == float(np.percentile(values, q)).hex()
+def test_rectangularity_floor_judges_each_cluster_alone():
+    # one or two clusters are judged as any other number: a lone diagonal
+    # falls below the floor, and a two-row step filling half of its
+    # bounding box stands on it
+    diagonal = np.asarray([(i, i) for i in range(4)])
+    assert filter_instances([diagonal], ExtractionConfig()) == []
+    step = np.asarray([(0, 0), (0, 1), (1, 2), (1, 3)])
+    square = _rect_cluster(5, 0, 2, 5)
+    assert rectangularity(step) == extraction.MIN_RECTANGULARITY
+    kept = filter_instances([step, square, diagonal], ExtractionConfig())
+    assert len(kept) == 2 and kept[0] is step and kept[1] is square
 
 
-def test_percentile_takes_the_upper_neighbour_from_halfway():
-    # numpy's lerp subtracts from the upper value when t >= 0.5, which
-    # differs in the last bit from adding to the lower one here
-    values = [0.1, 0.7]
-    t = 0.7
-    assert 0.1 + (0.7 - 0.1) * t != 0.7 - (0.7 - 0.1) * (1 - t)
-    got = extraction._percentile(values, 100 * t)
-    assert got == np.percentile(values, 100 * t) == 0.7 - (0.7 - 0.1) * (1 - t)
-
-
-def test_small_populations_skip_percentile_filter():
-    single = [_rect_cluster(0, 0, 1, 4)]
-    assert filter_instances(single, ExtractionConfig()) == single
-    two = [_rect_cluster(0, 0, 1, 4), _rect_cluster(5, 0, 2, 5)]
-    assert filter_instances(two, ExtractionConfig()) == two
-
-
-def test_min_pixels_drops_runts_before_percentiles():
+def test_min_pixels_drops_runts():
     runt = _rect_cluster(0, 0, 1, 2)
     keep = [_rect_cluster(5 + 4 * k, 0, 3, 3) for k in range(3)]
     out = filter_instances([runt] + keep, ExtractionConfig())
     assert all(len(c) == 9 for c in out) and len(out) == 3
+
+
+def _scene_metrics(paths, faces, out_dir) -> dict:
+    """The pipeline's metrics and instances on a synth scene's files."""
+    config = PipelineConfig(
+        rays=str(paths["rays"]), solid=str(paths["solid"]),
+        points=str(paths["points"]), image=str(paths["image"]),
+        correspondences=str(paths["correspondences"]),
+        gt_instances=str(paths["gt_instances"]),
+        gt_measured=str(paths["gt_measured"]), faces=faces,
+        out_dir=str(out_dir))
+    artifacts = run_pipeline(config)
+    return artifacts["metrics"], read_instances(artifacts["instances"])
+
+
+def test_block_window_with_a_one_pixel_hole_is_found(tmp_path):
+    # a scan point pushed into the next pixel leaves a hole in the covered
+    # window (13.0, 3.8) of this seed; the other nine score 1.0
+    paths = synth_scene(scenes.block_spec(648341672), tmp_path / "scene")
+    metrics, found = _scene_metrics(paths, (), tmp_path / "out")
+    assert (metrics["TP"], metrics["FP"], metrics["DA"]) == (10, 0, 100)
+    assert any(inst.rect[:2] == pytest.approx((13.0, 3.8)) for inst in found)
+
+
+@pytest.mark.parametrize("yaw", [10, 30])
+def test_turned_front_finds_every_opening(tmp_path, yaw):
+    # the three clusters score 0.896, 0.775 and 0.989 at 10 degrees, and
+    # 0.955, 0.917 and 0.833 at 30: none is an outlier
+    paths = synth_scene(SceneSpec(seed=7), tmp_path / "scene")
+    rigid.move_scene(tmp_path / "scene", tmp_path / "turned", rigid.motion(yaw))
+    turned = {key: tmp_path / "turned" / Path(path).name
+              for key, path in paths.items()}
+    metrics, _ = _scene_metrics(turned, ("wall_front",), tmp_path / "out")
+    assert (metrics["TP"], metrics["FP"], metrics["FN"]) == (3, 0, 0)
 
 
 # ---------------------------------------------------------------------------

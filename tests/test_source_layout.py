@@ -1,10 +1,11 @@
 """What lives where: code that only tests use stays under tests/, only
 `textio` opens and parses text files, the runtime reads no environment,
 needs numpy alone and loads none of scipy, numpy.ma or, outside `synth`,
-numpy.random."""
+numpy.random; the README's config table lists the config keys."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -88,6 +89,12 @@ def test_src_reads_no_environment():
                      if getattr(node, "attr", getattr(node, "name", None))
                      in ("environ", "getenv"))
     assert readers == []
+
+
+def test_readme_config_table_lists_the_config_keys():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = text.split("| group | keys |\n", 1)[1].split("\n\n", 1)[0]
+    assert set(re.findall(r"`(\w+)`", table)) == set(cli._CONFIG_KEYS)
 
 
 def _last_line(code, *args):

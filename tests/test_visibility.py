@@ -83,12 +83,9 @@ def test_uncertainty_config_validation():
     with pytest.raises(DomainError):
         UncertaintyConfig(sigma_position=0.0)
     with pytest.raises(DomainError):
-        UncertaintyConfig(aggregate="median")
+        UncertaintyConfig(sigma_state=-1.0)
     with pytest.raises(DomainError):
         UncertaintyConfig(occupied_threshold=1.0)
-    cfg = UncertaintyConfig(sigma_position=0.3, sigma_state=0.285,
-                            sigma_in_meters=True)
-    assert cfg.sigmas(0.1) == (pytest.approx(3.0), pytest.approx(2.85))
 
 
 # ---------------------------------------------------------------------------
@@ -460,18 +457,16 @@ def test_conflict_map_channels():
     np.testing.assert_allclose(r.data[3, 9], [0, 0, 1], atol=1e-6)  # untouched
 
 
-def test_conflict_map_aggregation_modes():
+def test_conflict_map_takes_the_most_conflicted_voxel():
     face, tree, window, untouched = _mini_scene()
     frame = rasters.facade_frame(face, 0.2)  # two voxels per pixel edge
     keys = surface_voxels(face, 0.1)
-    r_max = visibility.project_conflict_map(tree, face, keys, frame=frame)
-    cfg = UncertaintyConfig(aggregate="mean")
-    r_mean = visibility.project_conflict_map(tree, face, keys, cfg, frame=frame)
+    r = visibility.project_conflict_map(tree, face, keys, frame=frame)
     # pixel (0, 1) covers voxels ix in {2,3}, iz in {0,1}: one conflicted
     # window voxel among confirmed wall voxels
-    assert r_max.data[0, 1, 0] > 0.99
-    assert 0.15 < r_mean.data[0, 1, 0] < 0.5
-    np.testing.assert_allclose(r_mean.data.sum(axis=2), 1.0, atol=1e-6)
+    assert r.data[0, 1, 0] > 0.99
+    assert r.data[0, 0, 1] > 0.9           # wall voxels only: confirmed
+    np.testing.assert_allclose(r.data.sum(axis=2), 1.0, atol=1e-6)
 
 
 def test_conflict_map_unknown_only_pixel():
@@ -480,18 +475,6 @@ def test_conflict_map_unknown_only_pixel():
     tree = build_occupancy(np.empty((0, 7)), {"f": keys})  # no rays at all
     r = visibility.project_conflict_map(tree, face, keys)
     np.testing.assert_allclose(r.data[:, :, 2], 1.0)
-
-
-def test_run_means_equal_np_mean_bit_for_bit():
-    # mean aggregation averages each pixel's run of voxel scores; the
-    # float32 raster hides last-bit differences, so check in float64
-    rng = np.random.default_rng(23)
-    for sizes in (rng.integers(1, 20, 200), rng.integers(1, 400, 40)):
-        first = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-        values = rng.random(int(sizes.sum())) ** rng.uniform(0.1, 5.0)
-        got = visibility._run_means(values, first)
-        want = [np.mean(values[a:a + k].tolist()) for a, k in zip(first, sizes)]
-        assert got.tobytes() == np.asarray(want).tobytes()
 
 
 def _reached_keys(rays, vs):
@@ -538,8 +521,9 @@ def _far_front():
     ("front", 7), ("front", 101), ("block", 7), ("block", 101), ("far", 7)],
     ids=lambda s: f"{s[0]}-{s[1]}")
 def test_conflict_maps_match_scalar_oracle(scene):
-    # every wall, both aggregations, one to four voxels per pixel edge (a
-    # mean pixel averages 16 voxels at cell 0.4); scores compare in float64
+    # every wall, one to four voxels per pixel edge (a pixel takes the
+    # first most conflicted of 16 voxels at cell 0.4); scores compare in
+    # float64
     name, seed = scene
     if name == "far":
         rays, solid = _far_front()
@@ -560,9 +544,7 @@ def test_conflict_maps_match_scalar_oracle(scene):
         measured += int((state != "unknown").sum())
         for cell in (0.1, 0.2, 0.4):
             frame = rasters.facade_frame(face, cell)
-            for aggregate in ("max", "mean"):
-                cfg = UncertaintyConfig(aggregate=aggregate)
-                got = visibility.project_conflict_map(tree, face, keys, cfg, frame)
-                assert got.data.tobytes() == oracles.scalar_conflict_map(
-                    want, 0.1, aggregate, frame).tobytes()
+            got = visibility.project_conflict_map(tree, face, keys, frame=frame)
+            assert got.data.tobytes() == oracles.scalar_conflict_map(
+                want, 0.1, frame).tobytes()
     assert measured > 1000
