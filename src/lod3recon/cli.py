@@ -375,6 +375,8 @@ def _score(pred, gt, measured, models, settings) -> dict:
                "TP": counts.TP, "FP": counts.FP, "FN": counts.FN,
                "DA": da, "FA": fa, "DM": dm,
                "median_iou": median_instance_iou(pred, gt, matches)}
+    if dm is None:
+        del metrics["DM"]
     if matches:
         metrics["median_iou_matched"] = median_instance_iou(
             pred, gt, matches, matched_only=True)

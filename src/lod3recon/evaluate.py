@@ -52,15 +52,13 @@ def detection_rates(counts: DetectionCounts) -> tuple:
     """(DA, FA, DM) integer percentages.
 
     DA = 100 TP / AO, FA = 100 FP / D (zero when nothing was detected),
-    DM = 100 TP / MO.
+    DM = 100 TP / MO (None when no opening was measured).
     """
     if counts.AO <= 0:
         raise DomainError("AO must be positive to compute detection rates")
-    if counts.MO <= 0:
-        raise DomainError("MO must be positive to compute detection rates")
     da = round(100.0 * counts.TP / counts.AO)
     fa = round(100.0 * counts.FP / counts.D) if counts.D > 0 else 0
-    dm = round(100.0 * counts.TP / counts.MO)
+    dm = round(100.0 * counts.TP / counts.MO) if counts.MO > 0 else None
     return da, fa, dm
 
 

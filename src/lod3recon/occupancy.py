@@ -291,16 +291,13 @@ class OccupancyTree:
         are packed into one int64 each relative to the tree's key box;
         a key outside it is absent."""
         keys = np.asarray(keys, dtype=np.int64).reshape(-1, 3)
-        rows = np.full(len(keys), -1, dtype=np.int64)
         if not len(self.keys):
-            return rows
+            return np.full(len(keys), -1, dtype=np.int64)
         low, high = self.keys.min(axis=0), self.keys.max(axis=0)
         scale = _packing(low, high)
         if scale is None:
             raise DomainError("tree keys span more voxels than 64-bit keys can address")
-        inside = ((keys >= low) & (keys <= high)).all(axis=1)
-        rows[inside] = _rows((self.keys - low) @ scale, (keys[inside] - low) @ scale)
-        return rows
+        return _box_rows((self.keys - low) @ scale, low, high, scale, keys)
 
 
 def _rows(table, query) -> np.ndarray:
@@ -312,10 +309,10 @@ def _rows(table, query) -> np.ndarray:
 
 
 def _box_rows(packed, low, high, scale, keys) -> np.ndarray:
-    """Row of each of the (n, 3) voxel `keys`, below 2^53 in magnitude,
-    in `packed`, the sorted keys of the box [low, high] packed by
-    `scale`; -1 where absent. A key outside the box is absent, and is not
-    packed: it could overflow, or alias a key inside."""
+    """Row of each of the (n, 3) int64 voxel `keys` in `packed`, the
+    sorted keys of the box [low, high] packed by `scale`; -1 where
+    absent. A key outside the box is absent, and is not packed: it
+    could overflow, or alias a key inside."""
     rows = np.full(len(keys), -1, dtype=np.int64)
     shifted = keys - low
     # one unsigned test per axis: a key below the box wraps above it

@@ -253,9 +253,9 @@ def project_image_probabilities(image: np.ndarray, channels,
 # ---------------------------------------------------------------------------
 # file formats
 
-def _values(n: int) -> np.dtype:
-    """A table row of `n` floats."""
-    return np.dtype([("v", "<f8", (n,))])
+def _values(n: int, kind="<f8") -> np.dtype:
+    """A table row of `n` floats of the type `kind`."""
+    return np.dtype([("v", kind, (n,))])
 
 
 def _write_pixels(path, header: str, data, channels) -> None:
@@ -306,24 +306,20 @@ def _read_pixels(path, kind: str, header: dict, vectors=()):
         for name in channels:
             if channels.count(name) > 1:
                 raise ParseError(f"{path}:{no}: duplicate channel {name!r}")
-        return (values, vecs, channels), _values(len(channels))
+        return (values, vecs, channels), _values(len(channels), "<f4")
 
-    # a raster repeats few distinct pixel lines: each is parsed once
-    (values, vecs, channels), table = textio.repeated_table(
+    # a raster repeats few distinct pixel lines: each is parsed once, as
+    # a double cast to float32, where a double too large turns infinite
+    (values, vecs, channels), table = textio.table(
         path, 2 + len(vectors), parse,
-        lambda head: head[0]["width"] * head[0]["height"], np.float32,
-        lambda t: [(~(np.abs(t["v"]) < _FLOAT32_INF).all(axis=1),
-                    "non-finite pixel value")])
+        lambda t: [(~np.isfinite(t["v"]), "non-finite pixel value")],
+        count=lambda head: head[0]["width"] * head[0]["height"])
     width, height = values["width"], values["height"]
     if len(table) != width * height:
         raise ParseError(f"{path}: expected {width * height} pixel lines, "
                          f"got {len(table)}")
     return values, vecs, channels, table["v"].reshape(height, width, len(channels))
 
-
-# pixels are parsed as float64 and kept as float32, where a value of at
-# least this magnitude turns infinite
-_FLOAT32_INF = 2.0 ** 128 - 2.0 ** 103
 
 _VECTORS = ("origin", "u", "v")
 

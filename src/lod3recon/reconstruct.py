@@ -69,31 +69,34 @@ class Lod3Model:
 # ---------------------------------------------------------------------------
 # instance merging
 
-def _rects_overlap(a, b) -> bool:
-    # strict interior overlap; shared edges do not count
-    return a[0] < b[2] and b[0] < a[2] and a[1] < b[3] and b[1] < a[3]
-
-
 def _rects_touch(a, b) -> bool:
     return a[0] <= b[2] and b[0] <= a[2] and a[1] <= b[3] and b[1] <= a[3]
 
 
+def _bounds(members) -> tuple:
+    """The bounding rect of the instances `members`."""
+    return (min(m.rect[0] for m in members), min(m.rect[1] for m in members),
+            max(m.rect[2] for m in members), max(m.rect[3] for m in members))
+
+
 def merge_overlapping_instances(instances) -> list:
-    """Union overlapping detections per face into their bounding rect.
+    """Union touching or overlapping detections per face into their
+    bounding rect, until no two rects of a face touch, as `cut_openings`
+    requires.
 
     The merged label comes from the largest member (ties prefer window),
     the confidence is the rect-area weighted mean.
     """
-    # adding an instance fuses every group it touches, so overlap chains
-    # collapse transitively in a single pass
+    # no two groups of a face touch: adding an instance fuses the groups
+    # it touches, and the grown rect again, until it touches none
     groups = []
     for inst in instances:
-        hits = [g for g in groups
-                if g[0].face_id == inst.face_id
-                and any(_rects_overlap(inst.rect, m.rect) for m in g)]
-        merged = [m for g in hits for m in g] + [inst]
-        for g in hits:
-            groups.remove(g)
+        merged = [inst]
+        while hits := [g for g in groups if g[0].face_id == inst.face_id
+                       and _rects_touch(_bounds(merged), _bounds(g))]:
+            merged = [m for g in hits for m in g] + merged
+            for g in hits:
+                groups.remove(g)
         groups.append(merged)
 
     out = []
@@ -101,16 +104,12 @@ def merge_overlapping_instances(instances) -> list:
         if len(members) == 1:
             out.append(members[0])
             continue
-        u0 = min(m.rect[0] for m in members)
-        v0 = min(m.rect[1] for m in members)
-        u1 = max(m.rect[2] for m in members)
-        v1 = max(m.rect[3] for m in members)
         biggest = max(a.area() for a in members)
         labels = {m.label for m in members if m.area() == biggest}
         label = "window" if "window" in labels else "door"
         weight = sum(m.area() for m in members)
         conf = sum(m.confidence * m.area() for m in members) / weight
-        out.append(OpeningInstance(members[0].face_id, (u0, v0, u1, v1),
+        out.append(OpeningInstance(members[0].face_id, _bounds(members),
                                    label, conf))
     return out
 

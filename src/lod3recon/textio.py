@@ -7,7 +7,9 @@ opened is an IoError, text that is not UTF-8 or does not parse is a
 ParseError naming the file, and so is a number that is not finite.
 `table` and `write_table` read and write every table of numbers;
 `table_blocks` and `table_writer` do so block by block, for tables that need
-not fit in memory.
+not fit in memory. Both readers run one block loop, `_blocks`: numpy
+parses each block, and `_parse_lines` parses, as Python reads them, the
+lines of a block numpy cannot parse and of the rest of the file.
 """
 
 from __future__ import annotations
@@ -103,86 +105,129 @@ def key_values(path, parse=str) -> dict:
 # ---------------------------------------------------------------------------
 # tables of numbers
 
-def table(path, head: int, row, checks=lambda rows: ()):
+def table(path, head: int, row, checks=lambda rows: (), count=None):
     """(header, rows): `head` header lines, then a table of numbers, one
     row per line with content, of the record dtype `row` or of the dtype
     in (header, dtype) that the function `row` makes of the header lines.
 
-    numpy parses the rows from the handle the header came from; only if
-    it fails are the lines parsed again as Python reads them. The first
-    row flagged by `checks(rows)`, (bad rows mask, message) pairs, or else
-    the first line that does not parse, is a ParseError naming its line."""
+    The body is one block of `_blocks`, parsed by numpy from the handle
+    the header came from. With `count`, for a table whose lines repeat,
+    `count(header)` is the number of rows the header promises: each
+    distinct line of a run of REPEAT_LINES lines is parsed once, and the
+    rows go into an array of that many rows, allocated at the start; the
+    caller sees a count that differs. The first row flagged by
+    `checks(rows)`, (bad rows mask, message) pairs, or else the first
+    line that does not parse, is a ParseError naming its line."""
     with _opened(path, "r") as fh:
         # given a bound on the row count, numpy allocates the rows once
         # rather than growing them, so memory peaks near the table's size
         bound = None
-        if fh.seekable():
+        if count is None and fh.seekable():
             chunks = iter(lambda: fh.buffer.read(1 << 20), b"")
             bound = 1 + sum(c.count(b"\n") + c.count(b"\r") for c in chunks)
             fh.seek(0)
         lines = list(itertools.islice(_numbered(fh), head))
         header, dtype = row(lines) if callable(row) else (lines, row)
-        try:
-            rows, error = _loadtxt(fh, dtype, bound), None
-        except ValueError:
-            # the error a line raises holds the parser's frame, and with it
-            # the lines: close the file explicitly
-            with contextlib.closing(content_lines(path)) as lines:
-                rows, error = _parse_lines(
-                    path, itertools.islice(lines, head, None), dtype)
-    _raise_first(path, head, rows, checks, error)
-    return header, rows
+        if count is None:
+            blocks = list(_blocks(path, fh, head, dtype, bound, _loadtxt, checks))
+            return header, blocks[0] if blocks else np.empty(0, dtype)
+        # a number takes two bytes at least, with its separator: a header
+        # that promises more rows than the file can hold allocates fewer
+        numbers = sum(math.prod(dtype[name].shape) for name in dtype.names)
+        most = os.fstat(fh.fileno()).st_size // (2 * numbers) + 1
+        rows, extra, done = np.empty(min(count(header), most), dtype), [], 0
+        for block in _blocks(path, fh, head, dtype, REPEAT_LINES, _repeated, checks):
+            fit = block[:max(len(rows) - done, 0)]
+            rows[done:done + len(fit)] = fit
+            if len(fit) < len(block):
+                extra.append(block[len(fit):])
+            done += len(block)
+    return header, np.concatenate([rows, *extra]) if extra else rows[:done]
 
 
 def table_blocks(path, row, size: int, checks=lambda rows: ()):
     """Yield the table of numbers at `path`, which has no header lines,
     as consecutive arrays of at most `size` rows of the record dtype
-    `row`, in file order; a file without rows yields none.
-
-    numpy parses one block at a time from one open handle. If it fails
-    on a block, that block and the rest are parsed as Python reads them.
-    As in `table`, the first row flagged by `checks(rows)`, or else the
-    first line that does not parse, is a ParseError naming its line; it
-    is raised when its block is reached."""
-    done = 0
+    `row`, in file order; a file without rows yields none. As in
+    `table`, the first row flagged by `checks(rows)`, or else the first
+    line that does not parse, is a ParseError naming its line; it is
+    raised when its block is reached."""
     with _opened(path, "r") as fh:
+        yield from _blocks(path, fh, 0, row, size, _loadtxt, checks)
+
+
+def _blocks(path, fh, done: int, dtype, size, parse, checks):
+    """Yield the rest of `fh`, the lines of `path` after its first `done`
+    lines with content, as arrays of rows of the record dtype `dtype` in
+    file order, each block the (rows, whether any may be left) that
+    `parse(fh, dtype, size)` returns; a block without rows is not yielded.
+
+    Where `parse` fails, that block and the rest are parsed line by line
+    as Python reads them, `size` rows at a time, from the file opened
+    again to number the lines. The first row of a block that `checks`
+    flags, or else the first line that does not parse, is a ParseError
+    naming its line, raised when its block is reached."""
+    with contextlib.ExitStack() as stack:
+        lines = None
         while True:
-            try:
-                rows = _loadtxt(fh, row, size)
-            except ValueError:
-                break
-            _raise_first(path, done, rows, checks, None)
-            if len(rows):
-                yield rows
-            done += len(rows)
-            if len(rows) < size:
-                return
-    # closed explicitly, as in `table`
-    with contextlib.closing(content_lines(path)) as numbered:
-        lines = itertools.islice(numbered, done, None)
-        while True:
-            rows, error = _parse_lines(path, itertools.islice(lines, size), row)
+            error = None
+            if lines is None:
+                try:
+                    rows, more = parse(fh, dtype, size)
+                except ValueError:
+                    # the error a line raises holds the parser's frame, and
+                    # with it the lines: the file is closed explicitly
+                    numbered = stack.enter_context(contextlib.closing(content_lines(path)))
+                    lines = itertools.islice(numbered, done, None)
+            if lines is not None:
+                rows, error = _parse_lines(path, itertools.islice(lines, size), dtype)
+                more = len(rows) == size
             _raise_first(path, done, rows, checks, error)
             if len(rows):
                 yield rows
             done += len(rows)
-            if len(rows) < size:
+            if not more:
                 return
 
 
 def _loadtxt(fh, dtype, max_rows):
-    """At most `max_rows` rows (all with None) of the rest of `fh`; blank
-    and comment lines give none."""
+    """(rows, whether any may be left): at most `max_rows` rows (all with
+    None) of the rest of `fh`, a handle or a list of lines; blank and
+    comment lines give none."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)   # comment lines, no rows
-        return np.loadtxt(fh, dtype=dtype, comments="#", ndmin=1, max_rows=max_rows)
+        rows = np.loadtxt(fh, dtype=dtype, comments="#", ndmin=1, max_rows=max_rows)
+    return rows, len(rows) == max_rows
+
+
+# lines read, told apart and parsed at a time in a table whose lines repeat
+REPEAT_LINES = 1 << 10
+
+
+def _repeated(fh, dtype, size: int):
+    """(rows, whether any may be left): the rows of the next `size` lines
+    of `fh`, each distinct line parsed once by np.loadtxt."""
+    run = list(itertools.islice(fh, size))
+    more = len(run) == size
+    lines = list(dict.fromkeys(run))
+    rows, _ = _loadtxt(lines, dtype, None)
+    if len(rows) < len(lines):
+        # a blank or comment line gives no row: the run goes without them
+        run = [line for line in run if line.split("#", 1)[0].strip()]
+        lines = list(dict.fromkeys(run))
+        if len(rows) != len(lines):
+            raise ValueError("a line with content gave no row")
+    slot = dict(zip(lines, range(len(lines))))
+    at = np.fromiter(map(slot.__getitem__, run), dtype=np.intp, count=len(run))
+    return rows[at], more
 
 
 def _raise_first(path, skip: int, rows, checks, error) -> None:
     """Raise the first row of `rows`, the content lines after the first
     `skip`, that `checks(rows)` flags, as a ParseError naming its line,
-    or else `error`, the failure that ended `rows`, if any."""
-    firsts = [(np.flatnonzero(bad)[0], message)
+    or else `error`, the failure that ended `rows`, if any. A mask of
+    more than one dimension flags the row of each of its rows."""
+    firsts = [(np.nonzero(bad)[0][0], message)
               for bad, message in checks(rows) if bad.any()]
     if firsts:
         first, message = min(firsts, key=lambda f: f[0])
@@ -192,75 +237,14 @@ def _raise_first(path, skip: int, rows, checks, error) -> None:
         raise error
 
 
-# lines read, told apart and parsed at a time by `repeated_table`
-REPEAT_LINES = 1 << 10
-
-
-def repeated_table(path, head: int, row, count, cast, checks=lambda rows: ()):
-    """`table` for a table whose lines repeat, every field of its rows
-    cast to the number type `cast`; `count(header)` is the number of rows
-    the header promises.
-
-    Each distinct line of a run of REPEAT_LINES lines is parsed once,
-    and the rows go in file order into one array of that many rows,
-    allocated at the start. Where a line does not parse, a check fails
-    or the count differs, the file is read again by `table`, which names
-    the line at fault, and its rows are cast: the caller sees the count
-    that differs."""
-    with _opened(path, "r") as fh:
-        if fh.seekable():
-            lines = list(itertools.islice(_numbered(fh), head))
-            header, row_dtype = row(lines) if callable(row) else (lines, row)
-            rows = _repeated_rows(fh, row_dtype, count(header),
-                                  _cast(row_dtype, cast), checks)
-            if rows is not None:
-                return header, rows
-    header, rows = table(path, head, row, checks)
-    return header, rows.astype(_cast(rows.dtype, cast))
-
-
-def _cast(dtype, kind) -> np.dtype:
-    """The record dtype `dtype` with every field's numbers of type `kind`."""
-    return np.dtype([(name, kind, dtype[name].shape) for name in dtype.names])
-
-
-def _repeated_rows(fh, row_dtype, count: int, dtype, checks):
-    """The `count` rows of the rest of `fh` as `dtype`, each distinct line
-    of a run parsed once by np.loadtxt; None if a line does not give one
-    row (a blank or comment line gives none), a check fails or there are
-    not `count` rows."""
-    # a number takes two bytes at least, with its separator, and every
-    # field of a table row is 8 bytes a number
-    numbers = count * (row_dtype.itemsize // 8)
-    if not 0 <= 2 * numbers <= os.fstat(fh.fileno()).st_size:
-        return None
-    out = np.empty(count, dtype=dtype)
-    done = 0
-    for run in iter(lambda: list(itertools.islice(fh, REPEAT_LINES)), []):
-        distinct = list(dict.fromkeys(run))
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)   # no rows
-                rows = np.loadtxt(distinct, dtype=row_dtype, comments="#", ndmin=1)
-        except ValueError:
-            return None
-        if (len(rows) != len(distinct) or done + len(run) > count
-                or any(bad.any() for bad, _ in checks(rows))):
-            return None
-        slot = dict(zip(distinct, range(len(distinct))))
-        at = np.fromiter(map(slot.__getitem__, run), dtype=np.intp, count=len(run))
-        out[done:done + len(run)] = rows.astype(dtype)[at]
-        done += len(run)
-    return out if done == count else None
-
-
 def _parse_lines(path, lines, dtype):
     """(rows, error): the (line_no, text) `lines` parsed one by one by
-    `floats`, up to the first that does not parse."""
+    `floats`, up to the first that does not parse; a double too large for
+    a float32 field is inf there, as numpy casts it."""
     fields = [(dtype[name].shape, int if dtype[name].base.kind == "i" else float)
               for name in dtype.names]
     bounds = np.cumsum([0] + [math.prod(shape) for shape, _ in fields]).tolist()
-    rows = []
+    rows, error = [], None
     for no, text in lines:
         tok = text.split()
         try:
@@ -270,9 +254,11 @@ def _parse_lines(path, lines, dtype):
             row = [floats(tok[a:b], path, no, kind)
                    for (_, kind), a, b in zip(fields, bounds, bounds[1:])]
         except ParseError as exc:
-            return np.array(rows, dtype=dtype), exc
+            error = exc
+            break
         rows.append(tuple(v if shape else v[0] for (shape, _), v in zip(fields, row)))
-    return np.array(rows, dtype=dtype), None
+    with np.errstate(over="ignore"):
+        return np.array(rows, dtype=dtype), error
 
 
 def write_table(path, header: str, columns) -> None:

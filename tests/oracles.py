@@ -653,14 +653,12 @@ def record_rows(table, query):
 
 
 def loadtxt_table(table):
-    """A stand-in for `textio.repeated_table` that parses every line with
-    `table` (the package's reader of tables, which hands the file to
-    np.loadtxt whole) and casts the rows after: the pixel tables' reader
-    before it told lines apart."""
-    def read(path, head, row, count, cast, checks=lambda rows: ()):
-        header, rows = table(path, head, row, checks)
-        return header, rows.astype(
-            [(name, cast, rows.dtype[name].shape) for name in rows.dtype.names])
+    """A stand-in for `textio.table` that reads a table whose lines repeat
+    as every other table, with the body handed to np.loadtxt whole, not
+    one distinct line at a time: the pixel tables' reader before it told
+    lines apart."""
+    def read(path, head, row, checks=lambda rows: (), count=None):
+        return table(path, head, row, checks)
     return read
 
 

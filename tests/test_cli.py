@@ -295,6 +295,30 @@ def test_pipeline_flag_overrides(scene_dir, tmp_path):
     assert metrics["DA"] == 0 and metrics["TP"] == 0
 
 
+def test_pipeline_without_points_cuts_the_demo_scene(tmp_path):
+    # without points the seed-7 scene's right window is extracted as
+    # rects that share an edge: merged, they cut a watertight model
+    assert cli.main(["synth", "--out", str(tmp_path), "--seed", "7"]) == 0
+    cfg = tmp_path / "no_points.cfg"
+    cfg.write_text("".join(line for line in open(tmp_path / "scene.cfg")
+                           if not line.startswith("points")))
+    assert cli.main(["pipeline", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+    assert read_metrics(tmp_path / "out" / "metrics.txt")["watertight"] is True
+
+
+def test_pipeline_with_only_covered_openings_leaves_dm_out(tmp_path):
+    # no opening was measured by the laser: DM has no denominator
+    assert cli.main(["synth", "--out", str(tmp_path), "--seed", "7",
+                     "--opening", "2 2 3.2 3 window covered"]) == 0
+    assert cli.main(["pipeline", "--config", str(tmp_path / "scene.cfg")]) == 0
+    metrics = read_metrics(tmp_path / "artifacts" / "metrics.txt")
+    assert (metrics["MO"], metrics["TP"], metrics["DA"]) == (0, 1, 100)
+    assert "DM" not in metrics
+    report = (tmp_path / "artifacts" / "report.txt").read_text().splitlines()
+    assert not [line for line in report if line.split()[0] == "DM"]
+
+
 def test_pipeline_missing_rays_names_stage(scene_dir, tmp_path, capsys):
     cfg = tmp_path / "gone.cfg"
     cfg.write_text(f"rays = missing.txt\nsolid = {scene_dir}/solid.txt\n"

@@ -64,11 +64,14 @@ def test_rates_round_half_to_even():
     assert detection_rates(DetectionCounts(8, 8, 8, 1, 1, 7))[1] == 12
 
 
-def test_rates_require_positive_ao_and_mo():
+def test_rates_require_positive_ao():
     with pytest.raises(DomainError):
         detection_rates(DetectionCounts(0, 5, 1, 1, 0, 0))
-    with pytest.raises(DomainError):
-        detection_rates(DetectionCounts(5, 0, 1, 1, 0, 4))
+
+
+def test_rates_leave_dm_out_without_measured_openings():
+    # only covered openings: none was measured, so DM has no denominator
+    assert detection_rates(DetectionCounts(5, 0, 1, 1, 0, 4)) == (20, 0, None)
 
 
 # ---------------------------------------------------------------------------

@@ -42,10 +42,34 @@ def test_merge_disjoint_instances_untouched():
     assert merge_overlapping_instances([a, b]) == [a, b]
 
 
-def test_merge_touching_rects_stay_separate():
+def test_merge_touching_rects_fuse():
+    # rects that share an edge would leave a zero-thickness sliver, which
+    # cut_openings rejects: they fuse into their bounding rect
     a = _inst((0.1, 0.1, 0.3, 0.3))
     b = _inst((0.3, 0.1, 0.5, 0.3))
-    assert len(merge_overlapping_instances([a, b])) == 2
+    (m,) = merge_overlapping_instances([a, b])
+    assert m.rect == (0.1, 0.1, 0.5, 0.3)
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1), (1, 2, 0)])
+def test_merge_repeats_until_no_rects_touch(order):
+    # the third rect touches neither of the others, only their bounding
+    # rect: it fuses with them whatever the order
+    rects = [(0.0, 0.0, 1.0, 2.0), (1.0, 0.0, 2.0, 1.0), (1.5, 1.5, 1.9, 1.9)]
+    (m,) = merge_overlapping_instances([_inst(rects[i]) for i in order])
+    assert m.rect == (0.0, 0.0, 2.0, 2.0)
+
+
+def test_merged_split_window_cuts():
+    # a window extracted as three rects, two of them sharing the edge
+    # u = 6.6; the merged rects cut a watertight model
+    solid = box_solid("b", (0.0, 0.0, 0.0), (16.0, 6.0, 10.0))
+    parts = [(6.6, 2.0, 7.2, 2.4), (6.0, 2.1, 6.6, 3.0), (6.7, 2.5, 7.1, 2.9)]
+    merged = merge_overlapping_instances(
+        [_inst(r, face="wall_front") for r in parts])
+    assert [m.rect for m in merged] == [(6.0, 2.0, 7.2, 3.0)]
+    model = reconstruct_model(solid, merged)
+    assert geom.closed_surface_violations(list(model.loops())) == []
 
 
 def test_merge_overlap_unions_bbox():

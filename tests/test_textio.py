@@ -256,8 +256,8 @@ def pixel_grids(draw):
     CR LF line ends; `fault` is None or how the file was broken."""
     width, height = draw(st.integers(1, 6)), draw(st.integers(1, 5))
     channels = draw(st.integers(1, 3))
-    # mostly numbers numpy reads: a line only Python reads sends the whole
-    # file down the line-by-line path, and so does a blank or comment line
+    # mostly numbers numpy reads: a line only Python reads sends its run
+    # and the rest of the file down the line-by-line path
     numbers = st.sampled_from(FLOAT32_EDGES + FLOATS[:8]) if draw(
         st.integers(0, 4)) == 0 else st.sampled_from(FLOAT32_EDGES[:-1] + FLOATS[:8])
     pool = [" ".join(draw(numbers) for _ in range(channels))
@@ -300,15 +300,15 @@ def _read_grid(path):
 @settings(max_examples=200, deadline=None)
 @given(case=pixel_grids(), run=st.sampled_from([1, 2, 3, 1 << 14]))
 def test_pixel_tables_equal_the_loadtxt_path(table_path, case, run):
-    # the grid read each distinct line of a run once, and read with every
-    # line parsed by the table reader, give the same pixels or the same
+    # the grid read each distinct line of a run once, and read with the
+    # body handed to np.loadtxt whole, give the same pixels or the same
     # message, whatever the run length
     text, fault = case
     table_path.write_bytes(text.encode("utf-8"))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(textio, "REPEAT_LINES", run)
         got = _read_grid(table_path)
-        mp.setattr(textio, "repeated_table", oracles.loadtxt_table(textio.table))
+        mp.setattr(textio, "table", oracles.loadtxt_table(textio.table))
         want = _read_grid(table_path)
     assert got == want
     if fault is None:
@@ -333,6 +333,53 @@ def test_pixel_grid_parses_each_distinct_line_once(tmp_path, monkeypatch):
     assert grid.tobytes() == data.tobytes()
     # rows 0-20 hold two distinct lines, rows 20-40 two others, the rest one
     assert parsed == [2, 2, 1]
+
+
+def test_pixel_grid_with_comment_and_blank_lines_is_parsed_once(tmp_path,
+                                                                 monkeypatch):
+    # a comment and a blank line in a run are skipped where they stand:
+    # the file is not handed to np.loadtxt again
+    data = np.zeros((50, 100, 2), dtype=np.float32)
+    data[10:20, 30:40] = (0.25, 0.75)
+    data[30:, :] = (1.0, 0.5)
+    path = tmp_path / "grid.txt"
+    rasters.write_pixel_grid(data, ("a", "b"), path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[40:40] = ["# a note\n"]
+    lines[300:300] = ["\n"]
+    path.write_text("".join(lines))
+    parsed = []
+    loadtxt = np.loadtxt
+
+    def counting(lines, *args, **kwargs):
+        parsed.append(len(lines) if isinstance(lines, list) else "file")
+        return loadtxt(lines, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counting)
+    monkeypatch.setattr(textio, "REPEAT_LINES", 2048)
+    grid, _ = rasters.read_pixel_grid(path)
+    assert grid.tobytes() == data.tobytes()
+    # the first run's two distinct pixel lines go with the comment and
+    # the blank line, which give no row
+    assert parsed == [4, 2, 1]
+
+
+@pytest.mark.parametrize("run", [2, 1 << 10])
+@pytest.mark.parametrize("before", [[], ["# a note", ""], ["1_0"]])
+def test_float32_overflow_is_a_non_finite_pixel_value(tmp_path, monkeypatch,
+                                                      run, before):
+    # 3.5e38 is a finite double and an infinite float32: named at its own
+    # line in the first run, after a comment line and after a line only
+    # Python reads
+    monkeypatch.setattr(textio, "REPEAT_LINES", run)
+    body = ["0.5"] + before + ["0.5", "3.5e38", "0.5"]
+    height = len([line for line in body if line and not line.startswith("#")])
+    path = tmp_path / "grid.txt"
+    path.write_text(f"pixel_grid width=1 height={height}\nchannels p\n"
+                    + "\n".join(body) + "\n")
+    no = 3 + body.index("3.5e38")
+    with pytest.raises(ParseError, match=f"grid.txt:{no}: non-finite pixel value"):
+        rasters.read_pixel_grid(path)
 
 
 # ---------------------------------------------------------------------------
