@@ -35,8 +35,8 @@ from .rasters import (CONFLICT_CHANNELS, estimate_homography, facade_frame,
                       project_image_probabilities, project_point_probabilities,
                       read_correspondences, read_labeled_points,
                       read_pixel_grid, read_raster, write_raster)
-from .reconstruct import (read_model, reconstruct_model, write_citygml,
-                          write_model)
+from .reconstruct import (merge_overlapping_instances, read_model,
+                          reconstruct_model, write_citygml, write_model)
 from .synth import FRONT_FACE, SceneSpec, SynthOpening, synth_scene
 from .textio import key_values, writing
 from .visibility import (UncertaintyConfig, project_conflict_map,
@@ -364,9 +364,11 @@ def _surface(faces: dict, voxel_size: float) -> dict:
 
 
 def _score(pred, gt, measured, models, settings) -> dict:
-    """Detection metrics against `gt` (`measured`: its laser-seen subset, or
-    None), plus surface metrics for a (predicted, ground-truth) model pair.
-    `settings` is a PipelineConfig or the `evaluate` options alike."""
+    """Detection metrics of `pred`, merged as the model cuts it, against
+    `gt` (`measured`: its laser-seen subset, or None), plus surface
+    metrics for a (predicted, ground-truth) model pair. `settings` is a
+    PipelineConfig or the `evaluate` options alike."""
+    pred = merge_overlapping_instances(pred)
     tp, fp, fn, matches = match_instances(pred, gt, settings.iou_min)
     mo = len(measured if measured is not None else gt)
     counts = DetectionCounts.from_matching(len(gt), mo, tp, fp)

@@ -332,7 +332,7 @@ def triangulate_loop_3d(loop, holes=()) -> list:
 # ---------------------------------------------------------------------------
 # triangle / box overlap (separating axis test, strict)
 
-def tri_box_overlap_strict(tri, lo, hi, which=None, scale=None) -> np.ndarray:
+def tri_box_overlap_strict(tri, lo, hi, which=None) -> np.ndarray:
     """Strict SAT overlap between triangles and axis-aligned boxes.
 
     `lo` and `hi` are the (N, 3) lower and upper box corners. Box b is
@@ -341,11 +341,11 @@ def tri_box_overlap_strict(tri, lo, hi, which=None, scale=None) -> np.ndarray:
     contact (shared plane, edge, or vertex with no interior overlap)
     counts as no overlap, so triangles lying exactly on a voxel face
     select neither neighbor. Every separation test carries a slack of
-    1e-9 of its own projection radius, or of four float steps of `scale`
-    per unit of the axis, so exact contacts that pick up a rounding
-    residual far from the origin still count as touching. `scale` is
-    per box, by default the largest coordinate of the triangles and
-    boxes. Each box is tested in coordinates relative to its lower
+    1e-9 of its own projection radius, or of four float steps of the
+    box's scale per unit of the axis, so exact contacts that pick up a
+    rounding residual far from the origin still count as touching. A
+    box's scale is the largest |coordinate| of its triangle and of its
+    lower corner. Each box is tested in coordinates relative to its lower
     corner: a vertex on a box corner or face stays exactly there however
     far from the origin the box lies.
     """
@@ -356,9 +356,8 @@ def tri_box_overlap_strict(tri, lo, hi, which=None, scale=None) -> np.ndarray:
         return np.zeros(0, dtype=bool)
     if which is None:
         which = np.zeros(len(lo), dtype=np.intp)
-    if scale is None:
-        scale = max(np.abs(tri).max(), np.abs(lo).max())
-    step = 4 * np.spacing(scale)
+    step = 4 * np.spacing(np.maximum(np.abs(tri).max(axis=(1, 2))[which],
+                                     np.abs(lo).max(axis=1)))
     # the vertices relative to each box's lower corner, per vertex and
     # component, and the box sizes per component
     rel = [[tri[:, v, c][which] - lo[:, c] for c in range(3)] for v in range(3)]

@@ -122,22 +122,19 @@ def surface_voxels(face, voxel_size: float) -> np.ndarray:
 
     Each triangle is tested only against the boxes of its key box that
     can overlap it (`_candidates`), all (triangle, box) pairs of the face
-    in one pass, with the slack each box had when every box of the key
-    box was tested (`_slack_scale`)."""
+    in one pass."""
     vs = float(voxel_size)
     tris = face_triangles(face, vs)
     low, high = grid_index(tris.min(axis=1), vs), grid_index(tris.max(axis=1), vs)
-    which, keys, scale = [np.empty(0, np.intp)], [np.empty((0, 3), np.int64)], [np.empty(0)]
+    which, keys = [np.empty(0, np.intp)], [np.empty((0, 3), np.int64)]
     for t, (tri, lo, hi) in enumerate(zip(tris, low, high)):
         k = _candidates(tri, lo, hi, vs)
         which.append(np.full(len(k), t, dtype=np.intp))
         keys.append(k)
-        scale.append(_slack_scale(k, tri, lo, hi, vs))
-    which, keys, scale = (np.concatenate(v) for v in (which, keys, scale))
+    which, keys = np.concatenate(which), np.concatenate(keys)
     hit = np.concatenate([np.zeros(0, dtype=bool)] + [
         geom.tri_box_overlap_strict(tris, keys[a:a + PAIRS] * vs,
-                                    (keys[a:a + PAIRS] + 1) * vs,
-                                    which[a:a + PAIRS], scale[a:a + PAIRS])
+                                    (keys[a:a + PAIRS] + 1) * vs, which[a:a + PAIRS])
         for a in range(0, len(keys), PAIRS)])
     keys = keys[hit]
     return keys[sorted_keys(keys)]
@@ -185,35 +182,6 @@ def _candidates(tri, lo, hi, vs: float) -> np.ndarray:
     keys[:, i], keys[:, j] = np.repeat(ci, count), np.repeat(cj, count)
     keys[:, k] = np.repeat(first - np.cumsum(count) + count, count) + np.arange(len(keys))
     return keys
-
-
-def _slack_scale(keys, tri, lo, hi, vs: float) -> np.ndarray:
-    """The scale of the strict test's slack for each of `keys` as when
-    the triangle was tested against every box of its key box [lo, hi]:
-    the keys in C order, split as np.array_split splits them into
-    len // 4096 + 1 chunks, each chunk tested together. That is the
-    largest |coordinate| of the triangle and of the chunk's lower
-    corners."""
-    ext = hi - lo + 1
-    total = int(ext.prod())
-    parts = np.arange(total // 4096 + 1)
-    q, r = divmod(total, len(parts))
-    # the first r chunks hold q + 1 boxes, the others q
-    start = parts * q + np.minimum(parts, r)
-    last = start + q - (parts >= r)
-    reach = np.zeros(len(parts), dtype=np.int64)
-    stride = 1
-    for ax in (2, 1, 0):
-        # a run of keys in C order covers a contiguous span of this axis's
-        # indices, taken modulo its extent; a span that wraps covers both ends
-        a, b = start // stride % ext[ax], last // stride % ext[ax]
-        full = (last // stride - start // stride + 1 >= ext[ax]) | (a > b)
-        a, b = np.where(full, 0, a), np.where(full, ext[ax] - 1, b)
-        reach = np.maximum(reach, np.maximum(np.abs(lo[ax] + a), np.abs(lo[ax] + b)))
-        stride *= int(ext[ax])
-    scale = np.maximum(np.abs(tri).max(), reach * vs)
-    flat = (keys - lo) @ np.array([ext[1] * ext[2], ext[2], 1])
-    return scale[np.searchsorted(start, flat, side="right") - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -307,6 +307,35 @@ def test_pipeline_without_points_cuts_the_demo_scene(tmp_path):
     assert read_metrics(tmp_path / "out" / "metrics.txt")["watertight"] is True
 
 
+def test_pipeline_and_evaluate_score_the_openings_the_model_cuts(tmp_path, capsys):
+    # without points the seed-7 scene's right window is extracted as three
+    # touching rects, which the model cuts as the ground-truth rect; both
+    # scorers count it as one detection
+    assert cli.main(["synth", "--out", str(tmp_path), "--seed", "7"]) == 0
+    cfg = tmp_path / "no_points.cfg"
+    cfg.write_text("".join(line for line in open(tmp_path / "scene.cfg")
+                           if not line.startswith("points")))
+    out = tmp_path / "out"
+    assert cli.main(["pipeline", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    assert len(read_instances(out / "instances.txt")) == 5
+    metrics = read_metrics(out / "metrics.txt")
+    assert [metrics[k] for k in ("D", "TP", "FP", "DA")] == [3, 3, 0, 100]
+    # the pipeline's ground-truth model: the truth cut with no margin
+    assert cli.main(["reconstruct", "--solid", str(tmp_path / "solid.txt"),
+                     "--instances", str(tmp_path / "gt_instances.txt"),
+                     "--margin", "0", "--out-model", str(tmp_path / "gt_model.txt"),
+                     "--out-gml", str(tmp_path / "gt_model.gml")]) == 0
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--pred", str(out / "instances.txt"),
+                     "--gt", str(tmp_path / "gt_instances.txt"),
+                     "--measured", str(tmp_path / "gt_measured.txt"),
+                     "--model", str(out / "model.txt"),
+                     "--gt-model", str(tmp_path / "gt_model.txt"),
+                     "--out", str(tmp_path / "metrics.txt")]) == 0
+    assert capsys.readouterr().out == (out / "report.txt").read_text()
+    assert read_metrics(tmp_path / "metrics.txt") == metrics
+
+
 def test_pipeline_with_only_covered_openings_leaves_dm_out(tmp_path):
     # no opening was measured by the laser: DM has no denominator
     assert cli.main(["synth", "--out", str(tmp_path), "--seed", "7",

@@ -388,11 +388,12 @@ def test_tri_box_strict_against_clipping_oracle():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([(0.0, 0.0, 0.0), (5e5, 5.4e6, 0.0)]))
 def test_tri_box_strict_pairs_equal_the_per_triangle_oracle(seed, origin):
-    # one pass over (triangle, box) pairs, each box with the scale of the
-    # call that tested it alone with its triangle, decides as the oracle
+    # one pass over (triangle, box) pairs decides each box as the oracle
+    # testing it alone with its triangle; a call of the oracle on the boxes
+    # whose scale has one float step gives each box that step
     rng = np.random.default_rng(seed)
     vs = 0.1
-    tris, lo, hi, which, scale, want = [], [], [], [], [], []
+    tris, lo, hi, which, want = [], [], [], [], []
     for t in range(int(rng.integers(1, 5))):
         snap = rng.integers(2)
         tri = np.asarray(origin) + (np.round(rng.uniform(-8, 8, (3, 3)) * 4) / 4 if snap
@@ -403,11 +404,15 @@ def test_tri_box_strict_pairs_equal_the_per_triangle_oracle(seed, origin):
         lo.append(keys * vs)
         hi.append((keys + 1) * vs)
         which.append(np.full(len(keys), t))
-        scale.append(np.full(len(keys), max(np.abs(tri).max(), np.abs(keys * vs).max())))
-        want.append(oracles.tri_box_overlap_strict(tri, keys * vs, (keys + 1) * vs))
+        step = np.spacing(np.maximum(np.abs(tri).max(), np.abs(keys * vs).max(axis=1)))
+        hit = np.zeros(len(keys), dtype=bool)
+        for one in np.unique(step):
+            same = step == one
+            hit[same] = oracles.tri_box_overlap_strict(tri, keys[same] * vs,
+                                                       (keys[same] + 1) * vs)
+        want.append(hit)
     got = geom.tri_box_overlap_strict(np.asarray(tris), np.concatenate(lo),
-                                      np.concatenate(hi),
-                                      np.concatenate(which), np.concatenate(scale))
+                                      np.concatenate(hi), np.concatenate(which))
     assert got.tolist() == np.concatenate(want).tolist()
 
 

@@ -374,24 +374,18 @@ def test_surface_voxels_equal_the_per_triangle_oracle(seed, vs, turn, origin):
     assert got == want
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1))
-def test_slack_scale_is_the_largest_corner_of_the_oracles_chunk(seed):
-    # each key gets the largest |lower corner| of the chunk the oracle
-    # tests it in, over the triangle's own largest coordinate
-    rng = np.random.default_rng(seed)
-    vs = 0.1
-    lo = rng.integers(-60, 20, 3) * 10 ** rng.integers(0, 8)
-    hi = lo + rng.integers(1, 45, 3) - 1
-    tri = rng.uniform(-1, 1, (3, 3)) * 10.0 ** rng.integers(-1, 8)
-    cand = np.stack(np.meshgrid(*(np.arange(a, b + 1) for a, b in zip(lo, hi)),
-                                indexing="ij"), axis=-1).reshape(-1, 3)
-    want = np.concatenate([
-        np.full(len(part), max(np.abs(tri).max(), np.abs(part * vs).max()))
-        for part in np.array_split(cand, len(cand) // 4096 + 1)])
-    pick = rng.permutation(len(cand))[:500]
-    got = visibility._slack_scale(cand[pick], tri, lo, hi, vs)
-    assert got.tobytes() == want[pick].tobytes()
+@pytest.mark.parametrize("vs", [0.1, 0.25])
+@pytest.mark.parametrize("axis", [0, 1], ids=["x", "y"])
+@pytest.mark.parametrize("power", [19, 22, 23])
+def test_box_across_a_power_of_two_keys_equal_the_oracle(power, axis, vs):
+    # the box straddles 2**power m along the axis, where the float step
+    # doubles, so a row of boxes holds boxes of either step
+    size = (3.3, 2.2, 1.1)
+    origin = [0.0, 0.0, 0.0]
+    origin[axis] = 2.0 ** power - size[axis] / 2
+    for face in box_solid("b", origin, size).faces:
+        got, want = _keys_of(face, vs)
+        assert got == want and len(got) > 0
 
 
 @pytest.mark.parametrize("yaw, shift", [(yaw, (0.03, 0.07, 0.0)) for yaw in range(0, 91, 5)]
