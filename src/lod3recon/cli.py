@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import inspect
 import math
 import os
 import sys
@@ -31,7 +32,8 @@ from .fusion import fuse_maps, read_cpt
 from .model_io import read_solid, read_template_library, validate_solid
 from .occupancy import (OccupancyConfig, build_occupancy, ray_blocks,
                         read_rays, read_tree, write_tree)
-from .rasters import (CONFLICT_CHANNELS, estimate_homography, facade_frame,
+from .rasters import (CONFLICT_CHANNELS, POINT_LABELS, FacadeRaster,
+                      estimate_homography, facade_frame, point_blocks,
                       project_image_probabilities, project_point_probabilities,
                       read_correspondences, read_labeled_points,
                       read_pixel_grid, read_raster, write_raster)
@@ -51,6 +53,12 @@ def _range(test, rule: str) -> dict:
 
 _POSITIVE = _range(lambda v: v > 0, "must be positive")
 _NON_NEGATIVE = _range(lambda v: v >= 0, "must be non-negative")
+
+
+def _default(function, name: str):
+    """The default of the parameter `name` of `function`: a config field
+    that sets the same value takes it from there, so it is defined once."""
+    return inspect.signature(function).parameters[name].default
 
 
 @dataclass(frozen=True)
@@ -78,12 +86,15 @@ class PipelineConfig:
     extraction: ExtractionConfig = field(default_factory=ExtractionConfig)
     cell: float | None = field(default=None, metadata=_POSITIVE)
     band: float | None = field(default=None, metadata=_POSITIVE)
-    depth: float = field(default=0.1, metadata=_POSITIVE)
+    depth: float = field(default=_default(reconstruct_model, "depth"),
+                         metadata=_POSITIVE)
     margin: float | None = field(default=None, metadata=_NON_NEGATIVE)
-    iou_min: float = field(default=0.5, metadata=_range(
-        lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"))
+    iou_min: float = field(default=_default(match_instances, "iou_min"),
+                           metadata=_range(lambda v: 0.0 < v <= 1.0,
+                                           "must lie in (0, 1]"))
     samples: int = field(default=2000, metadata=_POSITIVE)
-    sample_seed: int = field(default=0, metadata=_NON_NEGATIVE)
+    sample_seed: int = field(default=_default(sample_model_points, "seed"),
+                             metadata=_NON_NEGATIVE)
 
     def __post_init__(self):
         for name in ("rays", "solid", "out_dir"):
@@ -247,10 +258,12 @@ def run_pipeline(config: PipelineConfig) -> dict:
     with _stage("raycast"):
         tree = build_occupancy(_rays(config.rays), surface, config.occupancy)
         save(write_tree, tree, "tree")
-    points = probs = None
+    frames = {face_id: facade_frame(face, config.raster_cell)
+              for face_id, face in faces.items()}
+    point_rasters = {}
     if config.points:
         with _stage("project-points"):
-            points, probs = read_labeled_points(config.points)
+            point_rasters = _project_points(config.points, frames, config.band)
     image = image_channels = homography = None
     if config.image:
         with _stage("project-image"):
@@ -264,16 +277,15 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
     instances = []
     for face_id, face in faces.items():
-        frame = facade_frame(face, config.raster_cell)
+        frame = frames[face_id]
         with _stage("conflicts"):
             conflict = project_conflict_map(tree, face, surface[face_id],
                                             config.uncertainty, frame)
             save(write_raster, conflict, f"conflict_{face_id}")
-        pc = tex = None
-        if points is not None:
+        # popped: a point raster is freed once its face is done
+        pc, tex = point_rasters.pop(face_id, None), None
+        if pc is not None:
             with _stage("project-points"):
-                pc = project_point_probabilities(points, probs, frame,
-                                                 band=config.band)
                 save(write_raster, pc, f"points_{face_id}")
         if image is not None:
             with _stage("project-image"):
@@ -328,6 +340,22 @@ def _rays(path):
             yield block
             block = read_rays(blocks)
     return rest(read_rays(blocks))
+
+
+def _project_points(path, frames: dict, band) -> dict:
+    """Face id -> the point raster of each frame of `frames`, the labeled
+    points of `path` projected into every one block by block, each block
+    read by one call of this module's `read_labeled_points`."""
+    rasters = {face_id: FacadeRaster.zeros(frame, POINT_LABELS)
+               for face_id, frame in frames.items()}
+    blocks = point_blocks(path)
+    points, probs = read_labeled_points(blocks)
+    while len(points):
+        for raster in rasters.values():
+            project_point_probabilities(points, probs, raster.frame, band,
+                                        out=raster)
+        points, probs = read_labeled_points(blocks)
+    return rasters
 
 
 def _read_optional(read, path):
@@ -426,10 +454,9 @@ def _cmd_conflicts(args) -> int:
 
 
 def _cmd_project_points(args) -> int:
-    points, probs = read_labeled_points(args.points)
     _, frame = _face_frame(args, _VOXEL_SIZE)
-    raster = project_point_probabilities(points, probs, frame, band=args.band)
-    write_raster(raster, args.out)
+    rasters = _project_points(args.points, {args.face: frame}, args.band)
+    write_raster(rasters[args.face], args.out)
     print(f"wrote {args.out}")
     return 0
 

@@ -63,15 +63,9 @@ from .errors import DomainError, ParseError
 # updates (candidate crossings, origin segments and hits) integrated per
 # chunk of rays; the temporaries take a few hundred bytes per update.
 # Larger chunks only touch more fresh pages; smaller ones pay numpy's
-# per-call cost more often, which shows at 10^6 rays
+# per-call cost more often, which shows at 10^6 rays. Chunks span the
+# reader's blocks, so the chunk count does not depend on their size
 CHUNK_UPDATES = 1 << 14
-
-# rays read per block. The parsed rows and the per-ray arrays grow with
-# the block; each block pays numpy's per-call cost in the reader and in
-# preparing its rays (0.6 ms at 2^10 rays on four faces, 1.5 ms at
-# 2^12, on a 2-core VM), which made 2^10 slow the 16,000-ray demo by
-# 7-10 %. Chunks span blocks, so the chunk count does not depend on it
-RAY_BLOCK = 1 << 12
 
 # voxel indices stay exact float integers below this magnitude
 _INDEX_LIMIT = 2.0 ** 53
@@ -513,10 +507,10 @@ def _prepare(rays, cfg: OccupancyConfig, boxes) -> list:
 
 def ray_blocks(path):
     """Yield the rays of `path` in file order as (k, 7) arrays of at most
-    RAY_BLOCK rays, the hit flag as 0.0 or 1.0. One ray per line:
-    ox oy oz ex ey ez hit(0|1), finite coordinates. A bad line is raised
-    when its block is reached."""
-    for table in textio.table_blocks(path, _RAY_ROW, RAY_BLOCK, lambda t: [
+    `textio.BLOCK_ROWS` rays, the hit flag as 0.0 or 1.0. One ray per
+    line: ox oy oz ex ey ez hit(0|1), finite coordinates. A bad line is
+    raised when its block is reached."""
+    for table in textio.table_blocks(path, _RAY_ROW, lambda t: [
             ((t["hit"] != 0) & (t["hit"] != 1), "hit flag must be 0 or 1"),
             (~np.isfinite(t["ray"]).all(axis=1), "non-finite coordinate")]):
         yield np.column_stack([table["ray"], table["hit"].astype(float)])

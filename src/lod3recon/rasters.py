@@ -155,33 +155,53 @@ def require_same_frame(*rasters) -> None:
 # point-cloud probability projection
 
 def project_point_probabilities(points, probs, frame: FacadeFrame,
-                                band: float | None = None) -> FacadeRaster:
+                                band: float | None = None,
+                                out: FacadeRaster | None = None) -> FacadeRaster:
     """Max-aggregate per-point class probabilities onto the facade grid.
 
     Points outside the distance band or the raster bounds are dropped;
-    untouched pixels keep zero in every channel.
+    untouched pixels keep zero in every channel. With `out`, a point
+    raster of `frame`, the points are maxed into it in place: the maximum
+    does not depend on order, so any split of the points into blocks
+    gives the raster of all of them at once.
     """
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 2 or probs.shape[1] != len(POINT_LABELS):
         raise DomainError(f"probs must be (N, {len(POINT_LABELS)})")
-    raster = FacadeRaster.zeros(frame, POINT_LABELS)
-    if len(probs) == 0:
+    raster = FacadeRaster.zeros(frame, POINT_LABELS) if out is None else out
+    n = len(probs)
+    if n == 0:
         return raster
-    rows, cols, inside = frame.to_pixels(points, band)
+    if n == 1:
+        # a row of a product of two or more rows does not depend on their
+        # count (geom.row_products): a lone point is projected as a row of
+        # two, so its pixel does not depend on the block it came in
+        points = np.repeat(np.atleast_2d(points), 2, axis=0)
+    rows, cols, inside = (a[:n] for a in frame.to_pixels(points, band))
     rows, cols, probs = rows[inside], cols[inside], probs[inside]
     flat = raster.data.reshape(-1, len(POINT_LABELS))
     np.maximum.at(flat, rows * frame.width + cols, probs.astype(np.float32))
     return raster
 
 
-def read_labeled_points(path):
-    """x y z followed by one probability per point label (11 columns);
-    coordinates must be finite and probabilities lie in [0, 1]."""
-    _, table = textio.table(path, 0, _values(3 + len(POINT_LABELS)), lambda t: [
-        (~np.isfinite(t["v"][:, :3]).all(axis=1), "non-finite coordinate"),
-        (~((t["v"][:, 3:] >= 0.0) & (t["v"][:, 3:] <= 1.0)).all(axis=1),
-         "probability outside [0, 1]")])
-    return table["v"][:, :3], table["v"][:, 3:]
+def point_blocks(path):
+    """Yield the labeled points of `path` in file order as (points, probs)
+    blocks of at most `textio.BLOCK_ROWS` rows: x y z followed by one
+    probability per point label (11 columns); coordinates must be finite
+    and probabilities lie in [0, 1]. A bad line is raised when its block
+    is reached."""
+    row = _values(3 + len(POINT_LABELS))
+    for table in textio.table_blocks(path, row, lambda t: [
+            (~np.isfinite(t["v"][:, :3]).all(axis=1), "non-finite coordinate"),
+            (~((t["v"][:, 3:] >= 0.0) & (t["v"][:, 3:] <= 1.0)).all(axis=1),
+             "probability outside [0, 1]")]):
+        yield table["v"][:, :3], table["v"][:, 3:]
+
+
+def read_labeled_points(blocks):
+    """The next (points, probs) block of the `point_blocks` iterator
+    `blocks`; no points, (0, 3) and (0, 8) arrays, once it is spent."""
+    return next(blocks, (np.empty((0, 3)), np.empty((0, len(POINT_LABELS)))))
 
 
 @contextlib.contextmanager

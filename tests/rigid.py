@@ -15,9 +15,9 @@ import numpy as np
 
 from lod3recon.model_io import BuildingSolid, Face, Ring, read_solid, write_solid
 from lod3recon.occupancy import ray_writer
-from lod3recon.rasters import point_writer, read_labeled_points
+from lod3recon.rasters import point_writer
 
-from scenes import read_all_rays
+from scenes import read_all_points, read_all_rays
 
 MOVED_FILES = ("rays.txt", "points.txt", "solid.txt")
 
@@ -52,7 +52,7 @@ def move_scene(src, dst, move) -> None:
     rays[:, :3], rays[:, 3:6] = move(rays[:, :3]), move(rays[:, 3:6])
     with ray_writer(dst / "rays.txt") as write:
         write(rays)
-    points, probs = read_labeled_points(src / "points.txt")
+    points, probs = read_all_points(src / "points.txt")
     with point_writer(dst / "points.txt") as write:
         write(move(points), probs)
     write_solid(move_solid(read_solid(src / "solid.txt"), move), dst / "solid.txt")

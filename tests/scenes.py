@@ -3,6 +3,7 @@
 import numpy as np
 
 from lod3recon.occupancy import ray_blocks
+from lod3recon.rasters import POINT_LABELS, point_blocks
 from lod3recon.synth import SceneSpec, SynthOpening, generate_scan
 
 
@@ -34,3 +35,11 @@ def read_all_rays(path) -> np.ndarray:
     """Every ray of the file at `path` as one (n, 7) array, its blocks
     joined."""
     return np.concatenate([np.empty((0, 7)), *ray_blocks(path)])
+
+
+def read_all_points(path):
+    """(points, probs) of every labeled point of the file at `path`, each
+    one array, their blocks joined."""
+    blocks = [(np.empty((0, 3)), np.empty((0, len(POINT_LABELS)))),
+              *point_blocks(path)]
+    return tuple(np.concatenate(part) for part in zip(*blocks))

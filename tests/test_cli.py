@@ -1,8 +1,10 @@
 """CLI surface: config parsing, subcommand wiring, exit codes, pipeline."""
 
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -14,13 +16,16 @@ from lod3recon.evaluate import read_metrics, sample_model_points, triangulate_mo
 from lod3recon.extraction import ExtractionConfig, OpeningInstance, \
     read_instances, write_instances
 from lod3recon.model_io import BuildingSolid, Face, Ring, box_solid, \
-    write_solid
+    read_solid, write_solid
 from lod3recon.occupancy import OccupancyConfig, read_tree
-from lod3recon.rasters import FacadeRaster, facade_frame, write_raster
+from lod3recon.rasters import (FacadeRaster, facade_frame, point_writer,
+                               project_point_probabilities, write_raster)
 from lod3recon.reconstruct import read_model
+from lod3recon.synth import SceneSpec, scene_solid
 from lod3recon.visibility import UncertaintyConfig
 
 import oracles
+import scenes
 
 
 SCENE_ARGS = ["--width", "4", "--height", "2", "--depth", "2", "--seed", "5",
@@ -1140,7 +1145,7 @@ def test_benchmark_tracer_counts_rays_and_voxels(scene_dir, tmp_path, monkeypatc
         assert getattr(cli, name) is getattr(occupancy, name)
     for name, obj in list(vars(cli).items()):
         monkeypatch.setattr(cli, name, obj)     # undone after the test
-    monkeypatch.setattr(occupancy, "RAY_BLOCK", 1000)   # rays in four blocks
+    monkeypatch.setattr(textio, "BLOCK_ROWS", 1000)   # rays in four blocks
     tracer = Tracer("test")
     tracer.install(cli)
     rays, tree = scene_dir / "rays.txt", tmp_path / "tree.txt"
@@ -1257,3 +1262,124 @@ def test_pixel_grid_with_a_duplicate_channel_exits_2(scene_dir, tmp_path, capsys
                      "--out", str(tmp_path / "out.txt")]) == 2
     err = capsys.readouterr().err
     assert err == f"error: project-image: {image}:2: duplicate channel 'door'\n"
+
+
+# ---------------------------------------------------------------------------
+# labeled points stream through projection in blocks
+
+def _point_lines(path) -> list:
+    """The lines with content of the labeled point file at `path`."""
+    return [text for _, text in textio.content_lines(path)]
+
+
+def _scene_config(scene_dir, path, **changes):
+    """The scene's config with absolute paths and `changes`, where a
+    value of None drops the key, written to `path`."""
+    raw = textio.key_values(scene_dir / "scene.cfg")
+    raw = {key: value if key == "faces" else str(scene_dir / value)
+           for key, value in raw.items()}
+    raw.update(changes)
+    path.write_text("".join(f"{key} = {value}\n" for key, value in raw.items()
+                            if value is not None))
+    return path
+
+
+@pytest.mark.parametrize("rows", [1, 7, 4096])
+def test_any_split_of_the_points_writes_the_same_rasters(scene_dir, tmp_path,
+                                                         monkeypatch, rows):
+    # runs of seven points far off every face leave some blocks of seven
+    # without a point to project, and the count leaves one point for the
+    # last block of seven
+    far = " ".join(["2", "-50", "1"] + ["0.5"] * 8)
+    lines = ["# x y z p..."]
+    for i, line in enumerate(_point_lines(scene_dir / "points.txt")):
+        if i % 400 == 0:
+            lines += ["# seven points far off", *[far] * 7, ""]
+        lines.append(line)
+    assert sum(1 for line in lines if line and line[0] != "#") % 7 == 1
+    points = tmp_path / "points.txt"
+    points.write_bytes("".join(line + ("\r\n" if i % 3 else "\n")
+                               for i, line in enumerate(lines)).encode())
+    # every wall's raster of all the points projected at once
+    walls = [f for f in read_solid(scene_dir / "solid.txt").faces
+             if f.label == "wall"]
+    want = {}
+    for face in walls:
+        frame = facade_frame(face, OccupancyConfig().voxel_size)
+        write_raster(project_point_probabilities(
+            *scenes.read_all_points(points), frame), tmp_path / "want.txt")
+        want[face.face_id] = (tmp_path / "want.txt").read_bytes()
+    monkeypatch.setattr(textio, "BLOCK_ROWS", rows)
+    cfg = _scene_config(scene_dir, tmp_path / "scene.cfg", points=str(points),
+                        faces=None, out_dir=str(tmp_path / "out"))
+    assert cli.main(["pipeline", "--config", str(cfg)]) == 0
+    for face_id, raster in want.items():
+        assert (tmp_path / "out" / f"points_{face_id}.txt").read_bytes() == raster
+    alone = tmp_path / "alone.txt"
+    assert cli.main(["project-points", "--points", str(points),
+                     "--solid", str(scene_dir / "solid.txt"),
+                     "--face", "wall_back", "--out", str(alone)]) == 0
+    assert alone.read_bytes() == want["wall_back"]
+
+
+def test_points_stage_memory_does_not_grow_with_the_points(tmp_path):
+    # the front scene's points once and eight times over: the stage holds
+    # no array over all points
+    spec = SceneSpec(seed=7)
+    _, points, probs = scenes.scan(spec)
+    frame = facade_frame(scene_solid(spec).face("wall_front"),
+                         OccupancyConfig().voxel_size)
+    once, eight = tmp_path / "once.txt", tmp_path / "eight.txt"
+    with point_writer(once) as write:
+        write(points, probs)
+    head, body = once.read_text().split("\n", 1)
+    eight.write_text(head + "\n" + body * 8)
+
+    def peak(path):
+        tracemalloc.start()
+        try:
+            cli._project_points(path, {"wall_front": frame}, None)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(eight) < peak(once) + 1e6
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("1 2 3 0.5 0.5 0.5 0.5 0.5 0.5 0.5 1.5", r"probability outside \[0, 1\]"),
+    ("1 2 nan 0.5 0.5 0.5 0.5 0.5 0.5 0.5 0.5", "non-finite coordinate"),
+    ("1 2 3 0.5 0.5 x 0.5 0.5 0.5 0.5 0.5", "bad number"),
+    ("1 2 3 0.5 0.5 0.5 0.5 0.5 0.5 0.5", "expected 11 columns"),
+], ids=["probability", "non-finite", "not-a-number", "columns"])
+@pytest.mark.parametrize("via", ["pipeline", "project-points"])
+def test_bad_point_in_the_third_block_names_its_line(scene_dir, tmp_path, capsys,
+                                                     monkeypatch, bad, message,
+                                                     via):
+    # the 2,501st point, in the third block of 1,000, after a comment line
+    # in the first and a CRLF line in the second
+    monkeypatch.setattr(textio, "BLOCK_ROWS", 1000)
+    lines = _point_lines(scene_dir / "points.txt")
+    assert len(lines) > 3000
+    lines[2500], lines[2900] = bad, "1 2 3" + " 7" * 8   # the later one unreported
+    lines.insert(500, "# a comment line")
+    points = tmp_path / "points.txt"
+    points.write_bytes("".join(line + ("\r\n" if i == 1500 else "\n")
+                               for i, line in enumerate(lines)).encode())
+    no = lines.index(bad) + 1
+    out = tmp_path / "out"
+    if via == "pipeline":
+        cfg = _scene_config(scene_dir, tmp_path / "scene.cfg",
+                            points=str(points), out_dir=str(out))
+        argv = ["pipeline", "--config", str(cfg)]
+    else:
+        argv = ["project-points", "--points", str(points),
+                "--solid", str(scene_dir / "solid.txt"), "--face", "wall_front",
+                "--out", str(out / "points_wall_front.txt")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        f"error: project-points: {re.escape(str(points))}:{no}: {message}[^\n]*\n",
+        err)
+    assert (out / "tree.txt").exists() == (via == "pipeline")
+    assert not list(out.glob("points_*"))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lod3recon import geom, occupancy
+from lod3recon import geom, occupancy, textio
 from lod3recon.errors import DomainError, ParseError
 from lod3recon.occupancy import OccupancyConfig, build_occupancy
 from lod3recon.synth import SceneSpec, SynthOpening, scene_solid
@@ -511,7 +511,7 @@ def test_build_memory_does_not_grow_with_the_rays():
     surface = {"wall_front": surface_voxels(face, OccupancyConfig().voxel_size)}
 
     def peak(repeats):
-        step = occupancy.RAY_BLOCK
+        step = textio.BLOCK_ROWS
         blocks = (rays[a:a + step] for _ in range(repeats)
                   for a in range(0, len(rays), step))
         tracemalloc.start()
@@ -648,7 +648,7 @@ def _line_no(text, line):
 
 
 def test_ray_blocks_read_the_whole_file(tmp_path, monkeypatch):
-    monkeypatch.setattr(occupancy, "RAY_BLOCK", 4)
+    monkeypatch.setattr(textio, "BLOCK_ROWS", 4)
     path = tmp_path / "rays.txt"
     for n in (0, 1, 4, 11, 12):
         path.write_bytes(_ray_file(_ray_lines(n)).encode())
@@ -669,7 +669,7 @@ def test_bad_line_in_the_third_block_names_its_line(tmp_path, monkeypatch, bad,
                                                     message, numpy_fails_before):
     # the tenth ray, in the third block of four; from the second block on
     # the lines are parsed as Python reads them where numpy fails there
-    monkeypatch.setattr(occupancy, "RAY_BLOCK", 4)
+    monkeypatch.setattr(textio, "BLOCK_ROWS", 4)
     lines = _ray_lines(12)
     if numpy_fails_before:
         lines[5] = "5 0 0 1_0 1 1 1"
@@ -687,7 +687,7 @@ def test_bad_line_in_the_third_block_names_its_line(tmp_path, monkeypatch, bad,
 
 def test_ray_file_reports_the_first_bad_line_of_a_block(tmp_path, monkeypatch):
     # a bad flag before a bad number in the same block is the one reported
-    monkeypatch.setattr(occupancy, "RAY_BLOCK", 4)
+    monkeypatch.setattr(textio, "BLOCK_ROWS", 4)
     lines = _ray_lines(12)
     lines[8], lines[10] = "8 0 0 1 1 1 2", "10 0 x 1 1 1 0"
     path = tmp_path / "rays.txt"

@@ -12,8 +12,8 @@ from lod3recon import synth
 from lod3recon.errors import SpecError
 from lod3recon.model_io import read_solid
 from lod3recon.extraction import read_instances
-from lod3recon.rasters import (read_correspondences, read_labeled_points,
-                               read_pixel_grid, POINT_LABELS)
+from lod3recon.rasters import (read_correspondences, read_pixel_grid,
+                               POINT_LABELS)
 from lod3recon.synth import SceneSpec, SynthOpening
 
 import oracles
@@ -243,7 +243,7 @@ def test_scene_files_round_trip(tmp_path):
     solid = read_solid(paths["solid"])
     assert solid.face(synth.FRONT_FACE) is not None
     assert len(scenes.read_all_rays(paths["rays"])) == 800
-    points, probs = read_labeled_points(paths["points"])
+    points, probs = scenes.read_all_points(paths["points"])
     assert points.shape == (800, 3) and probs.shape[1] == len(POINT_LABELS)
     image, channels = read_pixel_grid(paths["image"])
     assert channels == synth.IMAGE_CHANNELS and image.shape == (40, 80, 2)

@@ -30,8 +30,10 @@ def _functions(prefix="", suffix=""):
 
 
 READERS = {**_functions("read_"), "textio.key_values": textio.key_values,
-           # the next block of the file's rays, the first here
-           "occupancy.read_rays": lambda p: occupancy.read_rays(occupancy.ray_blocks(p))}
+           # the next block of the file's rays or points, the first here
+           "occupancy.read_rays": lambda p: occupancy.read_rays(occupancy.ray_blocks(p)),
+           "rasters.read_labeled_points":
+               lambda p: rasters.read_labeled_points(rasters.point_blocks(p))}
 
 
 def _solid():
