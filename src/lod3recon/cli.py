@@ -404,9 +404,9 @@ def _score(pred, gt, measured, models, settings) -> dict:
     metrics = {"AO": counts.AO, "MO": counts.MO, "D": counts.D,
                "TP": counts.TP, "FP": counts.FP, "FN": counts.FN,
                "DA": da, "FA": fa, "DM": dm,
-               "median_iou": median_instance_iou(pred, gt, matches)}
-    if dm is None:
-        del metrics["DM"]
+               "median_iou": median_instance_iou(pred, gt, matches) if gt else None}
+    # a rate without a denominator is left out
+    metrics = {k: v for k, v in metrics.items() if v is not None}
     if matches:
         metrics["median_iou_matched"] = median_instance_iou(
             pred, gt, matches, matched_only=True)

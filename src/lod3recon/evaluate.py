@@ -51,12 +51,11 @@ class DetectionCounts:
 def detection_rates(counts: DetectionCounts) -> tuple:
     """(DA, FA, DM) integer percentages.
 
-    DA = 100 TP / AO, FA = 100 FP / D (zero when nothing was detected),
-    DM = 100 TP / MO (None when no opening was measured).
+    DA = 100 TP / AO (None when there is no opening), FA = 100 FP / D
+    (zero when nothing was detected), DM = 100 TP / MO (None when no
+    opening was measured).
     """
-    if counts.AO <= 0:
-        raise DomainError("AO must be positive to compute detection rates")
-    da = round(100.0 * counts.TP / counts.AO)
+    da = round(100.0 * counts.TP / counts.AO) if counts.AO > 0 else None
     fa = round(100.0 * counts.FP / counts.D) if counts.D > 0 else 0
     dm = round(100.0 * counts.TP / counts.MO) if counts.MO > 0 else None
     return da, fa, dm

@@ -11,14 +11,15 @@ beyond the voxel along the ray. A distance of +inf marks evidence that
 never arrived; its point is then zero.
 
 `build_occupancy` takes the rays block by block, as `ray_blocks` reads
-them, and integrates them with numpy in chunks of about `CHUNK_UPDATES`
-voxel updates, which may span blocks: no array spans more than a block
-and a chunk of rays, so memory does not grow with the scan. Voxel keys
-are packed relative to the box of the kept keys, and a key outside that
-box is dropped unpacked. A voxel's values depend on its own updates
-only, so dropping the updates of other voxels changes no kept voxel.
-The result is bit for bit that of integrating the rays one at a time in
-file order, however they are split into blocks:
+them, and integrates each block with numpy in chunks of about
+`CHUNK_UPDATES` voxel updates, the last of which ends with the block:
+no array spans more than a block of rays, so memory does not grow with
+the scan. Voxel keys are packed relative to the box of the kept keys,
+and a key outside that box is dropped unpacked. A voxel's values depend
+on its own updates only, so dropping the updates of other voxels
+changes no kept voxel. The result is bit for bit that of integrating
+the rays one at a time in file order, however they are split into
+blocks or chunks:
 
 - Traversal (Amanatides & Woo 1987): a segment crosses boundary n of an
   axis at t = (n * voxel_size - o) / d, computed from the integer index
@@ -63,8 +64,7 @@ from .errors import DomainError, ParseError
 # updates (candidate crossings, origin segments and hits) integrated per
 # chunk of rays; the temporaries take a few hundred bytes per update.
 # Larger chunks only touch more fresh pages; smaller ones pay numpy's
-# per-call cost more often, which shows at 10^6 rays. Chunks span the
-# reader's blocks, so the chunk count does not depend on their size
+# per-call cost more often, which shows at 10^6 rays
 CHUNK_UPDATES = 1 << 14
 
 # voxel indices stay exact float integers below this magnitude
@@ -448,27 +448,18 @@ def build_occupancy(rays, surface: dict,
 
 
 def _chunks(blocks, cfg: OccupancyConfig, boxes):
-    """The rays of `blocks` in order, in chunks of about CHUNK_UPDATES
-    voxel updates that may span blocks: the rays of the last chunk of a
-    block wait for the next block. Per chunk, as `_prepare` makes them:
-    origins, cut endpoints, hit flags, lengths, endpoint keys, the rays
-    walked and every ray's window."""
-    held = _prepare(np.empty((0, 7)), cfg, boxes)   # rays of an open chunk
-    before = 0   # the updates of the rays before them
-    for rays in itertools.chain(blocks, [None]):   # None: no more rays
-        if rays is not None:
-            held = [np.concatenate(pair) for pair in zip(held, _prepare(rays, cfg, boxes))]
-        cost = held[-1]
-        chunk = (before + np.cumsum(cost) - cost) // CHUNK_UPDATES
-        # rays of the last chunk may follow, unless the rays are spent
-        done = (len(chunk) if rays is None or not len(chunk)
-                else int(np.searchsorted(chunk, chunk[-1])))
-        bounds = [*np.flatnonzero(np.diff(chunk[:done], prepend=-1)).tolist(), done]
+    """The rays of `blocks` in order, each block in chunks of about
+    CHUNK_UPDATES voxel updates; a block's last chunk ends with it. Per
+    chunk, as `_prepare` makes them: origins, cut endpoints, hit flags,
+    lengths, endpoint keys, the rays walked and every ray's window."""
+    for rays in blocks:
+        columns = _prepare(rays, cfg, boxes)
+        cost = columns[-1]
+        chunk = (np.cumsum(cost) - cost) // CHUNK_UPDATES
+        bounds = [*np.flatnonzero(np.diff(chunk, prepend=-1)).tolist(), len(chunk)]
         for a, b in itertools.pairwise(bounds):
-            o, e, hit, length, end, walked, window, _ = (c[a:b] for c in held)
+            o, e, hit, length, end, walked, window, _ = (c[a:b] for c in columns)
             yield o, e, hit, length, end, np.flatnonzero(walked), window
-        before += int(cost[:done].sum())
-        held = [c[done:] for c in held]
 
 
 def _prepare(rays, cfg: OccupancyConfig, boxes) -> list:

@@ -69,7 +69,9 @@ class Lod3Model:
 # ---------------------------------------------------------------------------
 # instance merging
 
-def _rects_touch(a, b) -> bool:
+def rects_touch(a, b) -> bool:
+    """Whether the closed (u0, v0, u1, v1) rects `a` and `b` overlap or
+    share an edge or a corner."""
     return a[0] <= b[2] and b[0] <= a[2] and a[1] <= b[3] and b[1] <= a[3]
 
 
@@ -93,7 +95,7 @@ def merge_overlapping_instances(instances) -> list:
     for inst in instances:
         merged = [inst]
         while hits := [g for g in groups if g[0].face_id == inst.face_id
-                       and _rects_touch(_bounds(merged), _bounds(g))]:
+                       and rects_touch(_bounds(merged), _bounds(g))]:
             merged = [m for g in hits for m in g] + merged
             for g in hits:
                 groups.remove(g)
@@ -191,7 +193,7 @@ def cut_openings(solid: BuildingSolid, instances, depth: float,
         for i in range(len(insts)):
             for j in range(i + 1, len(insts)):
                 # touching rects would leave a zero-thickness wall sliver
-                if _rects_touch(insts[i].rect, insts[j].rect):
+                if rects_touch(insts[i].rect, insts[j].rect):
                     raise ValidationError(
                         f"overlapping or touching instances on face "
                         f"{face_id}; merge first")

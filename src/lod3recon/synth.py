@@ -31,6 +31,7 @@ from .model_io import OPENING_LABELS, BuildingSolid, box_solid, write_solid
 from .occupancy import ray_writer
 from .rasters import (POINT_LABELS, point_writer, write_correspondences,
                       write_pixel_grid)
+from .reconstruct import rects_touch
 
 FRONT_FACE = "wall_front"
 IMAGE_CHANNELS = ("window", "door")
@@ -112,8 +113,7 @@ class SceneSpec:
         for i in range(len(openings)):
             for j in range(i + 1, len(openings)):
                 a, b = openings[i].rect, openings[j].rect
-                if (a[0] <= b[2] and b[0] <= a[2]
-                        and a[1] <= b[3] and b[1] <= a[3]):
+                if rects_touch(a, b):
                     raise SpecError(f"openings {a} and {b} overlap")
 
 

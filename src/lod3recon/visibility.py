@@ -221,22 +221,18 @@ def classify_surface_voxels(tree: OccupancyTree, face, keys,
     return state, p_conf, p_confl
 
 
-def project_conflict_map(tree: OccupancyTree, face, keys,
-                         config: UncertaintyConfig | None = None,
-                         frame: rasters.FacadeFrame | None = None) -> rasters.FacadeRaster:
+def project_conflict_map(tree: OccupancyTree, face, keys, config: UncertaintyConfig,
+                         frame: rasters.FacadeFrame) -> rasters.FacadeRaster:
     """Three-channel facade raster (conflicted, confirmed, unknown) of
-    the face's surface voxels `keys`.
+    the face's surface voxels `keys` in `frame`.
 
     A pixel takes the scores of its first most conflicted voxel in key
     order; pixels without any measured surface voxel stay fully unknown.
     """
-    cfg = config or UncertaintyConfig()
     vs = tree.config.voxel_size
-    if frame is None:
-        frame = rasters.facade_frame(face, vs)
     raster = rasters.FacadeRaster.zeros(frame, rasters.CONFLICT_CHANNELS)
     raster.data[:, :, 2] = 1.0
-    state, p_conf, p_confl = classify_surface_voxels(tree, face, keys, cfg)
+    state, p_conf, p_confl = classify_surface_voxels(tree, face, keys, config)
     measured = state != "unknown"
     centers = (keys[measured] + 0.5) * vs
     rows, cols, inside = frame.to_pixels(centers)

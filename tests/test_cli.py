@@ -21,7 +21,7 @@ from lod3recon.occupancy import OccupancyConfig, read_tree
 from lod3recon.rasters import (FacadeRaster, facade_frame, point_writer,
                                project_point_probabilities, write_raster)
 from lod3recon.reconstruct import read_model
-from lod3recon.synth import SceneSpec, scene_solid
+from lod3recon.synth import FRONT_FACE, SceneSpec, scene_solid, synth_scene
 from lod3recon.visibility import UncertaintyConfig
 
 import oracles
@@ -351,6 +351,29 @@ def test_pipeline_with_only_covered_openings_leaves_dm_out(tmp_path):
     assert "DM" not in metrics
     report = (tmp_path / "artifacts" / "report.txt").read_text().splitlines()
     assert not [line for line in report if line.split()[0] == "DM"]
+
+
+def test_wall_without_openings_leaves_da_and_median_iou_out(tmp_path, capsys):
+    # no opening exists: DA and the median IoU have no denominator, so
+    # the pipeline and `evaluate` against the empty truth report the rest
+    paths = synth_scene(SceneSpec(openings=(), seed=7), tmp_path)
+    cfg = tmp_path / "scene.cfg"
+    cfg.write_text("".join(f"{key} = {path}\n" for key, path in paths.items())
+                   + f"faces = {FRONT_FACE}\nout_dir = artifacts\n")
+    assert cli.main(["pipeline", "--config", str(cfg)]) == 0
+    out = tmp_path / "artifacts"
+    metrics = read_metrics(out / "metrics.txt")
+    assert (metrics["AO"], metrics["MO"], metrics["TP"]) == (0, 0, 0)
+    assert {"FA", "rms_deviation", "watertight"} <= set(metrics)
+    assert not {"DA", "DM", "median_iou", "median_iou_matched"} & set(metrics)
+    report = (out / "report.txt").read_text().splitlines()
+    assert not [line for line in report if line.split()[0] in ("DA", "median_iou")]
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--pred", str(out / "instances.txt"),
+                     "--gt", paths["gt_instances"],
+                     "--out", str(tmp_path / "metrics.txt")]) == 0
+    scored = read_metrics(tmp_path / "metrics.txt")
+    assert list(scored) == ["AO", "MO", "D", "TP", "FP", "FN", "FA"]
 
 
 def test_pipeline_missing_rays_names_stage(scene_dir, tmp_path, capsys):
@@ -732,12 +755,16 @@ def test_out_of_range_option_exits_2(scene_dir, artifacts_dir, tmp_path,
     assert not out.exists()
 
 
-def test_evaluate_empty_inputs_exit_1(tmp_path, capsys):
+def test_evaluate_empty_inputs_report_the_counts(tmp_path, capsys):
+    # nothing to find and nothing found: only the counts and FA remain
     empty = tmp_path / "none.txt"
     write_instances([], empty)
     rc = cli.main(["evaluate", "--pred", str(empty), "--gt", str(empty)])
-    assert rc == 1
-    assert "error:" in capsys.readouterr().err
+    assert rc == 0
+    out, err = capsys.readouterr()
+    assert [line.split()[0] for line in out.splitlines()[2:]] == [
+        "AO", "MO", "D", "TP", "FP", "FN", "FA"]
+    assert not err
 
 
 def test_conflicts_unknown_face_exits_2(scene_dir, artifacts_dir,

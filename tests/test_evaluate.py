@@ -64,9 +64,10 @@ def test_rates_round_half_to_even():
     assert detection_rates(DetectionCounts(8, 8, 8, 1, 1, 7))[1] == 12
 
 
-def test_rates_require_positive_ao():
-    with pytest.raises(DomainError):
-        detection_rates(DetectionCounts(0, 5, 1, 1, 0, 0))
+def test_rates_leave_da_out_without_openings():
+    # no opening exists, so DA has no denominator; FA still has one
+    assert detection_rates(DetectionCounts(0, 0, 2, 0, 2, 0)) == (None, 100, None)
+    assert detection_rates(DetectionCounts(0, 0, 0, 0, 0, 0)) == (None, 0, None)
 
 
 def test_rates_leave_dm_out_without_measured_openings():

@@ -470,6 +470,25 @@ def test_any_split_into_blocks_writes_the_same_tree(tmp_path_factory, family,
     assert cells(tree) == _oracle_cells(rays, cfg)
 
 
+def test_no_chunk_holds_rays_of_two_blocks(monkeypatch):
+    # one ray a block, an empty block after each: a block's last chunk
+    # ends with it, so no walk takes more than one ray
+    walked = []
+    traverse = occupancy.traverse
+
+    def counted(origins, *args):
+        walked.append(len(origins))
+        return traverse(origins, *args)
+
+    monkeypatch.setattr(occupancy, "traverse", counted)
+    rng = np.random.default_rng(11)
+    cfg = OccupancyConfig(max_range=1.5)
+    rays = _uniform(rng, 60)
+    ones = (block for r in rays for block in (r[None], r[:0]))
+    build_occupancy(ones, {"f": _box(rays, cfg)}, cfg)
+    assert max(walked) == 1
+
+
 def test_rays_far_outside_the_surface_box_build_the_oracles_tree():
     # short rays some 3e5 m and 4e10 m away on every side: the rays' key
     # box holds far more than 2^63 keys, the surface's box a few thousand

@@ -441,7 +441,9 @@ def test_classify_surface_voxels_states():
 
 def test_conflict_map_channels():
     face, tree, window, untouched = _mini_scene()
-    r = visibility.project_conflict_map(tree, face, surface_voxels(face, 0.1))
+    frame = rasters.facade_frame(face, 0.1)
+    r = visibility.project_conflict_map(tree, face, surface_voxels(face, 0.1),
+                                        UncertaintyConfig(), frame)
     assert r.channels == ("conflicted", "confirmed", "unknown")
     assert (r.frame.width, r.frame.height) == (10, 4)
     # rows sum to one everywhere
@@ -455,7 +457,7 @@ def test_conflict_map_takes_the_most_conflicted_voxel():
     face, tree, window, untouched = _mini_scene()
     frame = rasters.facade_frame(face, 0.2)  # two voxels per pixel edge
     keys = surface_voxels(face, 0.1)
-    r = visibility.project_conflict_map(tree, face, keys, frame=frame)
+    r = visibility.project_conflict_map(tree, face, keys, UncertaintyConfig(), frame)
     # pixel (0, 1) covers voxels ix in {2,3}, iz in {0,1}: one conflicted
     # window voxel among confirmed wall voxels
     assert r.data[0, 1, 0] > 0.99
@@ -467,7 +469,8 @@ def test_conflict_map_unknown_only_pixel():
     face = wall_face()
     keys = surface_voxels(face, 0.1)
     tree = build_occupancy(np.empty((0, 7)), {"f": keys})  # no rays at all
-    r = visibility.project_conflict_map(tree, face, keys)
+    r = visibility.project_conflict_map(tree, face, keys, UncertaintyConfig(),
+                                        rasters.facade_frame(face, 0.1))
     np.testing.assert_allclose(r.data[:, :, 2], 1.0)
 
 
@@ -495,8 +498,9 @@ def test_surface_tree_gives_the_full_trees_conflict_maps(spec):
     measured = 0
     for face in walls:
         keys = surface[face.face_id]
-        got = visibility.project_conflict_map(tree, face, keys)
-        want = visibility.project_conflict_map(full, face, keys)
+        args = face, keys, UncertaintyConfig(), rasters.facade_frame(face, cfg.voxel_size)
+        got = visibility.project_conflict_map(tree, *args)
+        want = visibility.project_conflict_map(full, *args)
         assert got.data.tobytes() == want.data.tobytes()
         measured += int((got.data[:, :, 2] == 0.0).sum())
     assert measured > 0
@@ -538,7 +542,8 @@ def test_conflict_maps_match_scalar_oracle(scene):
         measured += int((state != "unknown").sum())
         for cell in (0.1, 0.2, 0.4):
             frame = rasters.facade_frame(face, cell)
-            got = visibility.project_conflict_map(tree, face, keys, frame=frame)
+            got = visibility.project_conflict_map(tree, face, keys,
+                                                  UncertaintyConfig(), frame)
             assert got.data.tobytes() == oracles.scalar_conflict_map(
                 want, 0.1, frame).tobytes()
     assert measured > 1000
