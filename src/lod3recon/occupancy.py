@@ -348,17 +348,15 @@ def _windows(o, e, boxes, vs: float) -> np.ndarray:
     return window
 
 
-def build_occupancy(rays, surface: dict,
-                    config: OccupancyConfig | None = None) -> OccupancyTree:
+def build_occupancy(rays, surface: dict, config: OccupancyConfig) -> OccupancyTree:
     """Integrate rays in order into the voxels of `surface`, face id ->
     (m, 3) integer keys; the updates of every other voxel are dropped,
     and the tree covers those faces. `rays` is an iterable of (k, 7)
     blocks of origin, endpoint and hit flag, as `ray_blocks` yields
-    them, or one (n, 7) array; the tree does not depend on how the rays
-    are split into blocks. A ray longer than `max_range` is cut there
-    and counts as a miss."""
-    cfg = config or OccupancyConfig()
-    vs = cfg.voxel_size
+    them; the tree does not depend on how the rays are split into
+    blocks. A ray longer than `max_range` is cut there and counts as a
+    miss."""
+    vs = config.voxel_size
     face_keys = [np.asarray(k, dtype=np.int64).reshape(-1, 3)
                  for k in surface.values()]
     keys = np.concatenate([np.empty((0, 3), np.int64), *face_keys])
@@ -384,8 +382,7 @@ def build_occupancy(rays, surface: dict,
     hit_point, pass_point = np.zeros((n, 3)), np.zeros((n, 3))
 
     boxes = [(k.min(axis=0), k.max(axis=0)) for k in face_keys if len(k)]
-    blocks = [rays] if isinstance(rays, np.ndarray) else rays
-    for o, e, hit, length, end, moving, window in _chunks(blocks, cfg, boxes):
+    for o, e, hit, length, end, moving, window in _chunks(rays, config, boxes):
         seg_ray, seg_key = traverse(o[moving], e[moving], vs, window[moving])
         seg_ray = moving[seg_ray]
         # a ray that passes a kept voxel and whose window is cut crosses
@@ -424,9 +421,9 @@ def build_occupancy(rays, surface: dict,
         group = np.cumsum(new_voxel) - 1
 
         reached[voxels] = True
-        delta = np.where(is_hit, cfg.log_odds_hit, cfg.log_odds_miss)
+        delta = np.where(is_hit, config.log_odds_hit, config.log_odds_miss)
         value[voxels] = clamped_sums(group, delta, value[voxels],
-                                     cfg.log_odds_min, cfg.log_odds_max)
+                                     config.log_odds_min, config.log_odds_max)
         # per voxel the first update, in ray order, at the smallest distance
         starts = np.flatnonzero(new_voxel)
         for kind, best_dist, best_point in ((is_hit, hit_dist, hit_point),
@@ -442,7 +439,7 @@ def build_occupancy(rays, surface: dict,
             best_dist[s[closer]] = d[best][closer]
             best_point[s[closer]] = e[upd_ray[best][closer]]
 
-    return OccupancyTree(cfg, keys[reached], value[reached], hit_dist[reached],
+    return OccupancyTree(config, keys[reached], value[reached], hit_dist[reached],
                          hit_point[reached], pass_dist[reached],
                          pass_point[reached], tuple(surface))
 

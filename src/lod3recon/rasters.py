@@ -332,8 +332,7 @@ def _read_pixels(path, kind: str, header: dict, vectors=()):
     # a double cast to float32, where a double too large turns infinite
     (values, vecs, channels), table = textio.table(
         path, 2 + len(vectors), parse,
-        lambda t: [(~np.isfinite(t["v"]), "non-finite pixel value")],
-        count=lambda head: head[0]["width"] * head[0]["height"])
+        lambda t: [(~np.isfinite(t["v"]), "non-finite pixel value")], repeats=True)
     width, height = values["width"], values["height"]
     if len(table) != width * height:
         raise ParseError(f"{path}: expected {width * height} pixel lines, "

@@ -7,7 +7,8 @@ opened is an IoError, text that is not UTF-8 or does not parse is a
 ParseError naming the file, and so is a number that is not finite.
 `table` and `write_table` read and write every table of numbers;
 `table_blocks` and `table_writer` do so block by block, for tables that need
-not fit in memory. Both readers run one block loop, `_blocks`: numpy
+not fit in memory. Every table is read and written in blocks of
+BLOCK_ROWS rows, and both readers run one block loop, `_blocks`: numpy
 parses each block, and `_parse_lines` parses, as Python reads them, the
 lines of a block numpy cannot parse and of the rest of the file.
 """
@@ -17,7 +18,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
-import os
 import warnings
 
 import numpy as np
@@ -105,51 +105,30 @@ def key_values(path, parse=str) -> dict:
 # ---------------------------------------------------------------------------
 # tables of numbers
 
-def table(path, head: int, row, checks=lambda rows: (), count=None):
+def table(path, head: int, row, checks=lambda rows: (), repeats=False):
     """(header, rows): `head` header lines, then a table of numbers, one
     row per line with content, of the record dtype `row` or of the dtype
     in (header, dtype) that the function `row` makes of the header lines.
 
-    The body is one block of `_blocks`, parsed by numpy from the handle
-    the header came from. With `count`, for a table whose lines repeat,
-    `count(header)` is the number of rows the header promises: each
-    distinct line of a run of REPEAT_LINES lines is parsed once, and the
-    rows go into an array of that many rows, allocated at the start; the
-    caller sees a count that differs. The first row flagged by
-    `checks(rows)`, (bad rows mask, message) pairs, or else the first
-    line that does not parse, is a ParseError naming its line."""
+    The body is read as `table_blocks` reads it, from the handle the
+    header came from, and the blocks are joined; with `repeats`, for a
+    table whose lines repeat, each distinct line of a block is parsed
+    once. The first row flagged by `checks(rows)`, (bad rows mask,
+    message) pairs, or else the first line that does not parse, is a
+    ParseError naming its line."""
     with _opened(path, "r") as fh:
-        # given a bound on the row count, numpy allocates the rows once
-        # rather than growing them, so memory peaks near the table's size
-        bound = None
-        if count is None and fh.seekable():
-            chunks = iter(lambda: fh.buffer.read(1 << 20), b"")
-            bound = 1 + sum(c.count(b"\n") + c.count(b"\r") for c in chunks)
-            fh.seek(0)
         lines = list(itertools.islice(_numbered(fh), head))
         header, dtype = row(lines) if callable(row) else (lines, row)
-        if count is None:
-            blocks = list(_blocks(path, fh, head, dtype, bound, _loadtxt, checks))
-            return header, blocks[0] if blocks else np.empty(0, dtype)
-        # a number takes two bytes at least, with its separator: a header
-        # that promises more rows than the file can hold allocates fewer
-        numbers = sum(math.prod(dtype[name].shape) for name in dtype.names)
-        most = os.fstat(fh.fileno()).st_size // (2 * numbers) + 1
-        rows, extra, done = np.empty(min(count(header), most), dtype), [], 0
-        for block in _blocks(path, fh, head, dtype, REPEAT_LINES, _repeated, checks):
-            fit = block[:max(len(rows) - done, 0)]
-            rows[done:done + len(fit)] = fit
-            if len(fit) < len(block):
-                extra.append(block[len(fit):])
-            done += len(block)
-    return header, np.concatenate([rows, *extra]) if extra else rows[:done]
+        blocks = _blocks(path, fh, head, dtype, _repeated if repeats else _loadtxt,
+                         checks)
+        return header, np.concatenate([np.empty(0, dtype), *blocks])
 
 
-# rows read per block by `table_blocks`. The parsed rows and what a
-# caller derives from them grow with the block; each block pays numpy's
-# per-call cost in the reader and in its caller (0.6 ms at 2^10 rays on
-# four faces, 1.5 ms at 2^12, on a 2-core VM), which made 2^10 slow the
-# 16,000-ray demo by 7-10 %
+# rows read or written per block by every table reader and writer. The
+# parsed rows and what a caller derives from them grow with the block;
+# each block pays numpy's per-call cost in the reader and in its caller
+# (0.6 ms at 2^10 rays on four faces, 1.5 ms at 2^12, on a 2-core VM),
+# which made 2^10 slow the 16,000-ray demo by 7-10 %
 BLOCK_ROWS = 1 << 12
 
 
@@ -161,20 +140,22 @@ def table_blocks(path, row, checks=lambda rows: ()):
     line that does not parse, is a ParseError naming its line; it is
     raised when its block is reached."""
     with _opened(path, "r") as fh:
-        yield from _blocks(path, fh, 0, row, BLOCK_ROWS, _loadtxt, checks)
+        yield from _blocks(path, fh, 0, row, _loadtxt, checks)
 
 
-def _blocks(path, fh, done: int, dtype, size, parse, checks):
+def _blocks(path, fh, done: int, dtype, parse, checks):
     """Yield the rest of `fh`, the lines of `path` after its first `done`
     lines with content, as arrays of rows of the record dtype `dtype` in
     file order, each block the (rows, whether any may be left) that
-    `parse(fh, dtype, size)` returns; a block without rows is not yielded.
+    `parse(fh, dtype, BLOCK_ROWS)` returns; a block without rows is not
+    yielded.
 
     Where `parse` fails, that block and the rest are parsed line by line
-    as Python reads them, `size` rows at a time, from the file opened
+    as Python reads them, BLOCK_ROWS rows at a time, from the file opened
     again to number the lines. The first row of a block that `checks`
     flags, or else the first line that does not parse, is a ParseError
     naming its line, raised when its block is reached."""
+    size = BLOCK_ROWS
     with contextlib.ExitStack() as stack:
         lines = None
         while True:
@@ -206,10 +187,6 @@ def _loadtxt(fh, dtype, max_rows):
         warnings.simplefilter("ignore", UserWarning)   # comment lines, no rows
         rows = np.loadtxt(fh, dtype=dtype, comments="#", ndmin=1, max_rows=max_rows)
     return rows, len(rows) == max_rows
-
-
-# lines read, told apart and parsed at a time in a table whose lines repeat
-REPEAT_LINES = 1 << 10
 
 
 def _repeated(fh, dtype, size: int):
@@ -282,14 +259,13 @@ def table_writer(path, header: str):
     """A function that appends the rows of its `columns`, as
     `write_table` writes them, to the file at `path` begun with
     `header`: a table written block by block."""
-    block = 1 << 12   # rows formatted per write call
     with writing(path) as fh:
         fh.write(header)
 
         def write(columns):
             columns = [np.asarray(c) for c in columns]
-            for a in range(0, len(columns[0]), block):
-                fh.write(_lines([c[a:a + block] for c in columns]))
+            for a in range(0, len(columns[0]), BLOCK_ROWS):
+                fh.write(_lines([c[a:a + BLOCK_ROWS] for c in columns]))
         yield write
 
 

@@ -187,8 +187,7 @@ def _candidates(tri, lo, hi, vs: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # classification
 
-def classify_surface_voxels(tree: OccupancyTree, face, keys,
-                            config: UncertaintyConfig | None = None):
+def classify_surface_voxels(tree: OccupancyTree, face, keys, config: UncertaintyConfig):
     """Score every surface voxel of `face`, `keys` as `surface_voxels`
     gives them, against the ray evidence: parallel arrays (state,
     p_confirmed, p_conflicted), one entry per key.
@@ -198,7 +197,6 @@ def classify_surface_voxels(tree: OccupancyTree, face, keys,
     closest passing ray's endpoint (how far behind the face it landed).
     Voxels without usable evidence come back as unknown, scored 0 and 0.
     """
-    cfg = config or UncertaintyConfig()
     vs = tree.config.voxel_size
     rows = tree.find(keys)
     state = np.full(len(rows), "unknown", dtype="U8")
@@ -206,7 +204,7 @@ def classify_surface_voxels(tree: OccupancyTree, face, keys,
     seen = np.flatnonzero(rows >= 0)
     r = rows[seen]
     # probability >= occupied_threshold, tested once in log-odds
-    occupied = tree.log_odds[r] >= log_odds(cfg.occupied_threshold)
+    occupied = tree.log_odds[r] >= log_odds(config.occupied_threshold)
     d_state = np.where(occupied, tree.hit_dist[r], tree.pass_dist[r])
     known = d_state != np.inf
     seen, occupied, d_state, r = seen[known], occupied[known], d_state[known], r[known]
@@ -216,8 +214,8 @@ def classify_surface_voxels(tree: OccupancyTree, face, keys,
     d_pos = np.abs(geom.row_dots(point, np.broadcast_to(n, point.shape)) - d)
     state[seen] = np.where(occupied, "occupied", "empty")
     p_conf[seen], p_confl[seen] = joint_state_probability(
-        positioning_confidence(d_pos, cfg.sigma_position, vs),
-        positioning_confidence(d_state, cfg.sigma_state, vs))
+        positioning_confidence(d_pos, config.sigma_position, vs),
+        positioning_confidence(d_state, config.sigma_state, vs))
     return state, p_conf, p_confl
 
 

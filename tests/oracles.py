@@ -654,10 +654,10 @@ def record_rows(table, query):
 
 def loadtxt_table(table):
     """A stand-in for `textio.table` that reads a table whose lines repeat
-    as every other table, with the body handed to np.loadtxt whole, not
-    one distinct line at a time: the pixel tables' reader before it told
+    as every other table, each block handed to np.loadtxt whole, not one
+    distinct line at a time: the pixel tables' reader before it told
     lines apart."""
-    def read(path, head, row, checks=lambda rows: (), count=None):
+    def read(path, head, row, checks=lambda rows: (), repeats=False):
         return table(path, head, row, checks)
     return read
 

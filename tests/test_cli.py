@@ -305,8 +305,9 @@ def test_pipeline_without_points_cuts_the_demo_scene(tmp_path):
     # rects that share an edge: merged, they cut a watertight model
     assert cli.main(["synth", "--out", str(tmp_path), "--seed", "7"]) == 0
     cfg = tmp_path / "no_points.cfg"
-    cfg.write_text("".join(line for line in open(tmp_path / "scene.cfg")
-                           if not line.startswith("points")))
+    cfg.write_text("".join(
+        line for line in (tmp_path / "scene.cfg").read_text().splitlines(keepends=True)
+        if not line.startswith("points")))
     assert cli.main(["pipeline", "--config", str(cfg),
                      "--out-dir", str(tmp_path / "out")]) == 0
     assert read_metrics(tmp_path / "out" / "metrics.txt")["watertight"] is True
@@ -318,8 +319,9 @@ def test_pipeline_and_evaluate_score_the_openings_the_model_cuts(tmp_path, capsy
     # scorers count it as one detection
     assert cli.main(["synth", "--out", str(tmp_path), "--seed", "7"]) == 0
     cfg = tmp_path / "no_points.cfg"
-    cfg.write_text("".join(line for line in open(tmp_path / "scene.cfg")
-                           if not line.startswith("points")))
+    cfg.write_text("".join(
+        line for line in (tmp_path / "scene.cfg").read_text().splitlines(keepends=True)
+        if not line.startswith("points")))
     out = tmp_path / "out"
     assert cli.main(["pipeline", "--config", str(cfg), "--out-dir", str(out)]) == 0
     assert len(read_instances(out / "instances.txt")) == 5
@@ -1289,6 +1291,35 @@ def test_pixel_grid_with_a_duplicate_channel_exits_2(scene_dir, tmp_path, capsys
                      "--out", str(tmp_path / "out.txt")]) == 2
     err = capsys.readouterr().err
     assert err == f"error: project-image: {image}:2: duplicate channel 'door'\n"
+
+
+@pytest.mark.parametrize("command", ["project-image", "fuse"])
+def test_a_header_promising_more_pixels_exits_2_with_little_memory(
+        scene_dir, tmp_path, capsys, command):
+    # an image grid or a conflict raster that promises 10^12 pixels and
+    # gives two: the stage reads two pixels and says so
+    bad = tmp_path / "bad.txt"
+    if command == "project-image":
+        bad.write_text("pixel_grid width=1000000 height=1000000\n"
+                       "channels window door\n0.5 0.5\n0.25 0.25\n")
+        argv = ["project-image", "--image", str(bad),
+                "--correspondences", str(scene_dir / "correspondences.txt"),
+                "--solid", str(scene_dir / "solid.txt"), "--face", "wall_front"]
+    else:
+        bad.write_text("facade_raster cell=0.1 width=1000000 height=1000000\n"
+                       "origin 0 0 0\nu 1 0 0\nv 0 0 1\n"
+                       "channels conflicted confirmed unknown\n0 0 1\n0 0 1\n")
+        argv = ["fuse", "--conflict", str(bad)]
+    tracemalloc.start()
+    try:
+        code = cli.main(argv + ["--out", str(tmp_path / "out.txt")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {command}: {bad}: expected 1000000000000 pixel lines, got 2\n")
+    assert peak < 2e6
 
 
 # ---------------------------------------------------------------------------

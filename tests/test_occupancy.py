@@ -66,7 +66,7 @@ def _build(rays, cfg=None):
     """The tree over the rays' box: the build, not the key set, has to
     leave out the voxels no ray reaches."""
     cfg = cfg or OccupancyConfig()
-    return build_occupancy(rays, {"f": _box(rays, cfg)}, cfg)
+    return build_occupancy([rays], {"f": _box(rays, cfg)}, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +255,7 @@ def test_occupied_keys():
 
 
 def test_no_rays_build_an_empty_tree():
-    tree = build_occupancy(np.empty((0, 7)), {"f": [(0, 0, 0)]})
+    tree = build_occupancy([np.empty((0, 7))], {"f": [(0, 0, 0)]}, OccupancyConfig())
     assert len(tree) == 0
     assert tree.faces == ("f",)
     assert tree.find([(0, 0, 0)]).tolist() == [-1]
@@ -267,7 +267,7 @@ def test_no_rays_build_an_empty_tree():
 ])
 def test_rays_beyond_the_grid_are_domain_errors(ray):
     with pytest.raises(DomainError):
-        build_occupancy(_rays(ray), {"f": [(0, 0, 0)]})
+        build_occupancy([_rays(ray)], {"f": [(0, 0, 0)]}, OccupancyConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +344,7 @@ def test_build_matches_scalar_oracle(family, seed):
     want = _oracle_cells(rays, cfg)
     box = _box(rays, cfg)
     assert len(box) > 2 * len(want)
-    tree = build_occupancy(rays, {"f": box}, cfg)
+    tree = build_occupancy([rays], {"f": box}, cfg)
     assert cells(tree) == want
     # keys strictly ascending in lexicographic order
     assert [tuple(k) for k in tree.keys.tolist()] == sorted(cells(tree))
@@ -353,7 +353,7 @@ def test_build_matches_scalar_oracle(family, seed):
     keys = list(want)
     part = [keys[i] for i in rng.permutation(len(keys))[:len(keys) // 3]]
     part += [(99, 99, 99), (-99, 0, 0)]
-    assert cells(build_occupancy(rays, {"f": part}, cfg)) == {
+    assert cells(build_occupancy([rays], {"f": part}, cfg)) == {
         k: want[k] for k in part if k in want}
 
 
@@ -373,7 +373,7 @@ def test_build_on_small_boxes_matches_scalar_oracle(family):
             key = reached[rng.integers(len(reached))]
             surface[face] = _key_box(key - rng.integers(0, size), size)
         keys = {tuple(k) for k in np.vstack(list(surface.values())).tolist()}
-        assert cells(build_occupancy(rays, surface, cfg)) == {
+        assert cells(build_occupancy([rays], surface, cfg)) == {
             k: want[k] for k in keys if k in want}
 
 
@@ -436,7 +436,7 @@ def test_build_matches_oracle_across_chunks(monkeypatch):
                       _beyond_range(rng, 50), _zero_length(rng, 20)])
     rays = rays[rng.permutation(len(rays))]
     want = _oracle_cells(rays, cfg)
-    assert cells(build_occupancy(rays, {"f": _box(rays, cfg)}, cfg)) == want
+    assert cells(build_occupancy([rays], {"f": _box(rays, cfg)}, cfg)) == want
 
 
 def _split(rays, cuts):
@@ -457,7 +457,7 @@ def test_any_split_into_blocks_writes_the_same_tree(tmp_path_factory, family,
     cuts = data.draw(st.lists(st.integers(0, len(rays)), max_size=12))
     surface = {"f": _box(rays, cfg)}
     out = tmp_path_factory.mktemp("split")
-    occupancy.write_tree(build_occupancy(rays, surface, cfg), out / "whole.txt")
+    occupancy.write_tree(build_occupancy([rays], surface, cfg), out / "whole.txt")
     occupancy.write_tree(build_occupancy(_split(rays, cuts), surface, cfg),
                          out / "split.txt")
     # one ray a block, an empty block after each
@@ -518,7 +518,7 @@ def test_rays_far_outside_the_surface_box_build_the_oracles_tree():
     keys = set(map(tuple, surface["f"].tolist()))
     assert got == {k: v for k, v in want.items() if k in keys}
     # the rays from 90 m off reach the surface
-    assert len(build_occupancy(far[-2], surface, cfg)) > 0
+    assert len(build_occupancy([far[-2]], surface, cfg)) > 0
 
 
 def test_build_memory_does_not_grow_with_the_rays():
@@ -535,7 +535,7 @@ def test_build_memory_does_not_grow_with_the_rays():
                   for a in range(0, len(rays), step))
         tracemalloc.start()
         try:
-            build_occupancy(blocks, surface)
+            build_occupancy(blocks, surface, OccupancyConfig())
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -550,7 +550,7 @@ def test_block_build_peaks_at_a_few_megabytes():
                for f in scene_solid(spec).faces if f.label == "wall"}
     tracemalloc.start()
     try:
-        build_occupancy(rays, surface)
+        build_occupancy([rays], surface, OccupancyConfig())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -563,9 +563,10 @@ def test_keys_outside_the_rays_box_do_not_alias():
     # the ray's box is 6 x 1 x 1 voxels, where (0, 0, 3) and (0, 3, 0)
     # would pack to the same number as (3, 0, 0)
     rays = _rays(((0.05, 0.05, 0.05), (0.55, 0.05, 0.05)))
-    assert len(build_occupancy(rays, {"f": [(0, 0, 3), (0, 3, 0)]})) == 0
-    tree = build_occupancy(rays, {"a": [(0, 0, 3), (2, 0, 0)],
-                                  "b": [(-1, 0, 0), (2, 0, 0)]})
+    cfg = OccupancyConfig()
+    assert len(build_occupancy([rays], {"f": [(0, 0, 3), (0, 3, 0)]}, cfg)) == 0
+    tree = build_occupancy([rays], {"a": [(0, 0, 3), (2, 0, 0)],
+                                    "b": [(-1, 0, 0), (2, 0, 0)]}, cfg)
     assert tree.keys.tolist() == [[2, 0, 0]]
     assert tree.faces == ("a", "b")
 
@@ -578,7 +579,7 @@ def test_build_on_a_face_matches_scalar_oracle():
     cfg = OccupancyConfig()
     want = _oracle_cells(rays, cfg)
     keys = surface_voxels(scene_solid(spec).face("wall_front"), cfg.voxel_size)
-    got = cells(build_occupancy(rays, {"wall_front": keys}, cfg))
+    got = cells(build_occupancy([rays], {"wall_front": keys}, cfg))
     assert got == {k: want[k] for k in map(tuple, keys.tolist()) if k in want}
     # hits landing behind the face plane and passes through the window
     assert len(got) > len(keys) // 2
@@ -733,8 +734,9 @@ def _random_tree():
     rng = np.random.default_rng(17)
     rays = np.column_stack([rng.uniform(-1, 1, (20, 3)), rng.uniform(-1, 1, (20, 3)),
                             rng.random(20) < 0.8])
-    return build_occupancy(rays, {"wall_front": _box(rays, OccupancyConfig()),
-                                  "wall_back": []})
+    cfg = OccupancyConfig()
+    return build_occupancy([rays], {"wall_front": _box(rays, cfg), "wall_back": []},
+                           cfg)
 
 
 def test_tree_file_round_trip(tmp_path):

@@ -265,6 +265,27 @@ def test_pixel_files_reject_empty_dimensions(tmp_path, read, head):
         read(path)
 
 
+@pytest.mark.parametrize("read, head", [
+    (rasters.read_raster, "facade_raster cell=0.5 width=1000000 height=1000000\n"
+                          "origin 0 0 0\nu 1 0 0\nv 0 0 1\n"),
+    (rasters.read_pixel_grid, "pixel_grid width=1000000 height=1000000\n"),
+], ids=["raster", "grid"])
+def test_a_header_promising_more_pixels_allocates_nothing_large(tmp_path, read, head):
+    # 10^12 pixels promised, two given: the pixels are read as the file
+    # holds them, so nothing is sized from the header
+    path = tmp_path / "grid.txt"
+    path.write_text(head + "channels a\n0.5\n0.25\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as err:
+            read(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == f"{path}: expected 1000000000000 pixel lines, got 2"
+    assert peak < 1e6
+
+
 def test_pixel_grid_round_trip(tmp_path):
     rng = np.random.default_rng(13)
     data = rng.random((5, 7, 2)).astype(np.float32)

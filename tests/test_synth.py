@@ -2,6 +2,7 @@
 
 import filecmp
 import hashlib
+import pathlib
 
 import numpy as np
 import pytest
@@ -371,6 +372,6 @@ SCENE_DIGESTS = {
 def test_scene_files_keep_their_digests(tmp_path, scene):
     spec, digests = SCENE_DIGESTS[scene]
     paths = synth.synth_scene(spec, tmp_path)
-    got = {key: hashlib.sha256(open(path, "rb").read()).hexdigest()
+    got = {key: hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
            for key, path in paths.items()}
     assert got == digests

@@ -4,6 +4,7 @@ UTF-8 text are a ParseError."""
 
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,8 +64,8 @@ WRITERS = {
     "occupancy.ray_writer": _write_once(
         occupancy.ray_writer, np.array([[0, 0, 0, 1, 1, 1, 1]])),
     "occupancy.write_tree": lambda p: occupancy.write_tree(
-        occupancy.build_occupancy(np.array([[0, 0, 0, 1, 1, 1, 1]]),
-                                  {"f": [(0, 0, 0)]}), p),
+        occupancy.build_occupancy([np.array([[0, 0, 0, 1, 1, 1, 1]])],
+                                  {"f": [(0, 0, 0)]}, occupancy.OccupancyConfig()), p),
     "model_io.write_solid": lambda p: model_io.write_solid(_solid(), p),
     "rasters.point_writer": _write_once(
         rasters.point_writer, np.zeros((1, 3)), np.zeros((1, len(rasters.POINT_LABELS)))),
@@ -302,14 +303,15 @@ def _read_grid(path):
 @settings(max_examples=200, deadline=None)
 @given(case=pixel_grids(), run=st.sampled_from([1, 2, 3, 1 << 14]))
 def test_pixel_tables_equal_the_loadtxt_path(table_path, case, run):
-    # the grid read each distinct line of a run once, and read with the
+    # the grid read each distinct line of a block once, and read with the
     # body handed to np.loadtxt whole, give the same pixels or the same
-    # message, whatever the run length
+    # message, whatever the block length
     text, fault = case
     table_path.write_bytes(text.encode("utf-8"))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(textio, "REPEAT_LINES", run)
+        mp.setattr(textio, "BLOCK_ROWS", run)
         got = _read_grid(table_path)
+    with pytest.MonkeyPatch.context() as mp:
         mp.setattr(textio, "table", oracles.loadtxt_table(textio.table))
         want = _read_grid(table_path)
     assert got == want
@@ -330,7 +332,7 @@ def test_pixel_grid_parses_each_distinct_line_once(tmp_path, monkeypatch):
         return loadtxt(lines, *args, **kwargs)
 
     monkeypatch.setattr(np, "loadtxt", counting)
-    monkeypatch.setattr(textio, "REPEAT_LINES", 2048)
+    monkeypatch.setattr(textio, "BLOCK_ROWS", 2048)
     grid, _ = rasters.read_pixel_grid(tmp_path / "grid.txt")
     assert grid.tobytes() == data.tobytes()
     # rows 0-20 hold two distinct lines, rows 20-40 two others, the rest one
@@ -358,7 +360,7 @@ def test_pixel_grid_with_comment_and_blank_lines_is_parsed_once(tmp_path,
         return loadtxt(lines, *args, **kwargs)
 
     monkeypatch.setattr(np, "loadtxt", counting)
-    monkeypatch.setattr(textio, "REPEAT_LINES", 2048)
+    monkeypatch.setattr(textio, "BLOCK_ROWS", 2048)
     grid, _ = rasters.read_pixel_grid(path)
     assert grid.tobytes() == data.tobytes()
     # the first run's two distinct pixel lines go with the comment and
@@ -373,7 +375,7 @@ def test_float32_overflow_is_a_non_finite_pixel_value(tmp_path, monkeypatch,
     # 3.5e38 is a finite double and an infinite float32: named at its own
     # line in the first run, after a comment line and after a line only
     # Python reads
-    monkeypatch.setattr(textio, "REPEAT_LINES", run)
+    monkeypatch.setattr(textio, "BLOCK_ROWS", run)
     body = ["0.5"] + before + ["0.5", "3.5e38", "0.5"]
     height = len([line for line in body if line and not line.startswith("#")])
     path = tmp_path / "grid.txt"
@@ -382,6 +384,38 @@ def test_float32_overflow_is_a_non_finite_pixel_value(tmp_path, monkeypatch,
     no = 3 + body.index("3.5e38")
     with pytest.raises(ParseError, match=f"grid.txt:{no}: non-finite pixel value"):
         rasters.read_pixel_grid(path)
+
+
+def _small_tree(path):
+    n = 10
+    keys = np.column_stack([np.arange(n), np.zeros(n), np.zeros(n)]).astype(np.int64)
+    occupancy.write_tree(occupancy.OccupancyTree(
+        occupancy.OccupancyConfig(), keys, np.zeros(n), np.zeros(n), np.zeros((n, 3)),
+        np.zeros(n), np.zeros((n, 3)), ("f",)), path)
+    return occupancy.read_tree
+
+
+def _four_correspondences(path):
+    rasters.write_correspondences([((0, 0), (0, 0)), ((1, 0), (10, 0)),
+                                   ((1, 1), (10, 10)), ((0, 1), (0, 10))], path)
+    return rasters.read_correspondences
+
+
+@pytest.mark.parametrize("write, row_bytes", [
+    (_small_tree, 96), (_four_correspondences, 32)], ids=["tree", "correspondences"])
+def test_a_small_table_is_read_in_one_block_of_memory(tmp_path, write, row_bytes):
+    # no buffer of the file's bytes is taken before the body is parsed:
+    # the read peaks at the BLOCK_ROWS rows np.loadtxt allocates for a
+    # block, 0.39 MB for a tree and 0.13 MB for correspondences
+    read = write(tmp_path / "table.txt")
+    read(tmp_path / "table.txt")     # imports and caches on the first read
+    tracemalloc.start()
+    try:
+        read(tmp_path / "table.txt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < textio.BLOCK_ROWS * row_bytes + 0.1e6
 
 
 # ---------------------------------------------------------------------------

@@ -417,13 +417,14 @@ def _mini_scene():
                 rays.append((x, -2.0, z, x, 1.5, z, 1.0))
             else:
                 rays.extend([(x, -2.0, z, x, 0.02, z, 1.0)] * 3)
-    return face, build_occupancy(rays, {"f": surface_voxels(face, 0.1)}), window, untouched
+    tree = build_occupancy([rays], {"f": surface_voxels(face, 0.1)}, OccupancyConfig())
+    return face, tree, window, untouched
 
 
 def test_classify_surface_voxels_states():
     face, tree, window, untouched = _mini_scene()
     keys = surface_voxels(face, 0.1)
-    columns = visibility.classify_surface_voxels(tree, face, keys)
+    columns = visibility.classify_surface_voxels(tree, face, keys, UncertaintyConfig())
     assert [len(c) for c in columns] == [40, 40, 40]
     by_key = {key: SimpleNamespace(state=s, p_confirmed=c, p_conflicted=x)
               for key, s, c, x in zip(map(tuple, keys.tolist()), *columns)}
@@ -468,7 +469,7 @@ def test_conflict_map_takes_the_most_conflicted_voxel():
 def test_conflict_map_unknown_only_pixel():
     face = wall_face()
     keys = surface_voxels(face, 0.1)
-    tree = build_occupancy(np.empty((0, 7)), {"f": keys})  # no rays at all
+    tree = build_occupancy([], {"f": keys}, OccupancyConfig())  # no rays at all
     r = visibility.project_conflict_map(tree, face, keys, UncertaintyConfig(),
                                         rasters.facade_frame(face, 0.1))
     np.testing.assert_allclose(r.data[:, :, 2], 1.0)
@@ -492,8 +493,8 @@ def test_surface_tree_gives_the_full_trees_conflict_maps(spec):
     assert (np.linalg.norm(rays[:, 3:6] - rays[:, :3], axis=1) < cfg.max_range).all()
     walls = [f for f in scene_solid(spec).faces if f.label == "wall"]
     surface = {f.face_id: surface_voxels(f, cfg.voxel_size) for f in walls}
-    tree = build_occupancy(rays, surface, cfg)
-    full = build_occupancy(rays, {"all": _reached_keys(rays, cfg.voxel_size)}, cfg)
+    tree = build_occupancy([rays], surface, cfg)
+    full = build_occupancy([rays], {"all": _reached_keys(rays, cfg.voxel_size)}, cfg)
     assert len(tree) < len(full) / 20
     measured = 0
     for face in walls:
@@ -530,12 +531,13 @@ def test_conflict_maps_match_scalar_oracle(scene):
         rays, solid = scenes.scan(spec)[0], scene_solid(spec)
     walls = [f for f in solid.faces if f.label == "wall"]
     surface = {f.face_id: surface_voxels(f, 0.1) for f in walls}
-    tree = build_occupancy(rays, surface)
+    tree = build_occupancy([rays], surface, OccupancyConfig())
     measured = 0
     for face in walls:
         keys = surface[face.face_id]
         want = oracles.scalar_classify(tree, face, keys, UncertaintyConfig())
-        state, p_conf, p_confl = visibility.classify_surface_voxels(tree, face, keys)
+        state, p_conf, p_confl = visibility.classify_surface_voxels(
+            tree, face, keys, UncertaintyConfig())
         assert state.tolist() == [v[1] for v in want]
         assert p_conf.tobytes() == np.asarray([v[2] for v in want]).tobytes()
         assert p_confl.tobytes() == np.asarray([v[3] for v in want]).tobytes()
