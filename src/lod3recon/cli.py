@@ -93,8 +93,6 @@ class PipelineConfig:
                            metadata=_range(lambda v: 0.0 < v <= 1.0,
                                            "must lie in (0, 1]"))
     samples: int = field(default=2000, metadata=_POSITIVE)
-    sample_seed: int = field(default=_default(sample_model_points, "seed"),
-                             metadata=_NON_NEGATIVE)
 
     def __post_init__(self):
         for name in ("rays", "solid", "out_dir"):
@@ -412,8 +410,7 @@ def _score(pred, gt, measured, models, settings) -> dict:
             pred, gt, matches, matched_only=True)
     if models is not None:
         model, gt_model = models
-        samples = sample_model_points(gt_model, settings.samples,
-                                      seed=settings.sample_seed)
+        samples = sample_model_points(gt_model, settings.samples)
         mean, rms = mesh_deviation(samples, triangulate_model(model))
         metrics["mean_deviation"] = mean
         metrics["rms_deviation"] = rms
@@ -586,8 +583,7 @@ def _cmd_pipeline(args) -> int:
 # flags whose spelling does not follow from the field name
 _FLAGS = {"voxel_size": "--vs", "log_odds_hit": "--l-hit",
           "log_odds_miss": "--l-miss", "log_odds_min": "--l-min",
-          "log_odds_max": "--l-max", "sample_seed": "--seed",
-          "noise_sigma": "--noise"}
+          "log_odds_max": "--l-max", "noise_sigma": "--noise"}
 
 
 def _in_range(parse, test, rule: str):
@@ -703,7 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measured", help="laser-measured subset of the ground truth")
     p.add_argument("--model", help="predicted model file for surface metrics")
     p.add_argument("--gt-model", help="ground-truth model file")
-    _add_options(p, PipelineConfig, "iou_min", "samples", "sample_seed")
+    _add_options(p, PipelineConfig, "iou_min", "samples")
     p.add_argument("--out", help="metrics key-value file")
     p.set_defaults(func=_cmd_evaluate)
 

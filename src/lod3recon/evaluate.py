@@ -299,76 +299,12 @@ def triangulate_model(obj) -> list:
     return tris
 
 
-def sample_model_points(obj, count: int, seed: int = 0) -> np.ndarray:
-    """`count` area-weighted samples of the model's surface, the ones
-    `np.random.default_rng(seed)` would draw."""
+def sample_model_points(obj, count: int) -> np.ndarray:
+    """`count` area-weighted samples of the model's surface, on the fixed
+    lattice of `geom.sample_on_triangles`."""
     if count < 1:
         raise DomainError("sample count must be positive")
-    return geom.sample_on_triangles(PCG64(seed), triangulate_model(obj), count)
-
-
-# numpy's SeedSequence hashing and PCG64 multiplier
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-
-
-def _hasher(const: int, mult: int):
-    """SeedSequence's running 32-bit hash, started at `const`."""
-    def hash_word(value: int) -> int:
-        nonlocal const
-        value ^= const
-        const = const * mult & _M32
-        value = value * const & _M32
-        return value ^ value >> 16
-    return hash_word
-
-
-def _mix(x: int, y: int) -> int:
-    x = (_MIX_L * x - _MIX_R * y) & _M32
-    return x ^ x >> 16
-
-
-class PCG64:
-    """The stream of `np.random.default_rng(seed)` for an int seed, in
-    Python integers, so that evaluating never imports numpy.random (about
-    6 MB resident with the OpenSSL it brings in).
-
-    As numpy does it: SeedSequence hashes the seed's 32-bit words into a
-    pool of four and draws four 64-bit words from it, which seed PCG64
-    (128-bit LCG, XSL-RR output); a double is the top 53 bits of an
-    output times 2^-53."""
-
-    def __init__(self, seed: int):
-        if seed < 0:
-            raise DomainError(f"seed must be non-negative, got {seed}")
-        words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
-        hash_word = _hasher(_INIT_A, _MULT_A)
-        pool = [hash_word(w) for w in (words + [0] * 4)[:4]]
-        # each pool word mixes in every other, then in each word past four
-        for src in range(4):
-            for dst in range(4):
-                if src != dst:
-                    pool[dst] = _mix(pool[dst], hash_word(pool[src]))
-        for w in words[4:]:
-            for dst in range(4):
-                pool[dst] = _mix(pool[dst], hash_word(w))
-        hash_word = _hasher(_INIT_B, _MULT_B)
-        state = [hash_word(pool[i % 4]) for i in range(8)]
-        s0, s1, i0, i1 = (state[k] | state[k + 1] << 32 for k in range(0, 8, 2))
-        self.inc = ((i0 << 64 | i1) << 1 | 1) & _M128
-        self.state = ((self.inc + (s0 << 64 | s1)) * _PCG_MULT + self.inc) & _M128
-
-    def random(self, n: int) -> np.ndarray:
-        """n doubles in [0, 1), as `Generator.random(n)` draws them."""
-        state, inc, top = self.state, self.inc, []
-        for _ in range(n):
-            state = (state * _PCG_MULT + inc) & _M128
-            word, rot = ((state >> 64) ^ state) & _M64, state >> 122
-            top.append((((word >> rot) | (word << (64 - rot))) & _M64) >> 11)
-        self.state = state
-        return np.array(top, dtype=float) * (1.0 / 9007199254740992.0)
+    return geom.sample_on_triangles(triangulate_model(obj), count)
 
 
 # ---------------------------------------------------------------------------

@@ -456,13 +456,19 @@ def triangle_areas(tris) -> np.ndarray:
         cross(t[:, 1] - t[:, 0], t[:, 2] - t[:, 0]), axis=1)
 
 
-def sample_on_triangles(rng, tris, count: int) -> np.ndarray:
+# the step of the 3-D Kronecker lattice: the inverse powers of the real
+# root of x^4 = x + 1
+_LATTICE_STEP = 1.2207440846057596 ** -np.arange(1.0, 4.0)
+
+
+def sample_on_triangles(tris, count: int) -> np.ndarray:
     """Uniform surface samples over a triangle soup, area-weighted.
 
-    `rng.random(n)` gives n doubles in [0, 1). The first `count` pick
-    the triangles as numpy's `Generator.choice(len(tris), count,
-    p=areas / total)` does; two more runs of `count` place the points.
-    Areas whose total is not finite are a DomainError."""
+    Sample k (1..count) is the lattice point q_k = frac(0.5 + k * step):
+    its first coordinate picks the triangle by inverse CDF over the
+    areas, the other two place it there. The samples are fixed by the
+    soup and `count` alone. Areas whose total is not finite are a
+    DomainError."""
     t = np.asarray(tris, dtype=float)
     areas = triangle_areas(t)
     total = float(areas.sum())
@@ -472,8 +478,9 @@ def sample_on_triangles(rng, tris, count: int) -> np.ndarray:
         return np.zeros((0, 3))
     cdf = np.cumsum(areas / total)
     cdf /= cdf[-1]
-    which = cdf.searchsorted(rng.random(count), side="right")
-    r1 = np.sqrt(rng.random(count))
-    r2 = rng.random(count)
+    q = (0.5 + np.arange(1.0, count + 1.0)[:, None] * _LATTICE_STEP) % 1.0
+    which = cdf.searchsorted(q[:, 0], side="right")
+    r1 = np.sqrt(q[:, 1])
+    r2 = q[:, 2]
     a, b, c = t[which, 0], t[which, 1], t[which, 2]
     return (1.0 - r1)[:, None] * a + (r1 * (1.0 - r2))[:, None] * b + (r1 * r2)[:, None] * c

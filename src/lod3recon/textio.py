@@ -191,19 +191,18 @@ def _loadtxt(fh, dtype, max_rows):
 
 def _repeated(fh, dtype, size: int):
     """(rows, whether any may be left): the rows of the next `size` lines
-    of `fh`, each distinct line parsed once by np.loadtxt."""
-    run = list(itertools.islice(fh, size))
-    more = len(run) == size
-    lines = list(dict.fromkeys(run))
+    of `fh`, each distinct line kept and parsed once by np.loadtxt."""
+    slot = {}
+    at = np.fromiter((slot.setdefault(line, len(slot))
+                      for line in itertools.islice(fh, size)), dtype=np.intp)
+    more, lines = len(at) == size, list(slot)
     rows, _ = _loadtxt(lines, dtype, None)
     if len(rows) < len(lines):
-        # a blank or comment line gives no row: the run goes without them
-        run = [line for line in run if line.split("#", 1)[0].strip()]
-        lines = list(dict.fromkeys(run))
-        if len(rows) != len(lines):
+        # a blank or comment line gives no row: the lines go without them
+        content = np.array([bool(line.split("#", 1)[0].strip()) for line in lines])
+        if len(rows) != content.sum():
             raise ValueError("a line with content gave no row")
-    slot = dict(zip(lines, range(len(lines))))
-    at = np.fromiter(map(slot.__getitem__, run), dtype=np.intp, count=len(run))
+        at = (np.cumsum(content) - 1)[at[content[at]]]
     return rows[at], more
 
 

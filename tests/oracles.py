@@ -660,22 +660,3 @@ def loadtxt_table(table):
     def read(path, head, row, checks=lambda rows: (), repeats=False):
         return table(path, head, row, checks)
     return read
-
-
-def sample_on_triangles(seed, tris, count):
-    """Area-weighted samples of a triangle soup, drawn by numpy's own
-    `np.random.default_rng(seed)`: a triangle by `choice`, then two
-    uniforms place the point in it."""
-    rng = np.random.default_rng(seed)
-    t = np.asarray(tris, dtype=float)
-    areas = 0.5 * np.linalg.norm(np.cross(t[:, 1] - t[:, 0], t[:, 2] - t[:, 0]),
-                                 axis=1)
-    total = float(areas.sum())
-    if total <= 0.0 or count <= 0:
-        return np.zeros((0, 3))
-    which = rng.choice(len(t), size=count, p=areas / total)
-    r1 = np.sqrt(rng.random(count))
-    r2 = rng.random(count)
-    a, b, c = t[which, 0], t[which, 1], t[which, 2]
-    return ((1.0 - r1)[:, None] * a + (r1 * (1.0 - r2))[:, None] * b
-            + (r1 * r2)[:, None] * c)

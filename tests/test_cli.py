@@ -163,7 +163,6 @@ def test_pipeline_config_derived_defaults():
     dict(band=0.0),
     dict(margin=-0.5),
     dict(samples=0),
-    dict(sample_seed=-1),
 ])
 def test_pipeline_config_rejects_bad_numbers(kwargs):
     with pytest.raises(ConfigError):
@@ -460,19 +459,6 @@ def test_pipeline_non_positive_max_range_exits_2(scene_dir, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_pipeline_negative_sample_seed_exits_2(scene_dir, tmp_path, capsys):
-    # the seed is rejected with the config, not at the evaluate stage
-    cfg = tmp_path / "s.cfg"
-    cfg.write_text(f"rays = {scene_dir}/rays.txt\n"
-                   f"solid = {scene_dir}/solid.txt\n"
-                   f"gt_instances = {scene_dir}/gt_instances.txt\n"
-                   f"sample_seed = -3\nout_dir = {tmp_path}/out\n")
-    assert cli.main(["pipeline", "--config", str(cfg)]) == 2
-    assert capsys.readouterr().err == \
-        "error: pipeline: sample_seed must be non-negative\n"
-    assert not (tmp_path / "out").exists()
-
-
 @pytest.mark.parametrize("key", ["gt_measured", "gt_model"])
 def test_pipeline_ground_truth_without_instances_exits_2(scene_dir, tmp_path,
                                                          capsys, key):
@@ -570,7 +556,8 @@ def test_evaluate_with_models_reports_surface_metrics(scene_dir,
 
 def test_evaluate_one_sample_equals_the_reference(scene_dir, artifacts_dir,
                                                  tmp_path):
-    # a single sample point takes one-row products, as the reference does
+    # a single sample point takes one-row products, as the reference does;
+    # up to eight, each count's lattice points are scored alike
     gt_model = tmp_path / "gt_model.txt"
     assert cli.main(["reconstruct", "--solid", str(scene_dir / "solid.txt"),
                      "--instances", str(scene_dir / "gt_instances.txt"),
@@ -578,14 +565,14 @@ def test_evaluate_one_sample_equals_the_reference(scene_dir, artifacts_dir,
                      "--out-gml", str(tmp_path / "gt.gml")]) == 0
     tris = triangulate_model(read_model(artifacts_dir / "model.txt"))
     out = tmp_path / "m.txt"
-    for seed in range(8):
+    for count in range(1, 9):
         assert cli.main(["evaluate", "--pred", str(artifacts_dir / "instances.txt"),
                          "--gt", str(scene_dir / "gt_instances.txt"),
                          "--model", str(artifacts_dir / "model.txt"),
-                         "--gt-model", str(gt_model), "--samples", "1",
-                         "--seed", str(seed), "--out", str(out)]) == 0
+                         "--gt-model", str(gt_model), "--samples", str(count),
+                         "--out", str(out)]) == 0
         metrics = read_metrics(out)
-        sample = sample_model_points(read_model(gt_model), 1, seed=seed)
+        sample = sample_model_points(read_model(gt_model), count)
         assert (metrics["mean_deviation"], metrics["rms_deviation"]) == \
             oracles.mesh_deviation(sample, tris)
 
@@ -715,7 +702,6 @@ OUT_OF_RANGE = [
     ("evaluate", "--iou-min", "0"),
     ("evaluate", "--iou-min", "2"),
     ("evaluate", "--samples", "0"),
-    ("evaluate", "--seed", "-1"),
     ("reconstruct", "--depth", "0"),
     ("reconstruct", "--depth", "-1"),
     ("reconstruct", "--margin", "-1"),
@@ -815,6 +801,7 @@ STAGE_REQUIRED = {
     "conflicts": ["--tree", "t.txt", "--solid", "s.txt", "--face", "f",
                   "--out", "c.txt"],
     "extract": ["--posterior", "p.txt", "--face", "f", "--out", "i.txt"],
+    "evaluate": ["--pred", "p.txt", "--gt", "g.txt"],
 }
 
 
@@ -838,11 +825,12 @@ def test_config_key_namespace_is_flat():
     assert len(names) == len(set(names))
 
 
-# keys and options of the rectangularity percentile band and of the
-# conflict stage's mean aggregation and sigmas in meters, all removed
+# keys and options of the rectangularity percentile band, of the
+# conflict stage's mean aggregation and sigmas in meters, and of the
+# model sampler's seed, all removed
 @pytest.mark.parametrize("key, value", [
     ("pe_lo", "5"), ("pe_up", "95"), ("aggregate", "max"),
-    ("sigma_in_meters", "false"),
+    ("sigma_in_meters", "false"), ("sample_seed", "0"),
 ])
 def test_removed_config_key_exits_2(tmp_path, capsys, key, value):
     cfg = tmp_path / "k.cfg"
@@ -857,6 +845,7 @@ def test_removed_config_key_exits_2(tmp_path, capsys, key, value):
     ("pipeline", "--pe-lo", "5"), ("pipeline", "--pe-up", "95"),
     ("conflicts", "--aggregate", "max"),
     ("conflicts", "--sigma-in-meters", "false"),
+    ("evaluate", "--seed", "0"),
 ])
 def test_removed_option_exits_2(capsys, stage, flag, value):
     required = STAGE_REQUIRED.get(stage, ["--config", "c.cfg"])

@@ -115,7 +115,7 @@ def test_entry_points_load_no_scipy():
 
 
 def test_only_synth_uses_numpy_random():
-    # the evaluate stage draws numpy's PCG64 stream in Python integers
+    # the evaluate stage samples the model on a fixed lattice, drawing no stream
     users = set()
     for path in PACKAGE.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

@@ -428,9 +428,14 @@ def _value_pools(dtype):
         return st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=1, max_size=4)
     width = 32 if dtype == np.float32 else 64
     edges = st.sampled_from([0.0, -0.0, 1.0, 0.5, 0.25])
+
+    def next_up(vals):
+        # the neighbour of the largest finite value is inf, an overflow
+        with np.errstate(over="ignore"):
+            return vals + [float(np.nextafter(dtype(v), dtype(np.inf)))
+                           for v in vals[:1]]
     return st.lists(edges | st.floats(width=width), min_size=1, max_size=4).map(
-        lambda vals: vals + [float(np.nextafter(dtype(v), dtype(np.inf)))
-                             for v in vals[:1]])
+        next_up)
 
 
 @st.composite
