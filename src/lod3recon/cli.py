@@ -277,8 +277,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
     for face_id, face in faces.items():
         frame = frames[face_id]
         with _stage("conflicts"):
-            conflict = project_conflict_map(tree, face, surface[face_id],
-                                            config.uncertainty, frame)
+            conflict = project_conflict_map(tree, face, config.uncertainty,
+                                            frame)
             save(write_raster, conflict, f"conflict_{face_id}")
         # popped: a point raster is freed once its face is done
         pc, tex = point_rasters.pop(face_id, None), None
@@ -444,8 +444,7 @@ def _cmd_conflicts(args) -> int:
         raise ParseError(f"{args.tree}: built for faces "
                          f"{', '.join(tree.faces) or '(none)'}, not {args.face!r}")
     face, frame = _face_frame(args, tree.config.voxel_size)
-    keys = surface_voxels(face, tree.config.voxel_size)
-    write_raster(project_conflict_map(tree, face, keys, config, frame), args.out)
+    write_raster(project_conflict_map(tree, face, config, frame), args.out)
     print(f"wrote {args.out}")
     return 0
 

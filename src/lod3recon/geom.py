@@ -71,20 +71,22 @@ def polygon_area_2d(poly) -> float:
                        - y @ np.concatenate([x[1:], x[:1]]))
 
 
-def point_in_polygon_2d(pt, poly) -> bool:
-    """Even-odd containment test. Points on an edge are not guaranteed
-    either way; callers that care about the boundary must test distance
-    separately."""
-    x, y = float(pt[0]), float(pt[1])
-    inside = False
-    n = len(poly)
-    for i in range(n):
-        x0, y0 = poly[i][0], poly[i][1]
-        x1, y1 = poly[(i + 1) % n][0], poly[(i + 1) % n][1]
-        if (y0 > y) != (y1 > y):
-            xi = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
-            if x < xi:
-                inside = not inside
+def points_in_polygon(points, rings) -> np.ndarray:
+    """Even-odd containment of (n, 2) points in the region bounded by
+    `rings` (an outer ring and its holes alike), elementwise: a point is
+    inside when a ray from it toward +x crosses an odd number of ring
+    edges. Points on an edge are not guaranteed either way; callers that
+    care about the boundary must test distance separately."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    x, y = pts[:, 0], pts[:, 1]
+    inside = np.zeros(len(pts), dtype=bool)
+    for ring in rings:
+        ring = np.asarray(ring, dtype=float)
+        for (x0, y0), (x1, y1) in zip(ring, np.roll(ring, -1, axis=0)):
+            if y0 == y1:
+                continue  # no point lies strictly between its ends
+            spans = (y0 > y) != (y1 > y)
+            inside ^= spans & (x < x0 + (y - y0) * (x1 - x0) / (y1 - y0))
     return inside
 
 
@@ -327,70 +329,6 @@ def triangulate_loop_3d(loop, holes=()) -> list:
     if n[k] < 0.0:
         return [(t0, t2, t1) for t0, t1, t2 in tris]
     return tris
-
-
-# ---------------------------------------------------------------------------
-# triangle / box overlap (separating axis test, strict)
-
-def tri_box_overlap_strict(tri, lo, hi, which=None) -> np.ndarray:
-    """Strict SAT overlap between triangles and axis-aligned boxes.
-
-    `lo` and `hi` are the (N, 3) lower and upper box corners. Box b is
-    tested against triangle `which[b]` of the (T, 3, 3) triangles `tri`,
-    or against `tri` itself when it is one (3, 3) triangle. Touching
-    contact (shared plane, edge, or vertex with no interior overlap)
-    counts as no overlap, so triangles lying exactly on a voxel face
-    select neither neighbor. Every separation test carries a slack of
-    1e-9 of its own projection radius, or of four float steps of the
-    box's scale per unit of the axis, so exact contacts that pick up a
-    rounding residual far from the origin still count as touching. A
-    box's scale is the largest |coordinate| of its triangle and of its
-    lower corner. Each box is tested in coordinates relative to its lower
-    corner: a vertex on a box corner or face stays exactly there however
-    far from the origin the box lies.
-    """
-    tri = np.asarray(tri, dtype=float).reshape(-1, 3, 3)
-    lo = np.asarray(lo, dtype=float).reshape(-1, 3)
-    size = np.asarray(hi, dtype=float).reshape(-1, 3) - lo
-    if not len(lo):
-        return np.zeros(0, dtype=bool)
-    if which is None:
-        which = np.zeros(len(lo), dtype=np.intp)
-    step = 4 * np.spacing(np.maximum(np.abs(tri).max(axis=(1, 2))[which],
-                                     np.abs(lo).max(axis=1)))
-    # the vertices relative to each box's lower corner, per vertex and
-    # component, and the box sizes per component
-    rel = [[tri[:, v, c][which] - lo[:, c] for c in range(3)] for v in range(3)]
-    size = [np.ascontiguousarray(size[:, c]) for c in range(3)]
-    sep = np.zeros(len(lo), dtype=bool)
-    for c in range(3):
-        # a box axis: the triangle's extent against the box's
-        slack = np.maximum(0.5e-9 * size[c], step)
-        low = np.minimum(np.minimum(rel[0][c], rel[1][c]), rel[2][c])
-        high = np.maximum(np.maximum(rel[0][c], rel[1][c]), rel[2][c])
-        sep |= (low >= size[c] - slack) | (high <= slack)
-    # each triangle's normal and nine edge cross axes, computed once
-    edges = tri[:, [1, 2, 0]] - tri
-    axes = [cross(edges[:, 0], tri[:, 2] - tri[:, 0])]
-    for e in np.moveaxis(edges, 1, 0):
-        axes.extend(cross(u, e) for u in np.eye(3))
-    for a in axes:
-        live = a.any(axis=1)
-        if not live.any():
-            continue
-        reach = np.abs(a).sum(axis=1)[which]
-        # components that are zero for every triangle add nothing
-        p, box_lo, box_hi = [0.0, 0.0, 0.0], 0.0, 0.0
-        for c in np.flatnonzero(a.any(axis=0)).tolist():
-            ac = a[:, c][which]
-            p = [pv + r[c] * ac for pv, r in zip(p, rel)]
-            box_lo = box_lo + size[c] * np.minimum(ac, 0.0)
-            box_hi = box_hi + size[c] * np.maximum(ac, 0.0)
-        slack = np.maximum(0.5e-9 * (box_hi - box_lo), step * reach)
-        low = np.minimum(np.minimum(p[0], p[1]), p[2])
-        high = np.maximum(np.maximum(p[0], p[1]), p[2])
-        sep |= live[which] & ((low >= box_hi - slack) | (high <= box_lo + slack))
-    return ~sep
 
 
 # ---------------------------------------------------------------------------

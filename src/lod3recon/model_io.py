@@ -209,7 +209,7 @@ def validate_solid(solid: BuildingSolid, tol: float = 1e-6) -> list:
                 violations.append(
                     f"face {f.face_id}: inner ring must wind opposite to outer")
         if f.inner:
-            # the conflict stage triangulates every face
+            # evaluate triangulates every face
             try:
                 geom.triangulate_loop_3d(f.outer.points,
                                          [r.points for r in f.inner])

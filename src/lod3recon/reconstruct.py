@@ -150,16 +150,11 @@ def _check_rect_inside(rect, outer_uv, holes_uv, margin, face_id):
     corners = [(u0, v0), (u1, v0), (u1, v1), (u0, v1)]
     eps = 1e-9
 
-    def clearly_outside(c):
-        # a corner sitting in forbidden territory beyond float jitter
-        if (not geom.point_in_polygon_2d(c, outer_uv)
-                and _point_loop_distance(c, outer_uv) > eps):
-            return True
-        return any(geom.point_in_polygon_2d(c, h)
-                   and _point_loop_distance(c, h) > eps
-                   for h in holes_uv)
-
-    if any(clearly_outside(c) for c in corners):
+    # a corner sitting in forbidden territory beyond float jitter
+    forbidden = [(~geom.points_in_polygon(corners, [outer_uv]), outer_uv)]
+    forbidden += [(geom.points_in_polygon(corners, [h]), h) for h in holes_uv]
+    if any(bad and _point_loop_distance(c, loop) > eps
+           for mask, loop in forbidden for c, bad in zip(corners, mask)):
         raise OpeningOutsideFace(f"opening {rect} leaves face {face_id}")
     for hole in holes_uv:
         if any(u0 < x < u1 and v0 < y < v1 for x, y in hole):

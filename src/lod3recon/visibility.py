@@ -6,10 +6,10 @@ rays shooting through with endpoints far behind contradict it. The
 scores are projected into a per-facade conflict raster with three
 states (conflicted, confirmed, unknown).
 
-A face's voxels follow one rule: those whose interior the face, minus
-its holes, overlaps (strict triangle/voxel overlap). A face lying
-exactly in a grid plane is first moved half a voxel inward, against its
-outward normal, so that it selects the voxel layer behind it.
+Each pixel reads the voxels under it: those holding its sample points
+on the face, minus its holes. A face lying exactly in a grid plane reads
+the voxel layer behind it, half a voxel against its outward normal; any
+other face reads three samples along its normal, half a voxel apart.
 """
 
 from __future__ import annotations
@@ -81,11 +81,6 @@ def joint_state_probability(p_position, p_state):
 # ---------------------------------------------------------------------------
 # surface voxels
 
-# (triangle, box) pairs tested at a time; the test's temporaries take a
-# few hundred bytes per pair
-PAIRS = 1 << 12
-
-
 def _grid_plane_axis(n, d: float, vs: float):
     """Axis of the normal `n` when the plane n . x = d is a grid plane,
     else None. The plane may miss the grid line k * vs by 1e-9 voxel, or
@@ -98,97 +93,53 @@ def _grid_plane_axis(n, d: float, vs: float):
     return ax if miss <= max(1e-9 * vs, 4 * math.ulp(plane)) else None
 
 
-def face_triangles(face, voxel_size: float) -> np.ndarray:
-    """(T, 3, 3) triangles of the face minus its holes, slivers of area
-    below 1e-14 left out. A face lying exactly in a grid plane only
-    touches the two voxel layers that share it, so it is moved half a
-    voxel against its outward normal and selects the inner layer."""
+def pixel_voxels(face, frame: rasters.FacadeFrame, voxel_size: float):
+    """(pixel, keys): per sample of the face in `frame`, its flat pixel
+    index row * width + col and the (3,) int64 key of a voxel it reads.
+
+    A pixel is sampled at its centre; when the cell exceeds the voxel,
+    on the centres of a k x k split of it instead, k =
+    `rasters._cover(cell, voxel_size)`. A sample off the face or in one
+    of its holes (even-odd in the frame's (u, v)) is dropped. A face
+    lying in a grid plane reads the voxel half a voxel behind each
+    sample, against its outward normal: the layer behind the plane. Any
+    other face reads the three voxels at -1/2, 0 and +1/2 voxel along
+    its normal."""
     vs = float(voxel_size)
-    pts = np.asarray([p for ring in face.loops() for p in ring], dtype=float)
+    k = rasters._cover(frame.cell, vs)
+    step = frame.cell / k
+    rows, cols = (a.ravel() for a in np.meshgrid(np.arange(frame.height * k),
+                                                  np.arange(frame.width * k),
+                                                  indexing="ij"))
+    u, v = (cols + 0.5) * step, (rows + 0.5) * step
+    on = geom.points_in_polygon(np.column_stack([u, v]),
+                                [frame.to_uv(ring) for ring in face.loops()])
+    pixel = (rows[on] // k) * frame.width + cols[on] // k
+    origin, u_axis, v_axis = map(np.asarray, (frame.origin, frame.u_axis, frame.v_axis))
+    at = origin + u[on, None] * u_axis + v[on, None] * v_axis
     n, d = face.plane()
     ax = _grid_plane_axis(n, d, vs)
     if ax is not None:
-        pts[:, ax] -= math.copysign(0.5 * vs, n[ax])
-    tris = pts[np.array(geom.triangulate_loop_3d(
-        face.outer.points, [r.points for r in face.inner]), dtype=np.intp).reshape(-1, 3)]
-    return tris[geom.triangle_areas(tris) >= 1e-14]
+        at[:, ax] -= math.copysign(0.5 * vs, n[ax])
+        return pixel, grid_index(at, vs)
+    reads = [at + t * vs * n for t in (-0.5, 0.0, 0.5)]
+    return np.tile(pixel, 3), grid_index(np.concatenate(reads), vs)
 
 
 def surface_voxels(face, voxel_size: float) -> np.ndarray:
-    """Voxel keys whose interior the face, minus its holes, overlaps
-    (strict triangle/voxel overlap), as (m, 3) int64 rows in lexicographic
-    order; a face in a grid plane selects the layer behind it (see
-    `face_triangles`).
-
-    Each triangle is tested only against the boxes of its key box that
-    can overlap it (`_candidates`), all (triangle, box) pairs of the face
-    in one pass."""
-    vs = float(voxel_size)
-    tris = face_triangles(face, vs)
-    low, high = grid_index(tris.min(axis=1), vs), grid_index(tris.max(axis=1), vs)
-    which, keys = [np.empty(0, np.intp)], [np.empty((0, 3), np.int64)]
-    for t, (tri, lo, hi) in enumerate(zip(tris, low, high)):
-        k = _candidates(tri, lo, hi, vs)
-        which.append(np.full(len(k), t, dtype=np.intp))
-        keys.append(k)
-    which, keys = np.concatenate(which), np.concatenate(keys)
-    hit = np.concatenate([np.zeros(0, dtype=bool)] + [
-        geom.tri_box_overlap_strict(tris, keys[a:a + PAIRS] * vs,
-                                    (keys[a:a + PAIRS] + 1) * vs, which[a:a + PAIRS])
-        for a in range(0, len(keys), PAIRS)])
-    keys = keys[hit]
+    """The voxel keys `pixel_voxels` reads on the face's frame at a cell
+    of one voxel, each once, as (m, 3) int64 rows in lexicographic order.
+    They do not depend on the raster cell, so one tree serves a conflict
+    raster of any cell."""
+    _, keys = pixel_voxels(face, rasters.facade_frame(face, voxel_size), voxel_size)
     return keys[sorted_keys(keys)]
-
-
-def _candidates(tri, lo, hi, vs: float) -> np.ndarray:
-    """Keys of the boxes of the key box [lo, hi] that the strict test
-    could find overlapping the triangle; the others lie beyond a
-    separating axis by far more than rounding.
-
-    The boxes come in columns along the normal's largest axis k. A
-    column is left out where its cell lies outside an edge of the
-    triangle's projection along k. In a column, a box is left out where
-    its centre lies farther from the slab between the planes through the
-    vertices than half the box's extent along the normal: a few boxes
-    are left per column."""
-    n = geom.cross(tri[1] - tri[0], tri[2] - tri[0])
-    k = int(np.argmax(np.abs(n)))
-    i, j = (k + 1) % 3, (k + 2) % 3
-    # a margin well above the rounding of these tests and of the strict one
-    margin = 1e-6 * vs + 64 * np.spacing(np.abs(tri).max())
-    ci, cj = (a.ravel() for a in np.meshgrid(np.arange(lo[i], hi[i] + 1),
-                                              np.arange(lo[j], hi[j] + 1),
-                                              indexing="ij"))
-    ui, uj = (ci + 0.5) * vs - tri[0, i], (cj + 0.5) * vs - tri[0, j]
-    # (i, j, k) is a cyclic order, so the projection winds counter-clockwise
-    # when n[k] > 0
-    keep = np.ones(len(ci), dtype=bool)
-    for a, b in ((0, 1), (1, 2), (2, 0)):
-        di, dj = tri[b, i] - tri[a, i], tri[b, j] - tri[a, j]
-        oa_i, oa_j = tri[a, i] - tri[0, i], tri[a, j] - tri[0, j]
-        side = (di * (uj - oa_j) - dj * (ui - oa_i)) * math.copysign(1.0, n[k])
-        keep &= side >= -(0.5 * vs + margin) * (abs(di) + abs(dj))
-    ci, cj, ui, uj = ci[keep], cj[keep], ui[keep], uj[keep]
-    # the centre line of a column meets the plane through tri[0] at
-    # height `at` along k; the planes through the vertices lie `off` from it
-    at = tri[0, k] - (n[i] * ui + n[j] * uj) / n[k]
-    off = (tri - tri[0]) @ n / n[k]
-    reach = 0.5 * vs * np.abs(n).sum() / abs(n[k]) + margin
-    first = np.ceil((at + off.min() - reach) / vs - 0.5)
-    last = np.floor((at + off.max() + reach) / vs - 0.5)
-    first = np.maximum(first, lo[k]).astype(np.int64)
-    count = np.maximum(np.minimum(last, hi[k]) - first + 1, 0).astype(np.int64)
-    keys = np.empty((int(count.sum()), 3), dtype=np.int64)
-    keys[:, i], keys[:, j] = np.repeat(ci, count), np.repeat(cj, count)
-    keys[:, k] = np.repeat(first - np.cumsum(count) + count, count) + np.arange(len(keys))
-    return keys
 
 
 # ---------------------------------------------------------------------------
 # classification
 
 def classify_surface_voxels(tree: OccupancyTree, face, keys, config: UncertaintyConfig):
-    """Score every surface voxel of `face`, `keys` as `surface_voxels`
+    """Score the voxels `keys` of `face`, (m, 3) rows as `pixel_voxels`
     gives them, against the ray evidence: parallel arrays (state,
     p_confirmed, p_conflicted), one entry per key.
 
@@ -219,26 +170,25 @@ def classify_surface_voxels(tree: OccupancyTree, face, keys, config: Uncertainty
     return state, p_conf, p_confl
 
 
-def project_conflict_map(tree: OccupancyTree, face, keys, config: UncertaintyConfig,
+def project_conflict_map(tree: OccupancyTree, face, config: UncertaintyConfig,
                          frame: rasters.FacadeFrame) -> rasters.FacadeRaster:
     """Three-channel facade raster (conflicted, confirmed, unknown) of
-    the face's surface voxels `keys` in `frame`.
+    the face in `frame`, each pixel read from the voxels under it
+    (`pixel_voxels`).
 
     A pixel takes the scores of its first most conflicted voxel in key
-    order; pixels without any measured surface voxel stay fully unknown.
+    order; pixels without any measured voxel stay fully unknown.
     """
-    vs = tree.config.voxel_size
     raster = rasters.FacadeRaster.zeros(frame, rasters.CONFLICT_CHANNELS)
     raster.data[:, :, 2] = 1.0
+    pixel, keys = pixel_voxels(face, frame, tree.config.voxel_size)
     state, p_conf, p_confl = classify_surface_voxels(tree, face, keys, config)
     measured = state != "unknown"
-    centers = (keys[measured] + 0.5) * vs
-    rows, cols, inside = frame.to_pixels(centers)
-    pixel = (rows * frame.width + cols)[inside]
-    conf, confl = p_conf[measured][inside], p_confl[measured][inside]
-    # each pixel's voxels in key order, its most conflicted first; the
-    # pixel takes the first voxel of its run
-    order = np.lexsort((-confl, pixel))
+    pixel, keys = pixel[measured], keys[measured]
+    conf, confl = p_conf[measured], p_confl[measured]
+    # each pixel's voxels, its most conflicted first, then in key order;
+    # the pixel takes the first voxel of its run
+    order = np.lexsort((*keys.T[::-1], -confl, pixel))
     first = order[np.flatnonzero(np.diff(pixel[order], prepend=-1))]
     flat = raster.data.reshape(-1, len(rasters.CONFLICT_CHANNELS))
     flat[pixel[first]] = np.column_stack([confl[first], conf[first],

@@ -140,6 +140,20 @@ def _area_2d(poly):
     return 0.5 * float(x @ np.roll(y, -1) - y @ np.roll(x, -1))
 
 
+def grid_layer(n, d, vs):
+    """(axis, voxel layer) behind the plane n . x = d when it lies in a
+    grid plane, to 1e-9 voxel or four float steps of its coordinate;
+    else None."""
+    ax = max(range(3), key=lambda a: abs(float(n[a])))
+    if abs(abs(float(n[ax])) - 1.0) > 1e-9:
+        return None
+    plane = d / float(n[ax])
+    k = round(plane / vs)
+    if abs(plane - k * vs) > max(1e-9 * vs, 4 * math.ulp(plane)):
+        return None
+    return ax, (k - 1 if n[ax] > 0 else k)
+
+
 def aligned_face_voxels(face, vs):
     """Voxel keys of a face lying exactly in a grid plane, by area: the
     cells of the voxel layer on the inner (negative normal) side where the
@@ -150,14 +164,10 @@ def aligned_face_voxels(face, vs):
     outer = np.asarray(face.outer.points, dtype=float)
     area = 0.5 * np.cross(outer, np.roll(outer, -1, axis=0)).sum(axis=0)
     n = area / np.linalg.norm(area)
-    ax = int(np.argmax(np.abs(n)))
-    if abs(abs(float(n[ax])) - 1.0) > 1e-9:
+    grid = grid_layer(n, float(n @ outer[0]), vs)
+    if grid is None:
         return None
-    plane = float(n @ outer[0]) / float(n[ax])
-    k = round(plane / vs)
-    if abs(plane - k * vs) > max(1e-9 * vs, 4 * math.ulp(plane)):
-        return None
-    layer = k - 1 if n[ax] > 0 else k
+    ax, layer = grid
     i, j = [a for a in range(3) if a != ax]
     outer2d = [(p[i], p[j]) for p in face.outer.points]
     holes2d = [[(p[i], p[j]) for p in r.points] for r in face.inner]
@@ -285,25 +295,66 @@ def scalar_classify(tree, face, keys, config):
     return out
 
 
-def scalar_conflict_map(voxels, vs, frame):
-    """(height, width, 3) float32 conflict raster on `frame` of the
-    `scalar_classify` output `voxels`: each pixel's measured voxels
-    gathered in a dict, then the first most conflicted one; unmeasured
+def in_rings(u, v, rings):
+    """Even-odd test of the point (u, v) against every edge of `rings`,
+    one edge at a time."""
+    inside = False
+    for ring in rings:
+        for a in range(len(ring)):
+            (u0, v0), (u1, v1) = ring[a], ring[(a + 1) % len(ring)]
+            if (v0 > v) != (v1 > v) and u < u0 + (v - v0) * (u1 - u0) / (v1 - v0):
+                inside = not inside
+    return inside
+
+
+def pixel_samples(face, frame, vs):
+    """Sorted (pixel, key) pairs of the face in `frame`, one sample at a
+    time: pixel (r, c) sampled at the centres of its k x k split, k the
+    fewest parts no wider than a voxel (to 1e-6), kept when the even-odd
+    test puts it on the face; a sample reads the voxel of the layer
+    behind a grid-plane face, or the voxels at -1/2, 0 and +1/2 voxel
+    along any other face's normal."""
+    k = max(1, math.ceil(frame.cell / vs - 1e-6))
+    step = frame.cell / k
+    rings = [frame.to_uv(ring).tolist() for ring in face.loops()]
+    n, d = face.plane()
+    grid = grid_layer(n, d, vs)
+    out = []
+    for r in range(frame.height * k):
+        for c in range(frame.width * k):
+            u, v = (c + 0.5) * step, (r + 0.5) * step
+            if not in_rings(u, v, rings):
+                continue
+            pixel = (r // k) * frame.width + c // k
+            p = [frame.origin[a] + u * frame.u_axis[a] + v * frame.v_axis[a]
+                 for a in range(3)]
+            if grid is not None:
+                key = [floor_key(x, vs) for x in p]
+                key[grid[0]] = grid[1]
+                out.append((pixel, tuple(key)))
+                continue
+            for t in (-0.5, 0.0, 0.5):
+                out.append((pixel, tuple(floor_key(p[a] + t * vs * float(n[a]), vs)
+                                         for a in range(3))))
+    return sorted(out)
+
+
+def scalar_conflict_map(samples, voxels, frame):
+    """(height, width, 3) float32 conflict raster on `frame` from the
+    `pixel_samples` pairs `samples` and the `scalar_classify` output
+    `voxels` of their keys: each pixel's measured voxels gathered in a
+    dict in key order, then the first most conflicted one; unmeasured
     pixels are (0, 0, 1)."""
     data = np.zeros((frame.height, frame.width, 3), dtype=np.float32)
     data[:, :, 2] = 1.0
-    measured = [v for v in voxels if v[1] != "unknown"]
-    if not measured:
-        return data
-    centers = (np.asarray([v[0] for v in measured], dtype=float) + 0.5) * vs
-    rows, cols, inside = frame.to_pixels(centers)
+    scores = {tuple(map(int, v[0])): v for v in voxels}
     pixels = {}
-    for v, r, c, ok in zip(measured, rows, cols, inside):
-        if ok:
-            pixels.setdefault((int(r), int(c)), []).append(v)
-    for (r, c), group in pixels.items():
+    for pixel, key in sorted(samples):
+        if scores[key][1] != "unknown":
+            pixels.setdefault(pixel, []).append(scores[key])
+    for pixel, group in pixels.items():
         _, _, conf, confl = max(group, key=lambda v: v[3])
-        data[r, c] = (confl, conf, 0.0)
+        data[pixel // frame.width, pixel % frame.width] = (confl, conf, 0.0)
     return data
 
 
@@ -590,49 +641,6 @@ def ear_clip(ring, pts):
             return tris
     tris.append((idx[0], idx[1], idx[2]))
     return tris
-
-
-def tri_box_overlap_strict(tri, lo, hi):
-    """Strict SAT overlap of one triangle with each of the boxes [lo, hi],
-    its thirteen axes built with np.cross and every projection a matrix
-    product over all the boxes; the slack is 1e-9 of a projection's
-    radius or four float steps of the largest coordinate in the call."""
-    tri = np.asarray(tri, dtype=float)
-    lo = np.atleast_2d(np.asarray(lo, dtype=float))
-    size = np.atleast_2d(np.asarray(hi, dtype=float)) - lo
-    step = 4 * np.spacing(max(np.abs(tri).max(), np.abs(lo).max()))
-    verts = [v - lo for v in tri]
-    axes = [*np.eye(3), np.cross(tri[1] - tri[0], tri[2] - tri[0])]
-    for e in (tri[1] - tri[0], tri[2] - tri[1], tri[0] - tri[2]):
-        axes.extend(np.cross(u, e) for u in np.eye(3))
-    sep = np.zeros(len(lo), dtype=bool)
-    for a in axes:
-        if not a.any():
-            continue
-        p0, p1, p2 = (v @ a for v in verts)
-        box_lo = size @ np.minimum(a, 0.0)
-        box_hi = size @ np.maximum(a, 0.0)
-        slack = np.maximum(0.5e-9 * (box_hi - box_lo), step * np.abs(a).sum())
-        sep |= ((np.minimum(np.minimum(p0, p1), p2) >= box_hi - slack)
-                | (np.maximum(np.maximum(p0, p1), p2) <= box_lo + slack))
-    return ~sep
-
-
-def triangle_voxels(triangles, vs):
-    """Sorted keys of the voxels the triangles overlap: each triangle
-    tested against every box of its key box, in chunks of at most 4096
-    boxes in C order."""
-    keys = set()
-    for tri in triangles:
-        tri = np.asarray(tri, dtype=float)
-        lo = [floor_key(x, vs) for x in tri.min(axis=0)]
-        hi = [floor_key(x, vs) for x in tri.max(axis=0)]
-        cand = np.stack(np.meshgrid(*(np.arange(a, b + 1) for a, b in zip(lo, hi)),
-                                    indexing="ij"), axis=-1).reshape(-1, 3)
-        for part in np.array_split(cand, len(cand) // 4096 + 1):
-            hit = tri_box_overlap_strict(tri, part * vs, (part + 1) * vs)
-            keys.update(map(tuple, part[hit].tolist()))
-    return sorted(keys)
 
 
 def record_rows(table, query):

@@ -73,12 +73,16 @@ def test_polygon_area_sign():
 
 
 def test_point_in_polygon_concave():
-    # L-shape
+    # L-shape, then the same with a square hole: all points in one call,
+    # each ring's edges counted toward the same parity
     poly = [(0, 0), (3, 0), (3, 1), (1, 1), (1, 3), (0, 3)]
-    assert geom.point_in_polygon_2d((0.5, 2.5), poly)
-    assert geom.point_in_polygon_2d((2.5, 0.5), poly)
-    assert not geom.point_in_polygon_2d((2.5, 2.5), poly)
-    assert not geom.point_in_polygon_2d((-0.5, 0.5), poly)
+    points = [(0.5, 2.5), (2.5, 0.5), (2.5, 2.5), (-0.5, 0.5), (0.5, 0.5)]
+    got = geom.points_in_polygon(points, [poly])
+    assert got.dtype == bool and got.tolist() == [True, True, False, False, True]
+    hole = [(0.25, 0.25), (0.25, 0.75), (0.75, 0.75), (0.75, 0.25)]
+    got = geom.points_in_polygon(points, [poly, hole])
+    assert got.tolist() == [True, True, False, False, False]
+    assert geom.points_in_polygon(np.zeros((0, 2)), [poly]).shape == (0,)
 
 
 def test_clip_polygon_box():
@@ -120,7 +124,7 @@ def _check_triangulation(outer, holes):
             margin = min(geom.point_segment_distance_2d(cen, h[m], h[(m + 1) % len(h)])
                          for m in range(len(h)))
             if margin > 1e-9:
-                assert not geom.point_in_polygon_2d(cen, h)
+                assert not geom.points_in_polygon([cen], [h])[0]
     expect = abs(geom.polygon_area_2d(outer)) - sum(
         abs(geom.polygon_area_2d(h)) for h in holes)
     assert total == pytest.approx(expect, rel=1e-9)
@@ -155,20 +159,6 @@ def test_triangulate_hole_occlusion():
 ])
 def test_triangulate_holes_touching_at_a_vertex(holes):
     _check_triangulation([(0, 0), (4, 0), (4, 4), (0, 4)], holes)
-
-
-def test_tri_box_strict_touch_far_from_origin():
-    # a box face lies on the product grid line k * vs; the triangle ends
-    # exactly there, where centre-plus-half arithmetic is off by an ulp
-    vs = 0.1
-    lo = np.array([[4999997 * vs, 53999978 * vs, 0.0]])
-    hi = np.array([[4999998 * vs, 53999979 * vs, vs]])
-    y = lo[0, 1]
-    tri = [(lo[0, 0] - 1.0, y - 1.0, 0.05), (lo[0, 0] + 1.0, y, 0.05),
-           (lo[0, 0] - 1.0, y, 0.05)]
-    assert not geom.tri_box_overlap_strict(tri, lo, hi)[0]
-    tri[1] = (lo[0, 0] + 1.0, y + 1e-6, 0.05)
-    assert geom.tri_box_overlap_strict(tri, lo, hi)[0]
 
 
 def test_triangulate_rejects_outside_hole():
@@ -328,105 +318,6 @@ def test_cross_is_numpys_bit_for_bit():
     assert geom.cross(a, b).tobytes() == np.cross(a, b).tobytes()
     assert geom.cross(a[0], b).tobytes() == np.cross(a[0], b).tobytes()
     assert geom.cross(np.eye(3)[1], b).tobytes() == np.cross(np.eye(3)[1], b).tobytes()
-
-
-# ---------------------------------------------------------------------------
-# strict triangle/box overlap: oracle clips the triangle against the box
-# halfspaces and inspects the residual polygon
-
-def _oracle_tri_box(tri, center, half):
-    poly = [np.asarray(v, float) for v in tri]
-    planes = []
-    for ax in range(3):
-        for sign in (1.0, -1.0):
-            n = np.zeros(3)
-            n[ax] = sign
-            planes.append((n, sign * center[ax] + half))
-    for n, d in planes:
-        if not poly:
-            return False
-        out = []
-        m = len(poly)
-        for i in range(m):
-            p, q = poly[i], poly[(i + 1) % m]
-            dp, dq = float(n @ p) - d, float(n @ q) - d
-            if dp <= 0.0:
-                out.append(p)
-                if dq > 0.0:
-                    t = dp / (dp - dq)
-                    out.append(p + t * (q - p))
-            elif dq <= 0.0:
-                t = dp / (dp - dq)
-                out.append(p + t * (q - p))
-        poly = out
-    if len(poly) < 3:
-        return False
-    arr = np.asarray(poly)
-    av = 0.5 * np.cross(arr, np.roll(arr, -1, axis=0)).sum(axis=0)
-    if float(np.linalg.norm(av)) <= 1e-9:
-        return False
-    for n, d in planes:
-        if np.all(np.abs(arr @ n - d) < 1e-9):
-            return False  # flush against a box face, no interior overlap
-    return True
-
-
-def test_tri_box_strict_against_clipping_oracle():
-    rng = np.random.default_rng(23)
-    centers = np.array([[0.5, 0.5, 0.5], [1.5, 0.5, 0.5], [0.5, 1.5, 0.5],
-                        [0.5, 0.5, 1.5], [1.5, 1.5, 1.5], [-0.5, 0.5, 0.5]])
-    mism = 0
-    for _ in range(400):
-        tri = rng.integers(-8, 13, size=(3, 3)) * 0.25
-        got = geom.tri_box_overlap_strict(tri, centers - 0.5, centers + 0.5)
-        want = [_oracle_tri_box(tri, c, 0.5) for c in centers]
-        if not np.array_equal(got, np.asarray(want)):
-            mism += 1
-    assert mism == 0
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([(0.0, 0.0, 0.0), (5e5, 5.4e6, 0.0)]))
-def test_tri_box_strict_pairs_equal_the_per_triangle_oracle(seed, origin):
-    # one pass over (triangle, box) pairs decides each box as the oracle
-    # testing it alone with its triangle; a call of the oracle on the boxes
-    # whose scale has one float step gives each box that step
-    rng = np.random.default_rng(seed)
-    vs = 0.1
-    tris, lo, hi, which, want = [], [], [], [], []
-    for t in range(int(rng.integers(1, 5))):
-        snap = rng.integers(2)
-        tri = np.asarray(origin) + (np.round(rng.uniform(-8, 8, (3, 3)) * 4) / 4 if snap
-                                    else rng.uniform(-0.8, 0.8, (3, 3)))
-        keys = np.floor(tri.min(axis=0) / vs).astype(np.int64) + rng.integers(
-            -2, 12, size=(int(rng.integers(1, 200)), 3))
-        tris.append(tri)
-        lo.append(keys * vs)
-        hi.append((keys + 1) * vs)
-        which.append(np.full(len(keys), t))
-        step = np.spacing(np.maximum(np.abs(tri).max(), np.abs(keys * vs).max(axis=1)))
-        hit = np.zeros(len(keys), dtype=bool)
-        for one in np.unique(step):
-            same = step == one
-            hit[same] = oracles.tri_box_overlap_strict(tri, keys[same] * vs,
-                                                       (keys[same] + 1) * vs)
-        want.append(hit)
-    got = geom.tri_box_overlap_strict(np.asarray(tris), np.concatenate(lo),
-                                      np.concatenate(hi), np.concatenate(which))
-    assert got.tolist() == np.concatenate(want).tolist()
-
-
-def test_tri_box_strict_touch_cases():
-    # triangle exactly in the plane x=1: neither neighbour overlaps
-    tri = [(1, 0.2, 0.2), (1, 0.8, 0.2), (1, 0.5, 0.8)]
-    got = geom.tri_box_overlap_strict(tri, [[0, 0, 0], [1, 0, 0]], [[1, 1, 1], [2, 1, 1]])
-    assert not got.any()
-    # vertex touching a box corner only
-    tri = [(1, 1, 1), (2, 1, 1), (1, 2, 1)]
-    assert not geom.tri_box_overlap_strict(tri, [[0, 0, 0]], [[1, 1, 1]])[0]
-    # triangle crossing the interior
-    tri = [(0.1, 0.1, 0.1), (0.9, 0.2, 0.3), (0.4, 0.8, 0.9)]
-    assert geom.tri_box_overlap_strict(tri, [[0, 0, 0]], [[1, 1, 1]])[0]
 
 
 # ---------------------------------------------------------------------------
