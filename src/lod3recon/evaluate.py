@@ -138,12 +138,12 @@ _BOUND_CELLS = 1 << 15
 def mesh_deviation(points, triangles) -> tuple:
     """Unsigned point-to-mesh distance, reduced to (mean, RMS)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    tris = list(triangles)
+    tris = np.asarray(triangles, dtype=float).reshape(-1, 3, 3)
     if pts.size == 0:
         raise DomainError("mesh deviation needs at least one sample point")
-    if not tris:
+    if not len(tris):
         raise DomainError("mesh deviation needs at least one triangle")
-    best = _nearest_distances(pts, np.asarray(tris, dtype=float).reshape(-1, 3, 3))
+    best = _nearest_distances(pts, tris)
     mean = float(best.mean())
     rms = float(math.sqrt(float((best ** 2).mean())))
     return mean, rms
@@ -280,23 +280,16 @@ def watertight(loops) -> bool:
     return geom.closed_surface_violations(list(loops)) == []
 
 
-def triangulate_model(obj) -> list:
-    """World-space triangle soup of a solid or a full model.
-
-    Faces triangulate with their holes bridged in; placement meshes pass
-    through untouched.
-    """
+def triangulate_model(obj) -> np.ndarray:
+    """World-space (T, 3, 3) triangles of a solid or a full model: each
+    face's triangles (`geom.triangulate_face`) in face order, then the
+    placement meshes as they are."""
     faces = obj.solid.faces if hasattr(obj, "solid") else obj.faces
-    tris = []
-    for f in faces:
-        outer = [tuple(p) for p in f.outer.points]
-        holes = [[tuple(q) for q in r.points] for r in f.inner]
-        verts = outer + [q for h in holes for q in h]
-        for i, j, k in geom.triangulate_loop_3d(outer, holes):
-            tris.append((verts[i], verts[j], verts[k]))
-    for p in getattr(obj, "placements", ()):
-        tris.extend(p.mesh)
-    return tris
+    tris = [geom.triangulate_face(f.outer.as_array(), [r.as_array() for r in f.inner])
+            for f in faces]
+    tris += [np.asarray(p.mesh, dtype=float).reshape(-1, 3, 3)
+             for p in getattr(obj, "placements", ())]
+    return np.concatenate([np.empty((0, 3, 3)), *tris])
 
 
 def sample_model_points(obj, count: int) -> np.ndarray:

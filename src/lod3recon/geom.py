@@ -61,16 +61,6 @@ def enclosed_volume(loops) -> float:
     return vol
 
 
-def polygon_area_2d(poly) -> float:
-    """Signed area of a 2D polygon (positive when counter-clockwise)."""
-    pts = np.asarray(poly, dtype=float)
-    if len(pts) < 3:
-        return 0.0
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(x @ np.concatenate([y[1:], y[:1]])
-                       - y @ np.concatenate([x[1:], x[:1]]))
-
-
 def points_in_polygon(points, rings) -> np.ndarray:
     """Even-odd containment of (n, 2) points in the region bounded by
     `rings` (an outer ring and its holes alike), elementwise: a point is
@@ -140,195 +130,55 @@ def segment_distance_2d(a0, a1, b0, b1) -> float:
 
 
 # ---------------------------------------------------------------------------
-# polygon triangulation (ear clipping with hole bridging)
+# face triangulation (slabs)
 
-def _point_in_triangle_2d(p, a, b, c) -> bool:
-    # inclusive: boundary counts as inside
-    d1 = _orient_2d(a, b, p)
-    d2 = _orient_2d(b, c, p)
-    d3 = _orient_2d(c, a, p)
-    return d1 >= 0.0 and d2 >= 0.0 and d3 >= 0.0
+def triangulate_face(outer, holes=()) -> np.ndarray:
+    """(T, 3, 3) triangles of a planar 3-D face with holes, each facing
+    the outer ring's normal. Rings may wind either way.
 
-
-def _locally_inside(ring: list, pos: int, pts: np.ndarray, q) -> bool:
-    """Is the direction from ring vertex `pos` toward q inside the polygon?
-
-    Needed to pick the right occurrence of a bridge vertex that already
-    appears twice after an earlier hole merge.
-    """
-    n = len(ring)
-    a = pts[ring[(pos - 1) % n]]
-    b = pts[ring[pos]]
-    c = pts[ring[(pos + 1) % n]]
-    if _orient_2d(a, b, c) >= 0.0:
-        return _orient_2d(a, b, q) > 0.0 and _orient_2d(b, c, q) > 0.0
-    return _orient_2d(a, b, q) > 0.0 or _orient_2d(b, c, q) > 0.0
-
-
-def _find_bridge(ring: list, hole_left: int, pts: np.ndarray) -> int | None:
-    """Position in `ring` of a vertex visible from the hole's leftmost vertex.
-
-    Leftward ray cast followed by the blocked-candidate refinement; `ring`
-    already contains previously merged holes so hole-hole occlusion is
-    respected.
-    """
-    hx, hy = pts[hole_left]
-    qx = -math.inf
-    mpos = None
-    n = len(ring)
-    for k in range(n):
-        kn = (k + 1) % n
-        yi, yj = pts[ring[k]][1], pts[ring[kn]][1]
-        if yi >= hy >= yj and yj != yi:
-            xi, xj = pts[ring[k]][0], pts[ring[kn]][0]
-            x = xi + (hy - yi) * (xj - xi) / (yj - yi)
-            if x <= hx and x > qx:
-                qx = x
-                mpos = k if xi < xj else kn
-    if mpos is None:
-        return None
-    if qx == hx:
-        return mpos
-    # candidate bridge may be blocked: among ring vertices inside the
-    # triangle spanned by the ray hit, pick the one with minimum slope
-    # to the hole vertex (ties: rightmost)
-    mx, my = pts[ring[mpos]]
-    if my > hy:
-        tri = ((hx, hy), (mx, my), (qx, hy))
-    else:
-        tri = ((qx, hy), (mx, my), (hx, hy))
-    tan_min = math.inf
-    best = mpos
-    for p in range(n):
-        px, py = pts[ring[p]]
-        if px < mx or px >= hx:
-            continue
-        if not _point_in_triangle_2d((px, py), *tri):
-            continue
-        if not _locally_inside(ring, p, pts, (hx, hy)):
-            continue
-        tan = abs(hy - py) / (hx - px)
-        if tan < tan_min or (tan == tan_min and px > pts[ring[best]][0]):
-            tan_min = tan
-            best = p
-    return best
-
-
-def _shared_vertex(ring: list, hole: list, pts: np.ndarray):
-    """(ring position, hole position) of a vertex the hole shares with the
-    ring, at a ring corner the hole's corner fits into; None if there is
-    none. The first such pair in hole order, then ring order."""
-    same = (pts[hole][:, None, :] == pts[ring][None, :, :]).all(axis=2)
-    for pos, at in zip(*np.nonzero(same)):
-        # inside the hole's corner at p when that corner is convex
-        p = pts[hole[pos]]
-        q = pts[hole[pos - 1]] + pts[hole[(pos + 1) % len(hole)]] - p
-        if _locally_inside(ring, at, pts, q):
-            return int(at), int(pos)
-    return None
-
-
-# candidate ears tested together by `_first_ear`
-EARS = 8
-
-
-def _first_ear(x, y):
-    """Position of the first convex corner of the ring (x, y), in ring
-    order, whose triangle holds no other ring vertex, its boundary
-    included; vertices at the position of one of the triangle's corners
-    do not count. None if there is none. EARS candidates at a time are
-    tested against the whole ring, with the arithmetic of `_orient_2d`."""
-    # per corner its triangle (a, b, c): the previous, own and next vertex
-    xs = np.stack([np.concatenate([x[-1:], x[:-1]]), x, np.concatenate([x[1:], x[:1]])])
-    ys = np.stack([np.concatenate([y[-1:], y[:-1]]), y, np.concatenate([y[1:], y[:1]])])
-    convex = np.flatnonzero(
-        (xs[1] - xs[0]) * (ys[2] - ys[0]) - (ys[1] - ys[0]) * (xs[2] - xs[0]) > 0.0)
-    for s in range(0, len(convex), EARS):
-        k = convex[s:s + EARS]
-        # the edges a-b, b-c and c-a of each candidate against every vertex:
-        # _point_in_triangle_2d(p, a, b, c)
-        ax, ay = xs[:, k, None], ys[:, k, None]
-        bx, by = ax[[1, 2, 0]], ay[[1, 2, 0]]
-        inside = ((bx - ax) * (y - ay) - (by - ay) * (x - ax) >= 0.0).all(axis=0)
-        inside &= ~((x == ax) & (y == ay)).any(axis=0)
-        free = np.flatnonzero(~inside.any(axis=1))
-        if len(free):
-            return int(k[free[0]])
-    return None
-
-
-def _ear_clip(ring: list, pts: np.ndarray) -> list:
-    """Triangles of a simple ring by ear clipping: the first ear
-    (`_first_ear`) is clipped, and the search starts over."""
-    tris = []
-    idx = list(ring)
-    while len(idx) > 3:
-        k = _first_ear(pts[idx, 0], pts[idx, 1])
-        if k is None:
-            # numerically stuck ring: fan out what is left
-            return tris + [(idx[0], idx[j], idx[j + 1]) for j in range(1, len(idx) - 1)]
-        tris.append((idx[k - 1], idx[k], idx[(k + 1) % len(idx)]))
-        del idx[k]
-    tris.append((idx[0], idx[1], idx[2]))
-    return tris
-
-
-def triangulate_polygon_2d(outer, holes=()) -> list:
-    """Triangulate a simple 2D polygon with optional disjoint holes.
-
-    Returns index triples into the concatenated vertex list (outer ring
-    first, then each hole in order). Rings may wind either way; output
-    triangles are counter-clockwise.
-    """
-    pts_list = [tuple(map(float, p)) for p in outer]
-    outer_idx = list(range(len(outer)))
-    if polygon_area_2d(outer) < 0.0:
-        outer_idx.reverse()
-    hole_entries = []
-    for hole in holes:
-        base = len(pts_list)
-        pts_list.extend(tuple(map(float, p)) for p in hole)
-        h_idx = list(range(base, base + len(hole)))
-        if polygon_area_2d(hole) > 0.0:
-            h_idx.reverse()
-        hole_entries.append(h_idx)
-    pts = np.asarray(pts_list, dtype=float)
-
-    # merge holes left to right so the leftward ray sees earlier bridges
-    hole_entries.sort(key=lambda h: min(pts[i][0] for i in h))
-    ring = outer_idx
-    for h_idx in hole_entries:
-        shared = _shared_vertex(ring, h_idx, pts)
-        if shared is not None:
-            # enter the hole where it touches the ring: no bridge needed
-            at, pos = shared
-            h = h_idx[pos:] + h_idx[:pos]
-            ring = ring[:at + 1] + h[1:] + [h[0]] + ring[at + 1:]
-            continue
-        left_pos = min(range(len(h_idx)),
-                       key=lambda k: (pts[h_idx[k]][0], pts[h_idx[k]][1]))
-        h = h_idx[left_pos:] + h_idx[:left_pos]
-        at = _find_bridge(ring, h[0], pts)
-        if at is None:
-            raise ValueError("hole is not inside the outer ring")
-        ring = ring[:at + 1] + h + [h[0], ring[at]] + ring[at + 1:]
-    return _ear_clip(ring, pts)
-
-
-def triangulate_loop_3d(loop, holes=()) -> list:
-    """Triangulate a planar 3D polygon (with optional holes) by projecting
-    onto its dominant plane. Returns index triples into the concatenated
-    vertex list, oriented to match the outer ring's normal."""
-    n = newell_area_vector(loop)
+    The face is projected onto the axis plane its normal leans on most
+    and cut into slabs at every vertex's second coordinate there. In
+    each slab the ring edges that span it, sorted by where they cross
+    its middle, bound the face between the first and second, the third
+    and fourth, and so on (even-odd): a trapezoid of two triangles. Each
+    corner lies on its own 3-D edge, and a corner at an edge's end is
+    that vertex exactly. A triangle of no area in the projection is
+    dropped."""
+    rings = [np.asarray(r, dtype=float).reshape(-1, 3) for r in (outer, *holes)]
+    n = newell_area_vector(rings[0])
     k = int(np.argmax(np.abs(n)))
     i, j = (k + 1) % 3, (k + 2) % 3
-    to2d = lambda ring: [(p[i], p[j]) for p in ring]
-    tris = triangulate_polygon_2d(to2d(loop), [to2d(h) for h in holes])
-    # (i, j, k) is a cyclic order of the axes, so a counter-clockwise
-    # triangle of the (i, j) projection faces +k
-    if n[k] < 0.0:
-        return [(t0, t2, t1) for t0, t1, t2 in tris]
-    return tris
+    a = np.concatenate(rings)
+    cuts = np.sort(a[:, j])
+    cuts = cuts[np.append(True, cuts[1:] != cuts[:-1])]
+    y0, y1 = cuts[:-1], cuts[1:]
+    # each edge from its lower to its upper end along j; a flat one spans
+    # no slab
+    b = np.concatenate([part for r in rings for part in (r[1:], r[:1])])
+    sloped = a[:, j] != b[:, j]
+    a, b = a[sloped], b[sloped]
+    up = (a[:, j] < b[:, j])[:, None]
+    lo, hi = np.where(up, a, b), np.where(up, b, a)
+    d = hi - lo
+    slab, edge = np.nonzero((lo[:, j] <= y0[:, None]) & (hi[:, j] >= y1[:, None]))
+    mid = (y0[slab] + y1[slab]) / 2.0
+    mid = lo[edge, i] + (mid - lo[edge, j]) / d[edge, j] * d[edge, i]
+    order = np.lexsort((mid, slab))
+    slab, edge = slab[order], edge[order]
+    # the corners at the bottoms of the slabs, then at their tops
+    edge = np.concatenate([edge, edge])
+    t = ((np.concatenate([y0[slab], y1[slab]]) - lo[edge, j]) / d[edge, j])[:, None]
+    corners = np.where(t == 1.0, hi[edge], lo[edge] + t * d[edge])
+    # pair p's trapezoid: corners 2p and 2p + 1 at the bottom, m + 2p and
+    # m + 2p + 1 at the top
+    m = len(slab)
+    tris = corners[np.arange(0, m, 2)[:, None, None]
+                   + np.array([[0, 1, m + 1], [0, m + 1, m]])].reshape(-1, 3, 3)
+    # a counter-clockwise triangle of the (i, j) projection faces +k, as
+    # (i, j, k) is a cyclic order of the axes
+    e1, e2 = tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
+    tris = tris[e1[:, i] * e2[:, j] - e1[:, j] * e2[:, i] > 0.0]
+    return tris[:, [0, 2, 1]] if n[k] < 0.0 else tris
 
 
 # ---------------------------------------------------------------------------

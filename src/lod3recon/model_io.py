@@ -208,19 +208,31 @@ def validate_solid(solid: BuildingSolid, tol: float = 1e-6) -> list:
             if not float(a @ n) < 0.0:
                 violations.append(
                     f"face {f.face_id}: inner ring must wind opposite to outer")
-        if f.inner:
-            # evaluate triangulates every face
-            try:
-                geom.triangulate_loop_3d(f.outer.points,
-                                         [r.points for r in f.inner])
-            except ValueError as exc:
-                violations.append(f"face {f.face_id}: {exc}")
+        if f.inner and not _holes_inside(f, n, tol):
+            violations.append(f"face {f.face_id}: hole is not inside the outer ring")
     violations.extend(geom.closed_surface_violations(solid.loops()))
     if not violations:
         vol = solid.volume()
         if not vol > 0.0:
             violations.append(f"enclosed volume is {vol:.6g}, shell faces inward")
     return violations
+
+
+def _holes_inside(face: Face, n, tol: float) -> bool:
+    """Whether every vertex of every inner ring lies inside the outer
+    ring, or within `tol` of it, projected onto the axis plane the
+    normal `n` leans on most."""
+    k = int(np.argmax(np.abs(n)))
+    axes = [(k + 1) % 3, (k + 2) % 3]
+    outer = face.outer.as_array()[:, axes]
+    edges = list(zip(outer, np.roll(outer, -1, axis=0)))
+    for ring in face.inner:
+        pts = ring.as_array()[:, axes]
+        for p, inside in zip(pts, geom.points_in_polygon(pts, [outer])):
+            if not inside and min(geom.point_segment_distance_2d(p, a, b)
+                                  for a, b in edges) > tol:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

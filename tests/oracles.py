@@ -131,8 +131,9 @@ def clip_polygon_box_2d(poly, xmin, ymin, xmax, ymax):
     return out
 
 
-def _area_2d(poly):
-    """Shoelace area about the first vertex, so that faces far from the
+def polygon_area_2d(poly):
+    """Signed area of a 2-D polygon, positive when counter-clockwise:
+    the shoelace sum about the first vertex, so that faces far from the
     origin keep their small cell areas."""
     if len(poly) < 3:
         return 0.0
@@ -179,9 +180,9 @@ def aligned_face_voxels(face, vs):
     for a in range(floor_key(min(xs), vs), floor_key(max(xs), vs) + 1):
         for b in range(floor_key(min(ys), vs), floor_key(max(ys), vs) + 1):
             box = (a * vs, b * vs, (a + 1) * vs, (b + 1) * vs)
-            covered = abs(_area_2d(clip_polygon_box_2d(outer2d, *box)))
+            covered = abs(polygon_area_2d(clip_polygon_box_2d(outer2d, *box)))
             for h in holes2d:
-                covered -= abs(_area_2d(clip_polygon_box_2d(h, *box)))
+                covered -= abs(polygon_area_2d(clip_polygon_box_2d(h, *box)))
             if covered > least:
                 key = [0, 0, 0]
                 key[ax], key[i], key[j] = layer, a, b
@@ -576,71 +577,6 @@ def scalar_scan(spec, labels):
     points = np.asarray(points)
     rays = np.column_stack([np.asarray(origins), points, np.ones(len(points))])
     return rays, points, np.asarray(probs)
-
-
-def _orient_2d(a, b, c):
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-
-def _locally_inside(ring, pos, pts, q):
-    n = len(ring)
-    a, b, c = pts[ring[(pos - 1) % n]], pts[ring[pos]], pts[ring[(pos + 1) % n]]
-    if _orient_2d(a, b, c) >= 0.0:
-        return _orient_2d(a, b, q) > 0.0 and _orient_2d(b, c, q) > 0.0
-    return _orient_2d(a, b, q) > 0.0 or _orient_2d(b, c, q) > 0.0
-
-
-def shared_vertex(ring, hole, pts):
-    """(ring position, hole position) of the first hole vertex, in hole
-    order, that equals a ring vertex at a ring corner the hole's corner
-    fits into, comparing the vertices one pair at a time; or None."""
-    for pos, v in enumerate(hole):
-        p = pts[v]
-        q = pts[hole[pos - 1]] + pts[hole[(pos + 1) % len(hole)]] - p
-        for at, r in enumerate(ring):
-            if (pts[r] == p).all() and _locally_inside(ring, at, pts, q):
-                return at, pos
-    return None
-
-
-def ear_clip(ring, pts):
-    """Ear clipping one candidate and one ring vertex at a time: the first
-    convex corner whose triangle holds no other ring vertex (boundary
-    included; vertices at its corners by index or position skipped) is
-    clipped, and the search starts over; a stuck ring is fanned out."""
-    tris = []
-    idx = list(ring)
-    while len(idx) > 3:
-        n = len(idx)
-        clipped = False
-        for k in range(n):
-            i0, i1, i2 = idx[k - 1], idx[k], idx[(k + 1) % n]
-            a, b, c = pts[i0], pts[i1], pts[i2]
-            if _orient_2d(a, b, c) <= 0.0:
-                continue
-            ok = True
-            for j in idx:
-                if j in (i0, i1, i2):
-                    continue
-                p = pts[j]
-                if (p[0] == a[0] and p[1] == a[1]) or (p[0] == b[0] and p[1] == b[1]) \
-                        or (p[0] == c[0] and p[1] == c[1]):
-                    continue
-                if (_orient_2d(a, b, p) >= 0.0 and _orient_2d(b, c, p) >= 0.0
-                        and _orient_2d(c, a, p) >= 0.0):
-                    ok = False
-                    break
-            if ok:
-                tris.append((i0, i1, i2))
-                del idx[k]
-                clipped = True
-                break
-        if not clipped:
-            for k in range(1, len(idx) - 1):
-                tris.append((idx[0], idx[k], idx[k + 1]))
-            return tris
-    tris.append((idx[0], idx[1], idx[2]))
-    return tris
 
 
 def record_rows(table, query):

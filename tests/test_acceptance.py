@@ -228,7 +228,8 @@ def test_06_morphology_rectangularity_percentile():
         assert rectangularity(cluster) == 1.0
 
     # eight full squares (index 1.0) and one planted diagonal whose
-    # index is 5/25 = 0.2; the percentile band must reject only the plant
+    # index is 5/25 = 0.2; the MIN_RECTANGULARITY floor of 0.5 must
+    # reject only the plant
     squares = [np.array([(r + 8 * k, c) for r in range(4) for c in range(4)])
                for k in range(8)]
     plant = np.array([(70 + i, i) for i in range(5)])

@@ -63,17 +63,36 @@ def test_validate_detects_inner_ring_winding():
     assert any("wind opposite" in v for v in model_io.validate_solid(bad))
 
 
-def test_validate_detects_hole_outside_its_face():
-    # a plugged hole beside the wall keeps the shell closed, but the wall
-    # cannot be triangulated
+@pytest.mark.parametrize("x0, x1, z0, z1", [
+    (-1.5, -1.0, 0.2, 0.6),     # left
+    (4.0, 4.5, 0.2, 0.6),       # right
+    (1.0, 1.5, 1.2, 1.6),       # above
+    (1.0, 1.5, -0.6, -0.2),     # below
+], ids=["left", "right", "above", "below"])
+def test_validate_detects_hole_outside_its_face(x0, x1, z0, z1):
+    # a plugged hole beside the wall keeps the shell closed, but the hole
+    # does not lie in the wall
     s = model_io.box_solid("b", (0, 0, 0), (3, 1, 1))
-    hole = ((4.0, 0.0, 0.2), (4.0, 0.0, 0.6), (4.5, 0.0, 0.6), (4.5, 0.0, 0.2))
+    hole = ((x0, 0.0, z0), (x0, 0.0, z1), (x1, 0.0, z1), (x1, 0.0, z0))
     faces = [f if f.face_id != "wall_front" else
              Face(f.face_id, f.label, f.outer, (Ring(hole),)) for f in s.faces]
     faces.append(Face("plug", "closure", Ring(hole[::-1])))
     bad = BuildingSolid("b", 2, tuple(faces))
-    assert any("not inside the outer ring" in v
-               for v in model_io.validate_solid(bad))
+    assert model_io.validate_solid(bad) == [
+        "face wall_front: hole is not inside the outer ring"]
+
+
+def test_validate_accepts_holes_meeting_the_outer_ring_at_a_vertex():
+    # two plugged holes in the wall, meeting each other at (1.5, 0, 0.5)
+    # and the wall's edge at (0, 0, 0.5) and (3, 0, 0.5)
+    s = model_io.box_solid("b", (0, 0, 0), (3, 1, 1))
+    holes = tuple(((x, 0.0, 0.5), (x + 0.75, 0.0, 0.8), (x + 1.5, 0.0, 0.5),
+                   (x + 0.75, 0.0, 0.2)) for x in (0.0, 1.5))
+    faces = [f if f.face_id != "wall_front" else
+             Face(f.face_id, f.label, f.outer, tuple(Ring(h) for h in holes))
+             for f in s.faces]
+    faces += [Face(f"plug{k}", "closure", Ring(h[::-1])) for k, h in enumerate(holes)]
+    assert model_io.validate_solid(BuildingSolid("b", 2, tuple(faces))) == []
 
 
 def test_validate_detects_duplicate_face_ids():
