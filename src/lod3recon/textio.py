@@ -7,10 +7,12 @@ opened is an IoError, text that is not UTF-8 or does not parse is a
 ParseError naming the file, and so is a number that is not finite.
 `table` and `write_table` read and write every table of numbers;
 `table_blocks` and `table_writer` do so block by block, for tables that need
-not fit in memory. Every table is read and written in blocks of
-BLOCK_ROWS rows, and both readers run one block loop, `_blocks`: numpy
-parses each block, and `_parse_lines` parses, as Python reads them, the
-lines of a block numpy cannot parse and of the rest of the file.
+not fit in memory. Every table is read in blocks of BLOCK_ROWS lines and
+written in blocks of BLOCK_ROWS rows. Both readers run one block loop,
+`_blocks`, over the one open file: numpy parses a block's lines, or
+`_parse_lines` parses them as Python reads them where numpy cannot, and
+a bad line is numbered from the block's own lines, so a pipe is read as
+a file is.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ def writing(path):
     return _opened(path, "w")
 
 
-def _numbered(fh):
-    for no, line in enumerate(fh, start=1):
+def _numbered(lines, start: int = 0):
+    for no, line in enumerate(lines, start=start + 1):
         text = line.split("#", 1)[0].strip()
         if text:
             yield no, text
@@ -119,103 +121,85 @@ def table(path, head: int, row, checks=lambda rows: (), repeats=False):
     with _opened(path, "r") as fh:
         lines = list(itertools.islice(_numbered(fh), head))
         header, dtype = row(lines) if callable(row) else (lines, row)
-        blocks = _blocks(path, fh, head, dtype, _repeated if repeats else _loadtxt,
-                         checks)
+        blocks = _blocks(path, fh, lines[-1][0] if lines else 0, dtype,
+                         _repeated if repeats else _loadtxt, checks)
         return header, np.concatenate([np.empty(0, dtype), *blocks])
 
 
-# rows read or written per block by every table reader and writer. The
-# parsed rows and what a caller derives from them grow with the block;
-# each block pays numpy's per-call cost in the reader and in its caller
-# (0.6 ms at 2^10 rays on four faces, 1.5 ms at 2^12, on a 2-core VM),
-# which made 2^10 slow the 16,000-ray demo by 7-10 %
+# lines read per block by every table reader, rows written per block by
+# every writer. The parsed rows and what a caller derives from them grow
+# with the block; each block pays numpy's per-call cost in the reader and
+# in its caller (0.6 ms at 2^10 rays on four faces, 1.5 ms at 2^12, on a
+# 2-core VM), which made 2^10 slow the 16,000-ray demo by 7-10 %
 BLOCK_ROWS = 1 << 12
 
 
 def table_blocks(path, row, checks=lambda rows: ()):
     """Yield the table of numbers at `path`, which has no header lines,
-    as consecutive arrays of at most BLOCK_ROWS rows of the record dtype
-    `row`, in file order; a file without rows yields none. As in
-    `table`, the first row flagged by `checks(rows)`, or else the first
-    line that does not parse, is a ParseError naming its line; it is
-    raised when its block is reached."""
+    as consecutive arrays of the rows of BLOCK_ROWS lines at a time, of
+    the record dtype `row`, in file order; a file without rows yields
+    none. As in `table`, the first row flagged by `checks(rows)`, or else
+    the first line that does not parse, is a ParseError naming its line;
+    it is raised when its block is reached."""
     with _opened(path, "r") as fh:
         yield from _blocks(path, fh, 0, row, _loadtxt, checks)
 
 
-def _blocks(path, fh, done: int, dtype, parse, checks):
-    """Yield the rest of `fh`, the lines of `path` after its first `done`
-    lines with content, as arrays of rows of the record dtype `dtype` in
-    file order, each block the (rows, whether any may be left) that
-    `parse(fh, dtype, BLOCK_ROWS)` returns; a block without rows is not
-    yielded.
+def _blocks(path, fh, start: int, dtype, parse, checks):
+    """Yield the rest of `fh`, the lines of `path` after line `start`, in
+    blocks of BLOCK_ROWS lines, each as the array of its rows of the
+    record dtype `dtype` that `parse(lines, dtype)` returns, in file
+    order; a block without rows is not yielded.
 
-    Where `parse` fails, that block and the rest are parsed line by line
-    as Python reads them, BLOCK_ROWS rows at a time, from the file opened
-    again to number the lines. The first row of a block that `checks`
+    Where `parse` raises a ValueError, `_parse_lines` parses the block's
+    lines as Python reads them. The first row of a block that `checks`
     flags, or else the first line that does not parse, is a ParseError
     naming its line, raised when its block is reached."""
-    size = BLOCK_ROWS
-    with contextlib.ExitStack() as stack:
-        lines = None
-        while True:
-            error = None
-            if lines is None:
-                try:
-                    rows, more = parse(fh, dtype, size)
-                except ValueError:
-                    # the error a line raises holds the parser's frame, and
-                    # with it the lines: the file is closed explicitly
-                    numbered = stack.enter_context(contextlib.closing(content_lines(path)))
-                    lines = itertools.islice(numbered, done, None)
-            if lines is not None:
-                rows, error = _parse_lines(path, itertools.islice(lines, size), dtype)
-                more = len(rows) == size
-            _raise_first(path, done, rows, checks, error)
-            if len(rows):
-                yield rows
-            done += len(rows)
-            if not more:
-                return
+    while lines := list(itertools.islice(fh, BLOCK_ROWS)):
+        try:
+            rows, error = parse(lines, dtype), None
+        except ValueError:
+            rows, error = _parse_lines(path, _numbered(lines, start), dtype)
+        _raise_first(path, _numbered(lines, start), rows, checks, error)
+        start += len(lines)
+        del lines   # the block's text is not held while its rows are used
+        if len(rows):
+            yield rows
 
 
-def _loadtxt(fh, dtype, max_rows):
-    """(rows, whether any may be left): at most `max_rows` rows (all with
-    None) of the rest of `fh`, a handle or a list of lines; blank and
-    comment lines give none."""
+def _loadtxt(lines, dtype):
+    """The rows of `lines`; blank and comment lines give none."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)   # comment lines, no rows
-        rows = np.loadtxt(fh, dtype=dtype, comments="#", ndmin=1, max_rows=max_rows)
-    return rows, len(rows) == max_rows
+        return np.loadtxt(lines, dtype=dtype, comments="#", ndmin=1)
 
 
-def _repeated(fh, dtype, size: int):
-    """(rows, whether any may be left): the rows of the next `size` lines
-    of `fh`, each distinct line kept and parsed once by np.loadtxt."""
+def _repeated(lines, dtype):
+    """The rows of `lines`, each distinct line parsed once by np.loadtxt."""
     slot = {}
-    at = np.fromiter((slot.setdefault(line, len(slot))
-                      for line in itertools.islice(fh, size)), dtype=np.intp)
-    more, lines = len(at) == size, list(slot)
-    rows, _ = _loadtxt(lines, dtype, None)
+    at = np.fromiter((slot.setdefault(line, len(slot)) for line in lines),
+                     dtype=np.intp, count=len(lines))
+    lines = list(slot)
+    rows = _loadtxt(lines, dtype)
     if len(rows) < len(lines):
         # a blank or comment line gives no row: the lines go without them
         content = np.array([bool(line.split("#", 1)[0].strip()) for line in lines])
         if len(rows) != content.sum():
             raise ValueError("a line with content gave no row")
         at = (np.cumsum(content) - 1)[at[content[at]]]
-    return rows[at], more
+    return rows[at]
 
 
-def _raise_first(path, skip: int, rows, checks, error) -> None:
-    """Raise the first row of `rows`, the content lines after the first
-    `skip`, that `checks(rows)` flags, as a ParseError naming its line,
-    or else `error`, the failure that ended `rows`, if any. A mask of
-    more than one dimension flags the row of each of its rows."""
+def _raise_first(path, numbered, rows, checks, error) -> None:
+    """Raise the first row of `rows`, those of the (line_no, text) lines
+    `numbered`, that `checks(rows)` flags, as a ParseError naming its
+    line, or else `error`, the failure that ended `rows`, if any. A mask
+    of more than one dimension flags the row of each of its rows."""
     firsts = [(np.nonzero(bad)[0][0], message)
               for bad, message in checks(rows) if bad.any()]
     if firsts:
         first, message = min(firsts, key=lambda f: f[0])
-        no, _ = next(itertools.islice(content_lines(path), skip + first, None))
+        no, _ = next(itertools.islice(numbered, first, None))
         error = ParseError(f"{path}:{no}: {message}")
     if error is not None:
         raise error

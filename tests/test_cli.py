@@ -1145,6 +1145,46 @@ def test_non_finite_number_exits_2(scene_dir, artifacts_dir, tmp_path, capsys,
     assert "Traceback" not in err
 
 
+def _piped(source, copies, line_no, column, value) -> str:
+    """The text of `source`, its body after the first line `copies` times
+    over, with one token of line `line_no` replaced."""
+    head, *body = Path(source).read_text().splitlines()
+    lines = [head, *body * copies]
+    tokens = lines[line_no - 1].split()
+    tokens[column] = value
+    lines[line_no - 1] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("stage", ["raycast", "project-points", "conflicts", "fuse"])
+def test_piped_bad_input_exits_2_naming_its_line(scene_dir, artifacts_dir, tmp_path,
+                                                 stage):
+    # a pipe cannot be read twice: the bad line, past the first block of
+    # rays, points and tree lines, is numbered from the lines read once
+    s, a = scene_dir, artifacts_dir
+    face = ["--solid", s / "solid.txt", "--face", "wall_front"]
+    source, copies, where, value, message, argv = {
+        "raycast": (s / "rays.txt", 2, (5001, 2), "1.x", "bad number",
+                    ["--rays", "/dev/stdin", "--solid", s / "solid.txt"]),
+        "project-points": (s / "points.txt", 2, (5001, 0), "nan",
+                           "non-finite coordinate", ["--points", "/dev/stdin", *face]),
+        # a key given twice keeps its last line: the voxels repeat
+        "conflicts": (a / "tree.txt", 8, (5001, 5), "x", "bad number",
+                      ["--tree", "/dev/stdin", *face]),
+        "fuse": (a / "conflict_wall_front.txt", 1, (600, 1), "inf",
+                 "non-finite pixel value", ["--conflict", "/dev/stdin"]),
+    }[stage]
+    text = _piped(source, copies, *where, value)
+    proc = subprocess.run(
+        [sys.executable, "-m", "lod3recon.cli", stage,
+         *map(str, argv), "--out", str(tmp_path / "out.txt")],
+        input=text, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert re.fullmatch(f"error: {stage}: /dev/stdin:{where[0]}: {message}[^\n]*\n",
+                        proc.stderr), proc.stderr
+    assert not (tmp_path / "out.txt").exists()
+
+
 # ---------------------------------------------------------------------------
 # the occupancy bindings the benchmark's tracer reads
 

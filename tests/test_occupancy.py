@@ -668,7 +668,10 @@ def _line_no(text, line):
 
 
 def test_ray_blocks_read_the_whole_file(tmp_path, monkeypatch):
-    monkeypatch.setattr(textio, "BLOCK_ROWS", 4)
+    # after the header line each run of four rays takes seven lines, three
+    # blank or comment lines and the rays: each block of eight lines holds
+    # one run
+    monkeypatch.setattr(textio, "BLOCK_ROWS", 8)
     path = tmp_path / "rays.txt"
     for n in (0, 1, 4, 11, 12):
         path.write_bytes(_ray_file(_ray_lines(n)).encode())
@@ -687,9 +690,10 @@ def test_ray_blocks_read_the_whole_file(tmp_path, monkeypatch):
 @pytest.mark.parametrize("numpy_fails_before", [False, True])
 def test_bad_line_in_the_third_block_names_its_line(tmp_path, monkeypatch, bad,
                                                     message, numpy_fails_before):
-    # the tenth ray, in the third block of four; from the second block on
-    # the lines are parsed as Python reads them where numpy fails there
-    monkeypatch.setattr(textio, "BLOCK_ROWS", 4)
+    # the tenth ray, on line 20, in the third block of eight lines, each
+    # holding four rays; where numpy fails on the sixth ray, in the second
+    # block, that block alone is parsed as Python reads it
+    monkeypatch.setattr(textio, "BLOCK_ROWS", 8)
     lines = _ray_lines(12)
     if numpy_fails_before:
         lines[5] = "5 0 0 1_0 1 1 1"
@@ -697,6 +701,7 @@ def test_bad_line_in_the_third_block_names_its_line(tmp_path, monkeypatch, bad,
     lines[11] = "11 0 0 1 1 1 5"   # a later bad line is not the one reported
     text = _ray_file(lines)
     no = _line_no(text, bad)
+    assert no == 20
     path = tmp_path / "rays.txt"
     path.write_bytes(text.encode())
     blocks = occupancy.ray_blocks(path)
@@ -706,14 +711,16 @@ def test_bad_line_in_the_third_block_names_its_line(tmp_path, monkeypatch, bad,
 
 
 def test_ray_file_reports_the_first_bad_line_of_a_block(tmp_path, monkeypatch):
-    # a bad flag before a bad number in the same block is the one reported
-    monkeypatch.setattr(textio, "BLOCK_ROWS", 4)
+    # a bad flag before a bad number in the same block is the one reported:
+    # lines 19 and 21, in the third block of eight lines
+    monkeypatch.setattr(textio, "BLOCK_ROWS", 8)
     lines = _ray_lines(12)
     lines[8], lines[10] = "8 0 0 1 1 1 2", "10 0 x 1 1 1 0"
     path = tmp_path / "rays.txt"
     text = _ray_file(lines)
     path.write_bytes(text.encode())
     no = _line_no(text, lines[8])
+    assert no == 19
     with pytest.raises(ParseError, match=f"rays.txt:{no}: hit flag"):
         scenes.read_all_rays(path)
 

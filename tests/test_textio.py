@@ -259,8 +259,8 @@ def pixel_grids(draw):
     CR LF line ends; `fault` is None or how the file was broken."""
     width, height = draw(st.integers(1, 6)), draw(st.integers(1, 5))
     channels = draw(st.integers(1, 3))
-    # mostly numbers numpy reads: a line only Python reads sends its run
-    # and the rest of the file down the line-by-line path
+    # mostly numbers numpy reads: a line only Python reads sends its
+    # block down the line-by-line path
     numbers = st.sampled_from(FLOAT32_EDGES + FLOATS[:8]) if draw(
         st.integers(0, 4)) == 0 else st.sampled_from(FLOAT32_EDGES[:-1] + FLOATS[:8])
     pool = [" ".join(draw(numbers) for _ in range(channels))
@@ -401,12 +401,15 @@ def _four_correspondences(path):
     return rasters.read_correspondences
 
 
-@pytest.mark.parametrize("write, row_bytes", [
-    (_small_tree, 96), (_four_correspondences, 32)], ids=["tree", "correspondences"])
-def test_a_small_table_is_read_in_one_block_of_memory(tmp_path, write, row_bytes):
-    # no buffer of the file's bytes is taken before the body is parsed:
-    # the read peaks at the BLOCK_ROWS rows np.loadtxt allocates for a
-    # block, 0.39 MB for a tree and 0.13 MB for correspondences
+@pytest.mark.parametrize("write, rows, row_bytes", [
+    (_small_tree, 10, 96), (_four_correspondences, 4, 32)],
+    ids=["tree", "correspondences"])
+def test_a_small_table_is_read_in_one_block_of_memory(tmp_path, write, rows,
+                                                      row_bytes):
+    # no buffer of the file's bytes, and no block of BLOCK_ROWS rows, is
+    # taken: the read peaks at the file's few lines and numpy's first
+    # allocation for its rows, 0.022 MB for a tree and 0.017 MB for
+    # correspondences (numpy 2.4)
     read = write(tmp_path / "table.txt")
     read(tmp_path / "table.txt")     # imports and caches on the first read
     tracemalloc.start()
@@ -415,7 +418,40 @@ def test_a_small_table_is_read_in_one_block_of_memory(tmp_path, write, row_bytes
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < textio.BLOCK_ROWS * row_bytes + 0.1e6
+    assert peak < rows * row_bytes + 0.05e6
+
+
+_PAIRS = np.dtype([("v", "<f8", (2,))])
+
+
+@pytest.mark.parametrize("line, want", [
+    ("5 6", [[1, 2], [5, 6], [3, 4]]), ("1_0 6", [[1, 2], [10, 6], [3, 4]]),
+    ("5 -6", None)], ids=["clean", "numpy-rejects", "flagged"])
+@pytest.mark.parametrize("head", [0, 1])
+def test_a_table_read_opens_its_file_once(tmp_path, monkeypatch, line, want, head):
+    # a line numpy rejects is parsed, and a flagged row numbered, from the
+    # lines already read: the file is not opened again
+    path = tmp_path / "table.txt"
+    path.write_text("header\n" * head + "# rows\n1 2\n" + line + "\n3 4\n")
+    opened = []
+    real_open = open
+
+    def counting(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting)
+    checks = lambda t: [(t["v"][:, 1] < 0, "negative")]
+    if head:
+        read = lambda: textio.table(path, 1, _PAIRS, checks)[1]
+    else:
+        read = lambda: np.concatenate(list(textio.table_blocks(path, _PAIRS, checks)))
+    if want is None:
+        with pytest.raises(ParseError, match=f"table.txt:{3 + head}: negative"):
+            read()
+    else:
+        assert read()["v"].tolist() == want
+    assert opened.count(path) == 1
 
 
 # ---------------------------------------------------------------------------
