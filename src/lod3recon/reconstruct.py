@@ -3,7 +3,7 @@
 Each opening becomes a rectangular recess: the host face gains an inner
 ring, four side walls descend to the recess depth, and a library template
 scaled to the cut seals the recess floor. The assembly stays a closed
-2-manifold, which `assemble_lod3` verifies before handing out a model.
+2-manifold, which `reconstruct_model` verifies before handing out a model.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from . import geom, textio
 from .errors import (ConfigError, DomainError, OpeningOutsideFace,
                      OpeningTouchesBoundary, ParseError, ValidationError)
 from .extraction import OpeningInstance, parse_instance
-from .model_io import (BuildingSolid, Face, OpeningTemplate, Ring, blocks,
+from .model_io import (BuildingSolid, Face, Ring, blocks,
                        default_template_library, overflow_violations,
                        parse_points, parse_solid, points_text, solid_text)
 from .rasters import facade_frame
@@ -83,8 +83,8 @@ def _bounds(members) -> tuple:
 
 def merge_overlapping_instances(instances) -> list:
     """Union touching or overlapping detections per face into their
-    bounding rect, until no two rects of a face touch, as `cut_openings`
-    requires.
+    bounding rect, until no two rects of a face touch: a shared edge would
+    leave a wall of no thickness between two recesses.
 
     The merged label comes from the largest member (ties prefer window),
     the confidence is the rect-area weighted mean.
@@ -117,13 +117,7 @@ def merge_overlapping_instances(instances) -> list:
 
 
 # ---------------------------------------------------------------------------
-# CSG recess cutting
-
-def _face_chart(face):
-    frame = facade_frame(face, 1.0)
-    return (np.asarray(frame.origin), np.asarray(frame.u_axis),
-            np.asarray(frame.v_axis), np.asarray(frame.normal))
-
+# CSG recess cutting and template fitting
 
 def _ring_uv(ring, origin, u, v):
     rel = ring.as_array() - origin
@@ -167,40 +161,43 @@ def _check_rect_inside(rect, outer_uv, holes_uv, margin, face_id):
             f"of face {face_id}")
 
 
-def cut_openings(solid: BuildingSolid, instances, depth: float,
-                 margin: float = 0.0) -> BuildingSolid:
-    """Cut one rectangular recess per instance into its host face.
+def reconstruct_model(solid: BuildingSolid, instances, templates: dict | None = None,
+                      depth: float = 0.1, margin: float = 0.0) -> Lod3Model:
+    """The LoD3 model of `solid` with the `instances`, merged, cut into
+    their host faces as recesses `depth` deep and sealed by templates.
 
-    The host face gains a clockwise inner ring; four recess side walls
-    are appended as new faces. The recess floor stays open for the
-    template, so the returned solid alone is not closed.
+    Each host face is charted once, by `facade_frame(face, 1.0)`, and
+    gains a clockwise inner ring per opening; four recess side walls per
+    opening follow the faces of `solid`, in face order. In merged order,
+    as `opening_001`, ..., each opening gets the first template of its
+    label, mapped from the unit anchor onto its recess floor: x and y
+    scale to the cut rect, and z so that the template's full depth spans
+    the recess (a template deeper than its `depth` attribute would poke
+    out of the wall plane); a flat template lands on the recess floor.
+    The assembled shell must be closed.
     """
     if depth <= 0.0:
         raise DomainError("cut depth must be positive")
+    if templates is None:
+        templates = default_template_library()
+    merged = merge_overlapping_instances(instances)
     by_face = {}
-    for inst in instances:
+    for inst in merged:
         by_face.setdefault(inst.face_id, []).append(inst)
-    for face_id, insts in by_face.items():
-        try:
-            solid.face(face_id)
-        except KeyError:
+    known = {f.face_id for f in solid.faces}
+    for face_id in by_face:
+        if face_id not in known:
             raise ValidationError(f"instance references unknown face {face_id!r}")
-        for i in range(len(insts)):
-            for j in range(i + 1, len(insts)):
-                # touching rects would leave a zero-thickness wall sliver
-                if rects_touch(insts[i].rect, insts[j].rect):
-                    raise ValidationError(
-                        f"overlapping or touching instances on face "
-                        f"{face_id}; merge first")
 
-    faces = []
-    side_walls = []
+    faces, side_walls, charts = [], [], {}
     for face in solid.faces:
         insts = by_face.get(face.face_id)
         if not insts:
             faces.append(face)
             continue
-        origin, u, v, n = _face_chart(face)
+        frame = facade_frame(face, 1.0)
+        origin, u, v, n = charts[face.face_id] = tuple(np.asarray(a) for a in (
+            frame.origin, frame.u_axis, frame.v_axis, frame.normal))
         outer_uv = _ring_uv(face.outer, origin, u, v)
         holes_uv = [_ring_uv(r, origin, u, v) for r in face.inner]
         rings = list(face.inner)
@@ -220,87 +217,28 @@ def cut_openings(solid: BuildingSolid, instances, depth: float,
                 side_walls.append(Face(f"{face.face_id}_cut{k}_side{w}", "wall",
                                        Ring((b, a, a_in, b_in))))
         faces.append(Face(face.face_id, face.label, face.outer, tuple(rings)))
-    return BuildingSolid(solid.solid_id, solid.lod, tuple(faces + side_walls))
 
-
-# ---------------------------------------------------------------------------
-# template fitting
-
-def fit_template(template: OpeningTemplate, instance: OpeningInstance,
-                 frame, depth: float) -> tuple:
-    """Map the unit-anchor template onto the instance's recess floor.
-
-    x and y scale to the cut rectangle, z scales so the template's full
-    depth spans the recess (a template deeper than its `depth` attribute
-    would poke out of the wall plane). Flat templates land exactly on the
-    recess floor.
-    """
-    if depth <= 0.0:
-        raise DomainError("cut depth must be positive")
-    origin = np.asarray(frame.origin, dtype=float)
-    u = np.asarray(frame.u_axis, dtype=float)
-    v = np.asarray(frame.v_axis, dtype=float)
-    n = np.asarray(frame.normal, dtype=float)
-    u0, v0, u1, v1 = instance.rect
-    sz = depth / template.depth if template.depth > 0.0 else 0.0
-
-    def place(p):
-        x, y, z = p
-        world = (origin + (u0 + x * (u1 - u0)) * u + (v0 + y * (v1 - v0)) * v
-                 + (z * sz - depth) * n)
-        return tuple(float(c) for c in world)
-
-    return tuple(tuple(place(p) for p in tri) for tri in template.triangles)
-
-
-def pick_template(templates: dict, label: str) -> OpeningTemplate:
-    """First library template whose label matches the instance label."""
-    for tmpl in templates.values():
-        if tmpl.label == label:
-            return tmpl
-    raise ConfigError(f"template library has no entry for label {label!r}")
-
-
-# ---------------------------------------------------------------------------
-# assembly
-
-def assemble_lod3(solid: BuildingSolid, fitted) -> Lod3Model:
-    """Combine the cut solid with fitted meshes into a validated model.
-
-    `fitted` holds (instance, template_name, mesh) triples in placement
-    order. Openings get fresh sequential ids; the combined shell must be
-    watertight or the assembly is refused.
-    """
     placements = []
-    for k, (inst, template_name, mesh) in enumerate(fitted, start=1):
-        try:
-            solid.face(inst.face_id)
-        except KeyError:
-            raise ValidationError(
-                f"placement references unknown face {inst.face_id!r}")
-        placements.append(Placement(f"opening_{k:03d}", inst, template_name,
+    for k, inst in enumerate(merged, start=1):
+        template = next((t for t in templates.values() if t.label == inst.label),
+                        None)
+        if template is None:
+            raise ConfigError(
+                f"template library has no entry for label {inst.label!r}")
+        origin, u, v, n = charts[inst.face_id]
+        u0, v0, u1, v1 = inst.rect
+        sz = depth / template.depth if template.depth > 0.0 else 0.0
+        mesh = [[origin + (u0 + x * (u1 - u0)) * u + (v0 + y * (v1 - v0)) * v
+                 + (z * sz - depth) * n for x, y, z in tri]
+                for tri in template.triangles]
+        placements.append(Placement(f"opening_{k:03d}", inst, template.name,
                                     mesh))
-    model = Lod3Model(BuildingSolid(solid.solid_id, 3, solid.faces),
-                      tuple(placements))
+    model = Lod3Model(BuildingSolid(solid.solid_id, 3, faces + side_walls),
+                      placements)
     bad = geom.closed_surface_violations(list(model.loops()))
     if bad:
         raise ValidationError(f"assembly is not watertight: {bad[0]}")
     return model
-
-
-def reconstruct_model(solid: BuildingSolid, instances, templates: dict | None = None,
-                      depth: float = 0.1, margin: float = 0.0) -> Lod3Model:
-    """Merge, cut, fit, assemble: the one-call form of this module."""
-    if templates is None:
-        templates = default_template_library()
-    merged = merge_overlapping_instances(instances)
-    cut = cut_openings(solid, merged, depth, margin)
-    fitted = []
-    for inst in merged:
-        tmpl = pick_template(templates, inst.label)
-        frame = facade_frame(solid.face(inst.face_id), 1.0)
-        fitted.append((inst, tmpl.name, fit_template(tmpl, inst, frame, depth)))
-    return assemble_lod3(cut, fitted)
 
 
 # ---------------------------------------------------------------------------

@@ -60,11 +60,13 @@ def content_lines(path):
 
 def floats(tokens, path, no, kind=float) -> list:
     """Tokens as floats, or as 64-bit integers with `kind=int`; a bad one
-    is a ParseError naming the line."""
-    try:
-        vals = [kind(t) for t in tokens]
-    except ValueError as exc:
-        raise ParseError(f"{path}:{no}: bad number in {' '.join(tokens)!r}") from exc
+    is a ParseError naming the line and the token."""
+    vals = []
+    for t in tokens:
+        try:
+            vals.append(kind(t))
+        except ValueError as exc:
+            raise ParseError(f"{path}:{no}: bad number {t!r}") from exc
     if kind is int and not all(-2 ** 63 <= v < 2 ** 63 for v in vals):
         raise ParseError(f"{path}:{no}: integer out of range")
     return vals

@@ -1164,7 +1164,7 @@ def test_piped_bad_input_exits_2_naming_its_line(scene_dir, artifacts_dir, tmp_p
     s, a = scene_dir, artifacts_dir
     face = ["--solid", s / "solid.txt", "--face", "wall_front"]
     source, copies, where, value, message, argv = {
-        "raycast": (s / "rays.txt", 2, (5001, 2), "1.x", "bad number",
+        "raycast": (s / "rays.txt", 2, (5001, 2), "1.x", "bad number '1.x'",
                     ["--rays", "/dev/stdin", "--solid", s / "solid.txt"]),
         "project-points": (s / "points.txt", 2, (5001, 0), "nan",
                            "non-finite coordinate", ["--points", "/dev/stdin", *face]),

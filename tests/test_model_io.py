@@ -162,7 +162,7 @@ def test_block_reader_errors(text, closing, message):
     ("solid b lod=2\nend\n", "no faces"),
     ("solid b lod=2\nface f label=wall\nouter 0 0 0 1 0 0\nend\nend\n", "3*k"),
     ("solid b lod=2\nface f label=wall\ninner 0 0 0 1 0 0 1 1 0\nend\nend\n", "misplaced"),
-    ("solid b lod=2\nface f label=wall\nouter 0 0 0 1 0 0 1 1 x\nend\nend\n", "bad number"),
+    ("solid b lod=2\nface f label=wall\nouter 0 0 0 1 0 0 1 1 x\nend\nend\n", "bad number 'x'"),
     ("solid b lod=2\nface f label=wall\nouter 0 0 0 1 0 0 1 1 0\nend\n", "missing final"),
     ("solid b lod=2\nbogus 1 2 3\nend\n", "unknown keyword"),
 ])

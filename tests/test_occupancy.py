@@ -802,6 +802,8 @@ def test_tree_file_lines_in_any_order_last_key_wins(tmp_path):
 def test_tree_file_rejects_bad_evidence(tmp_path, column, token, message):
     tokens = "2 0 0 1.0 0.25 1 2 3 0.5 4 5 6".split()
     tokens[column] = token
+    if message == "bad number":
+        message += f" '{token}'"   # the token that does not parse, quoted
     path = tmp_path / "tree.txt"
     path.write_text("voxels voxel_size=0.1 faces=f\n# comment\n0 0 0 1.0 inf 0 0 0 inf 0 0 0\n"
                     + " ".join(tokens) + "\n")

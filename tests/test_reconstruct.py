@@ -11,11 +11,10 @@ from lod3recon.extraction import OpeningInstance
 from lod3recon.model_io import (BuildingSolid, Face, OpeningTemplate, Ring,
                                 box_solid, default_template_library)
 from lod3recon.rasters import facade_frame
-from lod3recon.reconstruct import (Lod3Model, Placement, assemble_lod3,
-                                   cut_openings, fit_template,
-                                   merge_overlapping_instances, pick_template,
-                                   read_model, reconstruct_model,
-                                   write_citygml, write_model)
+from lod3recon.reconstruct import (Lod3Model, Placement,
+                                   merge_overlapping_instances, read_model,
+                                   reconstruct_model, write_citygml,
+                                   write_model)
 
 
 def _cube():
@@ -43,8 +42,8 @@ def test_merge_disjoint_instances_untouched():
 
 
 def test_merge_touching_rects_fuse():
-    # rects that share an edge would leave a zero-thickness sliver, which
-    # cut_openings rejects: they fuse into their bounding rect
+    # rects that share an edge would leave a zero-thickness sliver between
+    # their recesses: they fuse into their bounding rect
     a = _inst((0.1, 0.1, 0.3, 0.3))
     b = _inst((0.3, 0.1, 0.5, 0.3))
     (m,) = merge_overlapping_instances([a, b])
@@ -128,65 +127,62 @@ def test_merge_same_rect_other_face_kept_apart():
 
 def test_cut_rejects_nonpositive_depth():
     with pytest.raises(DomainError):
-        cut_openings(_cube(), [_inst((0.4, 0.4, 0.6, 0.6))], 0.0)
+        reconstruct_model(_cube(), [_inst((0.4, 0.4, 0.6, 0.6))], depth=0.0)
 
 
 def test_cut_rejects_unknown_face():
     with pytest.raises(ValidationError, match="unknown face"):
-        cut_openings(_cube(), [_inst((0.4, 0.4, 0.6, 0.6), face="nope")], 0.1)
-
-
-def test_cut_rejects_overlapping_rects():
-    insts = [_inst((0.2, 0.2, 0.5, 0.5)), _inst((0.4, 0.4, 0.7, 0.7))]
-    with pytest.raises(ValidationError, match="merge first"):
-        cut_openings(_cube(), insts, 0.1)
-
-
-def test_cut_rejects_touching_rects():
-    insts = [_inst((0.2, 0.2, 0.5, 0.5)), _inst((0.5, 0.2, 0.8, 0.5))]
-    with pytest.raises(ValidationError):
-        cut_openings(_cube(), insts, 0.1)
+        reconstruct_model(_cube(), [_inst((0.4, 0.4, 0.6, 0.6), face="nope")])
 
 
 def test_cut_rejects_protruding_rect():
     with pytest.raises(OpeningOutsideFace):
-        cut_openings(_cube(), [_inst((0.8, 0.4, 1.2, 0.6))], 0.1)
+        reconstruct_model(_cube(), [_inst((0.8, 0.4, 1.2, 0.6))])
 
 
 def test_cut_rejects_rect_fully_outside():
     with pytest.raises(OpeningOutsideFace):
-        cut_openings(_cube(), [_inst((1.5, 1.5, 1.8, 1.8))], 0.1)
+        reconstruct_model(_cube(), [_inst((1.5, 1.5, 1.8, 1.8))])
 
 
 def test_cut_rejects_exact_boundary_touch():
     with pytest.raises(OpeningTouchesBoundary):
-        cut_openings(_cube(), [_inst((0.0, 0.4, 0.3, 0.6))], 0.1)
+        reconstruct_model(_cube(), [_inst((0.0, 0.4, 0.3, 0.6))])
 
 
 def test_cut_enforces_margin():
     inst = _inst((0.05, 0.4, 0.3, 0.6))
-    cut_openings(_cube(), [inst], 0.1)  # fine without margin
+    reconstruct_model(_cube(), [inst])  # fine without margin
     with pytest.raises(OpeningTouchesBoundary):
-        cut_openings(_cube(), [inst], 0.1, margin=0.1)
+        reconstruct_model(_cube(), [inst], margin=0.1)
 
 
 def test_cut_rejects_rect_inside_existing_hole():
-    once = cut_openings(_cube(), [_inst((0.2, 0.2, 0.8, 0.8))], 0.1)
+    once = reconstruct_model(_cube(), [_inst((0.2, 0.2, 0.8, 0.8))]).solid
     with pytest.raises(OpeningOutsideFace):
-        cut_openings(once, [_inst((0.4, 0.4, 0.6, 0.6))], 0.05)
+        reconstruct_model(once, [_inst((0.4, 0.4, 0.6, 0.6))], depth=0.05)
 
 
 def test_cut_rejects_rect_swallowing_existing_hole():
-    once = cut_openings(_cube(), [_inst((0.4, 0.4, 0.6, 0.6))], 0.1)
+    once = reconstruct_model(_cube(), [_inst((0.4, 0.4, 0.6, 0.6))]).solid
     with pytest.raises(OpeningOutsideFace):
-        cut_openings(once, [_inst((0.2, 0.2, 0.8, 0.8))], 0.05)
+        reconstruct_model(once, [_inst((0.2, 0.2, 0.8, 0.8))], depth=0.05)
+
+
+def test_rect_error_comes_before_template_error():
+    # the door has no template and comes first, but every rect is checked
+    # before any template is looked up
+    insts = [_inst((0.4, 0.2, 0.6, 0.8), label="door", face="wall_front"),
+             _inst((0.8, 0.4, 1.2, 0.6))]
+    with pytest.raises(OpeningOutsideFace):
+        reconstruct_model(_cube(), insts, {"w": _flat_window()})
 
 
 # ---------------------------------------------------------------------------
 # cutting geometry
 
 def test_cut_adds_inner_ring_and_four_side_walls():
-    cut = cut_openings(_cube(), [_inst((0.4, 0.4, 0.6, 0.6))], 0.1)
+    cut = reconstruct_model(_cube(), [_inst((0.4, 0.4, 0.6, 0.6))]).solid
     face = cut.face("wall_right")
     assert len(face.inner) == 1
     sides = [f for f in cut.faces if f.face_id.startswith("wall_right_cut1_")]
@@ -197,7 +193,7 @@ def test_cut_adds_inner_ring_and_four_side_walls():
 
 
 def test_cut_inner_ring_winds_opposite_to_outer():
-    cut = cut_openings(_cube(), [_inst((0.4, 0.4, 0.6, 0.6))], 0.1)
+    cut = reconstruct_model(_cube(), [_inst((0.4, 0.4, 0.6, 0.6))]).solid
     face = cut.face("wall_right")
     n_outer = geom.newell_area_vector(face.outer.points)
     n_inner = geom.newell_area_vector(face.inner[0].points)
@@ -205,7 +201,7 @@ def test_cut_inner_ring_winds_opposite_to_outer():
 
 
 def test_cut_ring_vertices_on_rect_corners():
-    cut = cut_openings(_cube(), [_inst((0.4, 0.3, 0.6, 0.7))], 0.1)
+    cut = reconstruct_model(_cube(), [_inst((0.4, 0.3, 0.6, 0.7))]).solid
     got = {tuple(np.round(p, 12)) for p in cut.face("wall_right").inner[0].points}
     # +x face: u runs along +y, v along +z
     want = {(1.0, 0.4, 0.3), (1.0, 0.4, 0.7), (1.0, 0.6, 0.7), (1.0, 0.6, 0.3)}
@@ -213,7 +209,8 @@ def test_cut_ring_vertices_on_rect_corners():
 
 
 def test_cut_side_walls_reach_recess_depth():
-    cut = cut_openings(_cube(), [_inst((0.4, 0.4, 0.6, 0.6))], 0.25)
+    cut = reconstruct_model(_cube(), [_inst((0.4, 0.4, 0.6, 0.6))],
+                            depth=0.25).solid
     sides = [f for f in cut.faces if "cut1_side" in f.face_id]
     xs = np.concatenate([f.outer.as_array()[:, 0] for f in sides])
     assert set(np.round(xs, 12)) == {0.75, 1.0}
@@ -221,7 +218,7 @@ def test_cut_side_walls_reach_recess_depth():
 
 def test_cut_preserves_other_faces():
     solid = _cube()
-    cut = cut_openings(solid, [_inst((0.4, 0.4, 0.6, 0.6))], 0.1)
+    cut = reconstruct_model(solid, [_inst((0.4, 0.4, 0.6, 0.6))]).solid
     for f in solid.faces:
         if f.face_id == "wall_right":
             continue
@@ -230,67 +227,71 @@ def test_cut_preserves_other_faces():
 
 def test_cut_two_openings_same_face():
     insts = [_inst((0.1, 0.4, 0.3, 0.6)), _inst((0.6, 0.4, 0.8, 0.6))]
-    cut = cut_openings(_cube(), insts, 0.1)
+    cut = reconstruct_model(_cube(), insts).solid
     assert len(cut.face("wall_right").inner) == 2
     assert sum("cut" in f.face_id for f in cut.faces) == 8
+
+
+def test_opening_ids_in_merged_order_side_walls_in_face_order():
+    # the third instance touches the first: merging moves their group
+    # last, so wall_left's opening is the first, while wall_right comes
+    # before wall_left among the faces
+    insts = [_inst((0.2, 0.2, 0.4, 0.4)), _inst((0.4, 0.4, 0.6, 0.6), face="wall_left"),
+             _inst((0.4, 0.2, 0.6, 0.4))]
+    model = reconstruct_model(_cube(), insts)
+    assert [(p.opening_id, p.face_id) for p in model.placements] == [
+        ("opening_001", "wall_left"), ("opening_002", "wall_right")]
+    assert model.placements[1].instance.rect == (0.2, 0.2, 0.6, 0.4)
+    sides = [f.face_id for f in model.solid.faces if "_cut" in f.face_id]
+    assert sides == [f"{face}_cut1_side{j}" for face in ("wall_right", "wall_left")
+                     for j in (1, 2, 3, 4)]
 
 
 # ---------------------------------------------------------------------------
 # template fitting
 
 def test_fit_flat_template_lands_on_recess_floor():
-    face = _cube().face("wall_right")
-    frame = facade_frame(face, 1.0)
-    mesh = fit_template(_flat_window(), _inst((0.25, 0.0, 0.75, 1.0)), frame,
-                        0.1)
-    pts = np.asarray([p for tri in mesh for p in tri])
+    model = reconstruct_model(_cube(), [_inst((0.25, 0.1, 0.75, 0.9))],
+                              {"w": _flat_window()}, depth=0.1)
+    pts = np.asarray([p for tri in model.placements[0].mesh for p in tri])
     assert np.allclose(pts[:, 0], 0.9, atol=1e-12)
     corners = {tuple(np.round(p, 12)) for p in pts}
-    assert (0.9, 0.25, 0.0) in corners and (0.9, 0.75, 1.0) in corners
+    assert (0.9, 0.25, 0.1) in corners and (0.9, 0.75, 0.9) in corners
 
 
 def test_fit_anchor_matches_cut_ring_shifted_inward():
     # 0.5 x 1.0 recess centered in a 2 x 2 face
     rect = (0.75, 0.5, 1.25, 1.5)
     solid = box_solid("box", (0.0, 0.0, 0.0), (2.0, 2.0, 2.0))
-    cut = cut_openings(solid, [_inst(rect)], 0.1)
+    model = reconstruct_model(solid, [_inst(rect)], {"w": _flat_window()},
+                              depth=0.1)
     frame = facade_frame(solid.face("wall_right"), 1.0)
-    mesh = fit_template(_flat_window(), _inst(rect), frame, 0.1)
-    ring = cut.face("wall_right").inner[0].as_array()
+    ring = model.solid.face("wall_right").inner[0].as_array()
     floor = ring - np.asarray(frame.normal) * 0.1
-    pts = np.asarray([p for tri in mesh for p in tri])
+    pts = np.asarray([p for tri in model.placements[0].mesh for p in tri])
     for corner in floor:
         assert np.min(np.linalg.norm(pts - corner, axis=1)) < 1e-9
 
 
 def test_fit_scales_template_depth_to_cut_depth():
-    # template body is 0.2 deep; a 0.1 cut halves every z
-    tmpl = OpeningTemplate(
-        "deep", "window", 0.2,
-        (((0, 0, 0.2), (1, 0, 0.2), (1, 1, 0.2)),
-         ((0, 0, 0.2), (1, 1, 0.2), (0, 1, 0.2)),
-         ((0, 0, 0), (1, 0, 0), (1, 0, 0.2)), ((0, 0, 0), (1, 0, 0.2), (0, 0, 0.2)),
-         ((1, 0, 0), (1, 1, 0), (1, 1, 0.2)), ((1, 0, 0), (1, 1, 0.2), (1, 0, 0.2)),
-         ((1, 1, 0), (0, 1, 0), (0, 1, 0.2)), ((1, 1, 0), (0, 1, 0.2), (1, 1, 0.2)),
-         ((0, 1, 0), (0, 0, 0), (0, 0, 0.2)), ((0, 1, 0), (0, 0, 0.2), (0, 1, 0.2))))
-    frame = facade_frame(_cube().face("wall_right"), 1.0)
-    mesh = fit_template(tmpl, _inst((0.4, 0.4, 0.6, 0.6)), frame, 0.1)
-    xs = np.asarray([p[0] for tri in mesh for p in tri])
-    assert set(np.round(xs, 12)) == {0.9, 1.0}
-
-
-def test_fit_rejects_nonpositive_depth():
-    frame = facade_frame(_cube().face("wall_right"), 1.0)
-    with pytest.raises(DomainError):
-        fit_template(_flat_window(), _inst((0.4, 0.4, 0.6, 0.6)), frame, -0.1)
+    # the built-in pane is 0.1 deep with its pane at 0.05: a 0.2 cut
+    # doubles every z, so the pane sits 0.1 above the recess floor
+    model = reconstruct_model(_cube(), [_inst((0.4, 0.4, 0.6, 0.6))], depth=0.2)
+    xs = np.asarray([p[0] for tri in model.placements[0].mesh for p in tri])
+    assert set(np.round(xs, 12)) == {0.8, 0.9}
 
 
 def test_pick_template_matches_label():
-    lib = default_template_library()
-    assert pick_template(lib, "door").label == "door"
-    assert pick_template(lib, "window").label == "window"
+    # the first template of the opening's label, in library order
+    insts = [_inst((0.1, 0.2, 0.3, 0.8), label="door"), _inst((0.6, 0.4, 0.8, 0.6))]
+    for lib, window in [({"flat_win": _flat_window(), **default_template_library()},
+                         "flat_win"),
+                        ({**default_template_library(), "flat_win": _flat_window()},
+                         "mid_pane")]:
+        model = reconstruct_model(_cube(), insts, lib)
+        assert [p.template for p in model.placements] == ["flat_panel", window]
     with pytest.raises(ConfigError):
-        pick_template({"flat_win": _flat_window()}, "door")
+        reconstruct_model(_cube(), insts, {"flat_win": _flat_window()})
 
 
 # ---------------------------------------------------------------------------
@@ -352,20 +353,11 @@ def test_reconstruct_door_uses_door_template():
 
 
 def test_assemble_rejects_leaky_mesh():
-    rect = (0.4, 0.4, 0.6, 0.6)
-    solid = _cube()
-    cut = cut_openings(solid, [_inst(rect)], 0.1)
-    frame = facade_frame(solid.face("wall_right"), 1.0)
-    mesh = fit_template(_flat_window(), _inst(rect), frame, 0.1)
+    # a template whose triangles no longer close against its anchor
+    leaky = _flat_window()
+    object.__setattr__(leaky, "triangles", leaky.triangles[:1])
     with pytest.raises(ValidationError, match="watertight"):
-        assemble_lod3(cut, [(_inst(rect), "flat_win", mesh[:1])])
-
-
-def test_assemble_rejects_unknown_face_reference():
-    cut = cut_openings(_cube(), [_inst((0.4, 0.4, 0.6, 0.6))], 0.1)
-    bad = OpeningInstance("ghost", (0.4, 0.4, 0.6, 0.6), "window", 0.5)
-    with pytest.raises(ValidationError, match="unknown face"):
-        assemble_lod3(cut, [(bad, "flat_win", ())])
+        reconstruct_model(_cube(), [_inst((0.4, 0.4, 0.6, 0.6))], {"w": leaky})
 
 
 def test_model_attributes_map_ids_to_confidence():
