@@ -309,8 +309,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
     if config.gt_instances:
         with _stage("evaluate"):
-            gt = read_instances(config.gt_instances)
-            measured = _read_optional(read_instances, config.gt_measured)
+            gt = _read_instances(config.gt_instances, solid)
+            measured = _read_instances(config.gt_measured, solid)
             # ground truth is exact; the boundary margin only guards detections
             gt_model = (read_model(config.gt_model) if config.gt_model
                         else reconstruct_model(solid, gt, templates,
@@ -367,6 +367,18 @@ def _read_prior(path):
     if bad:
         raise ParseError(f"{path}: invalid prior: {bad[0]}")
     return solid
+
+
+def _read_instances(path, solid):
+    """The openings of `path`, None without a path; each must name a face
+    of the prior `solid`."""
+    instances = _read_optional(read_instances, path)
+    faces = {f.face_id for f in solid.faces}
+    for inst in instances or ():
+        if inst.face_id not in faces:
+            raise ParseError(f"{path}: instance references unknown face "
+                             f"{inst.face_id!r}")
+    return instances
 
 
 def _face(solid, face_id):
@@ -497,12 +509,7 @@ def _cmd_extract(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     solid = _read_prior(args.solid)
-    instances = read_instances(args.instances)
-    faces = {f.face_id for f in solid.faces}
-    for inst in instances:
-        if inst.face_id not in faces:
-            raise ParseError(f"{args.instances}: instance references unknown "
-                             f"face {inst.face_id!r}")
+    instances = _read_instances(args.instances, solid)
     margin = _cut_margin(args.margin, _raster_cell(None, _VOXEL_SIZE))
     templates = _read_optional(read_template_library, args.templates)
     model = reconstruct_model(solid, instances, templates,

@@ -14,9 +14,9 @@ import itertools
 import numpy as np
 
 from . import textio
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, FrameMismatch, ParseError
 from .model_io import OPENING_LABELS
-from .rasters import CONFLICT_CHANNELS, FacadeRaster, require_same_frame
+from .rasters import CONFLICT_CHANNELS, FacadeRaster
 
 CONFLICT_STATES = CONFLICT_CHANNELS
 EVIDENCE_STATES = ("opening", "other")
@@ -84,9 +84,12 @@ def posterior(conflict, pc, tex, cpt: Cpt) -> np.ndarray:
 
 def class_mass(rasters, name: str, frame) -> np.ndarray:
     """Per-pixel float64 sum of the class channel `name` over `rasters`,
-    in order; None, or a raster without that channel, adds nothing."""
+    in order; None, or a raster without that channel, adds nothing. A
+    raster of another frame than `frame` is a FrameMismatch."""
     mass = np.zeros((frame.height, frame.width))
     for raster in rasters:
+        if raster is not None and not frame.matches(raster.frame):
+            raise FrameMismatch("rasters do not share one facade frame")
         if raster is not None and name in raster.channels:
             mass += raster.channel(name)
     return mass
@@ -118,8 +121,9 @@ def fuse_maps(conflict: FacadeRaster | None, pointcloud: FacadeRaster | None,
     present = [r for r in (conflict, pointcloud, texture) if r is not None]
     if not present:
         raise ConfigError("fusion needs at least one evidence raster")
-    require_same_frame(*present)
     frame = present[0].frame
+    # the class masses check that the other rasters share the frame
+    pc, tex = opening_mass(pointcloud, frame), opening_mass(texture, frame)
 
     if conflict is None:
         stack = np.broadcast_to([0.0, 0.0, 1.0], (frame.height, frame.width, 3))
@@ -127,8 +131,7 @@ def fuse_maps(conflict: FacadeRaster | None, pointcloud: FacadeRaster | None,
         stack = np.stack([conflict.channel(c).astype(float)
                           for c in CONFLICT_STATES], axis=2)
     out = FacadeRaster.zeros(frame, ("opening",))
-    out.data[:, :, 0] = posterior(stack, opening_mass(pointcloud, frame),
-                                  opening_mass(texture, frame), cpt)
+    out.data[:, :, 0] = posterior(stack, pc, tex, cpt)
     return out
 
 

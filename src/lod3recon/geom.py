@@ -8,7 +8,6 @@ stay usable from tests and one-off scripts.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -80,53 +79,33 @@ def points_in_polygon(points, rings) -> np.ndarray:
     return inside
 
 
-def point_segment_distance_2d(p, a, b) -> float:
-    px, py = p[0] - a[0], p[1] - a[1]
-    dx, dy = b[0] - a[0], b[1] - a[1]
-    l2 = dx * dx + dy * dy
-    if l2 == 0.0:
-        return math.hypot(px, py)
-    t = max(0.0, min(1.0, (px * dx + py * dy) / l2))
-    return math.hypot(px - t * dx, py - t * dy)
+def segment_distances(a0, a1, b0, b1) -> np.ndarray:
+    """(n, m) least distances between the n closed 2-D segments from
+    a0[i] to a1[i] and the m from b0[j] to b1[j]: 0 where two cross,
+    else the least distance from an end of one to the other. A segment
+    of zero length is a point; an end that lies on the other segment is
+    within rounding of it."""
+    a0, a1, b0, b1 = (np.asarray(x, dtype=float).reshape(-1, 2)
+                      for x in (a0, a1, b0, b1))
 
+    def reach(p, a, b):
+        # (len(p), len(a)) distances from the points p to the segments ab
+        px, py = p[:, None, 0] - a[:, 0], p[:, None, 1] - a[:, 1]
+        dx, dy = b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]
+        l2 = dx * dx + dy * dy
+        t = np.clip((px * dx + py * dy) / np.where(l2 == 0.0, 1.0, l2), 0.0, 1.0)
+        return np.hypot(px - t * dx, py - t * dy)
 
-def _orient_2d(a, b, c) -> float:
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    def side(a, b, p):
+        # whether each of the points p lies left of each line ab
+        return ((b[:, 0] - a[:, 0]) * (p[:, None, 1] - a[:, 1])
+                - (b[:, 1] - a[:, 1]) * (p[:, None, 0] - a[:, 0])) > 0.0
 
-
-def segments_intersect_2d(a0, a1, b0, b1) -> bool:
-    """True when the closed segments share at least one point."""
-    d1 = _orient_2d(b0, b1, a0)
-    d2 = _orient_2d(b0, b1, a1)
-    d3 = _orient_2d(a0, a1, b0)
-    d4 = _orient_2d(a0, a1, b1)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
-        return True
-
-    def on_seg(p, q, r):
-        return (min(p[0], q[0]) <= r[0] <= max(p[0], q[0])
-                and min(p[1], q[1]) <= r[1] <= max(p[1], q[1]))
-
-    if d1 == 0 and on_seg(b0, b1, a0):
-        return True
-    if d2 == 0 and on_seg(b0, b1, a1):
-        return True
-    if d3 == 0 and on_seg(a0, a1, b0):
-        return True
-    if d4 == 0 and on_seg(a0, a1, b1):
-        return True
-    return False
-
-
-def segment_distance_2d(a0, a1, b0, b1) -> float:
-    if segments_intersect_2d(a0, a1, b0, b1):
-        return 0.0
-    return min(
-        point_segment_distance_2d(a0, b0, b1),
-        point_segment_distance_2d(a1, b0, b1),
-        point_segment_distance_2d(b0, a0, a1),
-        point_segment_distance_2d(b1, a0, a1),
-    )
+    cross = ((side(b0, b1, a0) != side(b0, b1, a1))
+             & (side(a0, a1, b0) != side(a0, a1, b1)).T)
+    gap = np.minimum(np.minimum(reach(a0, b0, b1), reach(a1, b0, b1)),
+                     np.minimum(reach(b0, a0, a1), reach(b1, a0, a1)).T)
+    return np.where(cross, 0.0, gap)
 
 
 # ---------------------------------------------------------------------------

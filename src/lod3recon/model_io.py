@@ -19,7 +19,6 @@ from .errors import ParseError, ValidationError
 
 PRIOR_LABELS = ("wall", "roof", "ground", "closure")
 OPENING_LABELS = ("window", "door")
-FACE_LABELS = PRIOR_LABELS + OPENING_LABELS
 
 # anchor rectangle every opening template is modelled against: unit square
 # in the z=0 plane, counter-clockwise seen from +z
@@ -190,7 +189,7 @@ def validate_solid(solid: BuildingSolid, tol: float = 1e-6) -> list:
         if "," in f.face_id:
             # the occupancy tree's header separates face ids with ','
             violations.append(f"face id {f.face_id!r} contains ','")
-        if f.label not in FACE_LABELS:
+        if f.label not in PRIOR_LABELS:
             violations.append(f"face {f.face_id}: unknown label {f.label!r}")
         try:
             n, d = f.plane()
@@ -225,14 +224,10 @@ def _holes_inside(face: Face, n, tol: float) -> bool:
     k = int(np.argmax(np.abs(n)))
     axes = [(k + 1) % 3, (k + 2) % 3]
     outer = face.outer.as_array()[:, axes]
-    edges = list(zip(outer, np.roll(outer, -1, axis=0)))
-    for ring in face.inner:
-        pts = ring.as_array()[:, axes]
-        for p, inside in zip(pts, geom.points_in_polygon(pts, [outer])):
-            if not inside and min(geom.point_segment_distance_2d(p, a, b)
-                                  for a, b in edges) > tol:
-                return False
-    return True
+    pts = np.concatenate([ring.as_array() for ring in face.inner])[:, axes]
+    pts = pts[~geom.points_in_polygon(pts, [outer])]
+    gap = geom.segment_distances(pts, pts, outer, np.roll(outer, -1, axis=0))
+    return bool((gap.min(axis=1) <= tol).all())
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geom, textio
-from .errors import (DegenerateCorrespondence, DomainError, FrameMismatch,
-                     ParseError)
+from .errors import DegenerateCorrespondence, DomainError, ParseError
 
 POINT_LABELS = ("arch", "column", "molding", "floor", "door", "window",
                 "wall", "other")
@@ -142,13 +141,6 @@ class FacadeRaster:
         if name not in self.channels:
             raise KeyError(name)
         return self.data[:, :, self.channels.index(name)]
-
-
-def require_same_frame(*rasters) -> None:
-    base = rasters[0].frame
-    for r in rasters[1:]:
-        if not base.matches(r.frame):
-            raise FrameMismatch("rasters do not share one facade frame")
 
 
 # ---------------------------------------------------------------------------

@@ -119,46 +119,48 @@ def merge_overlapping_instances(instances) -> list:
 # ---------------------------------------------------------------------------
 # CSG recess cutting and template fitting
 
-def _ring_uv(ring, origin, u, v):
-    rel = ring.as_array() - origin
-    return [(float(p @ u), float(p @ v)) for p in rel]
-
-
-def _rect_clearance(corners, loops_uv) -> float:
-    best = float("inf")
-    edges = list(zip(corners, corners[1:] + corners[:1]))
-    for loop in loops_uv:
-        for b0, b1 in zip(loop, loop[1:] + loop[:1]):
-            for a0, a1 in edges:
-                best = min(best, geom.segment_distance_2d(a0, a1, b0, b1))
-    return best
-
-
-def _point_loop_distance(c, loop) -> float:
-    return min(geom.point_segment_distance_2d(c, b0, b1)
-               for b0, b1 in zip(loop, loop[1:] + loop[:1]))
-
-
-def _check_rect_inside(rect, outer_uv, holes_uv, margin, face_id):
-    u0, v0, u1, v1 = rect
-    corners = [(u0, v0), (u1, v0), (u1, v1), (u0, v1)]
+def _check_rects(rects, rings, margin: float, face_id: str) -> None:
+    """Raise for the first of the (k, 4) (u0, v0, u1, v1) `rects` that
+    has a corner beyond float jitter outside the face of the 2-D `rings`
+    (its outer ring, then its holes) or in a hole, holds a vertex of a
+    hole, or comes within `margin` of a ring; each rect is tested in that
+    order."""
     eps = 1e-9
+    least = max(margin, eps)
+    rects = np.asarray(rects, dtype=float).reshape(-1, 4)
+    u0, v0, u1, v1 = rects.T
+    # the corners of each rect in turn, and the corner each edge runs to
+    corners = np.stack([u0, v0, u1, v0, u1, v1, u0, v1], axis=1).reshape(-1, 2)
+    ahead = np.stack([u1, v0, u1, v1, u0, v1, u0, v0], axis=1).reshape(-1, 2)
+    rings = [np.asarray(r, dtype=float) for r in rings]
+    tails = np.concatenate(rings)
+    heads = np.concatenate([np.roll(r, -1, axis=0) for r in rings])
+    starts = np.cumsum([0] + [len(r) for r in rings[:-1]])
 
-    # a corner sitting in forbidden territory beyond float jitter
-    forbidden = [(~geom.points_in_polygon(corners, [outer_uv]), outer_uv)]
-    forbidden += [(geom.points_in_polygon(corners, [h]), h) for h in holes_uv]
-    if any(bad and _point_loop_distance(c, loop) > eps
-           for mask, loop in forbidden for c, bad in zip(corners, mask)):
-        raise OpeningOutsideFace(f"opening {rect} leaves face {face_id}")
-    for hole in holes_uv:
-        if any(u0 < x < u1 and v0 < y < v1 for x, y in hole):
+    # a corner outside the outer ring or inside a hole, farther from that
+    # ring than float jitter
+    forbidden = np.stack([geom.points_in_polygon(corners, [r]) for r in rings],
+                         axis=1)
+    forbidden[:, 0] = ~forbidden[:, 0]
+    near = np.minimum.reduceat(
+        geom.segment_distances(corners, corners, tails, heads), starts, axis=1)
+    leaves = (forbidden & (near > eps)).reshape(len(rects), -1).any(axis=1)
+    x, y = tails[len(rings[0]):].T
+    overlaps = ((u0[:, None] < x) & (x < u1[:, None])
+                & (v0[:, None] < y) & (y < v1[:, None])).any(axis=1)
+    gap = geom.segment_distances(corners, ahead, tails, heads)
+    touches = gap.reshape(len(rects), -1).min(axis=1) <= least
+    for rect, leave, overlap, touch in zip(map(tuple, rects.tolist()), leaves,
+                                           overlaps, touches):
+        if leave:
+            raise OpeningOutsideFace(f"opening {rect} leaves face {face_id}")
+        if overlap:
             raise OpeningOutsideFace(
                 f"opening {rect} overlaps an existing opening on {face_id}")
-    clearance = _rect_clearance(corners, [outer_uv] + holes_uv)
-    if clearance <= max(margin, eps):
-        raise OpeningTouchesBoundary(
-            f"opening {rect} is within {max(margin, eps)!r} of a boundary "
-            f"of face {face_id}")
+        if touch:
+            raise OpeningTouchesBoundary(
+                f"opening {rect} is within {least!r} of a boundary "
+                f"of face {face_id}")
 
 
 def reconstruct_model(solid: BuildingSolid, instances, templates: dict | None = None,
@@ -198,12 +200,11 @@ def reconstruct_model(solid: BuildingSolid, instances, templates: dict | None = 
         frame = facade_frame(face, 1.0)
         origin, u, v, n = charts[face.face_id] = tuple(np.asarray(a) for a in (
             frame.origin, frame.u_axis, frame.v_axis, frame.normal))
-        outer_uv = _ring_uv(face.outer, origin, u, v)
-        holes_uv = [_ring_uv(r, origin, u, v) for r in face.inner]
+        _check_rects([inst.rect for inst in insts],
+                     [frame.to_uv(loop) for loop in face.loops()], margin,
+                     face.face_id)
         rings = list(face.inner)
         for k, inst in enumerate(insts, start=1):
-            _check_rect_inside(inst.rect, outer_uv, holes_uv, margin,
-                               face.face_id)
             u0, v0, u1, v1 = inst.rect
             c00 = origin + u0 * u + v0 * v
             c10 = origin + u1 * u + v0 * v

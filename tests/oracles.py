@@ -308,6 +308,86 @@ def in_rings(u, v, rings):
     return inside
 
 
+def point_segment_distance_2d(p, a, b):
+    px, py = p[0] - a[0], p[1] - a[1]
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    l2 = dx * dx + dy * dy
+    if l2 == 0.0:
+        return math.hypot(px, py)
+    t = max(0.0, min(1.0, (px * dx + py * dy) / l2))
+    return math.hypot(px - t * dx, py - t * dy)
+
+
+def _orient_2d(a, b, c):
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def segments_intersect_2d(a0, a1, b0, b1):
+    """True when the closed segments share at least one point: they
+    cross, or an end of one lies on the other."""
+    d1 = _orient_2d(b0, b1, a0)
+    d2 = _orient_2d(b0, b1, a1)
+    d3 = _orient_2d(a0, a1, b0)
+    d4 = _orient_2d(a0, a1, b1)
+    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
+        return True
+
+    def on_seg(p, q, r):
+        return (min(p[0], q[0]) <= r[0] <= max(p[0], q[0])
+                and min(p[1], q[1]) <= r[1] <= max(p[1], q[1]))
+
+    return ((d1 == 0 and on_seg(b0, b1, a0)) or (d2 == 0 and on_seg(b0, b1, a1))
+            or (d3 == 0 and on_seg(a0, a1, b0)) or (d4 == 0 and on_seg(a0, a1, b1)))
+
+
+def segment_distance_2d(a0, a1, b0, b1):
+    if segments_intersect_2d(a0, a1, b0, b1):
+        return 0.0
+    return min(point_segment_distance_2d(a0, b0, b1),
+               point_segment_distance_2d(a1, b0, b1),
+               point_segment_distance_2d(b0, a0, a1),
+               point_segment_distance_2d(b1, a0, a1))
+
+
+def ring_edges(ring):
+    return [(ring[m], ring[(m + 1) % len(ring)]) for m in range(len(ring))]
+
+
+def rect_check_error(rects, outer, holes, margin, face_id):
+    """(error class name, message) of the first of the (u0, v0, u1, v1)
+    `rects` to fail in the 2-D face of the ring `outer` and the `holes`,
+    or None; rect by rect, edge pair by edge pair. A rect fails when a
+    corner lies outside the face or in a hole farther than 1e-9 from that
+    ring, when a hole vertex lies strictly inside it, or when an edge of
+    it comes within max(`margin`, 1e-9) of a ring edge."""
+    eps = 1e-9
+    for rect in rects:
+        rect = tuple(float(x) for x in rect)
+        u0, v0, u1, v1 = rect
+        corners = [(u0, v0), (u1, v0), (u1, v1), (u0, v1)]
+
+        def strays(ring, inside):
+            # a corner on the wrong side of `ring`, farther than eps from it
+            return any(in_rings(*c, [ring]) == inside
+                       and min(point_segment_distance_2d(c, a, b)
+                               for a, b in ring_edges(ring)) > eps
+                       for c in corners)
+
+        if strays(outer, False) or any(strays(h, True) for h in holes):
+            return "OpeningOutsideFace", f"opening {rect} leaves face {face_id}"
+        if any(u0 < x < u1 and v0 < y < v1 for h in holes for x, y in h):
+            return ("OpeningOutsideFace",
+                    f"opening {rect} overlaps an existing opening on {face_id}")
+        clearance = min(segment_distance_2d(a0, a1, b0, b1)
+                        for ring in [outer, *holes] for b0, b1 in ring_edges(ring)
+                        for a0, a1 in ring_edges(corners))
+        if clearance <= max(margin, eps):
+            return ("OpeningTouchesBoundary",
+                    f"opening {rect} is within {max(margin, eps)!r} of a "
+                    f"boundary of face {face_id}")
+    return None
+
+
 def pixel_samples(face, frame, vs):
     """Sorted (pixel, key) pairs of the face in `frame`, one sample at a
     time: pixel (r, c) sampled at the centres of its k x k split, k the

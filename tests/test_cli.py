@@ -474,6 +474,24 @@ def test_pipeline_ground_truth_without_instances_exits_2(scene_dir, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key", ["gt_instances", "gt_measured"])
+def test_pipeline_ground_truth_on_a_missing_face_exits_2(scene_dir, tmp_path,
+                                                         capsys, key):
+    nope = tmp_path / "nope.txt"
+    nope.write_text((scene_dir / f"{key}.txt").read_text()
+                    .replace("face=wall_front", "face=wall_nope"))
+    gt = {k: scene_dir / f"{k}.txt" for k in ("gt_instances", "gt_measured")}
+    gt[key] = nope
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text(f"rays = {scene_dir}/rays.txt\nsolid = {scene_dir}/solid.txt\n"
+                   + "".join(f"{k} = {v}\n" for k, v in gt.items())
+                   + f"out_dir = {tmp_path}/out\n")
+    assert cli.main(["pipeline", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: evaluate: {nope}: instance references unknown face "
+        "'wall_nope'\n")
+
+
 def test_pipeline_unknown_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "k.cfg"
     cfg.write_text("rays = r\nsolid = s\nout_dir = o\nbogus = 1\n")
@@ -652,6 +670,27 @@ def test_extract_on_synthetic_posterior(tmp_path):
     assert len(instances) == 1
     assert instances[0].rect == (0.5, 0.5, 1.5, 1.5)
     assert instances[0].label == "window"
+
+
+@pytest.mark.parametrize("flag, face, cell", [("--pc", "wall_front", "0.2"),
+                                              ("--tex", "wall_back", "0.1")],
+                         ids=["another-cell", "another-face"])
+def test_extract_with_a_raster_of_another_frame_exits_1(
+        scene_dir, artifacts_dir, tmp_path, capsys, flag, face, cell):
+    # wall_back is as large as wall_front: its raster has the same size
+    raster = tmp_path / "points.txt"
+    assert cli.main(["project-points", "--points", str(scene_dir / "points.txt"),
+                     "--solid", str(scene_dir / "solid.txt"), "--face", face,
+                     "--cell", cell, "--out", str(raster)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "i.txt"
+    assert cli.main(["extract", "--posterior",
+                     str(artifacts_dir / "posterior_wall_front.txt"),
+                     flag, str(raster), "--face", "wall_front",
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: extract: rasters do not share one facade frame\n")
+    assert not out.exists()
 
 
 def test_extract_requires_a_face(artifacts_dir, tmp_path, capsys):
@@ -976,11 +1015,19 @@ def _comma_id(solid):
         for f in solid.faces))
 
 
+def _window_roof(solid):
+    # an opening label names no surface of the prior
+    return BuildingSolid(solid.solid_id, solid.lod, tuple(
+        Face(f.face_id, "window" if f.face_id == "roof" else f.label, f.outer)
+        for f in solid.faces))
+
+
 @pytest.mark.parametrize("stage", ["pipeline", "conflicts", "project-points",
                                    "project-image", "reconstruct", "raycast"])
 @pytest.mark.parametrize("broken, fragment", [
     (_inverted, "faces inward"), (_without_ground, "unmatched edge"),
-    (_comma_id, "face id 'roof,a' contains ','")])
+    (_comma_id, "face id 'roof,a' contains ','"),
+    (_window_roof, "face roof: unknown label 'window'")])
 def test_invalid_prior_exits_2(scene_dir, artifacts_dir, tmp_path, capsys,
                                stage, broken, fragment):
     s = str(scene_dir)

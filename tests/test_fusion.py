@@ -200,6 +200,25 @@ def test_fuse_requires_matching_frames():
         fusion.fuse_maps(conflict, pc, None)
 
 
+def test_class_mass_requires_the_frame():
+    frame = _frame()
+    raster = _const_raster(frame, ("window",), (0.5,))
+    assert (fusion.class_mass([raster, None], "door", frame) == 0.0).all()
+    # another size, or the same size moved along the facade; a raster
+    # without the channel read is checked too
+    for other in (_frame(width=5), FacadeFrame((1.0, 0.0, 0.0), (1.0, 0.0, 0.0),
+                                               (0.0, 0.0, 1.0), 0.1, 4, 3)):
+        with pytest.raises(FrameMismatch, match="do not share one facade frame"):
+            fusion.class_mass([raster], "door", other)
+
+
+def test_extract_requires_the_posterior_frame():
+    post = _const_raster(_frame(), ("opening",), (0.9,))
+    pc = _const_raster(_frame(width=5), ("window", "door"), (0.8, 0.1))
+    with pytest.raises(FrameMismatch):
+        extract_openings(post, ExtractionConfig(kernel=1), None, pc, face_id="f")
+
+
 def test_fuse_requires_some_evidence():
     with pytest.raises(ConfigError):
         fusion.fuse_maps(None, None, None)

@@ -97,11 +97,34 @@ def test_clip_polygon_box():
 
 
 def test_segment_distance_2d():
-    assert geom.segment_distance_2d((0, 0), (2, 2), (0, 2), (2, 0)) == 0.0
-    assert geom.segment_distance_2d((0, 0), (1, 0), (0, 1), (1, 1)) == pytest.approx(1.0)
-    assert geom.segment_distance_2d((0, 0), (1, 0), (3, 0), (4, 0)) == pytest.approx(2.0)
-    # touching endpoints count as intersecting
-    assert geom.segment_distance_2d((0, 0), (1, 1), (1, 1), (2, 0)) == 0.0
+    # one pair each: edges that cross, ends that touch, a parallel gap,
+    # collinear edges apart, and a zero-length segment (a point) over one
+    cases = [((0, 0), (2, 2), (0, 2), (2, 0), 0.0),
+             ((0, 0), (1, 1), (1, 1), (2, 0), 0.0),
+             ((0, 0), (1, 0), (0, 1), (1, 1), 1.0),
+             ((0, 0), (1, 0), (3, 0), (4, 0), 2.0),
+             ((0.5, 2), (0.5, 2), (0, 0), (1, 0), 2.0)]
+    for a0, a1, b0, b1, want in cases:
+        got = geom.segment_distances(a0, a1, b0, b1)
+        assert got.shape == (1, 1) and got[0, 0] == want
+    # all pairs of two sets at once: (n, m)
+    a0, a1, b0, b1, _ = zip(*cases)
+    got = geom.segment_distances(a0[:2], a1[:2], b0, b1)
+    assert got.shape == (2, 5)
+    assert got[0, 0] == got[1, 1] == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(-4, 4)] * 8), min_size=1, max_size=6),
+       st.floats(0.05, 10.0))
+def test_segment_distances_match_the_scalar_distance(pairs, scale):
+    # on a grid, so that edges touch, cross, overlap or lie collinear
+    a0, a1, b0, b1 = (np.asarray(c, dtype=float).reshape(-1, 2) * scale
+                      for c in np.split(np.asarray(pairs), 4, axis=1))
+    got = geom.segment_distances(a0, a1, b0, b1)
+    want = [[oracles.segment_distance_2d(p, q, r, s) for r, s in zip(b0, b1)]
+            for p, q in zip(a0, a1)]
+    assert got == pytest.approx(np.asarray(want), rel=1e-12, abs=1e-12 * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -123,9 +146,9 @@ def _check_triangulation(outer, holes, rot=np.eye(3), shift=np.zeros(3)):
     # sliver between two vertices at almost one height, is not tested
     centroids = ((tris.mean(axis=1) - shift) @ rot)[:, :2]
     reach = 1e-9 + 1e-12 * float(np.abs(shift).max())
-    clear = [min(geom.point_segment_distance_2d(c, ring[m - 1], ring[m])
-                 for ring in [outer, *holes] for m in range(len(ring))) > reach
-             for c in centroids]
+    rings = [np.asarray(r, dtype=float) for r in [outer, *holes]]
+    ends = np.concatenate(rings), np.concatenate([np.roll(r, -1, axis=0) for r in rings])
+    clear = geom.segment_distances(centroids, centroids, *ends).min(axis=1) > reach
     assert geom.points_in_polygon(centroids[clear], [outer]).all()
     for h in holes:
         assert not geom.points_in_polygon(centroids[clear], [h]).any()

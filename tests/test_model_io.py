@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lod3recon import model_io
 from lod3recon.errors import ParseError, ValidationError
 from lod3recon.model_io import BuildingSolid, Face, OpeningTemplate, Ring
+
+import oracles
 
 
 def test_box_solid_volume_and_validation():
@@ -93,6 +97,26 @@ def test_validate_accepts_holes_meeting_the_outer_ring_at_a_vertex():
              for f in s.faces]
     faces += [Face(f"plug{k}", "closure", Ring(h[::-1])) for k, h in enumerate(holes)]
     assert model_io.validate_solid(BuildingSolid("b", 2, tuple(faces))) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 33), st.integers(-3, 13)),
+                min_size=3, max_size=6),
+       st.sampled_from([0.0, 1e-6, 0.1]))
+def test_holes_inside_agrees_with_the_vertex_by_vertex_check(hole, tol):
+    # the wall (0, 0, 0)-(3, 0, 1) of a box, a hole of vertices on a
+    # 0.1 m grid about it; the plane is y = 0, so (x, z) is the chart
+    wall = model_io.box_solid("b", (0, 0, 0), (3, 1, 1)).face("wall_front")
+    hole = [(x * 0.1, z * 0.1) for x, z in hole]
+    face = Face(wall.face_id, wall.label, wall.outer,
+                (Ring([(x, 0.0, z) for x, z in hole]),))
+    n, _ = face.plane()
+    outer = [(p.x, p.z) for p in wall.outer.points]
+    want = all(oracles.in_rings(x, z, [outer])
+               or min(oracles.point_segment_distance_2d((x, z), a, b)
+                      for a, b in oracles.ring_edges(outer)) <= tol
+               for x, z in hole)
+    assert model_io._holes_inside(face, n, tol) == want
 
 
 def test_validate_detects_duplicate_face_ids():

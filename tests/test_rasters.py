@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from lod3recon import model_io, rasters
-from lod3recon.errors import (DegenerateCorrespondence, DomainError,
-                              FrameMismatch, ParseError)
+from lod3recon.errors import DegenerateCorrespondence, DomainError, ParseError
 from lod3recon.model_io import Face, Ring
 
 import scenes
@@ -87,16 +86,6 @@ def test_frame_matches_tolerance():
     other_dims = rasters.FacadeFrame(f.origin, f.u_axis, f.v_axis, f.cell,
                                      f.width + 1, f.height)
     assert not f.matches(other_dims)
-
-
-def test_require_same_frame():
-    f = rasters.facade_frame(wall_face(), 0.1)
-    a = rasters.FacadeRaster.zeros(f, ("x",))
-    g = rasters.facade_frame(wall_face(width=1.1), 0.1)
-    b = rasters.FacadeRaster.zeros(g, ("x",))
-    rasters.require_same_frame(a, a)
-    with pytest.raises(FrameMismatch):
-        rasters.require_same_frame(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from lod3recon import geom
+from lod3recon import geom, reconstruct
 from lod3recon.errors import (ConfigError, DomainError, OpeningOutsideFace,
                               OpeningTouchesBoundary, ParseError,
                               ValidationError)
@@ -15,6 +17,8 @@ from lod3recon.reconstruct import (Lod3Model, Placement,
                                    merge_overlapping_instances, read_model,
                                    reconstruct_model, write_citygml,
                                    write_model)
+
+import oracles
 
 
 def _cube():
@@ -176,6 +180,67 @@ def test_rect_error_comes_before_template_error():
              _inst((0.8, 0.4, 1.2, 0.6))]
     with pytest.raises(OpeningOutsideFace):
         reconstruct_model(_cube(), insts, {"w": _flat_window()})
+
+
+def _outer_ring(shape, w, h, k):
+    """A 2-D outer ring of `w` by `h` grid steps of 0.1 m: a rectangle, a
+    gable `k` steps high over it, or a rectangle with a notch `k` steps
+    deep cut into the middle of its top."""
+    w, h, k = w * 0.1, h * 0.1, k * 0.1
+    if shape == "gable":
+        return [(0.0, 0.0), (w, 0.0), (w, h), (w / 2.0, h + k), (0.0, h)]
+    if shape == "notched":
+        a, b = w / 3.0, 2.0 * w / 3.0
+        return [(0.0, 0.0), (w, 0.0), (w, h), (b, h), (b, h - k), (a, h - k),
+                (a, h), (0.0, h)]
+    return [(0.0, 0.0), (w, 0.0), (w, h), (0.0, h)]
+
+
+def _grid_rect(draw, w, h):
+    """A rect on the 0.1 m grid around a `w` by `h` step face."""
+    u0, v0 = draw(st.integers(-1, w)), draw(st.integers(-1, h))
+    return (u0 * 0.1, v0 * 0.1, (u0 + draw(st.integers(1, w // 3))) * 0.1,
+            (v0 + draw(st.integers(1, h // 3))) * 0.1)
+
+
+@st.composite
+def _faces_with_rects(draw):
+    w, h = draw(st.integers(4, 40)), draw(st.integers(4, 30))
+    outer = _outer_ring(draw(st.sampled_from(["rectangle", "gable", "notched"])),
+                        w, h, draw(st.integers(1, h - 2)))
+    holes = []
+    if draw(st.booleans()):
+        u0, v0, u1, v1 = _grid_rect(draw, w, h)
+        holes = [[(u0, v0), (u0, v1), (u1, v1), (u1, v0)]]
+    if draw(st.booleans()):
+        # the float jitter of charting a face in 3-D; without it, rects
+        # meet hole vertices and lie exactly the margin off a ring
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        outer, *holes = [[tuple(p) for p in np.asarray(r)
+                          + rng.uniform(-1e-15, 1e-15, (len(r), 2))]
+                         for r in [outer, *holes]]
+    rects = [_grid_rect(draw, w, h) for _ in range(draw(st.integers(1, 4)))]
+    return rects, outer, holes, draw(st.sampled_from([0.0, 0.05, 0.1, 0.2]))
+
+
+_SQUARE = [(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_faces_with_rects())
+# a hole vertex on a rect's edge touches it, and does not overlap it
+@example(([(1.0, 0.5, 2.0, 1.5)], _SQUARE,
+          [[(0.0, 1.0), (0.0, 2.0), (1.0, 2.0), (1.0, 1.0)]], 0.0))
+# a rect exactly the margin off the outer ring touches it
+@example(([(0.1, 1.0, 2.0, 2.0)], _SQUARE, [], 0.1))
+def test_rect_checks_give_the_first_error_of_the_scalar_checks(case):
+    rects, outer, holes, margin = case
+    try:
+        reconstruct._check_rects(rects, [outer, *holes], margin, "f")
+        got = None
+    except (OpeningOutsideFace, OpeningTouchesBoundary) as exc:
+        got = type(exc).__name__, str(exc)
+    assert got == oracles.rect_check_error(rects, outer, holes, margin, "f")
 
 
 # ---------------------------------------------------------------------------
