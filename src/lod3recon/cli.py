@@ -29,10 +29,11 @@ from .evaluate import (DetectionCounts, detection_rates, format_report,
 from .extraction import ExtractionConfig, extract_openings, read_instances, \
     write_instances
 from .fusion import fuse_maps, read_cpt
-from .model_io import read_solid, read_template_library, validate_solid
+from .model_io import (OPENING_LABELS, read_solid, read_template_library,
+                       validate_solid)
 from .occupancy import (OccupancyConfig, build_occupancy, ray_blocks,
                         read_rays, read_tree, write_tree)
-from .rasters import (CONFLICT_CHANNELS, POINT_LABELS, FacadeRaster,
+from .rasters import (CONFLICT_CHANNELS, FacadeRaster,
                       estimate_homography, facade_frame, point_blocks,
                       project_image_probabilities, project_point_probabilities,
                       read_correspondences, read_labeled_points,
@@ -222,13 +223,18 @@ def build_config(raw: dict, base_dir: str = ".") -> PipelineConfig:
 @contextlib.contextmanager
 def _stage(name: str):
     """Prefix a package error with the stage it came from; an error that
-    already names its stage passes through unchanged."""
+    already names its stage passes through unchanged. Running out of
+    memory is a package error of the stage too."""
     try:
         yield
     except Lod3Error as exc:
         if hasattr(exc, "stage"):
             raise
         staged = type(exc)(f"{name}: {exc}")
+        staged.stage = name
+        raise staged from exc
+    except MemoryError as exc:
+        staged = Lod3Error(f"{name}: out of memory: {exc}")
         staged.stage = name
         raise staged from exc
 
@@ -265,7 +271,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     image = image_channels = homography = None
     if config.image:
         with _stage("project-image"):
-            image, image_channels = read_pixel_grid(config.image)
+            image, image_channels = _read_image(config.image)
             homography = estimate_homography(
                 read_correspondences(config.correspondences))
     with _stage("fuse"):
@@ -344,7 +350,7 @@ def _project_points(path, frames: dict, band) -> dict:
     """Face id -> the point raster of each frame of `frames`, the labeled
     points of `path` projected into every one block by block, each block
     read by one call of this module's `read_labeled_points`."""
-    rasters = {face_id: FacadeRaster.zeros(frame, POINT_LABELS)
+    rasters = {face_id: FacadeRaster.zeros(frame, OPENING_LABELS)
                for face_id, frame in frames.items()}
     blocks = point_blocks(path)
     points, probs = read_labeled_points(blocks)
@@ -470,7 +476,7 @@ def _cmd_project_points(args) -> int:
 
 
 def _cmd_project_image(args) -> int:
-    image, channels = read_pixel_grid(args.image)
+    image, channels = _read_image(args.image)
     homography = estimate_homography(read_correspondences(args.correspondences))
     _, frame = _face_frame(args, _VOXEL_SIZE)
     raster = project_image_probabilities(image, channels, homography, frame)
@@ -479,18 +485,42 @@ def _cmd_project_image(args) -> int:
     return 0
 
 
-def _raster(path, *channels):
-    """The raster at `path`, None without a path; it must hold `channels`."""
+def _holds(path, channels, names, every: bool = True) -> None:
+    """Check that the `channels` read from `path` hold every one of
+    `names`, or without `every` at least one."""
+    missing = [name for name in names if name not in channels]
+    if every and missing:
+        raise ParseError(f"{path}: missing channel {missing[0]!r}")
+    if not every and len(missing) == len(names):
+        raise ParseError(f"{path}: missing channel "
+                         + " or ".join(map(repr, names)))
+
+
+def _raster(path, *channels, every: bool = True):
+    """The raster at `path`, None without a path; it must hold `channels`,
+    or without `every` at least one of them."""
     raster = _read_optional(read_raster, path)
-    for name in channels if raster else ():
-        if name not in raster.channels:
-            raise ParseError(f"{path}: missing channel {name!r}")
+    if raster is not None:
+        _holds(path, raster.channels, channels, every)
     return raster
+
+
+def _evidence(path):
+    """The point or texture raster at `path`, None without a path; it must
+    hold an opening channel, the evidence fusion reads."""
+    return _raster(path, *OPENING_LABELS, every=False)
+
+
+def _read_image(path):
+    """The image grid and channels at `path`; an opening channel among them."""
+    image, channels = read_pixel_grid(path)
+    _holds(path, channels, OPENING_LABELS, every=False)
+    return image, channels
 
 
 def _cmd_fuse(args) -> int:
     conflict = _raster(args.conflict, *CONFLICT_CHANNELS)
-    pc, tex = _raster(args.pc), _raster(args.tex)
+    pc, tex = _evidence(args.pc), _evidence(args.tex)
     cpt = _read_optional(read_cpt, args.cpt)
     write_raster(fuse_maps(conflict, pc, tex, cpt), args.out)
     print(f"wrote {args.out}")
@@ -500,7 +530,7 @@ def _cmd_fuse(args) -> int:
 def _cmd_extract(args) -> int:
     config = _from_args(ExtractionConfig, args)
     posterior = _raster(args.posterior, "opening")
-    pc, tex = _raster(args.pc), _raster(args.tex)
+    pc, tex = _evidence(args.pc), _evidence(args.tex)
     instances = extract_openings(posterior, config, pc, tex, face_id=args.face)
     write_instances(instances, args.out)
     print(f"wrote {args.out} ({len(instances)} instances)")

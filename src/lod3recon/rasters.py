@@ -17,6 +17,7 @@ import numpy as np
 
 from . import geom, textio
 from .errors import DegenerateCorrespondence, DomainError, ParseError
+from .model_io import OPENING_LABELS
 
 POINT_LABELS = ("arch", "column", "molding", "floor", "door", "window",
                 "wall", "other")
@@ -151,16 +152,19 @@ def project_point_probabilities(points, probs, frame: FacadeFrame,
                                 out: FacadeRaster | None = None) -> FacadeRaster:
     """Max-aggregate per-point class probabilities onto the facade grid.
 
-    Points outside the distance band or the raster bounds are dropped;
-    untouched pixels keep zero in every channel. With `out`, a point
-    raster of `frame`, the points are maxed into it in place: the maximum
-    does not depend on order, so any split of the points into blocks
-    gives the raster of all of them at once.
+    `probs` holds one probability per point label; the raster keeps the
+    opening labels, the only classes fusion and extraction read. Points
+    outside the distance band or the raster bounds are dropped; untouched
+    pixels keep zero in every channel. With `out`, a raster of `frame`
+    whose channels are point labels, the points are maxed into it in
+    place: the maximum does not depend on order, so any split of the
+    points into blocks gives the raster of all of them at once.
     """
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 2 or probs.shape[1] != len(POINT_LABELS):
         raise DomainError(f"probs must be (N, {len(POINT_LABELS)})")
-    raster = FacadeRaster.zeros(frame, POINT_LABELS) if out is None else out
+    raster = FacadeRaster.zeros(frame, OPENING_LABELS) if out is None else out
+    probs = probs[:, [POINT_LABELS.index(name) for name in raster.channels]]
     n = len(probs)
     if n == 0:
         return raster
@@ -171,7 +175,7 @@ def project_point_probabilities(points, probs, frame: FacadeFrame,
         points = np.repeat(np.atleast_2d(points), 2, axis=0)
     rows, cols, inside = (a[:n] for a in frame.to_pixels(points, band))
     rows, cols, probs = rows[inside], cols[inside], probs[inside]
-    flat = raster.data.reshape(-1, len(POINT_LABELS))
+    flat = raster.data.reshape(-1, len(raster.channels))
     np.maximum.at(flat, rows * frame.width + cols, probs.astype(np.float32))
     return raster
 
@@ -244,22 +248,28 @@ def project_image_probabilities(image: np.ndarray, channels,
                                 frame: FacadeFrame) -> FacadeRaster:
     """Sample an image-space probability grid onto the facade raster.
 
-    Nearest-neighbour lookup; facade pixels mapping outside the image get
-    zero. Image row 0 is the top scanline (y grows downward).
+    The raster keeps the image channels that are opening labels, in image
+    order; an image without one is a DomainError. Nearest-neighbour
+    lookup; facade pixels mapping outside the image get zero. Image row 0
+    is the top scanline (y grows downward).
     """
+    channels = tuple(channels)
     image = np.asarray(image, dtype=np.float32)
-    if image.ndim != 3 or image.shape[2] != len(tuple(channels)):
+    if image.ndim != 3 or image.shape[2] != len(channels):
         raise DomainError("image must be (H, W, C) matching the channel list")
+    keep = [i for i, name in enumerate(channels) if name in OPENING_LABELS]
+    if not keep:
+        raise DomainError(f"image holds no opening channel {OPENING_LABELS}")
     uv = frame.pixel_center_uv().reshape(-1, 2)
     xy = apply_homography(homography, uv)
     cols = np.floor(xy[:, 0]).astype(int)
     rows = np.floor(xy[:, 1]).astype(int)
     h, w = image.shape[:2]
     inside = (cols >= 0) & (cols < w) & (rows >= 0) & (rows < h)
-    out = np.zeros((frame.height * frame.width, image.shape[2]), dtype=np.float32)
-    out[inside] = image[rows[inside], cols[inside]]
-    return FacadeRaster(frame, tuple(channels),
-                        out.reshape(frame.height, frame.width, image.shape[2]))
+    out = np.zeros((frame.height * frame.width, len(keep)), dtype=np.float32)
+    out[inside] = image[rows[inside], cols[inside]][:, keep]
+    return FacadeRaster(frame, [channels[i] for i in keep],
+                        out.reshape(frame.height, frame.width, len(keep)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lod3recon import cli, textio
@@ -18,8 +19,9 @@ from lod3recon.extraction import ExtractionConfig, OpeningInstance, \
 from lod3recon.model_io import BuildingSolid, Face, Ring, box_solid, \
     read_solid, write_solid
 from lod3recon.occupancy import OccupancyConfig, read_tree
-from lod3recon.rasters import (FacadeRaster, facade_frame, point_writer,
-                               project_point_probabilities, write_raster)
+from lod3recon.rasters import (POINT_LABELS, FacadeRaster, facade_frame,
+                               point_writer, project_point_probabilities,
+                               read_raster, write_raster)
 from lod3recon.reconstruct import read_model
 from lod3recon.synth import FRONT_FACE, SceneSpec, scene_solid, synth_scene
 from lod3recon.visibility import UncertaintyConfig
@@ -1286,6 +1288,111 @@ def test_raster_without_its_channel_exits_2(artifacts_dir, tmp_path, capsys,
     assert cli.main([*argv, str(path), "--out", str(tmp_path / "out.txt")]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {argv[0]}: {path}: missing channel {channel!r}\n"
+
+
+@pytest.mark.parametrize("stage", ["project-image", "pipeline", "fuse --pc",
+                                   "fuse --tex", "extract --pc", "extract --tex"])
+def test_evidence_without_an_opening_channel_exits_2(scene_dir, artifacts_dir,
+                                                     tmp_path, capsys, stage):
+    # fusion and extraction read the opening channels only: an image or an
+    # evidence raster without one is the wrong file, not absent evidence
+    command, *flag = stage.split()
+    out = tmp_path / "out.txt"
+    if command in ("project-image", "pipeline"):
+        bad = tmp_path / "image.txt"
+        bad.write_text((scene_dir / "image.txt").read_text().replace(
+            "channels window door", "channels sky road"))
+        if command == "pipeline":
+            argv = ["pipeline", "--config", str(_scene_config(
+                scene_dir, tmp_path / "scene.cfg", image=str(bad),
+                out_dir=str(tmp_path / "out")))]
+        else:
+            argv = ["project-image", "--image", str(bad), "--correspondences",
+                    str(scene_dir / "correspondences.txt"),
+                    "--solid", str(scene_dir / "solid.txt"),
+                    "--face", "wall_front", "--out", str(out)]
+        stage = "project-image"
+    else:
+        bad = artifacts_dir / "conflict_wall_front.txt"
+        first = ["--posterior", str(artifacts_dir / "posterior_wall_front.txt"),
+                 "--face", "wall_front"] if command == "extract" else []
+        argv = [command, *first, *flag, str(bad), "--out", str(out)]
+        stage = command
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {stage}: {bad}: missing channel 'window' or 'door'\n")
+    assert not out.exists()
+
+
+def test_a_window_only_image_is_evidence(scene_dir, artifacts_dir, tmp_path):
+    # one opening channel is enough; the other image channels are dropped
+    image = tmp_path / "image.txt"
+    image.write_text((scene_dir / "image.txt").read_text().replace(
+        "channels window door", "channels window sky"))
+    tex = tmp_path / "tex.txt"
+    assert cli.main(["project-image", "--image", str(image), "--correspondences",
+                     str(scene_dir / "correspondences.txt"),
+                     "--solid", str(scene_dir / "solid.txt"),
+                     "--face", "wall_front", "--out", str(tex)]) == 0
+    got = read_raster(tex)
+    both = read_raster(artifacts_dir / "texture_wall_front.txt")
+    assert got.channels == ("window",)
+    assert np.array_equal(got.channel("window"), both.channel("window"))
+    assert cli.main(["fuse", "--conflict", str(artifacts_dir / "conflict_wall_front.txt"),
+                     "--tex", str(tex), "--out", str(tmp_path / "post.txt")]) == 0
+
+
+def test_an_eight_class_point_raster_fuses_and_extracts_as_before(
+        scene_dir, artifacts_dir, tmp_path):
+    # point rasters once held every point label; fusion and extraction
+    # read the opening channels by name, so such a raster still gives the
+    # posterior and instances of the two-channel raster, byte for byte
+    frame = facade_frame(read_solid(scene_dir / "solid.txt").face("wall_front"),
+                         OccupancyConfig().voxel_size)
+    eight = FacadeRaster.zeros(frame, POINT_LABELS)
+    project_point_probabilities(*scenes.read_all_points(scene_dir / "points.txt"),
+                                frame, out=eight)
+    write_raster(eight, tmp_path / "eight.txt")
+    two = artifacts_dir / "points_wall_front.txt"
+    assert read_raster(two).channels == ("window", "door")
+    tex = str(artifacts_dir / "texture_wall_front.txt")
+    for name, pc in {"eight": str(tmp_path / "eight.txt"), "two": str(two)}.items():
+        assert cli.main(["fuse", "--conflict",
+                         str(artifacts_dir / "conflict_wall_front.txt"),
+                         "--pc", pc, "--tex", tex,
+                         "--out", str(tmp_path / f"posterior_{name}.txt")]) == 0
+        assert cli.main(["extract", "--posterior",
+                         str(tmp_path / f"posterior_{name}.txt"), "--pc", pc,
+                         "--tex", tex, "--face", "wall_front",
+                         "--out", str(tmp_path / f"instances_{name}.txt")]) == 0
+    for kind in ("posterior", "instances"):
+        assert (tmp_path / f"{kind}_eight.txt").read_bytes() == \
+            (tmp_path / f"{kind}_two.txt").read_bytes()
+    assert (tmp_path / "posterior_two.txt").read_bytes() == \
+        (artifacts_dir / "posterior_wall_front.txt").read_bytes()
+    assert (tmp_path / "instances_two.txt").read_bytes() == \
+        (artifacts_dir / "instances.txt").read_bytes()
+
+
+@pytest.mark.parametrize("via", ["project-image", "pipeline"])
+def test_running_out_of_memory_exits_1_naming_the_stage(scene_dir, tmp_path,
+                                                        capsys, monkeypatch, via):
+    # a cell far too fine asks for more memory than there is; the failed
+    # allocation is raised here without allocating anything
+    def project(*args):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+    monkeypatch.setattr(cli, "project_image_probabilities", project)
+    if via == "pipeline":
+        argv = ["pipeline", "--config", str(_scene_config(
+            scene_dir, tmp_path / "scene.cfg", out_dir=str(tmp_path / "out")))]
+    else:
+        argv = ["project-image", "--image", str(scene_dir / "image.txt"),
+                "--correspondences", str(scene_dir / "correspondences.txt"),
+                "--solid", str(scene_dir / "solid.txt"), "--face", "wall_front",
+                "--out", str(tmp_path / "out.txt")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == ("error: project-image: out of memory: "
+                                       "Unable to allocate 74.5 GiB for an array\n")
 
 
 @pytest.mark.parametrize("old, new, message", [

@@ -100,11 +100,30 @@ def test_project_point_probabilities_max_aggregation():
     probs[1, rasters.POINT_LABELS.index("wall")] = 0.2
     probs[2, rasters.POINT_LABELS.index("door")] = 0.9
     r = rasters.project_point_probabilities(pts, probs, f)
+    # the raster keeps the opening classes only
+    assert r.channels == model_io.OPENING_LABELS == ("window", "door")
+    assert "wall" not in r.channels
     assert r.channel("window")[0, 0] == pytest.approx(0.7)   # max of the two
-    assert r.channel("wall")[0, 0] == pytest.approx(0.2)
     assert r.channel("door")[1, 3] == pytest.approx(0.9)
     assert r.channel("door")[0, 0] == 0.0
-    assert float(r.data.sum()) == pytest.approx(0.7 + 0.2 + 0.9)
+    assert float(r.data.sum()) == pytest.approx(0.7 + 0.9)
+
+
+def test_project_point_probabilities_into_any_point_labels():
+    # `out` may hold any point labels, in any order: each is taken from
+    # its own column of the probabilities
+    f = rasters.facade_frame(wall_face(), 0.1)
+    rng = np.random.default_rng(2)
+    pts = np.column_stack([rng.uniform(0, 1, 50), np.zeros(50), rng.uniform(0, 0.4, 50)])
+    probs = rng.random((50, len(rasters.POINT_LABELS)))
+    every = rasters.project_point_probabilities(
+        pts, probs, f, out=rasters.FacadeRaster.zeros(f, rasters.POINT_LABELS))
+    opening = rasters.project_point_probabilities(pts, probs, f)
+    some = rasters.project_point_probabilities(
+        pts, probs, f, out=rasters.FacadeRaster.zeros(f, ("wall", "door")))
+    for raster in (opening, some):
+        for name in raster.channels:
+            assert np.array_equal(raster.channel(name), every.channel(name))
 
 
 def test_project_point_probabilities_drops_far_points():
@@ -200,7 +219,7 @@ def test_project_image_probabilities_nearest_neighbour():
             image[r, c, 0] = 10 * r + c
     # facade (u,v) -> image (4u, 4-4v): v up maps to y down
     h = np.array([[4.0, 0, 0], [0, -4.0, 4.0], [0, 0, 1.0]])
-    out = rasters.project_image_probabilities(image, ("score",), h, frame)
+    out = rasters.project_image_probabilities(image, ("window",), h, frame)
     np.testing.assert_allclose(out.data[0, :, 0], [31, 33])
     np.testing.assert_allclose(out.data[1, :, 0], [11, 13])
 
@@ -210,8 +229,25 @@ def test_project_image_probabilities_outside_is_zero():
     frame = rasters.facade_frame(face, 0.5)
     image = np.ones((2, 2, 1), dtype=np.float32)
     h = np.array([[4.0, 0, 100.0], [0, -4.0, 4.0], [0, 0, 1.0]])  # off-image shift
-    out = rasters.project_image_probabilities(image, ("score",), h, frame)
+    out = rasters.project_image_probabilities(image, ("window",), h, frame)
     assert float(out.data.sum()) == 0.0
+
+
+def test_project_image_probabilities_keeps_the_opening_channels():
+    face = Face("w", "wall", Ring(((0, 0, 0), (1, 0, 0), (1, 0, 1), (0, 0, 1))))
+    frame = rasters.facade_frame(face, 0.5)
+    h = np.array([[4.0, 0, 0], [0, -4.0, 4.0], [0, 0, 1.0]])
+    image = np.random.default_rng(4).random((4, 4, 4)).astype(np.float32)
+    names = ("sky", "door", "wall", "window")
+    out = rasters.project_image_probabilities(image, names, h, frame)
+    assert out.channels == ("door", "window")
+    for name in out.channels:
+        alone = rasters.project_image_probabilities(
+            image[:, :, [names.index(name)]], (name,), h, frame)
+        assert np.array_equal(out.channel(name), alone.data[:, :, 0])
+    with pytest.raises(DomainError, match="no opening channel"):
+        rasters.project_image_probabilities(image[:, :, [0, 2]], ("sky", "wall"),
+                                            h, frame)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +357,7 @@ def test_a_lone_point_lands_on_its_pixel_among_all_points():
               + off[:, None] * np.asarray(frame.normal))
     probs = rng.random((n, len(rasters.POINT_LABELS)))
     want = rasters.project_point_probabilities(points, probs, frame)
-    got = rasters.FacadeRaster.zeros(frame, rasters.POINT_LABELS)
+    got = rasters.FacadeRaster.zeros(frame, want.channels)
     for point, prob in zip(points, probs):
         rasters.project_point_probabilities(point[None], prob[None], frame, out=got)
     assert np.array_equal(got.data, want.data)
